@@ -38,9 +38,18 @@ def _read(path: Path) -> tuple[dict, list[np.ndarray]]:
         header = json.loads(data[:nl].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataValidationError(f"{path}: malformed checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataValidationError(f"{path}: checkpoint header is not a JSON object")
+    shapes = header.get("params", [])
+    if not isinstance(shapes, list) or not all(
+        isinstance(shape, list)
+        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+        for shape in shapes
+    ):
+        raise DataValidationError(f"{path}: malformed parameter shapes in checkpoint header")
     off = nl + 1
     params = []
-    for shape in header.get("params", []):
+    for shape in shapes:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 4
         if off + nbytes > len(data):
@@ -54,6 +63,19 @@ def _read(path: Path) -> tuple[dict, list[np.ndarray]]:
     return header, params
 
 
+def _expect_blocks(path, params: list[np.ndarray], count: int) -> None:
+    if len(params) != count:
+        raise DataValidationError(
+            f"{path}: expected {count} parameter blocks, got {len(params)}"
+        )
+
+
+def _number(path, value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataValidationError(f"{path}: {what} must be a number, got {value!r}")
+    return float(value)
+
+
 def save_adapter(adapter: FusionAdapter, path: str | Path, seed: int | None = None) -> None:
     header = {"kind": _KIND_ADAPTER, "temperature": adapter.temperature}
     if seed is not None:
@@ -65,8 +87,10 @@ def load_adapter(path: str | Path) -> FusionAdapter:
     header, params = _read(Path(path))
     if header.get("kind") != _KIND_ADAPTER:
         raise DataValidationError(f"{path}: not a fusion adapter checkpoint")
+    _expect_blocks(path, params, 4)
     w1, b1, w2, b2 = params
-    return FusionAdapter(w1, b1, w2, b2, temperature=header["temperature"])
+    temperature = _number(path, header.get("temperature"), "temperature")
+    return FusionAdapter(w1, b1, w2, b2, temperature=temperature)
 
 
 def save_expert(head: ExpertHead, path: str | Path, seed: int | None = None) -> None:
@@ -84,5 +108,13 @@ def load_expert(path: str | Path) -> ExpertHead:
     header, params = _read(Path(path))
     if header.get("kind") != _KIND_EXPERT:
         raise DataValidationError(f"{path}: not an expert head checkpoint")
+    _expect_blocks(path, params, 2)
     w, b = params
-    return ExpertHead(w, b, margin=header["margin"], loss_weights=tuple(header["loss_weights"]))
+    weights = header.get("loss_weights")
+    if not isinstance(weights, list) or len(weights) != 2:
+        raise DataValidationError(f"{path}: loss_weights must be a list of 2 numbers")
+    return ExpertHead(
+        w, b,
+        margin=_number(path, header.get("margin"), "margin"),
+        loss_weights=tuple(_number(path, x, "loss_weights") for x in weights),
+    )

@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +35,12 @@ logger = logging.getLogger(__name__)
 
 
 class _OutputStage:
-    """Collects output files in a temp dir, then promotes them atomically."""
+    """Collects output files in a temp dir, then promotes them atomically.
+
+    Used as a context manager: the stage is promoted when the block
+    completes and discarded when it raises, so a failed command leaves no
+    stage directory behind.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
@@ -69,9 +75,16 @@ class _OutputStage:
         os.rmdir(self._tmp)
 
     def discard(self) -> None:
-        for p in Path(self._tmp).iterdir():
-            p.unlink()
-        os.rmdir(self._tmp)
+        shutil.rmtree(self._tmp, ignore_errors=True)
+
+    def __enter__(self) -> "_OutputStage":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.promote()
+        else:
+            self.discard()
 
 
 def _write_ground_truth(path: Path, ground_truth: dict[str, str]) -> None:
@@ -90,9 +103,15 @@ def _load_predictions(path: Path, model_name: str = "file") -> evalkit.Predictio
                 continue
             try:
                 obj = json.loads(line)
-                entries[obj["task_id"]] = obj["response"]
-            except (json.JSONDecodeError, KeyError) as exc:
+                task_id, response = obj["task_id"], obj["response"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+            if not isinstance(task_id, str) or not isinstance(response, (str, int)):
+                raise DataValidationError(
+                    f"{path}: line {lineno}: task_id must be a string and response "
+                    "a string, an integer or a boolean"
+                )
+            entries[task_id] = response
     return evalkit.PredictionLog(entries=entries, model_name=model_name)
 
 
@@ -102,25 +121,22 @@ def _load_predictions(path: Path, model_name: str = "file") -> evalkit.Predictio
 
 def cmd_synth(args, config: PipelineConfig) -> None:
     bundle = synthgen.generate(config.synth)
-    stage = _OutputStage(args.out)
-    h, seed = config.config_hash(), config.synth.seed
-    ext = config.format
-    save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
-    save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
-    save_token_maps(bundle.token_maps, stage.record("token_maps.jsonl", h, seed))
-    _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
-    stage.promote()
+    with _OutputStage(args.out) as stage:
+        h, seed = config.config_hash(), config.synth.seed
+        ext = config.format
+        save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
+        save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
+        save_token_maps(bundle.token_maps, stage.record("token_maps.jsonl", h, seed))
+        _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
     print(f"wrote synthetic bundle ({len(bundle.raw_set.records)} images) to {args.out}")
 
 
 def cmd_split(args, config: PipelineConfig) -> None:
     eset = load_embedding_set(args.embeddings, args.format)
     manifest = dataengine.make_split(eset, args.test_fraction, args.seed)
-    stage = _OutputStage(Path(args.out).parent)
-    stage.manifest = {}
-    path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
-    dataengine.save_split(manifest, path)
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
+        dataengine.save_split(manifest, path)
     print(
         f"split {len(manifest.train_instances)} train / "
         f"{len(manifest.test_instances)} test instances -> {args.out}"
@@ -146,9 +162,9 @@ def cmd_build_galleries(args, config: PipelineConfig) -> None:
             general, _split_side(args), k=args.k, tau=args.tau,
             n_tasks=args.n_tasks, seed=args.seed, hardest=args.hardest,
         )
-    stage = _OutputStage(Path(args.out).parent)
-    dataengine.save_jsonl(tasks, stage.record(Path(args.out).name, config.config_hash(), args.seed))
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
+        dataengine.save_jsonl(tasks, path)
     relaxed = sum(t.relaxed for t in tasks)
     print(f"wrote {len(tasks)} gallery tasks ({relaxed} relaxed) -> {args.out}")
 
@@ -159,9 +175,9 @@ def cmd_build_detection(args, config: PipelineConfig) -> None:
         general, _split_side(args), tau=args.tau, n_tasks=args.n_tasks,
         positive_rate=args.positive_rate, seed=args.seed,
     )
-    stage = _OutputStage(Path(args.out).parent)
-    dataengine.save_jsonl(tasks, stage.record(Path(args.out).name, config.config_hash(), args.seed))
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
+        dataengine.save_jsonl(tasks, path)
     print(f"wrote {len(tasks)} detection tasks -> {args.out}")
 
 
@@ -179,11 +195,10 @@ def cmd_emit(args, config: PipelineConfig) -> None:
         else:
             captions = dataengine.template_captions(tasks)
     records = dataengine.emit_conversations(tasks, args.stage, captions=captions)
-    stage = _OutputStage(Path(args.out).parent)
-    dataengine.save_jsonl(
-        records, stage.record(Path(args.out).name, config.config_hash(), config.seed)
-    )
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        dataengine.save_jsonl(
+            records, stage.record(Path(args.out).name, config.config_hash(), config.seed)
+        )
     print(f"wrote {len(records)} {args.stage} conversations -> {args.out}")
 
 
@@ -194,12 +209,11 @@ def cmd_train_expert(args, config: PipelineConfig) -> None:
         keep = [rec for rec in raw.records if rec.instance_id in side]
         raw = raw.__class__.from_records(raw.encoder_name, keep)
     head = expert.train_expert(raw, config=config.expert)
-    stage = _OutputStage(Path(args.out).parent)
-    checkpoint.save_expert(
-        head, stage.record(Path(args.out).name, config.config_hash(), config.expert.seed),
-        seed=config.expert.seed,
-    )
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        checkpoint.save_expert(
+            head, stage.record(Path(args.out).name, config.config_hash(), config.expert.seed),
+            seed=config.expert.seed,
+        )
     print(f"trained expert head ({head.w.shape[0]} -> {head.w.shape[1]}) -> {args.out}")
 
 
@@ -207,11 +221,10 @@ def cmd_embed(args, config: PipelineConfig) -> None:
     head = checkpoint.load_expert(args.checkpoint)
     raw = load_embedding_set(args.embeddings, args.format)
     eset = expert.embed_set(head, raw)
-    stage = _OutputStage(Path(args.out).parent)
-    save_embedding_set(
-        eset, stage.record(Path(args.out).name, config.config_hash(), config.seed), args.format
-    )
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        save_embedding_set(
+            eset, stage.record(Path(args.out).name, config.config_hash(), config.seed), args.format
+        )
     print(f"embedded {len(eset.records)} images -> {args.out}")
 
 
@@ -233,12 +246,11 @@ def cmd_train_adapter(args, config: PipelineConfig) -> None:
         expert_dim, any_map.tokens.shape[1], seed=config.adapter.seed
     )
     adapter = fusion.train_adapter(adapter, tasks, token_maps, expert_vectors, config.adapter)
-    stage = _OutputStage(Path(args.out).parent)
-    checkpoint.save_adapter(
-        adapter, stage.record(Path(args.out).name, config.config_hash(), config.adapter.seed),
-        seed=config.adapter.seed,
-    )
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        checkpoint.save_adapter(
+            adapter, stage.record(Path(args.out).name, config.config_hash(), config.adapter.seed),
+            seed=config.adapter.seed,
+        )
     print(f"trained fusion adapter -> {args.out}")
 
 
@@ -265,15 +277,14 @@ def cmd_match(args, config: PipelineConfig) -> None:
     view = load_embedding_set(args.embeddings, args.format)
     tasks = dataengine.load_gallery_tasks(args.tasks)
     matcher = evalkit.similarity_matcher(view, args.kind)
-    stage = _OutputStage(Path(args.out).parent)
-    path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        for task in tasks:
-            fh.write(
-                json.dumps({"task_id": task.task_id, "response": f"Image {matcher(task) + 1}"})
-                + "\n"
-            )
-    stage.promote()
+    with _OutputStage(Path(args.out).parent) as stage:
+        path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
+        with open(path, "w", encoding="utf-8") as fh:
+            for task in tasks:
+                fh.write(
+                    json.dumps({"task_id": task.task_id, "response": f"Image {matcher(task) + 1}"})
+                    + "\n"
+                )
     print(f"matched {len(tasks)} tasks -> {args.out}")
 
 
@@ -285,11 +296,12 @@ def cmd_evaluate(args, config: PipelineConfig) -> None:
         det_tasks = dataengine.load_detection_tasks(args.detection_tasks)
         det_log = _load_predictions(Path(args.detection_predictions))
         report.detection = evalkit.score_detection(det_tasks, det_log, args.equal_weight)
-    stage = _OutputStage(args.out)
-    h = config.config_hash()
-    stage.record("report.json", h, config.seed).write_text(report.to_json(), encoding="utf-8")
-    stage.record("report.txt", h, config.seed).write_text(report.render_table(), encoding="utf-8")
-    stage.promote()
+    with _OutputStage(args.out) as stage:
+        h = config.config_hash()
+        stage.record("report.json", h, config.seed).write_text(report.to_json(), encoding="utf-8")
+        stage.record("report.txt", h, config.seed).write_text(
+            report.render_table(), encoding="utf-8"
+        )
     print(report.render_table())
 
 
@@ -315,20 +327,19 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
         general, side, matchers, taus=tuple(args.taus), k=args.k,
         n_tasks=args.n_tasks, seed=args.seed,
     )
-    stage = _OutputStage(args.out)
-    h = config.config_hash()
-    stage.record("sweep.json", h, args.seed).write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    if args.emit_plot_data:
-        series = {
-            name: {"x": sorted(row), "y": [row[t] for t in sorted(row)]}
-            for name, row in result.accuracies.items()
-        }
-        stage.record("sweep_plot.json", h, args.seed).write_text(
-            json.dumps(series, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    with _OutputStage(args.out) as stage:
+        h = config.config_hash()
+        stage.record("sweep.json", h, args.seed).write_text(
+            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    stage.promote()
+        if args.emit_plot_data:
+            series = {
+                name: {"x": sorted(row), "y": [row[t] for t in sorted(row)]}
+                for name, row in result.accuracies.items()
+            }
+            stage.record("sweep_plot.json", h, args.seed).write_text(
+                json.dumps(series, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
     for name, row in sorted(result.accuracies.items()):
         cells = ", ".join(f"tau={t:g}: {100 * a:.1f}%" for t, a in sorted(row.items()))
         print(f"{name}: {cells}")
@@ -338,115 +349,119 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     """synth -> split -> train-expert -> build tiers -> train-adapter ->
     evaluate all matchers -> sweep, with one manifest for everything."""
     out = Path(args.out)
-    stage = _OutputStage(out)
-    h = config.config_hash()
-    seed = config.seed
-    ext = config.format
+    with _OutputStage(out) as stage:
+        h = config.config_hash()
+        seed = config.seed
+        ext = config.format
 
-    logger.info("pipeline: generating synthetic bundle")
-    bundle = synthgen.generate(config.synth)
-    save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
-    save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
-    save_token_maps(bundle.token_maps, stage.record("token_maps.jsonl", h, seed))
-    _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
+        logger.info("pipeline: generating synthetic bundle")
+        bundle = synthgen.generate(config.synth)
+        save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
+        save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
+        save_token_maps(bundle.token_maps, stage.record("token_maps.jsonl", h, seed))
+        _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
 
-    split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
-    dataengine.save_split(split, stage.record("split.json", h, seed))
+        split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
+        dataengine.save_split(split, stage.record("split.json", h, seed))
 
-    logger.info("pipeline: training expert head")
-    train_raw = bundle.raw_set.__class__.from_records(
-        "raw", [r for r in bundle.raw_set.records if r.instance_id in split.train_instances]
-    )
-    head = expert.train_expert(train_raw, config=config.expert)
-    checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
-    expert_set = expert.embed_set(head, bundle.raw_set)
-    save_embedding_set(expert_set, stage.record(f"expert.{ext}", h, seed), ext)
-
-    logger.info("pipeline: building benchmark tiers")
-    test_tasks = {}
-    for tau in sorted({config.tau, *config.taus}):
-        tasks = dataengine.build_gallery_tasks_per_category(
-            bundle.general_set, split.test_instances, k=config.k, tau=tau,
-            n_per_category=config.n_tasks, seed=seed, task_prefix=f"t{tau:g}-",
+        logger.info("pipeline: training expert head")
+        train_raw = bundle.raw_set.__class__.from_records(
+            "raw", [r for r in bundle.raw_set.records if r.instance_id in split.train_instances]
         )
-        test_tasks[tau] = tasks
-        dataengine.save_jsonl(tasks, stage.record(f"tasks_tau{tau:g}.jsonl", h, seed))
-    detection = dataengine.build_detection_tasks(
-        bundle.general_set, split.test_instances, tau=config.tau,
-        n_tasks=config.n_tasks, positive_rate=config.positive_rate, seed=seed,
-    )
-    dataengine.save_jsonl(detection, stage.record("detection_tasks.jsonl", h, seed))
+        head = expert.train_expert(train_raw, config=config.expert)
+        checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
+        expert_set = expert.embed_set(head, bundle.raw_set)
+        save_embedding_set(expert_set, stage.record(f"expert.{ext}", h, seed), ext)
 
-    mcq = dataengine.emit_conversations(test_tasks[config.tau], "match_mcq")
-    dataengine.save_jsonl(mcq, stage.record("conversations_mcq.jsonl", h, seed))
-    captions = dataengine.template_captions(test_tasks[config.tau])
-    cap = dataengine.emit_conversations(test_tasks[config.tau], "caption", captions=captions)
-    dataengine.save_jsonl(cap, stage.record("conversations_caption.jsonl", h, seed))
-
-    logger.info("pipeline: training fusion adapter")
-    train_tasks = dataengine.build_gallery_tasks(
-        bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
-        n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
-    )
-    token_maps = {t.image_id: t for t in bundle.token_maps}
-    expert_vectors = {
-        rec.image_id: np.asarray(rec.vector, dtype=np.float64) for rec in expert_set.records
-    }
-    any_map = next(iter(token_maps.values()))
-    adapter = fusion.init_adapter(
-        expert_set.dimension, any_map.tokens.shape[1], seed=config.adapter.seed
-    )
-    adapter = fusion.train_adapter(adapter, train_tasks, token_maps, expert_vectors, config.adapter)
-    checkpoint.save_adapter(adapter, stage.record("adapter.ckpt", h, config.adapter.seed))
-
-    logger.info("pipeline: evaluating matchers")
-    matchers = {
-        "general": evalkit.similarity_matcher(bundle.general_set),
-        "expert": evalkit.similarity_matcher(expert_set),
-        "fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors),
-    }
-    tier = test_tasks[config.tau]
-    matcher_reports = {}
-    for name, matcher in matchers.items():
-        log = evalkit.PredictionLog(
-            entries={t.task_id: f"Image {matcher(t) + 1}" for t in tier}, model_name=name
+        logger.info("pipeline: building benchmark tiers")
+        test_tasks = {}
+        for tau in sorted({config.tau, *config.taus}):
+            tasks = dataengine.build_gallery_tasks_per_category(
+                bundle.general_set, split.test_instances, k=config.k, tau=tau,
+                n_per_category=config.n_tasks, seed=seed, task_prefix=f"t{tau:g}-",
+            )
+            test_tasks[tau] = tasks
+            dataengine.save_jsonl(tasks, stage.record(f"tasks_tau{tau:g}.jsonl", h, seed))
+        detection = dataengine.build_detection_tasks(
+            bundle.general_set, split.test_instances, tau=config.tau,
+            n_tasks=config.n_tasks, positive_rate=config.positive_rate, seed=seed,
         )
-        matcher_reports[name] = evalkit.score_matching(tier, log)
+        dataengine.save_jsonl(detection, stage.record("detection_tasks.jsonl", h, seed))
 
-    sweep = evalkit.sweep_difficulty(
-        bundle.general_set, split.test_instances, matchers, taus=config.taus,
-        k=config.k, n_tasks=config.n_sweep_tasks, seed=seed,
-    )
+        mcq = dataengine.emit_conversations(test_tasks[config.tau], "match_mcq")
+        dataengine.save_jsonl(mcq, stage.record("conversations_mcq.jsonl", h, seed))
+        captions = dataengine.template_captions(test_tasks[config.tau])
+        cap = dataengine.emit_conversations(test_tasks[config.tau], "caption", captions=captions)
+        dataengine.save_jsonl(cap, stage.record("conversations_caption.jsonl", h, seed))
 
-    report = matcher_reports["fused"]
-    report.sweep = {
-        name: {f"{t:g}": a for t, a in row.items()} for name, row in sweep.accuracies.items()
-    }
-    summary = {
-        "matching_accuracy": {
-            name: rep.to_dict() for name, rep in sorted(matcher_reports.items())
-        },
-        "sweep": sweep.to_dict(),
-        "recall_at_1": {
-            "general": synthgen.recall_at_1(
-                EmbeddingSet.from_records(
-                    "general",
-                    [r for r in bundle.general_set.records if r.instance_id in split.test_instances],
-                )
-            ),
-            "expert": synthgen.recall_at_1(
-                EmbeddingSet.from_records(
-                    "expert",
-                    [r for r in expert_set.records if r.instance_id in split.test_instances],
-                )
-            ),
-        },
-    }
-    stage.record("report.json", h, seed).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    stage.record("report.txt", h, seed).write_text(report.render_table(), encoding="utf-8")
-    stage.promote()
+        logger.info("pipeline: training fusion adapter")
+        train_tasks = dataengine.build_gallery_tasks(
+            bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
+            n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
+        )
+        token_maps = {t.image_id: t for t in bundle.token_maps}
+        expert_vectors = {
+            rec.image_id: np.asarray(rec.vector, dtype=np.float64) for rec in expert_set.records
+        }
+        any_map = next(iter(token_maps.values()))
+        adapter = fusion.init_adapter(
+            expert_set.dimension, any_map.tokens.shape[1], seed=config.adapter.seed
+        )
+        adapter = fusion.train_adapter(
+            adapter, train_tasks, token_maps, expert_vectors, config.adapter
+        )
+        checkpoint.save_adapter(adapter, stage.record("adapter.ckpt", h, config.adapter.seed))
+
+        logger.info("pipeline: evaluating matchers")
+        matchers = {
+            "general": evalkit.similarity_matcher(bundle.general_set),
+            "expert": evalkit.similarity_matcher(expert_set),
+            "fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors),
+        }
+        tier = test_tasks[config.tau]
+        matcher_reports = {}
+        for name, matcher in matchers.items():
+            log = evalkit.PredictionLog(
+                entries={t.task_id: f"Image {matcher(t) + 1}" for t in tier}, model_name=name
+            )
+            matcher_reports[name] = evalkit.score_matching(tier, log)
+
+        sweep = evalkit.sweep_difficulty(
+            bundle.general_set, split.test_instances, matchers, taus=config.taus,
+            k=config.k, n_tasks=config.n_sweep_tasks, seed=seed,
+        )
+
+        report = matcher_reports["fused"]
+        report.sweep = {
+            name: {f"{t:g}": a for t, a in row.items()} for name, row in sweep.accuracies.items()
+        }
+        summary = {
+            "matching_accuracy": {
+                name: rep.to_dict() for name, rep in sorted(matcher_reports.items())
+            },
+            "sweep": sweep.to_dict(),
+            "recall_at_1": {
+                "general": synthgen.recall_at_1(
+                    EmbeddingSet.from_records(
+                        "general",
+                        [
+                            r for r in bundle.general_set.records
+                            if r.instance_id in split.test_instances
+                        ],
+                    )
+                ),
+                "expert": synthgen.recall_at_1(
+                    EmbeddingSet.from_records(
+                        "expert",
+                        [r for r in expert_set.records if r.instance_id in split.test_instances],
+                    )
+                ),
+            },
+        }
+        stage.record("report.json", h, seed).write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        stage.record("report.txt", h, seed).write_text(report.render_table(), encoding="utf-8")
 
     fused_avg = matcher_reports["fused"].average
     general_avg = matcher_reports["general"].average

@@ -474,11 +474,17 @@ def save_split(manifest: SplitManifest, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> SplitManifest:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return SplitManifest(
-        train_instances=frozenset(obj["train_instances"]),
-        test_instances=frozenset(obj["test_instances"]),
-    )
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataValidationError(f"{path}: malformed split file: {exc}") from exc
+    sides = {}
+    for key in ("train_instances", "test_instances"):
+        ids = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise DataValidationError(f"{path}: split file needs {key!r} as a list of strings")
+        sides[key] = frozenset(ids)
+    return SplitManifest(**sides)
 
 
 def check_gallery_task(task: GalleryTask, general: EmbeddingSet) -> None:

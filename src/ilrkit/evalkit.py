@@ -249,10 +249,18 @@ def fused_matcher(
     token_maps: Mapping[str, TokenFeatureMap],
     expert_vectors: Mapping[str, np.ndarray],
 ) -> Matcher:
-    """Cosine argmax over mean-pooled fused token features."""
+    """Cosine argmax over mean-pooled fused token features.
+
+    Each image is pooled once per matcher, on its first appearance.
+    """
+    cache: dict[str, np.ndarray] = {}
 
     def pooled(image_id: str) -> np.ndarray:
-        return fusion.pooled_fused(adapter, token_maps[image_id], expert_vectors[image_id])
+        vec = cache.get(image_id)
+        if vec is None:
+            vec = fusion.pooled_fused(adapter, token_maps[image_id], expert_vectors[image_id])
+            cache[image_id] = vec
+        return vec
 
     def match(task: GalleryTask) -> int:
         gallery = [pooled(g) for g in task.gallery_ids]

@@ -7,6 +7,14 @@ token. A desk-scale training surrogate optimizes the same parameters on
 the gallery-matching task via a cosine readout over mean-pooled fused
 features, with fully analytic gradients.
 
+The attention weights sum to one, so the pooled fused vector has the
+closed form pool(F(x)) = mean(tokens_x) + MLP(e_x) / N_x. Training
+therefore stacks each image's token mean, token count and expert vector
+once, and runs every minibatch as a single batched forward and backward
+pass over index rows: one MLP matrix product over all B*(K+1) images,
+einsums for the cosine scores, and matrix products for the gradients.
+The per-task matching_loss_and_grads is the B = 1 case of the same code.
+
 All training math is 64-bit; checkpoints store parameters as 32-bit.
 """
 
@@ -40,6 +48,8 @@ class FusionAdapter:
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
         self.b2 = np.asarray(self.b2, dtype=np.float64)
+        if self.w1.ndim != 2 or self.w2.ndim != 2:
+            raise DataValidationError("adapter weights must be matrices")
         d_e, h = self.w1.shape
         h2, d = self.w2.shape
         if h2 != h or self.b1.shape != (h,) or self.b2.shape != (d,):
@@ -172,44 +182,118 @@ def pooled_fused(adapter: FusionAdapter, tokens: np.ndarray, expert_vec: Sequenc
     out = fuse(adapter, tokens, expert_vec)
     return out.fused.mean(axis=0)
 
-
-def _mlp_backward(
-    adapter: FusionAdapter, expert_vec: np.ndarray, grad_out: np.ndarray, grads: "AdapterGrads"
-) -> None:
-    z = expert_vec @ adapter.w1 + adapter.b1
-    a = np.maximum(0.0, z)
-    grads.w2 += np.outer(a, grad_out)
-    grads.b2 += grad_out
-    gz = (adapter.w2 @ grad_out) * (z > 0)
-    grads.w1 += np.outer(expert_vec, gz)
-    grads.b1 += gz
-
-
 @dataclass
 class AdapterGrads:
+    """Gradient of a loss with respect to each adapter parameter."""
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, adapter: FusionAdapter) -> "AdapterGrads":
-        return cls(
-            np.zeros_like(adapter.w1),
-            np.zeros_like(adapter.b1),
-            np.zeros_like(adapter.w2),
-            np.zeros_like(adapter.b2),
-        )
 
-    def scale(self, factor: float) -> None:
-        for g in (self.w1, self.b1, self.w2, self.b2):
-            g *= factor
+@dataclass(frozen=True)
+class MatchingViews:
+    """Per-image constants of the pooled surrogate, one row per image.
 
-    def add(self, other: "AdapterGrads") -> None:
-        self.w1 += other.w1
-        self.b1 += other.b1
-        self.w2 += other.w2
-        self.b2 += other.b2
+    pool(F(x)) = token_means[x] + MLP(experts[x]) / token_counts[x].
+    """
+
+    token_means: np.ndarray  # (n_img, d)
+    token_counts: np.ndarray  # (n_img,) tokens per image, as float
+    experts: np.ndarray  # (n_img, d_e)
+
+
+def matching_views(
+    adapter: FusionAdapter,
+    tokens: Sequence[TokenFeatureMap | np.ndarray],
+    expert_vecs: Sequence[Sequence[float]],
+) -> MatchingViews:
+    """Stack the token means, token counts and expert vectors of some images."""
+    n = len(tokens)
+    views = MatchingViews(
+        token_means=np.empty((n, adapter.output_dim)),
+        token_counts=np.empty(n),
+        experts=np.empty((n, adapter.expert_dim)),
+    )
+    for i, (tok, vec) in enumerate(zip(tokens, expert_vecs)):
+        t = np.asarray(tok.tokens if isinstance(tok, TokenFeatureMap) else tok, dtype=np.float64)
+        if t.ndim != 2 or t.shape[0] == 0 or t.shape[1] != adapter.output_dim:
+            raise DataValidationError(
+                f"tokens have shape {t.shape}, adapter expects (N, {adapter.output_dim})"
+            )
+        v = np.asarray(vec, dtype=np.float64)
+        if v.shape != (adapter.expert_dim,):
+            raise DataValidationError(
+                f"expert vector has shape {v.shape}, adapter expects ({adapter.expert_dim},)"
+            )
+        views.token_means[i] = t.mean(axis=0)
+        views.token_counts[i] = t.shape[0]
+        views.experts[i] = v
+    return views
+
+
+def batch_matching_loss_and_grads(
+    adapter: FusionAdapter,
+    views: MatchingViews,
+    rows: np.ndarray,
+    answers: np.ndarray,
+    readout_temperature: float = 0.1,
+    need_grads: bool = True,
+) -> tuple[np.ndarray, AdapterGrads | None]:
+    """Matching loss of B tasks, and the gradient of their summed loss.
+
+    rows is a (B, K+1) index array into views, query first, then the K
+    gallery images; answers holds each task's gallery index of the match.
+    Every pooled vector of the batch goes through the MLP in one matrix
+    product, and the backward pass is again a few matrix products.
+    Returns the (B,) per-task losses and the gradients (None unless
+    need_grads).
+    """
+    b, m = rows.shape
+    x = views.experts[rows]  # (B, K+1, d_e)
+    z = x @ adapter.w1 + adapter.b1
+    a = np.maximum(0.0, z)
+    counts = views.token_counts[rows][..., None]
+    pooled = views.token_means[rows] + (a @ adapter.w2 + adapter.b2) / counts
+
+    norms = np.sqrt(np.einsum("bmd,bmd->bm", pooled, pooled))
+    zero = norms == 0.0
+    if zero.any():
+        first = int(np.flatnonzero(zero.any(axis=1))[0])
+        side = "query" if zero[first, 0] else "gallery"
+        raise DataValidationError(f"degenerate zero pooled {side} vector under cosine")
+    q, g = pooled[:, :1], pooled[:, 1:]  # (B, 1, d), (B, K, d)
+    nq, ng = norms[:, :1, None], norms[:, 1:, None]
+    cos = np.einsum("bqd,bkd->bk", q, g)[..., None] / (nq * ng)  # (B, K, 1)
+    scores = cos[..., 0] / readout_temperature
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    picked = np.arange(b)
+    losses = -np.log(np.maximum(probs[picked, answers], 1e-300))
+    if not np.all(np.isfinite(losses)):
+        raise DivergenceError("non-finite matching loss")
+    if not need_grads:
+        return losses, None
+
+    dscores = probs
+    dscores[picked, answers] -= 1.0
+    gsc = (dscores / readout_temperature)[..., None]
+    d_q = (gsc * (g / (nq * ng) - cos * q / (nq * nq))).sum(axis=1, keepdims=True)
+    d_g = gsc * (q / (nq * ng) - cos * g / (ng * ng))
+    d_proj = (np.concatenate([d_q, d_g], axis=1) / counts).reshape(b * m, -1)
+    a, z, x = a.reshape(b * m, -1), z.reshape(b * m, -1), x.reshape(b * m, -1)
+    d_z = (d_proj @ adapter.w2.T) * (z > 0)
+    return losses, AdapterGrads(
+        w1=x.T @ d_z, b1=d_z.sum(axis=0), w2=a.T @ d_proj, b2=d_proj.sum(axis=0)
+    )
+
+
+def _check_gallery(size: int, answer_index: int) -> None:
+    if size < 2:
+        raise DataValidationError("gallery must contain at least 2 items")
+    if not 0 <= answer_index < size:
+        raise DataValidationError("answer_index out of range")
 
 
 def matching_loss_and_grads(
@@ -225,57 +309,20 @@ def matching_loss_and_grads(
 
     score_i = cos(pool(F(query)), pool(F(gallery_i))) / readout_temperature,
     loss = -log softmax(score)[answer_index]. Gradients are analytic over
-    all adapter parameters.
+    all adapter parameters. This is the B = 1 case of
+    batch_matching_loss_and_grads, which training runs.
     """
-    if len(gallery_tokens) < 2:
-        raise DataValidationError("gallery must contain at least 2 items")
+    _check_gallery(len(gallery_tokens), answer_index)
     if len(gallery_tokens) != len(gallery_experts):
         raise DataValidationError("gallery token maps and expert vectors differ in length")
-    if not 0 <= answer_index < len(gallery_tokens):
-        raise DataValidationError("answer_index out of range")
-
-    def tok_of(t):
-        return np.asarray(t.tokens if isinstance(t, TokenFeatureMap) else t, dtype=np.float64)
-
-    q_tok = tok_of(query_tokens)
-    g_toks = [tok_of(t) for t in gallery_tokens]
-    q_vec = np.asarray(query_expert, dtype=np.float64)
-    g_vecs = [np.asarray(v, dtype=np.float64) for v in gallery_experts]
-
-    n_q = q_tok.shape[0]
-    p_q = q_tok.mean(axis=0) + project_expert(adapter, q_vec) / n_q
-    pools = []
-    for tok, vec in zip(g_toks, g_vecs):
-        pools.append(tok.mean(axis=0) + project_expert(adapter, vec) / tok.shape[0])
-
-    nq = np.linalg.norm(p_q)
-    if nq == 0.0:
-        raise DataValidationError("degenerate zero pooled query vector under cosine")
-    scores = np.empty(len(pools))
-    for i, p in enumerate(pools):
-        npi = np.linalg.norm(p)
-        if npi == 0.0:
-            raise DataValidationError("degenerate zero pooled gallery vector under cosine")
-        scores[i] = (p_q @ p) / (nq * npi) / readout_temperature
-    probs = _softmax(scores)
-    loss = -math.log(max(probs[answer_index], 1e-300))
-    if not math.isfinite(loss):
-        raise DivergenceError("non-finite matching loss")
-
-    # backward
-    dscores = probs.copy()
-    dscores[answer_index] -= 1.0
-    grads = AdapterGrads.zeros_like(adapter)
-    d_pq = np.zeros_like(p_q)
-    for i, p in enumerate(pools):
-        gsc = dscores[i] / readout_temperature
-        npi = np.linalg.norm(p)
-        cos = (p_q @ p) / (nq * npi)
-        d_pq += gsc * (p / (nq * npi) - cos * p_q / (nq * nq))
-        d_pi = gsc * (p_q / (nq * npi) - cos * p / (npi * npi))
-        _mlp_backward(adapter, g_vecs[i], d_pi / g_toks[i].shape[0], grads)
-    _mlp_backward(adapter, q_vec, d_pq / n_q, grads)
-    return loss, grads
+    views = matching_views(
+        adapter, [query_tokens, *gallery_tokens], [query_expert, *gallery_experts]
+    )
+    rows = np.arange(len(gallery_tokens) + 1)[None, :]
+    losses, grads = batch_matching_loss_and_grads(
+        adapter, views, rows, np.array([answer_index]), readout_temperature
+    )
+    return float(losses[0]), grads
 
 
 @dataclass(frozen=True)
@@ -288,24 +335,40 @@ class AdapterTrainConfig:
 
 
 class _Adam:
-    """Deterministic Adam state over a list of parameter arrays."""
+    """Deterministic Adam state over one flat parameter vector."""
 
-    def __init__(self, params: list[np.ndarray], step: float,
+    def __init__(self, size: int, step: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.step = step
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def update(self, param: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        for j, (p, g) in enumerate(zip(params, grads)):
-            self.m[j] = self.beta1 * self.m[j] + (1 - self.beta1) * g
-            self.v[j] = self.beta2 * self.v[j] + (1 - self.beta2) * g * g
-            mh = self.m[j] / (1 - self.beta1**self.t)
-            vh = self.v[j] / (1 - self.beta2**self.t)
-            p -= self.step * mh / (np.sqrt(vh) + self.eps)
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        mh = self.m / (1 - self.beta1**self.t)
+        vh = self.v / (1 - self.beta2**self.t)
+        param -= self.step * mh / (np.sqrt(vh) + self.eps)
+
+
+def _flat_adapter(like: FusionAdapter) -> tuple[np.ndarray, FusionAdapter]:
+    """A copy of `like` whose parameters are views into one flat vector."""
+    params = (like.w1, like.b1, like.w2, like.b2)
+    flat = np.concatenate([p.ravel() for p in params])
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return flat, FusionAdapter(*views, like.temperature)
+
+
+# Tasks per forward pass when scoring the whole task set. The pass holds
+# about 12 KB of temporaries per task at the default sizes; 64 tasks keep
+# that under 1 MB, where larger chunks raised the pipeline's peak RSS.
+_SCORE_CHUNK = 64
 
 
 def train_adapter(
@@ -317,54 +380,89 @@ def train_adapter(
 ) -> FusionAdapter:
     """Seeded Adam over gallery-matching tasks; deterministic per seed.
 
+    Every image's token mean and expert vector is stacked once, and each
+    minibatch is one batch_matching_loss_and_grads call over index rows per
+    gallery size it holds (a single call for a single-size task set).
+    Adam updates the parameters in place, as one flat vector.
     Returns the trained adapter; if the final epoch's mean loss exceeds the
     initial one, the best epoch's parameters are returned instead.
     """
     if not tasks:
         raise DataValidationError("no training tasks")
+    index: dict[str, int] = {}
     for task in tasks:
         for image_id in (task.query_id, *task.gallery_ids):
             if image_id not in token_maps:
                 raise DataValidationError(f"missing token map for image {image_id!r}")
             if image_id not in expert_vectors:
                 raise DataValidationError(f"missing expert vector for image {image_id!r}")
-    adapter = adapter_init.copy()
+            index.setdefault(image_id, len(index))
+    for task in tasks:
+        _check_gallery(len(task.gallery_ids), task.answer_index)
+    views = matching_views(
+        adapter_init,
+        [token_maps[i] for i in index],
+        [expert_vectors[i] for i in index],
+    )
+    # One row table (query first) per gallery size; slot[t] is task t's row
+    # in its size's table. A single-size task set is one table in task order.
+    sizes = np.array([len(t.gallery_ids) for t in tasks])
+    slot = np.empty(len(tasks), dtype=np.intp)
+    tables = {}
+    for k in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == k)
+        slot[members] = np.arange(len(members))
+        tables[k] = (
+            np.array([[index[i] for i in (tasks[t].query_id, *tasks[t].gallery_ids)]
+                      for t in members]),
+            np.array([tasks[t].answer_index for t in members]),
+        )
+    temperature = config.readout_temperature
+
+    def batch_loss(current, batch, need_grads=True):
+        """Losses of the tasks in `batch`, in its order, and their summed flat gradient."""
+        losses, grad = np.empty(len(batch)), None
+        for k, (rows, answers) in tables.items():
+            in_k = sizes[batch] == k
+            if not in_k.any():
+                continue
+            picked = slot[batch[in_k]]
+            part, grads = batch_matching_loss_and_grads(
+                current, views, rows[picked], answers[picked], temperature, need_grads
+            )
+            losses[in_k] = part
+            if need_grads:
+                g = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2.ravel(), grads.b2])
+                grad = g if grad is None else grad + g
+        return losses, grad
+
+    flat, adapter = _flat_adapter(adapter_init)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7A1]))
 
-    def task_loss_grads(task, current):
-        return matching_loss_and_grads(
-            current,
-            token_maps[task.query_id],
-            [token_maps[g] for g in task.gallery_ids],
-            expert_vectors[task.query_id],
-            [expert_vectors[g] for g in task.gallery_ids],
-            task.answer_index,
-            readout_temperature=config.readout_temperature,
-        )
-
     def mean_loss(current):
-        return sum(task_loss_grads(t, current)[0] for t in tasks) / len(tasks)
+        losses = [
+            batch_loss(current, np.arange(s, min(s + _SCORE_CHUNK, len(tasks))), False)[0]
+            for s in range(0, len(tasks), _SCORE_CHUNK)
+        ]
+        return sum(np.concatenate(losses).tolist()) / len(tasks)
 
     initial_loss = mean_loss(adapter)
     best_loss, best = initial_loss, adapter.copy()
     logger.info("adapter training: initial mean loss %.6f over %d tasks", initial_loss, len(tasks))
 
-    params = [adapter.w1, adapter.b1, adapter.w2, adapter.b2]
-    optimizer = _Adam(params, config.step_size)
+    optimizer = _Adam(flat.size, config.step_size)
     order = np.arange(len(tasks))
     for epoch in range(config.epochs):
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            acc = AdapterGrads.zeros_like(adapter)
-            for idx in batch:
-                loss, grads = task_loss_grads(tasks[idx], adapter)
+            losses, grad = batch_loss(adapter, batch)
+            for loss in losses.tolist():  # in task order, independent of batching
                 epoch_loss += loss
-                acc.add(grads)
-            acc.scale(1.0 / len(batch))
-            optimizer.update(params, [acc.w1, acc.b1, acc.w2, acc.b2])
-            adapter = FusionAdapter(*params, adapter.temperature)
+            optimizer.update(flat, grad * (1.0 / len(batch)))
+            if not np.all(np.isfinite(flat)):
+                raise DivergenceError(f"adapter parameters diverged at epoch {epoch}")
         epoch_loss /= len(order)
         if not math.isfinite(epoch_loss):
             raise DivergenceError(f"adapter training diverged at epoch {epoch}")

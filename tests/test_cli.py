@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ilrkit import cli, dataengine
+from ilrkit import cli, dataengine, fusion
 from ilrkit.embedstore import load_embedding_set
+from ilrkit.errors import DataValidationError
 
 SMALL_CONFIG = {
     "seed": 1,
@@ -154,6 +155,27 @@ class TestSubcommandChain:
         tasks = dataengine.load_detection_tasks(out)
         assert len(tasks) == 20
 
+    def test_evaluate_boolean_detection_responses(self, workspace, tmp_path):
+        data = workspace / "data"
+        det = tmp_path / "det.jsonl"
+        assert cli.main(["build-detection", "--embeddings", str(data / "general.jsonl"),
+                         "--split", str(data / "split.json"), "--n-tasks", "20",
+                         "--out", str(det)] + _cfg(workspace)) == 0
+        tasks = dataengine.load_detection_tasks(det)
+        # JSON true/false answers; the first four are wrong
+        preds = tmp_path / "det_preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"task_id": t.task_id, "response": t.is_match != (i < 4)}) + "\n"
+            for i, t in enumerate(tasks)
+        ))
+        assert cli.main(["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                         "--predictions", str(data / "preds.jsonl"),
+                         "--detection-tasks", str(det),
+                         "--detection-predictions", str(preds),
+                         "--out", str(tmp_path / "eval")] + _cfg(workspace)) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["detection"]["weighted"] == pytest.approx(16 / 20)
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -191,6 +213,100 @@ class TestExitCodes:
         assert rc == 2
 
 
+def _assert_data_error(rc, capsys):
+    """Exit 3 with one JSON error line on stderr and no traceback."""
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "DataValidationError"
+
+
+def _checkpoint(path, header, shapes):
+    header = dict(header, params=shapes)
+    blob = b""
+    if isinstance(shapes, list):
+        blob = b"".join(np.ones(int(np.prod(s)), "<f4").tobytes() for s in shapes)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    return path
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("header, shapes", [
+        ({"kind": "fusion_adapter", "temperature": 1.0}, [[8, 8], [8], [8, 8]]),
+        ({"kind": "fusion_adapter", "temperature": 1.0}, [[8], [8], [8, 8], [8]]),
+        ({"kind": "fusion_adapter"}, [[8, 8], [8], [8, 8], [8]]),
+        ({"kind": "fusion_adapter", "temperature": "hot"}, [[8, 8], [8], [8, 8], [8]]),
+        ({"kind": "fusion_adapter", "temperature": 1.0}, "not a list"),
+    ])
+    def test_malformed_adapter_checkpoint_is_3(self, workspace, tmp_path, capsys,
+                                               header, shapes):
+        data = workspace / "data"
+        ckpt = _checkpoint(tmp_path / "adapter.ckpt", header, shapes)
+        some_id = load_embedding_set(data / "general.jsonl").image_ids[0]
+        rc = cli.main(["fuse", "--checkpoint", str(ckpt),
+                       "--token-maps", str(data / "token_maps.jsonl"),
+                       "--expert-embeddings", str(data / "expert.jsonl"),
+                       "--image-id", some_id] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
+    @pytest.mark.parametrize("header, shapes", [
+        ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}, [[24, 8]]),
+        ({"kind": "expert_head", "loss_weights": [1.0, 1.0]}, [[24, 8], [8]]),
+        ({"kind": "expert_head", "margin": 0.3, "loss_weights": 1.0}, [[24, 8], [8]]),
+    ])
+    def test_malformed_expert_checkpoint_is_3(self, workspace, tmp_path, capsys,
+                                              header, shapes):
+        ckpt = _checkpoint(tmp_path / "head.ckpt", header, shapes)
+        rc = cli.main(["embed", "--checkpoint", str(ckpt),
+                       "--embeddings", str(workspace / "data" / "raw.jsonl"),
+                       "--out", str(tmp_path / "e.jsonl")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
+    def test_checkpoint_header_not_object_is_3(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "head.ckpt"
+        ckpt.write_bytes(b"[1, 2]\n")
+        rc = cli.main(["embed", "--checkpoint", str(ckpt),
+                       "--embeddings", str(workspace / "data" / "raw.jsonl"),
+                       "--out", str(tmp_path / "e.jsonl")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[1, 2]", '{"train_instances": []}',
+        '{"train_instances": [1], "test_instances": []}',
+    ])
+    def test_malformed_split_is_3(self, workspace, tmp_path, capsys, text):
+        split = tmp_path / "split.json"
+        split.write_text(text)
+        rc = cli.main(["build-galleries",
+                       "--embeddings", str(workspace / "data" / "general.jsonl"),
+                       "--split", str(split), "--k", "3",
+                       "--out", str(tmp_path / "t.jsonl")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]", '"Image 1"', '{"task_id": ["t0"], "response": "Image 1"}',
+    ])
+    def test_malformed_prediction_line_is_3(self, workspace, tmp_path, capsys, line):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(line + "\n")
+        rc = cli.main(["evaluate", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                       "--predictions", str(preds),
+                       "--out", str(tmp_path / "eval")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
+    def test_non_text_response_is_3(self, workspace, tmp_path, capsys):
+        tasks = workspace / "data" / "tasks.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"task_id": t.task_id, "response": [1]}) + "\n"
+            for t in dataengine.load_gallery_tasks(tasks)
+        ))
+        rc = cli.main(["evaluate", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                       "--predictions", str(preds),
+                       "--out", str(tmp_path / "eval")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
+
 class TestDeterminism:
     def test_subcommand_outputs_byte_identical(self, workspace, tmp_path):
         data = workspace / "data"
@@ -210,3 +326,14 @@ class TestDeterminism:
         data = workspace / "data"
         stray = [p for p in data.iterdir() if p.name.startswith(".stage-")]
         assert stray == []
+
+    def test_failed_pipeline_discards_its_stage(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        def fail(*args, **kwargs):
+            raise DataValidationError("adapter training failed")
+
+        monkeypatch.setattr(fusion, "train_adapter", fail)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--out", str(out)] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+        assert [p.name for p in out.iterdir()] == []

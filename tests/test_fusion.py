@@ -10,10 +10,12 @@ from ilrkit.errors import DataValidationError
 from ilrkit.fusion import (
     AdapterTrainConfig,
     FusionAdapter,
+    batch_matching_loss_and_grads,
     fuse,
     fuse_multi,
     init_adapter,
     matching_loss_and_grads,
+    matching_views,
     pooled_fused,
     project_expert,
     train_adapter,
@@ -271,6 +273,68 @@ class TestMatchingLoss:
             matching_loss_and_grads(adapter, q_tok, g_toks, q_vec, g_vecs[:2], 0)
 
 
+class TestBatchMatchingLoss:
+    def test_batch_equals_sum_of_single_task_calls(self):
+        rng = np.random.default_rng(19)
+        adapter = _random_adapter(rng)
+        # six images with 1..6 tokens each, shared between the tasks
+        tokens = [rng.standard_normal((n, 4)) for n in (1, 2, 3, 4, 5, 6)]
+        experts = [rng.standard_normal(5) for _ in tokens]
+        rows = np.array([
+            [0, 1, 2, 3],
+            [1, 0, 4, 5],  # image 1 is the query here, a gallery item above
+            [5, 2, 3, 0],
+            [2, 2, 4, 1],  # one image twice in one task
+        ])
+        answers = np.array([0, 2, 1, 0])
+        views = matching_views(adapter, tokens, experts)
+        losses, grads = batch_matching_loss_and_grads(adapter, views, rows, answers)
+
+        expected = {name: np.zeros_like(getattr(adapter, name))
+                    for name in ("w1", "b1", "w2", "b2")}
+        for b, row in enumerate(rows):
+            loss, single = matching_loss_and_grads(
+                adapter, tokens[row[0]], [tokens[i] for i in row[1:]],
+                experts[row[0]], [experts[i] for i in row[1:]], int(answers[b]),
+            )
+            assert losses[b] == pytest.approx(loss, rel=1e-12)
+            for name in expected:
+                expected[name] += getattr(single, name)
+        for name, total in expected.items():
+            np.testing.assert_allclose(getattr(grads, name), total, rtol=1e-12, atol=0)
+
+    def test_losses_only_pass_matches(self):
+        rng = np.random.default_rng(20)
+        adapter = _random_adapter(rng)
+        views = matching_views(
+            adapter, [rng.standard_normal((3, 4)) for _ in range(5)],
+            [rng.standard_normal(5) for _ in range(5)],
+        )
+        rows = np.array([[0, 1, 2], [3, 4, 0]])
+        answers = np.array([1, 0])
+        with_grads, _ = batch_matching_loss_and_grads(adapter, views, rows, answers)
+        only, grads = batch_matching_loss_and_grads(
+            adapter, views, rows, answers, need_grads=False
+        )
+        assert grads is None
+        assert np.array_equal(with_grads, only)
+
+    def test_zero_pooled_vector_rejected(self):
+        adapter = _zero_projection_adapter()
+        zero, one = np.zeros((2, 4)), np.ones((2, 4))
+        with pytest.raises(DataValidationError, match="zero pooled query"):
+            matching_loss_and_grads(adapter, zero, [one, one], np.ones(5), [np.ones(5)] * 2, 0)
+        with pytest.raises(DataValidationError, match="zero pooled gallery"):
+            matching_loss_and_grads(adapter, one, [one, zero], np.ones(5), [np.ones(5)] * 2, 0)
+
+    def test_view_shapes_checked(self):
+        adapter = _random_adapter(np.random.default_rng(21))
+        with pytest.raises(DataValidationError, match="expert vector"):
+            matching_views(adapter, [np.ones((2, 4))], [np.ones(3)])
+        with pytest.raises(DataValidationError, match="tokens"):
+            matching_views(adapter, [np.ones((2, 3))], [np.ones(5)])
+
+
 def _toy_training_setup(rng, n_tasks=6):
     token_maps, expert_vectors, tasks = {}, {}, []
     images = [f"im{i}" for i in range(8)]
@@ -321,11 +385,42 @@ class TestTrainAdapter:
         with pytest.raises(DataValidationError, match="no training tasks"):
             train_adapter(init, [], {}, {})
 
+    def test_mixed_gallery_sizes_train(self):
+        rng = np.random.default_rng(22)
+        tasks, token_maps, vecs = _toy_training_setup(rng)
+        tasks += [
+            GalleryTask(
+                task_id=f"short{i}", category="object", query_id=task.query_id,
+                gallery_ids=task.gallery_ids[:2], answer_index=i % 2, tau=0.5,
+                relaxed=False, seed=0,
+            )
+            for i, task in enumerate(tasks)
+        ]
+        init = init_adapter(5, 4, seed=0)
+        step = 1e-4
+        out = train_adapter(init, tasks, token_maps, vecs,
+                            AdapterTrainConfig(step_size=step, epochs=1,
+                                               batch_size=len(tasks)))
+        # one Adam step from zero state moves each parameter by
+        # -step * g / (|g| + eps), g the mean gradient over all tasks
+        for name in ("w1", "b1", "w2", "b2"):
+            g = sum(
+                getattr(matching_loss_and_grads(
+                    init, token_maps[t.query_id], [token_maps[i] for i in t.gallery_ids],
+                    vecs[t.query_id], [vecs[i] for i in t.gallery_ids], t.answer_index,
+                )[1], name)
+                for t in tasks
+            ) / len(tasks)
+            expected = getattr(init, name) - step * g / (np.abs(g) + 1e-8)
+            np.testing.assert_allclose(getattr(out, name), expected, rtol=0, atol=1e-12)
+
 
 class TestAdapterValidation:
     def test_shape_consistency(self):
         with pytest.raises(DataValidationError):
             FusionAdapter(np.ones((2, 3)), np.ones(4), np.ones((3, 2)), np.ones(2))
+        with pytest.raises(DataValidationError, match="matrices"):
+            FusionAdapter(np.ones(3), np.ones(3), np.ones((3, 2)), np.ones(2))
 
     def test_temperature_positive(self):
         with pytest.raises(DataValidationError):
