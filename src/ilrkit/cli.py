@@ -16,6 +16,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,25 @@ class _OutputStage:
             self.discard()
 
 
+class _StageLog:
+    """Logs each pipeline stage as it starts, with the seconds the previous
+    stage took. Logs go to stderr and never into an artifact."""
+
+    def __init__(self):
+        self._stage: str | None = None
+        self._started = 0.0
+
+    def next(self, stage: str) -> None:
+        now = time.perf_counter()
+        if self._stage is None:
+            logger.info("pipeline: %s", stage)
+        else:
+            logger.info(
+                "pipeline: %s (%s took %.2f s)", stage, self._stage, now - self._started
+            )
+        self._stage, self._started = stage, now
+
+
 def _write_ground_truth(path: Path, ground_truth: dict[str, str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for image_id in sorted(ground_truth):
@@ -113,6 +133,29 @@ def _load_predictions(path: Path, model_name: str = "file") -> evalkit.Predictio
                 )
             entries[task_id] = response
     return evalkit.PredictionLog(entries=entries, model_name=model_name)
+
+
+def _load_captions(path: Path) -> dict[str, str]:
+    captions: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+            if not (
+                isinstance(obj, dict)
+                and isinstance(obj.get("query_id"), str)
+                and isinstance(obj.get("caption"), str)
+            ):
+                raise DataValidationError(
+                    f"{path}: line {lineno}: expected an object with string "
+                    "'query_id' and 'caption'"
+                )
+            captions[obj["query_id"]] = obj["caption"]
+    return captions
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +229,7 @@ def cmd_emit(args, config: PipelineConfig) -> None:
     captions = None
     if args.stage == "caption":
         if args.captions:
-            captions = {}
-            with open(args.captions, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        obj = json.loads(line)
-                        captions[obj["query_id"]] = obj["caption"]
+            captions = _load_captions(Path(args.captions))
         else:
             captions = dataengine.template_captions(tasks)
     records = dataengine.emit_conversations(tasks, args.stage, captions=captions)
@@ -349,12 +387,13 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     """synth -> split -> train-expert -> build tiers -> train-adapter ->
     evaluate all matchers -> sweep, with one manifest for everything."""
     out = Path(args.out)
+    stages = _StageLog()
     with _OutputStage(out) as stage:
         h = config.config_hash()
         seed = config.seed
         ext = config.format
 
-        logger.info("pipeline: generating synthetic bundle")
+        stages.next("generating synthetic bundle")
         bundle = synthgen.generate(config.synth)
         save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
         save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
@@ -364,7 +403,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
         dataengine.save_split(split, stage.record("split.json", h, seed))
 
-        logger.info("pipeline: training expert head")
+        stages.next("training expert head")
         train_raw = bundle.raw_set.__class__.from_records(
             "raw", [r for r in bundle.raw_set.records if r.instance_id in split.train_instances]
         )
@@ -373,7 +412,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         expert_set = expert.embed_set(head, bundle.raw_set)
         save_embedding_set(expert_set, stage.record(f"expert.{ext}", h, seed), ext)
 
-        logger.info("pipeline: building benchmark tiers")
+        stages.next("building benchmark tiers")
         test_tasks = {}
         for tau in sorted({config.tau, *config.taus}):
             tasks = dataengine.build_gallery_tasks_per_category(
@@ -394,7 +433,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         cap = dataengine.emit_conversations(test_tasks[config.tau], "caption", captions=captions)
         dataengine.save_jsonl(cap, stage.record("conversations_caption.jsonl", h, seed))
 
-        logger.info("pipeline: training fusion adapter")
+        stages.next("training fusion adapter")
         train_tasks = dataengine.build_gallery_tasks(
             bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
             n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
@@ -412,7 +451,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         )
         checkpoint.save_adapter(adapter, stage.record("adapter.ckpt", h, config.adapter.seed))
 
-        logger.info("pipeline: evaluating matchers")
+        stages.next("evaluating matchers")
         matchers = {
             "general": evalkit.similarity_matcher(bundle.general_set),
             "expert": evalkit.similarity_matcher(expert_set),
@@ -462,6 +501,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         stage.record("report.txt", h, seed).write_text(report.render_table(), encoding="utf-8")
+    stages.next("done")
 
     fused_avg = matcher_reports["fused"].average
     general_avg = matcher_reports["general"].average
@@ -479,7 +519,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=os.environ.get(ENV_CONFIG), help="pipeline config JSON")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker bound; results are independent of this value")
+                   help="accepted but currently unused: every command runs single-threaded")
     p.add_argument("--format", choices=("jsonl", "bin"), default=None,
                    help="embedding interchange format override")
     p.add_argument("--seed", type=int, default=None, help="seed override")

@@ -6,7 +6,10 @@ maintains identity-disjoint train/test splits, emits two-stage
 conversation records, and parses free-text answers back for scoring.
 
 Each task derives its own random stream from (global seed, task ordinal),
-so task lists are reproducible and independent of scheduling.
+so task lists are reproducible and independent of scheduling. A task's
+pool comes from one row of query cosines and boolean masks over it; only
+the candidates a task ranks (below-threshold top-up, detection fallback,
+``hardest``) are sorted, by (similarity desc, image_id asc).
 """
 
 from __future__ import annotations
@@ -107,7 +110,12 @@ def make_split(eset: EmbeddingSet, test_fraction: float, seed: int) -> SplitMani
 
 
 class _TaskSampler:
-    """Shared machinery for sampling queries and thresholded distractor pools."""
+    """Shared machinery for sampling queries and thresholded distractor pools.
+
+    Pools are boolean masks over one similarity row per task: no all-pairs
+    matrix of the split side is built (the default train side's would take
+    90 MB).
+    """
 
     def __init__(self, general: EmbeddingSet, split_side: Iterable[str]):
         side = set(split_side)
@@ -129,6 +137,14 @@ class _TaskSampler:
         for local, inst in enumerate(self.instance_ids):
             by_instance.setdefault(inst, []).append(local)
         self.by_instance = by_instance
+        # one integer code per instance, and each image's rank in image_id order
+        self.instance_codes = np.empty(len(self.rows), dtype=np.intp)
+        for code, locals_ in enumerate(by_instance.values()):
+            self.instance_codes[locals_] = code
+        self.id_rank = np.empty(len(self.rows), dtype=np.intp)
+        self.id_rank[sorted(range(len(self.rows)), key=self.image_ids.__getitem__)] = (
+            np.arange(len(self.rows))
+        )
         # queries must have a positive available
         self.eligible = [
             local
@@ -139,9 +155,6 @@ class _TaskSampler:
         if not self.eligible:
             raise DataValidationError("no instance has >= 2 images on this split side")
 
-    def sims_to(self, local: int) -> np.ndarray:
-        return kernels.dot_scores(self.unit, self.unit[local])
-
     def pick_query(self, rng: np.random.Generator) -> tuple[int, int]:
         """Returns (query local index, positive local index)."""
         query = self.eligible[int(rng.integers(len(self.eligible)))]
@@ -149,18 +162,20 @@ class _TaskSampler:
         positive = siblings[int(rng.integers(len(siblings)))]
         return query, positive
 
-    def distractor_pool(self, query: int, tau: float) -> tuple[list[int], list[int]]:
-        """Above-threshold other-instance candidates, plus the below-threshold
-        remainder sorted by (similarity desc, image_id asc) for fallback."""
-        sims = self.sims_to(query)
-        inst = self.instance_ids[query]
-        above, below = [], []
-        for local in range(len(self.image_ids)):
-            if self.instance_ids[local] == inst:
-                continue
-            (above if sims[local] > tau else below).append(local)
-        below.sort(key=lambda l: (-sims[l], self.image_ids[l]))
-        return above, below
+    def distractor_pool(
+        self, query: int, tau: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cosine of every image to the query, then the other-instance images
+        above and not above tau, each in ascending local order. Order the
+        below-threshold ones with ``most_similar`` where they are used."""
+        sims = kernels.dot_scores(self.unit, self.unit[query])
+        other = self.instance_codes != self.instance_codes[query]
+        above = other & (sims > tau)
+        return sims, np.flatnonzero(above), np.flatnonzero(other & ~above)
+
+    def most_similar(self, sims: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+        """The first ``count`` of ``rows`` by (similarity desc, image_id asc)."""
+        return rows[np.lexsort((self.id_rank[rows], -sims[rows]))[:count]]
 
 
 def build_gallery_tasks(
@@ -190,23 +205,22 @@ def build_gallery_tasks(
     for t in range(n_tasks):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         query, positive = sampler.pick_query(rng)
-        above, below = sampler.distractor_pool(query, tau)
+        sims, above, below = sampler.distractor_pool(query, tau)
         if len(above) + len(below) < k - 1:
             raise DataValidationError(
                 f"only {len(above) + len(below)} other-instance images available, need {k - 1}"
             )
         if len(above) >= k - 1:
             if hardest:
-                sims = sampler.sims_to(query)
-                above.sort(key=lambda l: (-sims[l], sampler.image_ids[l]))
-                distractors = above[: k - 1]
+                distractors = sampler.most_similar(sims, above, k - 1)
             else:
-                distractors = [above[i] for i in rng.choice(len(above), size=k - 1, replace=False)]
+                distractors = above[rng.choice(len(above), size=k - 1, replace=False)]
             relaxed = False
         else:
-            distractors = above + below[: k - 1 - len(above)]
+            top_up = sampler.most_similar(sims, below, k - 1 - len(above))
+            distractors = np.concatenate([above, top_up])
             relaxed = True
-        gallery = distractors + [positive]
+        gallery = distractors.tolist() + [positive]
         order = rng.permutation(len(gallery))
         gallery = [gallery[i] for i in order]
         answer_index = gallery.index(positive)
@@ -286,13 +300,13 @@ def build_detection_tasks(
         if is_match:
             gallery = positive
         else:
-            above, below = sampler.distractor_pool(query, tau)
-            if not above and not below:
+            sims, above, below = sampler.distractor_pool(query, tau)
+            if not len(above) and not len(below):
                 raise DataValidationError("no other-instance image available")
-            if above:
-                gallery = above[int(rng.integers(len(above)))]
-            else:
-                gallery = below[0]  # most similar below-threshold fallback
+            if len(above):
+                gallery = int(above[rng.integers(len(above))])
+            else:  # most similar below-threshold fallback
+                gallery = int(sampler.most_similar(sims, below, 1)[0])
         tasks.append(
             DetectionTask(
                 task_id=f"{task_prefix}{seed:08x}-{t:05d}",

@@ -238,8 +238,15 @@ def similarity_matcher(view: EmbeddingSet, kind: str = "cosine") -> Matcher:
     """Plain feature-similarity argmax over the gallery, on one encoder view."""
 
     def match(task: GalleryTask) -> int:
-        gallery = [view.vector(g) for g in task.gallery_ids]
-        return simcore.match_by_similarity(view.vector(task.query_id), gallery, kind).best_index
+        try:
+            query = view.vector(task.query_id)
+            gallery = [view.vector(g) for g in task.gallery_ids]
+        except KeyError as exc:
+            raise DataValidationError(
+                f"task {task.task_id!r}: image {exc.args[0]!r} is not in the "
+                f"{view.encoder_name!r} embedding set"
+            ) from exc
+        return simcore.match_by_similarity(query, gallery, kind).best_index
 
     return match
 

@@ -96,29 +96,27 @@ def _pairwise_dist(embeddings: np.ndarray) -> np.ndarray:
 def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]]:
     """Per anchor: farthest same-label and nearest different-label sample.
 
-    Ties break by lowest index. The batch must contain >= 2 labels, each
-    with >= 2 samples.
+    Ties break by lowest index (the first occurrence of a masked
+    argmax/argmin). The batch must contain >= 2 labels, each with >= 2
+    samples.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = list(labels)
     if embeddings.shape[0] != len(labels):
         raise DataValidationError("embedding/label count mismatch")
-    counts: dict = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    if len(counts) < 2 or any(c < 2 for c in counts.values()):
+    code_of: dict = {}
+    codes = np.array([code_of.setdefault(lab, len(code_of)) for lab in labels], dtype=np.intp)
+    if len(code_of) < 2 or np.bincount(codes).min() < 2:
         raise DataValidationError(
             "batch must contain >= 2 instances with >= 2 samples each"
         )
     dist = _pairwise_dist(embeddings)
-    triplets = []
-    for i in range(len(labels)):
-        same = [j for j in range(len(labels)) if labels[j] == labels[i] and j != i]
-        diff = [j for j in range(len(labels)) if labels[j] != labels[i]]
-        pos = max(same, key=lambda j: (dist[i, j], -j))
-        neg = min(diff, key=lambda j: (dist[i, j], j))
-        triplets.append((i, pos, neg))
-    return triplets
+    same = codes[:, None] == codes[None, :]
+    positives = np.where(same & ~np.eye(len(labels), dtype=bool), dist, -np.inf)
+    negatives = np.where(same, np.inf, dist)
+    pos = np.argmax(positives, axis=1).tolist()
+    neg = np.argmin(negatives, axis=1).tolist()
+    return list(zip(range(len(labels)), pos, neg))
 
 
 @dataclass(frozen=True)
@@ -170,8 +168,7 @@ def combined_loss_and_grads(
     de = cw * (dlogits @ prototypes.T)
 
     # batch-hard triplet term
-    str_labels = [str(l) for l in labels]
-    triplets = batch_hard_mine(e, str_labels)
+    triplets = batch_hard_mine(e, labels)
     tri_loss = 0.0
     for a, p, n in triplets:
         d_ap = np.linalg.norm(e[a] - e[p])

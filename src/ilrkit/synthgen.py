@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .embedstore import EmbeddingRecord, EmbeddingSet, TokenFeatureMap
 from .errors import DataValidationError
 
 DEFAULT_CATEGORIES = ("person", "face", "pet", "object")
+
+_RECALL_BLOCK = 128  # rows of the similarity matrix held at once by recall_at_1
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,13 @@ def recall_at_1(eset: EmbeddingSet, kind: str = "cosine") -> float:
         matrix = matrix / norms[:, None]
     elif kind != "dot":
         raise DataValidationError(f"unknown similarity kind {kind!r}")
-    sims = kernels.pairwise_dot(matrix)
-    np.fill_diagonal(sims, -np.inf)
-    nearest = np.argmax(sims, axis=1)
+    # Row blocks keep the (n, n) similarity matrix from ever being resident.
+    nearest = np.empty(len(matrix), dtype=np.intp)
+    for start in range(0, len(matrix), _RECALL_BLOCK):
+        sims = matrix[start : start + _RECALL_BLOCK] @ matrix.T
+        rows = np.arange(len(sims))
+        sims[rows, start + rows] = -np.inf
+        nearest[start : start + len(sims)] = np.argmax(sims, axis=1)
     labels = [rec.instance_id for rec in eset.records]
     hits = sum(labels[i] == labels[j] for i, j in enumerate(nearest))
     return hits / len(labels)

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +309,37 @@ class TestMalformedInputs:
                        "--out", str(tmp_path / "eval")] + _cfg(workspace))
         _assert_data_error(rc, capsys)
 
+    def test_unknown_image_id_in_match_is_3(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        tasks = dataengine.load_gallery_tasks(data / "tasks.jsonl")
+        tasks[0] = dataclasses.replace(tasks[0], gallery_ids=("nope",) + tasks[0].gallery_ids[1:])
+        bad = tmp_path / "tasks.jsonl"
+        dataengine.save_jsonl(tasks, bad)
+        rc = cli.main(["match", "--embeddings", str(data / "general.jsonl"),
+                       "--tasks", str(bad), "--out", str(tmp_path / "p.jsonl")]
+                      + _cfg(workspace))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = json.loads(err)["message"]
+        assert tasks[0].task_id in message and "'nope'" in message
+
+    @pytest.mark.parametrize("line", [
+        "not json",
+        "[1, 2]",
+        '{"caption": "[SUBJECT] here"}',
+        '{"query_id": "q"}',
+        '{"query_id": 1, "caption": "[SUBJECT] here"}',
+        '{"query_id": "q", "caption": ["[SUBJECT] here"]}',
+    ])
+    def test_malformed_captions_line_is_3(self, workspace, tmp_path, capsys, line):
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(line + "\n")
+        rc = cli.main(["emit", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                       "--stage", "caption", "--captions", str(captions),
+                       "--out", str(tmp_path / "conv.jsonl")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
+
 
 class TestDeterminism:
     def test_subcommand_outputs_byte_identical(self, workspace, tmp_path):
@@ -326,6 +360,18 @@ class TestDeterminism:
         data = workspace / "data"
         stray = [p for p in data.iterdir() if p.name.startswith(".stage-")]
         assert stray == []
+
+    def test_pipeline_logs_stage_seconds(self, workspace, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="ilrkit.cli")
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "-v"]
+                        + _cfg(workspace)) == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pipeline:")]
+        assert lines[0] == "pipeline: generating synthetic bundle"
+        assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
+        assert len(lines) == 6
+        for prev, line in zip(lines, lines[1:]):
+            stage = prev.removeprefix("pipeline: ").split(" (")[0]
+            assert re.fullmatch(rf"pipeline: .+ \({stage} took \d+\.\d\d s\)", line), line
 
     def test_failed_pipeline_discards_its_stage(self, workspace, tmp_path, capsys,
                                                 monkeypatch):

@@ -166,6 +166,165 @@ class TestGalleryTasks:
                 assert small_bundle.general_set.record(image_id).category == task.category
 
 
+# ---------------------------------------------------------------------------
+# Reference: the per-image loop pool and list-sorted fallback that the
+# masked-array sampler replaced. The array code must build the same tasks.
+
+
+class _LoopSampler:
+    def __init__(self, general, split_side):
+        side = set(split_side)
+        rows = [i for i, rec in enumerate(general.records) if rec.instance_id in side]
+        matrix = np.asarray(general.matrix()[rows], dtype=np.float64)
+        self.unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        self.image_ids = [general.records[i].image_id for i in rows]
+        self.instance_ids = [general.records[i].instance_id for i in rows]
+        self.categories = [general.records[i].category for i in rows]
+        self.by_instance = {}
+        for local, inst in enumerate(self.instance_ids):
+            self.by_instance.setdefault(inst, []).append(local)
+        self.eligible = [
+            local
+            for inst, locals_ in sorted(self.by_instance.items())
+            for local in locals_
+            if len(locals_) >= 2
+        ]
+
+    def sims_to(self, local):
+        return self.unit @ self.unit[local]
+
+    def pick_query(self, rng):
+        query = self.eligible[int(rng.integers(len(self.eligible)))]
+        siblings = [l for l in self.by_instance[self.instance_ids[query]] if l != query]
+        return query, siblings[int(rng.integers(len(siblings)))]
+
+    def distractor_pool(self, query, tau):
+        sims = self.sims_to(query)
+        inst = self.instance_ids[query]
+        above, below = [], []
+        for local in range(len(self.image_ids)):
+            if self.instance_ids[local] == inst:
+                continue
+            (above if sims[local] > tau else below).append(local)
+        below.sort(key=lambda l: (-sims[l], self.image_ids[l]))
+        return above, below
+
+
+def _loop_gallery_tasks(general, split_side, k, tau, n_tasks, seed, hardest):
+    sampler = _LoopSampler(general, split_side)
+    tasks = []
+    for t in range(n_tasks):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        query, positive = sampler.pick_query(rng)
+        above, below = sampler.distractor_pool(query, tau)
+        if len(above) >= k - 1:
+            if hardest:
+                sims = sampler.sims_to(query)
+                above.sort(key=lambda l: (-sims[l], sampler.image_ids[l]))
+                distractors = above[: k - 1]
+            else:
+                distractors = [above[i] for i in rng.choice(len(above), size=k - 1, replace=False)]
+            relaxed = False
+        else:
+            distractors = above + below[: k - 1 - len(above)]
+            relaxed = True
+        gallery = distractors + [positive]
+        gallery = [gallery[i] for i in rng.permutation(len(gallery))]
+        tasks.append(GalleryTask(
+            task_id=f"g{seed:08x}-{t:05d}",
+            category=sampler.categories[query],
+            query_id=sampler.image_ids[query],
+            gallery_ids=tuple(sampler.image_ids[l] for l in gallery),
+            answer_index=gallery.index(positive),
+            tau=tau, relaxed=relaxed, seed=seed,
+        ))
+    return tasks
+
+
+def _loop_detection_tasks(general, split_side, tau, n_tasks, positive_rate, seed):
+    sampler = _LoopSampler(general, split_side)
+    tasks = []
+    for t in range(n_tasks):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t, 0xDE7]))
+        query, positive = sampler.pick_query(rng)
+        is_match = bool(rng.random() < positive_rate)
+        if is_match:
+            gallery = positive
+        else:
+            above, below = sampler.distractor_pool(query, tau)
+            gallery = above[int(rng.integers(len(above)))] if above else below[0]
+        tasks.append(DetectionTask(
+            task_id=f"d{seed:08x}-{t:05d}",
+            category=sampler.categories[query],
+            query_id=sampler.image_ids[query],
+            gallery_id=sampler.image_ids[gallery],
+            is_match=is_match, tau=tau, seed=seed,
+        ))
+    return tasks
+
+
+@pytest.fixture
+def tied_pool():
+    # y0 and z0 have identical vectors; record order (z0 first) differs from
+    # image_id order (y0 first), so a row-index tie-break picks z0.
+    return _angle_set([
+        ("a0", "A", 0.0),
+        ("a1", "A", 0.0),
+        ("z0", "Z", 30.0),
+        ("y0", "Y", 30.0),
+        ("e0", "E", 90.0),
+    ])
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("hardest", [False, True])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("tau", [-1.0, 0.2, 0.5, 0.8, 0.95])
+    def test_gallery_tasks_equal(self, small_bundle, tau, k, hardest):
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        got = build_gallery_tasks(general, side, k=k, tau=tau, n_tasks=80, seed=3,
+                                  hardest=hardest)
+        assert got == _loop_gallery_tasks(general, side, k, tau, 80, 3, hardest)
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.2, 0.5, 0.8, 0.95])
+    def test_detection_tasks_equal(self, small_bundle, tau):
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        got = build_detection_tasks(general, side, tau=tau, n_tasks=80, seed=3)
+        assert got == _loop_detection_tasks(general, side, tau, 80, 0.5, 3)
+
+    def test_grid_covers_strict_mixed_and_relaxed_tiers(self, small_bundle):
+        # so the comparisons above exercise sampling, top-up and fallback alike
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        relaxed = [
+            sum(t.relaxed for t in build_gallery_tasks(general, side, k=5, tau=tau,
+                                                       n_tasks=80, seed=3))
+            for tau in (-1.0, 0.5, 0.95)
+        ]
+        assert relaxed[0] == 0 and 0 < relaxed[1] < 80 and relaxed[2] == 80
+
+    def test_equal_similarities_break_by_image_id(self, tied_pool):
+        instances = set(tied_pool.instance_index)
+        sampler = dataengine._TaskSampler(tied_pool, instances)
+        sims, _, _ = sampler.distractor_pool(0, 0.99)
+        assert sims[2] == sims[3]  # z0 and y0 tie exactly
+        for seed in range(20):
+            (relaxed,) = build_gallery_tasks(tied_pool, instances, k=2, tau=0.99,
+                                             n_tasks=1, seed=seed)
+            (hardest,) = build_gallery_tasks(tied_pool, instances, k=2, tau=-1.0,
+                                             n_tasks=1, seed=seed, hardest=True)
+            (negative,) = build_detection_tasks(tied_pool, instances, tau=0.99, n_tasks=1,
+                                                positive_rate=0.0, seed=seed)
+            assert relaxed.relaxed
+            assert set(relaxed.gallery_ids) - {"a0", "a1"} == {"y0"}
+            assert set(hardest.gallery_ids) - {"a0", "a1"} == {"y0"}
+            assert negative.gallery_id == "y0"
+            assert relaxed == _loop_gallery_tasks(tied_pool, instances, 2, 0.99, 1, seed,
+                                                  False)[0]
+
+
 class TestCheckGalleryTask:
     def _task(self, **overrides):
         base = dict(task_id="t0", category="object", query_id="a0",

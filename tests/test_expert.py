@@ -22,6 +22,19 @@ def _unit(deg):
     return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
 
 
+def _list_batch_hard_mine(embeddings, labels):
+    """Reference: the per-anchor list scan that the masked argmax replaced."""
+    dist = expert._pairwise_dist(np.asarray(embeddings, dtype=np.float64))
+    triplets = []
+    for i in range(len(labels)):
+        same = [j for j in range(len(labels)) if labels[j] == labels[i] and j != i]
+        diff = [j for j in range(len(labels)) if labels[j] != labels[i]]
+        pos = max(same, key=lambda j: (dist[i, j], -j))
+        neg = min(diff, key=lambda j: (dist[i, j], j))
+        triplets.append((i, pos, neg))
+    return triplets
+
+
 class TestTripletLoss:
     def test_perfect_triplet_is_zero(self):
         # d_ap = 0, d_an = sqrt(2): hinge well below zero
@@ -82,6 +95,25 @@ class TestBatchHardMine:
         triplets = batch_hard_mine(emb, labels)
         # anchor 0: both positives at distance 1 -> index 1 wins
         assert triplets[0] == (0, 1, 3)
+
+    def test_matches_list_reference_with_ties(self):
+        # Duplicated rows and a coarse integer grid make exact distance ties
+        # common; the masked argmax/argmin must break them as the list
+        # reference (lowest index) does.
+        rng = np.random.default_rng(21)
+        ties = 0
+        for _ in range(100):
+            labels = []
+            for lab in range(int(rng.integers(2, 6))):
+                labels += [lab] * int(rng.integers(2, 6))
+            labels = [labels[i] for i in rng.permutation(len(labels))]
+            emb = rng.integers(-1, 2, size=(len(labels), 3)).astype(np.float64)
+            dup = rng.choice(len(labels), size=len(labels) // 2, replace=False)
+            emb[dup] = emb[rng.integers(len(labels), size=len(dup))]
+            assert batch_hard_mine(emb, labels) == _list_batch_hard_mine(emb, labels)
+            dist = expert._pairwise_dist(emb)
+            ties += sum(len(set(row)) < len(row) for row in dist.tolist())
+        assert ties > 0
 
     def test_degenerate_batches_rejected(self):
         with pytest.raises(DataValidationError):
