@@ -3,8 +3,11 @@
 Outputs are written to a temporary sibling directory and promoted
 atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
-config hash, seed, and tool version. Exit codes: 0 success, 2 config
-error, 3 data validation error, 4 numeric divergence.
+config hash, seed, and tool version. pipeline and synth write their bulk
+artifacts in forked writer processes (up to --threads minus one) while
+the next stage computes; the bytes do not depend on --threads. Exit
+codes: 0 success, 2 config error, 3 data validation error, 4 numeric
+divergence.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import __version__, checkpoint, dataengine, evalkit, expert, fusion, simc
 from .config import ENV_CONFIG, PipelineConfig, load_config
 from .embedstore import (
     EmbeddingSet,
+    jsonl_lines,
     load_embedding_set,
     load_token_maps,
     save_embedding_set,
@@ -41,13 +45,28 @@ class _OutputStage:
     Used as a context manager: the stage is promoted when the block
     completes and discarded when it raises, so a failed command leaves no
     stage directory behind.
+
+    ``write_async`` runs a write in a forked writer process, at most
+    ``writers`` at once, so bulk artifact writes overlap the computation
+    that follows them. A fork shares the parent's memory copy-on-write and
+    needs nothing pickled, so a write may be any callable. It should only
+    serialise results already computed: the writer is a fork of a process
+    that may run BLAS threads. A writer's exception is sent back through a
+    pipe and re-raised in the parent. ``promote`` waits for every writer
+    before it moves a file; ``discard`` kills the writers that are still
+    running before it removes the stage.
+
+    ``select``, ``pickle`` and ``signal`` are imported where they are used:
+    the import time of this module counts in every command.
     """
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, writers: int = 0):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._tmp = tempfile.mkdtemp(prefix=".stage-", dir=self.out_dir)
         self.manifest: dict[str, dict] = {}
+        self._writers = writers
+        self._live: dict[int, int] = {}  # read end of a writer's error pipe -> its pid
 
     def path(self, name: str) -> Path:
         return Path(self._tmp) / name
@@ -60,7 +79,48 @@ class _OutputStage:
         }
         return self.path(name)
 
+    def write_async(self, write) -> None:
+        """Run ``write()`` in a writer process, or inline when writers is 0."""
+        if self._writers < 1:
+            write()
+            return
+        if len(self._live) >= self._writers:
+            import select
+
+            # a pipe turns readable when its writer has sent an error or exited
+            ready, _, _ = select.select(list(self._live), [], [])
+            self._reap(ready[0])
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the writer: never returns, flushes nothing of the parent's
+            status = 0
+            try:
+                os.close(read_fd)
+                write()
+            except BaseException as exc:
+                status = 1
+                _send_exception(write_fd, exc)
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._live[read_fd] = pid
+
+    def _reap(self, read_fd: int) -> None:
+        """Wait for one writer and re-raise the exception it sent, if any."""
+        pid = self._live.pop(read_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            sent = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        if sent:
+            import pickle
+
+            raise pickle.loads(sent)
+        if status != 0:
+            raise OSError(f"writer process {pid} ended with wait status {status}")
+
     def promote(self) -> None:
+        while self._live:
+            self._reap(next(iter(self._live)))
         manifest_path = self.out_dir / "manifest.json"
         existing = {}
         if manifest_path.exists():
@@ -76,6 +136,13 @@ class _OutputStage:
         os.rmdir(self._tmp)
 
     def discard(self) -> None:
+        import signal
+
+        for read_fd, pid in self._live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+        self._live.clear()
         shutil.rmtree(self._tmp, ignore_errors=True)
 
     def __enter__(self) -> "_OutputStage":
@@ -83,9 +150,26 @@ class _OutputStage:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
-            self.promote()
+            try:
+                self.promote()
+            except BaseException:
+                self.discard()
+                raise
         else:
             self.discard()
+
+
+def _send_exception(fd: int, exc: BaseException) -> None:
+    """Pickle ``exc`` into the pipe ``fd``; an unpicklable one goes as its text."""
+    import pickle
+
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    with os.fdopen(fd, "wb") as pipe:
+        pipe.write(data)
 
 
 class _StageLog:
@@ -117,44 +201,38 @@ def _write_ground_truth(path: Path, ground_truth: dict[str, str]) -> None:
 
 def _load_predictions(path: Path, model_name: str = "file") -> evalkit.PredictionLog:
     entries: dict[str, str | int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                task_id, response = obj["task_id"], obj["response"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
-            if not isinstance(task_id, str) or not isinstance(response, (str, int)):
-                raise DataValidationError(
-                    f"{path}: line {lineno}: task_id must be a string and response "
-                    "a string, an integer or a boolean"
-                )
-            entries[task_id] = response
+    for lineno, line in jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+            task_id, response = obj["task_id"], obj["response"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+        if not isinstance(task_id, str) or not isinstance(response, (str, int)):
+            raise DataValidationError(
+                f"{path}: line {lineno}: task_id must be a string and response "
+                "a string, an integer or a boolean"
+            )
+        entries[task_id] = response
     return evalkit.PredictionLog(entries=entries, model_name=model_name)
 
 
 def _load_captions(path: Path) -> dict[str, str]:
     captions: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
-            if not (
-                isinstance(obj, dict)
-                and isinstance(obj.get("query_id"), str)
-                and isinstance(obj.get("caption"), str)
-            ):
-                raise DataValidationError(
-                    f"{path}: line {lineno}: expected an object with string "
-                    "'query_id' and 'caption'"
-                )
-            captions[obj["query_id"]] = obj["caption"]
+    for lineno, line in jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("query_id"), str)
+            and isinstance(obj.get("caption"), str)
+        ):
+            raise DataValidationError(
+                f"{path}: line {lineno}: expected an object with string "
+                "'query_id' and 'caption'"
+            )
+        captions[obj["query_id"]] = obj["caption"]
     return captions
 
 
@@ -164,12 +242,13 @@ def _load_captions(path: Path) -> dict[str, str]:
 
 def cmd_synth(args, config: PipelineConfig) -> None:
     bundle = synthgen.generate(config.synth)
-    with _OutputStage(args.out) as stage:
+    with _OutputStage(args.out, args.threads - 1) as stage:
         h, seed = config.config_hash(), config.synth.seed
         ext = config.format
+        token_maps_path = stage.record("token_maps.jsonl", h, seed)
+        stage.write_async(lambda: save_token_maps(bundle.token_maps, token_maps_path))
         save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
         save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
-        save_token_maps(bundle.token_maps, stage.record("token_maps.jsonl", h, seed))
         _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
     print(f"wrote synthetic bundle ({len(bundle.raw_set.records)} images) to {args.out}")
 
@@ -388,17 +467,25 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     evaluate all matchers -> sweep, with one manifest for everything."""
     out = Path(args.out)
     stages = _StageLog()
-    with _OutputStage(out) as stage:
+    with _OutputStage(out, args.threads - 1) as stage:
         h = config.config_hash()
         seed = config.seed
         ext = config.format
 
         stages.next("generating synthetic bundle")
         bundle = synthgen.generate(config.synth)
-        save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
-        save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
-        save_token_maps(bundle.token_maps, stage.record("token_maps.jsonl", h, seed))
-        _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
+        raw_path, general_path, maps_path, truth_path = (
+            stage.record(name, h, seed)
+            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
+        )
+
+        def write_bundle():
+            save_embedding_set(bundle.raw_set, raw_path, ext)
+            save_embedding_set(bundle.general_set, general_path, ext)
+            save_token_maps(bundle.token_maps, maps_path)
+            _write_ground_truth(truth_path, bundle.ground_truth)
+
+        stage.write_async(write_bundle)
 
         split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
         dataengine.save_split(split, stage.record("split.json", h, seed))
@@ -410,28 +497,35 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         head = expert.train_expert(train_raw, config=config.expert)
         checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
         expert_set = expert.embed_set(head, bundle.raw_set)
-        save_embedding_set(expert_set, stage.record(f"expert.{ext}", h, seed), ext)
+        expert_path = stage.record(f"expert.{ext}", h, seed)
+        stage.write_async(lambda: save_embedding_set(expert_set, expert_path, ext))
 
         stages.next("building benchmark tiers")
         test_tasks = {}
         for tau in sorted({config.tau, *config.taus}):
-            tasks = dataengine.build_gallery_tasks_per_category(
+            test_tasks[tau] = dataengine.build_gallery_tasks_per_category(
                 bundle.general_set, split.test_instances, k=config.k, tau=tau,
                 n_per_category=config.n_tasks, seed=seed, task_prefix=f"t{tau:g}-",
             )
-            test_tasks[tau] = tasks
-            dataengine.save_jsonl(tasks, stage.record(f"tasks_tau{tau:g}.jsonl", h, seed))
         detection = dataengine.build_detection_tasks(
             bundle.general_set, split.test_instances, tau=config.tau,
             n_tasks=config.n_tasks, positive_rate=config.positive_rate, seed=seed,
         )
-        dataengine.save_jsonl(detection, stage.record("detection_tasks.jsonl", h, seed))
-
         mcq = dataengine.emit_conversations(test_tasks[config.tau], "match_mcq")
-        dataengine.save_jsonl(mcq, stage.record("conversations_mcq.jsonl", h, seed))
         captions = dataengine.template_captions(test_tasks[config.tau])
         cap = dataengine.emit_conversations(test_tasks[config.tau], "caption", captions=captions)
-        dataengine.save_jsonl(cap, stage.record("conversations_caption.jsonl", h, seed))
+        task_files = {
+            **{stage.record(f"tasks_tau{tau:g}.jsonl", h, seed): t for tau, t in test_tasks.items()},
+            stage.record("detection_tasks.jsonl", h, seed): detection,
+            stage.record("conversations_mcq.jsonl", h, seed): mcq,
+            stage.record("conversations_caption.jsonl", h, seed): cap,
+        }
+
+        def write_task_files():
+            for path, items in task_files.items():
+                dataengine.save_jsonl(items, path)
+
+        stage.write_async(write_task_files)
 
         stages.next("training fusion adapter")
         train_tasks = dataengine.build_gallery_tasks(
@@ -516,10 +610,18 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
 # argument parsing
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=os.environ.get(ENV_CONFIG), help="pipeline config JSON")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted but currently unused: every command runs single-threaded")
+    p.add_argument("--threads", type=int, default=None, metavar="N",
+                   help="processes to use: pipeline and synth write their bulk artifacts "
+                        "in up to N-1 forked writer processes while computing goes on; "
+                        "1 writes inline (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=("jsonl", "bin"), default=None,
                    help="embedding interchange format override")
     p.add_argument("--seed", type=int, default=None, help="seed override")
@@ -667,7 +769,9 @@ def main(argv: list[str] | None = None) -> int:
             args.format = config.format
         else:
             config.format = args.format
-        if getattr(args, "threads", 1) < 1:
+        if args.threads is None:
+            args.threads = _usable_cpus()
+        elif args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         config.validate()
         args.func(args, config)

@@ -115,7 +115,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

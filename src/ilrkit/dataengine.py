@@ -17,14 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
-from .embedstore import EmbeddingSet
+from .embedstore import EmbeddingSet, jsonl_lines
 from .errors import DataValidationError
 
 DEFAULT_K = 5
@@ -423,10 +423,10 @@ def parse_answer(response: str, k: int) -> int | None:
 # JSONL serialization
 
 def save_jsonl(items: Sequence, path: str | Path) -> None:
-    """Write dataclass instances as one JSON object per line."""
+    """Write flat dataclass instances as one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
-            obj = asdict(item)
+            obj = dict(vars(item))
             for key, val in obj.items():
                 if isinstance(val, tuple):
                     obj[key] = list(val)
@@ -437,14 +437,11 @@ def save_jsonl(items: Sequence, path: str | Path) -> None:
 
 def _load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(build(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in jsonl_lines(path):
+        try:
+            items.append(build(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
     return items
 
 

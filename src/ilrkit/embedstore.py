@@ -22,7 +22,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,28 +153,43 @@ def load_embedding_set(path: str | Path, fmt: str = "jsonl", encoder_name: str |
     return EmbeddingSet(name, records[0].vector.shape[0], records)
 
 
+def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of every non-blank line of a UTF-8 JSONL file.
+
+    Bytes that are not UTF-8 raise DataValidationError.
+    """
+    lineno = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            # text is decoded in chunks, so only the last good line is known
+            raise DataValidationError(
+                f"{path}: not UTF-8 text after line {lineno}: {exc.reason}"
+            ) from exc
+
+
 def _read_jsonl_records(path: Path) -> list[EmbeddingRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rec = EmbeddingRecord(
-                    image_id=obj["image_id"],
-                    instance_id=obj["instance_id"],
-                    category=obj["category"],
-                    vector=np.asarray(obj["vector"], dtype=np.float32),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataValidationError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-            if records and rec.vector.shape[0] != records[0].vector.shape[0]:
-                raise DataValidationError(
-                    f"{path}: line {lineno}: dimension {rec.vector.shape[0]} "
-                    f"!= {records[0].vector.shape[0]} of first record"
-                )
-            records.append(rec)
+    for lineno, line in jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+            rec = EmbeddingRecord(
+                image_id=obj["image_id"],
+                instance_id=obj["instance_id"],
+                category=obj["category"],
+                vector=np.asarray(obj["vector"], dtype=np.float32),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataValidationError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        if records and rec.vector.shape[0] != records[0].vector.shape[0]:
+            raise DataValidationError(
+                f"{path}: line {lineno}: dimension {rec.vector.shape[0]} "
+                f"!= {records[0].vector.shape[0]} of first record"
+            )
+        records.append(rec)
     return records
 
 
@@ -197,7 +212,10 @@ def _read_bin_records(path: Path) -> list[EmbeddingRecord]:
         off += 4
         if off + n > len(data):
             raise DataValidationError(f"{path}: truncated string at offset {off}")
-        return data[off : off + n].decode("utf-8"), off + n
+        try:
+            return data[off : off + n].decode("utf-8"), off + n
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(f"{path}: string at offset {off} is not UTF-8") from exc
 
     for i in range(count):
         image_id, off = read_str(off)
@@ -227,9 +245,9 @@ def save_embedding_set(eset: EmbeddingSet, path: str | Path, fmt: str = "jsonl")
                             "image_id": rec.image_id,
                             "instance_id": rec.instance_id,
                             "category": rec.category,
-                            # float() of a float32 is its exact double value,
+                            # a float32 widened to float64 is its exact value,
                             # so json round-trips the 32-bit payload exactly
-                            "vector": [float(x) for x in rec.vector],
+                            "vector": rec.vector.astype(np.float64).tolist(),
                         }
                     )
                     + "\n"
@@ -250,23 +268,20 @@ def load_token_maps(path: str | Path) -> list[TokenFeatureMap]:
     path = Path(path)
     maps: list[TokenFeatureMap] = []
     shape: tuple[int, int] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                tokens = np.asarray(obj["tokens"], dtype=np.float32)
-                tmap = TokenFeatureMap(obj["image_id"], tokens)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc
-            if shape is None:
-                shape = tmap.tokens.shape
-            elif tmap.tokens.shape != shape:
-                raise DataValidationError(
-                    f"{path}: line {lineno}: token map shape {tmap.tokens.shape} != {shape}"
-                )
-            maps.append(tmap)
+    for lineno, line in jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+            tokens = np.asarray(obj["tokens"], dtype=np.float32)
+            tmap = TokenFeatureMap(obj["image_id"], tokens)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc
+        if shape is None:
+            shape = tmap.tokens.shape
+        elif tmap.tokens.shape != shape:
+            raise DataValidationError(
+                f"{path}: line {lineno}: token map shape {tmap.tokens.shape} != {shape}"
+            )
+        maps.append(tmap)
     if not maps:
         raise DataValidationError(f"{path}: empty token-map file")
     return maps
@@ -280,7 +295,7 @@ def save_token_maps(maps: Sequence[TokenFeatureMap], path: str | Path) -> None:
                 json.dumps(
                     {
                         "image_id": tmap.image_id,
-                        "tokens": [[float(x) for x in row] for row in tmap.tokens],
+                        "tokens": tmap.tokens.astype(np.float64).tolist(),
                     }
                 )
                 + "\n"

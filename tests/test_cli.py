@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import logging
+import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from ilrkit import cli, dataengine, fusion
-from ilrkit.embedstore import load_embedding_set
+from ilrkit.embedstore import load_embedding_set, save_embedding_set
 from ilrkit.errors import DataValidationError
 
 SMALL_CONFIG = {
@@ -340,6 +343,53 @@ class TestMalformedInputs:
                        "--out", str(tmp_path / "conv.jsonl")] + _cfg(workspace))
         _assert_data_error(rc, capsys)
 
+    @pytest.mark.parametrize("target", [
+        "predictions", "captions", "tasks", "embeddings", "token_maps", "bin_strings",
+    ])
+    def test_non_utf8_input_is_3(self, workspace, tmp_path, capsys, target):
+        data = workspace / "data"
+        bad = tmp_path / "bad"
+        if target == "bin_strings":
+            save_embedding_set(load_embedding_set(data / "general.jsonl"), bad, "bin")
+            blob = bytearray(bad.read_bytes())
+            blob[16:18] = b"\xff\xfe"  # the first two bytes of the first image_id
+            bad.write_bytes(bytes(blob))
+        else:
+            text = {
+                "predictions": (data / "preds.jsonl").read_bytes(),
+                "captions": b'{"query_id": "q", "caption": "[SUBJECT] here"}\n',
+                "tasks": (data / "tasks.jsonl").read_bytes(),
+                "embeddings": (data / "general.jsonl").read_bytes(),
+                "token_maps": (data / "token_maps.jsonl").read_bytes(),
+            }[target]
+            bad.write_bytes(b"\xff\xfe" + text)
+        argv = {
+            "predictions": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                            "--predictions", str(bad), "--out", str(tmp_path / "eval")],
+            "captions": ["emit", "--tasks", str(data / "tasks.jsonl"), "--stage", "caption",
+                         "--captions", str(bad), "--out", str(tmp_path / "conv.jsonl")],
+            "tasks": ["match", "--embeddings", str(data / "general.jsonl"),
+                      "--tasks", str(bad), "--out", str(tmp_path / "p.jsonl")],
+            "embeddings": ["split", "--embeddings", str(bad),
+                           "--out", str(tmp_path / "s.json")],
+            "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                           "--token-maps", str(bad),
+                           "--expert-embeddings", str(data / "expert.jsonl"),
+                           "--out", str(tmp_path / "adapter.ckpt")],
+            "bin_strings": ["split", "--embeddings", str(bad), "--format", "bin",
+                            "--out", str(tmp_path / "s.json")],
+        }[target]
+        _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
+
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe" + json.dumps(SMALL_CONFIG).encode())
+        rc = cli.main(["synth", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ConfigError"
+
 
 class TestDeterminism:
     def test_subcommand_outputs_byte_identical(self, workspace, tmp_path):
@@ -375,11 +425,77 @@ class TestDeterminism:
 
     def test_failed_pipeline_discards_its_stage(self, workspace, tmp_path, capsys,
                                                 monkeypatch):
+        save_jsonl = dataengine.save_jsonl
+
+        def slow_save_jsonl(*args, **kwargs):
+            time.sleep(0.5)  # at --threads 2 the task files' writer is still running
+            save_jsonl(*args, **kwargs)
+
         def fail(*args, **kwargs):
             raise DataValidationError("adapter training failed")
 
+        monkeypatch.setattr(dataengine, "save_jsonl", slow_save_jsonl)
         monkeypatch.setattr(fusion, "train_adapter", fail)
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            rc = cli.main(["pipeline", "--out", str(out), "--threads", threads]
+                          + _cfg(workspace))
+            _assert_data_error(rc, capsys)
+            assert [p.name for p in out.iterdir()] == []
+            _assert_no_child_left()
+
+    def test_failed_writer_is_3(self, workspace, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DataValidationError("token maps could not be written")
+
+        monkeypatch.setattr(cli, "save_token_maps", fail)
         out = tmp_path / "run"
-        rc = cli.main(["pipeline", "--out", str(out)] + _cfg(workspace))
-        _assert_data_error(rc, capsys)
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "DataValidationError", "message": "token maps could not be written",
+        }
         assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+    def test_killed_writer_fails_the_command(self, workspace, tmp_path, monkeypatch):
+        # a writer that dies without reporting may have left a truncated file,
+        # which must never be promoted
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "the write ran in the parent process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "save_token_maps", die)
+        out = tmp_path / "run"
+        with pytest.raises(OSError, match="writer process"):
+            cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+    def test_writer_runs_unpicklable_callables(self, workspace, tmp_path, monkeypatch):
+        # a tracer wraps layer functions in local closures, which no pickling
+        # process pool can send to a worker; forked writers must still run them
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "save_token_maps", wrap(cli.save_token_maps))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            assert cli.main(["pipeline", "--out", str(out), "--threads", threads]
+                            + _cfg(workspace)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "token_maps.jsonl" in outputs[0]
+        assert outputs[0] == outputs[1]
+        _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -501,6 +502,28 @@ class TestSerialization:
             path, lambda o: ConversationRecord(**{**o, "images": tuple(o["images"])})
         )
         assert loaded == records
+
+    def test_bytes_match_asdict_writer(self, toy_pool, tmp_path):
+        def asdict_writer(items, path):
+            """Reference: the dataclasses.asdict writer that vars() replaced."""
+            with open(path, "w", encoding="utf-8") as fh:
+                for item in items:
+                    obj = dataclasses.asdict(item)
+                    for key, val in obj.items():
+                        if isinstance(val, tuple):
+                            obj[key] = list(val)
+                        elif isinstance(val, frozenset):
+                            obj[key] = sorted(val)
+                    fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+        tasks = build_gallery_tasks(toy_pool, set(toy_pool.instance_index),
+                                    k=3, tau=0.5, n_tasks=10, seed=0)
+        detection = build_detection_tasks(toy_pool, set(toy_pool.instance_index),
+                                          tau=-1.0, n_tasks=10, seed=0)
+        for items in (tasks, detection, emit_conversations(tasks, "match_mcq")):
+            save_jsonl(items, tmp_path / "new.jsonl")
+            asdict_writer(items, tmp_path / "old.jsonl")
+            assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
 
     def test_split_round_trip(self, small_bundle, tmp_path):
         split = make_split(small_bundle.general_set, 0.3, 3)

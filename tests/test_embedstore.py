@@ -174,5 +174,57 @@ class TestTokenMaps:
             load_token_maps(path)
 
 
+# float32 values whose text is hard to get right: signed zero, subnormals,
+# 1e-05-scale values and exponents near both ends of the float32 range
+_AWKWARD = np.array(
+    [-0.0, 0.0, 1e-45, -1.4e-45, 1.17e-38, 3e-39, 1e-05, -2.5e-05, 3.4e38, -1.7e38,
+     0.1, 1.0 / 3.0, 12345.678, -7.0],
+    dtype=np.float32,
+)
+
+
+class TestWriterBytes:
+    """The writers' bytes equal those of the per-element writers they replaced."""
+
+    def test_embedding_set_jsonl(self, tmp_path):
+        rng = np.random.default_rng(11)
+        records = [
+            EmbeddingRecord(f"img{i}", f"inst{i % 3}", "pet",
+                            rng.permutation(_AWKWARD) * np.float32(rng.choice([1, -1])))
+            for i in range(6)
+        ]
+        eset = EmbeddingSet.from_records("enc", records)
+        save_embedding_set(eset, tmp_path / "new.jsonl")
+        with open(tmp_path / "old.jsonl", "w", encoding="utf-8") as fh:
+            for rec in eset.records:
+                fh.write(json.dumps({
+                    "image_id": rec.image_id,
+                    "instance_id": rec.instance_id,
+                    "category": rec.category,
+                    "vector": [float(x) for x in rec.vector],
+                }) + "\n")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+        loaded = load_embedding_set(tmp_path / "new.jsonl")
+        for got, want in zip(loaded.records, records):
+            assert got.vector.tobytes() == want.vector.tobytes()
+
+    def test_token_maps(self, tmp_path):
+        rng = np.random.default_rng(12)
+        maps = [
+            TokenFeatureMap(f"img{i}", rng.permutation(np.tile(_AWKWARD, 3)).reshape(3, -1))
+            for i in range(4)
+        ]
+        save_token_maps(maps, tmp_path / "new.jsonl")
+        with open(tmp_path / "old.jsonl", "w", encoding="utf-8") as fh:
+            for tmap in maps:
+                fh.write(json.dumps({
+                    "image_id": tmap.image_id,
+                    "tokens": [[float(x) for x in row] for row in tmap.tokens],
+                }) + "\n")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+        for got, want in zip(load_token_maps(tmp_path / "new.jsonl"), maps):
+            assert got.tokens.tobytes() == want.tokens.tobytes()
+
+
 def test_magic_constant():
     assert embedstore.MAGIC == b"EMB1"
