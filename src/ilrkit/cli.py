@@ -3,11 +3,11 @@
 Outputs are written to a temporary sibling directory and promoted
 atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
-config hash, seed, and tool version. pipeline and synth write their bulk
-artifacts in forked writer processes (up to --threads minus one) while
+config hash, seed, and tool version. Unless --threads is 1, pipeline
+and synth write their bulk artifacts in a forked writer process while
 the next stage computes; the bytes do not depend on --threads. Exit
 codes: 0 success, 2 config error, 3 data validation error, 4 numeric
-divergence.
+divergence, 5 a writer process died.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .embedstore import (
     save_embedding_set,
     save_token_maps,
 )
-from .errors import ConfigError, DataValidationError, IlrkitError
+from .errors import ConfigError, DataValidationError, IlrkitError, WriterError
 
 logger = logging.getLogger(__name__)
 
@@ -46,27 +46,28 @@ class _OutputStage:
     completes and discarded when it raises, so a failed command leaves no
     stage directory behind.
 
-    ``write_async`` runs a write in a forked writer process, at most
-    ``writers`` at once, so bulk artifact writes overlap the computation
+    With ``overlap``, ``write_async`` runs a write in a forked writer
+    process, one at a time, so bulk artifact writes overlap the computation
     that follows them. A fork shares the parent's memory copy-on-write and
     needs nothing pickled, so a write may be any callable. It should only
     serialise results already computed: the writer is a fork of a process
     that may run BLAS threads. A writer's exception is sent back through a
-    pipe and re-raised in the parent. ``promote`` waits for every writer
-    before it moves a file; ``discard`` kills the writers that are still
-    running before it removes the stage.
+    pipe and re-raised in the parent. ``promote`` waits for the writer
+    before it moves a file; ``discard`` kills a writer that is still
+    running before it removes the stage. Without ``os.fork`` (Windows),
+    every write runs inline.
 
-    ``select``, ``pickle`` and ``signal`` are imported where they are used:
-    the import time of this module counts in every command.
+    ``pickle`` and ``signal`` are imported where they are used: the import
+    time of this module counts in every command.
     """
 
-    def __init__(self, out_dir: Path, writers: int = 0):
+    def __init__(self, out_dir: Path, overlap: bool = False):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._tmp = tempfile.mkdtemp(prefix=".stage-", dir=self.out_dir)
         self.manifest: dict[str, dict] = {}
-        self._writers = writers
-        self._live: dict[int, int] = {}  # read end of a writer's error pipe -> its pid
+        self._overlap = overlap and hasattr(os, "fork")
+        self._writer: tuple[int, int] | None = None  # pid, read end of its error pipe
 
     def path(self, name: str) -> Path:
         return Path(self._tmp) / name
@@ -80,16 +81,12 @@ class _OutputStage:
         return self.path(name)
 
     def write_async(self, write) -> None:
-        """Run ``write()`` in a writer process, or inline when writers is 0."""
-        if self._writers < 1:
+        """Run ``write()`` in a writer process once the previous writer has
+        finished, or inline without overlap."""
+        if not self._overlap:
             write()
             return
-        if len(self._live) >= self._writers:
-            import select
-
-            # a pipe turns readable when its writer has sent an error or exited
-            ready, _, _ = select.select(list(self._live), [], [])
-            self._reap(ready[0])
+        self._wait()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # the writer: never returns, flushes nothing of the parent's
@@ -103,11 +100,14 @@ class _OutputStage:
             finally:
                 os._exit(status)
         os.close(write_fd)
-        self._live[read_fd] = pid
+        self._writer = (pid, read_fd)
 
-    def _reap(self, read_fd: int) -> None:
-        """Wait for one writer and re-raise the exception it sent, if any."""
-        pid = self._live.pop(read_fd)
+    def _wait(self) -> None:
+        """Wait for the writer, if any, and re-raise the exception it sent."""
+        if self._writer is None:
+            return
+        pid, read_fd = self._writer
+        self._writer = None
         with os.fdopen(read_fd, "rb") as pipe:
             sent = pipe.read()
         _, status = os.waitpid(pid, 0)
@@ -116,11 +116,11 @@ class _OutputStage:
 
             raise pickle.loads(sent)
         if status != 0:
-            raise OSError(f"writer process {pid} ended with wait status {status}")
+            raise WriterError(f"writer process {pid} died before it finished "
+                              f"(wait status {status})")
 
     def promote(self) -> None:
-        while self._live:
-            self._reap(next(iter(self._live)))
+        self._wait()
         manifest_path = self.out_dir / "manifest.json"
         existing = {}
         if manifest_path.exists():
@@ -136,13 +136,14 @@ class _OutputStage:
         os.rmdir(self._tmp)
 
     def discard(self) -> None:
-        import signal
+        if self._writer is not None:
+            import signal
 
-        for read_fd, pid in self._live.items():
+            pid, read_fd = self._writer
+            self._writer = None
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_fd)
-        self._live.clear()
         shutil.rmtree(self._tmp, ignore_errors=True)
 
     def __enter__(self) -> "_OutputStage":
@@ -242,7 +243,7 @@ def _load_captions(path: Path) -> dict[str, str]:
 
 def cmd_synth(args, config: PipelineConfig) -> None:
     bundle = synthgen.generate(config.synth)
-    with _OutputStage(args.out, args.threads - 1) as stage:
+    with _OutputStage(args.out, args.threads > 1) as stage:
         h, seed = config.config_hash(), config.synth.seed
         ext = config.format
         token_maps_path = stage.record("token_maps.jsonl", h, seed)
@@ -467,7 +468,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     evaluate all matchers -> sweep, with one manifest for everything."""
     out = Path(args.out)
     stages = _StageLog()
-    with _OutputStage(out, args.threads - 1) as stage:
+    with _OutputStage(out, args.threads > 1) as stage:
         h = config.config_hash()
         seed = config.seed
         ext = config.format
@@ -619,9 +620,9 @@ def _usable_cpus() -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=os.environ.get(ENV_CONFIG), help="pipeline config JSON")
     p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="processes to use: pipeline and synth write their bulk artifacts "
-                        "in up to N-1 forked writer processes while computing goes on; "
-                        "1 writes inline (default: the CPUs this process may run on)")
+                   help="1 writes every file inline; above 1, pipeline and synth write "
+                        "their bulk artifacts in a forked writer process while computing "
+                        "goes on (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=("jsonl", "bin"), default=None,
                    help="embedding interchange format override")
     p.add_argument("--seed", type=int, default=None, help="seed override")

@@ -23,3 +23,9 @@ class DivergenceError(IlrkitError):
     """A numeric computation produced non-finite values."""
 
     exit_code = 4
+
+
+class WriterError(IlrkitError):
+    """A writer process died before it reported, e.g. killed by a signal."""
+
+    exit_code = 5

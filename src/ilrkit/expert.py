@@ -168,26 +168,24 @@ def combined_loss_and_grads(
     de = cw * (dlogits @ prototypes.T)
 
     # batch-hard triplet term
-    a, p, n = np.array(batch_hard_mine(e, labels), dtype=np.intp).T
-    diff = np.stack([e[a] - e[p], e[a] - e[n]], axis=1)  # (batch, 2, d): a-p, a-n
-    # a stack of (1, d) @ (d, 1) products runs the BLAS dot that
-    # np.linalg.norm runs on one vector, so each distance has the same bits
-    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
-    hinge = dist[:, 0] - dist[:, 1] + head.margin
-    active = hinge > 0
-    # summed one triplet at a time, in batch order
-    tri_loss = np.cumsum(hinge[active])[-1] / batch if active.any() else 0.0
-    # per active triplet: a += g_ap, p -= g_ap, a -= g_an, n += g_an, applied
-    # in that order by one unbuffered add; a zero distance adds nothing
-    keep = active[:, None] & (dist > _NORM_EPS)
-    g = (tw / batch) * diff / np.where(keep, dist, 1.0)[..., None]
-    keep = np.repeat(keep, 2, axis=1)
-    steps = np.stack([g[:, 0], -g[:, 0], -g[:, 1], g[:, 1]], axis=1)[keep]
-    targets = np.stack([a, p, a, n], axis=1)[keep]
-    # on the flat view (de is a new C-contiguous array): np.add.at is much
-    # faster with scalar elements
-    dim = de.shape[1]
-    np.add.at(de.reshape(-1), (targets[:, None] * dim + np.arange(dim)).ravel(), steps.ravel())
+    triplets = batch_hard_mine(e, labels)
+    tri_loss = 0.0
+    for a, p, n in triplets:
+        d_ap = np.linalg.norm(e[a] - e[p])
+        d_an = np.linalg.norm(e[a] - e[n])
+        hinge = d_ap - d_an + head.margin
+        if hinge > 0:
+            tri_loss += hinge
+            coef = tw / len(triplets)
+            if d_ap > _NORM_EPS:
+                g = coef * (e[a] - e[p]) / d_ap
+                de[a] += g
+                de[p] -= g
+            if d_an > _NORM_EPS:
+                g = coef * (e[a] - e[n]) / d_an
+                de[a] -= g
+                de[n] += g
+    tri_loss /= len(triplets)
 
     # back through normalization: e = y / |y|
     dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms

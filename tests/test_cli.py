@@ -460,7 +460,7 @@ class TestDeterminism:
         assert [p.name for p in out.iterdir()] == []
         _assert_no_child_left()
 
-    def test_killed_writer_fails_the_command(self, workspace, tmp_path, monkeypatch):
+    def test_killed_writer_is_5(self, workspace, tmp_path, capsys, monkeypatch):
         # a writer that dies without reporting may have left a truncated file,
         # which must never be promoted
         parent = os.getpid()
@@ -471,9 +471,38 @@ class TestDeterminism:
 
         monkeypatch.setattr(cli, "save_token_maps", die)
         out = tmp_path / "run"
-        with pytest.raises(OSError, match="writer process"):
-            cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "WriterError"
+        assert "died before it finished" in error["message"]
         assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+    def test_writes_inline_without_fork(self, workspace, tmp_path, monkeypatch):
+        # where os.fork is missing (Windows) every --threads writes inline
+        parent = os.getpid()
+        writers = []
+        save_token_maps = cli.save_token_maps
+
+        def record_pid(*args, **kwargs):
+            writers.append(os.getpid())
+            return save_token_maps(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_token_maps", record_pid)
+        outputs = []
+        for threads in ("1", "2"):
+            if threads == "2":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / f"run{threads}"
+            assert cli.main(["pipeline", "--out", str(out), "--threads", threads]
+                            + _cfg(workspace)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert writers == [parent, parent]
+        assert "token_maps.jsonl" in outputs[0]
+        assert outputs[0] == outputs[1]
         _assert_no_child_left()
 
     def test_writer_runs_unpicklable_callables(self, workspace, tmp_path, monkeypatch):

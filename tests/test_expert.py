@@ -35,47 +35,6 @@ def _list_batch_hard_mine(embeddings, labels):
     return triplets
 
 
-def _loop_combined_loss_and_grads(head, prototypes, x, labels):
-    """Reference: the per-triplet hinge loop that the array updates replaced."""
-    x = np.asarray(x, dtype=np.float64)
-    batch = x.shape[0]
-    cw, tw = head.loss_weights
-    y = x @ head.w + head.b
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
-    e = y / norms
-    logits = e @ prototypes
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    rows = np.arange(batch)
-    ce = -np.mean(np.log(np.maximum(probs[rows, labels], 1e-300)))
-    dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
-    dlogits /= batch
-    grad_protos = cw * (e.T @ dlogits)
-    de = cw * (dlogits @ prototypes.T)
-    triplets = batch_hard_mine(e, labels)
-    tri_loss = 0.0
-    for a, p, n in triplets:
-        d_ap = np.linalg.norm(e[a] - e[p])
-        d_an = np.linalg.norm(e[a] - e[n])
-        hinge = d_ap - d_an + head.margin
-        if hinge > 0:
-            tri_loss += hinge
-            coef = tw / len(triplets)
-            if d_ap > expert._NORM_EPS:
-                g = coef * (e[a] - e[p]) / d_ap
-                de[a] += g
-                de[p] -= g
-            if d_an > expert._NORM_EPS:
-                g = coef * (e[a] - e[n]) / d_an
-                de[a] -= g
-                de[n] += g
-    tri_loss /= len(triplets)
-    dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms
-    return cw * ce + tw * tri_loss, x.T @ dy, dy.sum(axis=0), grad_protos
-
-
 class TestTripletLoss:
     def test_perfect_triplet_is_zero(self):
         # d_ap = 0, d_an = sqrt(2): hinge well below zero
@@ -225,35 +184,6 @@ class TestCombinedLoss:
                     numeric[idx] = (up - down) / (2.0 * step)
                 scale = max(float(np.max(np.abs(numeric))), 1e-8)
                 assert float(np.max(np.abs(analytic - numeric))) / scale < 1e-4
-
-    def test_matches_loop_reference_bit_for_bit(self):
-        rng = np.random.default_rng(26)
-        inactive = zero_ap = zero_an = 0
-        for trial in range(60):
-            d_raw, d_out, p, q = 6, int(rng.choice([8, 64, 67])), 4, 3
-            head = ExpertHead(rng.standard_normal((d_raw, d_out)), rng.standard_normal(d_out),
-                              margin=float(rng.choice([0.0, 0.3, 2.0])),
-                              loss_weights=(1.0, float(rng.choice([1.0, 0.5]))))
-            protos = rng.standard_normal((d_out, p))
-            labels = np.repeat(np.arange(p), q)
-            x = rng.standard_normal((p * q, d_raw))
-            if trial % 3 == 1:  # one label's images identical: d_ap = 0
-                x[1:q] = x[0]
-            elif trial % 3 == 2:  # a whole label copied: d_an = 0 for its anchors
-                x[q : 2 * q] = x[:q]
-            e = x @ head.w + head.b
-            e /= np.linalg.norm(e, axis=1, keepdims=True)
-            for a, pos, neg in batch_hard_mine(e, labels):
-                d_ap, d_an = np.linalg.norm(e[a] - e[pos]), np.linalg.norm(e[a] - e[neg])
-                inactive += d_ap - d_an + head.margin <= 0
-                zero_ap += d_ap <= expert._NORM_EPS
-                zero_an += d_an <= expert._NORM_EPS
-            got = combined_loss_and_grads(head, protos, x, labels)
-            want = _loop_combined_loss_and_grads(head, protos, x, labels)
-            assert got[0] == want[0]
-            for g, w in zip(got[1:], want[1:]):
-                assert np.array_equal(g, w)
-        assert inactive and zero_ap and zero_an
 
     def test_zero_loss_weights_zero_gradients(self):
         rng = np.random.default_rng(24)
