@@ -8,10 +8,12 @@ floats in the order listed in the header.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from .embedstore import read_input
 from .errors import DataValidationError
 from .expert import ExpertHead
 from .fusion import FusionAdapter
@@ -30,7 +32,7 @@ def _write(path: Path, header: dict, params: list[np.ndarray]) -> None:
 
 
 def _read(path: Path) -> tuple[dict, list[np.ndarray]]:
-    data = Path(path).read_bytes()
+    data = read_input(path)
     nl = data.find(b"\n")
     if nl < 0:
         raise DataValidationError(f"{path}: missing checkpoint header")
@@ -50,8 +52,7 @@ def _read(path: Path) -> tuple[dict, list[np.ndarray]]:
     off = nl + 1
     params = []
     for shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
+        nbytes = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap around
         if off + nbytes > len(data):
             raise DataValidationError(f"{path}: truncated parameter blob")
         params.append(

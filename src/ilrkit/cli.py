@@ -31,6 +31,7 @@ from .embedstore import (
     jsonl_lines,
     load_embedding_set,
     load_token_maps,
+    read_input,
     save_embedding_set,
     save_token_maps,
 )
@@ -124,7 +125,13 @@ class _OutputStage:
         manifest_path = self.out_dir / "manifest.json"
         existing = {}
         if manifest_path.exists():
-            existing = json.loads(manifest_path.read_text(encoding="utf-8"))
+            data = read_input(manifest_path)
+            try:
+                existing = json.loads(data.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise DataValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
+            if not isinstance(existing, dict):
+                raise DataValidationError(f"{manifest_path}: manifest is not a JSON object")
         existing.update(self.manifest)
         for name in self.manifest:
             os.replace(self.path(name), self.out_dir / name)

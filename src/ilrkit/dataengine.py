@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .embedstore import EmbeddingSet, jsonl_lines
+from .embedstore import EmbeddingSet, jsonl_lines, read_input
 from .errors import DataValidationError
 
 DEFAULT_K = 5
@@ -485,8 +485,9 @@ def save_split(manifest: SplitManifest, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> SplitManifest:
+    data = read_input(path)
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataValidationError(f"{path}: malformed split file: {exc}") from exc
     sides = {}

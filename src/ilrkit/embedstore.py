@@ -50,6 +50,8 @@ class EmbeddingRecord:
             )
         if not self.instance_id:
             raise DataValidationError(f"record {self.image_id!r}: empty instance_id")
+        if not np.isfinite(vec).all():
+            raise DataValidationError(f"record {self.image_id!r} contains non-finite values")
 
 
 @dataclass
@@ -153,13 +155,31 @@ def load_embedding_set(path: str | Path, fmt: str = "jsonl", encoder_name: str |
     return EmbeddingSet(name, records[0].vector.shape[0], records)
 
 
+def _unreadable(path, exc: OSError) -> DataValidationError:
+    return DataValidationError(f"cannot read input file {path}: {exc.strerror or exc}")
+
+
+def read_input(path: str | Path) -> bytes:
+    """All bytes of an input file; a missing or unreadable one raises
+    DataValidationError naming the path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+
+
 def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, text) of every non-blank line of a UTF-8 JSONL file.
 
-    Bytes that are not UTF-8 raise DataValidationError.
+    A missing or unreadable file and bytes that are not UTF-8 raise
+    DataValidationError.
     """
     lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
@@ -194,7 +214,7 @@ def _read_jsonl_records(path: Path) -> list[EmbeddingRecord]:
 
 
 def _read_bin_records(path: Path) -> list[EmbeddingRecord]:
-    data = path.read_bytes()
+    data = read_input(path)
     if len(data) == 0:
         raise DataValidationError(f"{path}: empty embedding file")
     if data[:4] != MAGIC:

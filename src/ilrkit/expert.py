@@ -67,6 +67,10 @@ def embed(head: ExpertHead, raw_vec) -> np.ndarray:
 
 def embed_set(head: ExpertHead, raw_set: EmbeddingSet, encoder_name: str = "expert") -> EmbeddingSet:
     """Embed every record of a raw set, producing an expert-view EmbeddingSet."""
+    if raw_set.dimension != head.w.shape[0]:
+        raise DataValidationError(
+            f"raw vectors have dimension {raw_set.dimension}, head expects {head.w.shape[0]}"
+        )
     y = np.asarray(raw_set.matrix(), dtype=np.float64) @ head.w + head.b
     y = _normalize_rows(y)
     records = [

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -8,8 +10,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ilrkit import cli, dataengine, fusion
+from ilrkit import checkpoint, cli, dataengine, fusion
 from ilrkit.embedstore import load_embedding_set, save_embedding_set
 from ilrkit.errors import DataValidationError
 
@@ -220,11 +224,14 @@ class TestExitCodes:
 
 
 def _assert_data_error(rc, capsys):
-    """Exit 3 with one JSON error line on stderr and no traceback."""
+    """Exit 3 with one JSON error line on stderr and no traceback; returns
+    the error message."""
     assert rc == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["error"] == "DataValidationError"
+    error = json.loads(err)
+    assert error["error"] == "DataValidationError"
+    return error["message"]
 
 
 def _checkpoint(path, header, shapes):
@@ -259,6 +266,11 @@ class TestMalformedInputs:
         ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}, [[24, 8]]),
         ({"kind": "expert_head", "loss_weights": [1.0, 1.0]}, [[24, 8], [8]]),
         ({"kind": "expert_head", "margin": 0.3, "loss_weights": 1.0}, [[24, 8], [8]]),
+        # a head for 12-d raw vectors, applied to the 24-d raw view
+        ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}, [[12, 8], [8]]),
+        # a shape whose element count overflows int64
+        ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]},
+         [[2**32, 2**32], [8]]),
     ])
     def test_malformed_expert_checkpoint_is_3(self, workspace, tmp_path, capsys,
                                               header, shapes):
@@ -381,6 +393,56 @@ class TestMalformedInputs:
         }[target]
         _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
 
+    @pytest.mark.parametrize("reader", ["jsonl", "bin", "checkpoint", "split"])
+    def test_missing_input_file_is_3(self, workspace, tmp_path, capsys, reader):
+        data = workspace / "data"
+        missing = str(tmp_path / "nope")
+        argv = {
+            "jsonl": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                      "--predictions", missing, "--out", str(tmp_path / "eval")],
+            "bin": ["split", "--embeddings", missing, "--format", "bin",
+                    "--out", str(tmp_path / "s.json")],
+            "checkpoint": ["embed", "--checkpoint", missing,
+                           "--embeddings", str(data / "raw.jsonl"),
+                           "--out", str(tmp_path / "e.jsonl")],
+            "split": ["build-galleries", "--embeddings", str(data / "general.jsonl"),
+                      "--split", missing, "--k", "3", "--out", str(tmp_path / "t.jsonl")],
+        }[reader]
+        message = _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
+        assert missing in message
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "bin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_vector_is_3(self, workspace, tmp_path, capsys, fmt, value):
+        general = load_embedding_set(workspace / "data" / "general.jsonl")
+        bad = tmp_path / "bad"
+        save_embedding_set(general, bad, fmt)
+        blob = bad.read_bytes()
+        if fmt == "jsonl":
+            lines = blob.decode().splitlines(keepends=True)
+            record = json.loads(lines[-1])
+            record["vector"][-1] = value
+            blob = "".join(lines[:-1]).encode() + json.dumps(record).encode() + b"\n"
+        else:  # an EMB1 file ends with the last float of the last record
+            blob = blob[:-4] + np.float32(value).tobytes()
+        bad.write_bytes(blob)
+        rc = cli.main(["split", "--embeddings", str(bad), "--format", fmt,
+                       "--out", str(tmp_path / "s.json")] + _cfg(workspace))
+        message = _assert_data_error(rc, capsys)
+        assert "non-finite" in message
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    def test_corrupt_manifest_is_3(self, workspace, tmp_path, capsys, text):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        rc = cli.main(["synth", "--out", str(out)] + _cfg(workspace))
+        assert "manifest" in _assert_data_error(rc, capsys)
+        # the stage is discarded, nothing is promoted, the manifest is untouched
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == text
+        _assert_no_child_left()
+
     def test_non_utf8_config_is_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b"\xff\xfe" + json.dumps(SMALL_CONFIG).encode())
@@ -389,6 +451,75 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["error"] == "ConfigError"
+
+
+@st.composite
+def _damaged(draw, blob: bytes) -> bytes:
+    """``blob`` with up to three bytes overwritten, then maybe cut short."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(0, 3))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out[: draw(st.one_of(st.just(len(out)), st.integers(0, len(out))))])
+
+
+_FUZZ = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestFuzzedBinaryInputs:
+    """Damaged EMB1 files and checkpoints end in a documented exit code,
+    never in a traceback."""
+
+    @staticmethod
+    def _run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert "error" in json.loads(err.getvalue())
+
+    @pytest.fixture(scope="class")
+    def valid(self, workspace, tmp_path_factory):
+        data = workspace / "data"
+        root = tmp_path_factory.mktemp("fuzz")
+        save_embedding_set(load_embedding_set(data / "general.jsonl"), root / "g.bin", "bin")
+        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), root / "adapter.ckpt")
+        return {"emb1": root / "g.bin", "expert": data / "expert_head.ckpt",
+                "adapter": root / "adapter.ckpt",
+                "image_id": load_embedding_set(data / "expert.jsonl").image_ids[0]}
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_emb1(self, workspace, valid, tmp_path, data):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.draw(_damaged(valid["emb1"].read_bytes())))
+        self._run(["split", "--embeddings", str(bad), "--format", "bin",
+                   "--out", str(tmp_path / "s.json")] + _cfg(workspace))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_expert_checkpoint(self, workspace, valid, tmp_path, data):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data.draw(_damaged(valid["expert"].read_bytes())))
+        self._run(["embed", "--checkpoint", str(bad),
+                   "--embeddings", str(workspace / "data" / "raw.jsonl"),
+                   "--out", str(tmp_path / "e.jsonl")] + _cfg(workspace))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_adapter_checkpoint(self, workspace, valid, tmp_path, data):
+        data_dir = workspace / "data"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data.draw(_damaged(valid["adapter"].read_bytes())))
+        self._run(["fuse", "--checkpoint", str(bad),
+                   "--token-maps", str(data_dir / "token_maps.jsonl"),
+                   "--expert-embeddings", str(data_dir / "expert.jsonl"),
+                   "--image-id", valid["image_id"], "--out", str(tmp_path / "f.json")]
+                  + _cfg(workspace))
 
 
 class TestDeterminism:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ilrkit import kernels
-from ilrkit.kernels import fallback
 
 
 @pytest.fixture
@@ -11,7 +10,9 @@ def rng():
 
 
 def test_backend_is_known():
-    assert kernels.BACKEND in ("native", "numpy")
+    # perfbench records BACKEND and traces only functions defined in this module
+    assert kernels.BACKEND == "numpy"
+    assert kernels.dot_scores.__module__ == "ilrkit.kernels"
 
 
 def test_dot_scores_matches_numpy(rng):
@@ -22,29 +23,9 @@ def test_dot_scores_matches_numpy(rng):
     np.testing.assert_allclose(got, matrix @ query, rtol=0, atol=1e-12)
 
 
-def test_pairwise_dot_matches_numpy(rng):
-    matrix = rng.standard_normal((80, 17))
-    got = kernels.pairwise_dot(matrix)
-    np.testing.assert_allclose(got, matrix @ matrix.T, rtol=0, atol=1e-12)
-
-
-def test_backends_agree(rng):
-    matrix = rng.standard_normal((150, 24))
-    query = rng.standard_normal(24)
-    np.testing.assert_allclose(
-        kernels.dot_scores(matrix, query),
-        fallback.dot_scores(
-            np.ascontiguousarray(matrix), np.ascontiguousarray(query)
-        ),
-        rtol=0,
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        kernels.pairwise_dot(matrix),
-        fallback.pairwise_dot(np.ascontiguousarray(matrix)),
-        rtol=0,
-        atol=1e-12,
-    )
+def test_dimension_mismatch_raises(rng):
+    with pytest.raises(ValueError):
+        kernels.dot_scores(rng.standard_normal((5, 4)), rng.standard_normal(3))
 
 
 def test_float32_input_accumulates_in_float64(rng):
