@@ -262,10 +262,10 @@ def cmd_synth(args, config: PipelineConfig) -> None:
 
 
 def cmd_split(args, config: PipelineConfig) -> None:
-    eset = load_embedding_set(args.embeddings, args.format)
-    manifest = dataengine.make_split(eset, args.test_fraction, args.seed)
+    eset = load_embedding_set(args.embeddings, config.format)
+    manifest = dataengine.make_split(eset, args.test_fraction, config.seed)
     with _OutputStage(Path(args.out).parent) as stage:
-        path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
+        path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         dataengine.save_split(manifest, path)
     print(
         f"split {len(manifest.train_instances)} train / "
@@ -281,32 +281,32 @@ def _split_side(args) -> frozenset[str]:
 def cmd_build_galleries(args, config: PipelineConfig) -> None:
     if args.k < 2:
         raise ConfigError("k must be >= 2 (use build-detection for K=1)")
-    general = load_embedding_set(args.embeddings, args.format)
+    general = load_embedding_set(args.embeddings, config.format)
     if args.per_category:
         tasks = dataengine.build_gallery_tasks_per_category(
             general, _split_side(args), k=args.k, tau=args.tau,
-            n_per_category=args.n_tasks, seed=args.seed, hardest=args.hardest,
+            n_per_category=args.n_tasks, seed=config.seed, hardest=args.hardest,
         )
     else:
         tasks = dataengine.build_gallery_tasks(
             general, _split_side(args), k=args.k, tau=args.tau,
-            n_tasks=args.n_tasks, seed=args.seed, hardest=args.hardest,
+            n_tasks=args.n_tasks, seed=config.seed, hardest=args.hardest,
         )
     with _OutputStage(Path(args.out).parent) as stage:
-        path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
+        path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         dataengine.save_jsonl(tasks, path)
     relaxed = sum(t.relaxed for t in tasks)
     print(f"wrote {len(tasks)} gallery tasks ({relaxed} relaxed) -> {args.out}")
 
 
 def cmd_build_detection(args, config: PipelineConfig) -> None:
-    general = load_embedding_set(args.embeddings, args.format)
+    general = load_embedding_set(args.embeddings, config.format)
     tasks = dataengine.build_detection_tasks(
         general, _split_side(args), tau=args.tau, n_tasks=args.n_tasks,
-        positive_rate=args.positive_rate, seed=args.seed,
+        positive_rate=args.positive_rate, seed=config.seed,
     )
     with _OutputStage(Path(args.out).parent) as stage:
-        path = stage.record(Path(args.out).name, config.config_hash(), args.seed)
+        path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         dataengine.save_jsonl(tasks, path)
     print(f"wrote {len(tasks)} detection tasks -> {args.out}")
 
@@ -328,7 +328,7 @@ def cmd_emit(args, config: PipelineConfig) -> None:
 
 
 def cmd_train_expert(args, config: PipelineConfig) -> None:
-    raw = load_embedding_set(args.embeddings, args.format)
+    raw = load_embedding_set(args.embeddings, config.format)
     if args.split:
         side = dataengine.load_split(args.split).train_instances
         keep = [rec for rec in raw.records if rec.instance_id in side]
@@ -344,27 +344,30 @@ def cmd_train_expert(args, config: PipelineConfig) -> None:
 
 def cmd_embed(args, config: PipelineConfig) -> None:
     head = checkpoint.load_expert(args.checkpoint)
-    raw = load_embedding_set(args.embeddings, args.format)
+    raw = load_embedding_set(args.embeddings, config.format)
     eset = expert.embed_set(head, raw)
     with _OutputStage(Path(args.out).parent) as stage:
-        save_embedding_set(
-            eset, stage.record(Path(args.out).name, config.config_hash(), config.seed), args.format
-        )
+        path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
+        save_embedding_set(eset, path, config.format)
     print(f"embedded {len(eset.records)} images -> {args.out}")
 
 
-def _load_views(args):
-    token_maps = {t.image_id: t for t in load_token_maps(args.token_maps)}
-    expert_set = load_embedding_set(args.expert_embeddings, args.format)
-    expert_vectors = {
-        rec.image_id: np.asarray(rec.vector, dtype=np.float64) for rec in expert_set.records
-    }
-    return token_maps, expert_vectors
+def _fusion_views(token_maps, expert_set: EmbeddingSet):
+    """The token maps and the float64 expert vectors, each keyed by image id."""
+    return (
+        {t.image_id: t for t in token_maps},
+        {rec.image_id: np.asarray(rec.vector, dtype=np.float64) for rec in expert_set.records},
+    )
+
+
+def _load_views(args, config: PipelineConfig):
+    token_maps = load_token_maps(args.token_maps)
+    return _fusion_views(token_maps, load_embedding_set(args.expert_embeddings, config.format))
 
 
 def cmd_train_adapter(args, config: PipelineConfig) -> None:
     tasks = dataengine.load_gallery_tasks(args.tasks)
-    token_maps, expert_vectors = _load_views(args)
+    token_maps, expert_vectors = _load_views(args, config)
     any_map = next(iter(token_maps.values()))
     expert_dim = len(next(iter(expert_vectors.values())))
     adapter = fusion.init_adapter(
@@ -381,9 +384,9 @@ def cmd_train_adapter(args, config: PipelineConfig) -> None:
 
 def cmd_fuse(args, config: PipelineConfig) -> None:
     adapter = checkpoint.load_adapter(args.checkpoint)
-    token_maps, expert_vectors = _load_views(args)
-    if args.image_id not in token_maps:
-        raise DataValidationError(f"no token map for image {args.image_id!r}")
+    token_maps, expert_vectors = _load_views(args, config)
+    if args.image_id not in token_maps or args.image_id not in expert_vectors:
+        raise DataValidationError(f"no token map or expert vector for image {args.image_id!r}")
     out = fusion.fuse(adapter, token_maps[args.image_id], expert_vectors[args.image_id])
     obj = {
         "image_id": args.image_id,
@@ -399,7 +402,7 @@ def cmd_fuse(args, config: PipelineConfig) -> None:
 
 
 def cmd_match(args, config: PipelineConfig) -> None:
-    view = load_embedding_set(args.embeddings, args.format)
+    view = load_embedding_set(args.embeddings, config.format)
     tasks = dataengine.load_gallery_tasks(args.tasks)
     matcher = evalkit.similarity_matcher(view, args.kind)
     with _OutputStage(Path(args.out).parent) as stage:
@@ -430,31 +433,29 @@ def cmd_evaluate(args, config: PipelineConfig) -> None:
     print(report.render_table())
 
 
-def _sweep_matchers(args, general):
+def _sweep_matchers(args, config: PipelineConfig, general):
     matchers = {"general": evalkit.similarity_matcher(general)}
     if args.expert_embeddings:
-        expert_set = load_embedding_set(args.expert_embeddings, args.format)
+        expert_set = load_embedding_set(args.expert_embeddings, config.format)
         matchers["expert"] = evalkit.similarity_matcher(expert_set)
-    if args.adapter and args.token_maps and args.expert_embeddings:
-        adapter = checkpoint.load_adapter(args.adapter)
-        token_maps = {t.image_id: t for t in load_token_maps(args.token_maps)}
-        expert_set = load_embedding_set(args.expert_embeddings, args.format)
-        vectors = {r.image_id: np.asarray(r.vector, np.float64) for r in expert_set.records}
-        matchers["fused"] = evalkit.fused_matcher(adapter, token_maps, vectors)
+        if args.adapter and args.token_maps:
+            adapter = checkpoint.load_adapter(args.adapter)
+            token_maps, vectors = _fusion_views(load_token_maps(args.token_maps), expert_set)
+            matchers["fused"] = evalkit.fused_matcher(adapter, token_maps, vectors)
     return matchers
 
 
 def cmd_sweep(args, config: PipelineConfig) -> None:
-    general = load_embedding_set(args.embeddings, args.format)
+    general = load_embedding_set(args.embeddings, config.format)
     side = _split_side(args)
-    matchers = _sweep_matchers(args, general)
+    matchers = _sweep_matchers(args, config, general)
     result = evalkit.sweep_difficulty(
         general, side, matchers, taus=tuple(args.taus), k=args.k,
-        n_tasks=args.n_tasks, seed=args.seed,
+        n_tasks=args.n_tasks, seed=config.seed,
     )
     with _OutputStage(args.out) as stage:
         h = config.config_hash()
-        stage.record("sweep.json", h, args.seed).write_text(
+        stage.record("sweep.json", h, config.seed).write_text(
             json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         if args.emit_plot_data:
@@ -462,7 +463,7 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
                 name: {"x": sorted(row), "y": [row[t] for t in sorted(row)]}
                 for name, row in result.accuracies.items()
             }
-            stage.record("sweep_plot.json", h, args.seed).write_text(
+            stage.record("sweep_plot.json", h, config.seed).write_text(
                 json.dumps(series, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
     for name, row in sorted(result.accuracies.items()):
@@ -540,10 +541,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
             n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
         )
-        token_maps = {t.image_id: t for t in bundle.token_maps}
-        expert_vectors = {
-            rec.image_id: np.asarray(rec.vector, dtype=np.float64) for rec in expert_set.records
-        }
+        token_maps, expert_vectors = _fusion_views(bundle.token_maps, expert_set)
         any_map = next(iter(token_maps.values()))
         adapter = fusion.init_adapter(
             expert_set.dimension, any_map.tokens.shape[1], seed=config.adapter.seed
@@ -562,9 +560,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         tier = test_tasks[config.tau]
         matcher_reports = {}
         for name, matcher in matchers.items():
-            log = evalkit.PredictionLog(
-                entries={t.task_id: f"Image {matcher(t) + 1}" for t in tier}, model_name=name
-            )
+            log = evalkit.PredictionLog({t.task_id: matcher(t) for t in tier}, model_name=name)
             matcher_reports[name] = evalkit.score_matching(tier, log)
 
         sweep = evalkit.sweep_difficulty(
@@ -764,18 +760,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config(getattr(args, "config", None))
-        if getattr(args, "seed", None) is not None:
+        config = load_config(args.config)
+        if args.seed is not None:
             config.seed = args.seed
-        else:
-            args.seed = config.seed
-        if getattr(args, "format", None) is None:
-            args.format = config.format
-        else:
+        if args.format is not None:
             config.format = args.format
         if args.threads is None:
             args.threads = _usable_cpus()

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataValidationError
 from .expert import ExpertTrainConfig
 from .fusion import AdapterTrainConfig
 from .synthgen import SynthConfig
@@ -54,17 +54,15 @@ class PipelineConfig:
             problems.append("positive_rate must lie in [0, 1]")
         if self.format not in ("jsonl", "bin"):
             problems.append("format must be jsonl or bin")
+        try:
+            self.synth.validate()
+        except (DataValidationError, TypeError) as exc:
+            problems.append(f"synth: {exc}")
         if problems:
             raise ConfigError("; ".join(problems))
 
     def to_dict(self) -> dict:
-        obj = dataclasses.asdict(self)
-        obj["taus"] = list(self.taus)
-        obj["synth"] = dataclasses.asdict(self.synth)
-        obj["expert"] = dataclasses.asdict(self.expert)
-        obj["expert"]["loss_weights"] = list(self.expert.loss_weights)
-        obj["adapter"] = dataclasses.asdict(self.adapter)
-        return obj
+        return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -115,6 +113,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -136,23 +136,22 @@ def _check_format(fmt: str) -> None:
         raise DataValidationError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
-def load_embedding_set(path: str | Path, fmt: str = "jsonl", encoder_name: str | None = None) -> EmbeddingSet:
-    """Load and validate an embedding set from ``path``.
+def load_embedding_set(path: str | Path, fmt: str = "jsonl") -> EmbeddingSet:
+    """Load and validate an embedding set from ``path``, named after the file stem.
 
-    ``encoder_name`` defaults to the file stem. Raises DataValidationError
-    on dimension mismatch, duplicate ids, malformed records, or empty files,
-    naming the offending line or byte offset.
+    Raises DataValidationError on dimension mismatch, duplicate ids,
+    malformed records, or empty files, naming the offending line or byte
+    offset.
     """
     _check_format(fmt)
     path = Path(path)
-    name = encoder_name if encoder_name is not None else path.stem
     if fmt == "jsonl":
         records = _read_jsonl_records(path)
     else:
         records = _read_bin_records(path)
     if not records:
         raise DataValidationError(f"{path}: empty embedding file")
-    return EmbeddingSet(name, records[0].vector.shape[0], records)
+    return EmbeddingSet(path.stem, records[0].vector.shape[0], records)
 
 
 def _unreadable(path, exc: OSError) -> DataValidationError:

@@ -2,6 +2,12 @@
 positive/negative/weighted accuracy, caption-embedding alignment, and
 difficulty sweeps over the similarity threshold.
 
+Every matcher (the general and expert embedding views, and the fused
+view) is the same similarity argmax over the gallery, fed by one
+vector(image_id) lookup per view; an image missing from a view raises
+DataValidationError. The fused view pools each image lazily, on its
+first use, with the closed form of fusion.pooled_fused.
+
 Accuracies are kept as fractions in [0, 1] internally and rendered as
 percentages in the plain-text tables. The aggregate "average" column is
 the macro (unweighted) mean over categories.
@@ -56,7 +62,6 @@ class EvalReport:
     per_category: dict[str, CategoryScore] = field(default_factory=dict)
     average: float = 0.0
     detection: DetectionScore | None = None
-    caption: CaptionScore | None = None
     sweep: dict[str, dict[str, float]] | None = None  # matcher -> {tau: accuracy}
 
     def to_dict(self) -> dict:
@@ -74,11 +79,6 @@ class EvalReport:
                 "weighted": self.detection.weighted,
                 "n_positive": self.detection.n_positive,
                 "n_negative": self.detection.n_negative,
-            }
-        if self.caption is not None:
-            obj["caption"] = {
-                "image_alignment": self.caption.image_alignment,
-                "text_alignment": self.caption.text_alignment,
             }
         if self.sweep is not None:
             obj["sweep"] = {m: dict(sorted(row.items())) for m, row in sorted(self.sweep.items())}
@@ -106,12 +106,6 @@ class EvalReport:
             lines.append(
                 f"  {100 * d.positive:.1f} / {100 * d.negative:.1f} / {100 * d.weighted:.1f}"
                 f"  (n+={d.n_positive}, n-={d.n_negative})"
-            )
-        if self.caption is not None:
-            lines.append("")
-            lines.append("Caption alignment  CLIP-Image-style / CLIP-Text-style")
-            lines.append(
-                f"  {self.caption.image_alignment:.1f} / {self.caption.text_alignment:.1f}"
             )
         if self.sweep is not None:
             lines.append("")
@@ -234,21 +228,25 @@ def score_captions(pairs: Sequence[Mapping[str, Sequence[float]]]) -> CaptionSco
 Matcher = Callable[[GalleryTask], int]
 
 
-def similarity_matcher(view: EmbeddingSet, kind: str = "cosine") -> Matcher:
-    """Plain feature-similarity argmax over the gallery, on one encoder view."""
+def _argmax_matcher(vector: Callable[[str], np.ndarray], view: str, kind: str) -> Matcher:
+    """Similarity argmax over the gallery, with vectors from ``vector(image_id)``."""
 
     def match(task: GalleryTask) -> int:
         try:
-            query = view.vector(task.query_id)
-            gallery = [view.vector(g) for g in task.gallery_ids]
+            query = vector(task.query_id)
+            gallery = [vector(g) for g in task.gallery_ids]
         except KeyError as exc:
             raise DataValidationError(
-                f"task {task.task_id!r}: image {exc.args[0]!r} is not in the "
-                f"{view.encoder_name!r} embedding set"
+                f"task {task.task_id!r}: image {exc.args[0]!r} is not in the {view}"
             ) from exc
         return simcore.match_by_similarity(query, gallery, kind).best_index
 
     return match
+
+
+def similarity_matcher(view: EmbeddingSet, kind: str = "cosine") -> Matcher:
+    """Plain feature-similarity argmax over the gallery, on one encoder view."""
+    return _argmax_matcher(view.vector, f"{view.encoder_name!r} embedding set", kind)
 
 
 def fused_matcher(
@@ -269,11 +267,7 @@ def fused_matcher(
             cache[image_id] = vec
         return vec
 
-    def match(task: GalleryTask) -> int:
-        gallery = [pooled(g) for g in task.gallery_ids]
-        return simcore.match_by_similarity(pooled(task.query_id), gallery, "cosine").best_index
-
-    return match
+    return _argmax_matcher(pooled, "token maps or expert vectors", "cosine")
 
 
 def matcher_accuracy(tasks: Sequence[GalleryTask], matcher: Matcher) -> float:
@@ -310,10 +304,10 @@ def sweep_difficulty(
     k: int = dataengine.DEFAULT_K,
     n_tasks: int = 200,
     seed: int = 0,
-    baseline: str = "general",
 ) -> SweepResult:
     """Accuracy of each matcher at each difficulty tier, plus the per-tau
-    gap of every non-baseline matcher over the baseline matcher."""
+    gap of every other matcher over the "general" baseline matcher."""
+    baseline = "general"
     if len(taus) < 2:
         raise DataValidationError("need at least 2 taus to sweep")
     if baseline not in matchers:

@@ -44,9 +44,6 @@ class ExpertHead:
         if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.b))):
             raise DivergenceError("non-finite head parameters")
 
-    def copy(self) -> "ExpertHead":
-        return ExpertHead(self.w.copy(), self.b.copy(), self.margin, self.loss_weights)
-
 
 def _normalize_rows(y: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(y, axis=-1, keepdims=True)
@@ -233,9 +230,7 @@ class _BatchSampler:
 
 
 def train_expert(
-    raw_set: EmbeddingSet,
-    head_init: ExpertHead | None = None,
-    config: ExpertTrainConfig = ExpertTrainConfig(),
+    raw_set: EmbeddingSet, config: ExpertTrainConfig = ExpertTrainConfig()
 ) -> ExpertHead:
     """Train the expert head on a raw-view set; deterministic per seed."""
     instances = sorted(raw_set.instance_index)
@@ -243,16 +238,13 @@ def train_expert(
     d_raw = raw_set.dimension
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE8]))
-    if head_init is None:
-        lim = 1.0 / math.sqrt(d_raw)
-        head = ExpertHead(
-            w=rng.uniform(-lim, lim, size=(d_raw, config.d_out)),
-            b=np.zeros(config.d_out),
-            margin=config.margin,
-            loss_weights=config.loss_weights,
-        )
-    else:
-        head = head_init.copy()
+    lim = 1.0 / math.sqrt(d_raw)
+    head = ExpertHead(
+        w=rng.uniform(-lim, lim, size=(d_raw, config.d_out)),
+        b=np.zeros(config.d_out),
+        margin=config.margin,
+        loss_weights=config.loss_weights,
+    )
     lim = 1.0 / math.sqrt(config.d_out)
     prototypes = rng.uniform(-lim, lim, size=(head.w.shape[1], len(instances)))
 

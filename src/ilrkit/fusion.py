@@ -3,17 +3,19 @@
 The expert identity vector is projected through a two-layer MLP, scored
 against every token of the general encoder's feature map with a scaled
 dot product, and the softmax-weighted projection is added back to each
-token. A desk-scale training surrogate optimizes the same parameters on
-the gallery-matching task via a cosine readout over mean-pooled fused
-features, with fully analytic gradients.
+token (fuse). A desk-scale training surrogate optimizes the same
+parameters on the gallery-matching task via a cosine readout over
+mean-pooled fused features, with fully analytic gradients.
 
 The attention weights sum to one, so the pooled fused vector has the
-closed form pool(F(x)) = mean(tokens_x) + MLP(e_x) / N_x. Training
-therefore stacks each image's token mean, token count and expert vector
-once, and runs every minibatch as a single batched forward and backward
-pass over index rows: one MLP matrix product over all B*(K+1) images,
-einsums for the cosine scores, and matrix products for the gradients.
-The per-task matching_loss_and_grads is the B = 1 case of the same code.
+closed form pool(F(x)) = mean(tokens_x) + MLP(e_x) / N_x. Scoring and
+training both use it: pooled_fused evaluates it for one image without
+the N x d attention pass, and training stacks each image's token mean,
+token count and expert vector once, then runs every minibatch as a single
+batched forward and backward pass over index rows: one MLP matrix product
+over all B*(K+1) images, einsums for the cosine scores, and matrix
+products for the gradients. The per-task matching_loss_and_grads is the
+B = 1 case of the same code.
 
 All training math is 64-bit; checkpoints store parameters as 32-bit.
 """
@@ -81,23 +83,11 @@ class FusionOutput:
     projected: np.ndarray  # (d,)
 
 
-@dataclass(frozen=True)
-class MultiFusionOutput:
-    fused: np.ndarray  # (N, d)
-    per_expert: dict[str, FusionOutput]
-
-
-def init_adapter(
-    expert_dim: int,
-    output_dim: int,
-    hidden: int | None = None,
-    temperature: float = 1.0,
-    seed: int = 0,
-) -> FusionAdapter:
-    """Seeded uniform init in +/- 1/sqrt(fan_in); final layer scaled by 0.1
+def init_adapter(expert_dim: int, output_dim: int, seed: int = 0) -> FusionAdapter:
+    """Seeded uniform init in +/- 1/sqrt(fan_in) with max(expert_dim,
+    output_dim) hidden units and temperature 1; final layer scaled by 0.1
     so the initial fusion is a small perturbation of the tokens."""
-    if hidden is None:
-        hidden = max(expert_dim, output_dim)
+    hidden = max(expert_dim, output_dim)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA7]))
     lim1 = 1.0 / math.sqrt(expert_dim)
     lim2 = 1.0 / math.sqrt(hidden)
@@ -106,7 +96,6 @@ def init_adapter(
         b1=rng.uniform(-lim1, lim1, size=hidden),
         w2=0.1 * rng.uniform(-lim2, lim2, size=(hidden, output_dim)),
         b2=0.1 * rng.uniform(-lim2, lim2, size=output_dim),
-        temperature=temperature,
     )
 
 
@@ -127,23 +116,26 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _token_matrix(adapter: FusionAdapter, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
+    """The (N, d) tokens of one image as float64, checked against the adapter."""
+    tok = tokens.tokens if isinstance(tokens, TokenFeatureMap) else tokens
+    tok = np.asarray(tok, dtype=np.float64)
+    if tok.ndim != 2 or tok.shape[0] == 0 or tok.shape[1] != adapter.output_dim:
+        raise DataValidationError(
+            f"tokens have shape {tok.shape}, adapter expects (N, {adapter.output_dim})"
+        )
+    return tok
+
+
 def fuse(
     adapter: FusionAdapter,
     tokens: TokenFeatureMap | np.ndarray,
     expert_vec: Sequence[float],
 ) -> FusionOutput:
     """Add the attention-weighted identity embedding onto every token."""
-    tok = tokens.tokens if isinstance(tokens, TokenFeatureMap) else np.asarray(tokens)
-    tok = np.asarray(tok, dtype=np.float64)
-    if tok.ndim != 2:
-        raise DataValidationError("tokens must be an (N, d) matrix")
-    d = tok.shape[1]
-    if d != adapter.output_dim:
-        raise DataValidationError(
-            f"token dimension {d} != adapter output dimension {adapter.output_dim}"
-        )
+    tok = _token_matrix(adapter, tokens)
     projected = project_expert(adapter, expert_vec)
-    scores = (tok @ projected) / (adapter.temperature * math.sqrt(d))
+    scores = (tok @ projected) / (adapter.temperature * math.sqrt(tok.shape[1]))
     if not np.all(np.isfinite(scores)):
         raise DivergenceError("non-finite attention scores")
     attention = _softmax(scores)
@@ -151,36 +143,23 @@ def fuse(
     return FusionOutput(fused=fused, attention=attention, projected=projected)
 
 
-def fuse_multi(
-    adapter_by_category: Mapping[str, FusionAdapter],
+def pooled_fused(
+    adapter: FusionAdapter,
     tokens: TokenFeatureMap | np.ndarray,
-    expert_vecs: Mapping[str, Sequence[float]],
-    active: set[str] | frozenset[str],
-) -> MultiFusionOutput:
-    """Parallel experts: each contributes an independently-softmaxed additive term."""
-    tok = tokens.tokens if isinstance(tokens, TokenFeatureMap) else np.asarray(tokens)
-    fused = np.asarray(tok, dtype=np.float64).copy()
-    per_expert = {}
-    for category in sorted(active):
-        if category not in adapter_by_category:
-            raise DataValidationError(f"no adapter for active category {category!r}")
-        if category not in expert_vecs:
-            raise DataValidationError(f"no expert vector for active category {category!r}")
-        out = fuse(adapter_by_category[category], tok, expert_vecs[category])
-        fused += out.attention[:, None] * out.projected[None, :]
-        per_expert[category] = out
-    return MultiFusionOutput(fused=fused, per_expert=per_expert)
-
-
-def pooled_fused(adapter: FusionAdapter, tokens: np.ndarray, expert_vec: Sequence[float]) -> np.ndarray:
-    """Mean over tokens of the fused feature map.
+    expert_vec: Sequence[float],
+) -> np.ndarray:
+    """Mean over tokens of the fused feature map, in closed form.
 
     The attention weights sum to one, so the pooled fused vector equals
-    mean(tokens) + projected/N; the attention path cancels under mean
-    pooling and only the MLP carries gradient to the pooled readout.
+    mean(tokens) + projected/N and no attention is computed; only the MLP
+    carries gradient to the pooled readout.
     """
-    out = fuse(adapter, tokens, expert_vec)
-    return out.fused.mean(axis=0)
+    tok = _token_matrix(adapter, tokens)
+    pooled = tok.mean(axis=0) + project_expert(adapter, expert_vec) / tok.shape[0]
+    if not np.all(np.isfinite(pooled)):
+        raise DivergenceError("non-finite pooled fused vector")
+    return pooled
+
 
 @dataclass
 class AdapterGrads:
@@ -217,11 +196,7 @@ def matching_views(
         experts=np.empty((n, adapter.expert_dim)),
     )
     for i, (tok, vec) in enumerate(zip(tokens, expert_vecs)):
-        t = np.asarray(tok.tokens if isinstance(tok, TokenFeatureMap) else tok, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] == 0 or t.shape[1] != adapter.output_dim:
-            raise DataValidationError(
-                f"tokens have shape {t.shape}, adapter expects (N, {adapter.output_dim})"
-            )
+        t = _token_matrix(adapter, tok)
         v = np.asarray(vec, dtype=np.float64)
         if v.shape != (adapter.expert_dim,):
             raise DataValidationError(

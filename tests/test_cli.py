@@ -222,6 +222,32 @@ class TestExitCodes:
                        "--config", str(tmp_path / "missing.json")])
         assert rc == 2
 
+    def test_directory_config_is_2(self, tmp_path, capsys):
+        rc = cli.main(["synth", "--out", str(tmp_path / "o"), "--config", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "ConfigError" and str(tmp_path) in error["message"]
+
+    @pytest.mark.parametrize("n_tokens", [0, "a"])
+    @pytest.mark.parametrize("command", ["synth", "split", "pipeline"])
+    def test_invalid_synth_config_is_2(self, workspace, tmp_path, capsys, command, n_tokens):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n_tokens": n_tokens}}))
+        argv = {
+            "synth": ["synth", "--out", str(tmp_path / "o")],
+            "split": ["split", "--embeddings", str(workspace / "data" / "general.jsonl"),
+                      "--out", str(tmp_path / "s.json")],
+            "pipeline": ["pipeline", "--out", str(tmp_path / "o")],
+        }[command]
+        assert cli.main(argv + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "ConfigError" and "synth" in error["message"]
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s.json").exists()
+
 
 def _assert_data_error(rc, capsys):
     """Exit 3 with one JSON error line on stderr and no traceback; returns
@@ -338,6 +364,44 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         message = json.loads(err)["message"]
         assert tasks[0].task_id in message and "'nope'" in message
+
+    def test_image_missing_from_fused_view_is_3(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        split = dataengine.load_split(data / "split.json")
+        # the query of the first task the sweep builds at its first tau
+        missing = dataengine.build_gallery_tasks(
+            load_embedding_set(data / "general.jsonl"), split.test_instances,
+            k=3, tau=0.1, n_tasks=20, seed=SMALL_CONFIG["seed"],
+        )[0].query_id
+        maps = tmp_path / "token_maps.jsonl"
+        maps.write_text("".join(
+            line for line in (data / "token_maps.jsonl").read_text().splitlines(True)
+            if json.loads(line)["image_id"] != missing
+        ))
+        adapter = tmp_path / "adapter.ckpt"
+        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        rc = cli.main(["sweep", "--embeddings", str(data / "general.jsonl"),
+                       "--split", str(data / "split.json"),
+                       "--expert-embeddings", str(data / "expert.jsonl"),
+                       "--adapter", str(adapter), "--token-maps", str(maps),
+                       "--taus", "0.1", "0.4", "--k", "3", "--n-tasks", "20",
+                       "--out", str(tmp_path / "sweep")] + _cfg(workspace))
+        assert repr(missing) in _assert_data_error(rc, capsys)
+        assert not (tmp_path / "sweep").exists()
+
+    def test_image_missing_from_expert_set_in_fuse_is_3(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        expert_set = load_embedding_set(data / "expert.jsonl")
+        missing = expert_set.image_ids[0]
+        partial = tmp_path / "expert.jsonl"
+        save_embedding_set(expert_set.from_records("expert", expert_set.records[1:]), partial)
+        adapter = tmp_path / "adapter.ckpt"
+        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        rc = cli.main(["fuse", "--checkpoint", str(adapter),
+                       "--token-maps", str(data / "token_maps.jsonl"),
+                       "--expert-embeddings", str(partial), "--image-id", missing]
+                      + _cfg(workspace))
+        assert repr(missing) in _assert_data_error(rc, capsys)
 
     @pytest.mark.parametrize("line", [
         "not json",

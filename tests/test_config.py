@@ -17,6 +17,13 @@ def test_hash_is_stable_and_sensitive():
     assert c.config_hash() != a.config_hash()
 
 
+def test_default_hash_is_pinned():
+    # every manifest carries this hash; a change to the canonical JSON shows here
+    assert PipelineConfig().config_hash() == (
+        "992eb36e272105bbd831071131b5a95346969dbfb4012e3b5e064cf0d94f028a"
+    )
+
+
 def test_from_dict_round_trip():
     cfg = PipelineConfig(seed=3, k=4, taus=(0.1, 0.6))
     rebuilt = config_from_dict(cfg.to_dict())
@@ -41,6 +48,8 @@ def test_unknown_fields_rejected():
         ({"positive_rate": 2.0}, "positive_rate"),
         ({"format": "csv"}, "format"),
         ({"n_tasks": 0}, "task counts"),
+        ({"synth": {"n_tokens": 0}}, "synth: all synth counts"),
+        ({"synth": {"n_tokens": "a"}}, "synth"),
     ],
 )
 def test_validation_errors(overrides, match):
@@ -71,6 +80,8 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path)
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):

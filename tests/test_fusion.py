@@ -6,13 +6,12 @@ import pytest
 from ilrkit import checkpoint, fusion
 from ilrkit.dataengine import GalleryTask
 from ilrkit.embedstore import TokenFeatureMap
-from ilrkit.errors import DataValidationError
+from ilrkit.errors import DataValidationError, DivergenceError
 from ilrkit.fusion import (
     AdapterTrainConfig,
     FusionAdapter,
     batch_matching_loss_and_grads,
     fuse,
-    fuse_multi,
     init_adapter,
     matching_loss_and_grads,
     matching_views,
@@ -138,49 +137,39 @@ class TestFuse:
             fuse(adapter, np.ones((3, 9)), np.ones(5))
 
 
-class TestFuseMulti:
-    def test_sum_of_individual_contributions(self):
-        rng = np.random.default_rng(8)
-        adapters = {"person": _random_adapter(rng), "pet": _random_adapter(rng)}
-        vecs = {"person": rng.standard_normal(5), "pet": rng.standard_normal(5)}
-        tokens = rng.standard_normal((4, 4))
-        out = fuse_multi(adapters, tokens, vecs, active={"person", "pet"})
-        expected = tokens.copy()
-        for cat in ("person", "pet"):
-            single = fuse(adapters[cat], tokens, vecs[cat])
-            expected += np.outer(single.attention, single.projected)
-        np.testing.assert_allclose(out.fused, expected, atol=1e-12)
-        assert set(out.per_expert) == {"person", "pet"}
-
-    def test_inactive_categories_ignored(self):
-        rng = np.random.default_rng(9)
-        adapters = {"person": _random_adapter(rng), "pet": _random_adapter(rng)}
-        vecs = {"person": rng.standard_normal(5), "pet": rng.standard_normal(5)}
-        tokens = rng.standard_normal((4, 4))
-        out = fuse_multi(adapters, tokens, vecs, active={"person"})
-        single = fuse(adapters["person"], tokens, vecs["person"])
-        np.testing.assert_allclose(out.fused, single.fused, atol=1e-12)
-
-    def test_no_active_experts_is_identity(self):
-        tokens = np.random.default_rng(0).standard_normal((4, 4))
-        out = fuse_multi({}, tokens, {}, active=set())
-        np.testing.assert_allclose(out.fused, tokens)
-
-    def test_missing_adapter_rejected(self):
-        tokens = np.ones((2, 4))
-        with pytest.raises(DataValidationError, match="no adapter"):
-            fuse_multi({}, tokens, {"pet": np.ones(5)}, active={"pet"})
-
-
 def test_pooled_fused_identity():
-    # attention sums to 1, so pooling reduces to mean(tokens) + projected/N
+    # attention sums to 1, so pooling the fused map reduces to the closed
+    # form mean(tokens) + projected/N; compare it with the attention path
     rng = np.random.default_rng(10)
-    adapter = _random_adapter(rng)
-    tokens = rng.standard_normal((6, 4))
-    expert_vec = rng.standard_normal(5)
-    got = pooled_fused(adapter, tokens, expert_vec)
-    expected = tokens.mean(axis=0) + project_expert(adapter, expert_vec) / 6.0
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    for _ in range(100):
+        d_e, h, d, n = (int(x) for x in rng.integers(1, 9, size=4))
+        adapter = _random_adapter(
+            rng, d_e=d_e, h=h, d=d, temperature=float(rng.uniform(0.1, 3.0))
+        )
+        tokens = rng.standard_normal((n, d))
+        expert_vec = rng.standard_normal(d_e)
+        got = pooled_fused(adapter, tokens, expert_vec)
+        expected = fuse(adapter, tokens, expert_vec).fused.mean(axis=0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (3, 9), (2, 3, 4)])
+def test_pooled_fused_rejects_token_shape(shape):
+    adapter = _random_adapter(np.random.default_rng(0))
+    with pytest.raises(DataValidationError, match="tokens have shape"):
+        pooled_fused(adapter, np.ones(shape), np.ones(5))
+
+
+def test_pooled_fused_overflow_diverges():
+    # finite weights around 1e300 whose MLP output overflows to inf
+    adapter = FusionAdapter(
+        w1=np.full((5, 7), 1e300), b1=np.zeros(7),
+        w2=np.full((7, 4), 1e300), b2=np.zeros(4),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(project_expert(adapter, np.ones(5))).any()
+        with pytest.raises(DivergenceError, match="non-finite pooled"):
+            pooled_fused(adapter, np.ones((3, 4)), np.ones(5))
 
 
 class TestMatchingLoss:
