@@ -360,9 +360,11 @@ def _fusion_views(token_maps, expert_set: EmbeddingSet):
     )
 
 
-def _load_views(args, config: PipelineConfig):
-    token_maps = load_token_maps(args.token_maps)
-    return _fusion_views(token_maps, load_embedding_set(args.expert_embeddings, config.format))
+def _load_views(args, config: PipelineConfig, only: set[str] | None = None):
+    token_maps = load_token_maps(args.token_maps, only)
+    return _fusion_views(
+        token_maps, load_embedding_set(args.expert_embeddings, config.format, only)
+    )
 
 
 def cmd_train_adapter(args, config: PipelineConfig) -> None:
@@ -384,7 +386,8 @@ def cmd_train_adapter(args, config: PipelineConfig) -> None:
 
 def cmd_fuse(args, config: PipelineConfig) -> None:
     adapter = checkpoint.load_adapter(args.checkpoint)
-    token_maps, expert_vectors = _load_views(args, config)
+    # only the lines and records that may hold the image are parsed and validated
+    token_maps, expert_vectors = _load_views(args, config, only={args.image_id})
     if args.image_id not in token_maps or args.image_id not in expert_vectors:
         raise DataValidationError(f"no token map or expert vector for image {args.image_id!r}")
     out = fusion.fuse(adapter, token_maps[args.image_id], expert_vectors[args.image_id])

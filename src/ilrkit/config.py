@@ -56,7 +56,7 @@ class PipelineConfig:
             problems.append("format must be jsonl or bin")
         try:
             self.synth.validate()
-        except (DataValidationError, TypeError) as exc:
+        except DataValidationError as exc:
             problems.append(f"synth: {exc}")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -71,34 +71,44 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
-def _build_nested(cls, obj: dict, label: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - known
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked_fields(cls, obj, label: str) -> dict:
+    """``obj`` as keyword arguments of ``cls``: unknown fields are rejected,
+    int fields must hold integers (not floats or bools), float fields
+    numbers and tuple fields lists of numbers. Ranges are left to
+    ``validate``."""
+    prefix = f"{label}." if label else ""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{label} must be a JSON object")
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
-    if "loss_weights" in obj:
-        obj = {**obj, "loss_weights": tuple(obj["loss_weights"])}
-    return cls(**obj)
+        raise ConfigError(f"unknown {label or 'config'} fields: {sorted(unknown)}")
+    kwargs = dict(obj)
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            continue
+        value = obj[f.name]
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not _is_number(value):
+            raise ConfigError(f"{prefix}{f.name} must be a number, got {value!r}")
+        if f.type.startswith("tuple["):
+            if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+                raise ConfigError(f"{prefix}{f.name} must be a list of numbers, got {value!r}")
+            kwargs[f.name] = tuple(value)
+    return kwargs
 
 
 def config_from_dict(obj: dict) -> PipelineConfig:
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = dict(obj)
-    if "taus" in kwargs:
-        kwargs["taus"] = tuple(kwargs["taus"])
-    if "synth" in kwargs:
-        kwargs["synth"] = _build_nested(SynthConfig, kwargs["synth"], "synth")
-    if "expert" in kwargs:
-        kwargs["expert"] = _build_nested(ExpertTrainConfig, kwargs["expert"], "expert")
-    if "adapter" in kwargs:
-        kwargs["adapter"] = _build_nested(AdapterTrainConfig, kwargs["adapter"], "adapter")
-    try:
-        config = PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs = _checked_fields(PipelineConfig, obj, "")
+    for name, cls in (("synth", SynthConfig), ("expert", ExpertTrainConfig),
+                      ("adapter", AdapterTrainConfig)):
+        if name in kwargs:
+            kwargs[name] = cls(**_checked_fields(cls, kwargs[name], name))
+    config = PipelineConfig(**kwargs)
     config.validate()
     return config
 

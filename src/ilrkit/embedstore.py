@@ -11,6 +11,13 @@ Two interchange formats are supported for embedding sets:
 
 Token maps are JSONL only: ``{"image_id": str, "tokens": [[float, ...], ...]}``.
 
+Both loaders take ``only=``, a set of image ids, for commands that use a few
+images of a large file. A JSONL line is parsed only if it may hold one of
+those ids (see ``_record_lines``); an EMB1 file has every record header
+walked and checked, but only the selected records' vectors decoded. Every
+parsed line and every decoded record is validated as in a full load; the
+records in between are not.
+
 Vectors are stored un-normalized, exactly as the encoder produced them;
 normalization is the similarity layer's job. Sets are immutable once
 loaded and safe to share across threads.
@@ -22,7 +29,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +49,11 @@ class EmbeddingRecord:
     vector: np.ndarray  # float32, shape (dimension,)
 
     def __post_init__(self):
+        if not (isinstance(self.image_id, str) and isinstance(self.instance_id, str)
+                and isinstance(self.category, str)):
+            raise DataValidationError(
+                f"record {self.image_id!r}: image_id, instance_id and category must be strings"
+            )
         vec = np.asarray(self.vector, dtype=np.float32)
         object.__setattr__(self, "vector", vec)
         if vec.ndim != 1 or vec.size == 0:
@@ -64,10 +76,8 @@ class EmbeddingSet:
     instance_index: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.records:
-            raise DataValidationError("embedding set must contain at least one record")
-        if self.dimension < 1:
-            raise DataValidationError("dimension must be >= 1")
+        # a set is empty only when a filtered load selected nothing; a
+        # dimension < 1 fails the check below, since vectors are non-empty
         seen: set[str] = set()
         index: dict[str, list[str]] = {}
         for i, rec in enumerate(self.records):
@@ -119,6 +129,8 @@ class TokenFeatureMap:
     tokens: np.ndarray  # float32, shape (N, d)
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise DataValidationError(f"token map {self.image_id!r}: image_id must be a string")
         tok = np.asarray(self.tokens, dtype=np.float32)
         object.__setattr__(self, "tokens", tok)
         if tok.ndim != 2 or tok.shape[0] < 1 or tok.shape[1] < 1:
@@ -136,22 +148,26 @@ def _check_format(fmt: str) -> None:
         raise DataValidationError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
-def load_embedding_set(path: str | Path, fmt: str = "jsonl") -> EmbeddingSet:
+def load_embedding_set(
+    path: str | Path, fmt: str = "jsonl", only: Collection[str] | None = None
+) -> EmbeddingSet:
     """Load and validate an embedding set from ``path``, named after the file stem.
 
     Raises DataValidationError on dimension mismatch, duplicate ids,
     malformed records, or empty files, naming the offending line or byte
-    offset.
+    offset. With ``only``, the set holds just the records whose image_id is
+    in it, in file order, and is empty (dimension 0) when the file has none
+    of them.
     """
     _check_format(fmt)
     path = Path(path)
     if fmt == "jsonl":
-        records = _read_jsonl_records(path)
+        records = _read_jsonl_records(path, only)
     else:
-        records = _read_bin_records(path)
-    if not records:
+        records = _read_bin_records(path, only)
+    if not records and only is None:
         raise DataValidationError(f"{path}: empty embedding file")
-    return EmbeddingSet(path.stem, records[0].vector.shape[0], records)
+    return EmbeddingSet(path.stem, records[0].vector.shape[0] if records else 0, records)
 
 
 def _unreadable(path, exc: OSError) -> DataValidationError:
@@ -190,9 +206,28 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             ) from exc
 
 
-def _read_jsonl_records(path: Path) -> list[EmbeddingRecord]:
+def _record_lines(path: Path, only: Collection[str] | None) -> Iterator[tuple[int, str]]:
+    """The jsonl_lines of ``path`` that may hold a record whose image_id is in
+    ``only``; all of them when ``only`` is None.
+
+    JSON spells a string other than literally only with a backslash escape,
+    so a line that holds neither a backslash nor ``"<id>"`` for any of the
+    ids cannot hold one of them, and is skipped without being parsed.
+    """
+    lines = jsonl_lines(path)
+    if only is None:
+        return lines
+    needles = [f'"{image_id}"' for image_id in only]
+    return (
+        (lineno, line) for lineno, line in lines
+        if "\\" in line or any(needle in line for needle in needles)
+    )
+
+
+def _read_jsonl_records(path: Path, only: Collection[str] | None) -> list[EmbeddingRecord]:
     records = []
-    for lineno, line in jsonl_lines(path):
+    first_dim = None
+    for lineno, line in _record_lines(path, only):
         try:
             obj = json.loads(line)
             rec = EmbeddingRecord(
@@ -203,16 +238,19 @@ def _read_jsonl_records(path: Path) -> list[EmbeddingRecord]:
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-        if records and rec.vector.shape[0] != records[0].vector.shape[0]:
+        if first_dim is None:
+            first_dim = rec.vector.shape[0]
+        elif rec.vector.shape[0] != first_dim:
             raise DataValidationError(
                 f"{path}: line {lineno}: dimension {rec.vector.shape[0]} "
-                f"!= {records[0].vector.shape[0]} of first record"
+                f"!= {first_dim} of first record"
             )
-        records.append(rec)
+        if only is None or rec.image_id in only:
+            records.append(rec)
     return records
 
 
-def _read_bin_records(path: Path) -> list[EmbeddingRecord]:
+def _read_bin_records(path: Path, only: Collection[str] | None) -> list[EmbeddingRecord]:
     data = read_input(path)
     if len(data) == 0:
         raise DataValidationError(f"{path}: empty embedding file")
@@ -243,9 +281,10 @@ def _read_bin_records(path: Path) -> list[EmbeddingRecord]:
         nbytes = dim * 4
         if off + nbytes > len(data):
             raise DataValidationError(f"{path}: record {i}: truncated vector at offset {off}")
-        vec = np.frombuffer(data[off : off + nbytes], dtype="<f4").astype(np.float32)
+        if only is None or image_id in only:
+            vec = np.frombuffer(data[off : off + nbytes], dtype="<f4").astype(np.float32)
+            records.append(EmbeddingRecord(image_id, instance_id, category, vec))
         off += nbytes
-        records.append(EmbeddingRecord(image_id, instance_id, category, vec))
     if off != len(data):
         raise DataValidationError(f"{path}: {len(data) - off} trailing bytes after last record")
     return records
@@ -282,12 +321,20 @@ def save_embedding_set(eset: EmbeddingSet, path: str | Path, fmt: str = "jsonl")
         Path(path).write_bytes(b"".join(parts))
 
 
-def load_token_maps(path: str | Path) -> list[TokenFeatureMap]:
-    """Load token maps from JSONL, enforcing constant N and d across the file."""
+def load_token_maps(
+    path: str | Path, only: Collection[str] | None = None
+) -> list[TokenFeatureMap]:
+    """Load token maps from JSONL, enforcing constant N and d across the file
+    and unique image ids.
+
+    With ``only``, returns just the maps whose image_id is in it, in file
+    order, and possibly none; N and d are enforced across the parsed lines.
+    """
     path = Path(path)
     maps: list[TokenFeatureMap] = []
+    seen: set[str] = set()
     shape: tuple[int, int] | None = None
-    for lineno, line in jsonl_lines(path):
+    for lineno, line in _record_lines(path, only):
         try:
             obj = json.loads(line)
             tokens = np.asarray(obj["tokens"], dtype=np.float32)
@@ -300,8 +347,14 @@ def load_token_maps(path: str | Path) -> list[TokenFeatureMap]:
             raise DataValidationError(
                 f"{path}: line {lineno}: token map shape {tmap.tokens.shape} != {shape}"
             )
-        maps.append(tmap)
-    if not maps:
+        if only is None or tmap.image_id in only:
+            if tmap.image_id in seen:
+                raise DataValidationError(
+                    f"{path}: line {lineno}: duplicate image_id {tmap.image_id!r}"
+                )
+            seen.add(tmap.image_id)
+            maps.append(tmap)
+    if not maps and only is None:
         raise DataValidationError(f"{path}: empty token-map file")
     return maps
 

@@ -7,14 +7,15 @@ import os
 import re
 import signal
 import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ilrkit import checkpoint, cli, dataengine, fusion
-from ilrkit.embedstore import load_embedding_set, save_embedding_set
+from ilrkit import checkpoint, cli, dataengine, embedstore, fusion
+from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
 from ilrkit.errors import DataValidationError
 
 SMALL_CONFIG = {
@@ -70,6 +71,10 @@ def workspace(tmp_path_factory):
 
 def _cfg(workspace):
     return ["--config", str(workspace / "config.json")]
+
+
+# an image of the workspace, named by the synth generator's id scheme
+_FUSE_ID = "face_c001_i002_v01"
 
 
 class TestSubcommandChain:
@@ -249,6 +254,33 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists() and not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"synth": {"n_tokens": 2.5}}, "synth.n_tokens"),
+    ({"k": "x"}, "k"),
+    ({"taus": 5}, "taus"),
+    ({"seed": 1.5}, "seed"),
+])
+@pytest.mark.parametrize("command", ["synth", "split", "fuse"])
+def test_mistyped_config_field_is_2(workspace, tmp_path, capsys, overrides, field, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)))
+    data = workspace / "data"
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "o")],
+        "split": ["split", "--embeddings", str(data / "general.jsonl"),
+                  "--out", str(tmp_path / "s.json")],
+        "fuse": ["fuse", "--checkpoint", str(tmp_path / "unused.ckpt"),
+                 "--token-maps", str(data / "token_maps.jsonl"),
+                 "--expert-embeddings", str(data / "expert.jsonl"), "--image-id", _FUSE_ID],
+    }[command]
+    assert cli.main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "ConfigError" and error["message"].startswith(f"{field} must be")
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s.json").exists()
+
+
 def _assert_data_error(rc, capsys):
     """Exit 3 with one JSON error line on stderr and no traceback; returns
     the error message."""
@@ -403,6 +435,87 @@ class TestMalformedInputs:
                       + _cfg(workspace))
         assert repr(missing) in _assert_data_error(rc, capsys)
 
+    @staticmethod
+    def _fuse(workspace, tmp_path, token_maps=None, expert=None):
+        """Exit code of ``fuse`` on the workspace files, or on the damaged
+        copies given; writes tmp_path/fused.json."""
+        data = workspace / "data"
+        adapter = tmp_path / "adapter.ckpt"
+        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        return cli.main(["fuse", "--checkpoint", str(adapter),
+                         "--token-maps", str(token_maps or data / "token_maps.jsonl"),
+                         "--expert-embeddings", str(expert or data / "expert.jsonl"),
+                         "--image-id", _FUSE_ID, "--out", str(tmp_path / "fused.json")]
+                        + _cfg(workspace))
+
+    @staticmethod
+    def _damaged_copy(workspace, tmp_path, name, image_id, line):
+        """``name`` from the workspace with the line of ``image_id`` replaced."""
+        lines = (workspace / "data" / name).read_text().splitlines(keepends=True)
+        copy = tmp_path / name
+        copy.write_text("".join(
+            line if json.loads(old)["image_id"] == image_id else old for old in lines
+        ))
+        return copy
+
+    @pytest.mark.parametrize("name", ["token_maps.jsonl", "expert.jsonl"])
+    @pytest.mark.parametrize("damage", ["malformed", "nan"])
+    def test_damaged_target_line_in_fuse_is_3(self, workspace, tmp_path, capsys, name, damage):
+        key = "tokens" if name == "token_maps.jsonl" else "vector"
+        line = {
+            "malformed": f'{{"image_id": "{_FUSE_ID}", "{key}": [\n',
+            "nan": f'{{"image_id": "{_FUSE_ID}", "instance_id": "i", "category": "c", '
+                   f'"{key}": {"[[NaN, 1.0]]" if key == "tokens" else "[NaN, 1.0]"}}}\n',
+        }[damage]
+        bad = self._damaged_copy(workspace, tmp_path, name, _FUSE_ID, line)
+        argv = {"token_maps": bad} if name == "token_maps.jsonl" else {"expert": bad}
+        message = _assert_data_error(self._fuse(workspace, tmp_path, **argv), capsys)
+        assert ("non-finite" if damage == "nan" else f"{bad}: line") in message
+        assert not (tmp_path / "fused.json").exists()
+
+    @pytest.mark.parametrize("name", ["token_maps.jsonl", "expert.jsonl"])
+    def test_duplicated_target_in_fuse_is_3(self, workspace, tmp_path, capsys, name):
+        copy = tmp_path / name
+        text = (workspace / "data" / name).read_text()
+        target = next(line for line in text.splitlines(True) if f'"{_FUSE_ID}"' in line)
+        copy.write_text(text + target)
+        argv = {"token_maps": copy} if name == "token_maps.jsonl" else {"expert": copy}
+        message = _assert_data_error(self._fuse(workspace, tmp_path, **argv), capsys)
+        assert f"duplicate image_id {_FUSE_ID!r}" in message
+
+    def test_other_malformed_lines_do_not_stop_fuse(self, workspace, tmp_path, capsys):
+        # fuse validates only the records it reads; a full load still rejects the files
+        assert self._fuse(workspace, tmp_path) == 0
+        clean = (tmp_path / "fused.json").read_bytes()
+        other = load_embedding_set(workspace / "data" / "expert.jsonl").image_ids[-1]
+        maps = self._damaged_copy(workspace, tmp_path, "token_maps.jsonl", other, "not json\n")
+        expert = self._damaged_copy(workspace, tmp_path, "expert.jsonl", other, "[1, 2]\n")
+        (tmp_path / "fused.json").unlink()
+        assert self._fuse(workspace, tmp_path, token_maps=maps, expert=expert) == 0
+        assert (tmp_path / "fused.json").read_bytes() == clean
+        with pytest.raises(DataValidationError):
+            load_token_maps(maps)
+        with pytest.raises(DataValidationError):
+            load_embedding_set(expert)
+
+    def test_fuse_parses_only_lines_that_may_hold_the_id(self, workspace, tmp_path,
+                                                         monkeypatch):
+        parsed = []
+
+        def loads(text, *args, **kwargs):
+            parsed.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(embedstore, "json", types.SimpleNamespace(
+            loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+        assert self._fuse(workspace, tmp_path) == 0
+        data = workspace / "data"
+        for name in ("token_maps.jsonl", "expert.jsonl"):
+            lines = (data / name).read_text().splitlines(keepends=True)
+            may_hold = [line for line in lines if f'"{_FUSE_ID}"' in line or "\\" in line]
+            assert len(may_hold) == 1 < len(lines)
+            assert [line for line in parsed if line in lines] == may_hold
+
     @pytest.mark.parametrize("line", [
         "not json",
         "[1, 2]",
@@ -552,8 +665,11 @@ class TestFuzzedBinaryInputs:
         root = tmp_path_factory.mktemp("fuzz")
         save_embedding_set(load_embedding_set(data / "general.jsonl"), root / "g.bin", "bin")
         checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), root / "adapter.ckpt")
+        save_embedding_set(load_embedding_set(data / "expert.jsonl"), root / "e.bin", "bin")
+        (root / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, format="bin")))
         return {"emb1": root / "g.bin", "expert": data / "expert_head.ckpt",
-                "adapter": root / "adapter.ckpt",
+                "adapter": root / "adapter.ckpt", "expert_emb1": root / "e.bin",
+                "bin_config": root / "config.json",
                 "image_id": load_embedding_set(data / "expert.jsonl").image_ids[0]}
 
     @_FUZZ
@@ -563,6 +679,17 @@ class TestFuzzedBinaryInputs:
         bad.write_bytes(data.draw(_damaged(valid["emb1"].read_bytes())))
         self._run(["split", "--embeddings", str(bad), "--format", "bin",
                    "--out", str(tmp_path / "s.json")] + _cfg(workspace))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_emb1_expert_set_in_fuse(self, workspace, valid, tmp_path, data):
+        # fuse decodes only the vector of its image; the others are walked
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.draw(_damaged(valid["expert_emb1"].read_bytes())))
+        self._run(["fuse", "--checkpoint", str(valid["adapter"]),
+                   "--token-maps", str(workspace / "data" / "token_maps.jsonl"),
+                   "--expert-embeddings", str(bad), "--image-id", valid["image_id"],
+                   "--out", str(tmp_path / "f.json"), "--config", str(valid["bin_config"])])
 
     @_FUZZ
     @given(data=st.data())

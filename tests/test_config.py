@@ -50,6 +50,17 @@ def test_unknown_fields_rejected():
         ({"n_tasks": 0}, "task counts"),
         ({"synth": {"n_tokens": 0}}, "synth: all synth counts"),
         ({"synth": {"n_tokens": "a"}}, "synth"),
+        ({"synth": {"n_tokens": 2.5}}, r"synth\.n_tokens must be an integer, got 2\.5"),
+        ({"k": "x"}, "k must be an integer, got 'x'"),
+        ({"taus": 5}, "taus must be a list of numbers, got 5"),
+        ({"taus": [0.2, "a"]}, "taus must be a list of numbers"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"expert": {"epochs": 2.0}}, r"expert\.epochs must be an integer"),
+        ({"expert": {"loss_weights": 1.0}}, r"expert\.loss_weights must be a list"),
+        ({"adapter": {"step_size": "fast"}}, r"adapter\.step_size must be a number"),
+        ({"tau": False}, "tau must be a number"),
+        ({"synth": 5}, "synth must be a JSON object"),
     ],
 )
 def test_validation_errors(overrides, match):
