@@ -3,11 +3,12 @@
 Outputs are written to a temporary sibling directory and promoted
 atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
-config hash, seed, and tool version. Unless --threads is 1, pipeline
-and synth write their bulk artifacts in a forked writer process while
-the next stage computes; the bytes do not depend on --threads. Exit
-codes: 0 success, 2 config error, 3 data validation error, 4 numeric
-divergence, 5 a writer process died.
+config hash, seed, and tool version. Unless --threads is 1, a forked
+worker process runs one job at a time beside the parent: in pipeline
+it builds the general-view tasks and writes the bulk artifacts while
+the expert trains, and in synth it writes the token maps. The bytes do
+not depend on --threads. Exit codes: 0 success, 2 config error, 3 data
+validation error, 4 numeric divergence, 5 a worker process died.
 """
 
 from __future__ import annotations
@@ -47,19 +48,25 @@ class _OutputStage:
     completes and discarded when it raises, so a failed command leaves no
     stage directory behind.
 
-    With ``overlap``, ``write_async`` runs a write in a forked writer
-    process, one at a time, so bulk artifact writes overlap the computation
-    that follows them. A fork shares the parent's memory copy-on-write and
-    needs nothing pickled, so a write may be any callable. It should only
-    serialise results already computed: the writer is a fork of a process
-    that may run BLAS threads. A writer's exception is sent back through a
-    pipe and re-raised in the parent. ``promote`` waits for the writer
-    before it moves a file; ``discard`` kills a writer that is still
-    running before it removes the stage. Without ``os.fork`` (Windows),
-    every write runs inline.
+    ``submit(compute, then)`` is the stage's worker lane. With ``overlap``
+    it runs a job in a forked worker process, one job at a time, so the job
+    overlaps the parent's own computation: the worker runs ``value =
+    compute()``, sends ``value`` back through a pipe, then runs
+    ``then(value)``, typically the writes of bulk artifacts. ``result()`` on
+    the returned handle waits for ``value``. A fork shares the parent's
+    memory copy-on-write and needs nothing pickled but ``value``, so a job
+    may be any callable. Numpy's OpenBLAS is fork-safe, so a job may compute
+    with numpy; a job must not depend on anything the parent does after the
+    fork. The worker's exception is sent back through the same pipe and
+    re-raised in the parent, by ``result()`` for ``compute`` and by the next
+    ``submit`` or ``promote`` for ``then``. ``promote`` waits for the worker
+    before it moves a file; ``discard`` kills a worker that is still running
+    before it removes the stage. A worker that dies before it reports
+    raises ``WriterError``. Without overlap, or without ``os.fork``
+    (Windows), every job runs inline.
 
-    ``pickle`` and ``signal`` are imported where they are used: the import
-    time of this module counts in every command.
+    ``pickle``, ``signal`` and ``threading`` are imported where they are
+    used: the import time of this module counts in every command.
     """
 
     def __init__(self, out_dir: Path, overlap: bool = False):
@@ -68,7 +75,7 @@ class _OutputStage:
         self._tmp = tempfile.mkdtemp(prefix=".stage-", dir=self.out_dir)
         self.manifest: dict[str, dict] = {}
         self._overlap = overlap and hasattr(os, "fork")
-        self._writer: tuple[int, int] | None = None  # pid, read end of its error pipe
+        self._job: _Job | None = None  # the forked job that may still run
 
     def path(self, name: str) -> Path:
         return Path(self._tmp) / name
@@ -81,44 +88,30 @@ class _OutputStage:
         }
         return self.path(name)
 
-    def write_async(self, write) -> None:
-        """Run ``write()`` in a writer process once the previous writer has
-        finished, or inline without overlap."""
+    def submit(self, compute, then=None, name: str = "job") -> "_Job":
+        """Run ``value = compute()``, then ``then(value)`` unless ``then`` is
+        None: in a worker once the previous job has finished, or inline
+        without overlap. ``name`` labels the worker's log line."""
         if not self._overlap:
-            write()
-            return
+            value = compute()
+            if then is not None:
+                then(value)
+            return _Job(name, value)
         self._wait()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
-        if pid == 0:  # the writer: never returns, flushes nothing of the parent's
-            status = 0
-            try:
-                os.close(read_fd)
-                write()
-            except BaseException as exc:
-                status = 1
-                _send_exception(write_fd, exc)
-            finally:
-                os._exit(status)
+        if pid == 0:
+            os.close(read_fd)
+            _work(write_fd, compute, then)  # never returns
         os.close(write_fd)
-        self._writer = (pid, read_fd)
+        self._job = _Job(name, pid=pid, pipe=os.fdopen(read_fd, "rb"))
+        return self._job
 
     def _wait(self) -> None:
-        """Wait for the writer, if any, and re-raise the exception it sent."""
-        if self._writer is None:
-            return
-        pid, read_fd = self._writer
-        self._writer = None
-        with os.fdopen(read_fd, "rb") as pipe:
-            sent = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        if sent:
-            import pickle
-
-            raise pickle.loads(sent)
-        if status != 0:
-            raise WriterError(f"writer process {pid} died before it finished "
-                              f"(wait status {status})")
+        """Wait for the job, if any, and re-raise the exception it sent."""
+        job, self._job = self._job, None
+        if job is not None:
+            job.wait()
 
     def promote(self) -> None:
         self._wait()
@@ -143,14 +136,9 @@ class _OutputStage:
         os.rmdir(self._tmp)
 
     def discard(self) -> None:
-        if self._writer is not None:
-            import signal
-
-            pid, read_fd = self._writer
-            self._writer = None
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_fd)
+        job, self._job = self._job, None
+        if job is not None:
+            job.kill()
         shutil.rmtree(self._tmp, ignore_errors=True)
 
     def __enter__(self) -> "_OutputStage":
@@ -167,17 +155,138 @@ class _OutputStage:
             self.discard()
 
 
-def _send_exception(fd: int, exc: BaseException) -> None:
-    """Pickle ``exc`` into the pipe ``fd``; an unpicklable one goes as its text."""
+class _Job:
+    """The handle ``_OutputStage.submit`` returns.
+
+    An inline job holds its value. A forked job holds the worker's pid and
+    the read end of its pipe, on which the worker sends up to two reports,
+    each a pickled ``(ok, payload, seconds)``: the value of ``compute`` or
+    its exception, then, if ``compute`` succeeded, ``None`` or the exception
+    of ``then``. ``seconds`` is the worker's time since the job started.
+    """
+
+    def __init__(self, name: str, value=None, pid: int | None = None, pipe=None):
+        self.name = name
+        self._value = value
+        self._error: BaseException | None = None
+        self._pid = pid
+        self._pipe = pipe
+        self._pending = pid is not None  # the value has not been received yet
+        self._sent_after = 0.0  # the worker's seconds when it sent the value
+
+    def result(self):
+        """The value of ``compute``, once the worker has sent it; the
+        exception ``compute`` raised is re-raised."""
+        if self._pending:
+            self._pending = False
+            report = self._receive()
+            if report is None:
+                self._error = self._died()
+            elif report[0]:
+                _, self._value, self._sent_after = report
+            else:
+                self._reap()  # the worker exits after reporting a failed compute
+                self._error = report[1]
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def wait(self) -> None:
+        """Wait for the job to finish and re-raise the exception it sent."""
+        self.result()
+        if self._pid is None:
+            return
+        report = self._receive()
+        if report is None:
+            raise self._died()
+        self._reap()
+        ok, payload, seconds = report
+        if not ok:
+            raise payload
+        logger.info("worker: %s took %.2f s (result sent after %.2f s)",
+                    self.name, seconds, self._sent_after)
+
+    def kill(self) -> None:
+        """Kill and reap the worker if it may still run."""
+        if self._pid is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _receive(self) -> tuple | None:
+        """The worker's next report, or None if it died before sending it."""
+        import pickle
+
+        try:
+            return pickle.load(self._pipe)
+        except Exception:  # end of pipe or a truncated report
+            return None
+
+    def _died(self) -> WriterError:
+        pid = self._pid
+        status = self._reap()
+        return WriterError(f"worker process {pid} died before it finished "
+                           f"(wait status {status})")
+
+    def _reap(self) -> int:
+        self._pipe.close()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        return status
+
+
+def _work(fd: int, compute, then) -> None:
+    """The body of a forked worker: runs the job, reports through the pipe
+    ``fd``, and exits without returning or flushing anything of the parent's.
+    A value can be far larger than a pipe holds (about 0.9 MB of tasks
+    against 64 KB on Linux), and the parent reads it only when it needs it,
+    so a second thread sends it while ``then`` runs."""
+    import pickle
+    import threading
+
+    status = 1  # 0 once every report is sent
+    try:
+        start = time.perf_counter()
+        with os.fdopen(fd, "wb") as pipe:
+
+            def send(data: bytes) -> None:
+                pipe.write(data)
+                pipe.flush()
+
+            try:
+                value = compute()
+                data = pickle.dumps((True, value, time.perf_counter() - start))
+            except BaseException as exc:
+                send(_failure(exc, time.perf_counter() - start))
+                status = 0
+                return
+            sender = threading.Thread(target=send, args=(data,))
+            sender.start()
+            try:
+                if then is not None:
+                    then(value)
+                outcome = pickle.dumps((True, None, time.perf_counter() - start))
+            except BaseException as exc:
+                outcome = _failure(exc, time.perf_counter() - start)
+            sender.join()
+            send(outcome)
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _failure(exc: BaseException, seconds: float) -> bytes:
+    """The report of a failed job. An exception that does not survive a
+    pickle round trip goes as a ``RuntimeError`` carrying its text."""
     import pickle
 
     try:
-        data = pickle.dumps(exc)
+        data = pickle.dumps((False, exc, seconds))
         pickle.loads(data)
     except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    with os.fdopen(fd, "wb") as pipe:
-        pipe.write(data)
+        data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}"), seconds))
+    return data
 
 
 class _StageLog:
@@ -254,7 +363,8 @@ def cmd_synth(args, config: PipelineConfig) -> None:
         h, seed = config.config_hash(), config.synth.seed
         ext = config.format
         token_maps_path = stage.record("token_maps.jsonl", h, seed)
-        stage.write_async(lambda: save_token_maps(bundle.token_maps, token_maps_path))
+        stage.submit(lambda: save_token_maps(bundle.token_maps, token_maps_path),
+                     name="token-map write")
         save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
         save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
         _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
@@ -475,8 +585,12 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
 
 
 def cmd_pipeline(args, config: PipelineConfig) -> None:
-    """synth -> split -> train-expert -> build tiers -> train-adapter ->
-    evaluate all matchers -> sweep, with one manifest for everything."""
+    """synth -> split -> build tiers -> train-expert -> train-adapter ->
+    evaluate all matchers -> sweep, with one manifest for everything.
+
+    The tiers, detection tasks, conversations and adapter-training tasks
+    depend on the general view alone, so one job builds them and writes
+    them with the bundle while the parent trains the expert."""
     out = Path(args.out)
     stages = _StageLog()
     with _OutputStage(out, args.threads > 1) as stage:
@@ -486,21 +600,54 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
 
         stages.next("generating synthetic bundle")
         bundle = synthgen.generate(config.synth)
-        raw_path, general_path, maps_path, truth_path = (
-            stage.record(name, h, seed)
-            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
-        )
+        split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
+        dataengine.save_split(split, stage.record("split.json", h, seed))
 
-        def write_bundle():
+        stages.next("building benchmark tiers")
+        taus = sorted({config.tau, *config.taus})
+        raw_path, general_path, maps_path, truth_path, *task_paths = (
+            stage.record(name, h, seed)
+            for name in (
+                f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl",
+                *(f"tasks_tau{tau:g}.jsonl" for tau in taus),
+                "detection_tasks.jsonl", "conversations_mcq.jsonl", "conversations_caption.jsonl",
+            )
+        )
+        task_files = []  # the items of each of task_paths, built by the job
+
+        def build_tasks():
+            tiers = {
+                tau: dataengine.build_gallery_tasks_per_category(
+                    bundle.general_set, split.test_instances, k=config.k, tau=tau,
+                    n_per_category=config.n_tasks, seed=seed, task_prefix=f"t{tau:g}-",
+                )
+                for tau in taus
+            }
+            tier = tiers[config.tau]
+            task_files.extend(tiers.values())
+            task_files.append(dataengine.build_detection_tasks(
+                bundle.general_set, split.test_instances, tau=config.tau,
+                n_tasks=config.n_tasks, positive_rate=config.positive_rate, seed=seed,
+            ))
+            task_files.append(dataengine.emit_conversations(tier, "match_mcq"))
+            captions = dataengine.template_captions(tier)
+            task_files.append(dataengine.emit_conversations(tier, "caption", captions=captions))
+            train_tasks = dataengine.build_gallery_tasks(
+                bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
+                n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
+            )
+            return tier, train_tasks
+
+        def write_bundle_and_tasks(_):
             save_embedding_set(bundle.raw_set, raw_path, ext)
             save_embedding_set(bundle.general_set, general_path, ext)
             save_token_maps(bundle.token_maps, maps_path)
             _write_ground_truth(truth_path, bundle.ground_truth)
+            for path, items in zip(task_paths, task_files):
+                dataengine.save_jsonl(items, path)
 
-        stage.write_async(write_bundle)
-
-        split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
-        dataengine.save_split(split, stage.record("split.json", h, seed))
+        tasks = stage.submit(build_tasks, write_bundle_and_tasks,
+                             name="task building and bundle writes")
 
         stages.next("training expert head")
         train_raw = bundle.raw_set.__class__.from_records(
@@ -509,41 +656,9 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         head = expert.train_expert(train_raw, config=config.expert)
         checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
         expert_set = expert.embed_set(head, bundle.raw_set)
-        expert_path = stage.record(f"expert.{ext}", h, seed)
-        stage.write_async(lambda: save_embedding_set(expert_set, expert_path, ext))
-
-        stages.next("building benchmark tiers")
-        test_tasks = {}
-        for tau in sorted({config.tau, *config.taus}):
-            test_tasks[tau] = dataengine.build_gallery_tasks_per_category(
-                bundle.general_set, split.test_instances, k=config.k, tau=tau,
-                n_per_category=config.n_tasks, seed=seed, task_prefix=f"t{tau:g}-",
-            )
-        detection = dataengine.build_detection_tasks(
-            bundle.general_set, split.test_instances, tau=config.tau,
-            n_tasks=config.n_tasks, positive_rate=config.positive_rate, seed=seed,
-        )
-        mcq = dataengine.emit_conversations(test_tasks[config.tau], "match_mcq")
-        captions = dataengine.template_captions(test_tasks[config.tau])
-        cap = dataengine.emit_conversations(test_tasks[config.tau], "caption", captions=captions)
-        task_files = {
-            **{stage.record(f"tasks_tau{tau:g}.jsonl", h, seed): t for tau, t in test_tasks.items()},
-            stage.record("detection_tasks.jsonl", h, seed): detection,
-            stage.record("conversations_mcq.jsonl", h, seed): mcq,
-            stage.record("conversations_caption.jsonl", h, seed): cap,
-        }
-
-        def write_task_files():
-            for path, items in task_files.items():
-                dataengine.save_jsonl(items, path)
-
-        stage.write_async(write_task_files)
+        tier, train_tasks = tasks.result()
 
         stages.next("training fusion adapter")
-        train_tasks = dataengine.build_gallery_tasks(
-            bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
-            n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
-        )
         token_maps, expert_vectors = _fusion_views(bundle.token_maps, expert_set)
         any_map = next(iter(token_maps.values()))
         adapter = fusion.init_adapter(
@@ -553,6 +668,9 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             adapter, train_tasks, token_maps, expert_vectors, config.adapter
         )
         checkpoint.save_adapter(adapter, stage.record("adapter.ckpt", h, config.adapter.seed))
+        expert_path = stage.record(f"expert.{ext}", h, seed)
+        stage.submit(lambda: save_embedding_set(expert_set, expert_path, ext),
+                     name="expert-set write")
 
         stages.next("evaluating matchers")
         matchers = {
@@ -560,7 +678,6 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             "expert": evalkit.similarity_matcher(expert_set),
             "fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors),
         }
-        tier = test_tasks[config.tau]
         matcher_reports = {}
         for name, matcher in matchers.items():
             log = evalkit.PredictionLog({t.task_id: matcher(t) for t in tier}, model_name=name)
@@ -626,9 +743,10 @@ def _usable_cpus() -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=os.environ.get(ENV_CONFIG), help="pipeline config JSON")
     p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="1 writes every file inline; above 1, pipeline and synth write "
-                        "their bulk artifacts in a forked writer process while computing "
-                        "goes on (default: the CPUs this process may run on)")
+                   help="1 runs everything in one process; above 1, a forked worker "
+                        "builds pipeline's general-view tasks and writes the bulk artifacts "
+                        "of pipeline and synth while computing goes on "
+                        "(default: the CPUs this process may run on)")
     p.add_argument("--format", choices=("jsonl", "bin"), default=None,
                    help="embedding interchange format override")
     p.add_argument("--seed", type=int, default=None, help="seed override")

@@ -78,8 +78,8 @@ def _is_number(value) -> bool:
 def _checked_fields(cls, obj, label: str) -> dict:
     """``obj`` as keyword arguments of ``cls``: unknown fields are rejected,
     int fields must hold integers (not floats or bools), float fields
-    numbers and tuple fields lists of numbers. Ranges are left to
-    ``validate``."""
+    numbers and tuple fields lists of numbers, of the tuple's length when
+    it is fixed. Ranges are left to ``validate``."""
     prefix = f"{label}." if label else ""
     if not isinstance(obj, dict):
         raise ConfigError(f"{label} must be a JSON object")
@@ -98,6 +98,11 @@ def _checked_fields(cls, obj, label: str) -> dict:
         if f.type.startswith("tuple["):
             if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
                 raise ConfigError(f"{prefix}{f.name} must be a list of numbers, got {value!r}")
+            length = f.type.count(",") + 1
+            if "..." not in f.type and len(value) != length:
+                raise ConfigError(
+                    f"{prefix}{f.name} must be a list of {length} numbers, got {value!r}"
+                )
             kwargs[f.name] = tuple(value)
     return kwargs
 

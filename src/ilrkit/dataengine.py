@@ -15,7 +15,9 @@ the candidates a task ranks (below-threshold top-up, detection fallback,
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -436,29 +438,57 @@ def save_jsonl(items: Sequence, path: str | Path) -> None:
 
 
 def _load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
+    """One item per line; ``build`` raises ``KeyError``, ``TypeError`` or
+    ``ValueError`` for a line it rejects, which becomes a
+    ``DataValidationError`` naming the line."""
     items = []
     for lineno, line in jsonl_lines(path):
         try:
             items.append(build(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSONDecodeError too
             raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
     return items
 
 
+# the types json.loads may give each field of a gallery task
+_TASK_TYPES = {
+    "task_id": (str,), "category": (str,), "query_id": (str,), "gallery_ids": (list,),
+    "answer_index": (int,), "tau": (int, float), "relaxed": (bool,), "seed": (int,),
+}
+_task_values = operator.itemgetter(*_TASK_TYPES)
+_VALID_TASK_TYPES = set(itertools.product(*_TASK_TYPES.values()))
+
+
+def _gallery_task(o: dict) -> GalleryTask:
+    """The task of one parsed line, with every field of its type and the
+    answer inside a gallery of at least two images."""
+    values = _task_values(o)
+    if tuple(map(type, values)) not in _VALID_TASK_TYPES:  # one lookup for a valid line
+        for (key, kinds), value in zip(_TASK_TYPES.items(), values):
+            if type(value) not in kinds:
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise ValueError(f"{key} must be of type {names}, got {value!r}")
+    task_id, category, query_id, ids, answer, tau, relaxed, seed = values
+    if len(ids) < 2 or set(map(type, ids)) != {str}:
+        raise ValueError(f"gallery_ids must be a list of at least 2 strings, got {ids!r}")
+    if not 0 <= answer < len(ids):
+        raise ValueError(f"answer_index must be in [0, {len(ids)}), got {answer}")
+    return GalleryTask(task_id, category, query_id, tuple(ids), answer, tau, relaxed, seed)
+
+
 def load_gallery_tasks(path: str | Path) -> list[GalleryTask]:
-    return _load_jsonl(
-        path,
-        lambda o: GalleryTask(
-            task_id=o["task_id"],
-            category=o["category"],
-            query_id=o["query_id"],
-            gallery_ids=tuple(o["gallery_ids"]),
-            answer_index=o["answer_index"],
-            tau=o["tau"],
-            relaxed=o["relaxed"],
-            seed=o["seed"],
-        ),
-    )
+    """The tasks of a JSONL file; a malformed task or a repeated ``task_id``
+    is a ``DataValidationError`` naming its line."""
+    seen: set[str] = set()
+
+    def build(o: dict) -> GalleryTask:
+        task = _gallery_task(o)
+        if task.task_id in seen:
+            raise ValueError(f"duplicate task_id {task.task_id!r}")
+        seen.add(task.task_id)
+        return task
+
+    return _load_jsonl(path, build)
 
 
 def load_detection_tasks(path: str | Path) -> list[DetectionTask]:

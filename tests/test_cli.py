@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ilrkit import checkpoint, cli, dataengine, embedstore, fusion
+from ilrkit import checkpoint, cli, dataengine, embedstore, expert, fusion
 from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
-from ilrkit.errors import DataValidationError
+from ilrkit.errors import DataValidationError, DivergenceError, WriterError
 
 SMALL_CONFIG = {
     "seed": 1,
@@ -259,8 +259,10 @@ class TestExitCodes:
     ({"k": "x"}, "k"),
     ({"taus": 5}, "taus"),
     ({"seed": 1.5}, "seed"),
+    ({"expert": {"loss_weights": []}}, "expert.loss_weights"),
+    ({"expert": {"loss_weights": [1, 2, 3]}}, "expert.loss_weights"),
 ])
-@pytest.mark.parametrize("command", ["synth", "split", "fuse"])
+@pytest.mark.parametrize("command", ["synth", "split", "fuse", "train-expert"])
 def test_mistyped_config_field_is_2(workspace, tmp_path, capsys, overrides, field, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)))
@@ -272,6 +274,8 @@ def test_mistyped_config_field_is_2(workspace, tmp_path, capsys, overrides, fiel
         "fuse": ["fuse", "--checkpoint", str(tmp_path / "unused.ckpt"),
                  "--token-maps", str(data / "token_maps.jsonl"),
                  "--expert-embeddings", str(data / "expert.jsonl"), "--image-id", _FUSE_ID],
+        "train-expert": ["train-expert", "--embeddings", str(data / "raw.jsonl"),
+                         "--out", str(tmp_path / "s.json")],
     }[command]
     assert cli.main(argv + ["--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -532,6 +536,51 @@ class TestMalformedInputs:
                        "--out", str(tmp_path / "conv.jsonl")] + _cfg(workspace))
         _assert_data_error(rc, capsys)
 
+    def _run_on_tasks(self, workspace, tmp_path, command, lines):
+        """``match`` or ``evaluate`` on a tasks file of ``lines``; nothing may
+        be written."""
+        data = workspace / "data"
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        argv = {
+            "match": ["match", "--embeddings", str(data / "general.jsonl"),
+                      "--tasks", str(tasks), "--out", str(out / "p.jsonl")],
+            "evaluate": ["evaluate", "--tasks", str(tasks),
+                         "--predictions", str(data / "preds.jsonl"), "--out", str(out)],
+        }[command]
+        rc = cli.main(argv + _cfg(workspace))
+        assert not out.exists() or list(out.iterdir()) == []
+        return rc
+
+    @pytest.mark.parametrize("field, value", [
+        ("answer_index", "1"), ("answer_index", 9), ("answer_index", -1),
+        ("answer_index", True), ("gallery_ids", ["only"]), ("gallery_ids", "abc"),
+        ("gallery_ids", [1, 2, 3]), ("task_id", 5), ("category", None),
+        ("query_id", ["q"]), ("tau", "0.3"), ("tau", True), ("relaxed", 0), ("seed", 1.5),
+    ])
+    @pytest.mark.parametrize("command", ["match", "evaluate"])
+    def test_malformed_gallery_task_is_3(self, workspace, tmp_path, capsys, command,
+                                         field, value):
+        lines = (workspace / "data" / "tasks.jsonl").read_text().splitlines()
+        task = json.loads(lines[1])
+        task[field] = value
+        lines[1] = json.dumps(task)
+        rc = self._run_on_tasks(workspace, tmp_path, command, lines)
+        message = _assert_data_error(rc, capsys)
+        assert ": line 2: " in message and f"{field} must be" in message
+
+    @pytest.mark.parametrize("command", ["match", "evaluate"])
+    def test_duplicate_task_id_is_3(self, workspace, tmp_path, capsys, command):
+        lines = (workspace / "data" / "tasks.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])["task_id"]
+        task = json.loads(lines[2])
+        task["task_id"] = first
+        lines[2] = json.dumps(task)
+        rc = self._run_on_tasks(workspace, tmp_path, command, lines)
+        message = _assert_data_error(rc, capsys)
+        assert message.endswith(f": line 3: duplicate task_id {first!r}")
+
     @pytest.mark.parametrize("target", [
         "predictions", "captions", "tasks", "embeddings", "token_maps", "bin_strings",
     ])
@@ -735,15 +784,25 @@ class TestDeterminism:
 
     def test_pipeline_logs_stage_seconds(self, workspace, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="ilrkit.cli")
-        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "-v"]
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "-v", "--threads", "2"]
                         + _cfg(workspace)) == 0
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pipeline:")]
+        messages = [r.getMessage() for r in caplog.records]
+        lines = [m for m in messages if m.startswith("pipeline:")]
         assert lines[0] == "pipeline: generating synthetic bundle"
         assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
         assert len(lines) == 6
         for prev, line in zip(lines, lines[1:]):
             stage = prev.removeprefix("pipeline: ").split(" (")[0]
             assert re.fullmatch(rf"pipeline: .+ \({stage} took \d+\.\d\d s\)", line), line
+        # each worker job logs its own seconds, on lines of its own
+        workers = [m for m in messages if m.startswith("worker:")]
+        assert [m.split(" took ")[0] for m in workers] == [
+            "worker: task building and bundle writes", "worker: expert-set write",
+        ]
+        for line in workers:
+            assert re.fullmatch(
+                r"worker: .+ took \d+\.\d\d s \(result sent after \d+\.\d\d s\)", line
+            ), line
 
     def test_failed_pipeline_discards_its_stage(self, workspace, tmp_path, capsys,
                                                 monkeypatch):
@@ -845,6 +904,207 @@ class TestDeterminism:
         assert "token_maps.jsonl" in outputs[0]
         assert outputs[0] == outputs[1]
         _assert_no_child_left()
+
+
+class TestWorkerLane:
+    """The worker lane of ``cli._OutputStage``: ``submit(compute, then)``."""
+
+    @pytest.mark.parametrize("lane", ["inline", "forked", "no fork"])
+    def test_submit_round_trips_a_value(self, tmp_path, monkeypatch, lane):
+        if lane == "no fork":
+            monkeypatch.delattr(os, "fork")
+        value = {"tasks": [(1, "a"), (2, "b")], "tau": 0.5, "relaxed": True}
+        parent = os.getpid()
+        out = tmp_path / "out"
+        with cli._OutputStage(out, overlap=lane != "inline") as stage:
+            path = stage.record("value.json", "h", 1)
+
+            def then(got):
+                path.write_text(json.dumps({"value": repr(got), "pid": os.getpid()}))
+
+            job = stage.submit(lambda: value, then)
+            assert job.result() == value
+            assert job.result() == value
+        written = json.loads((out / "value.json").read_text())
+        assert written["value"] == repr(value)
+        assert (written["pid"] != parent) == (lane == "forked")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("lane", ["inline", "forked", "no fork"])
+    def test_submit_reraises_the_exceptions(self, tmp_path, monkeypatch, lane):
+        if lane == "no fork":
+            monkeypatch.delattr(os, "fork")
+
+        def fail(*args):
+            raise DataValidationError(f"failed with {args}")
+
+        # compute's exception: from result(), and again on a second call
+        out = tmp_path / "compute"
+        with pytest.raises(DataValidationError, match=r"failed with \(\)"):
+            with cli._OutputStage(out, overlap=lane != "inline") as stage:
+                stage.record("a.txt", "h", 1).write_text("a")
+                job = stage.submit(fail)  # inline, submit itself raises
+                for _ in range(2):
+                    with pytest.raises(DataValidationError, match=r"failed with \(\)"):
+                        job.result()
+                job.result()
+        assert list(out.iterdir()) == []
+        # then's exception: at the latest from promote
+        out = tmp_path / "then"
+        with pytest.raises(DataValidationError, match=r"failed with \(7,\)"):
+            with cli._OutputStage(out, overlap=lane != "inline") as stage:
+                stage.record("a.txt", "h", 1).write_text("a")
+                assert stage.submit(lambda: 7, fail).result() == 7
+        assert list(out.iterdir()) == []
+        _assert_no_child_left()
+
+    def test_then_runs_before_the_value_is_read(self, tmp_path):
+        # a value larger than any pipe buffer must not hold the worker's
+        # then() until the parent reads it
+        value = "x" * (4 << 20)
+        ran = tmp_path / "then-ran"
+        with cli._OutputStage(tmp_path / "out", overlap=True) as stage:
+            job = stage.submit(lambda: value, lambda _: ran.touch())
+            _wait_for(ran)
+            assert ran.exists()
+            assert job.result() == value
+        _assert_no_child_left()
+
+    def test_unpicklable_exception_arrives_as_its_text(self, tmp_path):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def fail():
+            raise Unpicklable(1, 2)
+
+        stage = cli._OutputStage(tmp_path, overlap=True)
+        with pytest.raises(RuntimeError, match="Unpicklable: 1 and 2"):
+            stage.submit(fail).result()
+        stage.discard()
+        _assert_no_child_left()
+
+    def test_worker_killed_after_its_result_is_5(self, tmp_path):
+        received = tmp_path / "received"
+
+        def die(_):
+            _wait_for(received)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        out = tmp_path / "out"
+        with pytest.raises(WriterError, match="died before it finished"):
+            with cli._OutputStage(out, overlap=True) as stage:
+                stage.record("a.txt", "h", 1).write_text("a")
+                job = stage.submit(lambda: 42, die)
+                assert job.result() == 42
+                received.touch()
+        assert list(out.iterdir()) == []
+        _assert_no_child_left()
+
+    def test_worker_killed_before_its_result_is_5(self, tmp_path):
+        stage = cli._OutputStage(tmp_path, overlap=True)
+        job = stage.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        for _ in range(2):
+            with pytest.raises(WriterError, match="died before it finished"):
+                job.result()
+        stage.discard()
+        _assert_no_child_left()
+
+
+class TestPipelineWorker:
+    """``pipeline`` builds the general-view tasks in the worker."""
+
+    def test_tiers_are_built_in_the_worker(self, workspace, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        build = dataengine.build_gallery_tasks_per_category
+
+        def record_pid(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(dataengine, "build_gallery_tasks_per_category", record_pid)
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
+                        + _cfg(workspace)) == 0
+        recorded = pids.read_text().split()
+        assert len(recorded) == len({SMALL_CONFIG["tau"], *SMALL_CONFIG["taus"]})
+        assert len(set(recorded)) == 1 and int(recorded[0]) != os.getpid()
+        _assert_no_child_left()
+
+    def test_expert_error_wins_over_worker_error(self, workspace, tmp_path, capsys,
+                                                 monkeypatch):
+        def fail_tasks(*args, **kwargs):
+            raise DataValidationError("task building failed")
+
+        def diverge(*args, **kwargs):
+            time.sleep(0.3)  # the worker has failed by now
+            raise DivergenceError("expert training diverged")
+
+        monkeypatch.setattr(dataengine, "build_gallery_tasks_per_category", fail_tasks)
+        monkeypatch.setattr(expert, "train_expert", diverge)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "DivergenceError", "message": "expert training diverged",
+        }
+        assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_task_building_failure_is_3(self, workspace, tmp_path, capsys, monkeypatch,
+                                        threads):
+        def fail(*args, **kwargs):
+            raise DataValidationError("too few images for a gallery")
+
+        monkeypatch.setattr(dataengine, "build_detection_tasks", fail)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "DataValidationError", "message": "too few images for a gallery",
+        }
+        assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+    def test_worker_killed_after_its_result_is_5(self, workspace, tmp_path, capsys,
+                                                 monkeypatch):
+        # the worker dies while writing, once the parent has received the tasks
+        received = tmp_path / "received"
+        trained = []
+        train_adapter = fusion.train_adapter
+
+        def record_training(*args, **kwargs):
+            trained.append(os.getpid())
+            received.touch()
+            return train_adapter(*args, **kwargs)
+
+        def die(*args, **kwargs):
+            _wait_for(received)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(fusion, "train_adapter", record_training)
+        monkeypatch.setattr(cli, "save_token_maps", die)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "WriterError"
+        assert trained == [os.getpid()]
+        assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+
+def _wait_for(path, seconds=10):
+    """Poll until ``path`` exists or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def _assert_no_child_left():

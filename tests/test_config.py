@@ -61,6 +61,10 @@ def test_unknown_fields_rejected():
         ({"adapter": {"step_size": "fast"}}, r"adapter\.step_size must be a number"),
         ({"tau": False}, "tau must be a number"),
         ({"synth": 5}, "synth must be a JSON object"),
+        ({"expert": {"loss_weights": []}},
+         r"expert\.loss_weights must be a list of 2 numbers, got \[\]"),
+        ({"expert": {"loss_weights": [1, 2, 3]}},
+         r"expert\.loss_weights must be a list of 2 numbers, got \[1, 2, 3\]"),
     ],
 )
 def test_validation_errors(overrides, match):
