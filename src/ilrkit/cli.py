@@ -517,14 +517,13 @@ def cmd_fuse(args, config: PipelineConfig) -> None:
 def cmd_match(args, config: PipelineConfig) -> None:
     view = load_embedding_set(args.embeddings, config.format)
     tasks = dataengine.load_gallery_tasks(args.tasks)
-    matcher = evalkit.similarity_matcher(view, args.kind)
+    best = evalkit.similarity_matcher(view, args.kind).predict(tasks)
     with _OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         with open(path, "w", encoding="utf-8") as fh:
-            for task in tasks:
+            for task, b in zip(tasks, best):
                 fh.write(
-                    json.dumps({"task_id": task.task_id, "response": f"Image {matcher(task) + 1}"})
-                    + "\n"
+                    json.dumps({"task_id": task.task_id, "response": f"Image {b + 1}"}) + "\n"
                 )
     print(f"matched {len(tasks)} tasks -> {args.out}")
 
@@ -605,14 +604,18 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
 
         stages.next("building benchmark tiers")
         taus = sorted({config.tau, *config.taus})
-        raw_path, general_path, maps_path, truth_path, *task_paths = (
+        # the bundle files carry the seed that generated them
+        raw_path, general_path, maps_path, truth_path = (
+            stage.record(name, h, config.synth.seed)
+            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
+        )
+        task_paths = [
             stage.record(name, h, seed)
             for name in (
-                f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl",
                 *(f"tasks_tau{tau:g}.jsonl" for tau in taus),
                 "detection_tasks.jsonl", "conversations_mcq.jsonl", "conversations_caption.jsonl",
             )
-        )
+        ]
         task_files = []  # the items of each of task_paths, built by the job
 
         def build_tasks():
@@ -680,7 +683,10 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         }
         matcher_reports = {}
         for name, matcher in matchers.items():
-            log = evalkit.PredictionLog({t.task_id: matcher(t) for t in tier}, model_name=name)
+            best = matcher.predict(tier)
+            log = evalkit.PredictionLog(
+                {t.task_id: b for t, b in zip(tier, best)}, model_name=name
+            )
             matcher_reports[name] = evalkit.score_matching(tier, log)
 
         sweep = evalkit.sweep_difficulty(

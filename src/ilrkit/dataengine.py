@@ -450,25 +450,39 @@ def _load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     return items
 
 
-# the types json.loads may give each field of a gallery task
-_TASK_TYPES = {
+def _typed_fields(types: dict[str, tuple[type, ...]]) -> Callable[[dict], tuple]:
+    """The values of a parsed line's ``types`` fields, in order; a field of
+    another type raises ValueError naming it. json.loads gives exact types,
+    so a valid line costs one set lookup of its field types."""
+    values_of = operator.itemgetter(*types)
+    valid = set(itertools.product(*types.values()))
+
+    def values(o: dict) -> tuple:
+        vals = values_of(o)
+        if tuple(map(type, vals)) not in valid:
+            for (key, kinds), value in zip(types.items(), vals):
+                if type(value) not in kinds:
+                    names = " or ".join(kind.__name__ for kind in kinds)
+                    raise ValueError(f"{key} must be of type {names}, got {value!r}")
+        return vals
+
+    return values
+
+
+_gallery_values = _typed_fields({
     "task_id": (str,), "category": (str,), "query_id": (str,), "gallery_ids": (list,),
     "answer_index": (int,), "tau": (int, float), "relaxed": (bool,), "seed": (int,),
-}
-_task_values = operator.itemgetter(*_TASK_TYPES)
-_VALID_TASK_TYPES = set(itertools.product(*_TASK_TYPES.values()))
+})
+_detection_values = _typed_fields({
+    "task_id": (str,), "category": (str,), "query_id": (str,), "gallery_id": (str,),
+    "is_match": (bool,), "tau": (int, float), "seed": (int,),
+})
 
 
 def _gallery_task(o: dict) -> GalleryTask:
     """The task of one parsed line, with every field of its type and the
     answer inside a gallery of at least two images."""
-    values = _task_values(o)
-    if tuple(map(type, values)) not in _VALID_TASK_TYPES:  # one lookup for a valid line
-        for (key, kinds), value in zip(_TASK_TYPES.items(), values):
-            if type(value) not in kinds:
-                names = " or ".join(kind.__name__ for kind in kinds)
-                raise ValueError(f"{key} must be of type {names}, got {value!r}")
-    task_id, category, query_id, ids, answer, tau, relaxed, seed = values
+    task_id, category, query_id, ids, answer, tau, relaxed, seed = _gallery_values(o)
     if len(ids) < 2 or set(map(type, ids)) != {str}:
         raise ValueError(f"gallery_ids must be a list of at least 2 strings, got {ids!r}")
     if not 0 <= answer < len(ids):
@@ -476,34 +490,27 @@ def _gallery_task(o: dict) -> GalleryTask:
     return GalleryTask(task_id, category, query_id, tuple(ids), answer, tau, relaxed, seed)
 
 
-def load_gallery_tasks(path: str | Path) -> list[GalleryTask]:
+def _load_tasks(path: str | Path, build: Callable[[dict], object]) -> list:
     """The tasks of a JSONL file; a malformed task or a repeated ``task_id``
     is a ``DataValidationError`` naming its line."""
     seen: set[str] = set()
 
-    def build(o: dict) -> GalleryTask:
-        task = _gallery_task(o)
+    def unique(o: dict):
+        task = build(o)
         if task.task_id in seen:
             raise ValueError(f"duplicate task_id {task.task_id!r}")
         seen.add(task.task_id)
         return task
 
-    return _load_jsonl(path, build)
+    return _load_jsonl(path, unique)
+
+
+def load_gallery_tasks(path: str | Path) -> list[GalleryTask]:
+    return _load_tasks(path, _gallery_task)
 
 
 def load_detection_tasks(path: str | Path) -> list[DetectionTask]:
-    return _load_jsonl(
-        path,
-        lambda o: DetectionTask(
-            task_id=o["task_id"],
-            category=o["category"],
-            query_id=o["query_id"],
-            gallery_id=o["gallery_id"],
-            is_match=o["is_match"],
-            tau=o["tau"],
-            seed=o["seed"],
-        ),
-    )
+    return _load_tasks(path, lambda o: DetectionTask(*_detection_values(o)))
 
 
 def save_split(manifest: SplitManifest, path: str | Path) -> None:

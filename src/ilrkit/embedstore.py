@@ -224,6 +224,21 @@ def _record_lines(path: Path, only: Collection[str] | None) -> Iterator[tuple[in
     )
 
 
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _numbers(values, field: str) -> np.ndarray:
+    """The float32 array of a parsed ``field``: a list of JSON numbers, or a
+    list of such lists. numpy would read a numeric string, true, false or
+    null as a number, so the element types of each list are checked first
+    (json gives exact types, and bool is not int here)."""
+    rows = values if type(values) is list and values and type(values[0]) is list else (values,)
+    for row in rows:
+        if type(row) is not list or not _NUMBER_TYPES.issuperset(map(type, row)):
+            raise ValueError(f"{field} components must be numbers")
+    return np.asarray(values, dtype=np.float32)
+
+
 def _read_jsonl_records(path: Path, only: Collection[str] | None) -> list[EmbeddingRecord]:
     records = []
     first_dim = None
@@ -234,7 +249,7 @@ def _read_jsonl_records(path: Path, only: Collection[str] | None) -> list[Embedd
                 image_id=obj["image_id"],
                 instance_id=obj["instance_id"],
                 category=obj["category"],
-                vector=np.asarray(obj["vector"], dtype=np.float32),
+                vector=_numbers(obj["vector"], "vector"),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: malformed record: {exc}") from exc
@@ -337,7 +352,7 @@ def load_token_maps(
     for lineno, line in _record_lines(path, only):
         try:
             obj = json.loads(line)
-            tokens = np.asarray(obj["tokens"], dtype=np.float32)
+            tokens = _numbers(obj["tokens"], "tokens")
             tmap = TokenFeatureMap(obj["image_id"], tokens)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc

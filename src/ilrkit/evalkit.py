@@ -4,9 +4,13 @@ difficulty sweeps over the similarity threshold.
 
 Every matcher (the general and expert embedding views, and the fused
 view) is the same similarity argmax over the gallery, fed by one
-vector(image_id) lookup per view; an image missing from a view raises
-DataValidationError. The fused view pools each image lazily, on its
-first use, with the closed form of fusion.pooled_fused.
+vector(image_id) lookup per view. A matcher scores a whole task list in
+one batched pass (``predict``, through simcore.match_batch); calling it on
+one task is the one-task case of that pass. Errors come in task order, as
+if each task were scored alone: an image missing from a view raises
+DataValidationError naming the first such task, once the tasks before it
+are scored. The fused view pools each distinct image once, on its first
+use, with the closed form of fusion.pooled_fused.
 
 Accuracies are kept as fractions in [0, 1] internally and rendered as
 percentages in the plain-text tables. The aggregate "average" column is
@@ -24,7 +28,7 @@ import numpy as np
 from . import dataengine, fusion, simcore
 from .dataengine import DetectionTask, GalleryTask, parse_answer
 from .embedstore import EmbeddingSet, TokenFeatureMap
-from .errors import DataValidationError
+from .errors import DataValidationError, IlrkitError
 
 
 @dataclass
@@ -223,37 +227,59 @@ def score_captions(pairs: Sequence[Mapping[str, Sequence[float]]]) -> CaptionSco
 
 
 # ---------------------------------------------------------------------------
-# Matchers: functions task -> predicted 0-based gallery index
+# Matchers: callables task -> predicted 0-based gallery index
 
 Matcher = Callable[[GalleryTask], int]
 
 
-def _argmax_matcher(vector: Callable[[str], np.ndarray], view: str, kind: str) -> Matcher:
-    """Similarity argmax over the gallery, with vectors from ``vector(image_id)``."""
+class ArgmaxMatcher:
+    """Similarity argmax over each task's gallery, with vectors from
+    ``vector(image_id)``; ties go to the lowest index."""
 
-    def match(task: GalleryTask) -> int:
-        try:
-            query = vector(task.query_id)
-            gallery = [vector(g) for g in task.gallery_ids]
-        except KeyError as exc:
-            raise DataValidationError(
-                f"task {task.task_id!r}: image {exc.args[0]!r} is not in the {view}"
-            ) from exc
-        return simcore.match_by_similarity(query, gallery, kind).best_index
+    def __init__(self, vector: Callable[[str], np.ndarray], view: str, kind: str):
+        self._vector = vector
+        self._view = view
+        self._kind = kind
 
-    return match
+    def predict(self, tasks: Sequence[GalleryTask]) -> list[int]:
+        """The predicted 0-based gallery index of every task, in one batched pass."""
+        vector = self._vector
+        failed = None
+
+        def rows():
+            nonlocal failed
+            for task in tasks:
+                try:
+                    row = [vector(task.query_id), *map(vector, task.gallery_ids)]
+                except (KeyError, IlrkitError) as exc:  # raised once the tasks before it are scored
+                    failed = task, exc
+                    return
+                yield row
+
+        best = simcore.match_batch(rows(), self._kind)
+        if failed is not None:
+            task, exc = failed
+            if isinstance(exc, KeyError):
+                raise DataValidationError(
+                    f"task {task.task_id!r}: image {exc.args[0]!r} is not in the {self._view}"
+                ) from exc
+            raise exc
+        return best
+
+    def __call__(self, task: GalleryTask) -> int:
+        return self.predict([task])[0]
 
 
-def similarity_matcher(view: EmbeddingSet, kind: str = "cosine") -> Matcher:
+def similarity_matcher(view: EmbeddingSet, kind: str = "cosine") -> ArgmaxMatcher:
     """Plain feature-similarity argmax over the gallery, on one encoder view."""
-    return _argmax_matcher(view.vector, f"{view.encoder_name!r} embedding set", kind)
+    return ArgmaxMatcher(view.vector, f"{view.encoder_name!r} embedding set", kind)
 
 
 def fused_matcher(
     adapter: fusion.FusionAdapter,
     token_maps: Mapping[str, TokenFeatureMap],
     expert_vectors: Mapping[str, np.ndarray],
-) -> Matcher:
+) -> ArgmaxMatcher:
     """Cosine argmax over mean-pooled fused token features.
 
     Each image is pooled once per matcher, on its first appearance.
@@ -267,13 +293,19 @@ def fused_matcher(
             cache[image_id] = vec
         return vec
 
-    return _argmax_matcher(pooled, "token maps or expert vectors", "cosine")
+    return ArgmaxMatcher(pooled, "token maps or expert vectors", "cosine")
 
 
 def matcher_accuracy(tasks: Sequence[GalleryTask], matcher: Matcher) -> float:
+    """Fraction of tasks answered right: one batched pass for an
+    ArgmaxMatcher, one call per task for any other matcher."""
     if not tasks:
         raise DataValidationError("no tasks")
-    return sum(matcher(t) == t.answer_index for t in tasks) / len(tasks)
+    if isinstance(matcher, ArgmaxMatcher):
+        predictions = matcher.predict(tasks)
+    else:
+        predictions = [matcher(task) for task in tasks]
+    return sum(p == t.answer_index for p, t in zip(predictions, tasks)) / len(tasks)
 
 
 @dataclass

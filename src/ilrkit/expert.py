@@ -168,25 +168,27 @@ def combined_loss_and_grads(
     grad_protos = cw * (e.T @ dlogits)
     de = cw * (dlogits @ prototypes.T)
 
-    # batch-hard triplet term
-    triplets = batch_hard_mine(e, labels)
-    tri_loss = 0.0
-    for a, p, n in triplets:
-        d_ap = np.linalg.norm(e[a] - e[p])
-        d_an = np.linalg.norm(e[a] - e[n])
-        hinge = d_ap - d_an + head.margin
-        if hinge > 0:
-            tri_loss += hinge
-            coef = tw / len(triplets)
-            if d_ap > _NORM_EPS:
-                g = coef * (e[a] - e[p]) / d_ap
-                de[a] += g
-                de[p] -= g
-            if d_an > _NORM_EPS:
-                g = coef * (e[a] - e[n]) / d_an
-                de[a] -= g
-                de[n] += g
-    tri_loss /= len(triplets)
+    # batch-hard triplet term, as arrays in the order of a loop over anchors
+    a, p, n = np.array(batch_hard_mine(e, labels), dtype=np.intp).T
+    diff_p, diff_n = e[a] - e[p], e[a] - e[n]
+    # stacked (1, d) @ (d, 1) products: the dot products np.linalg.norm takes
+    d_ap = np.sqrt((diff_p[:, None, :] @ diff_p[:, :, None])[:, 0, 0])
+    d_an = np.sqrt((diff_n[:, None, :] @ diff_n[:, :, None])[:, 0, 0])
+    hinge = d_ap - d_an + head.margin
+    live = hinge > 0
+    tri_loss = sum(hinge[live].tolist()) / batch
+    coef = tw / batch
+    use_p = live & (d_ap > _NORM_EPS)
+    use_n = live & (d_an > _NORM_EPS)
+    g_p = coef * diff_p / np.where(use_p, d_ap, 1.0)[:, None]
+    g_n = coef * diff_n / np.where(use_n, d_an, 1.0)[:, None]
+    # per anchor: de[a] += g_p, de[p] -= g_p, de[a] -= g_n, de[n] += g_n
+    use = np.stack([use_p, use_p, use_n, use_n], axis=1)
+    np.add.at(
+        de,
+        np.stack([a, p, a, n], axis=1)[use],
+        np.stack([g_p, -g_p, -g_n, g_n], axis=1)[use],
+    )
 
     # back through normalization: e = y / |y|
     dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms

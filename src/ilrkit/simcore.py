@@ -4,10 +4,18 @@ Supports cosine and dot-product similarity. Scores are always accumulated
 in 64-bit floats so that ranking and tie behavior are stable even over
 32-bit inputs. Everything here is a pure function over immutable inputs;
 callers may parallelize over queries freely.
+
+Gallery matching is batched: ``match_batch`` scores many (query, gallery)
+rows in chunks of stacked float64 blocks, and ``match_by_similarity`` is its
+one-row case. A chunk goes through the same float64 operations as
+``score_gallery`` (a matrix-vector product per row, the query norm as a
+dot product, the gallery norms as ``np.linalg.norm`` computes them), so
+every score is bit-equal to scoring that row alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,25 +61,96 @@ def similarity(a: Sequence[float], b: Sequence[float], kind: str = DEFAULT_KIND)
     return min(1.0, max(-1.0, dot / (na * nb)))
 
 
-def score_gallery(query: np.ndarray, gallery: np.ndarray, kind: str = DEFAULT_KIND) -> np.ndarray:
-    """Scores of ``query`` (d,) against every row of ``gallery`` (n, d), float64."""
-    _check_kind(kind)
-    query = np.asarray(query, dtype=np.float64)
-    gallery = np.asarray(gallery, dtype=np.float64)
+def _check_gallery(query: np.ndarray, gallery: np.ndarray) -> None:
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise DataValidationError("gallery must be a non-empty (n, d) matrix")
     if gallery.shape[1] != query.shape[0]:
         raise DataValidationError(
             f"dimension mismatch: query {query.shape[0]}, gallery {gallery.shape[1]}"
         )
+
+
+def _zero_vectors() -> DataValidationError:
+    return DataValidationError("cosine similarity is undefined for zero vectors")
+
+
+def score_gallery(query: np.ndarray, gallery: np.ndarray, kind: str = DEFAULT_KIND) -> np.ndarray:
+    """Scores of ``query`` (d,) against every row of ``gallery`` (n, d), float64."""
+    _check_kind(kind)
+    query = np.asarray(query, dtype=np.float64)
+    gallery = np.asarray(gallery, dtype=np.float64)
+    _check_gallery(query, gallery)
     scores = kernels.dot_scores(gallery, query)
     if kind == "cosine":
         nq = float(np.linalg.norm(query))
         ng = np.linalg.norm(gallery, axis=1)
         if nq == 0.0 or np.any(ng == 0.0):
-            raise DataValidationError("cosine similarity is undefined for zero vectors")
+            raise _zero_vectors()
         scores = scores / (nq * ng)
     return scores
+
+
+def _stacked_scores(queries: np.ndarray, galleries: np.ndarray, kind: str) -> np.ndarray:
+    """Scores (c, k) of each query (c, d) against its gallery (c, k, d), for
+    C-contiguous float64 arrays; the cosine kind overwrites ``galleries``.
+
+    Per row these are score_gallery's operations: the stacked products are
+    BLAS matrix-vector and dot products of the same operands, and the
+    gallery norms are np.linalg.norm's square root of the row sums of
+    squares, with the squares taken in place instead of in two temporaries.
+    """
+    scores = (galleries @ queries[:, :, None])[:, :, 0]
+    if kind == "cosine":
+        nq = np.sqrt((queries[:, None, :] @ queries[:, :, None])[:, 0, 0])
+        ng = np.sqrt(np.add.reduce(np.multiply(galleries, galleries, out=galleries), axis=-1))
+        if np.any(nq == 0.0) or np.any(ng == 0.0):
+            raise _zero_vectors()
+        scores = scores / (nq[:, None] * ng)
+    return scores
+
+
+_CHUNK = 64  # rows per scored chunk: (64, d) queries and (64, k, d) galleries
+
+
+def _match_chunk(chunk: list[Sequence[np.ndarray]], kind: str) -> list[int]:
+    by_size: dict[int, list[int]] = {}
+    for i, row in enumerate(chunk):
+        by_size.setdefault(len(row), []).append(i)
+    best = [0] * len(chunk)
+    for size, members in by_size.items():
+        if size < 2:
+            raise DataValidationError("gallery must be a non-empty (n, d) matrix")
+        try:
+            queries = np.array([chunk[i][0] for i in members], dtype=np.float64)
+            galleries = np.array([v for i in members for v in chunk[i][1:]], dtype=np.float64)
+        except ValueError as exc:  # vectors of differing lengths
+            raise DataValidationError(f"vectors of differing lengths in one chunk: {exc}") from exc
+        if galleries.shape[1:] != queries.shape[1:]:
+            raise DataValidationError(
+                f"dimension mismatch: query {queries.shape[1]}, gallery {galleries.shape[1]}"
+            )
+        galleries = galleries.reshape(len(members), size - 1, -1)
+        scores = _stacked_scores(queries, galleries, kind)
+        for i, b in zip(members, np.argmax(scores, axis=1).tolist()):
+            best[i] = b
+    return best
+
+
+def match_batch(rows: Iterable[Sequence[np.ndarray]], kind: str = DEFAULT_KIND) -> list[int]:
+    """The best gallery index of every row ``(query, g_1, ..., g_k)`` of
+    vectors, in order; ties go to the lowest index.
+
+    ``rows`` is consumed lazily, ``_CHUNK`` rows at a time; the rows of a
+    chunk are grouped by length and each group is widened to float64, so
+    no more than one chunk of rows and vectors is held at once. A zero
+    vector under cosine raises DataValidationError.
+    """
+    _check_kind(kind)
+    rows = iter(rows)
+    best: list[int] = []
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        best.extend(_match_chunk(chunk, kind))
+    return best
 
 
 def match_by_similarity(
@@ -79,10 +158,13 @@ def match_by_similarity(
     gallery: Iterable[Sequence[float]],
     kind: str = DEFAULT_KIND,
 ) -> MatchResult:
-    """Match a query against a gallery; ties broken by lowest index."""
+    """Match a query against a gallery; ties broken by lowest index. The
+    one-row case of match_batch, returning the scores as well."""
+    _check_kind(kind)
     gallery = np.asarray(list(gallery), dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    scores = score_gallery(query, gallery, kind)
+    _check_gallery(query, gallery)
+    scores = _stacked_scores(np.ascontiguousarray(query[None]), np.array(gallery[None]), kind)[0]
     return MatchResult(best_index=int(np.argmax(scores)), scores=scores)
 
 

@@ -657,6 +657,114 @@ class TestMalformedInputs:
         message = _assert_data_error(rc, capsys)
         assert "non-finite" in message
 
+    def _evaluate_detection(self, workspace, tmp_path, lines):
+        """``evaluate`` with a detection-task file of ``lines``; nothing may be
+        written."""
+        data = workspace / "data"
+        det = tmp_path / "det.jsonl"
+        det.write_text("".join(line + "\n" for line in lines))
+        preds = tmp_path / "det_preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"task_id": json.loads(line)["task_id"], "response": "yes"}) + "\n"
+            for line in lines
+            if isinstance(json.loads(line)["task_id"], str)
+        ))
+        out = tmp_path / "eval"
+        rc = cli.main(["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                       "--predictions", str(data / "preds.jsonl"),
+                       "--detection-tasks", str(det), "--detection-predictions", str(preds),
+                       "--out", str(out)] + _cfg(workspace))
+        assert not out.exists() or list(out.iterdir()) == []
+        return rc
+
+    def _detection_lines(self, workspace, tmp_path):
+        det = tmp_path / "built.jsonl"
+        data = workspace / "data"
+        assert cli.main(["build-detection", "--embeddings", str(data / "general.jsonl"),
+                         "--split", str(data / "split.json"), "--n-tasks", "10",
+                         "--out", str(det)] + _cfg(workspace)) == 0
+        return det.read_text().splitlines()
+
+    @pytest.mark.parametrize("field, value", [
+        ("is_match", "false"), ("is_match", 0), ("is_match", None), ("task_id", 5),
+        ("category", None), ("query_id", ["q"]), ("gallery_id", 3), ("tau", "0.3"),
+        ("tau", True), ("seed", 1.5), ("seed", False),
+    ])
+    def test_malformed_detection_task_is_3(self, workspace, tmp_path, capsys, field, value):
+        lines = self._detection_lines(workspace, tmp_path)
+        task = json.loads(lines[1])
+        task[field] = value
+        lines[1] = json.dumps(task)
+        message = _assert_data_error(self._evaluate_detection(workspace, tmp_path, lines), capsys)
+        assert ": line 2: " in message and f"{field} must be" in message
+
+    def test_string_is_match_everywhere_is_3(self, workspace, tmp_path, capsys):
+        # a truthy string made every task a positive one, with exit 0
+        lines = [
+            json.dumps(dict(json.loads(line), is_match="false"))
+            for line in self._detection_lines(workspace, tmp_path)
+        ]
+        message = _assert_data_error(self._evaluate_detection(workspace, tmp_path, lines), capsys)
+        assert ": line 1: is_match must be of type bool, got 'false'" in message
+
+    def test_duplicate_detection_task_id_is_3(self, workspace, tmp_path, capsys):
+        lines = self._detection_lines(workspace, tmp_path)
+        first = json.loads(lines[0])["task_id"]
+        lines[3] = json.dumps(dict(json.loads(lines[3]), task_id=first))
+        message = _assert_data_error(self._evaluate_detection(workspace, tmp_path, lines), capsys)
+        assert message.endswith(f": line 4: duplicate task_id {first!r}")
+
+    @pytest.mark.parametrize("target", ["embeddings", "token_maps"])
+    @pytest.mark.parametrize("value", ["-0.36", True, False, None, [0.5]])
+    def test_non_number_component_is_3(self, workspace, tmp_path, capsys, target, value):
+        data = workspace / "data"
+        name, key = {"embeddings": ("general.jsonl", "vector"),
+                     "token_maps": ("token_maps.jsonl", "tokens")}[target]
+        lines = (data / name).read_text().splitlines()
+        obj = json.loads(lines[2])
+        if key == "vector":
+            obj[key][1] = value
+        else:
+            obj[key][1][1] = value
+        lines[2] = json.dumps(obj)
+        bad = tmp_path / name
+        bad.write_text("".join(line + "\n" for line in lines))
+        argv = {
+            "embeddings": ["split", "--embeddings", str(bad), "--out", str(tmp_path / "s.json")],
+            "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                           "--token-maps", str(bad),
+                           "--expert-embeddings", str(data / "expert.jsonl"),
+                           "--out", str(tmp_path / "adapter.ckpt")],
+        }[target]
+        message = _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
+        assert ": line 3: " in message
+        if not isinstance(value, list):  # a nested list fails on the array's shape
+            assert f"{key} components must be numbers" in message
+        assert not (tmp_path / "s.json").exists() and not (tmp_path / "adapter.ckpt").exists()
+
+    def test_all_string_vector_is_3(self, workspace, tmp_path, capsys):
+        lines = (workspace / "data" / "general.jsonl").read_text().splitlines()
+        obj = json.loads(lines[0])
+        obj["vector"] = [repr(x) for x in obj["vector"]]
+        bad = tmp_path / "general.jsonl"
+        bad.write_text("".join(line + "\n" for line in [json.dumps(obj), *lines[1:]]))
+        rc = cli.main(["split", "--embeddings", str(bad), "--out", str(tmp_path / "s.json")]
+                      + _cfg(workspace))
+        assert ": line 1: " in _assert_data_error(rc, capsys)
+
+    def test_true_in_an_id_does_not_reject_numbers(self, workspace, tmp_path):
+        # a line whose text holds "true" outside its vector loads as before
+        general = load_embedding_set(workspace / "data" / "general.jsonl")
+        renamed = embedstore.EmbeddingSet.from_records("general", [
+            embedstore.EmbeddingRecord(f"true_false_{r.image_id}", r.instance_id, r.category,
+                                       r.vector)
+            for r in general.records
+        ])
+        path = tmp_path / "general.jsonl"
+        save_embedding_set(renamed, path)
+        loaded = load_embedding_set(path)
+        assert np.array_equal(loaded.matrix(), general.matrix())
+
     @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
     def test_corrupt_manifest_is_3(self, workspace, tmp_path, capsys, text):
         out = tmp_path / "d"
@@ -803,6 +911,25 @@ class TestDeterminism:
             assert re.fullmatch(
                 r"worker: .+ took \d+\.\d\d s \(result sent after \d+\.\d\d s\)", line
             ), line
+
+    def test_pipeline_stamps_the_seed_that_made_each_file(self, workspace, tmp_path):
+        # synth.seed generates the bundle; --seed governs the split, tasks and report
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--out", str(out), "--seed", "3", "--threads", "1"]
+                        + _cfg(workspace)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        seeds = {name: entry["seed"] for name, entry in manifest.items()}
+        synth_seed = SMALL_CONFIG["synth"]["seed"]
+        assert synth_seed != 3
+        for name in ("raw.jsonl", "general.jsonl", "token_maps.jsonl", "ground_truth.jsonl"):
+            assert seeds.pop(name) == synth_seed, name
+        assert seeds.pop("expert_head.ckpt") == seeds.pop("adapter.ckpt") == 0
+        assert set(seeds.values()) == {3}, seeds
+        # the bundle files equal those of a synth run with the same config
+        bundle = tmp_path / "bundle"
+        assert cli.main(["synth", "--out", str(bundle), "--seed", "3"] + _cfg(workspace)) == 0
+        for name in ("raw.jsonl", "general.jsonl", "token_maps.jsonl", "ground_truth.jsonl"):
+            assert (bundle / name).read_bytes() == (out / name).read_bytes()
 
     def test_failed_pipeline_discards_its_stage(self, workspace, tmp_path, capsys,
                                                 monkeypatch):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ilrkit import evalkit
+from ilrkit import evalkit, fusion, simcore
 from ilrkit.dataengine import DetectionTask, GalleryTask, build_gallery_tasks
+from ilrkit.embedstore import EmbeddingRecord, EmbeddingSet
 from ilrkit.errors import DataValidationError
 from ilrkit.evalkit import (
     PredictionLog,
@@ -209,6 +212,222 @@ class TestMatchers:
         assert matcher_accuracy(tasks, lambda t: t.answer_index) == 1.0
         always_wrong = lambda t: (t.answer_index + 1) % len(t.gallery_ids)
         assert matcher_accuracy(tasks, always_wrong) == 0.0
+
+
+def _loop_predictions(tasks, vector, kind):
+    """The per-task reference: score_gallery over float64 vectors, then argmax."""
+    preds = []
+    for task in tasks:
+        query = np.asarray(vector(task.query_id), dtype=np.float64)
+        gallery = np.asarray([vector(g) for g in task.gallery_ids], dtype=np.float64)
+        preds.append(int(np.argmax(simcore.score_gallery(query, gallery, kind))))
+    return preds
+
+
+def _mixed_tasks(general, n_tasks):
+    """Every tier at K = 2, 3 and 5, interleaved, plus copies whose gallery
+    repeats the answer image in front of it. BLAS rounds a row's dot product
+    differently at different row positions, so a repeated image need not
+    score the same twice; batched scoring must round exactly as the loop."""
+    side = set(general.instance_index)
+    built = [
+        build_gallery_tasks(general, side, k=k, tau=tau, n_tasks=n_tasks, seed=5,
+                            task_prefix=f"k{k}t{tau:g}-")
+        for tau in (0.2, 0.5, 0.8) for k in (2, 3, 5)
+    ]
+    tasks = [t for group in zip(*built) for t in group]
+    tied = [
+        dataclasses.replace(t, task_id=f"repeat-{t.task_id}",
+                            gallery_ids=(t.gallery_ids[t.answer_index], *t.gallery_ids),
+                            answer_index=0)
+        for t in tasks[::4]
+    ]
+    return tasks + tied
+
+
+def _fused_views(bundle):
+    """An untrained adapter with the raw view standing in for the expert vectors."""
+    maps = {t.image_id: t for t in bundle.token_maps}
+    vectors = {r.image_id: np.asarray(r.vector, dtype=np.float64)
+               for r in bundle.raw_set.records}
+    adapter = fusion.init_adapter(bundle.raw_set.dimension,
+                                  bundle.token_maps[0].tokens.shape[1], seed=3)
+    return adapter, maps, vectors
+
+
+class TestBatchedAgainstLoopReference:
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    @pytest.mark.parametrize("kind", ["cosine", "dot"])
+    @pytest.mark.parametrize("view", ["general", "raw"])
+    def test_embedding_view(self, small_bundle, monkeypatch, chunk, kind, view):
+        monkeypatch.setattr(simcore, "_CHUNK", chunk)
+        eset = getattr(small_bundle, f"{view}_set")
+        tasks = _mixed_tasks(small_bundle.general_set, 40)
+        matcher = evalkit.similarity_matcher(eset, kind)
+        expected = _loop_predictions(tasks, eset.vector, kind)
+        assert matcher.predict(tasks) == expected
+        assert [matcher(t) for t in tasks[:50]] == expected[:50]
+        assert evalkit.matcher_accuracy(tasks, matcher) == pytest.approx(
+            np.mean([p == t.answer_index for p, t in zip(expected, tasks)])
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_fused_view(self, small_bundle, monkeypatch, chunk):
+        monkeypatch.setattr(simcore, "_CHUNK", chunk)
+        adapter, maps, vectors = _fused_views(small_bundle)
+        tasks = _mixed_tasks(small_bundle.general_set, 40)
+        expected = _loop_predictions(
+            tasks, lambda i: fusion.pooled_fused(adapter, maps[i], vectors[i]), "cosine"
+        )
+        assert evalkit.fused_matcher(adapter, maps, vectors).predict(tasks) == expected
+
+    def test_grid_covers_sizes_and_chunk_boundaries(self, small_bundle):
+        # so the comparisons above cross chunk edges inside each size group
+        tasks = _mixed_tasks(small_bundle.general_set, 40)
+        sizes = {len(t.gallery_ids) for t in tasks}
+        assert sizes == {2, 3, 4, 5, 6}
+        assert all(sum(len(t.gallery_ids) == s for t in tasks) > 7 for s in sizes)
+        assert len(tasks) > 256
+
+    @pytest.mark.parametrize("kind", ["cosine", "dot"])
+    def test_exact_ties_go_to_the_lowest_index(self, kind):
+        # small integers: every product and sum is exact, so equal vectors
+        # score exactly the same wherever they stand
+        rng = np.random.default_rng(9)
+        base = rng.integers(-3, 4, size=(6, 8)).astype(np.float32)
+        base[base.sum(axis=1) == 0, 0] = 5.0  # no zero vectors
+        view = EmbeddingSet.from_records("ints", [
+            EmbeddingRecord(f"v{i}c{c}", f"v{i}", "object", base[i])
+            for i in range(6) for c in range(3)
+        ])
+        tasks = []
+        for n in range(60):
+            ids = rng.permutation([f"v{i}c{c}" for i in range(6) for c in range(3)])
+            size = 2 + n % 5
+            tasks.append(GalleryTask(f"t{n}", "object", str(ids[0]),
+                                     tuple(str(i) for i in ids[1 : 1 + size]), 0, 0.5,
+                                     False, 0))
+        preds = evalkit.similarity_matcher(view, kind).predict(tasks)
+        assert preds == _loop_predictions(tasks, view.vector, kind)
+        ties = 0
+        for task, pred in zip(tasks, preds):
+            scores = simcore.score_gallery(view.vector(task.query_id),
+                                           [view.vector(g) for g in task.gallery_ids], kind)
+            assert pred == int(np.flatnonzero(scores == scores.max())[0])
+            ties += int((scores == scores.max()).sum() > 1)
+        assert ties > 10
+
+    def test_scores_are_bit_equal_to_score_gallery(self):
+        rng = np.random.default_rng(5)
+        for kind in ("cosine", "dot"):
+            for d in (3, 16, 64, 100):
+                for _ in range(50):
+                    query, gallery = rng.standard_normal(d), rng.standard_normal((6, d))
+                    got = simcore.match_by_similarity(query, gallery, kind).scores
+                    assert np.array_equal(got, simcore.score_gallery(query, gallery, kind))
+
+    def test_fused_matcher_one_task_at_a_time(self, small_bundle, monkeypatch):
+        adapter, maps, vectors = _fused_views(small_bundle)
+        tasks = _mixed_tasks(small_bundle.general_set, 10)
+        expected = evalkit.fused_matcher(adapter, maps, vectors).predict(tasks)
+        pooled = []
+        pooled_fused = fusion.pooled_fused
+
+        def counting(adapter, tokens, expert_vec):
+            pooled.append(tokens.image_id)
+            return pooled_fused(adapter, tokens, expert_vec)
+
+        monkeypatch.setattr(fusion, "pooled_fused", counting)
+        matcher = evalkit.fused_matcher(adapter, maps, vectors)
+        assert [matcher(t) for t in tasks] == expected
+        # each image is pooled once per matcher, however it is called
+        assert len(pooled) == len(set(pooled)) == len(
+            {i for t in tasks for i in (t.query_id, *t.gallery_ids)}
+        )
+        assert evalkit.matcher_accuracy(tasks, matcher) == pytest.approx(
+            np.mean([p == t.answer_index for p, t in zip(expected, tasks)])
+        )
+        assert len(pooled) == len(set(pooled))  # the batched pass reused the pooled images
+
+
+def _view_with_zero(general, image_id):
+    """``general`` with the vector of ``image_id`` replaced by zeros."""
+    return EmbeddingSet.from_records("general", [
+        EmbeddingRecord(r.image_id, r.instance_id, r.category, np.zeros_like(r.vector))
+        if r.image_id == image_id else r
+        for r in general.records
+    ])
+
+
+class TestErrorOrder:
+    """Errors come in task order, as if every task were scored alone."""
+
+    def _tasks(self, small_bundle):
+        side = set(small_bundle.general_set.instance_index)
+        return build_gallery_tasks(small_bundle.general_set, side, n_tasks=30, seed=4)
+
+    def _missing(self, task, name="nope"):
+        return dataclasses.replace(task, gallery_ids=(*task.gallery_ids[:-1], name))
+
+    def test_missing_image_names_the_first_such_task(self, small_bundle, monkeypatch):
+        monkeypatch.setattr(simcore, "_CHUNK", 4)
+        tasks = self._tasks(small_bundle)
+        tasks[21] = self._missing(tasks[21], "late")
+        tasks[9] = self._missing(tasks[9], "early")
+        matcher = evalkit.similarity_matcher(small_bundle.general_set)
+        for call in (matcher.predict, lambda ts: evalkit.matcher_accuracy(ts, matcher)):
+            with pytest.raises(DataValidationError) as info:
+                call(tasks)
+            assert str(info.value) == (
+                f"task {tasks[9].task_id!r}: image 'early' is not in the "
+                "'general' embedding set"
+            )
+
+    def test_zero_vector_before_a_missing_image_wins(self, small_bundle):
+        tasks = self._tasks(small_bundle)
+        view = _view_with_zero(small_bundle.general_set, tasks[3].query_id)
+        tasks[12] = self._missing(tasks[12])
+        with pytest.raises(DataValidationError,
+                           match="^cosine similarity is undefined for zero vectors$"):
+            evalkit.similarity_matcher(view).predict(tasks)
+        # under dot a zero vector is no error, so the missing image is reported
+        with pytest.raises(DataValidationError, match=tasks[12].task_id):
+            evalkit.similarity_matcher(view, "dot").predict(tasks)
+
+    def test_missing_image_before_a_zero_vector_wins(self, small_bundle):
+        tasks = self._tasks(small_bundle)
+        zero = next(i for i in tasks[20].gallery_ids
+                    if i not in {x for t in tasks[:20] for x in (t.query_id, *t.gallery_ids)})
+        view = _view_with_zero(small_bundle.general_set, zero)
+        tasks[5] = self._missing(tasks[5])
+        with pytest.raises(DataValidationError, match=tasks[5].task_id):
+            evalkit.similarity_matcher(view).predict(tasks)
+        with pytest.raises(DataValidationError, match="zero vectors"):
+            evalkit.similarity_matcher(view).predict(tasks[6:])
+
+    @pytest.mark.parametrize("diverging, missing", [(5, 15), (15, 5)])
+    def test_fused_view_errors_come_in_task_order(self, small_bundle, diverging, missing):
+        adapter, maps, vectors = _fused_views(small_bundle)
+        maps, vectors = dict(maps), dict(vectors)
+        tasks = self._tasks(small_bundle)
+
+        def first_used_by(i):  # an image no task before task i uses
+            seen = {x for t in tasks[:i] for x in (t.query_id, *t.gallery_ids)}
+            return next(x for x in (tasks[i].query_id, *tasks[i].gallery_ids) if x not in seen)
+
+        bad = first_used_by(diverging)
+        vectors[bad] = np.full_like(vectors[bad], np.inf)  # its pooled vector is not finite
+        gone = first_used_by(missing)
+        del maps[gone]
+        matcher = evalkit.fused_matcher(adapter, maps, vectors)
+        if diverging < missing:
+            with pytest.raises(fusion.DivergenceError), np.errstate(invalid="ignore"):
+                matcher.predict(tasks)
+        else:
+            with pytest.raises(DataValidationError,
+                               match=f"^task '{tasks[missing].task_id}': image '{gone}' "
+                                     "is not in the token maps or expert vectors$"):
+                matcher.predict(tasks)
 
 
 class TestSweep:

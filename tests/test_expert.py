@@ -153,6 +153,49 @@ class TestEmbed:
             embed(head, np.ones(5))
 
 
+def _loop_combined_loss_and_grads(head, prototypes, x, labels):
+    """Reference: combined_loss_and_grads with the per-triplet loop that the
+    array triplet term replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    batch = x.shape[0]
+    cw, tw = head.loss_weights
+    y = x @ head.w + head.b
+    norms = np.linalg.norm(y, axis=1, keepdims=True)
+    e = y / norms
+    logits = e @ prototypes
+    logits -= logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits)
+    probs = expl / expl.sum(axis=1, keepdims=True)
+    rows = np.arange(batch)
+    ce = -np.mean(np.log(np.maximum(probs[rows, labels], 1e-300)))
+    dlogits = probs.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits /= batch
+    grad_protos = cw * (e.T @ dlogits)
+    de = cw * (dlogits @ prototypes.T)
+    triplets = batch_hard_mine(e, labels)
+    tri_loss = 0.0
+    for a, p, n in triplets:
+        d_ap = np.linalg.norm(e[a] - e[p])
+        d_an = np.linalg.norm(e[a] - e[n])
+        hinge = d_ap - d_an + head.margin
+        if hinge > 0:
+            tri_loss += hinge
+            coef = tw / len(triplets)
+            if d_ap > expert._NORM_EPS:
+                g = coef * (e[a] - e[p]) / d_ap
+                de[a] += g
+                de[p] -= g
+            if d_an > expert._NORM_EPS:
+                g = coef * (e[a] - e[n]) / d_an
+                de[a] -= g
+                de[n] += g
+    tri_loss /= len(triplets)
+    dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms
+    return cw * ce + tw * tri_loss, x.T @ dy, dy.sum(axis=0), grad_protos
+
+
 class TestCombinedLoss:
     def _case(self, rng, d_raw=5, d_out=4, n_protos=3):
         head = ExpertHead(
@@ -184,6 +227,24 @@ class TestCombinedLoss:
                     numeric[idx] = (up - down) / (2.0 * step)
                 scale = max(float(np.max(np.abs(numeric))), 1e-8)
                 assert float(np.max(np.abs(analytic - numeric))) / scale < 1e-4
+
+    @pytest.mark.parametrize("margin", [0.0, 0.3, 5.0])
+    def test_equals_loop_reference_bit_for_bit(self, margin):
+        # default batch shape; margin 0 leaves few hinges live, 5 all of them
+        rng = np.random.default_rng(31)
+        labels = np.repeat(np.arange(8), 4)
+        for trial in range(20):
+            head = ExpertHead(rng.standard_normal((24, 64)), rng.standard_normal(64),
+                              margin=margin, loss_weights=(0.7, 1.3))
+            protos = rng.standard_normal((64, 8))
+            x = rng.standard_normal((32, 24))
+            if trial % 2:
+                x[1:4] = x[0]  # anchors 0-3 have positives at distance 0: no gradient
+            got = combined_loss_and_grads(head, protos, x, labels)
+            want = _loop_combined_loss_and_grads(head, protos, x, labels)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert np.array_equal(g, w)
 
     def test_zero_loss_weights_zero_gradients(self):
         rng = np.random.default_rng(24)
