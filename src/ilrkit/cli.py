@@ -440,9 +440,7 @@ def cmd_emit(args, config: PipelineConfig) -> None:
 def cmd_train_expert(args, config: PipelineConfig) -> None:
     raw = load_embedding_set(args.embeddings, config.format)
     if args.split:
-        side = dataengine.load_split(args.split).train_instances
-        keep = [rec for rec in raw.records if rec.instance_id in side]
-        raw = raw.__class__.from_records(raw.encoder_name, keep)
+        raw = raw.subset(dataengine.load_split(args.split).train_instances)
     head = expert.train_expert(raw, config=config.expert)
     with _OutputStage(Path(args.out).parent) as stage:
         checkpoint.save_expert(
@@ -466,7 +464,7 @@ def _fusion_views(token_maps, expert_set: EmbeddingSet):
     """The token maps and the float64 expert vectors, each keyed by image id."""
     return (
         {t.image_id: t for t in token_maps},
-        {rec.image_id: np.asarray(rec.vector, dtype=np.float64) for rec in expert_set.records},
+        dict(zip(expert_set.image_ids, expert_set.matrix().astype(np.float64))),
     )
 
 
@@ -653,10 +651,9 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                              name="task building and bundle writes")
 
         stages.next("training expert head")
-        train_raw = bundle.raw_set.__class__.from_records(
-            "raw", [r for r in bundle.raw_set.records if r.instance_id in split.train_instances]
+        head = expert.train_expert(
+            bundle.raw_set.subset(split.train_instances), config=config.expert
         )
-        head = expert.train_expert(train_raw, config=config.expert)
         checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
         expert_set = expert.embed_set(head, bundle.raw_set)
         tier, train_tasks = tasks.result()
@@ -704,21 +701,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             },
             "sweep": sweep.to_dict(),
             "recall_at_1": {
-                "general": synthgen.recall_at_1(
-                    EmbeddingSet.from_records(
-                        "general",
-                        [
-                            r for r in bundle.general_set.records
-                            if r.instance_id in split.test_instances
-                        ],
-                    )
-                ),
-                "expert": synthgen.recall_at_1(
-                    EmbeddingSet.from_records(
-                        "expert",
-                        [r for r in expert_set.records if r.instance_id in split.test_instances],
-                    )
-                ),
+                "general": synthgen.recall_at_1(bundle.general_set.subset(split.test_instances)),
+                "expert": synthgen.recall_at_1(expert_set.subset(split.test_instances)),
             },
         }
         stage.record("report.json", h, seed).write_text(

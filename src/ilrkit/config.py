@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +59,9 @@ class PipelineConfig:
             self.synth.validate()
         except DataValidationError as exc:
             problems.append(f"synth: {exc}")
+        for label, section in (("", self), ("synth", self.synth), ("expert", self.expert),
+                               ("adapter", self.adapter)):
+            problems += _field_problems(section, label)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -69,6 +73,45 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+
+
+# lowest allowed value of a field, and whether that value itself is allowed;
+# numpy seed sequences take non-negative integers only
+_LOWER_BOUNDS = {
+    "": {"seed": (0, True)},
+    "synth": {"seed": (0, True)},
+    "expert": {"d_out": (1, True), "margin": (0, True), "loss_weights": (0, True),
+               "p_instances": (2, True), "q_images": (2, True), "step_size": (0, False),
+               "epochs": (0, True), "seed": (0, True)},
+    "adapter": {"step_size": (0, False), "epochs": (0, True), "batch_size": (1, True),
+                "seed": (0, True), "readout_temperature": (0, False)},
+}
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _field_problems(section, label: str) -> list[str]:
+    """The fields of ``section`` below their lower bound, and the float and
+    tuple fields holding a NaN, an infinity or an integer beyond the float
+    range, each named as ``label.field``."""
+    problems = []
+    bounds = _LOWER_BOUNDS[label]
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        name = f"{label}.{f.name}" if label else f.name
+        if (f.type == "float" or f.type.startswith("tuple[")) and not all(map(_finite, values)):
+            problems.append(f"{name} must be finite, got {value!r}")
+        elif f.name in bounds:
+            low, inclusive = bounds[f.name]
+            if any(v < low or (v == low and not inclusive) for v in values):
+                problems.append(f"{name} must be {'>=' if inclusive else '>'} {low}, got {value!r}")
+    return problems
 
 
 def _is_number(value) -> bool:

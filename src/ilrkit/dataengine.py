@@ -122,9 +122,8 @@ class _TaskSampler:
     def __init__(self, general: EmbeddingSet, split_side: Iterable[str]):
         side = set(split_side)
         self.eset = general
-        self.rows = [
-            i for i, rec in enumerate(general.records) if rec.instance_id in side
-        ]
+        instance_ids = general.instance_ids
+        self.rows = [i for i, inst in enumerate(instance_ids) if inst in side]
         if not self.rows:
             raise DataValidationError("split side selects no images")
         matrix = np.asarray(general.matrix()[self.rows], dtype=np.float64)
@@ -132,9 +131,10 @@ class _TaskSampler:
         if np.any(norms == 0.0):
             raise DataValidationError("zero vector in general view")
         self.unit = matrix / norms[:, None]
-        self.image_ids = [general.records[i].image_id for i in self.rows]
-        self.instance_ids = [general.records[i].instance_id for i in self.rows]
-        self.categories = [general.records[i].category for i in self.rows]
+        image_ids, categories = general.image_ids, general.categories
+        self.image_ids = [image_ids[i] for i in self.rows]
+        self.instance_ids = [instance_ids[i] for i in self.rows]
+        self.categories = [categories[i] for i in self.rows]
         by_instance: dict[str, list[int]] = {}
         for local, inst in enumerate(self.instance_ids):
             by_instance.setdefault(inst, []).append(local)
@@ -244,9 +244,9 @@ def build_gallery_tasks(
 def _category_sides(general: EmbeddingSet, split_side: Iterable[str]) -> dict[str, set[str]]:
     side = set(split_side)
     by_category: dict[str, set[str]] = {}
-    for rec in general.records:
-        if rec.instance_id in side:
-            by_category.setdefault(rec.category, set()).add(rec.instance_id)
+    for instance_id, category in zip(general.instance_ids, general.categories):
+        if instance_id in side:
+            by_category.setdefault(category, set()).add(instance_id)
     return by_category
 
 
@@ -481,10 +481,16 @@ _detection_values = _typed_fields({
 
 def _gallery_task(o: dict) -> GalleryTask:
     """The task of one parsed line, with every field of its type and the
-    answer inside a gallery of at least two images."""
+    answer inside a gallery of at least two distinct images, none of them
+    the query. (BLAS can score two copies of one image differently, so a
+    repeated image could answer with either copy.)"""
     task_id, category, query_id, ids, answer, tau, relaxed, seed = _gallery_values(o)
     if len(ids) < 2 or set(map(type, ids)) != {str}:
         raise ValueError(f"gallery_ids must be a list of at least 2 strings, got {ids!r}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"gallery_ids must not repeat an image, got {ids!r}")
+    if query_id in ids:
+        raise ValueError(f"gallery_ids must not hold the query {query_id!r}")
     if not 0 <= answer < len(ids):
         raise ValueError(f"answer_index must be in [0, {len(ids)}), got {answer}")
     return GalleryTask(task_id, category, query_id, tuple(ids), answer, tau, relaxed, seed)

@@ -11,6 +11,18 @@ Two interchange formats are supported for embedding sets:
 
 Token maps are JSONL only: ``{"image_id": str, "tokens": [[float, ...], ...]}``.
 
+An EmbeddingSet is stored as columns: the image, instance and category ids
+as lists, and the vectors as float32 blocks of consecutive rows. The JSONL
+loader is a column loader: each line is parsed by ``json.loads`` into the
+id columns and a list of vectors, and every ``_CHUNK`` lines the chunk's
+vectors become one block through one ``np.asarray``. The component-type,
+dimension and finiteness checks run on the whole chunk, the string-field
+and empty-instance_id checks as passes over its columns, and duplicate ids
+are checked last, over the whole set. Only when a chunk fails a check are
+its lines checked one at a time, to raise the error of its first faulty
+line with the message a per-line check gives. The EMB1 loader decodes all
+selected vectors as one block and checks it the same way.
+
 Both loaders take ``only=``, a set of image ids, for commands that use a few
 images of a large file. A JSONL line is parsed only if it may hold one of
 those ids (see ``_record_lines``); an EMB1 file has every record header
@@ -25,9 +37,13 @@ loaded and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import json
+import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -66,33 +82,76 @@ class EmbeddingRecord:
             raise DataValidationError(f"record {self.image_id!r} contains non-finite values")
 
 
-@dataclass
+def _check_unique(image_ids: Sequence[str]) -> None:
+    seen: set[str] = set()
+    for image_id in image_ids:
+        if image_id in seen:
+            raise DataValidationError(f"duplicate image_id {image_id!r}")
+        seen.add(image_id)
+
+
 class EmbeddingSet:
-    """A validated collection of embedding records under one encoder view."""
+    """A validated collection of embedding records under one encoder view.
 
-    encoder_name: str
-    dimension: int
-    records: list[EmbeddingRecord]
-    instance_index: dict[str, list[str]] = field(default_factory=dict)
+    The set holds columns: ``image_ids``, ``instance_ids``, ``categories``
+    and the vectors as (rows, dimension) float32 blocks, in record order.
+    ``vector``, ``row_of`` and ``matrix`` read them; ``records`` builds an
+    EmbeddingRecord per row on first use. ``EmbeddingSet(name, dimension,
+    records)`` and ``from_records`` take records; the loaders and
+    ``expert.embed_set`` build through ``from_columns``.
+    """
 
-    def __post_init__(self):
-        # a set is empty only when a filtered load selected nothing; a
-        # dimension < 1 fails the check below, since vectors are non-empty
-        seen: set[str] = set()
-        index: dict[str, list[str]] = {}
-        for i, rec in enumerate(self.records):
-            if rec.vector.shape[0] != self.dimension:
+    def __init__(self, encoder_name: str, dimension: int, records: Iterable[EmbeddingRecord]):
+        records = list(records)
+        image_ids = [rec.image_id for rec in records]
+        for i, rec in enumerate(records):
+            if rec.vector.shape[0] != dimension:
+                _check_unique(image_ids[:i])
                 raise DataValidationError(
                     f"record {i} ({rec.image_id!r}): dimension "
-                    f"{rec.vector.shape[0]} != declared {self.dimension}"
+                    f"{rec.vector.shape[0]} != declared {dimension}"
                 )
-            if rec.image_id in seen:
-                raise DataValidationError(f"duplicate image_id {rec.image_id!r}")
-            seen.add(rec.image_id)
-            index.setdefault(rec.instance_id, []).append(rec.image_id)
-        self.instance_index = index
-        self._row_of = {rec.image_id: i for i, rec in enumerate(self.records)}
-        self._matrix = None
+        blocks = [np.stack([rec.vector for rec in records])] if records else []
+        self._set_columns(
+            encoder_name, dimension, image_ids, [rec.instance_id for rec in records],
+            [rec.category for rec in records], blocks,
+        )
+        self._records = records
+
+    @classmethod
+    def from_columns(
+        cls,
+        encoder_name: str,
+        dimension: int,
+        image_ids: list[str],
+        instance_ids: list[str],
+        categories: list[str],
+        blocks: list[np.ndarray],
+    ) -> "EmbeddingSet":
+        """A set over validated columns and float32 (rows, dimension) blocks
+        that hold one row per id, in order; repeated image ids are rejected.
+        The set keeps the lists and blocks without copying them."""
+        eset = cls.__new__(cls)
+        eset._set_columns(encoder_name, dimension, image_ids, instance_ids, categories, blocks)
+        return eset
+
+    def _set_columns(self, encoder_name, dimension, image_ids, instance_ids, categories, blocks):
+        # a set is empty only when a filtered load selected nothing
+        self.encoder_name = encoder_name
+        self.dimension = dimension
+        self._image_ids = image_ids
+        self._instance_ids = instance_ids
+        self._categories = categories
+        self._blocks = blocks
+        self._row_of = dict(zip(image_ids, range(len(image_ids))))
+        if len(self._row_of) != len(image_ids):
+            _check_unique(image_ids)
+        self._starts = list(itertools.accumulate(map(len, blocks), initial=0))
+        # a view of a row is made when vector() first asks for it: a command
+        # that scores a few tiers asks for a fraction of the rows
+        self._vectors: list[np.ndarray | None] = [None] * len(image_ids)
+        self._records: list[EmbeddingRecord] | None = None
+        self._matrix: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, encoder_name: str, records: Iterable[EmbeddingRecord]) -> "EmbeddingSet":
@@ -103,7 +162,32 @@ class EmbeddingSet:
 
     @property
     def image_ids(self) -> list[str]:
-        return [rec.image_id for rec in self.records]
+        return list(self._image_ids)
+
+    @property
+    def instance_ids(self) -> list[str]:
+        return list(self._instance_ids)
+
+    @property
+    def categories(self) -> list[str]:
+        return list(self._categories)
+
+    @functools.cached_property
+    def instance_index(self) -> dict[str, list[str]]:
+        """The image ids of each instance, in record order."""
+        index: dict[str, list[str]] = {}
+        for image_id, instance_id in zip(self._image_ids, self._instance_ids):
+            index.setdefault(instance_id, []).append(image_id)
+        return index
+
+    @property
+    def records(self) -> list[EmbeddingRecord]:
+        if self._records is None:
+            self._records = list(map(
+                EmbeddingRecord, self._image_ids, self._instance_ids, self._categories,
+                itertools.chain.from_iterable(self._blocks),
+            ))
+        return self._records
 
     def row_of(self, image_id: str) -> int:
         return self._row_of[image_id]
@@ -112,13 +196,41 @@ class EmbeddingSet:
         return self.records[self._row_of[image_id]]
 
     def vector(self, image_id: str) -> np.ndarray:
-        return self.records[self._row_of[image_id]].vector
+        row = self._row_of[image_id]
+        vec = self._vectors[row]
+        if vec is None:
+            block = bisect.bisect_right(self._starts, row) - 1
+            vec = self._vectors[row] = self._blocks[block][row - self._starts[block]]
+        return vec
 
     def matrix(self) -> np.ndarray:
-        """All vectors stacked as an (n, dimension) float32 array."""
+        """All vectors stacked as an (n, dimension) float32 array: the one
+        block itself, or the blocks concatenated on first use."""
         if self._matrix is None:
-            self._matrix = np.stack([rec.vector for rec in self.records])
+            if len(self._blocks) == 1:
+                self._matrix = self._blocks[0]
+            elif self._blocks:
+                self._matrix = np.concatenate(self._blocks)
+            else:
+                self._matrix = np.empty((0, self.dimension), dtype=np.float32)
         return self._matrix
+
+    def subset(self, instances: Collection[str]) -> "EmbeddingSet":
+        """The records whose instance_id is in ``instances``, in order, as a
+        set of the same name; one that selects nothing is rejected."""
+        rows = [i for i, inst in enumerate(self._instance_ids) if inst in instances]
+        if not rows:
+            raise DataValidationError("embedding set must contain at least one record")
+        columns = [[column[i] for i in rows]
+                   for column in (self._image_ids, self._instance_ids, self._categories)]
+        return EmbeddingSet.from_columns(
+            self.encoder_name, self.dimension, *columns, [self.matrix()[rows]]
+        )
+
+    def _column_rows(self) -> Iterator[tuple[str, str, str, np.ndarray]]:
+        """(image_id, instance_id, category, vector) of every record, in order."""
+        return zip(self._image_ids, self._instance_ids, self._categories,
+                   itertools.chain.from_iterable(self._blocks))
 
 
 @dataclass(frozen=True)
@@ -162,12 +274,15 @@ def load_embedding_set(
     _check_format(fmt)
     path = Path(path)
     if fmt == "jsonl":
-        records = _read_jsonl_records(path, only)
+        image_ids, instance_ids, categories, blocks = _read_jsonl_columns(path, only)
     else:
-        records = _read_bin_records(path, only)
-    if not records and only is None:
+        image_ids, instance_ids, categories, blocks = _read_bin_columns(path, only)
+    if not image_ids and only is None:
         raise DataValidationError(f"{path}: empty embedding file")
-    return EmbeddingSet(path.stem, records[0].vector.shape[0] if records else 0, records)
+    dimension = blocks[0].shape[1] if blocks else 0
+    return EmbeddingSet.from_columns(
+        path.stem, dimension, image_ids, instance_ids, categories, blocks
+    )
 
 
 def _unreadable(path, exc: OSError) -> DataValidationError:
@@ -227,6 +342,14 @@ def _record_lines(path: Path, only: Collection[str] | None) -> Iterator[tuple[in
 _NUMBER_TYPES = frozenset((float, int))
 
 
+def _float32(values) -> np.ndarray:
+    """``np.asarray(values, dtype=np.float32)``. A number beyond the float32
+    range becomes inf without a warning, for the finiteness check to reject;
+    an integer beyond the float64 range raises OverflowError."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float32)
+
+
 def _numbers(values, field: str) -> np.ndarray:
     """The float32 array of a parsed ``field``: a list of JSON numbers, or a
     list of such lists. numpy would read a numeric string, true, false or
@@ -236,36 +359,102 @@ def _numbers(values, field: str) -> np.ndarray:
     for row in rows:
         if type(row) is not list or not _NUMBER_TYPES.issuperset(map(type, row)):
             raise ValueError(f"{field} components must be numbers")
-    return np.asarray(values, dtype=np.float32)
+    try:
+        return _float32(values)
+    except OverflowError as exc:
+        raise ValueError(f"{field} component out of range: {exc}") from exc
 
 
-def _read_jsonl_records(path: Path, only: Collection[str] | None) -> list[EmbeddingRecord]:
-    records = []
-    first_dim = None
-    for lineno, line in _record_lines(path, only):
+def _only_type(kind: type, *columns: Sequence) -> bool:
+    return all({type(x) for x in column} == {kind} for column in columns)
+
+
+def _records_valid(ids: Sequence, instance_ids: Sequence, categories: Sequence,
+                   block: np.ndarray) -> bool:
+    """Whether every row passes EmbeddingRecord's checks, as column passes."""
+    return (block.shape[1] > 0 and _only_type(str, ids, instance_ids, categories)
+            and "" not in instance_ids and bool(np.isfinite(block).all()))
+
+
+_CHUNK = 64  # JSONL lines whose vectors become one float32 block
+_record_fields = operator.itemgetter("image_id", "instance_id", "category", "vector")
+
+
+def _malformed(path: Path, lineno: int, exc: Exception) -> DataValidationError:
+    return DataValidationError(f"{path}: line {lineno}: malformed record: {exc}")
+
+
+def _read_jsonl_columns(path: Path, only: Collection[str] | None):
+    """The id columns and float32 blocks of the records of a JSONL file (of
+    those in ``only``), ``_CHUNK`` lines at a time."""
+    image_ids: list[str] = []
+    instance_ids: list[str] = []
+    categories: list[str] = []
+    blocks: list[np.ndarray] = []
+    dim = None
+    lines = _record_lines(path, only)
+    while True:
+        linenos, rows, stop = [], [], None
+        for lineno, line in itertools.islice(lines, _CHUNK):
+            try:
+                rows.append(_record_fields(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSONDecodeError too
+                # raised once the lines before it are checked
+                stop = _malformed(path, lineno, exc)
+                break
+            linenos.append(lineno)
+        if rows:
+            ids, insts, cats, vectors = zip(*rows)
+            if dim is None:  # the first record's, as every later one's is checked against it
+                dim = len(vectors[0]) if type(vectors[0]) is list else 0
+            block = _chunk_block(path, linenos, ids, insts, cats, vectors, dim)
+            if only is not None:
+                keep = [i for i, image_id in enumerate(ids) if image_id in only]
+                ids, insts, cats = ([col[i] for i in keep] for col in (ids, insts, cats))
+                block = block[keep]
+            if ids:
+                image_ids += ids
+                instance_ids += insts
+                categories += cats
+                blocks.append(block)
+        if stop is not None:
+            raise stop
+        if len(rows) < _CHUNK:
+            return image_ids, instance_ids, categories, blocks
+
+
+def _chunk_block(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats: tuple,
+                 vectors: tuple, dim: int) -> np.ndarray:
+    """The chunk's vectors as one (rows, dim) float32 block, once the whole
+    chunk passes every check. Otherwise its lines are checked one at a time,
+    in the order of a per-line load, and the first faulty line's error raised.
+    """
+    if (_only_type(list, vectors) and set(map(len, vectors)) == {dim}
+            and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(vectors)))):
         try:
-            obj = json.loads(line)
-            rec = EmbeddingRecord(
-                image_id=obj["image_id"],
-                instance_id=obj["instance_id"],
-                category=obj["category"],
-                vector=_numbers(obj["vector"], "vector"),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataValidationError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-        if first_dim is None:
-            first_dim = rec.vector.shape[0]
-        elif rec.vector.shape[0] != first_dim:
+            block = _float32(vectors)
+        except OverflowError:  # an integer beyond float64, named below
+            pass
+        else:
+            if _records_valid(ids, insts, cats, block):
+                return block
+    for lineno, image_id, instance_id, category, vector in zip(linenos, ids, insts, cats,
+                                                                vectors):
+        try:
+            vec = _numbers(vector, "vector")
+        except ValueError as exc:
+            raise _malformed(path, lineno, exc) from exc
+        EmbeddingRecord(image_id, instance_id, category, vec)
+        if vec.shape[0] != dim:
             raise DataValidationError(
-                f"{path}: line {lineno}: dimension {rec.vector.shape[0]} "
-                f"!= {first_dim} of first record"
+                f"{path}: line {lineno}: dimension {vec.shape[0]} != {dim} of first record"
             )
-        if only is None or rec.image_id in only:
-            records.append(rec)
-    return records
+    raise AssertionError(f"{path}: a chunk failed its checks but none of its lines did")
 
 
-def _read_bin_records(path: Path, only: Collection[str] | None) -> list[EmbeddingRecord]:
+def _read_bin_columns(path: Path, only: Collection[str] | None):
+    """The id columns and one float32 block of the records of an EMB1 file
+    (of those in ``only``)."""
     data = read_input(path)
     if len(data) == 0:
         raise DataValidationError(f"{path}: empty embedding file")
@@ -274,8 +463,12 @@ def _read_bin_records(path: Path, only: Collection[str] | None) -> list[Embeddin
     if len(data) < 12:
         raise DataValidationError(f"{path}: truncated header")
     dim, count = struct.unpack_from("<II", data, 4)
+    nbytes = dim * 4
     off = 12
-    records = []
+    image_ids: list[str] = []
+    instance_ids: list[str] = []
+    categories: list[str] = []
+    offsets: list[int] = []
 
     def read_str(off: int) -> tuple[str, int]:
         if off + 4 > len(data):
@@ -289,20 +482,35 @@ def _read_bin_records(path: Path, only: Collection[str] | None) -> list[Embeddin
         except UnicodeDecodeError as exc:
             raise DataValidationError(f"{path}: string at offset {off} is not UTF-8") from exc
 
-    for i in range(count):
-        image_id, off = read_str(off)
-        instance_id, off = read_str(off)
-        category, off = read_str(off)
-        nbytes = dim * 4
-        if off + nbytes > len(data):
-            raise DataValidationError(f"{path}: record {i}: truncated vector at offset {off}")
-        if only is None or image_id in only:
-            vec = np.frombuffer(data[off : off + nbytes], dtype="<f4").astype(np.float32)
-            records.append(EmbeddingRecord(image_id, instance_id, category, vec))
-        off += nbytes
-    if off != len(data):
-        raise DataValidationError(f"{path}: {len(data) - off} trailing bytes after last record")
-    return records
+    stop = None  # raised once the records before it are checked
+    try:
+        for i in range(count):
+            image_id, off = read_str(off)
+            instance_id, off = read_str(off)
+            category, off = read_str(off)
+            if off + nbytes > len(data):
+                raise DataValidationError(f"{path}: record {i}: truncated vector at offset {off}")
+            if only is None or image_id in only:
+                image_ids.append(image_id)
+                instance_ids.append(instance_id)
+                categories.append(category)
+                offsets.append(off)
+            off += nbytes
+        if off != len(data):
+            raise DataValidationError(
+                f"{path}: {len(data) - off} trailing bytes after last record"
+            )
+    except DataValidationError as exc:
+        stop = exc
+    view = memoryview(data)
+    raw = b"".join(view[o : o + nbytes] for o in offsets)
+    block = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(len(offsets), dim)
+    if offsets and not _records_valid(image_ids, instance_ids, categories, block):
+        for fields in zip(image_ids, instance_ids, categories, block):
+            EmbeddingRecord(*fields)
+    if stop is not None:
+        raise stop
+    return image_ids, instance_ids, categories, [block] if offsets else []
 
 
 def save_embedding_set(eset: EmbeddingSet, path: str | Path, fmt: str = "jsonl") -> None:
@@ -311,28 +519,28 @@ def save_embedding_set(eset: EmbeddingSet, path: str | Path, fmt: str = "jsonl")
     path = Path(path)
     if fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in eset.records:
+            for image_id, instance_id, category, vector in eset._column_rows():
                 fh.write(
                     json.dumps(
                         {
-                            "image_id": rec.image_id,
-                            "instance_id": rec.instance_id,
-                            "category": rec.category,
+                            "image_id": image_id,
+                            "instance_id": instance_id,
+                            "category": category,
                             # a float32 widened to float64 is its exact value,
                             # so json round-trips the 32-bit payload exactly
-                            "vector": rec.vector.astype(np.float64).tolist(),
+                            "vector": vector.astype(np.float64).tolist(),
                         }
                     )
                     + "\n"
                 )
     else:
-        parts = [MAGIC, struct.pack("<II", eset.dimension, len(eset.records))]
-        for rec in eset.records:
-            for s in (rec.image_id, rec.instance_id, rec.category):
+        parts = [MAGIC, struct.pack("<II", eset.dimension, len(eset.image_ids))]
+        for *strings, vector in eset._column_rows():
+            for s in strings:
                 b = s.encode("utf-8")
                 parts.append(struct.pack("<I", len(b)))
                 parts.append(b)
-            parts.append(rec.vector.astype("<f4").tobytes())
+            parts.append(vector.astype("<f4").tobytes())
         Path(path).write_bytes(b"".join(parts))
 
 

@@ -234,7 +234,8 @@ Matcher = Callable[[GalleryTask], int]
 
 class ArgmaxMatcher:
     """Similarity argmax over each task's gallery, with vectors from
-    ``vector(image_id)``; ties go to the lowest index."""
+    ``vector(image_id)``; of exactly equal scores the lowest index wins.
+    BLAS may round the scores of two copies of one vector differently."""
 
     def __init__(self, vector: Callable[[str], np.ndarray], view: str, kind: str):
         self._vector = vector

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedstore import EmbeddingRecord, EmbeddingSet
+from .embedstore import EmbeddingSet
 from .errors import DataValidationError, DivergenceError
 
 logger = logging.getLogger(__name__)
@@ -70,11 +70,10 @@ def embed_set(head: ExpertHead, raw_set: EmbeddingSet, encoder_name: str = "expe
         )
     y = np.asarray(raw_set.matrix(), dtype=np.float64) @ head.w + head.b
     y = _normalize_rows(y)
-    records = [
-        EmbeddingRecord(rec.image_id, rec.instance_id, rec.category, y[i].astype(np.float32))
-        for i, rec in enumerate(raw_set.records)
-    ]
-    return EmbeddingSet.from_records(encoder_name, records)
+    return EmbeddingSet.from_columns(
+        encoder_name, y.shape[1], raw_set.image_ids, raw_set.instance_ids, raw_set.categories,
+        [y.astype(np.float32)],
+    )
 
 
 def triplet_loss(anchor, positive, negative, margin: float = 0.3) -> float:
@@ -252,7 +251,7 @@ def train_expert(
 
     sampler = _BatchSampler(raw_set, config.p_instances, config.q_images)
     matrix = np.asarray(raw_set.matrix(), dtype=np.float64)
-    record_labels = np.asarray([label_of[rec.instance_id] for rec in raw_set.records])
+    record_labels = np.asarray([label_of[inst] for inst in raw_set.instance_ids])
 
     for epoch in range(config.epochs):
         epoch_loss, n_batches = 0.0, 0

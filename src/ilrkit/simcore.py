@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .embedstore import EmbeddingSet
 from .errors import DataValidationError
 
 KINDS = ("cosine", "dot")
@@ -138,7 +137,9 @@ def _match_chunk(chunk: list[Sequence[np.ndarray]], kind: str) -> list[int]:
 
 def match_batch(rows: Iterable[Sequence[np.ndarray]], kind: str = DEFAULT_KIND) -> list[int]:
     """The best gallery index of every row ``(query, g_1, ..., g_k)`` of
-    vectors, in order; ties go to the lowest index.
+    vectors, in order; of exactly equal scores the lowest index wins. BLAS
+    rounds a dot product by the row's position, so two copies of one vector
+    in a gallery need not score equally.
 
     ``rows`` is consumed lazily, ``_CHUNK`` rows at a time; the rows of a
     chunk are grouped by length and each group is widened to float64, so
@@ -158,8 +159,8 @@ def match_by_similarity(
     gallery: Iterable[Sequence[float]],
     kind: str = DEFAULT_KIND,
 ) -> MatchResult:
-    """Match a query against a gallery; ties broken by lowest index. The
-    one-row case of match_batch, returning the scores as well."""
+    """Match a query against a gallery; of exactly equal scores the lowest
+    index wins. The one-row case of match_batch, returning the scores as well."""
     _check_kind(kind)
     gallery = np.asarray(list(gallery), dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
@@ -167,27 +168,3 @@ def match_by_similarity(
     scores = _stacked_scores(np.ascontiguousarray(query[None]), np.array(gallery[None]), kind)[0]
     return MatchResult(best_index=int(np.argmax(scores)), scores=scores)
 
-
-def top_k(
-    query: Sequence[float],
-    pool: EmbeddingSet,
-    k: int,
-    kind: str = DEFAULT_KIND,
-    exclude: frozenset[str] | set[str] = frozenset(),
-) -> list[tuple[str, float]]:
-    """The k highest-scoring non-excluded records, sorted descending.
-
-    Ties break deterministically by (score desc, image_id asc). Returns all
-    remaining records when fewer than k survive the exclusion.
-    """
-    if k < 1:
-        raise DataValidationError("k must be >= 1")
-    keep = [i for i, rec in enumerate(pool.records) if rec.image_id not in exclude]
-    if not keep:
-        raise DataValidationError("pool is empty after exclusion")
-    scores = score_gallery(np.asarray(query, dtype=np.float64), pool.matrix()[keep], kind)
-    ranked = sorted(
-        zip((pool.records[i].image_id for i in keep), scores),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return [(image_id, float(score)) for image_id, score in ranked[:k]]

@@ -147,6 +147,6 @@ def recall_at_1(eset: EmbeddingSet, kind: str = "cosine") -> float:
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
         nearest[start : start + len(sims)] = np.argmax(sims, axis=1)
-    labels = [rec.instance_id for rec in eset.records]
+    labels = eset.instance_ids
     hits = sum(labels[i] == labels[j] for i, j in enumerate(nearest))
     return hits / len(labels)

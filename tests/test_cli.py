@@ -8,13 +8,15 @@ import re
 import signal
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ilrkit import checkpoint, cli, dataengine, embedstore, expert, fusion
+from ilrkit import checkpoint, cli, dataengine, embedstore, expert, fusion, synthgen
+from ilrkit.config import PipelineConfig
 from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
 from ilrkit.errors import DataValidationError, DivergenceError, WriterError
 
@@ -283,6 +285,44 @@ def test_mistyped_config_field_is_2(workspace, tmp_path, capsys, overrides, fiel
     error = json.loads(err)
     assert error["error"] == "ConfigError" and error["message"].startswith(f"{field} must be")
     assert not (tmp_path / "o").exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("section, values, field, command", [
+    ("adapter", {"batch_size": 0}, "adapter.batch_size", "train-adapter"),
+    ("adapter", {"readout_temperature": 0.0}, "adapter.readout_temperature", "train-adapter"),
+    ("expert", {"d_out": 0}, "expert.d_out", "train-expert"),
+    ("expert", {"step_size": float("nan")}, "expert.step_size", "train-expert"),
+    ("expert", {"loss_weights": [1.0, float("inf")]}, "expert.loss_weights", "train-expert"),
+    ("synth", {"alpha": float("nan")}, "synth.alpha", "synth"),
+    ("synth", {"sigma": float("inf")}, "synth.sigma", "synth"),
+    (None, {"seed": -1}, "seed", "split"),
+])
+def test_out_of_range_config_is_2(workspace, tmp_path, capsys, section, values, field, command):
+    config = dict(SMALL_CONFIG)
+    if section:
+        config[section] = dict(config[section], **values)
+    else:
+        config.update(values)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    data = workspace / "data"
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "o")],
+        "split": ["split", "--embeddings", str(data / "general.jsonl"),
+                  "--out", str(tmp_path / "o" / "s.json")],
+        "train-expert": ["train-expert", "--embeddings", str(data / "raw.jsonl"),
+                         "--out", str(tmp_path / "o" / "e.ckpt")],
+        "train-adapter": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                          "--token-maps", str(data / "token_maps.jsonl"),
+                          "--expert-embeddings", str(data / "expert.jsonl"),
+                          "--out", str(tmp_path / "o" / "a.ckpt")],
+    }[command]
+    assert cli.main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "ConfigError" and f"{field} must be" in error["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def _assert_data_error(rc, capsys):
@@ -581,6 +621,22 @@ class TestMalformedInputs:
         message = _assert_data_error(rc, capsys)
         assert message.endswith(f": line 3: duplicate task_id {first!r}")
 
+    @pytest.mark.parametrize("damage", ["repeat", "query"])
+    @pytest.mark.parametrize("command", ["match", "evaluate"])
+    def test_gallery_repeating_an_image_is_3(self, workspace, tmp_path, capsys, command,
+                                             damage):
+        # two copies of one image can score differently, so either may answer
+        lines = (workspace / "data" / "tasks.jsonl").read_text().splitlines()
+        task = json.loads(lines[2])
+        answer = task["gallery_ids"][task["answer_index"]]
+        other = (task["answer_index"] + 1) % len(task["gallery_ids"])
+        task["gallery_ids"][other] = answer if damage == "repeat" else task["query_id"]
+        lines[2] = json.dumps(task)
+        message = _assert_data_error(self._run_on_tasks(workspace, tmp_path, command, lines),
+                                     capsys)
+        expected = "must not repeat an image" if damage == "repeat" else "must not hold the query"
+        assert ": line 3: gallery_ids " + expected in message
+
     @pytest.mark.parametrize("target", [
         "predictions", "captions", "tasks", "embeddings", "token_maps", "bin_strings",
     ])
@@ -742,6 +798,38 @@ class TestMalformedInputs:
             assert f"{key} components must be numbers" in message
         assert not (tmp_path / "s.json").exists() and not (tmp_path / "adapter.ckpt").exists()
 
+    @pytest.mark.parametrize("target", ["embeddings", "token_maps"])
+    @pytest.mark.parametrize("value, expected", [
+        (10 ** 400, ": line 2: malformed"), (1e39, "non-finite"), (-(10 ** 39), "non-finite"),
+    ], ids=["int_beyond_float64", "float_beyond_float32", "int_beyond_float32"])
+    def test_component_beyond_float_range_is_3(self, workspace, tmp_path, capsys, target,
+                                               value, expected):
+        # an integer beyond float64 was an OverflowError traceback, and a
+        # number beyond float32 printed numpy's overflow warning
+        data = workspace / "data"
+        name, key = {"embeddings": ("general.jsonl", "vector"),
+                     "token_maps": ("token_maps.jsonl", "tokens")}[target]
+        lines = (data / name).read_text().splitlines()
+        obj = json.loads(lines[1])
+        if key == "vector":
+            obj[key][0] = value
+        else:
+            obj[key][0][1] = value
+        lines[1] = json.dumps(obj)
+        bad = tmp_path / name
+        bad.write_text("".join(line + "\n" for line in lines))
+        argv = {
+            "embeddings": ["split", "--embeddings", str(bad), "--out", str(tmp_path / "s.json")],
+            "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                           "--token-maps", str(bad),
+                           "--expert-embeddings", str(data / "expert.jsonl"),
+                           "--out", str(tmp_path / "adapter.ckpt")],
+        }[target]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv + _cfg(workspace))
+        assert expected in _assert_data_error(rc, capsys)
+
     def test_all_string_vector_is_3(self, workspace, tmp_path, capsys):
         lines = (workspace / "data" / "general.jsonl").read_text().splitlines()
         obj = json.loads(lines[0])
@@ -868,6 +956,88 @@ class TestFuzzedBinaryInputs:
                    "--expert-embeddings", str(data_dir / "expert.jsonl"),
                    "--image-id", valid["image_id"], "--out", str(tmp_path / "f.json")]
                   + _cfg(workspace))
+
+
+_ODD_NUMBERS = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 10 ** 400, 0.0, 0.5, -0.5, 1.0, 1e-300, 1e300,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.integers(), st.floats(),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ODD_NUMBERS, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+_FIELD_VALUES = st.one_of(_ODD_NUMBERS, st.lists(_ODD_NUMBERS, max_size=3), _JSON_VALUES)
+
+
+@st.composite
+def _fuzzed_config(draw) -> dict:
+    """SMALL_CONFIG with one or two fields, of the top level or of a
+    section, set to an odd number, a list or another JSON value."""
+    config = json.loads(json.dumps(SMALL_CONFIG))
+    for _ in range(draw(st.integers(1, 2))):
+        label, cls = draw(st.sampled_from([
+            (None, PipelineConfig), ("synth", synthgen.SynthConfig),
+            ("expert", expert.ExpertTrainConfig), ("adapter", fusion.AdapterTrainConfig),
+        ]))
+        name = draw(st.sampled_from([f.name for f in dataclasses.fields(cls)] + ["bogus"]))
+        section = config if label is None else config.get(label)
+        if isinstance(section, dict):
+            section[name] = draw(_FIELD_VALUES)
+    return config
+
+
+class TestFuzzedTextInputs:
+    """Damaged config and JSONL embedding files end in their documented exit
+    code and one JSON error line, never in a traceback."""
+
+    @staticmethod
+    def _run(argv, codes):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in codes
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert err.getvalue().count("\n") == 1
+            assert json.loads(err.getvalue())["error"] == {2: "ConfigError",
+                                                          3: "DataValidationError"}[rc]
+
+    @_FUZZ
+    @given(config=_fuzzed_config())
+    def test_fuzzed_config(self, workspace, tmp_path, config):
+        # split reads only the seed and test_fraction, and --format pins the reader
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        self._run(["split", "--embeddings", str(workspace / "data" / "general.jsonl"),
+                   "--format", "jsonl", "--out", str(tmp_path / "s.json"),
+                   "--config", str(path)], (0, 2))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_jsonl(self, workspace, tmp_path, data):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data.draw(_damaged((workspace / "data" / "general.jsonl").read_bytes())))
+        self._run(["split", "--embeddings", str(bad), "--out", str(tmp_path / "s.json")]
+                  + _cfg(workspace), (0, 3))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_jsonl_expert_set_in_fuse(self, workspace, tmp_path, data):
+        # fuse parses only the lines that may hold its image
+        data_dir = workspace / "data"
+        blob = (data_dir / "expert.jsonl").read_bytes()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data.draw(_damaged(blob)))
+        adapter = tmp_path / "adapter.ckpt"
+        if not adapter.exists():
+            checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        self._run(["fuse", "--checkpoint", str(adapter),
+                   "--token-maps", str(data_dir / "token_maps.jsonl"),
+                   "--expert-embeddings", str(bad), "--image-id", _FUSE_ID,
+                   "--out", str(tmp_path / "f.json")] + _cfg(workspace), (0, 3))
 
 
 class TestDeterminism:

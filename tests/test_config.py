@@ -1,9 +1,17 @@
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilrkit.config import PipelineConfig, config_from_dict, load_config
 from ilrkit.errors import ConfigError
+from ilrkit.expert import ExpertTrainConfig
+from ilrkit.fusion import AdapterTrainConfig
+from ilrkit.synthgen import SynthConfig
 
 
 def test_default_config_is_valid():
@@ -101,3 +109,48 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(arr)
+
+
+_ODD_NUMBERS = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 10 ** 400, 0.0, 0.5, -0.5, 1e-300, 1e300,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.integers(), st.floats(),
+)
+_SECTIONS = {"": PipelineConfig, "synth": SynthConfig, "expert": ExpertTrainConfig,
+             "adapter": AdapterTrainConfig}
+
+
+@st.composite
+def _odd_fields(draw) -> dict:
+    """One to three fields, of the top level or of a section, set to odd
+    numbers or lists of them."""
+    obj: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        label = draw(st.sampled_from(sorted(_SECTIONS)))
+        name = draw(st.sampled_from([f.name for f in dataclasses.fields(_SECTIONS[label])
+                                     if f.name not in _SECTIONS]))
+        section = obj.setdefault(label, {}) if label else obj
+        section[name] = draw(st.one_of(_ODD_NUMBERS, st.lists(_ODD_NUMBERS, max_size=3)))
+    return obj
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(obj=_odd_fields())
+def test_accepted_config_is_in_range(obj):
+    """A config either fails with ConfigError or holds finite floats, seeds a
+    numpy seed sequence takes, and usable expert and adapter settings."""
+    try:
+        config = config_from_dict(obj)
+    except ConfigError:
+        return
+    for label, cls in _SECTIONS.items():
+        section = getattr(config, label) if label else config
+        for f in dataclasses.fields(cls):
+            value = getattr(section, f.name)
+            if f.type == "float" or f.type.startswith("tuple["):
+                assert all(math.isfinite(v) for v in np.atleast_1d(np.asarray(value, float)))
+        np.random.SeedSequence(section.seed)
+    e, a = config.expert, config.adapter
+    assert e.d_out >= 1 and e.p_instances >= 2 and e.q_images >= 2 and e.epochs >= 0
+    assert e.step_size > 0 and e.margin >= 0 and min(e.loss_weights) >= 0
+    assert a.batch_size >= 1 and a.epochs >= 0 and a.step_size > 0 and a.readout_temperature > 0

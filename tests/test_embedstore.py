@@ -1,4 +1,7 @@
 import json
+import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +39,24 @@ class TestEmbeddingSet:
         assert sample_set.record("img007").instance_id == "inst03"
         assert sample_set.instance_index["inst01"] == ["img001", "img005", "img009"]
         assert sample_set.matrix().shape == (10, 12)
+
+    def test_columns_across_blocks(self, sample_set):
+        m = sample_set.matrix()
+        eset = EmbeddingSet.from_columns("enc", 12, sample_set.image_ids,
+                                         sample_set.instance_ids, sample_set.categories,
+                                         [m[:3], m[3:4], m[4:]])
+        for i, image_id in enumerate(sample_set.image_ids):
+            assert eset.vector(image_id).tobytes() == m[i].tobytes()
+        assert [r.vector.tobytes() for r in eset.records] == [row.tobytes() for row in m]
+        assert eset.matrix().tobytes() == m.tobytes()
+        assert eset.vector("img009").tobytes() == m[9].tobytes()
+        sub = eset.subset({"inst01"})
+        assert sub.image_ids == ["img001", "img005", "img009"]
+        assert sub.matrix().tobytes() == m[[1, 5, 9]].tobytes()
+        with pytest.raises(DataValidationError, match="at least one record"):
+            eset.subset({"nope"})
+        with pytest.raises(DataValidationError, match="duplicate image_id 'a'"):
+            EmbeddingSet.from_columns("enc", 12, ["a", "a"], ["i", "i"], ["c", "c"], [m[:2]])
 
     def test_duplicate_image_id_rejected(self):
         rec = EmbeddingRecord("a", "i", "pet", np.ones(3, dtype=np.float32))
@@ -407,3 +428,290 @@ class TestOnlyValidation:
         for only in (None, {"x"}):
             with pytest.raises(DataValidationError, match="must be a string"):
                 load_token_maps(path, only=only)
+
+
+# ---------------------------------------------------------------------------
+# The column loader against the per-line loader it replaced. The reference
+# below is that loader, kept verbatim apart from its names: it parsed each
+# line with json.loads, converted its vector with _numbers and built an
+# EmbeddingRecord, then checked the dimension against the first record's, and
+# the set checked duplicate image ids once every line was read.
+
+_REF_NUMBER_TYPES = frozenset((float, int))
+
+
+def _reference_numbers(values, field):
+    rows = values if type(values) is list and values and type(values[0]) is list else (values,)
+    for row in rows:
+        if type(row) is not list or not _REF_NUMBER_TYPES.issuperset(map(type, row)):
+            raise ValueError(f"{field} components must be numbers")
+    return np.asarray(values, dtype=np.float32)
+
+
+def _reference_load(path, only=None):
+    records = []
+    first_dim = None
+    for lineno, line in embedstore._record_lines(path, only):
+        try:
+            obj = json.loads(line)
+            rec = EmbeddingRecord(
+                image_id=obj["image_id"],
+                instance_id=obj["instance_id"],
+                category=obj["category"],
+                vector=_reference_numbers(obj["vector"], "vector"),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataValidationError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+        if first_dim is None:
+            first_dim = rec.vector.shape[0]
+        elif rec.vector.shape[0] != first_dim:
+            raise DataValidationError(
+                f"{path}: line {lineno}: dimension {rec.vector.shape[0]} "
+                f"!= {first_dim} of first record"
+            )
+        if only is None or rec.image_id in only:
+            records.append(rec)
+    if not records and only is None:
+        raise DataValidationError(f"{path}: empty embedding file")
+    seen = set()
+    for rec in records:
+        if rec.image_id in seen:
+            raise DataValidationError(f"duplicate image_id {rec.image_id!r}")
+        seen.add(rec.image_id)
+    return records
+
+
+def _outcome(load, path, only=None):
+    """What a load gives: every record's ids and vector bytes, or the
+    exception's type and message."""
+    try:
+        with np.errstate(over="ignore"):  # the reference warned on a float32 overflow
+            result = load(path, only)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    if isinstance(result, EmbeddingSet):
+        result = result.records
+    return [(r.image_id, r.instance_id, r.category, r.vector.dtype, r.vector.tobytes())
+            for r in result]
+
+
+def _new_load(path, only):
+    return load_embedding_set(path, only=only)
+
+
+def _assert_same_as_reference(path, only=None):
+    want = _outcome(_reference_load, path, only)
+    assert _outcome(_new_load, path, only) == want
+    return want
+
+
+def _valid_objects(rng, n, dim, ids=None):
+    """``n`` records of dimension ``dim``: float64 components (rounded to
+    float32 on load) and now and then an integer one."""
+    objects = []
+    for i in range(n):
+        vector = rng.standard_normal(dim).tolist()
+        if i % 7 == 3:
+            vector[i % dim] = int(rng.integers(-5, 6))
+        objects.append({"image_id": ids[i] if ids else f"img{i:04d}",
+                        "instance_id": f"inst{i % 5}", "category": "pet", "vector": vector})
+    return objects
+
+
+def _damage(mutate):
+    def apply(objects, at):
+        mutate(objects, at)
+        return None
+    return apply
+
+
+def _set(field, value):
+    return _damage(lambda objects, at: objects[at].__setitem__(field, value))
+
+
+def _vector_damage(edit):
+    """A damage that edits the vector of record ``at``, if it still has one."""
+    def mutate(objects, at):
+        vector = objects[at].get("vector")
+        if type(vector) is list and vector:
+            edit(vector)
+    return _damage(mutate)
+
+
+def _set_component(value, index=0):
+    return _vector_damage(lambda vector: vector.__setitem__(min(index, len(vector) - 1), value))
+
+
+def _drop(field):
+    return _damage(lambda objects, at: objects[at].pop(field, None))
+
+
+# each damage edits record ``at`` in place, or returns the text of its line
+_DAMAGE = {
+    "decode": lambda objects, at: json.dumps(objects[at])[:-7],
+    "not_object": lambda objects, at: json.dumps(objects[at].get("vector")),
+    "missing_image_id": _drop("image_id"),
+    "missing_instance_id": _drop("instance_id"),
+    "missing_category": _drop("category"),
+    "missing_vector": _drop("vector"),
+    "component_string": _set_component("0.5", 1),
+    "component_bool": _set_component(True, -1),
+    "component_null": _set_component(None),
+    "component_list": _set_component([0.5], 1),
+    "vector_not_list": _set("vector", 5),
+    "vector_string": _set("vector", "0.5"),
+    "nested_ragged": _set("vector", [[1.0, 2.0], [3.0]]),
+    "nested_matrix": _set("vector", [[1.0, 2.0], [3.0, 4.0]]),
+    "empty_vector": _set("vector", []),
+    "id_not_string": _set("image_id", 7),
+    "instance_not_string": _set("instance_id", None),
+    "category_not_string": _set("category", ["c"]),
+    "empty_instance": _set("instance_id", ""),
+    "nan": _set_component(float("nan"), -1),
+    "inf": _set_component(float("-inf"), 2),
+    "beyond_float32": _set_component(1e39),
+    "dimension": _vector_damage(lambda vector: vector.append(0.5)),
+    "duplicate": _damage(lambda objects, at: objects[at].__setitem__(
+        "image_id", objects[at - 1]["image_id"] if at else objects[1 % len(objects)]["image_id"])),
+}
+
+
+class TestColumnLoaderAgainstReference:
+    """The column loader gives the per-line loader's records bit for bit, and
+    the same exception and message for a damaged file."""
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 3 * embedstore._CHUNK + 5),
+           dim=st.sampled_from([1, 3, 16, 64]), escaped=st.booleans(),
+           blank=st.sets(st.integers(0, 400), max_size=6), ensure_ascii=st.booleans(),
+           subset=st.one_of(st.none(), st.integers(0, 3)))
+    def test_valid_files(self, tmp_path, seed, n, dim, escaped, blank, ensure_ascii, subset):
+        rng = np.random.default_rng(seed)
+        ids = [f'i{i}"\\/é猫' if escaped and i % 3 == 0 else f"img{i}" for i in range(n)]
+        lines = [json.dumps(obj, ensure_ascii=ensure_ascii)
+                 for obj in _valid_objects(rng, n, dim, ids)]
+        for at in sorted(blank, reverse=True):
+            lines.insert(min(at, len(lines)), "  ")
+        path = tmp_path / "emb.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        only = None if subset is None else {i for i in ids[subset::4]} | {"absent"}
+        records = _assert_same_as_reference(path, only)
+        assert len(records) == (n if only is None else len(ids[subset::4]))
+        eset = load_embedding_set(path, only=only)
+        assert eset.dimension == (dim if records else 0)
+        assert eset.matrix().tobytes() == b"".join(r[4] for r in records)
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 2 * embedstore._CHUNK + 20),
+           damages=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(_DAMAGE))),
+                            min_size=1, max_size=3),
+           only=st.booleans())
+    def test_damaged_files(self, tmp_path, seed, n, damages, only):
+        rng = np.random.default_rng(seed)
+        objects = _valid_objects(rng, n, 3)
+        texts = {}
+        for at, kind in damages:
+            text = _DAMAGE[kind](objects, at % n)
+            if text is not None:
+                texts[at % n] = text
+        lines = [texts.get(i) or json.dumps(obj) for i, obj in enumerate(objects)]
+        path = tmp_path / "emb.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _assert_same_as_reference(path, {"img0000", f"img{n - 1:04d}"} if only else None)
+
+    @pytest.mark.parametrize("faults", [
+        # one kind alone, in the first and in a later chunk
+        *([(at, kind)] for kind in sorted(_DAMAGE) for at in (0, 5, embedstore._CHUNK + 9)),
+        # two kinds in one chunk, either one first
+        [(4, "id_not_string"), (9, "decode")],
+        [(4, "decode"), (9, "id_not_string")],
+        [(3, "nan"), (8, "component_string")],
+        [(3, "dimension"), (8, "empty_instance")],
+        [(2, "duplicate"), (6, "decode")],
+        # two kinds on one line, ranked as the per-line checks ran
+        [(5, "nan"), (5, "empty_instance")],
+        [(5, "dimension"), (5, "nan")],
+        [(5, "component_string"), (5, "id_not_string")],
+        [(5, "empty_vector"), (5, "empty_instance")],
+        [(5, "nested_ragged"), (5, "category_not_string")],
+        # across chunks: the earlier line wins, and duplicates are found last
+        [(embedstore._CHUNK + 3, "decode"), (10, "dimension")],
+        [(3, "duplicate"), (2 * embedstore._CHUNK + 1, "decode")],
+        [(embedstore._CHUNK - 1, "inf"), (embedstore._CHUNK, "missing_vector")],
+    ])
+    def test_fault_order(self, tmp_path, faults):
+        objects = _valid_objects(np.random.default_rng(3), 2 * embedstore._CHUNK + 10, 4)
+        texts = {at: _DAMAGE[kind](objects, at) for at, kind in faults}
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join((texts.get(i) or json.dumps(o)) + "\n"
+                                for i, o in enumerate(objects)))
+        outcome = _assert_same_as_reference(path)
+        assert outcome[0] is DataValidationError
+
+    def test_beyond_float32_is_non_finite_without_warning(self, tmp_path):
+        objects = _valid_objects(np.random.default_rng(4), 3, 4)
+        objects[1]["vector"][2] = 1e39
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError, match="'img0001' contains non-finite"):
+                load_embedding_set(path)
+
+    @pytest.mark.parametrize("target", ["vector", "tokens"])
+    def test_integer_beyond_float64_is_malformed(self, tmp_path, target):
+        path = tmp_path / "x.jsonl"
+        huge = 10 ** 400
+        if target == "vector":
+            objects = _valid_objects(np.random.default_rng(5), 3, 4)
+            objects[2]["vector"][0] = huge
+            load = load_embedding_set
+        else:
+            objects = [{"image_id": f"m{i}", "tokens": [[1.0, 2.0], [3.0, 4.0]]} for i in range(3)]
+            objects[2]["tokens"][1][0] = huge
+            load = load_token_maps
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        with pytest.raises(DataValidationError,
+                           match=f"line 3: malformed .*: {target} component out of range"):
+            load(path)
+
+
+def _emb1_bytes(records, dim, count=None):
+    """EMB1 bytes of (image_id, instance_id, category, floats) records, with a
+    record count of ``count`` when given."""
+    parts = [embedstore.MAGIC, struct.pack("<II", dim, len(records) if count is None else count)]
+    for *strings, floats in records:
+        for s in strings:
+            parts += [struct.pack("<I", len(s.encode())), s.encode()]
+        parts.append(np.asarray(floats, dtype="<f4").tobytes())
+    return b"".join(parts)
+
+
+class TestBinaryBlockChecks:
+    """EMB1 records are checked as one block, with the first faulty record's
+    error, before a truncation or trailing bytes found further on."""
+
+    @pytest.mark.parametrize("faults, count, only, expected", [
+        ({1: ("i", [np.nan, 0.0])}, None, None, "record 'r1' contains non-finite"),
+        ({1: ("", [np.nan, 0.0])}, None, None, "record 'r1': empty instance_id"),
+        ({2: ("", [1.0, 0.0]), 1: ("i", [np.inf, 0.0])}, None, None, "'r1' contains non-finite"),
+        ({1: ("i", [np.nan, 0.0])}, 5, None, "record 'r1' contains non-finite"),
+        ({}, 5, None, "truncated at offset"),
+        ({3: ("i", [np.nan, 0.0])}, 2, None, "trailing bytes"),
+        ({1: ("i", [np.nan, 0.0])}, 5, {"r2"}, "truncated at offset"),
+        ({2: ("", [1.0, 1.0])}, None, {"r2"}, "record 'r2': empty instance_id"),
+    ])
+    def test_first_fault_wins(self, tmp_path, faults, count, only, expected):
+        records = [(f"r{i}", *faults.get(i, ("i", [1.0, float(i)]))[:1], "c",
+                    faults.get(i, ("i", [1.0, float(i)]))[1]) for i in range(4)]
+        path = tmp_path / "x.bin"
+        path.write_bytes(_emb1_bytes(records, 2, count))
+        with pytest.raises(DataValidationError, match=re.escape(expected)):
+            load_embedding_set(path, "bin", only=only)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(_emb1_bytes([("r0", "i", "c", []), ("r1", "i", "c", [])], 0))
+        with pytest.raises(DataValidationError, match="'r0': vector must be a non-empty"):
+            load_embedding_set(path, "bin")
+        assert load_embedding_set(path, "bin", only={"x"}).dimension == 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ilrkit import simcore
-from ilrkit.embedstore import EmbeddingRecord, EmbeddingSet
 from ilrkit.errors import DataValidationError
 
 
@@ -84,50 +83,6 @@ class TestMatchBySimilarity:
     def test_empty_gallery_rejected(self):
         with pytest.raises(DataValidationError):
             simcore.match_by_similarity([1.0, 0.0], [])
-
-
-def _pool(vectors):
-    records = [
-        EmbeddingRecord(f"img{i:02d}", f"inst{i:02d}", "object", v)
-        for i, v in enumerate(vectors)
-    ]
-    return EmbeddingSet.from_records("test", records)
-
-
-class TestTopK:
-    def test_against_sort_oracle(self):
-        rng = np.random.default_rng(11)
-        pool = _pool(rng.standard_normal((30, 6)))
-        query = rng.standard_normal(6)
-        got = simcore.top_k(query, pool, 5)
-        sims = [
-            (rec.image_id, simcore.similarity(query, rec.vector))
-            for rec in pool.records
-        ]
-        sims.sort(key=lambda p: (-p[1], p[0]))
-        assert [g[0] for g in got] == [s[0] for s in sims[:5]]
-        for (gid, gscore), (_, oscore) in zip(got, sims):
-            assert gscore == pytest.approx(oscore, abs=1e-12)
-
-    def test_exclusion(self):
-        pool = _pool(np.eye(4))
-        got = simcore.top_k([1.0, 0.0, 0.0, 0.0], pool, 2, exclude={"img00"})
-        assert "img00" not in [g[0] for g in got]
-        assert len(got) == 2
-
-    def test_k_exceeding_pool_returns_all(self):
-        pool = _pool(np.eye(3))
-        assert len(simcore.top_k([1.0, 1.0, 1.0], pool, 10)) == 3
-
-    def test_invalid_k(self):
-        pool = _pool(np.eye(3))
-        with pytest.raises(DataValidationError):
-            simcore.top_k([1.0, 0.0, 0.0], pool, 0)
-
-    def test_fully_excluded_pool_rejected(self):
-        pool = _pool(np.eye(2))
-        with pytest.raises(DataValidationError):
-            simcore.top_k([1.0, 0.0], pool, 1, exclude={"img00", "img01"})
 
 
 def test_score_gallery_dimension_mismatch():
