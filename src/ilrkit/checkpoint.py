@@ -38,7 +38,7 @@ def _read(path: Path) -> tuple[dict, list[np.ndarray]]:
         raise DataValidationError(f"{path}: missing checkpoint header")
     try:
         header = json.loads(data[:nl].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataValidationError(f"{path}: malformed checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataValidationError(f"{path}: checkpoint header is not a JSON object")

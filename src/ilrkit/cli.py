@@ -7,13 +7,19 @@ config hash, seed, and tool version. Unless --threads is 1, a forked
 worker process runs one job at a time beside the parent: in pipeline
 it builds the general-view tasks and writes the bulk artifacts while
 the expert trains, and in synth it writes the token maps. The bytes do
-not depend on --threads. Exit codes: 0 success, 2 config error, 3 data
-validation error, 4 numeric divergence, 5 a worker process died.
+not depend on --threads. A command runs with numpy's bundled OpenBLAS at
+one thread, whatever the environment asks, and restores the previous
+count on return: its matrix products are small (expert batches of 32 by
+64), and on a 2-core host two BLAS threads made the default pipeline 1.5
+times slower. Exit codes: 0 success, 2 config error, 3 data validation
+error, 4 numeric divergence, 5 a worker process died.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import logging
 import os
@@ -121,7 +127,7 @@ class _OutputStage:
             data = read_input(manifest_path)
             try:
                 existing = json.loads(data.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise DataValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
             if not isinstance(existing, dict):
                 raise DataValidationError(f"{manifest_path}: manifest is not a JSON object")
@@ -322,7 +328,7 @@ def _load_predictions(path: Path, model_name: str = "file") -> evalkit.Predictio
         try:
             obj = json.loads(line)
             task_id, response = obj["task_id"], obj["response"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
         if not isinstance(task_id, str) or not isinstance(response, (str, int)):
             raise DataValidationError(
@@ -338,7 +344,7 @@ def _load_captions(path: Path) -> dict[str, str]:
     for lineno, line in jsonl_lines(path):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
         if not (
             isinstance(obj, dict)
@@ -720,6 +726,47 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     )
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count setter and getter of the OpenBLAS bundled with
+    numpy, or None where that library or its symbols are not found. Looked
+    up once per process: opening the library numpy has loaded already
+    returns the same library."""
+    import ctypes
+
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/libscipy_openblas*"),
+                       *package.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            set_threads = dll.scipy_openblas_set_num_threads64_
+            get_threads = dll.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, then
+    restore the count it had."""
+    threads = _openblas_threads()
+    if threads is None:
+        logger.info("BLAS threads not capped: numpy's bundled OpenBLAS was not found")
+        yield
+        return
+    set_threads, get_threads = threads
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -885,7 +932,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         config.validate()
-        args.func(args, config)
+        with _one_blas_thread():
+            args.func(args, config)
     except IlrkitError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

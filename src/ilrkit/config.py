@@ -173,7 +173,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

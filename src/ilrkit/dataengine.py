@@ -445,7 +445,8 @@ def _load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
     for lineno, line in jsonl_lines(path):
         try:
             items.append(build(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSONDecodeError too
+        # ValueError: JSONDecodeError too; RecursionError: nesting too deep
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
     return items
 
@@ -531,7 +532,7 @@ def load_split(path: str | Path) -> SplitManifest:
     data = read_input(path)
     try:
         obj = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise DataValidationError(f"{path}: malformed split file: {exc}") from exc
     sides = {}
     for key in ("train_instances", "test_instances"):

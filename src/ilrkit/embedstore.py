@@ -11,6 +11,13 @@ Two interchange formats are supported for embedding sets:
 
 Token maps are JSONL only: ``{"image_id": str, "tokens": [[float, ...], ...]}``.
 
+The JSONL writers print each float32 component with 9 significant digits
+(``%.9g``), the fewest that read back into every finite float32 exactly;
+negative zero is written ``-0.0``, since JSON reads ``-0`` as the integer 0.
+The loaders take any JSON number, so files of earlier versions, which hold
+the 17-digit float64 repr of each component, load to the same arrays. A
+set with a non-finite component is refused before anything is written.
+
 An EmbeddingSet is stored as columns: the image, instance and category ids
 as lists, and the vectors as float32 blocks of consecutive rows. The JSONL
 loader is a column loader: each line is parsed by ``json.loads`` into the
@@ -398,8 +405,9 @@ def _read_jsonl_columns(path: Path, only: Collection[str] | None):
         for lineno, line in itertools.islice(lines, _CHUNK):
             try:
                 rows.append(_record_fields(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSONDecodeError too
-                # raised once the lines before it are checked
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                # ValueError: JSONDecodeError too; RecursionError: nesting too deep.
+                # Raised once the lines before it are checked
                 stop = _malformed(path, lineno, exc)
                 break
             linenos.append(lineno)
@@ -513,25 +521,50 @@ def _read_bin_columns(path: Path, only: Collection[str] | None):
     return image_ids, instance_ids, categories, [block] if offsets else []
 
 
+_COMPONENT = "%.9g"  # 9 significant digits round-trip every finite float32
+
+
+@functools.lru_cache(maxsize=None)
+def _list_format(shape: tuple[int, ...]) -> str:
+    """The %-format that writes the components of a float32 array of
+    ``shape``, in C order, as nested JSON lists spaced as json.dumps spaces
+    them."""
+    text = ", ".join([_COMPONENT] * shape[-1]).join("[]")
+    for n in reversed(shape[:-1]):
+        text = ", ".join([text] * n).join("[]")
+    return text
+
+
+def _float_text(fmt: str, components: list[float]) -> str:
+    """``components`` written by ``fmt`` of ``_list_format``. ``%g`` spells
+    negative zero ``-0``, which JSON reads as the integer 0, so it becomes
+    ``-0.0``; no other component text ends in ``-0``."""
+    return (fmt % tuple(components)).replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+
+
+def _check_finite(eset: EmbeddingSet) -> None:
+    """Reject a set with a non-finite component, naming its first such record."""
+    if all(np.isfinite(block).all() for block in eset._blocks):
+        return
+    for image_id, _, _, vector in eset._column_rows():
+        if not np.isfinite(vector).all():
+            raise DataValidationError(f"record {image_id!r} contains non-finite values")
+
+
 def save_embedding_set(eset: EmbeddingSet, path: str | Path, fmt: str = "jsonl") -> None:
-    """Write ``eset`` so that load_embedding_set reads it back bit-exactly."""
+    """Write ``eset`` so that load_embedding_set reads it back bit-exactly;
+    a set with a non-finite component is rejected before anything is written."""
     _check_format(fmt)
+    _check_finite(eset)
     path = Path(path)
     if fmt == "jsonl":
+        vector_format = _list_format((eset.dimension,))
         with open(path, "w", encoding="utf-8") as fh:
             for image_id, instance_id, category, vector in eset._column_rows():
                 fh.write(
-                    json.dumps(
-                        {
-                            "image_id": image_id,
-                            "instance_id": instance_id,
-                            "category": category,
-                            # a float32 widened to float64 is its exact value,
-                            # so json round-trips the 32-bit payload exactly
-                            "vector": vector.astype(np.float64).tolist(),
-                        }
-                    )
-                    + "\n"
+                    '{"image_id": %s, "instance_id": %s, "category": %s, "vector": %s}\n'
+                    % (json.dumps(image_id), json.dumps(instance_id), json.dumps(category),
+                       _float_text(vector_format, vector.tolist()))
                 )
     else:
         parts = [MAGIC, struct.pack("<II", eset.dimension, len(eset.image_ids))]
@@ -562,7 +595,7 @@ def load_token_maps(
             obj = json.loads(line)
             tokens = _numbers(obj["tokens"], "tokens")
             tmap = TokenFeatureMap(obj["image_id"], tokens)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc
         if shape is None:
             shape = tmap.tokens.shape
@@ -583,15 +616,11 @@ def load_token_maps(
 
 
 def save_token_maps(maps: Sequence[TokenFeatureMap], path: str | Path) -> None:
-    """Write token maps as JSONL, one map per line."""
+    """Write token maps as JSONL, one map per line, so that load_token_maps
+    reads them back bit-exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         for tmap in maps:
-            fh.write(
-                json.dumps(
-                    {
-                        "image_id": tmap.image_id,
-                        "tokens": tmap.tokens.astype(np.float64).tolist(),
-                    }
-                )
-                + "\n"
-            )
+            fh.write('{"image_id": %s, "tokens": %s}\n' % (
+                json.dumps(tmap.image_id),
+                _float_text(_list_format(tmap.tokens.shape), tmap.tokens.ravel().tolist()),
+            ))

@@ -7,10 +7,10 @@ callers may parallelize over queries freely.
 
 Gallery matching is batched: ``match_batch`` scores many (query, gallery)
 rows in chunks of stacked float64 blocks, and ``match_by_similarity`` is its
-one-row case. A chunk goes through the same float64 operations as
-``score_gallery`` (a matrix-vector product per row, the query norm as a
-dot product, the gallery norms as ``np.linalg.norm`` computes them), so
-every score is bit-equal to scoring that row alone.
+one-row case. A chunk goes through the float64 operations of scoring each
+row alone (a matrix-vector product per row, the query norm as a dot
+product, the gallery norms as ``np.linalg.norm`` computes them), so every
+score is bit-equal to scoring that row alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import DataValidationError
 
 KINDS = ("cosine", "dot")
@@ -69,41 +68,22 @@ def _check_gallery(query: np.ndarray, gallery: np.ndarray) -> None:
         )
 
 
-def _zero_vectors() -> DataValidationError:
-    return DataValidationError("cosine similarity is undefined for zero vectors")
-
-
-def score_gallery(query: np.ndarray, gallery: np.ndarray, kind: str = DEFAULT_KIND) -> np.ndarray:
-    """Scores of ``query`` (d,) against every row of ``gallery`` (n, d), float64."""
-    _check_kind(kind)
-    query = np.asarray(query, dtype=np.float64)
-    gallery = np.asarray(gallery, dtype=np.float64)
-    _check_gallery(query, gallery)
-    scores = kernels.dot_scores(gallery, query)
-    if kind == "cosine":
-        nq = float(np.linalg.norm(query))
-        ng = np.linalg.norm(gallery, axis=1)
-        if nq == 0.0 or np.any(ng == 0.0):
-            raise _zero_vectors()
-        scores = scores / (nq * ng)
-    return scores
-
-
 def _stacked_scores(queries: np.ndarray, galleries: np.ndarray, kind: str) -> np.ndarray:
     """Scores (c, k) of each query (c, d) against its gallery (c, k, d), for
     C-contiguous float64 arrays; the cosine kind overwrites ``galleries``.
 
-    Per row these are score_gallery's operations: the stacked products are
-    BLAS matrix-vector and dot products of the same operands, and the
-    gallery norms are np.linalg.norm's square root of the row sums of
-    squares, with the squares taken in place instead of in two temporaries.
+    Per row these are the operations of scoring that row alone: the stacked
+    products are BLAS matrix-vector and dot products of the same operands,
+    and the gallery norms are np.linalg.norm's square root of the row sums
+    of squares, with the squares taken in place instead of in two
+    temporaries.
     """
     scores = (galleries @ queries[:, :, None])[:, :, 0]
     if kind == "cosine":
         nq = np.sqrt((queries[:, None, :] @ queries[:, :, None])[:, 0, 0])
         ng = np.sqrt(np.add.reduce(np.multiply(galleries, galleries, out=galleries), axis=-1))
         if np.any(nq == 0.0) or np.any(ng == 0.0):
-            raise _zero_vectors()
+            raise DataValidationError("cosine similarity is undefined for zero vectors")
         scores = scores / (nq[:, None] * ng)
     return scores
 

@@ -865,6 +865,51 @@ class TestMalformedInputs:
         assert (out / "manifest.json").read_text() == text
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("reader", [
+        "embeddings", "token_maps", "tasks", "predictions", "captions", "split",
+        "checkpoint", "manifest",
+    ])
+    def test_deeply_nested_json_is_3(self, workspace, tmp_path, capsys, reader):
+        """JSON nested deeper than the parser's recursion limit is a data error
+        naming the file, in every reader of JSON text."""
+        data = workspace / "data"
+        bad = tmp_path / "manifest.json" if reader == "manifest" else tmp_path / "bad"
+        bad.write_text("[" * 100_000 + "\n")
+        argv = {
+            "embeddings": ["split", "--embeddings", str(bad), "--out", str(tmp_path / "s.json")],
+            "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                           "--token-maps", str(bad),
+                           "--expert-embeddings", str(data / "expert.jsonl"),
+                           "--out", str(tmp_path / "adapter.ckpt")],
+            "tasks": ["match", "--embeddings", str(data / "general.jsonl"),
+                      "--tasks", str(bad), "--out", str(tmp_path / "p.jsonl")],
+            "predictions": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                            "--predictions", str(bad), "--out", str(tmp_path / "eval")],
+            "captions": ["emit", "--tasks", str(data / "tasks.jsonl"), "--stage", "caption",
+                         "--captions", str(bad), "--out", str(tmp_path / "conv.jsonl")],
+            "split": ["build-galleries", "--embeddings", str(data / "general.jsonl"),
+                      "--split", str(bad), "--k", "3", "--out", str(tmp_path / "t.jsonl")],
+            "checkpoint": ["embed", "--checkpoint", str(bad),
+                           "--embeddings", str(data / "raw.jsonl"),
+                           "--out", str(tmp_path / "e.jsonl")],
+            "manifest": ["split", "--embeddings", str(data / "general.jsonl"),
+                         "--out", str(tmp_path / "s.json")],
+        }[reader]
+        message = _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
+        assert str(bad) in message and "recursion" in message
+        assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+        _assert_no_child_left()
+
+    def test_deeply_nested_config_is_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        rc = cli.main(["synth", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err)
+        assert error["error"] == "ConfigError" and str(config) in error["message"]
+
     def test_non_utf8_config_is_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b"\xff\xfe" + json.dumps(SMALL_CONFIG).encode())
@@ -1038,6 +1083,43 @@ class TestFuzzedTextInputs:
                    "--token-maps", str(data_dir / "token_maps.jsonl"),
                    "--expert-embeddings", str(bad), "--image-id", _FUSE_ID,
                    "--out", str(tmp_path / "f.json")] + _cfg(workspace), (0, 3))
+
+
+class TestBlasThreads:
+    def test_one_blas_thread_for_the_length_of_a_command(self, workspace, tmp_path,
+                                                          monkeypatch):
+        """A command runs with numpy's OpenBLAS at one thread; the count the
+        caller had is back when main returns, also after an error."""
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        set_threads, get_threads = threads
+        seen = []
+
+        def split(args, config):
+            seen.append(get_threads())
+            if args.test_fraction > 0.5:
+                raise DataValidationError("late failure")
+
+        monkeypatch.setattr(cli, "cmd_split", split)
+        before = get_threads()
+        try:
+            set_threads(2)
+            for fraction, rc in (("0.3", 0), ("0.9", 3)):
+                assert cli.main(["split", "--embeddings", "unused", "--out", "unused",
+                                 "--test-fraction", fraction] + _cfg(workspace)) == rc
+                assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1]
+
+    def test_missing_library_is_logged(self, workspace, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(cli, "cmd_split", lambda args, config: None)
+        with caplog.at_level(logging.INFO, logger="ilrkit.cli"):
+            assert cli.main(["split", "--embeddings", "unused", "--out", "unused", "-v"]
+                            + _cfg(workspace)) == 0
+        assert "BLAS threads not capped" in caplog.text
 
 
 class TestDeterminism:

@@ -215,47 +215,125 @@ _AWKWARD = np.array(
 )
 
 
-class TestWriterBytes:
-    """The writers' bytes equal those of the per-element writers they replaced."""
+_F32_MAX = np.finfo(np.float32).max
 
-    def test_embedding_set_jsonl(self, tmp_path):
-        rng = np.random.default_rng(11)
-        records = [
-            EmbeddingRecord(f"img{i}", f"inst{i % 3}", "pet",
-                            rng.permutation(_AWKWARD) * np.float32(rng.choice([1, -1])))
-            for i in range(6)
-        ]
-        eset = EmbeddingSet.from_records("enc", records)
-        save_embedding_set(eset, tmp_path / "new.jsonl")
-        with open(tmp_path / "old.jsonl", "w", encoding="utf-8") as fh:
+
+def _float32_values(seed: int, n: int = 6000) -> np.ndarray:
+    """Finite float32 values: random bit patterns (subnormals among them),
+    the smallest and largest subnormals, the smallest normal, signed zeros,
+    the extremes, integers and _AWKWARD, shuffled."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 32, size=n, dtype=np.uint64).astype(np.uint32)
+    special = np.array([0x00000001, 0x807FFFFF, 0x00800000, 0x80000000, 0x00000000],
+                       dtype=np.uint32).view(np.float32)
+    integers = np.array([1, -7, 3, 2 ** 24, -(2 ** 24 + 2), 123456792, 3e9, 2.0 ** 100],
+                        dtype=np.float32)
+    values = np.concatenate([bits.view(np.float32), special, [_F32_MAX, -_F32_MAX],
+                             integers, _AWKWARD]).astype(np.float32)
+    return rng.permutation(values[np.isfinite(values)])
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float32).view(np.uint32)
+
+
+def _component_texts(line: str, key: str) -> list[str]:
+    """The text of every number of ``key`` in a written JSONL line."""
+    return re.split(r"[\[\], ]+", line.split(f'"{key}": ', 1)[1].rstrip("}\n"))[1:-1]
+
+
+class TestWriterText:
+    """Both JSONL writers print each float32 component as ``%.9g`` text
+    (``-0.0`` for negative zero), which loads back bit-equal."""
+
+    def _set(self, values, d=16):
+        values = values[: len(values) // d * d].reshape(-1, d)
+        n = len(values)
+        return EmbeddingSet.from_columns(
+            "enc", d, [f"img{i}" for i in range(n)], [f"inst{i % 7}" for i in range(n)],
+            ["pet"] * n, [values],
+        )
+
+    def _maps(self, values, shape=(3, 5)):
+        size = shape[0] * shape[1]
+        return [TokenFeatureMap(f"img{i}", values[i * size : (i + 1) * size].reshape(shape))
+                for i in range(len(values) // size)]
+
+    def test_embedding_set_round_trip(self, tmp_path):
+        for seed, d in ((1, 1), (2, 7), (3, 64)):
+            eset = self._set(_float32_values(seed), d)
+            save_embedding_set(eset, tmp_path / "e.jsonl")
+            loaded = load_embedding_set(tmp_path / "e.jsonl")
+            assert loaded.image_ids == eset.image_ids
+            assert np.array_equal(_bits(loaded.matrix()), _bits(eset.matrix()))
+
+    def test_token_maps_round_trip(self, tmp_path):
+        for seed, shape in ((4, (1, 1)), (5, (3, 5)), (6, (16, 16))):
+            maps = self._maps(_float32_values(seed), shape)
+            save_token_maps(maps, tmp_path / "t.jsonl")
+            loaded = load_token_maps(tmp_path / "t.jsonl")
+            assert [m.image_id for m in loaded] == [m.image_id for m in maps]
+            for got, want in zip(loaded, maps):
+                assert np.array_equal(_bits(got.tokens), _bits(want.tokens))
+
+    def test_spelling(self, tmp_path):
+        """Every component is ``'%.9g' % x`` but negative zero, which is
+        ``-0.0`` (``-0`` would read back as +0), and every line is strict JSON."""
+        values = _float32_values(7, 600)
+        eset, maps = self._set(values, 4), self._maps(values, (2, 3))
+        save_embedding_set(eset, tmp_path / "e.jsonl")
+        save_token_maps(maps, tmp_path / "t.jsonl")
+        files = (("e.jsonl", "vector", [list(v) for v in eset.matrix()]),
+                 ("t.jsonl", "tokens", [list(m.tokens.ravel()) for m in maps]))
+        negative_zeros = 0
+        for name, key, rows in files:
+            lines = (tmp_path / name).read_text().splitlines(keepends=True)
+            assert len(lines) == len(rows)
+            for line, row in zip(lines, rows):
+                json.loads(line, parse_constant=pytest.fail)  # no NaN or Infinity
+                want = ["-0.0" if x == 0 and np.signbit(x) else "%.9g" % x for x in row]
+                assert _component_texts(line, key) == want
+                negative_zeros += want.count("-0.0")
+        assert negative_zeros >= 2
+
+    def test_float64_repr_files_load_bit_equal(self, tmp_path):
+        """A file in the float64-repr spelling of earlier versions loads to the
+        same arrays as the new file."""
+        values = _float32_values(8, 2000)
+        eset, maps = self._set(values, 8), self._maps(values, (4, 4))
+        save_embedding_set(eset, tmp_path / "new_e.jsonl")
+        save_token_maps(maps, tmp_path / "new_t.jsonl")
+        with open(tmp_path / "old_e.jsonl", "w", encoding="utf-8") as fh:
             for rec in eset.records:
                 fh.write(json.dumps({
-                    "image_id": rec.image_id,
-                    "instance_id": rec.instance_id,
-                    "category": rec.category,
-                    "vector": [float(x) for x in rec.vector],
+                    "image_id": rec.image_id, "instance_id": rec.instance_id,
+                    "category": rec.category, "vector": [float(x) for x in rec.vector],
                 }) + "\n")
-        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
-        loaded = load_embedding_set(tmp_path / "new.jsonl")
-        for got, want in zip(loaded.records, records):
-            assert got.vector.tobytes() == want.vector.tobytes()
-
-    def test_token_maps(self, tmp_path):
-        rng = np.random.default_rng(12)
-        maps = [
-            TokenFeatureMap(f"img{i}", rng.permutation(np.tile(_AWKWARD, 3)).reshape(3, -1))
-            for i in range(4)
-        ]
-        save_token_maps(maps, tmp_path / "new.jsonl")
-        with open(tmp_path / "old.jsonl", "w", encoding="utf-8") as fh:
+        with open(tmp_path / "old_t.jsonl", "w", encoding="utf-8") as fh:
             for tmap in maps:
                 fh.write(json.dumps({
                     "image_id": tmap.image_id,
                     "tokens": [[float(x) for x in row] for row in tmap.tokens],
                 }) + "\n")
-        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
-        for got, want in zip(load_token_maps(tmp_path / "new.jsonl"), maps):
-            assert got.tokens.tobytes() == want.tokens.tobytes()
+        assert (tmp_path / "old_e.jsonl").stat().st_size > (tmp_path / "new_e.jsonl").stat().st_size
+        old, new = (load_embedding_set(tmp_path / f"{n}_e.jsonl") for n in ("old", "new"))
+        assert old.image_ids == new.image_ids
+        assert np.array_equal(_bits(old.matrix()), _bits(new.matrix()))
+        old, new = (load_token_maps(tmp_path / f"{n}_t.jsonl") for n in ("old", "new"))
+        assert [m.image_id for m in old] == [m.image_id for m in new]
+        for a, b in zip(old, new):
+            assert np.array_equal(_bits(a.tokens), _bits(b.tokens))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "bin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_rejected(self, tmp_path, fmt, value):
+        block = np.ones((70, 3), dtype=np.float32)
+        block[66, 1] = value
+        eset = EmbeddingSet.from_columns("enc", 3, [f"img{i}" for i in range(70)],
+                                         ["inst"] * 70, ["pet"] * 70, [block[:64], block[64:]])
+        with pytest.raises(DataValidationError, match="record 'img66' contains non-finite"):
+            save_embedding_set(eset, tmp_path / "e", fmt)
+        assert not (tmp_path / "e").exists()
 
 
 def test_magic_constant():

