@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedstore import read_input
+from .embedstore import parse_json_object, read_input
 from .errors import DataValidationError
 from .expert import ExpertHead
 from .fusion import FusionAdapter
@@ -36,17 +36,10 @@ def _read(path: Path) -> tuple[dict, list[np.ndarray]]:
     nl = data.find(b"\n")
     if nl < 0:
         raise DataValidationError(f"{path}: missing checkpoint header")
-    try:
-        header = json.loads(data[:nl].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise DataValidationError(f"{path}: malformed checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataValidationError(f"{path}: checkpoint header is not a JSON object")
-    shapes = header.get("params", [])
-    if not isinstance(shapes, list) or not all(
-        isinstance(shape, list)
-        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
-        for shape in shapes
+    header = parse_json_object(data[:nl], f"{path}: checkpoint header")
+    shapes = header.get("params", [])  # json gives exact types: a bool is not an int
+    if type(shapes) is not list or not all(
+        type(shape) is list and all(type(n) is int and n >= 0 for n in shape) for shape in shapes
     ):
         raise DataValidationError(f"{path}: malformed parameter shapes in checkpoint header")
     off = nl + 1

@@ -11,7 +11,8 @@ not depend on --threads. A command runs with numpy's bundled OpenBLAS at
 one thread, whatever the environment asks, and restores the previous
 count on return: its matrix products are small (expert batches of 32 by
 64), and on a 2-core host two BLAS threads made the default pipeline 1.5
-times slower. Exit codes: 0 success, 2 config error, 3 data validation
+times slower. Exit codes: 0 success, 2 config error (also a flag that
+would do nothing, or an --out of the wrong kind), 3 data validation
 error, 4 numeric divergence, 5 a worker process died.
 """
 
@@ -35,12 +36,14 @@ from . import __version__, checkpoint, dataengine, evalkit, expert, fusion, simc
 from .config import ENV_CONFIG, PipelineConfig, load_config
 from .embedstore import (
     EmbeddingSet,
-    jsonl_lines,
     load_embedding_set,
+    load_jsonl,
     load_token_maps,
+    parse_json_object,
     read_input,
     save_embedding_set,
     save_token_maps,
+    typed_fields,
 )
 from .errors import ConfigError, DataValidationError, IlrkitError, WriterError
 
@@ -124,13 +127,7 @@ class _OutputStage:
         manifest_path = self.out_dir / "manifest.json"
         existing = {}
         if manifest_path.exists():
-            data = read_input(manifest_path)
-            try:
-                existing = json.loads(data.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-                raise DataValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
-            if not isinstance(existing, dict):
-                raise DataValidationError(f"{manifest_path}: manifest is not a JSON object")
+            existing = parse_json_object(read_input(manifest_path), f"{manifest_path}: manifest")
         existing.update(self.manifest)
         for name in self.manifest:
             os.replace(self.path(name), self.out_dir / name)
@@ -322,41 +319,19 @@ def _write_ground_truth(path: Path, ground_truth: dict[str, str]) -> None:
             )
 
 
-def _load_predictions(path: Path, model_name: str = "file") -> evalkit.PredictionLog:
-    entries: dict[str, str | int] = {}
-    for lineno, line in jsonl_lines(path):
-        try:
-            obj = json.loads(line)
-            task_id, response = obj["task_id"], obj["response"]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
-            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
-        if not isinstance(task_id, str) or not isinstance(response, (str, int)):
-            raise DataValidationError(
-                f"{path}: line {lineno}: task_id must be a string and response "
-                "a string, an integer or a boolean"
-            )
-        entries[task_id] = response
-    return evalkit.PredictionLog(entries=entries, model_name=model_name)
+_prediction_fields = typed_fields({"task_id": (str,), "response": (str, int, bool)})
+_caption_fields = typed_fields({"query_id": (str,), "caption": (str,)})
 
 
-def _load_captions(path: Path) -> dict[str, str]:
-    captions: dict[str, str] = {}
-    for lineno, line in jsonl_lines(path):
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
-        if not (
-            isinstance(obj, dict)
-            and isinstance(obj.get("query_id"), str)
-            and isinstance(obj.get("caption"), str)
-        ):
-            raise DataValidationError(
-                f"{path}: line {lineno}: expected an object with string "
-                "'query_id' and 'caption'"
-            )
-        captions[obj["query_id"]] = obj["caption"]
-    return captions
+def _load_predictions(path: str) -> evalkit.PredictionLog:
+    return evalkit.PredictionLog(dict(load_jsonl(path, _prediction_fields)), model_name="file")
+
+
+def _needs(args, flag: str, *needed: str) -> None:
+    """Reject ``flag`` given without all of ``needed``: it would do nothing."""
+    given = [getattr(args, f[2:].replace("-", "_")) for f in (flag, *needed)]
+    if given[0] and not all(given[1:]):
+        raise ConfigError(f"{flag} needs {' and '.join(needed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +403,14 @@ def cmd_build_detection(args, config: PipelineConfig) -> None:
 
 
 def cmd_emit(args, config: PipelineConfig) -> None:
+    if args.captions and args.stage != "caption":
+        raise ConfigError("--captions needs --stage caption")
     tasks = dataengine.load_gallery_tasks(args.tasks)
     captions = None
-    if args.stage == "caption":
-        if args.captions:
-            captions = _load_captions(Path(args.captions))
-        else:
-            captions = dataengine.template_captions(tasks)
+    if args.captions:
+        captions = dict(load_jsonl(args.captions, _caption_fields))
+    elif args.stage == "caption":
+        captions = dataengine.template_captions(tasks)
     records = dataengine.emit_conversations(tasks, args.stage, captions=captions)
     with _OutputStage(Path(args.out).parent) as stage:
         dataengine.save_jsonl(
@@ -513,6 +489,7 @@ def cmd_fuse(args, config: PipelineConfig) -> None:
     }
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -533,12 +510,15 @@ def cmd_match(args, config: PipelineConfig) -> None:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> None:
+    _needs(args, "--detection-tasks", "--detection-predictions")
+    _needs(args, "--detection-predictions", "--detection-tasks")
+    _needs(args, "--equal-weight", "--detection-tasks", "--detection-predictions")
     tasks = dataengine.load_gallery_tasks(args.tasks)
-    log = _load_predictions(Path(args.predictions))
+    log = _load_predictions(args.predictions)
     report = evalkit.score_matching(tasks, log)
-    if args.detection_tasks and args.detection_predictions:
+    if args.detection_tasks:
         det_tasks = dataengine.load_detection_tasks(args.detection_tasks)
-        det_log = _load_predictions(Path(args.detection_predictions))
+        det_log = _load_predictions(args.detection_predictions)
         report.detection = evalkit.score_detection(det_tasks, det_log, args.equal_weight)
     with _OutputStage(args.out) as stage:
         h = config.config_hash()
@@ -554,7 +534,7 @@ def _sweep_matchers(args, config: PipelineConfig, general):
     if args.expert_embeddings:
         expert_set = load_embedding_set(args.expert_embeddings, config.format)
         matchers["expert"] = evalkit.similarity_matcher(expert_set)
-        if args.adapter and args.token_maps:
+        if args.adapter:
             adapter = checkpoint.load_adapter(args.adapter)
             token_maps, vectors = _fusion_views(load_token_maps(args.token_maps), expert_set)
             matchers["fused"] = evalkit.fused_matcher(adapter, token_maps, vectors)
@@ -562,6 +542,8 @@ def _sweep_matchers(args, config: PipelineConfig, general):
 
 
 def cmd_sweep(args, config: PipelineConfig) -> None:
+    _needs(args, "--adapter", "--token-maps", "--expert-embeddings")
+    _needs(args, "--token-maps", "--adapter", "--expert-embeddings")
     general = load_embedding_set(args.embeddings, config.format)
     side = _split_side(args)
     matchers = _sweep_matchers(args, config, general)
@@ -777,7 +759,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_DIRECTORY_OUTPUTS = frozenset(("synth", "evaluate", "sweep", "pipeline"))
+
+
+def _check_out(out: Path, is_dir: bool) -> None:
+    """Reject an --out of the wrong kind, or under a path that is not a directory."""
+    if out.exists() and out.is_dir() != is_dir:
+        raise ConfigError(f"--out {out} must be a {'directory' if is_dir else 'file'}")
+    existing = next((p for p in out.parents if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+
+
+def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--config", default=os.environ.get(ENV_CONFIG), help="pipeline config JSON")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="1 runs everything in one process; above 1, a forked worker "
@@ -786,8 +780,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "(default: the CPUs this process may run on)")
     p.add_argument("--format", choices=("jsonl", "bin"), default=None,
                    help="embedding interchange format override")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("-v", "--verbose", action="store_true")
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config's seed, which draws the split and the tasks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -804,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--test-fraction", type=float, default=0.3)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("build-galleries", help="difficulty-controlled gallery tasks")
@@ -819,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-category", action="store_true",
                    help="build n-tasks for every category, distractors within category")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_build_galleries)
 
     p = sub.add_parser("build-detection", help="single-candidate detection tasks")
@@ -830,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-tasks", type=int, default=dataengine.DEFAULT_TASKS_PER_CATEGORY)
     p.add_argument("--positive-rate", type=float, default=0.5)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_build_detection)
 
     p = sub.add_parser("emit", help="emit conversation records for a task file")
@@ -903,12 +899,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-tasks", type=int, default=200)
     p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", help="full synthetic pipeline end to end")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -923,7 +919,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config.seed = args.seed
         if args.format is not None:
             config.format = args.format
@@ -932,6 +928,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         config.validate()
+        if args.out is not None:
+            _check_out(Path(args.out), args.command in _DIRECTORY_OUTPUTS)
         with _one_blas_thread():
             args.func(args, config)
     except IlrkitError as exc:

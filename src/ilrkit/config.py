@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .embedstore import parse_json_object
 from .errors import ConfigError, DataValidationError
 from .expert import ExpertTrainConfig
 from .fusion import AdapterTrainConfig
@@ -163,18 +164,16 @@ def config_from_dict(obj: dict) -> PipelineConfig:
 
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
-        config = PipelineConfig()
-        config.validate()
-        return config
+        return config_from_dict({})
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    try:
+        obj = parse_json_object(data, f"{path}: invalid JSON config")
+    except DataValidationError as exc:
+        raise ConfigError(str(exc)) from exc
     return config_from_dict(obj)

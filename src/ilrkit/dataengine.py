@@ -3,7 +3,8 @@
 Builds gallery (multiple-choice) and detection (yes/no) tasks whose
 distractors are drawn from a similarity-thresholded candidate pool,
 maintains identity-disjoint train/test splits, emits two-stage
-conversation records, and parses free-text answers back for scoring.
+conversation records, and parses free-text answers back for scoring. Task
+and split files are decoded by embedstore's JSON readers.
 
 Each task derives its own random stream from (global seed, task ordinal),
 so task lists are reproducible and independent of scheduling. A task's
@@ -15,9 +16,7 @@ the candidates a task ranks (below-threshold top-up, detection fallback,
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .embedstore import EmbeddingSet, jsonl_lines, read_input
+from .embedstore import EmbeddingSet, load_jsonl, parse_json_object, read_input, typed_fields
 from .errors import DataValidationError
 
 DEFAULT_K = 5
@@ -437,44 +436,11 @@ def save_jsonl(items: Sequence, path: str | Path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
-    """One item per line; ``build`` raises ``KeyError``, ``TypeError`` or
-    ``ValueError`` for a line it rejects, which becomes a
-    ``DataValidationError`` naming the line."""
-    items = []
-    for lineno, line in jsonl_lines(path):
-        try:
-            items.append(build(json.loads(line)))
-        # ValueError: JSONDecodeError too; RecursionError: nesting too deep
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
-    return items
-
-
-def _typed_fields(types: dict[str, tuple[type, ...]]) -> Callable[[dict], tuple]:
-    """The values of a parsed line's ``types`` fields, in order; a field of
-    another type raises ValueError naming it. json.loads gives exact types,
-    so a valid line costs one set lookup of its field types."""
-    values_of = operator.itemgetter(*types)
-    valid = set(itertools.product(*types.values()))
-
-    def values(o: dict) -> tuple:
-        vals = values_of(o)
-        if tuple(map(type, vals)) not in valid:
-            for (key, kinds), value in zip(types.items(), vals):
-                if type(value) not in kinds:
-                    names = " or ".join(kind.__name__ for kind in kinds)
-                    raise ValueError(f"{key} must be of type {names}, got {value!r}")
-        return vals
-
-    return values
-
-
-_gallery_values = _typed_fields({
+_gallery_values = typed_fields({
     "task_id": (str,), "category": (str,), "query_id": (str,), "gallery_ids": (list,),
     "answer_index": (int,), "tau": (int, float), "relaxed": (bool,), "seed": (int,),
 })
-_detection_values = _typed_fields({
+_detection_values = typed_fields({
     "task_id": (str,), "category": (str,), "query_id": (str,), "gallery_id": (str,),
     "is_match": (bool,), "tau": (int, float), "seed": (int,),
 })
@@ -509,7 +475,7 @@ def _load_tasks(path: str | Path, build: Callable[[dict], object]) -> list:
         seen.add(task.task_id)
         return task
 
-    return _load_jsonl(path, unique)
+    return load_jsonl(path, unique)
 
 
 def load_gallery_tasks(path: str | Path) -> list[GalleryTask]:
@@ -529,14 +495,10 @@ def save_split(manifest: SplitManifest, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> SplitManifest:
-    data = read_input(path)
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise DataValidationError(f"{path}: malformed split file: {exc}") from exc
+    obj = parse_json_object(read_input(path), f"{path}: split file")
     sides = {}
     for key in ("train_instances", "test_instances"):
-        ids = obj.get(key) if isinstance(obj, dict) else None
+        ids = obj.get(key)
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise DataValidationError(f"{path}: split file needs {key!r} as a list of strings")
         sides[key] = frozenset(ids)

@@ -11,6 +11,13 @@ Two interchange formats are supported for embedding sets:
 
 Token maps are JSONL only: ``{"image_id": str, "tokens": [[float, ...], ...]}``.
 
+Every JSON input of ilrkit is decoded here: task, prediction and caption
+lines by ``load_jsonl`` (with ``typed_fields``), the split, manifest,
+checkpoint header and config by ``parse_json_object``, and the array files
+by their loaders. All catch one error tuple, so bytes that are not UTF-8 or
+text that is not JSON, nests too deeply or is not an object raise
+DataValidationError naming the file and line.
+
 The JSONL writers print each float32 component with 9 significant digits
 (``%.9g``), the fewest that read back into every finite float32 exactly;
 negative zero is written ``-0.0``, since JSON reads ``-0`` as the integer 0.
@@ -52,7 +59,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -328,6 +335,61 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             ) from exc
 
 
+# what decoding JSON and taking its fields raise; JSONDecodeError and
+# UnicodeDecodeError are ValueErrors, RecursionError is nesting too deep
+_MALFORMED = (ValueError, KeyError, TypeError, RecursionError)
+
+
+def _json_object(text: str) -> dict:
+    obj = json.loads(text)
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def parse_json_object(data: bytes, where: str) -> dict:
+    """The JSON object that the UTF-8 bytes ``data`` hold. Bytes that are
+    not UTF-8, text that is not JSON or nests too deeply, and a value other
+    than an object raise DataValidationError, its message led by ``where``."""
+    try:
+        return _json_object(data.decode("utf-8"))
+    except _MALFORMED as exc:
+        raise DataValidationError(f"{where}: {exc}") from exc
+
+
+def load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
+    """``build`` of the JSON object on each non-blank line of ``path``. A line
+    that is not one, or that ``build`` rejects with ValueError, KeyError or
+    TypeError, raises DataValidationError naming the line."""
+    items = []
+    for lineno, line in jsonl_lines(path):
+        try:
+            items.append(build(_json_object(line)))
+        except _MALFORMED as exc:
+            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+    return items
+
+
+def typed_fields(types: dict[str, tuple[type, ...]]) -> Callable[[dict], tuple]:
+    """A ``build`` for load_jsonl: the values of an object's ``types``
+    fields (two or more), in order; a field of another type raises
+    ValueError naming it. json gives exact types, and bool is not int here,
+    so a valid line costs one set lookup of its field types."""
+    values_of = operator.itemgetter(*types)
+    valid = set(itertools.product(*types.values()))
+
+    def values(o: dict) -> tuple:
+        vals = values_of(o)
+        if tuple(map(type, vals)) not in valid:
+            for (key, kinds), value in zip(types.items(), vals):
+                if type(value) not in kinds:
+                    names = " or ".join(kind.__name__ for kind in kinds)
+                    raise ValueError(f"{key} must be of type {names}, got {value!r}")
+        return vals
+
+    return values
+
+
 def _record_lines(path: Path, only: Collection[str] | None) -> Iterator[tuple[int, str]]:
     """The jsonl_lines of ``path`` that may hold a record whose image_id is in
     ``only``; all of them when ``only`` is None.
@@ -405,9 +467,7 @@ def _read_jsonl_columns(path: Path, only: Collection[str] | None):
         for lineno, line in itertools.islice(lines, _CHUNK):
             try:
                 rows.append(_record_fields(json.loads(line)))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                # ValueError: JSONDecodeError too; RecursionError: nesting too deep.
-                # Raised once the lines before it are checked
+            except _MALFORMED as exc:  # raised once the lines before it are checked
                 stop = _malformed(path, lineno, exc)
                 break
             linenos.append(lineno)
@@ -595,7 +655,7 @@ def load_token_maps(
             obj = json.loads(line)
             tokens = _numbers(obj["tokens"], "tokens")
             tmap = TokenFeatureMap(obj["image_id"], tokens)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        except _MALFORMED as exc:
             raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc
         if shape is None:
             shape = tmap.tokens.shape

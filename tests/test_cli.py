@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import signal
 import time
 import types
@@ -152,7 +153,7 @@ class TestSubcommandChain:
                          "--expert-embeddings", str(data / "expert.jsonl"),
                          "--out", str(ckpt)] + _cfg(workspace)) == 0
         some_id = load_embedding_set(data / "general.jsonl").image_ids[0]
-        fused = tmp_path / "fused.json"
+        fused = tmp_path / "new" / "fused.json"  # fuse makes the directory, as others do
         assert cli.main(["fuse", "--checkpoint", str(ckpt),
                          "--token-maps", str(data / "token_maps.jsonl"),
                          "--expert-embeddings", str(data / "expert.jsonl"),
@@ -192,6 +193,43 @@ class TestSubcommandChain:
                          "--out", str(tmp_path / "eval")] + _cfg(workspace)) == 0
         report = json.loads((tmp_path / "eval" / "report.json").read_text())
         assert report["detection"]["weighted"] == pytest.approx(16 / 20)
+
+
+def _command_argv(command: str, inputs: str, out: str) -> list[str]:
+    """``command`` with every input flag given ``inputs`` and --out ``out``."""
+    return {
+        "synth": ["synth"],
+        "split": ["split", "--embeddings", inputs],
+        "build-galleries": ["build-galleries", "--embeddings", inputs, "--split", inputs],
+        "build-detection": ["build-detection", "--embeddings", inputs, "--split", inputs],
+        "emit": ["emit", "--tasks", inputs, "--stage", "match_mcq"],
+        "train-expert": ["train-expert", "--embeddings", inputs],
+        "embed": ["embed", "--checkpoint", inputs, "--embeddings", inputs],
+        "train-adapter": ["train-adapter", "--tasks", inputs, "--token-maps", inputs,
+                          "--expert-embeddings", inputs],
+        "fuse": ["fuse", "--checkpoint", inputs, "--token-maps", inputs,
+                 "--expert-embeddings", inputs, "--image-id", _FUSE_ID],
+        "match": ["match", "--embeddings", inputs, "--tasks", inputs],
+        "evaluate": ["evaluate", "--tasks", inputs, "--predictions", inputs],
+        "sweep": ["sweep", "--embeddings", inputs, "--split", inputs],
+        "pipeline": ["pipeline"],
+    }[command] + ["--out", out]
+
+
+_COMMANDS = ["synth", "split", "build-galleries", "build-detection", "emit", "train-expert",
+             "embed", "train-adapter", "fuse", "match", "evaluate", "sweep", "pipeline"]
+_DIRECTORY_OUTPUTS = {"synth", "evaluate", "sweep", "pipeline"}
+
+
+def _assert_config_error(rc, capsys, *names):
+    """Exit 2 with one JSON ConfigError line naming each of ``names``."""
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    for name in names:
+        assert name in error["message"]
 
 
 class TestExitCodes:
@@ -236,6 +274,61 @@ class TestExitCodes:
         assert "Traceback" not in err
         error = json.loads(err)
         assert error["error"] == "ConfigError" and str(tmp_path) in error["message"]
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("evaluate", ["--detection-tasks", "in"], "--detection-tasks"),
+        ("evaluate", ["--detection-predictions", "in"], "--detection-predictions"),
+        ("evaluate", ["--equal-weight"], "--equal-weight"),
+        ("evaluate", ["--equal-weight", "--detection-predictions", "in"],
+         "--detection-predictions"),
+        ("sweep", ["--adapter", "in"], "--adapter"),
+        ("sweep", ["--token-maps", "in"], "--token-maps"),
+        ("sweep", ["--adapter", "in", "--expert-embeddings", "in"], "--adapter"),
+        ("sweep", ["--token-maps", "in", "--expert-embeddings", "in"], "--token-maps"),
+        ("sweep", ["--adapter", "in", "--token-maps", "in"], "--adapter"),
+        ("emit", ["--captions", "in"], "--captions"),
+    ])
+    def test_flag_that_would_do_nothing_is_2(self, workspace, tmp_path, capsys, command,
+                                             flags, named):
+        """Rejected before any input is read: every input here is missing."""
+        inputs, out = str(tmp_path / "in"), str(tmp_path / "out")
+        argv = _command_argv(command, inputs, out) + [inputs if f == "in" else f for f in flags]
+        _assert_config_error(cli.main(argv + _cfg(workspace)), capsys, named)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_seed_only_where_it_draws_something(self, tmp_path, command):
+        """--seed is config.seed, which draws the split and the tasks; the
+        other commands take their seeds from the config's sections."""
+        argv = _command_argv(command, str(tmp_path / "in"), str(tmp_path / "out"))
+        argv += ["--seed", "3"]
+        if command in ("split", "build-galleries", "build-detection", "sweep", "pipeline"):
+            assert cli.build_parser().parse_args(argv).seed == 3
+        else:
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("place", ["taken", "under a file"])
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_output_path_of_the_wrong_kind_is_2(self, workspace, tmp_path, capsys, command,
+                                                place):
+        """An --out that is a directory where a file goes, a file where a
+        directory goes, or under a file, is rejected before any input is
+        read (every input here is missing), and nothing is written."""
+        taken = tmp_path / "taken"
+        if command in _DIRECTORY_OUTPUTS or place == "under a file":
+            taken.write_text("kept")
+        else:
+            taken.mkdir()
+        out = taken if place == "taken" else taken / "sub" / "out"
+        argv = _command_argv(command, str(tmp_path / "in"), str(out))
+        _assert_config_error(cli.main(argv + _cfg(workspace)), capsys, str(out))
+        assert list(tmp_path.iterdir()) == [taken]
+        if taken.is_file():
+            assert taken.read_text() == "kept"
+        else:
+            assert list(taken.iterdir()) == []
 
     @pytest.mark.parametrize("n_tokens", [0, "a"])
     @pytest.mark.parametrize("command", ["synth", "split", "pipeline"])
@@ -343,6 +436,119 @@ def _checkpoint(path, header, shapes):
         blob = b"".join(np.ones(int(np.prod(s)), "<f4").tobytes() for s in shapes)
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
     return path
+
+
+# Every reader of JSON text, the config last, and the faults each must turn
+# into exit 3 (exit 2 for the config): bytes that are not UTF-8 (a valid
+# file behind two bad bytes), nesting deeper than the parser's recursion
+# limit, and a top-level value that is not an object.
+_JSON_READERS = [
+    "embeddings", "token_maps", "tasks", "detection_tasks", "predictions", "captions",
+    "split", "checkpoint", "manifest", "config",
+]
+_JSONL_READERS = {"embeddings", "token_maps", "tasks", "detection_tasks", "predictions",
+                  "captions"}
+_JSON_FAULTS = {
+    "non_utf8": lambda valid: b"\xff\xfe" + valid,
+    "deep": lambda valid: b"[" * 100_000 + b"\n",
+    "wrong_kind": lambda valid: b"[1, 2]\n",
+}
+
+
+def _json_reader_run(workspace, tmp_path, reader):
+    """(argv of a command that reads the file ``bad`` with ``reader``, ``bad``,
+    the bytes of a valid such file, the output the command would write)."""
+    data = workspace / "data"
+    out = tmp_path / "out"
+    bad = out / "manifest.json" if reader == "manifest" else tmp_path / "bad"
+    files = {
+        "embeddings": data / "general.jsonl", "token_maps": data / "token_maps.jsonl",
+        "tasks": data / "tasks.jsonl", "predictions": data / "preds.jsonl",
+        "split": data / "split.json", "checkpoint": data / "expert_head.ckpt",
+        "manifest": data / "manifest.json",
+    }
+    if reader in files:
+        valid = files[reader].read_bytes()
+    elif reader == "captions":
+        valid = "".join(
+            json.dumps({"query_id": t.query_id, "caption": "[SUBJECT] here"}) + "\n"
+            for t in dataengine.load_gallery_tasks(data / "tasks.jsonl")
+        ).encode()
+    elif reader == "config":
+        valid = json.dumps(SMALL_CONFIG).encode()
+    elif reader == "detection_tasks":
+        tasks = dataengine.build_detection_tasks(
+            load_embedding_set(data / "general.jsonl"),
+            dataengine.load_split(data / "split.json").test_instances,
+            tau=0.3, n_tasks=4, seed=0,
+        )
+        valid = b"".join(json.dumps(vars(t)).encode() + b"\n" for t in tasks)
+        (tmp_path / "det_preds.jsonl").write_text("".join(
+            json.dumps({"task_id": t.task_id, "response": "yes"}) + "\n" for t in tasks
+        ))
+    argv = {
+        "embeddings": ["split", "--embeddings", str(bad), "--out", str(out / "s.json")],
+        "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                       "--token-maps", str(bad),
+                       "--expert-embeddings", str(data / "expert.jsonl"),
+                       "--out", str(out / "adapter.ckpt")],
+        "tasks": ["match", "--embeddings", str(data / "general.jsonl"),
+                  "--tasks", str(bad), "--out", str(out / "p.jsonl")],
+        "detection_tasks": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                            "--predictions", str(data / "preds.jsonl"),
+                            "--detection-tasks", str(bad),
+                            "--detection-predictions", str(tmp_path / "det_preds.jsonl"),
+                            "--out", str(out)],
+        "predictions": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
+                        "--predictions", str(bad), "--out", str(out)],
+        "captions": ["emit", "--tasks", str(data / "tasks.jsonl"), "--stage", "caption",
+                     "--captions", str(bad), "--out", str(out / "conv.jsonl")],
+        "split": ["build-galleries", "--embeddings", str(data / "general.jsonl"),
+                  "--split", str(bad), "--k", "3", "--out", str(out / "t.jsonl")],
+        "checkpoint": ["embed", "--checkpoint", str(bad),
+                       "--embeddings", str(data / "raw.jsonl"), "--out", str(out / "e.jsonl")],
+        "manifest": ["split", "--embeddings", str(data / "general.jsonl"),
+                     "--out", str(out / "s.json")],
+        "config": ["synth", "--out", str(out), "--config", str(bad)],
+    }[reader]
+    return argv + ([] if reader == "config" else _cfg(workspace)), bad, valid, out
+
+
+def _check_json_fault(workspace, tmp_path, capsys, reader, fault):
+    """``reader`` given a file with ``fault`` ends in its exit code with one
+    JSON error line naming the file (and the line, in a JSONL file), no
+    traceback, nothing promoted and no worker left. The same command given
+    the valid file succeeds, so the fault is what it rejects."""
+    argv, bad, valid, out = _json_reader_run(workspace, tmp_path, reader)
+
+    def run(text: bytes) -> int:
+        if out.exists():
+            shutil.rmtree(out)
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(text)
+        return cli.main(argv)
+
+    assert run(valid) == 0
+    capsys.readouterr()
+    broken = _JSON_FAULTS[fault](valid)
+    rc = run(broken)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    error = json.loads(err)
+    if reader == "config":
+        assert rc == 2 and error["error"] == "ConfigError"
+    else:
+        assert rc == 3 and error["error"] == "DataValidationError"
+    assert str(bad) in error["message"]
+    if reader in _JSONL_READERS and fault != "non_utf8":
+        assert f"{bad}: line 1: " in error["message"]
+    if fault == "deep":
+        assert "recursion" in error["message"]
+    if reader == "manifest":
+        assert list(out.iterdir()) == [bad] and bad.read_bytes() == broken
+    else:
+        assert not out.exists()
+    _assert_no_child_left()
 
 
 class TestMalformedInputs:
@@ -562,7 +768,6 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("line", [
         "not json",
-        "[1, 2]",
         '{"caption": "[SUBJECT] here"}',
         '{"query_id": "q"}',
         '{"query_id": 1, "caption": "[SUBJECT] here"}',
@@ -637,43 +842,20 @@ class TestMalformedInputs:
         expected = "must not repeat an image" if damage == "repeat" else "must not hold the query"
         assert ": line 3: gallery_ids " + expected in message
 
-    @pytest.mark.parametrize("target", [
-        "predictions", "captions", "tasks", "embeddings", "token_maps", "bin_strings",
-    ])
+    @pytest.mark.parametrize("target", [*_JSON_READERS[:-1], "bin_strings"])
     def test_non_utf8_input_is_3(self, workspace, tmp_path, capsys, target):
+        if target != "bin_strings":
+            _check_json_fault(workspace, tmp_path, capsys, target, "non_utf8")
+            return
         data = workspace / "data"
         bad = tmp_path / "bad"
-        if target == "bin_strings":
-            save_embedding_set(load_embedding_set(data / "general.jsonl"), bad, "bin")
-            blob = bytearray(bad.read_bytes())
-            blob[16:18] = b"\xff\xfe"  # the first two bytes of the first image_id
-            bad.write_bytes(bytes(blob))
-        else:
-            text = {
-                "predictions": (data / "preds.jsonl").read_bytes(),
-                "captions": b'{"query_id": "q", "caption": "[SUBJECT] here"}\n',
-                "tasks": (data / "tasks.jsonl").read_bytes(),
-                "embeddings": (data / "general.jsonl").read_bytes(),
-                "token_maps": (data / "token_maps.jsonl").read_bytes(),
-            }[target]
-            bad.write_bytes(b"\xff\xfe" + text)
-        argv = {
-            "predictions": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
-                            "--predictions", str(bad), "--out", str(tmp_path / "eval")],
-            "captions": ["emit", "--tasks", str(data / "tasks.jsonl"), "--stage", "caption",
-                         "--captions", str(bad), "--out", str(tmp_path / "conv.jsonl")],
-            "tasks": ["match", "--embeddings", str(data / "general.jsonl"),
-                      "--tasks", str(bad), "--out", str(tmp_path / "p.jsonl")],
-            "embeddings": ["split", "--embeddings", str(bad),
-                           "--out", str(tmp_path / "s.json")],
-            "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
-                           "--token-maps", str(bad),
-                           "--expert-embeddings", str(data / "expert.jsonl"),
-                           "--out", str(tmp_path / "adapter.ckpt")],
-            "bin_strings": ["split", "--embeddings", str(bad), "--format", "bin",
-                            "--out", str(tmp_path / "s.json")],
-        }[target]
-        _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
+        save_embedding_set(load_embedding_set(data / "general.jsonl"), bad, "bin")
+        blob = bytearray(bad.read_bytes())
+        blob[16:18] = b"\xff\xfe"  # the first two bytes of the first image_id
+        bad.write_bytes(bytes(blob))
+        rc = cli.main(["split", "--embeddings", str(bad), "--format", "bin",
+                       "--out", str(tmp_path / "s.json")] + _cfg(workspace))
+        _assert_data_error(rc, capsys)
 
     @pytest.mark.parametrize("reader", ["jsonl", "bin", "checkpoint", "split"])
     def test_missing_input_file_is_3(self, workspace, tmp_path, capsys, reader):
@@ -853,7 +1035,7 @@ class TestMalformedInputs:
         loaded = load_embedding_set(path)
         assert np.array_equal(loaded.matrix(), general.matrix())
 
-    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    @pytest.mark.parametrize("text", ["not json"])
     def test_corrupt_manifest_is_3(self, workspace, tmp_path, capsys, text):
         out = tmp_path / "d"
         out.mkdir()
@@ -865,59 +1047,19 @@ class TestMalformedInputs:
         assert (out / "manifest.json").read_text() == text
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("reader", [
-        "embeddings", "token_maps", "tasks", "predictions", "captions", "split",
-        "checkpoint", "manifest",
-    ])
+    @pytest.mark.parametrize("reader", _JSON_READERS[:-1])
     def test_deeply_nested_json_is_3(self, workspace, tmp_path, capsys, reader):
-        """JSON nested deeper than the parser's recursion limit is a data error
-        naming the file, in every reader of JSON text."""
-        data = workspace / "data"
-        bad = tmp_path / "manifest.json" if reader == "manifest" else tmp_path / "bad"
-        bad.write_text("[" * 100_000 + "\n")
-        argv = {
-            "embeddings": ["split", "--embeddings", str(bad), "--out", str(tmp_path / "s.json")],
-            "token_maps": ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
-                           "--token-maps", str(bad),
-                           "--expert-embeddings", str(data / "expert.jsonl"),
-                           "--out", str(tmp_path / "adapter.ckpt")],
-            "tasks": ["match", "--embeddings", str(data / "general.jsonl"),
-                      "--tasks", str(bad), "--out", str(tmp_path / "p.jsonl")],
-            "predictions": ["evaluate", "--tasks", str(data / "tasks.jsonl"),
-                            "--predictions", str(bad), "--out", str(tmp_path / "eval")],
-            "captions": ["emit", "--tasks", str(data / "tasks.jsonl"), "--stage", "caption",
-                         "--captions", str(bad), "--out", str(tmp_path / "conv.jsonl")],
-            "split": ["build-galleries", "--embeddings", str(data / "general.jsonl"),
-                      "--split", str(bad), "--k", "3", "--out", str(tmp_path / "t.jsonl")],
-            "checkpoint": ["embed", "--checkpoint", str(bad),
-                           "--embeddings", str(data / "raw.jsonl"),
-                           "--out", str(tmp_path / "e.jsonl")],
-            "manifest": ["split", "--embeddings", str(data / "general.jsonl"),
-                         "--out", str(tmp_path / "s.json")],
-        }[reader]
-        message = _assert_data_error(cli.main(argv + _cfg(workspace)), capsys)
-        assert str(bad) in message and "recursion" in message
-        assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
-        _assert_no_child_left()
+        _check_json_fault(workspace, tmp_path, capsys, reader, "deep")
 
-    def test_deeply_nested_config_is_2(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text("[" * 100_000)
-        rc = cli.main(["synth", "--out", str(tmp_path / "o"), "--config", str(config)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        error = json.loads(err)
-        assert error["error"] == "ConfigError" and str(config) in error["message"]
+    def test_deeply_nested_config_is_2(self, workspace, tmp_path, capsys):
+        _check_json_fault(workspace, tmp_path, capsys, "config", "deep")
 
-    def test_non_utf8_config_is_2(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_bytes(b"\xff\xfe" + json.dumps(SMALL_CONFIG).encode())
-        rc = cli.main(["synth", "--out", str(tmp_path / "o"), "--config", str(config)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert json.loads(err)["error"] == "ConfigError"
+    def test_non_utf8_config_is_2(self, workspace, tmp_path, capsys):
+        _check_json_fault(workspace, tmp_path, capsys, "config", "non_utf8")
+
+    @pytest.mark.parametrize("reader", _JSON_READERS)
+    def test_json_of_the_wrong_kind_is_rejected(self, workspace, tmp_path, capsys, reader):
+        _check_json_fault(workspace, tmp_path, capsys, reader, "wrong_kind")
 
 
 @st.composite
@@ -1179,7 +1321,7 @@ class TestDeterminism:
         assert set(seeds.values()) == {3}, seeds
         # the bundle files equal those of a synth run with the same config
         bundle = tmp_path / "bundle"
-        assert cli.main(["synth", "--out", str(bundle), "--seed", "3"] + _cfg(workspace)) == 0
+        assert cli.main(["synth", "--out", str(bundle)] + _cfg(workspace)) == 0
         for name in ("raw.jsonl", "general.jsonl", "token_maps.jsonl", "ground_truth.jsonl"):
             assert (bundle / name).read_bytes() == (out / name).read_bytes()
 

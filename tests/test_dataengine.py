@@ -24,7 +24,7 @@ from ilrkit.dataengine import (
     save_jsonl,
     save_split,
 )
-from ilrkit.embedstore import EmbeddingRecord, EmbeddingSet
+from ilrkit.embedstore import EmbeddingRecord, EmbeddingSet, load_jsonl
 from ilrkit.errors import DataValidationError
 
 
@@ -498,7 +498,7 @@ class TestSerialization:
         records = emit_conversations(tasks, "match_mcq")
         path = tmp_path / "conv.jsonl"
         save_jsonl(records, path)
-        loaded = dataengine._load_jsonl(
+        loaded = load_jsonl(
             path, lambda o: ConversationRecord(**{**o, "images": tuple(o["images"])})
         )
         assert loaded == records

@@ -1,7 +1,9 @@
+import ast
 import json
 import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +340,30 @@ class TestWriterText:
 
 def test_magic_constant():
     assert embedstore.MAGIC == b"EMB1"
+
+
+def _json_decodes(path: Path) -> list[int]:
+    """The lines of ``path`` that call ``json.load`` or ``json.loads`` or
+    import either of them from ``json``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            lines += [node.lineno for alias in node.names if alias.name in ("load", "loads")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_json_is_decoded_in_embedstore_only():
+    """Every reader of JSON text goes through embedstore, which turns bad text
+    into one set of errors; no other module of the package decodes JSON."""
+    package = Path(embedstore.__file__).parent
+    assert _json_decodes(package / "embedstore.py")
+    elsewhere = {path.name: _json_decodes(path) for path in sorted(package.glob("*.py"))
+                 if path.name != "embedstore.py"}
+    assert len(elsewhere) >= 10
+    assert {name: lines for name, lines in elsewhere.items() if lines} == {}
 
 
 # ids that JSON writers may spell with escapes: quotes, backslashes, slashes
