@@ -36,6 +36,7 @@ from . import __version__, checkpoint, dataengine, evalkit, expert, fusion, simc
 from .config import ENV_CONFIG, PipelineConfig, load_config
 from .embedstore import (
     EmbeddingSet,
+    jsonl_lines,
     load_embedding_set,
     load_jsonl,
     load_token_maps,
@@ -323,8 +324,26 @@ _prediction_fields = typed_fields({"task_id": (str,), "response": (str, int, boo
 _caption_fields = typed_fields({"query_id": (str,), "caption": (str,)})
 
 
+def _load_keyed(path: str, build, key: str) -> dict:
+    """The (key, value) pairs that ``build`` makes of the lines of a JSONL
+    file, as a dict; a key on a second line is a DataValidationError naming
+    that line. The lines are searched for it only when the dict holds fewer
+    items than the file lines."""
+    pairs = load_jsonl(path, build)
+    by_key = dict(pairs)
+    if len(by_key) != len(pairs):
+        seen = set()
+        for (lineno, _), (k, _) in zip(jsonl_lines(path), pairs):
+            if k in seen:
+                raise DataValidationError(f"{path}: line {lineno}: duplicate {key} {k!r}")
+            seen.add(k)
+    return by_key
+
+
 def _load_predictions(path: str) -> evalkit.PredictionLog:
-    return evalkit.PredictionLog(dict(load_jsonl(path, _prediction_fields)), model_name="file")
+    return evalkit.PredictionLog(
+        _load_keyed(path, _prediction_fields, "task_id"), model_name="file"
+    )
 
 
 def _needs(args, flag: str, *needed: str) -> None:
@@ -408,7 +427,7 @@ def cmd_emit(args, config: PipelineConfig) -> None:
     tasks = dataengine.load_gallery_tasks(args.tasks)
     captions = None
     if args.captions:
-        captions = dict(load_jsonl(args.captions, _caption_fields))
+        captions = _load_keyed(args.captions, _caption_fields, "query_id")
     elif args.stage == "caption":
         captions = dataengine.template_captions(tasks)
     records = dataengine.emit_conversations(tasks, args.stage, captions=captions)

@@ -9,6 +9,7 @@ analytic and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -93,12 +94,37 @@ def _pairwise_dist(embeddings: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """The (n, n) mask of every pair but an item with itself (read-only)."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _hard_indices(embeddings: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per anchor, the index of its farthest same-code and its nearest
+    other-code sample; ``codes`` are non-negative integer labels. Ties break
+    by lowest index (the first occurrence of a masked argmax/argmin)."""
+    counts = np.bincount(codes)
+    if np.count_nonzero(counts) < 2 or np.any(counts == 1):
+        raise DataValidationError(
+            "batch must contain >= 2 instances with >= 2 samples each"
+        )
+    dist = _pairwise_dist(embeddings)
+    same = codes[:, None] == codes[None, :]
+    positives = np.where(same & _off_diagonal(len(codes)), dist, -np.inf)
+    negatives = np.where(same, np.inf, dist)
+    return np.argmax(positives, axis=1), np.argmin(negatives, axis=1)
+
+
 def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]]:
     """Per anchor: farthest same-label and nearest different-label sample.
 
     Ties break by lowest index (the first occurrence of a masked
     argmax/argmin). The batch must contain >= 2 labels, each with >= 2
-    samples.
+    samples. The triplets (anchor, positive, negative) of the mining that
+    combined_loss_and_grads runs.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = list(labels)
@@ -106,17 +132,8 @@ def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]
         raise DataValidationError("embedding/label count mismatch")
     code_of: dict = {}
     codes = np.array([code_of.setdefault(lab, len(code_of)) for lab in labels], dtype=np.intp)
-    if len(code_of) < 2 or np.bincount(codes).min() < 2:
-        raise DataValidationError(
-            "batch must contain >= 2 instances with >= 2 samples each"
-        )
-    dist = _pairwise_dist(embeddings)
-    same = codes[:, None] == codes[None, :]
-    positives = np.where(same & ~np.eye(len(labels), dtype=bool), dist, -np.inf)
-    negatives = np.where(same, np.inf, dist)
-    pos = np.argmax(positives, axis=1).tolist()
-    neg = np.argmin(negatives, axis=1).tolist()
-    return list(zip(range(len(labels)), pos, neg))
+    pos, neg = _hard_indices(embeddings, codes)
+    return list(zip(range(len(labels)), pos.tolist(), neg.tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,36 +157,40 @@ def combined_loss_and_grads(
     """Classification + batch-hard triplet loss with analytic gradients.
 
     Returns (loss, grad_w, grad_b, grad_prototypes). ``labels`` are
-    integer indices into the prototype columns.
+    integer indices into the prototype columns. The softmax is computed in
+    place in the logits buffer, which then holds the logit gradient; the
+    hard triplets are mined as index arrays (the mining batch_hard_mine
+    reports), and their gradient is scattered into the embedding gradient
+    by one 1-D ``np.add.at`` in the order of a loop over anchors.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
-    batch = x.shape[0]
+    batch, d = x.shape[0], head.w.shape[1]
     cw, tw = head.loss_weights
 
     y = x @ head.w + head.b
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
+    # what np.linalg.norm(y, axis=1, keepdims=True) computes for real input
+    norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
     if np.any(norms < _NORM_EPS):
         raise DataValidationError("zero embedding cannot be normalized")
     e = y / norms
 
-    # classification term
-    logits = e @ prototypes
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
+    # classification term; dlogits is the softmax, computed in place
+    dlogits = e @ prototypes
+    dlogits -= dlogits.max(axis=1, keepdims=True)
+    np.exp(dlogits, out=dlogits)
+    dlogits /= dlogits.sum(axis=1, keepdims=True)
     rows = np.arange(batch)
-    ce = -np.mean(np.log(np.maximum(probs[rows, labels], 1e-300)))
+    ce = -np.mean(np.log(np.maximum(dlogits[rows, labels], 1e-300)))
 
-    dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
     dlogits /= batch
     grad_protos = cw * (e.T @ dlogits)
     de = cw * (dlogits @ prototypes.T)
 
     # batch-hard triplet term, as arrays in the order of a loop over anchors
-    a, p, n = np.array(batch_hard_mine(e, labels), dtype=np.intp).T
-    diff_p, diff_n = e[a] - e[p], e[a] - e[n]
+    p, n = _hard_indices(e, labels)
+    diff_p, diff_n = e - e[p], e - e[n]
     # stacked (1, d) @ (d, 1) products: the dot products np.linalg.norm takes
     d_ap = np.sqrt((diff_p[:, None, :] @ diff_p[:, :, None])[:, 0, 0])
     d_an = np.sqrt((diff_n[:, None, :] @ diff_n[:, :, None])[:, 0, 0])
@@ -181,12 +202,15 @@ def combined_loss_and_grads(
     use_n = live & (d_an > _NORM_EPS)
     g_p = coef * diff_p / np.where(use_p, d_ap, 1.0)[:, None]
     g_n = coef * diff_n / np.where(use_n, d_an, 1.0)[:, None]
-    # per anchor: de[a] += g_p, de[p] -= g_p, de[a] -= g_n, de[n] += g_n
+    # per anchor: de[a] += g_p, de[p] -= g_p, de[a] -= g_n, de[n] += g_n, as
+    # one flat index per element of de; each element takes its additions in
+    # this order, as a 2-D np.add.at over the rows would, but faster
     use = np.stack([use_p, use_p, use_n, use_n], axis=1)
+    target = np.stack([rows, p, rows, n], axis=1)[use]
     np.add.at(
-        de,
-        np.stack([a, p, a, n], axis=1)[use],
-        np.stack([g_p, -g_p, -g_n, g_n], axis=1)[use],
+        de.reshape(-1),
+        (target[:, None] * d + np.arange(d)).ravel(),
+        np.stack([g_p, -g_p, -g_n, g_n], axis=1)[use].ravel(),
     )
 
     # back through normalization: e = y / |y|
@@ -203,31 +227,36 @@ class _BatchSampler:
     """P instances x Q images batch sampler over a raw set."""
 
     def __init__(self, raw_set: EmbeddingSet, p_instances: int, q_images: int):
-        self.raw_set = raw_set
         self.p = p_instances
         self.q = q_images
-        self.instances = sorted(raw_set.instance_index)
+        index = raw_set.instance_index
+        self.instances = sorted(index)
         if len(self.instances) < 2 or self.p < 2 or self.q < 2:
             raise DataValidationError("need >= 2 instances and P, Q >= 2")
         for inst in self.instances:
-            if len(raw_set.instance_index[inst]) < 2:
+            if len(index[inst]) < 2:
                 raise DataValidationError(f"training instance {inst!r} has a single image")
+        # the raw-set rows of each instance's images, in record order
+        self.rows_of = [
+            np.array([raw_set.row_of(image_id) for image_id in index[inst]])
+            for inst in self.instances
+        ]
 
     def epoch_batches(self, rng: np.random.Generator):
+        """(rows, labels) of each batch; a label is its instance's position
+        in sorted order."""
         order = rng.permutation(len(self.instances))
         for start in range(0, len(order) - 1, self.p):
             chosen = order[start : start + self.p]
             if len(chosen) < 2:
                 continue
-            rows, labels = [], []
+            rows, takes = [], []
             for local in chosen:
-                inst = self.instances[local]
-                image_ids = self.raw_set.instance_index[inst]
-                take = min(self.q, len(image_ids))
-                picks = rng.choice(len(image_ids), size=take, replace=False)
-                rows.extend(self.raw_set.row_of(image_ids[i]) for i in picks)
-                labels.extend([local] * take)
-            yield np.asarray(rows), np.asarray(labels)
+                inst_rows = self.rows_of[local]
+                take = min(self.q, len(inst_rows))
+                rows.append(inst_rows[rng.choice(len(inst_rows), size=take, replace=False)])
+                takes.append(take)
+            yield np.concatenate(rows), np.repeat(chosen, takes)
 
 
 def train_expert(
@@ -235,7 +264,6 @@ def train_expert(
 ) -> ExpertHead:
     """Train the expert head on a raw-view set; deterministic per seed."""
     instances = sorted(raw_set.instance_index)
-    label_of = {inst: i for i, inst in enumerate(instances)}
     d_raw = raw_set.dimension
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE8]))
@@ -251,17 +279,15 @@ def train_expert(
 
     sampler = _BatchSampler(raw_set, config.p_instances, config.q_images)
     matrix = np.asarray(raw_set.matrix(), dtype=np.float64)
-    record_labels = np.asarray([label_of[inst] for inst in raw_set.instance_ids])
 
     for epoch in range(config.epochs):
         epoch_loss, n_batches = 0.0, 0
         for rows, labels in sampler.epoch_batches(rng):
-            loss, gw, gb, gp = combined_loss_and_grads(
-                head, prototypes, matrix[rows], record_labels[rows]
-            )
+            loss, gw, gb, gp = combined_loss_and_grads(head, prototypes, matrix[rows], labels)
             head.w -= config.step_size * gw
             head.b -= config.step_size * gb
-            prototypes -= config.step_size * gp
+            gp *= config.step_size  # gp is fresh: scale it in place, not via a temporary
+            prototypes -= gp
             epoch_loss += loss
             n_batches += 1
         if n_batches and not math.isfinite(epoch_loss):

@@ -14,8 +14,9 @@ the N x d attention pass, and training stacks each image's token mean,
 token count and expert vector once, then runs every minibatch as a single
 batched forward and backward pass over index rows: one MLP matrix product
 over all B*(K+1) images, einsums for the cosine scores, and matrix
-products for the gradients. The per-task matching_loss_and_grads is the
-B = 1 case of the same code.
+products for the gradients, written straight into one flat gradient
+vector that an in-place Adam consumes. The per-task
+matching_loss_and_grads is the B = 1 case of the same code.
 
 All training math is 64-bit; checkpoints store parameters as 32-bit.
 """
@@ -208,6 +209,15 @@ def matching_views(
     return views
 
 
+def _param_views(flat: np.ndarray, like: FusionAdapter) -> list[np.ndarray]:
+    """w1, b1, w2, b2 shaped views into consecutive parts of ``flat``."""
+    views, start = [], 0
+    for p in (like.w1, like.b1, like.w2, like.b2):
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
+    return views
+
+
 def batch_matching_loss_and_grads(
     adapter: FusionAdapter,
     views: MatchingViews,
@@ -215,6 +225,7 @@ def batch_matching_loss_and_grads(
     answers: np.ndarray,
     readout_temperature: float = 0.1,
     need_grads: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdapterGrads | None]:
     """Matching loss of B tasks, and the gradient of their summed loss.
 
@@ -223,7 +234,9 @@ def batch_matching_loss_and_grads(
     Every pooled vector of the batch goes through the MLP in one matrix
     product, and the backward pass is again a few matrix products.
     Returns the (B,) per-task losses and the gradients (None unless
-    need_grads).
+    need_grads). The gradients are views of one flat vector holding them in
+    w1, b1, w2, b2 order: ``out``, as long as all the adapter's parameters,
+    when given, or a new one.
     """
     b, m = rows.shape
     x = views.experts[rows]  # (B, K+1, d_e)
@@ -240,7 +253,8 @@ def batch_matching_loss_and_grads(
         raise DataValidationError(f"degenerate zero pooled {side} vector under cosine")
     q, g = pooled[:, :1], pooled[:, 1:]  # (B, 1, d), (B, K, d)
     nq, ng = norms[:, :1, None], norms[:, 1:, None]
-    cos = np.einsum("bqd,bkd->bk", q, g)[..., None] / (nq * ng)  # (B, K, 1)
+    nqng = nq * ng
+    cos = np.einsum("bqd,bkd->bk", q, g)[..., None] / nqng  # (B, K, 1)
     scores = cos[..., 0] / readout_temperature
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
@@ -254,14 +268,23 @@ def batch_matching_loss_and_grads(
     dscores = probs
     dscores[picked, answers] -= 1.0
     gsc = (dscores / readout_temperature)[..., None]
-    d_q = (gsc * (g / (nq * ng) - cos * q / (nq * nq))).sum(axis=1, keepdims=True)
-    d_g = gsc * (q / (nq * ng) - cos * g / (ng * ng))
-    d_proj = (np.concatenate([d_q, d_g], axis=1) / counts).reshape(b * m, -1)
+    # the gradient of each pooled vector: the query's in row 0, the gallery's after
+    d_proj = np.empty(pooled.shape)
+    np.add.reduce(gsc * (g / nqng - cos * q / (nq * nq)), axis=1, keepdims=True,
+                  out=d_proj[:, :1])
+    np.multiply(gsc, q / nqng - cos * g / (ng * ng), out=d_proj[:, 1:])
+    d_proj /= counts
+    d_proj = d_proj.reshape(b * m, -1)
     a, z, x = a.reshape(b * m, -1), z.reshape(b * m, -1), x.reshape(b * m, -1)
     d_z = (d_proj @ adapter.w2.T) * (z > 0)
-    return losses, AdapterGrads(
-        w1=x.T @ d_z, b1=d_z.sum(axis=0), w2=a.T @ d_proj, b2=d_proj.sum(axis=0)
-    )
+    if out is None:
+        out = np.empty(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)))
+    grads = AdapterGrads(*_param_views(out, adapter))
+    np.matmul(x.T, d_z, out=grads.w1)
+    np.add.reduce(d_z, axis=0, out=grads.b1)
+    np.matmul(a.T, d_proj, out=grads.w2)
+    np.add.reduce(d_proj, axis=0, out=grads.b2)
+    return losses, grads
 
 
 def _check_gallery(size: int, answer_index: int) -> None:
@@ -310,7 +333,8 @@ class AdapterTrainConfig:
 
 
 class _Adam:
-    """Deterministic Adam state over one flat parameter vector."""
+    """Deterministic Adam state over one flat parameter vector, updated in
+    place through two scratch vectors."""
 
     def __init__(self, size: int, step: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -319,25 +343,34 @@ class _Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._s = np.empty(size)
+        self._u = np.empty(size)
 
     def update(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """param -= step * mh / (sqrt(vh) + eps), with m = beta1 m + (1 - beta1) g,
+        v = beta2 v + (1 - beta2) g g, mh and vh their bias-corrected forms."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        mh = self.m / (1 - self.beta1**self.t)
-        vh = self.v / (1 - self.beta2**self.t)
-        param -= self.step * mh / (np.sqrt(vh) + self.eps)
+        m, v, s, u = self.m, self.v, self._s, self._u
+        m *= self.beta1
+        np.multiply(grad, 1 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grad, 1 - self.beta2, out=s)
+        s *= grad
+        v += s
+        np.divide(m, 1 - self.beta1**self.t, out=s)
+        s *= self.step
+        np.divide(v, 1 - self.beta2**self.t, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s /= u
+        param -= s
 
 
 def _flat_adapter(like: FusionAdapter) -> tuple[np.ndarray, FusionAdapter]:
     """A copy of `like` whose parameters are views into one flat vector."""
-    params = (like.w1, like.b1, like.w2, like.b2)
-    flat = np.concatenate([p.ravel() for p in params])
-    views, start = [], 0
-    for p in params:
-        views.append(flat[start : start + p.size].reshape(p.shape))
-        start += p.size
-    return flat, FusionAdapter(*views, like.temperature)
+    flat = np.concatenate([p.ravel() for p in (like.w1, like.b1, like.w2, like.b2)])
+    return flat, FusionAdapter(*_param_views(flat, like), like.temperature)
 
 
 # Tasks per forward pass when scoring the whole task set. The pass holds
@@ -357,8 +390,10 @@ def train_adapter(
 
     Every image's token mean and expert vector is stacked once, and each
     minibatch is one batch_matching_loss_and_grads call over index rows per
-    gallery size it holds (a single call for a single-size task set).
-    Adam updates the parameters in place, as one flat vector.
+    gallery size it holds (a single call for a single-size task set). The
+    calls write the gradient into one preallocated flat vector, laid out as
+    the parameters are, and Adam updates that flat parameter vector in
+    place; a step allocates no parameter-sized array.
     Returns the trained adapter; if the final epoch's mean loss exceeds the
     initial one, the best epoch's parameters are returned instead.
     """
@@ -393,30 +428,37 @@ def train_adapter(
             np.array([tasks[t].answer_index for t in members]),
         )
     temperature = config.readout_temperature
+    flat, adapter = _flat_adapter(adapter_init)
+    grad, part_grad = np.empty(flat.size), np.empty(flat.size)
 
     def batch_loss(current, batch, need_grads=True):
-        """Losses of the tasks in `batch`, in its order, and their summed flat gradient."""
-        losses, grad = np.empty(len(batch)), None
+        """Losses of the tasks in `batch`, in its order; their summed flat
+        gradient goes into `grad`."""
+        if len(tables) == 1:
+            ((rows, answers),) = tables.values()
+            return batch_matching_loss_and_grads(
+                current, views, rows[batch], answers[batch], temperature, need_grads, grad
+            )[0]
+        losses, first = np.empty(len(batch)), True
         for k, (rows, answers) in tables.items():
             in_k = sizes[batch] == k
             if not in_k.any():
                 continue
             picked = slot[batch[in_k]]
-            part, grads = batch_matching_loss_and_grads(
-                current, views, rows[picked], answers[picked], temperature, need_grads
+            losses[in_k], _ = batch_matching_loss_and_grads(
+                current, views, rows[picked], answers[picked], temperature, need_grads,
+                grad if first else part_grad,
             )
-            losses[in_k] = part
-            if need_grads:
-                g = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2.ravel(), grads.b2])
-                grad = g if grad is None else grad + g
-        return losses, grad
+            if need_grads and not first:
+                np.add(grad, part_grad, out=grad)
+            first = False
+        return losses
 
-    flat, adapter = _flat_adapter(adapter_init)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7A1]))
 
     def mean_loss(current):
         losses = [
-            batch_loss(current, np.arange(s, min(s + _SCORE_CHUNK, len(tasks))), False)[0]
+            batch_loss(current, np.arange(s, min(s + _SCORE_CHUNK, len(tasks))), False)
             for s in range(0, len(tasks), _SCORE_CHUNK)
         ]
         return sum(np.concatenate(losses).tolist()) / len(tasks)
@@ -432,10 +474,11 @@ def train_adapter(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            losses, grad = batch_loss(adapter, batch)
+            losses = batch_loss(adapter, batch)
             for loss in losses.tolist():  # in task order, independent of batching
                 epoch_loss += loss
-            optimizer.update(flat, grad * (1.0 / len(batch)))
+            grad *= 1.0 / len(batch)
+            optimizer.update(flat, grad)
             if not np.all(np.isfinite(flat)):
                 raise DivergenceError(f"adapter parameters diverged at epoch {epoch}")
         epoch_loss /= len(order)

@@ -470,9 +470,10 @@ def _json_reader_run(workspace, tmp_path, reader):
     if reader in files:
         valid = files[reader].read_bytes()
     elif reader == "captions":
+        queries = dict.fromkeys(t.query_id for t in dataengine.load_gallery_tasks(
+            data / "tasks.jsonl"))  # one caption per query: a repeat is rejected
         valid = "".join(
-            json.dumps({"query_id": t.query_id, "caption": "[SUBJECT] here"}) + "\n"
-            for t in dataengine.load_gallery_tasks(data / "tasks.jsonl")
+            json.dumps({"query_id": q, "caption": "[SUBJECT] here"}) + "\n" for q in queries
         ).encode()
     elif reader == "config":
         valid = json.dumps(SMALL_CONFIG).encode()
@@ -780,6 +781,35 @@ class TestMalformedInputs:
                        "--stage", "caption", "--captions", str(captions),
                        "--out", str(tmp_path / "conv.jsonl")] + _cfg(workspace))
         _assert_data_error(rc, capsys)
+
+    def test_duplicate_prediction_task_id_is_3(self, workspace, tmp_path, capsys):
+        # a blank line before the repeat: the line number counts it
+        lines = (workspace / "data" / "preds.jsonl").read_text().splitlines()
+        repeat = json.loads(lines[0])
+        first = repeat["task_id"]
+        repeat["response"] = "Image 2"
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("\n".join([*lines, "", json.dumps(repeat)]) + "\n")
+        out = tmp_path / "eval"
+        rc = cli.main(["evaluate", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                       "--predictions", str(preds), "--out", str(out)] + _cfg(workspace))
+        message = _assert_data_error(rc, capsys)
+        assert message == f"{preds}: line {len(lines) + 2}: duplicate task_id {first!r}"
+        assert not out.exists()
+
+    def test_duplicate_caption_query_id_is_3(self, workspace, tmp_path, capsys):
+        tasks = dataengine.load_gallery_tasks(workspace / "data" / "tasks.jsonl")
+        queries = list(dict.fromkeys(t.query_id for t in tasks))
+        lines = [json.dumps({"query_id": q, "caption": "[SUBJECT] here"}) for q in queries]
+        lines.insert(2, json.dumps({"query_id": queries[0], "caption": "[SUBJECT] again"}))
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["emit", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                       "--stage", "caption", "--captions", str(captions),
+                       "--out", str(tmp_path / "conv.jsonl")] + _cfg(workspace))
+        message = _assert_data_error(rc, capsys)
+        assert message == f"{captions}: line 3: duplicate query_id {queries[0]!r}"
+        assert not (tmp_path / "conv.jsonl").exists()
 
     def _run_on_tasks(self, workspace, tmp_path, command, lines):
         """``match`` or ``evaluate`` on a tasks file of ``lines``; nothing may
