@@ -522,9 +522,8 @@ def cmd_match(args, config: PipelineConfig) -> None:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         with open(path, "w", encoding="utf-8") as fh:
             for task, b in zip(tasks, best):
-                fh.write(
-                    json.dumps({"task_id": task.task_id, "response": f"Image {b + 1}"}) + "\n"
-                )
+                fh.write('{"task_id": %s, "response": "Image %d"}\n'
+                         % (json.dumps(task.task_id), b + 1))
     print(f"matched {len(tasks)} tasks -> {args.out}")
 
 
@@ -698,10 +697,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             k=config.k, n_tasks=config.n_sweep_tasks, seed=seed,
         )
 
-        report = matcher_reports["fused"]
-        report.sweep = {
-            name: {f"{t:g}": a for t, a in row.items()} for name, row in sweep.accuracies.items()
-        }
+        # the matcher reports are serialized before the fused one takes the
+        # sweep table for report.txt, so report.json holds that table once
         summary = {
             "matching_accuracy": {
                 name: rep.to_dict() for name, rep in sorted(matcher_reports.items())
@@ -711,6 +708,10 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 "general": synthgen.recall_at_1(bundle.general_set.subset(split.test_instances)),
                 "expert": synthgen.recall_at_1(expert_set.subset(split.test_instances)),
             },
+        }
+        report = matcher_reports["fused"]
+        report.sweep = {
+            name: {f"{t:g}": a for t, a in row.items()} for name, row in sweep.accuracies.items()
         }
         stage.record("report.json", h, seed).write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

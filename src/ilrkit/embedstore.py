@@ -16,7 +16,9 @@ lines by ``load_jsonl`` (with ``typed_fields``), the split, manifest,
 checkpoint header and config by ``parse_json_object``, and the array files
 by their loaders. All catch one error tuple, so bytes that are not UTF-8 or
 text that is not JSON, nests too deeply or is not an object raise
-DataValidationError naming the file and line.
+DataValidationError naming the file and line. Each text goes through
+``_json_value``, which gives what ``json.loads`` gives (the same value or
+the same error) without its per-call layers on the common path.
 
 The JSONL writers print each float32 component with 9 significant digits
 (``%.9g``), the fewest that read back into every finite float32 exactly;
@@ -27,14 +29,15 @@ set with a non-finite component is refused before anything is written.
 
 An EmbeddingSet is stored as columns: the image, instance and category ids
 as lists, and the vectors as float32 blocks of consecutive rows. The JSONL
-loader is a column loader: each line is parsed by ``json.loads`` into the
-id columns and a list of vectors, and every ``_CHUNK`` lines the chunk's
-vectors become one block through one ``np.asarray``. The component-type,
-dimension and finiteness checks run on the whole chunk, the string-field
-and empty-instance_id checks as passes over its columns, and duplicate ids
-are checked last, over the whole set. Only when a chunk fails a check are
-its lines checked one at a time, to raise the error of its first faulty
-line with the message a per-line check gives. The EMB1 loader decodes all
+loader is a column loader: each line is parsed into the id columns and a
+list of vectors, and every ``_CHUNK`` lines the chunk's vectors become one
+block through one ``np.asarray``. The component-type, dimension and
+finiteness checks run on the whole chunk, the string-field and
+empty-instance_id checks as passes over its columns, and duplicate ids are
+checked last, over the whole set. Only when a chunk fails a check are its
+lines checked one at a time, to raise the error of its first faulty line
+with the message a per-line check gives. The token-map loader builds and
+checks (rows, N, d) blocks the same way. The EMB1 loader decodes all
 selected vectors as one block and checks it the same way.
 
 Both loaders take ``only=``, a set of image ids, for commands that use a few
@@ -340,8 +343,27 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 _MALFORMED = (ValueError, KeyError, TypeError, RecursionError)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips, narrower than str.strip's
+
+
+def _json_value(text: str):
+    """``json.loads(text)``: the same value, or the same exception with the
+    same message. A value that starts the text and is followed by JSON
+    whitespace alone is taken from ``raw_decode`` as is; anything else
+    (leading whitespace, trailing data, a BOM, any error) is left to
+    ``json.loads`` itself."""
+    try:
+        obj, end = _raw_decode(text)
+    except Exception:  # noqa: BLE001 - json.loads raises it again, as its own
+        return json.loads(text)
+    if end == len(text) or not text[end:].strip(_JSON_SPACE):
+        return obj
+    return json.loads(text)
+
+
 def _json_object(text: str) -> dict:
-    obj = json.loads(text)
+    obj = _json_value(text)
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -466,7 +488,7 @@ def _read_jsonl_columns(path: Path, only: Collection[str] | None):
         linenos, rows, stop = [], [], None
         for lineno, line in itertools.islice(lines, _CHUNK):
             try:
-                rows.append(_record_fields(json.loads(line)))
+                rows.append(_record_fields(_json_value(line)))
             except _MALFORMED as exc:  # raised once the lines before it are checked
                 stop = _malformed(path, lineno, exc)
                 break
@@ -645,18 +667,89 @@ def load_token_maps(
 
     With ``only``, returns just the maps whose image_id is in it, in file
     order, and possibly none; N and d are enforced across the parsed lines.
+    Like the embedding-set loader, every ``_CHUNK`` lines become one float32
+    (rows, N, d) block, checked as a whole; the maps hold views of its rows.
+    A chunk that fails a check has its lines checked one at a time, so the
+    first faulty line raises the error a per-line load gives.
     """
     path = Path(path)
     maps: list[TokenFeatureMap] = []
     seen: set[str] = set()
     shape: tuple[int, int] | None = None
-    for lineno, line in _record_lines(path, only):
+    lines = _record_lines(path, only)
+    while True:
+        linenos, objs, tokens, stop = [], [], [], None
+        for lineno, line in itertools.islice(lines, _CHUNK):
+            try:
+                obj = _json_value(line)
+                tokens.append(obj["tokens"])
+            except _MALFORMED as exc:  # raised once the lines before it are checked
+                stop = _malformed_map(path, lineno, exc)
+                break
+            linenos.append(lineno)
+            objs.append(obj)
+        if objs:
+            ids = [obj.get("image_id") for obj in objs]
+            if shape is None and type(tokens[0]) is list and tokens[0]:
+                first = tokens[0][0]
+                shape = (len(tokens[0]), len(first) if type(first) is list else 0)
+            block = _token_block(ids, tokens, shape)
+            if block is None:
+                _check_token_lines(path, linenos, objs, shape, only, seen)
+            for lineno, image_id, tok in zip(linenos, ids, block):
+                if only is None or image_id in only:
+                    if image_id in seen:
+                        raise _duplicate_map(path, lineno, image_id)
+                    seen.add(image_id)
+                    maps.append(_token_map(image_id, tok))
+        if stop is not None:
+            raise stop
+        if len(objs) < _CHUNK:
+            break
+    if not maps and only is None:
+        raise DataValidationError(f"{path}: empty token-map file")
+    return maps
+
+
+def _malformed_map(path: Path, lineno: int, exc: Exception) -> DataValidationError:
+    return DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}")
+
+
+def _duplicate_map(path: Path, lineno: int, image_id: str) -> DataValidationError:
+    return DataValidationError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
+
+
+def _token_block(ids: list, tokens: list, shape: tuple[int, int] | None) -> np.ndarray | None:
+    """The chunk's tokens as one (rows, N, d) float32 block when every line
+    holds a string image_id and an N x d list of finite numbers, N and d
+    both at least 1; otherwise None."""
+    if shape is None or 0 in shape:
+        return None
+    n, d = shape
+    if not (_only_type(str, ids) and _only_type(list, tokens) and set(map(len, tokens)) == {n}):
+        return None
+    rows = list(itertools.chain.from_iterable(tokens))
+    if not (_only_type(list, rows) and set(map(len, rows)) == {d}
+            and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))):
+        return None
+    try:
+        block = _float32(tokens)
+    except OverflowError:  # an integer beyond float64, named line by line
+        return None
+    return block if np.isfinite(block).all() else None
+
+
+def _check_token_lines(path: Path, linenos: list[int], objs: list[dict],
+                       shape: tuple[int, int] | None, only: Collection[str] | None,
+                       seen: set[str]) -> None:
+    """Check a chunk that failed ``_token_block`` one line at a time, as a
+    per-line load does, and raise the first faulty line's error."""
+    for lineno, obj in zip(linenos, objs):
         try:
-            obj = json.loads(line)
             tokens = _numbers(obj["tokens"], "tokens")
             tmap = TokenFeatureMap(obj["image_id"], tokens)
         except _MALFORMED as exc:
-            raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc
+            raise _malformed_map(path, lineno, exc) from exc
         if shape is None:
             shape = tmap.tokens.shape
         elif tmap.tokens.shape != shape:
@@ -665,14 +758,17 @@ def load_token_maps(
             )
         if only is None or tmap.image_id in only:
             if tmap.image_id in seen:
-                raise DataValidationError(
-                    f"{path}: line {lineno}: duplicate image_id {tmap.image_id!r}"
-                )
+                raise _duplicate_map(path, lineno, tmap.image_id)
             seen.add(tmap.image_id)
-            maps.append(tmap)
-    if not maps and only is None:
-        raise DataValidationError(f"{path}: empty token-map file")
-    return maps
+    raise AssertionError(f"{path}: a chunk failed its checks but none of its lines did")
+
+
+def _token_map(image_id: str, tokens: np.ndarray) -> TokenFeatureMap:
+    """A TokenFeatureMap of tokens already checked as part of a block."""
+    tmap = object.__new__(TokenFeatureMap)
+    object.__setattr__(tmap, "image_id", image_id)
+    object.__setattr__(tmap, "tokens", tokens)
+    return tmap
 
 
 def save_token_maps(maps: Sequence[TokenFeatureMap], path: str | Path) -> None:

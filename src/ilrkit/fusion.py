@@ -117,15 +117,21 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _token_matrix(adapter: FusionAdapter, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
-    """The (N, d) tokens of one image as float64, checked against the adapter."""
-    tok = tokens.tokens if isinstance(tokens, TokenFeatureMap) else tokens
-    tok = np.asarray(tok, dtype=np.float64)
+def _checked_tokens(adapter: FusionAdapter, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
+    """The (N, d) tokens of one image, checked against the adapter: a
+    TokenFeatureMap's float32 matrix as it is, anything else as float64."""
+    tok = (tokens.tokens if isinstance(tokens, TokenFeatureMap)
+           else np.asarray(tokens, dtype=np.float64))
     if tok.ndim != 2 or tok.shape[0] == 0 or tok.shape[1] != adapter.output_dim:
         raise DataValidationError(
             f"tokens have shape {tok.shape}, adapter expects (N, {adapter.output_dim})"
         )
     return tok
+
+
+def _token_matrix(adapter: FusionAdapter, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
+    """The (N, d) tokens of one image as float64, checked against the adapter."""
+    return np.asarray(_checked_tokens(adapter, tokens), dtype=np.float64)
 
 
 def fuse(
@@ -184,28 +190,46 @@ class MatchingViews:
     experts: np.ndarray  # (n_img, d_e)
 
 
+_MEAN_ROWS = 256  # images whose tokens are stacked for one mean call
+
+
 def matching_views(
     adapter: FusionAdapter,
     tokens: Sequence[TokenFeatureMap | np.ndarray],
     expert_vecs: Sequence[Sequence[float]],
 ) -> MatchingViews:
-    """Stack the token means, token counts and expert vectors of some images."""
+    """Stack the token means, token counts and expert vectors of some images.
+
+    The images are checked one at a time; the means of those with the same
+    token count are then taken ``_MEAN_ROWS`` images per call, as the
+    float64 mean over axis 1 of their stacked tokens. That adds each
+    image's token rows in the order its own ``mean(axis=0)`` does, so the
+    means are bit-equal to it.
+    """
     n = len(tokens)
     views = MatchingViews(
         token_means=np.empty((n, adapter.output_dim)),
         token_counts=np.empty(n),
         experts=np.empty((n, adapter.expert_dim)),
     )
+    mats = []
+    by_count: dict[int, list[int]] = {}
     for i, (tok, vec) in enumerate(zip(tokens, expert_vecs)):
-        t = _token_matrix(adapter, tok)
+        t = _checked_tokens(adapter, tok)
         v = np.asarray(vec, dtype=np.float64)
         if v.shape != (adapter.expert_dim,):
             raise DataValidationError(
                 f"expert vector has shape {v.shape}, adapter expects ({adapter.expert_dim},)"
             )
-        views.token_means[i] = t.mean(axis=0)
-        views.token_counts[i] = t.shape[0]
+        mats.append(t)
+        by_count.setdefault(t.shape[0], []).append(i)
         views.experts[i] = v
+    for count, rows in by_count.items():
+        views.token_counts[rows] = count
+        for start in range(0, len(rows), _MEAN_ROWS):
+            part = rows[start : start + _MEAN_ROWS]
+            stacked = np.stack([mats[i] for i in part]).astype(np.float64, copy=False)
+            views.token_means[part] = stacked.mean(axis=1)
     return views
 
 

@@ -8,7 +8,6 @@ import re
 import shutil
 import signal
 import time
-import types
 import warnings
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ilrkit import checkpoint, cli, dataengine, embedstore, expert, fusion, synthgen
+from ilrkit import checkpoint, cli, dataengine, embedstore, evalkit, expert, fusion, synthgen
 from ilrkit.config import PipelineConfig
 from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
 from ilrkit.errors import DataValidationError, DivergenceError, WriterError
@@ -193,6 +192,56 @@ class TestSubcommandChain:
                          "--out", str(tmp_path / "eval")] + _cfg(workspace)) == 0
         report = json.loads((tmp_path / "eval" / "report.json").read_text())
         assert report["detection"]["weighted"] == pytest.approx(16 / 20)
+
+    def test_prediction_lines_are_json_dumps_bytes(self, workspace, tmp_path):
+        # task ids that json.dumps escapes: quotes, backslashes, control
+        # characters, non-ASCII text and a lone surrogate
+        data = workspace / "data"
+        odd = ['q"uote', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "é猫🙂",
+               " sep", "\ud800", "/slash", ""]
+        tasks = dataengine.load_gallery_tasks(data / "tasks.jsonl")
+        lines = []
+        for i, line in enumerate((data / "tasks.jsonl").read_text().splitlines()):
+            obj = json.loads(line)
+            obj["task_id"] = odd[i % len(odd)] + str(i)
+            lines.append(json.dumps(obj) + "\n")
+        renamed = tmp_path / "tasks.jsonl"
+        renamed.write_text("".join(lines))
+        out = tmp_path / "p.jsonl"
+        assert cli.main(["match", "--embeddings", str(data / "general.jsonl"),
+                         "--tasks", str(renamed), "--out", str(out)] + _cfg(workspace)) == 0
+        view = load_embedding_set(data / "general.jsonl")
+        best = evalkit.similarity_matcher(view).predict(tasks)
+        want = "".join(
+            json.dumps({"task_id": odd[i % len(odd)] + str(i), "response": f"Image {b + 1}"})
+            + "\n" for i, b in enumerate(best)
+        )
+        assert out.read_bytes() == want.encode("utf-8")
+
+    def test_pipeline_report_holds_the_sweep_once(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--out", str(out), "--threads", "1"]
+                        + _cfg(workspace)) == 0
+        report = json.loads((out / "report.json").read_text())
+
+        def sweep_keys(node, path=()):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield from ([path + (key,)] if key == "sweep" else [])
+                    yield from sweep_keys(value, path + (key,))
+
+        assert list(sweep_keys(report)) == [("sweep",)]
+        assert set(report["matching_accuracy"]) == {"expert", "fused", "general"}
+        # report.txt, the fused report's table, still ends with the sweep
+        text = (out / "report.txt").read_text()
+        table = text[text.index("Difficulty sweep, accuracy (%) per tau"):].splitlines()
+        taus = [f"{t:g}" for t in SMALL_CONFIG["taus"]]
+        assert table[1].split() == ["matcher", *taus]
+        for row, name in zip(table[2:], ("expert", "fused", "general")):
+            cells = row.split()
+            assert cells[0] == name
+            assert cells[1:] == [f"{100 * report['sweep']['accuracies'][name][t]:.1f}"
+                                 for t in taus]
 
 
 def _command_argv(command: str, inputs: str, out: str) -> list[str]:
@@ -752,13 +801,14 @@ class TestMalformedInputs:
     def test_fuse_parses_only_lines_that_may_hold_the_id(self, workspace, tmp_path,
                                                          monkeypatch):
         parsed = []
+        decode = embedstore._json_value
 
-        def loads(text, *args, **kwargs):
+        def spy(text):
             parsed.append(text)
-            return json.loads(text, *args, **kwargs)
+            return decode(text)
 
-        monkeypatch.setattr(embedstore, "json", types.SimpleNamespace(
-            loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+        # every JSON text embedstore reads is decoded by _json_value
+        monkeypatch.setattr(embedstore, "_json_value", spy)
         assert self._fuse(workspace, tmp_path) == 0
         data = workspace / "data"
         for name in ("token_maps.jsonl", "expert.jsonl"):

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 import struct
 import warnings
@@ -780,6 +781,207 @@ class TestColumnLoaderAgainstReference:
             load(path)
 
 
+# The token-map loader as it was before it loaded by chunk: it parsed each
+# line with json.loads, converted its tokens with _numbers and built a
+# TokenFeatureMap, then checked the shape against the first parsed line's
+# and the image id against those seen before.
+
+def _reference_tokens(values):
+    try:
+        return _reference_numbers(values, "tokens")
+    except OverflowError as exc:
+        raise ValueError(f"tokens component out of range: {exc}") from exc
+
+
+def _reference_token_maps(path, only=None):
+    maps, seen, shape = [], set(), None
+    for lineno, line in embedstore._record_lines(path, only):
+        try:
+            obj = json.loads(line)
+            tokens = _reference_tokens(obj["tokens"])
+            tmap = TokenFeatureMap(obj["image_id"], tokens)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}") from exc
+        if shape is None:
+            shape = tmap.tokens.shape
+        elif tmap.tokens.shape != shape:
+            raise DataValidationError(
+                f"{path}: line {lineno}: token map shape {tmap.tokens.shape} != {shape}"
+            )
+        if only is None or tmap.image_id in only:
+            if tmap.image_id in seen:
+                raise DataValidationError(
+                    f"{path}: line {lineno}: duplicate image_id {tmap.image_id!r}"
+                )
+            seen.add(tmap.image_id)
+            maps.append(tmap)
+    if not maps and only is None:
+        raise DataValidationError(f"{path}: empty token-map file")
+    return maps
+
+
+def _token_outcome(load, path, only=None):
+    """What a token-map load gives: every map's id, dtype, shape and bytes,
+    or the exception's type and message."""
+    try:
+        with np.errstate(over="ignore"):
+            maps = load(path, only)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return [(m.image_id, m.tokens.dtype, m.tokens.shape, m.tokens.tobytes()) for m in maps]
+
+
+def _assert_tokens_as_reference(path, only=None):
+    want = _token_outcome(_reference_token_maps, path, only)
+    assert _token_outcome(load_token_maps, path, only) == want
+    return want
+
+
+def _valid_token_objects(rng, n, shape):
+    objects = []
+    for i in range(n):
+        tokens = rng.standard_normal(shape).tolist()
+        if i % 5 == 2:
+            tokens[i % shape[0]][i % shape[1]] = int(rng.integers(-5, 6))
+        objects.append({"image_id": f"map{i:04d}", "tokens": tokens})
+    return objects
+
+
+def _token_damage(mutate):
+    """A damage that edits the tokens of map ``at``, if it still has a
+    matrix of them."""
+    def apply(objects, at):
+        tokens = objects[at].get("tokens")
+        if type(tokens) is list and tokens and all(type(r) is list and r for r in tokens):
+            mutate(tokens)
+    return _damage(apply)
+
+
+def _set_token(value, row=0, col=0):
+    return _token_damage(lambda tokens: tokens[min(row, len(tokens) - 1)].__setitem__(
+        min(col, len(tokens[0]) - 1), value))
+
+
+# each damage edits map ``at`` in place, or returns the text of its line
+_TOKEN_DAMAGE = {
+    "decode": lambda objects, at: json.dumps(objects[at])[:-5],
+    "trailing_data": lambda objects, at: json.dumps(objects[at]) + " x",
+    "not_object": lambda objects, at: json.dumps(objects[at].get("tokens")),
+    "bare_number": lambda objects, at: "17",
+    "missing_image_id": _drop("image_id"),
+    "missing_tokens": _drop("tokens"),
+    "id_not_string": _set("image_id", 7),
+    "tokens_not_list": _set("tokens", 5),
+    "tokens_string": _set("tokens", "0.5"),
+    "tokens_empty": _set("tokens", []),
+    "tokens_empty_row": _set("tokens", [[]]),
+    "tokens_flat": _set("tokens", [1.0, 2.0]),
+    "tokens_cube": _set("tokens", [[[1.0]]]),
+    "component_string": _set_token("0.5", 1, 1),
+    "component_bool": _set_token(True, -1, -1),
+    "component_null": _set_token(None),
+    "component_list": _set_token([0.5], 0, 1),
+    "ragged": _token_damage(lambda tokens: tokens[-1].pop()),
+    "extra_row": _token_damage(lambda tokens: tokens.append(list(tokens[0]))),
+    "wider": _token_damage(lambda tokens: tokens.__setitem__(
+        slice(None), [row + [0.5] for row in tokens])),
+    "nan": _set_token(float("nan"), 1, 0),
+    "inf": _set_token(float("-inf"), 0, 1),
+    "beyond_float32": _set_token(1e39),
+    "beyond_float64": _set_token(10 ** 400, 1, 1),
+    "duplicate": _damage(lambda objects, at: objects[at].__setitem__(
+        "image_id", objects[at - 1]["image_id"] if at else objects[1 % len(objects)]["image_id"])),
+}
+
+
+class TestTokenMapsAgainstReference:
+    """The chunk loader gives the per-line loader's maps bit for bit, and the
+    same exception and message for a damaged file."""
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 2 * embedstore._CHUNK + 9),
+           shape=st.sampled_from([(1, 1), (2, 3), (3, 2), (16, 4)]),
+           blank=st.sets(st.integers(0, 200), max_size=4), subset=st.none() | st.integers(0, 3))
+    def test_valid_files(self, tmp_path, seed, n, shape, blank, subset):
+        objects = _valid_token_objects(np.random.default_rng(seed), n, shape)
+        lines = [json.dumps(o) for o in objects]
+        for at in sorted(blank, reverse=True):
+            lines.insert(at % (n + 1), " \t")
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ids = [o["image_id"] for o in objects]
+        only = None if subset is None else set(ids[subset::3]) | {"absent"}
+        maps = _assert_tokens_as_reference(path, only)
+        assert len(maps) == (n if only is None else len(ids[subset::3]))
+        loaded = load_token_maps(path, only)
+        assert all(m.tokens.dtype == np.float32 and m.tokens.flags.c_contiguous
+                   for m in loaded)
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 2 * embedstore._CHUNK + 9),
+           damages=st.lists(st.tuples(st.integers(0, 10**6),
+                                      st.sampled_from(sorted(_TOKEN_DAMAGE))),
+                            min_size=1, max_size=3),
+           only=st.booleans())
+    def test_damaged_files(self, tmp_path, seed, n, damages, only):
+        objects = _valid_token_objects(np.random.default_rng(seed), n, (2, 3))
+        texts = {}
+        for at, kind in damages:
+            text = _TOKEN_DAMAGE[kind](objects, at % n)
+            if text is not None:
+                texts[at % n] = text
+        lines = [texts.get(i) or json.dumps(o) for i, o in enumerate(objects)]
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _assert_tokens_as_reference(path, {"map0000", f"map{n - 1:04d}"} if only else None)
+
+    @pytest.mark.parametrize("faults", [
+        # one kind alone, on the first line, early and in a later chunk
+        *([(at, kind)] for kind in sorted(_TOKEN_DAMAGE) for at in (0, 5, embedstore._CHUNK + 9)),
+        # two kinds in one chunk, either one first
+        [(4, "id_not_string"), (9, "decode")],
+        [(4, "decode"), (9, "id_not_string")],
+        [(3, "nan"), (8, "component_string")],
+        [(3, "wider"), (8, "missing_image_id")],
+        [(2, "duplicate"), (6, "decode")],
+        [(2, "duplicate"), (6, "extra_row")],
+        # two kinds on one line, ranked as the per-line checks ran
+        [(5, "nan"), (5, "missing_image_id")],
+        [(5, "component_string"), (5, "missing_image_id")],
+        [(5, "component_string"), (5, "id_not_string")],
+        [(5, "wider"), (5, "nan")],
+        [(5, "tokens_empty"), (5, "id_not_string")],
+        # the first line sets the shape, even when a later chunk disagrees
+        [(0, "extra_row"), (embedstore._CHUNK + 2, "nan")],
+        # across chunks: the earlier line wins
+        [(embedstore._CHUNK + 3, "decode"), (10, "wider")],
+        [(3, "duplicate"), (2 * embedstore._CHUNK + 1, "decode")],
+        [(embedstore._CHUNK - 1, "inf"), (embedstore._CHUNK, "missing_tokens")],
+    ])
+    def test_fault_order(self, tmp_path, faults):
+        objects = _valid_token_objects(np.random.default_rng(3), 2 * embedstore._CHUNK + 10,
+                                       (3, 2))
+        texts = {}
+        for at, kind in faults:
+            texts[at] = _TOKEN_DAMAGE[kind](objects, at) or texts.get(at)
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join((texts.get(i) or json.dumps(o)) + "\n"
+                                for i, o in enumerate(objects)))
+        outcome = _assert_tokens_as_reference(path)
+        assert outcome[0] is DataValidationError
+
+    def test_only_selects_after_checking_the_parsed_lines(self, tmp_path):
+        objects = _valid_token_objects(np.random.default_rng(5), 4, (2, 2))
+        objects[2]["tokens"].append([1.0, 2.0])
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        # map0002 holds the text of no requested id, so it is not parsed
+        assert [m.image_id for m in load_token_maps(path, {"map0003"})] == ["map0003"]
+        with pytest.raises(DataValidationError,
+                           match=r"line 4: token map shape \(2, 2\) != \(3, 2\)"):
+            load_token_maps(path, {"map0002", "map0003"})
+
+
 def _emb1_bytes(records, dim, count=None):
     """EMB1 bytes of (image_id, instance_id, category, floats) records, with a
     record count of ``count`` when given."""
@@ -819,3 +1021,94 @@ class TestBinaryBlockChecks:
         with pytest.raises(DataValidationError, match="'r0': vector must be a non-empty"):
             load_embedding_set(path, "bin")
         assert load_embedding_set(path, "bin", only={"x"}).dimension == 0
+
+
+def _decoded(decode, text):
+    """What decoding ``text`` gives: the value's type and repr (which tells
+    NaN, -0.0, 1 and 1.0 apart), or the exception's type and message."""
+    try:
+        value = decode(text)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def _assert_decodes_as_loads(text):
+    assert _decoded(embedstore._json_value, text) == _decoded(json.loads, text)
+
+
+# json.loads skips " \t\n\r" around a value; the rest are whitespace to
+# str.strip but not to JSON
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\u00a0\u2028\u3000\ufeff"
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_DECODER = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+class TestJsonValue:
+    """``_json_value`` gives what ``json.loads`` gives: an equal value, or an
+    exception of the same type with the same message."""
+
+    @_DECODER
+    @given(text=st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('{}[]":,0e-.'
+                                                                           + _SPACES)))
+    def test_any_text(self, text):
+        _assert_decodes_as_loads(text)
+
+    @_DECODER
+    @given(value=_JSON_VALUES, before=st.text(alphabet=_SPACES, max_size=3),
+           after=st.text(alphabet=_SPACES, max_size=3), indent=st.none() | st.integers(0, 2),
+           tail=st.sampled_from(["", "x", "{}", "0", "]", "\x00"]))
+    def test_json_in_whitespace(self, value, before, after, indent, tail):
+        _assert_decodes_as_loads(before + json.dumps(value, indent=indent) + after + tail)
+
+    @pytest.mark.parametrize("text", [
+        '\ufeff{"a": 1}', '\ufeff{"a": 1}\n', ' {"a": 1}', '{"a": 1}\x0b', '{"a": 1}\u00a0\n',
+        '{"a": 1}\u2028', '{"a": 1} \t\r\n', '{"a": 1}{"b": 2}', '{"a": 1} x', "",
+        "\n", "NaN", "Infinity", "-Infinity", '{"v": [NaN, Infinity, -Infinity, -0.0, 1e400]}',
+        "nan", '{"a": 1, "a": 2}', '{"a": {"b": 1}, "a": [2]}\n', "17", "[1, 2]\n", '"s"',
+        "null", "true", '"\\ud800"', '{"id": "\\ud800\\udc00\\udfff\\ud800"}', '"\\ud800',
+        '{"a": 1', "[" * 100_000 + "]" * 100_000, '{"a": ' * 50_000 + "1" + "}" * 50_000,
+        '{"a": "\x01"}', '{"a": 1}\n\n', "0" * 5000, "1" * 5000, "-" + "1" * 4301,
+    ], ids=lambda text: ascii(text[:24]))
+    def test_cases(self, text):
+        _assert_decodes_as_loads(text)
+
+    def test_values(self):
+        value = embedstore._json_value('{"v": [NaN, Infinity, -Infinity], "k": 1, "k": 2}\n')
+        assert math.isnan(value["v"][0]) and value["v"][1:] == [math.inf, -math.inf]
+        assert value["k"] == 2
+        assert embedstore._json_value('"\\ud800"') == "\ud800"
+        with pytest.raises(RecursionError):
+            embedstore._json_value("[" * 100_000)
+
+    @pytest.mark.parametrize("text, kind", [("17", "int"), ("[1, 2]\n", "list"),
+                                            ("null", "NoneType"), ('"x"', "str")])
+    def test_non_object_line(self, tmp_path, text, kind):
+        path = tmp_path / "x.jsonl"
+        path.write_text(text + "\n")
+        with pytest.raises(DataValidationError) as info:
+            embedstore.load_jsonl(path, dict)
+        assert str(info.value) == f"{path}: line 1: expected a JSON object, got {kind}"
+
+    def test_readers_decode_through_it(self, tmp_path, monkeypatch):
+        calls = []
+        decode = embedstore._json_value
+
+        def counted(text):
+            calls.append(text)
+            return decode(text)
+
+        monkeypatch.setattr(embedstore, "_json_value", counted)
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"image_id": "a", "instance_id": "i", "category": "c", "vector": [1]}\n')
+        load_embedding_set(path)
+        path.write_text('{"image_id": "a", "tokens": [[1.0]]}\n')
+        load_token_maps(path)
+        embedstore.load_jsonl(path, dict)
+        embedstore.parse_json_object(b'{"a": 1}', "x")
+        assert len(calls) == 4

@@ -323,6 +323,71 @@ class TestBatchMatchingLoss:
         with pytest.raises(DataValidationError, match="tokens"):
             matching_views(adapter, [np.ones((2, 3))], [np.ones(5)])
 
+    @pytest.mark.parametrize("tokens, vecs, message", [
+        ([np.ones((2, 4)), np.ones((2, 3))], [np.ones(5)] * 2,
+         "tokens have shape (2, 3), adapter expects (N, 4)"),
+        ([np.ones((2, 4)), np.ones((0, 4))], [np.ones(5)] * 2,
+         "tokens have shape (0, 4), adapter expects (N, 4)"),
+        ([np.ones((2, 4)), np.ones(4)], [np.ones(5)] * 2,
+         "tokens have shape (4,), adapter expects (N, 4)"),
+        ([np.ones((2, 4))] * 2, [np.ones(5), np.ones((1, 5))],
+         "expert vector has shape (1, 5), adapter expects (5,)"),
+        # the first faulty image wins, its tokens checked before its vector
+        ([np.ones((2, 4)), np.ones((2, 4)), np.ones((2, 3))],
+         [np.ones(5), np.ones(4), np.ones(5)],
+         "expert vector has shape (4,), adapter expects (5,)"),
+        ([np.ones((2, 4)), np.ones((2, 3))], [np.ones(5), np.ones(4)],
+         "tokens have shape (2, 3), adapter expects (N, 4)"),
+    ])
+    def test_view_errors_name_the_first_faulty_image(self, tokens, vecs, message):
+        adapter = _random_adapter(np.random.default_rng(22))
+        with pytest.raises(DataValidationError) as info:
+            matching_views(adapter, tokens, vecs)
+        assert str(info.value) == message
+
+
+def _per_image_views(adapter, tokens, vecs):
+    """The views as one image at a time builds them: each image's float64
+    tokens and their ``mean(axis=0)``."""
+    mats = [np.asarray(t.tokens if isinstance(t, TokenFeatureMap) else t, dtype=np.float64)
+            for t in tokens]
+    return (np.array([m.mean(axis=0) for m in mats]), np.array([m.shape[0] for m in mats],
+            dtype=np.float64), np.array(vecs, dtype=np.float64))
+
+
+class TestMatchingViewsMeans:
+    """The stacked token means are bit-equal to each image's own mean."""
+
+    def _assert_bit_equal(self, adapter, tokens, vecs):
+        views = matching_views(adapter, tokens, vecs)
+        means, counts, experts = _per_image_views(adapter, tokens, vecs)
+        assert views.token_means.dtype == np.float64
+        assert views.token_means.tobytes() == means.tobytes()
+        assert np.array_equal(views.token_counts, counts)
+        assert views.experts.tobytes() == experts.tobytes()
+
+    def test_default_shapes(self, default_bundle, expert_vectors):
+        # every image of the default bundle: 16 float32 tokens of 16
+        # dimensions, more images than one stacking call takes
+        maps = default_bundle.token_maps
+        assert len(maps) > 2 * fusion._MEAN_ROWS
+        vecs = [expert_vectors[m.image_id] for m in maps]
+        adapter = fusion.init_adapter(len(vecs[0]), maps[0].tokens.shape[1], seed=3)
+        self._assert_bit_equal(adapter, maps, vecs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_token_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        adapter = _random_adapter(rng)
+        counts = rng.choice([1, 2, 3, 7, 16, 33], size=fusion._MEAN_ROWS + 40)
+        tokens = []
+        for i, n in enumerate(counts):
+            t = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-3, 4)
+            # a float32 map, or a float64 array that float32 cannot hold
+            tokens.append(TokenFeatureMap(f"im{i}", t) if i % 3 else t)
+        vecs = [rng.standard_normal(5) for _ in tokens]
+        self._assert_bit_equal(adapter, tokens, vecs)
+
 
 def _toy_training_setup(rng, n_tasks=6):
     token_maps, expert_vectors, tasks = {}, {}, []
