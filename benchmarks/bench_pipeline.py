@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 _STAGE = re.compile(r"pipeline: .* \((?P<name>.+) took (?P<s>[0-9.]+) s\)$")
-_WORKER = re.compile(r"worker: (?P<name>.+) took (?P<s>[0-9.]+) s \(")
+_WORKER = re.compile(r"worker: (?P<name>.+) took (?P<s>[0-9.]+) s$")
 
 
 def _git(*args: str) -> str | None:

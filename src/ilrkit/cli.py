@@ -4,16 +4,18 @@ Outputs are written to a temporary sibling directory and promoted
 atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
 config hash, seed, and tool version. Unless --threads is 1, a forked
-worker process runs one job at a time beside the parent: in pipeline
-it builds the general-view tasks and writes the bulk artifacts while
-the expert trains, and in synth it writes the token maps. The bytes do
-not depend on --threads. A command runs with numpy's bundled OpenBLAS at
-one thread, whatever the environment asks, and restores the previous
-count on return: its matrix products are small (expert batches of 32 by
-64), and on a 2-core host two BLAS threads made the default pipeline 1.5
-times slower. Exit codes: 0 success, 2 config error (also a flag that
-would do nothing, or an --out of the wrong kind), 3 data validation
-error, 4 numeric divergence, 5 a worker process died.
+worker process runs one job at a time beside the parent and reports once
+the job has finished: in pipeline one job builds and writes the
+general-view tasks while the expert trains and a second writes the
+bundle and the expert set while the adapter trains, and in synth a job
+writes the token maps. The bytes do not depend on --threads. A command
+runs with numpy's bundled OpenBLAS at one thread, whatever the
+environment asks, and restores the previous count on return: its matrix
+products are small (expert batches of 32 by 64), and on a 2-core host
+two BLAS threads made the default pipeline 1.5 times slower. Exit codes:
+0 success, 2 config error (also a flag that would do nothing, or an
+--out of the wrong kind), 3 data validation error, 4 numeric divergence,
+5 a worker process died.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from . import __version__, checkpoint, dataengine, evalkit, expert, fusion, simcore, synthgen
 from .config import ENV_CONFIG, PipelineConfig, load_config
 from .embedstore import (
+    FORMATS,
     EmbeddingSet,
     jsonl_lines,
     load_embedding_set,
@@ -52,31 +55,28 @@ logger = logging.getLogger(__name__)
 
 
 class _OutputStage:
-    """Collects output files in a temp dir, then promotes them atomically.
+    """Collects output files in a temp dir and promotes them atomically.
 
     Used as a context manager: the stage is promoted when the block
     completes and discarded when it raises, so a failed command leaves no
     stage directory behind.
 
-    ``submit(compute, then)`` is the stage's worker lane. With ``overlap``
-    it runs a job in a forked worker process, one job at a time, so the job
-    overlaps the parent's own computation: the worker runs ``value =
-    compute()``, sends ``value`` back through a pipe, then runs
-    ``then(value)``, typically the writes of bulk artifacts. ``result()`` on
-    the returned handle waits for ``value``. A fork shares the parent's
-    memory copy-on-write and needs nothing pickled but ``value``, so a job
-    may be any callable. Numpy's OpenBLAS is fork-safe, so a job may compute
-    with numpy; a job must not depend on anything the parent does after the
-    fork. The worker's exception is sent back through the same pipe and
-    re-raised in the parent, by ``result()`` for ``compute`` and by the next
-    ``submit`` or ``promote`` for ``then``. ``promote`` waits for the worker
-    before it moves a file; ``discard`` kills a worker that is still running
-    before it removes the stage. A worker that dies before it reports
-    raises ``WriterError``. Without overlap, or without ``os.fork``
-    (Windows), every job runs inline.
+    ``submit(job)`` is the stage's worker lane. With ``overlap`` it runs
+    ``job()`` in a forked worker process, one job at a time, so the job
+    overlaps the parent's own computation. Once the job has finished, the
+    worker sends its value or its exception back through a pipe, and
+    ``result()`` on the returned handle waits for it and re-raises the
+    exception. A fork shares the parent's memory copy-on-write and needs
+    nothing pickled but that report, so a job may be any callable. Numpy's
+    OpenBLAS is fork-safe, so a job may compute with numpy; a job must not
+    depend on anything the parent does after the fork. ``promote`` and the
+    next ``submit`` wait for a job whose result was not read; ``discard``
+    kills a worker that is still running before it removes the stage. A
+    worker that dies before it reports raises ``WriterError``. Without
+    overlap, or without ``os.fork`` (Windows), every job runs inline.
 
-    ``pickle``, ``signal`` and ``threading`` are imported where they are
-    used: the import time of this module counts in every command.
+    ``pickle`` and ``signal`` are imported where they are used: the import
+    time of this module counts in every command.
     """
 
     def __init__(self, out_dir: Path, overlap: bool = False):
@@ -98,21 +98,17 @@ class _OutputStage:
         }
         return self.path(name)
 
-    def submit(self, compute, then=None, name: str = "job") -> "_Job":
-        """Run ``value = compute()``, then ``then(value)`` unless ``then`` is
-        None: in a worker once the previous job has finished, or inline
-        without overlap. ``name`` labels the worker's log line."""
+    def submit(self, job, name: str = "job") -> "_Job":
+        """Run ``job()``: in a worker once the previous job has finished, or
+        inline without overlap. ``name`` labels the worker's log line."""
         if not self._overlap:
-            value = compute()
-            if then is not None:
-                then(value)
-            return _Job(name, value)
+            return _Job(name, job())
         self._wait()
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             os.close(read_fd)
-            _work(write_fd, compute, then)  # never returns
+            _work(write_fd, job)  # never returns
         os.close(write_fd)
         self._job = _Job(name, pid=pid, pipe=os.fdopen(read_fd, "rb"))
         return self._job
@@ -121,7 +117,7 @@ class _OutputStage:
         """Wait for the job, if any, and re-raise the exception it sent."""
         job, self._job = self._job, None
         if job is not None:
-            job.wait()
+            job.result()
 
     def promote(self) -> None:
         self._wait()
@@ -163,10 +159,9 @@ class _Job:
     """The handle ``_OutputStage.submit`` returns.
 
     An inline job holds its value. A forked job holds the worker's pid and
-    the read end of its pipe, on which the worker sends up to two reports,
-    each a pickled ``(ok, payload, seconds)``: the value of ``compute`` or
-    its exception, then, if ``compute`` succeeded, ``None`` or the exception
-    of ``then``. ``seconds`` is the worker's time since the job started.
+    the read end of its pipe, on which the worker sends one pickled ``(ok,
+    value or exception, seconds)`` report once the job has finished;
+    ``seconds`` is the time the job took.
     """
 
     def __init__(self, name: str, value=None, pid: int | None = None, pipe=None):
@@ -175,40 +170,25 @@ class _Job:
         self._error: BaseException | None = None
         self._pid = pid
         self._pipe = pipe
-        self._pending = pid is not None  # the value has not been received yet
-        self._sent_after = 0.0  # the worker's seconds when it sent the value
 
     def result(self):
-        """The value of ``compute``, once the worker has sent it; the
-        exception ``compute`` raised is re-raised."""
-        if self._pending:
-            self._pending = False
+        """The job's value, or its exception re-raised, on every call. The
+        first call on a forked job waits for the report and reaps the worker."""
+        if self._pid is not None:
             report = self._receive()
             if report is None:
                 self._error = self._died()
-            elif report[0]:
-                _, self._value, self._sent_after = report
             else:
-                self._reap()  # the worker exits after reporting a failed compute
-                self._error = report[1]
+                self._reap()
+                ok, payload, seconds = report
+                if ok:
+                    self._value = payload
+                    logger.info("worker: %s took %.2f s", self.name, seconds)
+                else:
+                    self._error = payload
         if self._error is not None:
             raise self._error
         return self._value
-
-    def wait(self) -> None:
-        """Wait for the job to finish and re-raise the exception it sent."""
-        self.result()
-        if self._pid is None:
-            return
-        report = self._receive()
-        if report is None:
-            raise self._died()
-        self._reap()
-        ok, payload, seconds = report
-        if not ok:
-            raise payload
-        logger.info("worker: %s took %.2f s (result sent after %.2f s)",
-                    self.name, seconds, self._sent_after)
 
     def kill(self) -> None:
         """Kill and reap the worker if it may still run."""
@@ -219,7 +199,7 @@ class _Job:
             self._reap()
 
     def _receive(self) -> tuple | None:
-        """The worker's next report, or None if it died before sending it."""
+        """The worker's report, or None if it died before sending it."""
         import pickle
 
         try:
@@ -240,42 +220,22 @@ class _Job:
         return status
 
 
-def _work(fd: int, compute, then) -> None:
-    """The body of a forked worker: runs the job, reports through the pipe
-    ``fd``, and exits without returning or flushing anything of the parent's.
-    A value can be far larger than a pipe holds (about 0.9 MB of tasks
-    against 64 KB on Linux), and the parent reads it only when it needs it,
-    so a second thread sends it while ``then`` runs."""
+def _work(fd: int, job) -> None:
+    """The body of a forked worker: runs the job, sends its one report
+    through the pipe ``fd``, and exits without returning or flushing
+    anything of the parent's."""
     import pickle
-    import threading
 
-    status = 1  # 0 once every report is sent
+    status = 1  # 0 once the report is sent
     try:
         start = time.perf_counter()
+        try:
+            report = pickle.dumps((True, job(), time.perf_counter() - start))
+        except BaseException as exc:
+            report = _failure(exc, time.perf_counter() - start)
         with os.fdopen(fd, "wb") as pipe:
-
-            def send(data: bytes) -> None:
-                pipe.write(data)
-                pipe.flush()
-
-            try:
-                value = compute()
-                data = pickle.dumps((True, value, time.perf_counter() - start))
-            except BaseException as exc:
-                send(_failure(exc, time.perf_counter() - start))
-                status = 0
-                return
-            sender = threading.Thread(target=send, args=(data,))
-            sender.start()
-            try:
-                if then is not None:
-                    then(value)
-                outcome = pickle.dumps((True, None, time.perf_counter() - start))
-            except BaseException as exc:
-                outcome = _failure(exc, time.perf_counter() - start)
-            sender.join()
-            send(outcome)
-            status = 0
+            pipe.write(report)
+        status = 0
     finally:
         os._exit(status)
 
@@ -368,7 +328,7 @@ def cmd_synth(args, config: PipelineConfig) -> None:
         save_embedding_set(bundle.raw_set, stage.record(f"raw.{ext}", h, seed), ext)
         save_embedding_set(bundle.general_set, stage.record(f"general.{ext}", h, seed), ext)
         _write_ground_truth(stage.record("ground_truth.jsonl", h, seed), bundle.ground_truth)
-    print(f"wrote synthetic bundle ({len(bundle.raw_set.records)} images) to {args.out}")
+    print(f"wrote synthetic bundle ({len(bundle.raw_set.image_ids)} images) to {args.out}")
 
 
 def cmd_split(args, config: PipelineConfig) -> None:
@@ -458,7 +418,7 @@ def cmd_embed(args, config: PipelineConfig) -> None:
     with _OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         save_embedding_set(eset, path, config.format)
-    print(f"embedded {len(eset.records)} images -> {args.out}")
+    print(f"embedded {len(eset.image_ids)} images -> {args.out}")
 
 
 def _fusion_views(token_maps, expert_set: EmbeddingSet):
@@ -592,8 +552,9 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     evaluate all matchers -> sweep, with one manifest for everything.
 
     The tiers, detection tasks, conversations and adapter-training tasks
-    depend on the general view alone, so one job builds them and writes
-    them with the bundle while the parent trains the expert."""
+    depend on the general view alone, so one job builds and writes them
+    while the parent trains the expert; a second job writes the bundle and
+    the expert set while the parent trains the adapter."""
     out = Path(args.out)
     stages = _StageLog()
     with _OutputStage(out, args.threads > 1) as stage:
@@ -606,13 +567,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         split = dataengine.make_split(bundle.general_set, config.test_fraction, seed)
         dataengine.save_split(split, stage.record("split.json", h, seed))
 
-        stages.next("building benchmark tiers")
         taus = sorted({config.tau, *config.taus})
-        # the bundle files carry the seed that generated them
-        raw_path, general_path, maps_path, truth_path = (
-            stage.record(name, h, config.synth.seed)
-            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
-        )
         task_paths = [
             stage.record(name, h, seed)
             for name in (
@@ -620,9 +575,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 "detection_tasks.jsonl", "conversations_mcq.jsonl", "conversations_caption.jsonl",
             )
         ]
-        task_files = []  # the items of each of task_paths, built by the job
 
-        def build_tasks():
+        def build_and_write_tasks():
             tiers = {
                 tau: dataengine.build_gallery_tasks_per_category(
                     bundle.general_set, split.test_instances, k=config.k, tau=tau,
@@ -631,30 +585,22 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 for tau in taus
             }
             tier = tiers[config.tau]
-            task_files.extend(tiers.values())
-            task_files.append(dataengine.build_detection_tasks(
+            detection = dataengine.build_detection_tasks(
                 bundle.general_set, split.test_instances, tau=config.tau,
                 n_tasks=config.n_tasks, positive_rate=config.positive_rate, seed=seed,
-            ))
-            task_files.append(dataengine.emit_conversations(tier, "match_mcq"))
+            )
+            mcq = dataengine.emit_conversations(tier, "match_mcq")
             captions = dataengine.template_captions(tier)
-            task_files.append(dataengine.emit_conversations(tier, "caption", captions=captions))
+            caption = dataengine.emit_conversations(tier, "caption", captions=captions)
+            for path, items in zip(task_paths, [*tiers.values(), detection, mcq, caption]):
+                dataengine.save_jsonl(items, path)
             train_tasks = dataengine.build_gallery_tasks(
                 bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
                 n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
             )
             return tier, train_tasks
 
-        def write_bundle_and_tasks(_):
-            save_embedding_set(bundle.raw_set, raw_path, ext)
-            save_embedding_set(bundle.general_set, general_path, ext)
-            save_token_maps(bundle.token_maps, maps_path)
-            _write_ground_truth(truth_path, bundle.ground_truth)
-            for path, items in zip(task_paths, task_files):
-                dataengine.save_jsonl(items, path)
-
-        tasks = stage.submit(build_tasks, write_bundle_and_tasks,
-                             name="task building and bundle writes")
+        tasks = stage.submit(build_and_write_tasks, name="task building and writes")
 
         stages.next("training expert head")
         head = expert.train_expert(
@@ -663,6 +609,22 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
         expert_set = expert.embed_set(head, bundle.raw_set)
         tier, train_tasks = tasks.result()
+
+        # the bundle files carry the seed that generated them
+        raw_path, general_path, maps_path, truth_path = (
+            stage.record(name, h, config.synth.seed)
+            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
+        )
+        expert_path = stage.record(f"expert.{ext}", h, seed)
+
+        def write_bundle_and_expert_set():
+            save_embedding_set(bundle.raw_set, raw_path, ext)
+            save_embedding_set(bundle.general_set, general_path, ext)
+            save_token_maps(bundle.token_maps, maps_path)
+            _write_ground_truth(truth_path, bundle.ground_truth)
+            save_embedding_set(expert_set, expert_path, ext)
+
+        stage.submit(write_bundle_and_expert_set, name="bundle and expert-set writes")
 
         stages.next("training fusion adapter")
         token_maps, expert_vectors = _fusion_views(bundle.token_maps, expert_set)
@@ -674,9 +636,6 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             adapter, train_tasks, token_maps, expert_vectors, config.adapter
         )
         checkpoint.save_adapter(adapter, stage.record("adapter.ckpt", h, config.adapter.seed))
-        expert_path = stage.record(f"expert.{ext}", h, seed)
-        stage.submit(lambda: save_embedding_set(expert_set, expert_path, ext),
-                     name="expert-set write")
 
         stages.next("evaluating matchers")
         matchers = {
@@ -753,8 +712,8 @@ def _openblas_threads():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS at one thread, then
-    restore the count it had."""
+    """Run the block with numpy's bundled OpenBLAS at one thread, and
+    restore the count it had afterwards."""
     threads = _openblas_threads()
     if threads is None:
         logger.info("BLAS threads not capped: numpy's bundled OpenBLAS was not found")
@@ -798,7 +757,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
                         "builds pipeline's general-view tasks and writes the bulk artifacts "
                         "of pipeline and synth while computing goes on "
                         "(default: the CPUs this process may run on)")
-    p.add_argument("--format", choices=("jsonl", "bin"), default=None,
+    p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")
     if seed:

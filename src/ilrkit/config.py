@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .embedstore import parse_json_object
+from .embedstore import FORMATS, parse_json_object
 from .errors import ConfigError, DataValidationError
 from .expert import ExpertTrainConfig
 from .fusion import AdapterTrainConfig
@@ -54,8 +54,8 @@ class PipelineConfig:
             problems.append("test_fraction must lie strictly between 0 and 1")
         if not 0.0 <= self.positive_rate <= 1.0:
             problems.append("positive_rate must lie in [0, 1]")
-        if self.format not in ("jsonl", "bin"):
-            problems.append("format must be jsonl or bin")
+        if self.format not in FORMATS:
+            problems.append(f"format must be {' or '.join(FORMATS)}")
         try:
             self.synth.validate()
         except DataValidationError as exc:

@@ -35,10 +35,10 @@ def test_one_run_appends_one_record(tmp_path, capsys):
     (run,) = new["runs"]
     assert run["total_s"] > 0 and new["median_total_s"] == run["total_s"]
     assert list(run["stages_s"]) == [
-        "generating synthetic bundle", "building benchmark tiers", "training expert head",
-        "training fusion adapter", "evaluating matchers",
+        "generating synthetic bundle", "training expert head", "training fusion adapter",
+        "evaluating matchers",
     ]
-    assert "task building and bundle writes" in run["workers_s"]
+    assert list(run["workers_s"]) == ["task building and writes", "bundle and expert-set writes"]
     assert all(s >= 0 for s in [*run["stages_s"].values(), *run["workers_s"].values()])
 
 
@@ -47,9 +47,9 @@ def test_parse_log_reads_stage_and_worker_lines():
         "INFO __main__: pipeline: generating synthetic bundle",
         "INFO __main__: pipeline: training expert head (generating synthetic bundle took 0.65 s)",
         "INFO ilrkit.fusion: adapter training: epoch 0 mean loss 0.1",
-        "INFO __main__: worker: expert-set write took 0.19 s (result sent after 0.18 s)",
+        "INFO __main__: worker: bundle and expert-set writes took 0.19 s",
         "INFO __main__: pipeline: done (training expert head took 2.73 s)",
     ])
     stages, workers = _bench().parse_log(text)
     assert stages == {"generating synthetic bundle": 0.65, "training expert head": 2.73}
-    assert workers == {"expert-set write": 0.19}
+    assert workers == {"bundle and expert-set writes": 0.19}

@@ -1372,19 +1372,17 @@ class TestDeterminism:
         lines = [m for m in messages if m.startswith("pipeline:")]
         assert lines[0] == "pipeline: generating synthetic bundle"
         assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
-        assert len(lines) == 6
+        assert len(lines) == 5
         for prev, line in zip(lines, lines[1:]):
             stage = prev.removeprefix("pipeline: ").split(" (")[0]
             assert re.fullmatch(rf"pipeline: .+ \({stage} took \d+\.\d\d s\)", line), line
-        # each worker job logs its own seconds, on lines of its own
+        # each worker job logs its own seconds, on a line of its own
         workers = [m for m in messages if m.startswith("worker:")]
         assert [m.split(" took ")[0] for m in workers] == [
-            "worker: task building and bundle writes", "worker: expert-set write",
+            "worker: task building and writes", "worker: bundle and expert-set writes",
         ]
         for line in workers:
-            assert re.fullmatch(
-                r"worker: .+ took \d+\.\d\d s \(result sent after \d+\.\d\d s\)", line
-            ), line
+            assert re.fullmatch(r"worker: .+ took \d+\.\d\d s", line), line
 
     def test_pipeline_stamps_the_seed_that_made_each_file(self, workspace, tmp_path):
         # synth.seed generates the bundle; --seed governs the split, tasks and report
@@ -1508,7 +1506,7 @@ class TestDeterminism:
 
 
 class TestWorkerLane:
-    """The worker lane of ``cli._OutputStage``: ``submit(compute, then)``."""
+    """The worker lane of ``cli._OutputStage``: ``submit(job)``."""
 
     @pytest.mark.parametrize("lane", ["inline", "forked", "no fork"])
     def test_submit_round_trips_a_value(self, tmp_path, monkeypatch, lane):
@@ -1518,16 +1516,16 @@ class TestWorkerLane:
         parent = os.getpid()
         out = tmp_path / "out"
         with cli._OutputStage(out, overlap=lane != "inline") as stage:
-            path = stage.record("value.json", "h", 1)
+            path = stage.record("pid.json", "h", 1)
 
-            def then(got):
-                path.write_text(json.dumps({"value": repr(got), "pid": os.getpid()}))
+            def write_pid():
+                path.write_text(json.dumps({"pid": os.getpid()}))
+                return value
 
-            job = stage.submit(lambda: value, then)
+            job = stage.submit(write_pid)
             assert job.result() == value
             assert job.result() == value
-        written = json.loads((out / "value.json").read_text())
-        assert written["value"] == repr(value)
+        written = json.loads((out / "pid.json").read_text())
         assert (written["pid"] != parent) == (lane == "forked")
         _assert_no_child_left()
 
@@ -1536,40 +1534,46 @@ class TestWorkerLane:
         if lane == "no fork":
             monkeypatch.delattr(os, "fork")
 
-        def fail(*args):
-            raise DataValidationError(f"failed with {args}")
+        def fail():
+            raise DataValidationError("the job failed")
 
-        # compute's exception: from result(), and again on a second call
-        out = tmp_path / "compute"
-        with pytest.raises(DataValidationError, match=r"failed with \(\)"):
+        # from result(), and again on a second call
+        out = tmp_path / "result"
+        with pytest.raises(DataValidationError, match="the job failed"):
             with cli._OutputStage(out, overlap=lane != "inline") as stage:
                 stage.record("a.txt", "h", 1).write_text("a")
                 job = stage.submit(fail)  # inline, submit itself raises
                 for _ in range(2):
-                    with pytest.raises(DataValidationError, match=r"failed with \(\)"):
+                    with pytest.raises(DataValidationError, match="the job failed"):
                         job.result()
                 job.result()
         assert list(out.iterdir()) == []
-        # then's exception: at the latest from promote
-        out = tmp_path / "then"
-        with pytest.raises(DataValidationError, match=r"failed with \(7,\)"):
+        # from promote, when result() was never called
+        out = tmp_path / "promote"
+        with pytest.raises(DataValidationError, match="the job failed"):
             with cli._OutputStage(out, overlap=lane != "inline") as stage:
                 stage.record("a.txt", "h", 1).write_text("a")
-                assert stage.submit(lambda: 7, fail).result() == 7
+                stage.submit(fail)
         assert list(out.iterdir()) == []
         _assert_no_child_left()
 
-    def test_then_runs_before_the_value_is_read(self, tmp_path):
-        # a value larger than any pipe buffer must not hold the worker's
-        # then() until the parent reads it
-        value = "x" * (4 << 20)
-        ran = tmp_path / "then-ran"
+    def test_files_are_in_the_stage_when_result_returns(self, tmp_path):
+        # the worker reports once its job has finished: by then every file
+        # the job wrote is complete, and the worker has been reaped
+        sizes = {"a.txt": 1 << 10, "b.txt": 1 << 20}
         with cli._OutputStage(tmp_path / "out", overlap=True) as stage:
-            job = stage.submit(lambda: value, lambda _: ran.touch())
-            _wait_for(ran)
-            assert ran.exists()
-            assert job.result() == value
-        _assert_no_child_left()
+            paths = {name: stage.record(name, "h", 1) for name in sizes}
+
+            def write():
+                for name, size in sizes.items():
+                    time.sleep(0.2)
+                    paths[name].write_bytes(b"x" * size)
+                return "written"
+
+            job = stage.submit(write)
+            assert job.result() == "written"
+            assert {name: p.stat().st_size for name, p in paths.items()} == sizes
+            _assert_no_child_left()
 
     def test_unpicklable_exception_arrives_as_its_text(self, tmp_path):
         class Unpicklable(Exception):
@@ -1585,23 +1589,6 @@ class TestWorkerLane:
         stage.discard()
         _assert_no_child_left()
 
-    def test_worker_killed_after_its_result_is_5(self, tmp_path):
-        received = tmp_path / "received"
-
-        def die(_):
-            _wait_for(received)
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        out = tmp_path / "out"
-        with pytest.raises(WriterError, match="died before it finished"):
-            with cli._OutputStage(out, overlap=True) as stage:
-                stage.record("a.txt", "h", 1).write_text("a")
-                job = stage.submit(lambda: 42, die)
-                assert job.result() == 42
-                received.touch()
-        assert list(out.iterdir()) == []
-        _assert_no_child_left()
-
     def test_worker_killed_before_its_result_is_5(self, tmp_path):
         stage = cli._OutputStage(tmp_path, overlap=True)
         job = stage.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
@@ -1609,6 +1596,13 @@ class TestWorkerLane:
             with pytest.raises(WriterError, match="died before it finished"):
                 job.result()
         stage.discard()
+        # from promote, when result() was never called
+        out = tmp_path / "out"
+        with pytest.raises(WriterError, match="died before it finished"):
+            with cli._OutputStage(out, overlap=True) as stage:
+                stage.record("a.txt", "h", 1).write_text("a")
+                stage.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert list(out.iterdir()) == []
         _assert_no_child_left()
 
 
@@ -1652,6 +1646,52 @@ class TestPipelineWorker:
             "error": "DivergenceError", "message": "expert training diverged",
         }
         assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+    def test_bundle_and_expert_set_are_written_while_the_adapter_trains(
+            self, workspace, tmp_path, monkeypatch):
+        parent = os.getpid()
+        training, trained = tmp_path / "training", tmp_path / "trained"
+        writes = tmp_path / "writes"
+        names = {"raw.jsonl", "general.jsonl", "token_maps.jsonl", "expert.jsonl"}
+        task_files = {"tasks_tau0.1.jsonl", "tasks_tau0.3.jsonl", "tasks_tau0.4.jsonl",
+                      "detection_tasks.jsonl", "conversations_mcq.jsonl",
+                      "conversations_caption.jsonl"}
+        staged = []  # the stage's files when the adapter starts training
+        train_adapter = fusion.train_adapter
+
+        def written():
+            return writes.read_text().splitlines() if writes.exists() else []
+
+        def train_while_writing(*args, **kwargs):
+            (stage_dir,) = (tmp_path / "run").glob(".stage-*")
+            staged.append({p.name for p in stage_dir.iterdir()})
+            training.touch()
+            adapter = train_adapter(*args, **kwargs)
+            _wait_until(lambda: len(written()) == len(names))
+            trained.touch()
+            return adapter
+
+        def record_writer(write):
+            def record(obj, path, *args):
+                _wait_for(training)
+                write(obj, path, *args)
+                during = training.exists() and not trained.exists()
+                with open(writes, "a") as fh:
+                    fh.write(f"{os.path.basename(path)} {os.getpid()} {during}\n")
+            return record
+
+        monkeypatch.setattr(fusion, "train_adapter", train_while_writing)
+        monkeypatch.setattr(cli, "save_embedding_set", record_writer(cli.save_embedding_set))
+        monkeypatch.setattr(cli, "save_token_maps", record_writer(cli.save_token_maps))
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
+                        + _cfg(workspace)) == 0
+        # the first job wrote every task file before it reported
+        assert len(staged) == 1 and task_files <= staged[0]
+        records = [line.split() for line in written()]
+        assert {name for name, _, _ in records} == names
+        for name, pid, during in records:
+            assert int(pid) != parent and during == "True", (name, pid, during)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1701,11 +1741,16 @@ class TestPipelineWorker:
         _assert_no_child_left()
 
 
+def _wait_until(condition, seconds=10):
+    """Poll until ``condition()`` is true or ``seconds`` have passed."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def _wait_for(path, seconds=10):
     """Poll until ``path`` exists or ``seconds`` have passed."""
-    deadline = time.monotonic() + seconds
-    while not path.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
+    _wait_until(path.exists, seconds)
 
 
 def _assert_no_child_left():
