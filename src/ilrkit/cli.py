@@ -8,7 +8,11 @@ worker process runs one job at a time beside the parent and reports once
 the job has finished: in pipeline one job builds and writes the
 general-view tasks while the expert trains and a second writes the
 bundle and the expert set while the adapter trains, and in synth a job
-writes the token maps. The bytes do not depend on --threads. A command
+writes the token maps. Every other command that reads all of a large
+JSONL embedding set or token-map file has a worker decode the second
+half of it while the parent decodes the first (see
+``embedstore.split_reads``).
+Outputs, error messages and exit codes do not depend on --threads. A command
 runs with numpy's bundled OpenBLAS at one thread, whatever the
 environment asks, and restores the previous count on return: its matrix
 products are small (expert batches of 32 by 64), and on a 2-core host
@@ -26,10 +30,7 @@ import functools
 import json
 import logging
 import os
-import shutil
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -47,229 +48,13 @@ from .embedstore import (
     read_input,
     save_embedding_set,
     save_token_maps,
+    split_reads,
     typed_fields,
 )
-from .errors import ConfigError, DataValidationError, IlrkitError, WriterError
+from .errors import ConfigError, DataValidationError, IlrkitError
+from .stage import OutputStage, StageLog
 
 logger = logging.getLogger(__name__)
-
-
-class _OutputStage:
-    """Collects output files in a temp dir and promotes them atomically.
-
-    Used as a context manager: the stage is promoted when the block
-    completes and discarded when it raises, so a failed command leaves no
-    stage directory behind.
-
-    ``submit(job)`` is the stage's worker lane. With ``overlap`` it runs
-    ``job()`` in a forked worker process, one job at a time, so the job
-    overlaps the parent's own computation. Once the job has finished, the
-    worker sends its value or its exception back through a pipe, and
-    ``result()`` on the returned handle waits for it and re-raises the
-    exception. A fork shares the parent's memory copy-on-write and needs
-    nothing pickled but that report, so a job may be any callable. Numpy's
-    OpenBLAS is fork-safe, so a job may compute with numpy; a job must not
-    depend on anything the parent does after the fork. ``promote`` and the
-    next ``submit`` wait for a job whose result was not read; ``discard``
-    kills a worker that is still running before it removes the stage. A
-    worker that dies before it reports raises ``WriterError``. Without
-    overlap, or without ``os.fork`` (Windows), every job runs inline.
-
-    ``pickle`` and ``signal`` are imported where they are used: the import
-    time of this module counts in every command.
-    """
-
-    def __init__(self, out_dir: Path, overlap: bool = False):
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._tmp = tempfile.mkdtemp(prefix=".stage-", dir=self.out_dir)
-        self.manifest: dict[str, dict] = {}
-        self._overlap = overlap and hasattr(os, "fork")
-        self._job: _Job | None = None  # the forked job that may still run
-
-    def path(self, name: str) -> Path:
-        return Path(self._tmp) / name
-
-    def record(self, name: str, config_hash: str, seed: int) -> Path:
-        self.manifest[name] = {
-            "config_hash": config_hash,
-            "seed": seed,
-            "version": __version__,
-        }
-        return self.path(name)
-
-    def submit(self, job, name: str = "job") -> "_Job":
-        """Run ``job()``: in a worker once the previous job has finished, or
-        inline without overlap. ``name`` labels the worker's log line."""
-        if not self._overlap:
-            return _Job(name, job())
-        self._wait()
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            os.close(read_fd)
-            _work(write_fd, job)  # never returns
-        os.close(write_fd)
-        self._job = _Job(name, pid=pid, pipe=os.fdopen(read_fd, "rb"))
-        return self._job
-
-    def _wait(self) -> None:
-        """Wait for the job, if any, and re-raise the exception it sent."""
-        job, self._job = self._job, None
-        if job is not None:
-            job.result()
-
-    def promote(self) -> None:
-        self._wait()
-        manifest_path = self.out_dir / "manifest.json"
-        existing = {}
-        if manifest_path.exists():
-            existing = parse_json_object(read_input(manifest_path), f"{manifest_path}: manifest")
-        existing.update(self.manifest)
-        for name in self.manifest:
-            os.replace(self.path(name), self.out_dir / name)
-        tmp_manifest = Path(self._tmp) / "manifest.json"
-        tmp_manifest.write_text(
-            json.dumps(existing, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp_manifest, manifest_path)
-        os.rmdir(self._tmp)
-
-    def discard(self) -> None:
-        job, self._job = self._job, None
-        if job is not None:
-            job.kill()
-        shutil.rmtree(self._tmp, ignore_errors=True)
-
-    def __enter__(self) -> "_OutputStage":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            try:
-                self.promote()
-            except BaseException:
-                self.discard()
-                raise
-        else:
-            self.discard()
-
-
-class _Job:
-    """The handle ``_OutputStage.submit`` returns.
-
-    An inline job holds its value. A forked job holds the worker's pid and
-    the read end of its pipe, on which the worker sends one pickled ``(ok,
-    value or exception, seconds)`` report once the job has finished;
-    ``seconds`` is the time the job took.
-    """
-
-    def __init__(self, name: str, value=None, pid: int | None = None, pipe=None):
-        self.name = name
-        self._value = value
-        self._error: BaseException | None = None
-        self._pid = pid
-        self._pipe = pipe
-
-    def result(self):
-        """The job's value, or its exception re-raised, on every call. The
-        first call on a forked job waits for the report and reaps the worker."""
-        if self._pid is not None:
-            report = self._receive()
-            if report is None:
-                self._error = self._died()
-            else:
-                self._reap()
-                ok, payload, seconds = report
-                if ok:
-                    self._value = payload
-                    logger.info("worker: %s took %.2f s", self.name, seconds)
-                else:
-                    self._error = payload
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def kill(self) -> None:
-        """Kill and reap the worker if it may still run."""
-        if self._pid is not None:
-            import signal
-
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-
-    def _receive(self) -> tuple | None:
-        """The worker's report, or None if it died before sending it."""
-        import pickle
-
-        try:
-            return pickle.load(self._pipe)
-        except Exception:  # end of pipe or a truncated report
-            return None
-
-    def _died(self) -> WriterError:
-        pid = self._pid
-        status = self._reap()
-        return WriterError(f"worker process {pid} died before it finished "
-                           f"(wait status {status})")
-
-    def _reap(self) -> int:
-        self._pipe.close()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        return status
-
-
-def _work(fd: int, job) -> None:
-    """The body of a forked worker: runs the job, sends its one report
-    through the pipe ``fd``, and exits without returning or flushing
-    anything of the parent's."""
-    import pickle
-
-    status = 1  # 0 once the report is sent
-    try:
-        start = time.perf_counter()
-        try:
-            report = pickle.dumps((True, job(), time.perf_counter() - start))
-        except BaseException as exc:
-            report = _failure(exc, time.perf_counter() - start)
-        with os.fdopen(fd, "wb") as pipe:
-            pipe.write(report)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _failure(exc: BaseException, seconds: float) -> bytes:
-    """The report of a failed job. An exception that does not survive a
-    pickle round trip goes as a ``RuntimeError`` carrying its text."""
-    import pickle
-
-    try:
-        data = pickle.dumps((False, exc, seconds))
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}"), seconds))
-    return data
-
-
-class _StageLog:
-    """Logs each pipeline stage as it starts, with the seconds the previous
-    stage took. Logs go to stderr and never into an artifact."""
-
-    def __init__(self):
-        self._stage: str | None = None
-        self._started = 0.0
-
-    def next(self, stage: str) -> None:
-        now = time.perf_counter()
-        if self._stage is None:
-            logger.info("pipeline: %s", stage)
-        else:
-            logger.info(
-                "pipeline: %s (%s took %.2f s)", stage, self._stage, now - self._started
-            )
-        self._stage, self._started = stage, now
 
 
 def _write_ground_truth(path: Path, ground_truth: dict[str, str]) -> None:
@@ -319,7 +104,7 @@ def _needs(args, flag: str, *needed: str) -> None:
 
 def cmd_synth(args, config: PipelineConfig) -> None:
     bundle = synthgen.generate(config.synth)
-    with _OutputStage(args.out, args.threads > 1) as stage:
+    with OutputStage(args.out, args.threads > 1) as stage:
         h, seed = config.config_hash(), config.synth.seed
         ext = config.format
         token_maps_path = stage.record("token_maps.jsonl", h, seed)
@@ -334,7 +119,7 @@ def cmd_synth(args, config: PipelineConfig) -> None:
 def cmd_split(args, config: PipelineConfig) -> None:
     eset = load_embedding_set(args.embeddings, config.format)
     manifest = dataengine.make_split(eset, args.test_fraction, config.seed)
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         dataengine.save_split(manifest, path)
     print(
@@ -362,7 +147,7 @@ def cmd_build_galleries(args, config: PipelineConfig) -> None:
             general, _split_side(args), k=args.k, tau=args.tau,
             n_tasks=args.n_tasks, seed=config.seed, hardest=args.hardest,
         )
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         dataengine.save_jsonl(tasks, path)
     relaxed = sum(t.relaxed for t in tasks)
@@ -375,7 +160,7 @@ def cmd_build_detection(args, config: PipelineConfig) -> None:
         general, _split_side(args), tau=args.tau, n_tasks=args.n_tasks,
         positive_rate=args.positive_rate, seed=config.seed,
     )
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         dataengine.save_jsonl(tasks, path)
     print(f"wrote {len(tasks)} detection tasks -> {args.out}")
@@ -391,7 +176,7 @@ def cmd_emit(args, config: PipelineConfig) -> None:
     elif args.stage == "caption":
         captions = dataengine.template_captions(tasks)
     records = dataengine.emit_conversations(tasks, args.stage, captions=captions)
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         dataengine.save_jsonl(
             records, stage.record(Path(args.out).name, config.config_hash(), config.seed)
         )
@@ -403,7 +188,7 @@ def cmd_train_expert(args, config: PipelineConfig) -> None:
     if args.split:
         raw = raw.subset(dataengine.load_split(args.split).train_instances)
     head = expert.train_expert(raw, config=config.expert)
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         checkpoint.save_expert(
             head, stage.record(Path(args.out).name, config.config_hash(), config.expert.seed),
             seed=config.expert.seed,
@@ -415,7 +200,7 @@ def cmd_embed(args, config: PipelineConfig) -> None:
     head = checkpoint.load_expert(args.checkpoint)
     raw = load_embedding_set(args.embeddings, config.format)
     eset = expert.embed_set(head, raw)
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         save_embedding_set(eset, path, config.format)
     print(f"embedded {len(eset.image_ids)} images -> {args.out}")
@@ -445,7 +230,7 @@ def cmd_train_adapter(args, config: PipelineConfig) -> None:
         expert_dim, any_map.tokens.shape[1], seed=config.adapter.seed
     )
     adapter = fusion.train_adapter(adapter, tasks, token_maps, expert_vectors, config.adapter)
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         checkpoint.save_adapter(
             adapter, stage.record(Path(args.out).name, config.config_hash(), config.adapter.seed),
             seed=config.adapter.seed,
@@ -478,7 +263,7 @@ def cmd_match(args, config: PipelineConfig) -> None:
     view = load_embedding_set(args.embeddings, config.format)
     tasks = dataengine.load_gallery_tasks(args.tasks)
     best = evalkit.similarity_matcher(view, args.kind).predict(tasks)
-    with _OutputStage(Path(args.out).parent) as stage:
+    with OutputStage(Path(args.out).parent) as stage:
         path = stage.record(Path(args.out).name, config.config_hash(), config.seed)
         with open(path, "w", encoding="utf-8") as fh:
             for task, b in zip(tasks, best):
@@ -498,7 +283,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> None:
         det_tasks = dataengine.load_detection_tasks(args.detection_tasks)
         det_log = _load_predictions(args.detection_predictions)
         report.detection = evalkit.score_detection(det_tasks, det_log, args.equal_weight)
-    with _OutputStage(args.out) as stage:
+    with OutputStage(args.out) as stage:
         h = config.config_hash()
         stage.record("report.json", h, config.seed).write_text(report.to_json(), encoding="utf-8")
         stage.record("report.txt", h, config.seed).write_text(
@@ -529,7 +314,7 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
         general, side, matchers, taus=tuple(args.taus), k=args.k,
         n_tasks=args.n_tasks, seed=config.seed,
     )
-    with _OutputStage(args.out) as stage:
+    with OutputStage(args.out) as stage:
         h = config.config_hash()
         stage.record("sweep.json", h, config.seed).write_text(
             json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -556,8 +341,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     while the parent trains the expert; a second job writes the bundle and
     the expert set while the parent trains the adapter."""
     out = Path(args.out)
-    stages = _StageLog()
-    with _OutputStage(out, args.threads > 1) as stage:
+    stages = StageLog()
+    with OutputStage(out, args.threads > 1) as stage:
         h = config.config_hash()
         seed = config.seed
         ext = config.format
@@ -602,11 +387,15 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
 
         tasks = stage.submit(build_and_write_tasks, name="task building and writes")
 
+        # the expert and the adapter are trained on the split that seed drew
+        expert_seeds = {"seed": seed, "expert.seed": config.expert.seed}
         stages.next("training expert head")
         head = expert.train_expert(
             bundle.raw_set.subset(split.train_instances), config=config.expert
         )
-        checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, config.expert.seed))
+        checkpoint.save_expert(
+            head, stage.record("expert_head.ckpt", h, config.expert.seed, expert_seeds)
+        )
         expert_set = expert.embed_set(head, bundle.raw_set)
         tier, train_tasks = tasks.result()
 
@@ -615,7 +404,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             stage.record(name, h, config.synth.seed)
             for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
         )
-        expert_path = stage.record(f"expert.{ext}", h, seed)
+        expert_path = stage.record(f"expert.{ext}", h, seed, expert_seeds)
 
         def write_bundle_and_expert_set():
             save_embedding_set(bundle.raw_set, raw_path, ext)
@@ -635,7 +424,10 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         adapter = fusion.train_adapter(
             adapter, train_tasks, token_maps, expert_vectors, config.adapter
         )
-        checkpoint.save_adapter(adapter, stage.record("adapter.ckpt", h, config.adapter.seed))
+        adapter_seeds = {**expert_seeds, "adapter.seed": config.adapter.seed}
+        checkpoint.save_adapter(
+            adapter, stage.record("adapter.ckpt", h, config.adapter.seed, adapter_seeds)
+        )
 
         stages.next("evaluating matchers")
         matchers = {
@@ -755,8 +547,9 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="1 runs everything in one process; above 1, a forked worker "
                         "builds pipeline's general-view tasks and writes the bulk artifacts "
-                        "of pipeline and synth while computing goes on "
-                        "(default: the CPUs this process may run on)")
+                        "of pipeline and synth while computing goes on, and decodes the "
+                        "second half of each large JSONL embedding set or token-map input "
+                        "read in full (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -909,7 +702,7 @@ def main(argv: list[str] | None = None) -> int:
         config.validate()
         if args.out is not None:
             _check_out(Path(args.out), args.command in _DIRECTORY_OUTPUTS)
-        with _one_blas_thread():
+        with _one_blas_thread(), split_reads(args.threads > 1):
             args.func(args, config)
     except IlrkitError as exc:
         sys.stderr.write(

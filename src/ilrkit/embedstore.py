@@ -47,6 +47,20 @@ walked and checked, but only the selected records' vectors decoded. Every
 parsed line and every decoded record is validated as in a full load; the
 records in between are not.
 
+Within ``split_reads`` (the CLI enters it when --threads is above 1), the
+JSONL loaders read a file of at least SPLIT_BYTES in two halves at once; a
+load with ``only`` parses few of its lines and stays serial. The file is
+split just past the first line feed at or after its middle byte. A forked
+worker (``stage.fork_job``) runs the column reader on the second half,
+streamed from a seeked binary file and numbered from the line it begins,
+while the parent reads the first half; the parent joins the halves' columns
+in file order. Each half keeps the chunks and the whole-chunk checks of a
+serial read. The parent reads the whole file serially when no worker can be
+forked, and again when either half raises (bytes that are not UTF-8 and a
+line holding a carriage return are errors of a half), when the halves'
+first records differ in shape, or when an id is in both halves. So the
+value, or the error and its message, is always a serial read's.
+
 Vectors are stored un-normalized, exactly as the encoder produced them;
 normalization is the similarity layer's job. Sets are immutable once
 loaded and safe to share across threads.
@@ -55,10 +69,13 @@ loaded and safe to share across threads.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
+import io
 import itertools
 import json
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -291,7 +308,7 @@ def load_embedding_set(
     _check_format(fmt)
     path = Path(path)
     if fmt == "jsonl":
-        image_ids, instance_ids, categories, blocks = _read_jsonl_columns(path, only)
+        image_ids, instance_ids, categories, blocks = _read_jsonl(_read_jsonl_columns, path, only)
     else:
         image_ids, instance_ids, categories, blocks = _read_bin_columns(path, only)
     if not image_ids and only is None:
@@ -412,15 +429,46 @@ def typed_fields(types: dict[str, tuple[type, ...]]) -> Callable[[dict], tuple]:
     return values
 
 
-def _record_lines(path: Path, only: Collection[str] | None) -> Iterator[tuple[int, str]]:
-    """The jsonl_lines of ``path`` that may hold a record whose image_id is in
-    ``only``; all of them when ``only`` is None.
+def _span_lines(path: Path, start: int, lineno: int,
+                stop: int | None) -> Iterator[tuple[int, str]]:
+    """jsonl_lines of lines ``lineno`` up to ``stop`` (the end of the file
+    when None) of ``path``, where byte ``start`` begins line ``lineno``,
+    streamed from a seeked binary file and split at line feeds alone. Bytes
+    that are not UTF-8, and a line holding a carriage return, which
+    jsonl_lines would take as a line break, raise DataValidationError."""
+    try:
+        raw = open(path, "rb")
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    with raw:
+        raw.seek(start)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+        n = lineno - 1
+        try:
+            for n, line in enumerate(fh, start=lineno):
+                if n == stop:
+                    return
+                if "\r" in line:
+                    raise DataValidationError(f"{path}: line {n}: carriage return")
+                if line.strip():
+                    yield n, line
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(
+                f"{path}: not UTF-8 text after line {n}: {exc.reason}"
+            ) from exc
+
+
+def _record_lines(path: Path, only: Collection[str] | None,
+                  span: tuple[int, int, int | None] | None = None) -> Iterator[tuple[int, str]]:
+    """The jsonl_lines of ``path`` (of its ``span``, the ``_span_lines``
+    arguments ``start, lineno, stop``) that may hold a record whose image_id
+    is in ``only``; all of them when ``only`` is None.
 
     JSON spells a string other than literally only with a backslash escape,
     so a line that holds neither a backslash nor ``"<id>"`` for any of the
     ids cannot hold one of them, and is skipped without being parsed.
     """
-    lines = jsonl_lines(path)
+    lines = jsonl_lines(path) if span is None else _span_lines(path, *span)
     if only is None:
         return lines
     needles = [f'"{image_id}"' for image_id in only]
@@ -475,15 +523,17 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> DataValidationError:
     return DataValidationError(f"{path}: line {lineno}: malformed record: {exc}")
 
 
-def _read_jsonl_columns(path: Path, only: Collection[str] | None):
+def _read_jsonl_columns(path: Path, only: Collection[str] | None, span=None):
     """The id columns and float32 blocks of the records of a JSONL file (of
-    those in ``only``), ``_CHUNK`` lines at a time."""
+    those in ``only``; of the lines in ``span``, see ``_record_lines``),
+    ``_CHUNK`` lines at a time, and the dimension of the first parsed record
+    (None if no line was parsed)."""
     image_ids: list[str] = []
     instance_ids: list[str] = []
     categories: list[str] = []
     blocks: list[np.ndarray] = []
     dim = None
-    lines = _record_lines(path, only)
+    lines = _record_lines(path, only, span)
     while True:
         linenos, rows, stop = [], [], None
         for lineno, line in itertools.islice(lines, _CHUNK):
@@ -510,7 +560,7 @@ def _read_jsonl_columns(path: Path, only: Collection[str] | None):
         if stop is not None:
             raise stop
         if len(rows) < _CHUNK:
-            return image_ids, instance_ids, categories, blocks
+            return image_ids, instance_ids, categories, blocks, dim
 
 
 def _chunk_block(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats: tuple,
@@ -540,6 +590,90 @@ def _chunk_block(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats:
                 f"{path}: line {lineno}: dimension {vec.shape[0]} != {dim} of first record"
             )
     raise AssertionError(f"{path}: a chunk failed its checks but none of its lines did")
+
+
+# The smallest JSONL input a split read decodes in two halves.
+SPLIT_BYTES = 1 << 20
+_split = False  # whether split reads are on; see split_reads
+
+
+@contextlib.contextmanager
+def split_reads(enabled: bool = True):
+    """Within the block, with ``enabled`` and where ``os.fork`` exists, the
+    JSONL embedding-set and token-map loaders read a file of at least
+    SPLIT_BYTES in two halves at once, the second in a forked worker; a load
+    with ``only`` stays serial. The value, or the exception and its message,
+    is that of a serial read."""
+    global _split
+    previous, _split = _split, enabled and hasattr(os, "fork")
+    try:
+        yield
+    finally:
+        _split = previous
+
+
+def _read_jsonl(read, path: Path, only: Collection[str] | None) -> list:
+    """The columns ``read`` (``_read_jsonl_columns`` or
+    ``_read_token_columns``) gives for all of ``path``, without the first
+    parsed line's shape. They are the two halves' columns joined in file
+    order when a split read gives both, their first parsed lines agree on
+    the shape and no id is in both; otherwise those of one serial read,
+    which raises the error of a whole-file read. A load with ``only`` parses
+    few of the lines it reads and is never split."""
+    halves = _halves(read, path) if only is None else None
+    if halves is not None:
+        (ids, *first, shape), (more_ids, *second, more_shape) = halves
+        if (None in (shape, more_shape) or shape == more_shape) and set(ids).isdisjoint(more_ids):
+            return [ids + more_ids, *(a + b for a, b in zip(first, second))]
+    return read(path, only)[:-1]
+
+
+def _halves(read, path: Path) -> tuple | None:
+    """``read(path, None, span)`` of the two halves of ``path`` (see
+    ``_split_point``): the first read here while a forked worker reads the
+    second. None when split reads are off, ``path`` has no split point, no
+    worker can be forked, or either half raises."""
+    point = _split_point(path, SPLIT_BYTES) if _split else None
+    if point is None:
+        return None
+    mid, lineno = point
+    from .stage import fork_job  # here: stage imports this module
+
+    try:
+        second = fork_job(lambda: read(path, None, (mid, lineno, None)),
+                          f"second half of {path.name}")
+    except OSError:  # no process or memory to fork: the serial read
+        return None
+    try:
+        return read(path, None, (0, 1, lineno)), second.result()
+    except Exception:  # noqa: BLE001 - any fault: the serial read raises the right error
+        return None
+    finally:
+        second.kill()  # a worker still running when the first half failed
+
+
+def _split_point(path: Path, limit: int = 0) -> tuple[int, int] | None:
+    """The first byte of the second half of ``path``, just past the first
+    line feed at or after its middle byte, and the number of the line it
+    begins. None when the file is smaller than ``limit``, has no line
+    past that point, or cannot be read (the serial read names the error)."""
+    try:
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size < limit:
+                return None
+            fh.seek(size // 2)
+            mid = size // 2 + len(fh.readline())
+            if mid >= size:
+                return None
+            fh.seek(0)
+            lineno, left = 1, mid
+            while left > 0 and (block := fh.read(min(left, 1 << 16))):
+                lineno += block.count(b"\n")
+                left -= len(block)
+            return mid, lineno
+    except OSError:
+        return None
 
 
 def _read_bin_columns(path: Path, only: Collection[str] | None):
@@ -673,10 +807,22 @@ def load_token_maps(
     first faulty line raises the error a per-line load gives.
     """
     path = Path(path)
-    maps: list[TokenFeatureMap] = []
+    image_ids, blocks = _read_jsonl(_read_token_columns, path, only)
+    if not image_ids and only is None:
+        raise DataValidationError(f"{path}: empty token-map file")
+    return list(map(_token_map, image_ids, itertools.chain.from_iterable(blocks)))
+
+
+def _read_token_columns(path: Path, only: Collection[str] | None, span=None):
+    """The image ids and float32 (rows, N, d) blocks of the maps of a JSONL
+    file (of those in ``only``; of the lines in ``span``, see
+    ``_record_lines``), ``_CHUNK`` lines at a time, and the (N, d) of the
+    first parsed map (None if no line was parsed)."""
+    image_ids: list[str] = []
+    blocks: list[np.ndarray] = []
     seen: set[str] = set()
     shape: tuple[int, int] | None = None
-    lines = _record_lines(path, only)
+    lines = _record_lines(path, only, span)
     while True:
         linenos, objs, tokens, stop = [], [], [], None
         for lineno, line in itertools.islice(lines, _CHUNK):
@@ -696,19 +842,20 @@ def load_token_maps(
             block = _token_block(ids, tokens, shape)
             if block is None:
                 _check_token_lines(path, linenos, objs, shape, only, seen)
-            for lineno, image_id, tok in zip(linenos, ids, block):
+            keep = []
+            for row, (lineno, image_id) in enumerate(zip(linenos, ids)):
                 if only is None or image_id in only:
                     if image_id in seen:
                         raise _duplicate_map(path, lineno, image_id)
                     seen.add(image_id)
-                    maps.append(_token_map(image_id, tok))
+                    keep.append(row)
+            if keep:
+                image_ids += [ids[row] for row in keep]
+                blocks.append(block if len(keep) == len(ids) else block[keep])
         if stop is not None:
             raise stop
         if len(objs) < _CHUNK:
-            break
-    if not maps and only is None:
-        raise DataValidationError(f"{path}: empty token-map file")
-    return maps
+            return image_ids, blocks, shape
 
 
 def _malformed_map(path: Path, lineno: int, exc: Exception) -> DataValidationError:

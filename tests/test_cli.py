@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import logging
@@ -19,6 +20,7 @@ from ilrkit import checkpoint, cli, dataengine, embedstore, evalkit, expert, fus
 from ilrkit.config import PipelineConfig
 from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
 from ilrkit.errors import DataValidationError, DivergenceError, WriterError
+from ilrkit.stage import OutputStage
 
 SMALL_CONFIG = {
     "seed": 1,
@@ -1365,7 +1367,7 @@ class TestDeterminism:
         assert stray == []
 
     def test_pipeline_logs_stage_seconds(self, workspace, tmp_path, caplog):
-        caplog.set_level(logging.INFO, logger="ilrkit.cli")
+        caplog.set_level(logging.INFO, logger="ilrkit")
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "-v", "--threads", "2"]
                         + _cfg(workspace)) == 0
         messages = [r.getMessage() for r in caplog.records]
@@ -1403,20 +1405,64 @@ class TestDeterminism:
         for name in ("raw.jsonl", "general.jsonl", "token_maps.jsonl", "ground_truth.jsonl"):
             assert (bundle / name).read_bytes() == (out / name).read_bytes()
 
+    def test_manifest_names_every_seed_of_the_trained_artifacts(self, workspace, tmp_path):
+        # the expert and the adapter are trained on the split that the
+        # top-level seed draws; a change of either seed shows in their entries
+        configs = {
+            "base": SMALL_CONFIG,
+            "seed": {**SMALL_CONFIG, "seed": 5},
+            "expert.seed": {**SMALL_CONFIG, "expert": {**SMALL_CONFIG["expert"], "seed": 9}},
+            "adapter.seed": {**SMALL_CONFIG, "adapter": {**SMALL_CONFIG["adapter"], "seed": 9}},
+        }
+        entries = {}
+        for name, config in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert cli.main(["pipeline", "--out", str(out), "--threads", "1",
+                             "--config", str(path)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            entries[name] = {artifact: {k: v for k, v in manifest[artifact].items()
+                                        if k != "config_hash"}
+                             for artifact in ("expert_head.ckpt", "expert.jsonl", "adapter.ckpt")}
+        base = entries["base"]
+        seed, expert_seed, adapter_seed = 1, 0, 0  # SMALL_CONFIG's
+        assert base["expert_head.ckpt"]["seeds"] == {"seed": seed, "expert.seed": expert_seed}
+        assert base["expert.jsonl"]["seeds"] == {"seed": seed, "expert.seed": expert_seed}
+        assert base["adapter.ckpt"]["seeds"] == {
+            "seed": seed, "expert.seed": expert_seed, "adapter.seed": adapter_seed}
+        for changed, value in (("seed", 5), ("expert.seed", 9)):
+            for artifact in base:
+                assert entries[changed][artifact]["seeds"] == {
+                    **base[artifact]["seeds"], changed: value}, (changed, artifact)
+        adapter = entries["adapter.seed"]
+        assert adapter["adapter.ckpt"]["seed"] == 9
+        assert adapter["adapter.ckpt"]["seeds"] == {**base["adapter.ckpt"]["seeds"],
+                                                    "adapter.seed": 9}
+        assert adapter["expert_head.ckpt"] == base["expert_head.ckpt"]
+        assert adapter["expert.jsonl"] == base["expert.jsonl"]
+
     def test_failed_pipeline_discards_its_stage(self, workspace, tmp_path, capsys,
                                                 monkeypatch):
-        save_jsonl = dataengine.save_jsonl
+        parent = os.getpid()
+        failed = tmp_path / "failed"
+        save_token_maps = cli.save_token_maps
 
-        def slow_save_jsonl(*args, **kwargs):
-            time.sleep(0.5)  # at --threads 2 the task files' writer is still running
-            save_jsonl(*args, **kwargs)
+        def slow_save_token_maps(*args, **kwargs):
+            # at --threads 2 the bundle writer, a job the parent does not
+            # wait for, runs until the adapter has failed
+            if os.getpid() != parent:
+                _wait_for(failed)
+            save_token_maps(*args, **kwargs)
 
         def fail(*args, **kwargs):
+            failed.touch()
             raise DataValidationError("adapter training failed")
 
-        monkeypatch.setattr(dataengine, "save_jsonl", slow_save_jsonl)
+        monkeypatch.setattr(cli, "save_token_maps", slow_save_token_maps)
         monkeypatch.setattr(fusion, "train_adapter", fail)
         for threads in ("1", "2"):
+            failed.unlink(missing_ok=True)
             out = tmp_path / f"run{threads}"
             rc = cli.main(["pipeline", "--out", str(out), "--threads", threads]
                           + _cfg(workspace))
@@ -1506,16 +1552,21 @@ class TestDeterminism:
 
 
 class TestWorkerLane:
-    """The worker lane of ``cli._OutputStage``: ``submit(job)``."""
+    """The worker lane of ``ilrkit.stage.OutputStage``: ``submit(job)``."""
 
-    @pytest.mark.parametrize("lane", ["inline", "forked", "no fork"])
+    @pytest.mark.parametrize("lane", ["inline", "forked", "no fork", "fork fails"])
     def test_submit_round_trips_a_value(self, tmp_path, monkeypatch, lane):
         if lane == "no fork":
             monkeypatch.delattr(os, "fork")
+        if lane == "fork fails":  # as under a process limit: the job runs inline
+            def failed_fork():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", failed_fork)
         value = {"tasks": [(1, "a"), (2, "b")], "tau": 0.5, "relaxed": True}
         parent = os.getpid()
         out = tmp_path / "out"
-        with cli._OutputStage(out, overlap=lane != "inline") as stage:
+        with OutputStage(out, overlap=lane != "inline") as stage:
             path = stage.record("pid.json", "h", 1)
 
             def write_pid():
@@ -1540,7 +1591,7 @@ class TestWorkerLane:
         # from result(), and again on a second call
         out = tmp_path / "result"
         with pytest.raises(DataValidationError, match="the job failed"):
-            with cli._OutputStage(out, overlap=lane != "inline") as stage:
+            with OutputStage(out, overlap=lane != "inline") as stage:
                 stage.record("a.txt", "h", 1).write_text("a")
                 job = stage.submit(fail)  # inline, submit itself raises
                 for _ in range(2):
@@ -1551,7 +1602,7 @@ class TestWorkerLane:
         # from promote, when result() was never called
         out = tmp_path / "promote"
         with pytest.raises(DataValidationError, match="the job failed"):
-            with cli._OutputStage(out, overlap=lane != "inline") as stage:
+            with OutputStage(out, overlap=lane != "inline") as stage:
                 stage.record("a.txt", "h", 1).write_text("a")
                 stage.submit(fail)
         assert list(out.iterdir()) == []
@@ -1561,7 +1612,7 @@ class TestWorkerLane:
         # the worker reports once its job has finished: by then every file
         # the job wrote is complete, and the worker has been reaped
         sizes = {"a.txt": 1 << 10, "b.txt": 1 << 20}
-        with cli._OutputStage(tmp_path / "out", overlap=True) as stage:
+        with OutputStage(tmp_path / "out", overlap=True) as stage:
             paths = {name: stage.record(name, "h", 1) for name in sizes}
 
             def write():
@@ -1583,14 +1634,14 @@ class TestWorkerLane:
         def fail():
             raise Unpicklable(1, 2)
 
-        stage = cli._OutputStage(tmp_path, overlap=True)
+        stage = OutputStage(tmp_path, overlap=True)
         with pytest.raises(RuntimeError, match="Unpicklable: 1 and 2"):
             stage.submit(fail).result()
         stage.discard()
         _assert_no_child_left()
 
     def test_worker_killed_before_its_result_is_5(self, tmp_path):
-        stage = cli._OutputStage(tmp_path, overlap=True)
+        stage = OutputStage(tmp_path, overlap=True)
         job = stage.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
         for _ in range(2):
             with pytest.raises(WriterError, match="died before it finished"):
@@ -1599,7 +1650,7 @@ class TestWorkerLane:
         # from promote, when result() was never called
         out = tmp_path / "out"
         with pytest.raises(WriterError, match="died before it finished"):
-            with cli._OutputStage(out, overlap=True) as stage:
+            with OutputStage(out, overlap=True) as stage:
                 stage.record("a.txt", "h", 1).write_text("a")
                 stage.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
         assert list(out.iterdir()) == []
@@ -1738,6 +1789,139 @@ class TestPipelineWorker:
         assert json.loads(err)["error"] == "WriterError"
         assert trained == [os.getpid()]
         assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
+
+class TestSplitReadsInCommands:
+    """With SPLIT_BYTES lowered so that every workspace file splits, the
+    commands that read JSONL embedding sets and token maps write the same
+    bytes, and fail with the same message and exit code, at any --threads."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Split reads for any file size; yields the pids forked so far."""
+        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        yield pids
+        _assert_no_child_left()
+
+    @staticmethod
+    def _commands(workspace, out):
+        data = workspace / "data"
+        views = ["--token-maps", str(data / "token_maps.jsonl"),
+                 "--expert-embeddings", str(data / "expert.jsonl")]
+        return {
+            "train-adapter": ["train-adapter", "--tasks", str(data / "tasks.jsonl"), *views,
+                              "--out", str(out / "adapter.ckpt")],
+            "match": ["match", "--embeddings", str(data / "expert.jsonl"),
+                      "--tasks", str(data / "tasks.jsonl"), "--out", str(out / "preds.jsonl")],
+            "fuse": ["fuse", "--checkpoint", str(out / "adapter.ckpt"), *views,
+                     "--image-id", _FUSE_ID, "--out", str(out / "fuse" / "fused.json")],
+            "embed": ["embed", "--checkpoint", str(data / "expert_head.ckpt"),
+                      "--embeddings", str(data / "raw.jsonl"), "--out", str(out / "e.jsonl")],
+            "sweep": ["sweep", "--embeddings", str(data / "general.jsonl"),
+                      "--split", str(data / "split.json"), "--adapter", str(out / "adapter.ckpt"),
+                      *views, "--taus", "0.1", "0.4", "--k", "3", "--n-tasks", "5",
+                      "--out", str(out / "sweep")],
+        }
+
+    def test_same_bytes_at_any_threads(self, workspace, tmp_path, forks):
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            for name, argv in self._commands(workspace, out).items():
+                before = len(forks)
+                assert cli.main([*argv, "--threads", threads] + _cfg(workspace)) == 0, name
+                # one worker for each JSONL view or token-map file the command reads
+                # (fuse reads one image of each: a filtered load, never split)
+                split_files = {"match": 1, "embed": 1, "train-adapter": 2, "fuse": 0, "sweep": 3}
+                assert len(forks) - before == (split_files[name] if threads == "2" else 0), name
+            outputs[threads] = {p.relative_to(out): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs["1"]) == 7  # one output of each command, 2 manifests
+        assert outputs["1"] == outputs["2"]
+
+    @pytest.mark.parametrize("command", ["match", "fuse", "train-adapter"])
+    def test_one_worker_per_load(self, workspace, tmp_path, forks, command):
+        argv = self._commands(workspace, tmp_path)[command]
+        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), tmp_path / "adapter.ckpt")
+        assert cli.main([*argv, "--threads", "10000"] + _cfg(workspace)) == 0
+        # match loads one JSONL view, train-adapter the token maps and the
+        # expert set; fuse loads one image of each, never split
+        assert len(forks) == {"match": 1, "fuse": 0, "train-adapter": 2}[command]
+
+    @pytest.mark.parametrize("damage", [
+        "not UTF-8 in the first half", "not UTF-8 in the second half",
+        "carriage return in the second half", "decode error in the second half",
+        "dimension change at the second half", "duplicate across the halves",
+    ])
+    @pytest.mark.parametrize("target", ["expert.jsonl", "token_maps.jsonl"])
+    def test_same_error_at_any_threads(self, workspace, tmp_path, capsys, forks, damage,
+                                       target):
+        data = workspace / "data"
+        lines = (data / target).read_bytes().splitlines(keepends=True)
+        second = embedstore._split_point(data / target)[1] - 1  # its first line's index
+        key = b'"vector": [' if target == "expert.jsonl" else b'"tokens": [['
+        if damage == "not UTF-8 in the first half":
+            lines[2] = lines[2].replace(b"_", b"\xff", 1)
+        elif damage == "not UTF-8 in the second half":
+            lines[-2] = lines[-2].replace(b"_", b"\xc3(", 1)
+        elif damage == "carriage return in the second half":
+            lines[-3] = lines[-3].replace(b", ", b",\r ", 1)
+        elif damage == "decode error in the second half":
+            lines[-4] = lines[-4][:-9] + b"\n"
+        elif damage == "dimension change at the second half":
+            lines[second:] = [line.replace(key, key + b"0.5, ") for line in lines[second:]]
+        else:
+            lines[-1] = lines[1]
+        bad = tmp_path / target
+        bad.write_bytes(b"".join(lines))
+        adapter = tmp_path / "adapter.ckpt"
+        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        views = {"expert.jsonl": data / "expert.jsonl", "token_maps.jsonl": data / "token_maps.jsonl"}
+        views[target] = bad
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            rc = cli.main(["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                           "--token-maps", str(views["token_maps.jsonl"]),
+                           "--expert-embeddings", str(views["expert.jsonl"]),
+                           "--out", str(out / "a.ckpt"), "--threads", threads]
+                          + _cfg(workspace))
+            results.append((rc, capsys.readouterr().err, out.exists()))
+        assert results[0] == results[1]
+        assert results[0][0] == 3 and not results[0][2]
+        message = json.loads(results[0][1])["message"]
+        assert message.startswith(f"{bad}") or "duplicate" in message, message
+        # at --threads 2: the token maps, then (if they load) the expert set
+        assert len(forks) == (2 if target == "expert.jsonl" else 1)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_damaged_bytes_at_any_threads(self, workspace, tmp_path, data, monkeypatch):
+        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data.draw(_damaged((workspace / "data" / "general.jsonl").read_bytes())))
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"s{threads}.json"
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["split", "--embeddings", str(bad), "--out", str(out),
+                               "--threads", threads] + _cfg(workspace))
+            results.append((rc, err.getvalue(), out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1]
+        assert results[0][0] in (0, 3)
         _assert_no_child_left()
 
 
