@@ -5,13 +5,17 @@ atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
 config hash, seed, and tool version. Unless --threads is 1, a forked
 worker process runs one job at a time beside the parent and reports once
-the job has finished: in pipeline one job builds and writes the
-general-view tasks while the expert trains and a second writes the
-bundle and the expert set while the adapter trains, and in synth a job
-writes the token maps. Every other command that reads all of a large
-JSONL embedding set or token-map file has a worker decode the second
-half of it while the parent decodes the first (see
-``embedstore.split_reads``).
+the job has finished. In synth and pipeline the worker first generates
+the second half of the synthetic bundle's clusters while the parent
+generates the first (see ``synthgen.generate``); in synth a job then
+writes the token maps. In pipeline one job builds and writes the
+general-view tasks while the expert trains, and a second, while the
+adapter trains, writes the bundle and the expert set and scores the
+general and expert matchers (the tier, the sweep and recall@1), so that
+the parent scores only the fused matcher after training. Every other
+command that reads all of a large JSONL embedding set or token-map file
+has a worker decode the second half of it while the parent decodes the
+first (see ``embedstore.split_reads``).
 Outputs, error messages and exit codes do not depend on --threads. A command
 runs with numpy's bundled OpenBLAS at one thread, whatever the
 environment asks, and restores the previous count on return: its matrix
@@ -307,6 +311,8 @@ def _sweep_matchers(args, config: PipelineConfig, general):
 def cmd_sweep(args, config: PipelineConfig) -> None:
     _needs(args, "--adapter", "--token-maps", "--expert-embeddings")
     _needs(args, "--token-maps", "--adapter", "--expert-embeddings")
+    if len(set(args.taus)) < len(args.taus):
+        raise ConfigError("--taus must not repeat a threshold")
     general = load_embedding_set(args.embeddings, config.format)
     side = _split_side(args)
     matchers = _sweep_matchers(args, config, general)
@@ -332,14 +338,28 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
         print(f"{name}: {cells}")
 
 
+def _matching_reports(tasks, matchers) -> dict[str, evalkit.EvalReport]:
+    """The matching report of each matcher's predictions for ``tasks``."""
+    reports = {}
+    for name, matcher in matchers.items():
+        best = matcher.predict(tasks)
+        log = evalkit.PredictionLog({t.task_id: b for t, b in zip(tasks, best)}, model_name=name)
+        reports[name] = evalkit.score_matching(tasks, log)
+    return reports
+
+
 def cmd_pipeline(args, config: PipelineConfig) -> None:
     """synth -> split -> build tiers -> train-expert -> train-adapter ->
     evaluate all matchers -> sweep, with one manifest for everything.
 
     The tiers, detection tasks, conversations and adapter-training tasks
     depend on the general view alone, so one job builds and writes them
-    while the parent trains the expert; a second job writes the bundle and
-    the expert set while the parent trains the adapter."""
+    while the parent trains the expert. A second job, while the parent
+    trains the adapter, writes the bundle and the expert set, builds the
+    sweep's tasks, scores the general and expert matchers on the tier and
+    the sweep, and computes both recall@1 values; after the adapter, the
+    parent scores the fused matcher alone and assembles the report. At
+    --threads 1 each job runs in the parent where it is submitted."""
     out = Path(args.out)
     stages = StageLog()
     with OutputStage(out, args.threads > 1) as stage:
@@ -406,14 +426,29 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         )
         expert_path = stage.record(f"expert.{ext}", h, seed, expert_seeds)
 
-        def write_bundle_and_expert_set():
+        def write_bundle_and_score_views():
             save_embedding_set(bundle.raw_set, raw_path, ext)
             save_embedding_set(bundle.general_set, general_path, ext)
             save_token_maps(bundle.token_maps, maps_path)
             _write_ground_truth(truth_path, bundle.ground_truth)
             save_embedding_set(expert_set, expert_path, ext)
+            sweep_tiers = evalkit.sweep_tasks(
+                bundle.general_set, split.test_instances, config.taus, k=config.k,
+                n_tasks=config.n_sweep_tasks, seed=seed,
+            )
+            matchers = {
+                "general": evalkit.similarity_matcher(bundle.general_set),
+                "expert": evalkit.similarity_matcher(expert_set),
+            }
+            recall = {
+                name: synthgen.recall_at_1(view.subset(split.test_instances))
+                for name, view in (("general", bundle.general_set), ("expert", expert_set))
+            }
+            return (sweep_tiers, _matching_reports(tier, matchers),
+                    evalkit.sweep_accuracies(sweep_tiers, matchers), recall)
 
-        stage.submit(write_bundle_and_expert_set, name="bundle and expert-set writes")
+        scored = stage.submit(write_bundle_and_score_views,
+                              name="bundle writes and adapter-free scoring")
 
         stages.next("training fusion adapter")
         token_maps, expert_vectors = _fusion_views(bundle.token_maps, expert_set)
@@ -430,23 +465,11 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         )
 
         stages.next("evaluating matchers")
-        matchers = {
-            "general": evalkit.similarity_matcher(bundle.general_set),
-            "expert": evalkit.similarity_matcher(expert_set),
-            "fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors),
-        }
-        matcher_reports = {}
-        for name, matcher in matchers.items():
-            best = matcher.predict(tier)
-            log = evalkit.PredictionLog(
-                {t.task_id: b for t, b in zip(tier, best)}, model_name=name
-            )
-            matcher_reports[name] = evalkit.score_matching(tier, log)
-
-        sweep = evalkit.sweep_difficulty(
-            bundle.general_set, split.test_instances, matchers, taus=config.taus,
-            k=config.k, n_tasks=config.n_sweep_tasks, seed=seed,
-        )
+        sweep_tiers, matcher_reports, accuracies, recall = scored.result()
+        fused = {"fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors)}
+        matcher_reports.update(_matching_reports(tier, fused))
+        accuracies.update(evalkit.sweep_accuracies(sweep_tiers, fused))
+        sweep = evalkit.SweepResult.of(accuracies)
 
         # the matcher reports are serialized before the fused one takes the
         # sweep table for report.txt, so report.json holds that table once
@@ -455,10 +478,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 name: rep.to_dict() for name, rep in sorted(matcher_reports.items())
             },
             "sweep": sweep.to_dict(),
-            "recall_at_1": {
-                "general": synthgen.recall_at_1(bundle.general_set.subset(split.test_instances)),
-                "expert": synthgen.recall_at_1(expert_set.subset(split.test_instances)),
-            },
+            "recall_at_1": recall,
         }
         report = matcher_reports["fused"]
         report.sweep = {
@@ -543,13 +563,15 @@ def _check_out(out: Path, is_dir: bool) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
-    p.add_argument("--config", default=os.environ.get(ENV_CONFIG), help="pipeline config JSON")
+    p.add_argument("--config", help=f"pipeline config JSON (default: ${ENV_CONFIG})")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="1 runs everything in one process; above 1, a forked worker "
-                        "builds pipeline's general-view tasks and writes the bulk artifacts "
-                        "of pipeline and synth while computing goes on, and decodes the "
-                        "second half of each large JSONL embedding set or token-map input "
-                        "read in full (default: the CPUs this process may run on)")
+                        "generates the second half of the synthetic bundle in synth and "
+                        "pipeline, builds pipeline's general-view tasks, writes the bulk "
+                        "artifacts of pipeline and synth and scores pipeline's general and "
+                        "expert matchers while computing goes on, and decodes the second "
+                        "half of each large JSONL embedding set or token-map input read in "
+                        "full (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -566,14 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic dual-view bundle")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="identity-disjoint train/test split")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--test-fraction", type=float, default=0.3)
     p.add_argument("--out", required=True)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("build-galleries", help="difficulty-controlled gallery tasks")
     p.add_argument("--embeddings", required=True, help="general-view embedding set")
@@ -588,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build n-tasks for every category, distractors within category")
     p.add_argument("--out", required=True)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_build_galleries)
 
     p = sub.add_parser("build-detection", help="single-candidate detection tasks")
     p.add_argument("--embeddings", required=True)
@@ -599,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive-rate", type=float, default=0.5)
     p.add_argument("--out", required=True)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_build_detection)
 
     p = sub.add_parser("emit", help="emit conversation records for a task file")
     p.add_argument("--tasks", required=True)
@@ -607,21 +625,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--captions", help="JSONL of {query_id, caption} with one [SUBJECT] each")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("train-expert", help="train the toy expert head")
     p.add_argument("--embeddings", required=True, help="raw-view embedding set")
     p.add_argument("--split", help="restrict training to the train side of this split")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_train_expert)
 
     p = sub.add_parser("embed", help="embed a raw set with a trained expert head")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("train-adapter", help="train the fusion adapter on gallery tasks")
     p.add_argument("--tasks", required=True)
@@ -629,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expert-embeddings", required=True)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_train_adapter)
 
     p = sub.add_parser("fuse", help="dump the fusion output for one image")
     p.add_argument("--checkpoint", required=True)
@@ -638,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-id", required=True)
     p.add_argument("--out")
     _add_common(p)
-    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("match", help="feature-similarity predictions for gallery tasks")
     p.add_argument("--embeddings", required=True)
@@ -646,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=simcore.KINDS, default="cosine")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("evaluate", help="score predictions against tasks")
     p.add_argument("--tasks", required=True)
@@ -657,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equal-count mean for the weighted detection accuracy")
     p.add_argument("--out", required=True, help="output directory for report files")
     _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="difficulty sweep over tau tiers")
     p.add_argument("--embeddings", required=True)
@@ -672,25 +683,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", help="full synthetic pipeline end to end")
     p.add_argument("--out", required=True, help="output directory")
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
+# built once per process: building takes about 50 times as long as parsing
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config(args.config)
+        config = load_config(
+            args.config if args.config is not None else os.environ.get(ENV_CONFIG)
+        )
         if getattr(args, "seed", None) is not None:
             config.seed = args.seed
         if args.format is not None:
@@ -702,8 +716,10 @@ def main(argv: list[str] | None = None) -> int:
         config.validate()
         if args.out is not None:
             _check_out(Path(args.out), args.command in _DIRECTORY_OUTPUTS)
+        # looked up when called, so that a rebound cmd_* function is the one run
+        command = globals()["cmd_" + args.command.replace("-", "_")]
         with _one_blas_thread(), split_reads(args.threads > 1):
-            args.func(args, config)
+            command(args, config)
     except IlrkitError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -46,6 +46,8 @@ class PipelineConfig:
             problems.append("tau must lie in [0, 1) for cosine similarity")
         if len(self.taus) < 2:
             problems.append("taus must list at least 2 thresholds")
+        elif len(set(self.taus)) < len(self.taus):
+            problems.append("taus must not repeat a threshold")
         if any(not 0.0 <= t < 1.0 for t in self.taus):
             problems.append("every sweep tau must lie in [0, 1)")
         if self.n_tasks < 1 or self.n_train_tasks < 1 or self.n_sweep_tasks < 1:

@@ -603,13 +603,20 @@ def split_reads(enabled: bool = True):
     JSONL embedding-set and token-map loaders read a file of at least
     SPLIT_BYTES in two halves at once, the second in a forked worker; a load
     with ``only`` stays serial. The value, or the exception and its message,
-    is that of a serial read."""
+    is that of a serial read. ``synthgen.generate`` splits its work the same
+    way (see ``splitting``)."""
     global _split
     previous, _split = _split, enabled and hasattr(os, "fork")
     try:
         yield
     finally:
         _split = previous
+
+
+def splitting() -> bool:
+    """Whether split reads are on: other work that splits in two halves,
+    with the same value either way, may then give one to a forked worker."""
+    return _split
 
 
 def _read_jsonl(read, path: Path, only: Collection[str] | None) -> list:
@@ -810,7 +817,7 @@ def load_token_maps(
     image_ids, blocks = _read_jsonl(_read_token_columns, path, only)
     if not image_ids and only is None:
         raise DataValidationError(f"{path}: empty token-map file")
-    return list(map(_token_map, image_ids, itertools.chain.from_iterable(blocks)))
+    return token_maps_of(image_ids, blocks)
 
 
 def _read_token_columns(path: Path, only: Collection[str] | None, span=None):
@@ -910,8 +917,14 @@ def _check_token_lines(path: Path, linenos: list[int], objs: list[dict],
     raise AssertionError(f"{path}: a chunk failed its checks but none of its lines did")
 
 
+def token_maps_of(image_ids: Sequence[str], blocks: Sequence[np.ndarray]) -> list[TokenFeatureMap]:
+    """One TokenFeatureMap per id, holding a view of its row of the float32
+    (rows, N, d) ``blocks``, which hold one row per id, in order, and have
+    been checked already (string ids, finite tokens, N and d at least 1)."""
+    return list(map(_token_map, image_ids, itertools.chain.from_iterable(blocks)))
+
+
 def _token_map(image_id: str, tokens: np.ndarray) -> TokenFeatureMap:
-    """A TokenFeatureMap of tokens already checked as part of a block."""
     tmap = object.__new__(TokenFeatureMap)
     object.__setattr__(tmap, "image_id", image_id)
     object.__setattr__(tmap, "tokens", tokens)

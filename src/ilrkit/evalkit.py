@@ -309,11 +309,26 @@ def matcher_accuracy(tasks: Sequence[GalleryTask], matcher: Matcher) -> float:
     return sum(p == t.answer_index for p, t in zip(predictions, tasks)) / len(tasks)
 
 
+BASELINE = "general"  # the matcher every other one's sweep gap is measured against
+
+
 @dataclass
 class SweepResult:
     accuracies: dict[str, dict[float, float]]  # matcher -> tau -> accuracy
     gaps: dict[str, dict[float, float]]  # matcher (non-baseline) -> tau -> gap
     baseline: str
+
+    @classmethod
+    def of(cls, accuracies: dict[str, dict[float, float]]) -> "SweepResult":
+        """The result of ``accuracies``, with the per-tau gap of every
+        matcher over the baseline's."""
+        base = accuracies[BASELINE]
+        gaps = {
+            name: {tau: acc - base[tau] for tau, acc in row.items()}
+            for name, row in accuracies.items()
+            if name != BASELINE
+        }
+        return cls(accuracies=accuracies, gaps=gaps, baseline=BASELINE)
 
     def to_dict(self) -> dict:
         return {
@@ -329,6 +344,39 @@ class SweepResult:
         }
 
 
+def sweep_tasks(
+    general: EmbeddingSet,
+    split_side,
+    taus: Sequence[float] = (0.2, 0.5, 0.8),
+    k: int = dataengine.DEFAULT_K,
+    n_tasks: int = 200,
+    seed: int = 0,
+) -> dict[float, list[GalleryTask]]:
+    """The gallery tasks of each difficulty tier of a sweep, keyed by tau,
+    one tier for each distinct tau, in the order given."""
+    taus = list(dict.fromkeys(taus))
+    if len(taus) < 2:
+        raise DataValidationError("need at least 2 distinct taus to sweep")
+    return {
+        tau: dataengine.build_gallery_tasks(
+            general, split_side, k=k, tau=tau, n_tasks=n_tasks, seed=seed,
+            task_prefix=f"s{tau:g}-",
+        )
+        for tau in taus
+    }
+
+
+def sweep_accuracies(
+    tiers: Mapping[float, Sequence[GalleryTask]], matchers: Mapping[str, Matcher]
+) -> dict[str, dict[float, float]]:
+    """The accuracy of each matcher at each tier of ``sweep_tasks``."""
+    accuracies: dict[str, dict[float, float]] = {name: {} for name in matchers}
+    for tau, tasks in tiers.items():
+        for name, matcher in matchers.items():
+            accuracies[name][tau] = matcher_accuracy(tasks, matcher)
+    return accuracies
+
+
 def sweep_difficulty(
     general: EmbeddingSet,
     split_side,
@@ -340,22 +388,7 @@ def sweep_difficulty(
 ) -> SweepResult:
     """Accuracy of each matcher at each difficulty tier, plus the per-tau
     gap of every other matcher over the "general" baseline matcher."""
-    baseline = "general"
-    if len(taus) < 2:
-        raise DataValidationError("need at least 2 taus to sweep")
-    if baseline not in matchers:
-        raise DataValidationError(f"baseline matcher {baseline!r} not supplied")
-    accuracies: dict[str, dict[float, float]] = {name: {} for name in matchers}
-    for tau in taus:
-        tasks = dataengine.build_gallery_tasks(
-            general, split_side, k=k, tau=tau, n_tasks=n_tasks, seed=seed,
-            task_prefix=f"s{tau:g}-",
-        )
-        for name, matcher in matchers.items():
-            accuracies[name][tau] = matcher_accuracy(tasks, matcher)
-    gaps = {
-        name: {tau: accuracies[name][tau] - accuracies[baseline][tau] for tau in taus}
-        for name in matchers
-        if name != baseline
-    }
-    return SweepResult(accuracies=accuracies, gaps=gaps, baseline=baseline)
+    if BASELINE not in matchers:
+        raise DataValidationError(f"baseline matcher {BASELINE!r} not supplied")
+    tiers = sweep_tasks(general, split_side, taus, k=k, n_tasks=n_tasks, seed=seed)
+    return SweepResult.of(sweep_accuracies(tiers, matchers))

@@ -4,11 +4,13 @@ An ``OutputStage`` collects a command's output files in a temporary
 directory and promotes them, with the manifest, atomically. ``fork_job``
 is the package's one way to run work in another process: it forks a
 worker that runs one job and sends back one report once the job has
-finished, which ``Job.result()`` reads. Two callers use it: the stage's
-``submit``, which overlaps a job with the parent's own computation, and
-``embedstore``'s split reads, which decode the second half of a large
-JSONL input while the parent decodes the first. ``StageLog`` logs the
-seconds of each pipeline stage.
+finished, which ``Job.result()`` reads. Three callers use it: the
+stage's ``submit``, which overlaps a job with the parent's own
+computation, ``embedstore``'s split reads, which decode the second half
+of a large JSONL input while the parent decodes the first, and
+``synthgen.generate``, which generates the second half of the synthetic
+bundle's clusters the same way. ``StageLog`` logs the seconds of each
+pipeline stage.
 
 ``pickle`` and ``signal`` are imported where they are used: the import
 time of this module counts in every command.

@@ -5,6 +5,7 @@ and then asserts the criterion at its stated tolerance.
 """
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -339,10 +340,11 @@ def test_11_pipeline_determinism(capsys, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(PIPELINE_CONFIG))
     digests = []
+    workers = []
     for name, threads in (("run1", "1"), ("run2", "4")):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "ilrkit.cli", "pipeline",
+            [sys.executable, "-m", "ilrkit.cli", "pipeline", "-v",
              "--config", str(config_path), "--threads", threads,
              "--out", str(out)],
             capture_output=True, text=True,
@@ -351,13 +353,18 @@ def test_11_pipeline_determinism(capsys, tmp_path):
         digests.append({
             p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()
         })
+        # each job of a forked worker logs its seconds
+        workers.append(len(re.findall(r"worker: .+ took ", proc.stderr)))
+    # the runs compare two lanes only if the second one forked a worker
+    forked = workers[0] == 0 and workers[1] > 0
     same_names = set(digests[0]) == set(digests[1])
     identical = same_names and all(
         digests[0][name] == digests[1][name] for name in digests[0]
     )
     split = json.loads(digests[0]["split.json"].decode())
     disjoint = not (set(split["train_instances"]) & set(split["test_instances"]))
-    ok = identical and disjoint and len(digests[0]) > 0
+    ok = identical and disjoint and forked and len(digests[0]) > 0
     _verdict(capsys, ok, "pipeline determinism",
              f"{len(digests[0])} output files byte-identical across reruns at "
-             f"--threads 1 and 4: {identical}; pipeline split disjoint: {disjoint}")
+             f"--threads 1 and 4: {identical}; worker jobs at --threads 1 and 4: "
+             f"{workers}; pipeline split disjoint: {disjoint}")

@@ -246,6 +246,42 @@ class TestSubcommandChain:
                                  for t in taus]
 
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pipeline_report_against_its_own_artifacts(self, workspace, tmp_path, threads):
+        # every matcher of report.json, rebuilt from the files the pipeline
+        # wrote and scored by the sweep command's code path, gives the same
+        # numbers, whichever process scored it
+        out = tmp_path / "run"
+        assert cli.main(["pipeline", "--out", str(out), "--threads", threads]
+                        + _cfg(workspace)) == 0
+        report = json.loads((out / "report.json").read_text())
+        general = load_embedding_set(out / "general.jsonl")
+        expert_set = load_embedding_set(out / "expert.jsonl")
+        token_maps = {t.image_id: t for t in load_token_maps(out / "token_maps.jsonl")}
+        vectors = dict(zip(expert_set.image_ids, expert_set.matrix().astype(np.float64)))
+        matchers = {
+            "general": evalkit.similarity_matcher(general),
+            "expert": evalkit.similarity_matcher(expert_set),
+            "fused": evalkit.fused_matcher(checkpoint.load_adapter(out / "adapter.ckpt"),
+                                           token_maps, vectors),
+        }
+        tier = dataengine.load_gallery_tasks(out / f"tasks_tau{SMALL_CONFIG['tau']:g}.jsonl")
+        for name, matcher in matchers.items():
+            best = matcher.predict(tier)
+            log = evalkit.PredictionLog({t.task_id: b for t, b in zip(tier, best)})
+            assert report["matching_accuracy"][name] == \
+                evalkit.score_matching(tier, log).to_dict(), name
+        test_side = dataengine.load_split(out / "split.json").test_instances
+        sweep = evalkit.sweep_difficulty(
+            general, test_side, matchers, taus=SMALL_CONFIG["taus"], k=SMALL_CONFIG["k"],
+            n_tasks=SMALL_CONFIG["n_sweep_tasks"], seed=SMALL_CONFIG["seed"],
+        )
+        assert report["sweep"] == sweep.to_dict()
+        assert report["recall_at_1"] == {
+            name: synthgen.recall_at_1(view.subset(test_side))
+            for name, view in (("general", general), ("expert", expert_set))
+        }
+
 def _command_argv(command: str, inputs: str, out: str) -> list[str]:
     """``command`` with every input flag given ``inputs`` and --out ``out``."""
     return {
@@ -312,6 +348,51 @@ class TestExitCodes:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataValidationError"
+
+    def test_repeated_sweep_taus_are_2(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--embeddings", str(data / "general.jsonl"),
+                       "--split", str(data / "split.json"), "--taus", "0.5", "0.50",
+                       "--out", str(out)] + _cfg(workspace))
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ConfigError",
+                         "message": "--taus must not repeat a threshold"}
+        assert not out.exists()
+
+    def test_repeated_config_taus_are_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "taus": [0.5, 0.5]}))
+        rc = cli.main(["pipeline", "--out", str(tmp_path / "run"), "--config", str(config)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert "taus must not repeat a threshold" in error["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_config_from_the_environment_is_read_at_each_call(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the parser is built once per process; ILRKIT_CONFIG is read per call
+        configs = {}
+        for name, seed in (("a", 1), ("b", 2)):
+            configs[name] = tmp_path / f"{name}.json"
+            configs[name].write_text(json.dumps({**SMALL_CONFIG,
+                                                 "synth": {**SMALL_CONFIG["synth"],
+                                                           "seed": seed}}))
+        manifests = []
+        for name in ("a", "b"):
+            monkeypatch.setenv("ILRKIT_CONFIG", str(configs[name]))
+            out = tmp_path / f"out_{name}"
+            assert cli.main(["synth", "--out", str(out), "--threads", "1"]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert [m["raw.jsonl"]["seed"] for m in manifests] == [1, 2]
+        # --config wins over the environment
+        monkeypatch.setenv("ILRKIT_CONFIG", str(tmp_path / "missing.json"))
+        assert cli.main(["synth", "--out", str(tmp_path / "out_c"), "--threads", "1",
+                         "--config", str(configs["a"])]) == 0
+        assert cli.main(["synth", "--out", str(tmp_path / "out_d"), "--threads", "1"]) == 2
+        assert "missing.json" in capsys.readouterr().err
 
     def test_missing_config_file_is_2(self, tmp_path):
         rc = cli.main(["synth", "--out", str(tmp_path / "o"),
@@ -1381,7 +1462,8 @@ class TestDeterminism:
         # each worker job logs its own seconds, on a line of its own
         workers = [m for m in messages if m.startswith("worker:")]
         assert [m.split(" took ")[0] for m in workers] == [
-            "worker: task building and writes", "worker: bundle and expert-set writes",
+            "worker: second half of the synthetic bundle", "worker: task building and writes",
+            "worker: bundle writes and adapter-free scoring",
         ]
         for line in workers:
             assert re.fullmatch(r"worker: .+ took \d+\.\d\d s", line), line
@@ -1677,6 +1759,51 @@ class TestPipelineWorker:
         assert len(set(recorded)) == 1 and int(recorded[0]) != os.getpid()
         _assert_no_child_left()
 
+    def test_adapter_free_scoring_is_done_in_the_worker(self, workspace, tmp_path,
+                                                         monkeypatch):
+        # the sweep's tasks, the general and expert scores and recall@1 come
+        # from the second job; the parent scores the fused matcher alone
+        pids = tmp_path / "pids"
+
+        def record_pid(module, name):
+            fn = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                with open(pids, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        for name in ("sweep_tasks", "similarity_matcher", "fused_matcher", "sweep_accuracies"):
+            record_pid(evalkit, name)
+        record_pid(synthgen, "recall_at_1")
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
+                        + _cfg(workspace)) == 0
+        calls = [line.split() for line in pids.read_text().splitlines()]
+        parent = str(os.getpid())
+        in_parent = [name for name, pid in calls if pid == parent]
+        assert in_parent == ["fused_matcher", "sweep_accuracies"]
+        workers = {pid for name, pid in calls if pid != parent}
+        assert len(workers) == 1
+        assert sorted(name for name, pid in calls if pid != parent) == [
+            "recall_at_1", "recall_at_1", "similarity_matcher", "similarity_matcher",
+            "sweep_accuracies", "sweep_tasks",
+        ]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_failure_is_3(self, workspace, tmp_path, capsys, monkeypatch, threads):
+        def fail(*args, **kwargs):
+            raise DataValidationError("too few images for a sweep tier")
+
+        monkeypatch.setattr(evalkit, "sweep_tasks", fail)
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
+        assert _assert_data_error(rc, capsys) == "too few images for a sweep tier"
+        assert [p.name for p in out.iterdir()] == []
+        _assert_no_child_left()
+
     def test_expert_error_wins_over_worker_error(self, workspace, tmp_path, capsys,
                                                  monkeypatch):
         def fail_tasks(*args, **kwargs):
@@ -1792,27 +1919,116 @@ class TestPipelineWorker:
         _assert_no_child_left()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Yields the pids forked so far; no child may be left at the end."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    _assert_no_child_left()
+
+
+class TestGenerationWorker:
+    """``synth`` and ``pipeline`` generate the second half of the bundle's
+    clusters in a forked worker, for the same bytes at any --threads."""
+
+    # the forks of a run at --threads 2 besides the generation worker: synth's
+    # token-map write, pipeline's two jobs
+    JOBS = {"synth": 1, "pipeline": 2}
+
+    @staticmethod
+    def _run(workspace, command, out, threads):
+        assert cli.main([command, "--out", str(out), "--threads", threads]
+                        + _cfg(workspace)) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_same_bytes_with_one_generation_worker(self, workspace, tmp_path, forks,
+                                                   command):
+        outputs = {}
+        for threads in ("1", "2"):
+            before = len(forks)
+            outputs[threads] = self._run(workspace, command, tmp_path / threads, threads)
+            jobs = self.JOBS[command] + 1 if threads == "2" else 0
+            assert len(forks) - before == jobs, threads
+        assert "token_maps.jsonl" in outputs["1"]
+        assert outputs["1"] == outputs["2"]
+
+    def test_second_half_is_generated_in_the_worker(self, workspace, tmp_path, monkeypatch):
+        pids = tmp_path / "pids"
+        columns = synthgen._columns
+
+        def record_pid(config, proj, clusters):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()} {clusters[0][1]}\n")
+            return columns(config, proj, clusters)
+
+        monkeypatch.setattr(synthgen, "_columns", record_pid)
+        self._run(workspace, "synth", tmp_path / "out", "2")
+        recorded = dict(line.split()[::-1] for line in pids.read_text().splitlines())
+        # SMALL_CONFIG: 2 categories of 3 clusters, so the worker starts at face_c000
+        assert set(recorded) == {"person_c000", "face_c000"}
+        assert int(recorded["person_c000"]) == os.getpid() != int(recorded["face_c000"])
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["worker dies", "worker raises", "no fork"])
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_failed_generation_worker_gives_the_same_bytes(self, workspace, tmp_path,
+                                                           monkeypatch, command, fault):
+        expected = self._run(workspace, command, tmp_path / "serial", "1")
+        parent = os.getpid()
+        columns = synthgen._columns
+
+        def faulty(*args):
+            if os.getpid() != parent:
+                if fault == "worker dies":
+                    os._exit(1)
+                raise DataValidationError("generation failed in the worker")
+            return columns(*args)
+
+        monkeypatch.setattr(synthgen, "_columns", faulty)
+        if fault == "no fork":
+            def failed_fork():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", failed_fork)
+        assert self._run(workspace, command, tmp_path / "split", "2") == expected
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_generation_error_at_any_threads(self, workspace, tmp_path, capsys, command):
+        # an alpha beyond the float32 range: the first raw vector is infinite
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG,
+                                      "synth": {**SMALL_CONFIG["synth"], "alpha": 1e39}}))
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the float32 cast
+                rc = cli.main([command, "--out", str(out), "--threads", threads,
+                               "--config", str(config)])
+            message = _assert_data_error(rc, capsys)
+            assert message == "record 'person_c000_i000_v00' contains non-finite values"
+            assert not out.exists() or list(out.iterdir()) == []
+            _assert_no_child_left()
+
+
 class TestSplitReadsInCommands:
     """With SPLIT_BYTES lowered so that every workspace file splits, the
     commands that read JSONL embedding sets and token maps write the same
     bytes, and fail with the same message and exit code, at any --threads."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Split reads for any file size; yields the pids forked so far."""
+    @pytest.fixture(autouse=True)
+    def split_any_size(self, monkeypatch):
         monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-        pids = []
-        fork = os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        yield pids
-        _assert_no_child_left()
 
     @staticmethod
     def _commands(workspace, out):

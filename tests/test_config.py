@@ -73,6 +73,8 @@ def test_unknown_fields_rejected():
          r"expert\.loss_weights must be a list of 2 numbers, got \[\]"),
         ({"expert": {"loss_weights": [1, 2, 3]}},
          r"expert\.loss_weights must be a list of 2 numbers, got \[1, 2, 3\]"),
+        ({"taus": [0.5, 0.5]}, "taus must not repeat a threshold"),
+        ({"taus": [0.2, 0.5, 0.2]}, "taus must not repeat a threshold"),
     ],
 )
 def test_validation_errors(overrides, match):

@@ -450,6 +450,16 @@ class TestSweep:
             sweep_difficulty(small_bundle.general_set, side, {"x": lambda t: 0},
                              taus=(0.2, 0.5), n_tasks=5)
 
+    def test_repeated_taus_count_once(self, small_bundle):
+        side = set(small_bundle.general_set.instance_index)
+        matcher = similarity_matcher(small_bundle.general_set)
+        with pytest.raises(DataValidationError, match="at least 2 distinct taus"):
+            sweep_difficulty(small_bundle.general_set, side, {"general": matcher},
+                             taus=(0.5, 0.5), n_tasks=5)
+        result = sweep_difficulty(small_bundle.general_set, side, {"general": matcher},
+                                  taus=(0.5, 0.2, 0.5), n_tasks=5, seed=1)
+        assert list(result.accuracies["general"]) == [0.5, 0.2]
+
     def test_to_dict_structure(self, small_bundle):
         side = set(small_bundle.general_set.instance_index)
         matcher = similarity_matcher(small_bundle.general_set)
