@@ -359,7 +359,9 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     sweep's tasks, scores the general and expert matchers on the tier and
     the sweep, and computes both recall@1 values; after the adapter, the
     parent scores the fused matcher alone and assembles the report. At
-    --threads 1 each job runs in the parent where it is submitted."""
+    --threads 1 each job runs in the parent where it is submitted and keeps
+    its error until its result is read, so when a job and a trainer both
+    fail, the trainer's error wins at any --threads."""
     out = Path(args.out)
     stages = StageLog()
     with OutputStage(out, args.threads > 1) as stage:

@@ -224,39 +224,53 @@ def combined_loss_and_grads(
 
 
 class _BatchSampler:
-    """P instances x Q images batch sampler over a raw set."""
+    """P instances x Q images batch sampler over a raw set.
+
+    An epoch is drawn with two generator calls, whatever the number of
+    instances: a permutation of the instances and one block of uniform
+    keys, a row per instance (in sorted order) and a column per image slot.
+    An instance takes the images of its first ``min(Q, n_images)`` keys in
+    a stable sort of its row; padding slots hold ``+inf`` keys and sort
+    last. That is a uniform Q-subset without replacement of its images.
+    """
 
     def __init__(self, raw_set: EmbeddingSet, p_instances: int, q_images: int):
         self.p = p_instances
         self.q = q_images
         index = raw_set.instance_index
-        self.instances = sorted(index)
-        if len(self.instances) < 2 or self.p < 2 or self.q < 2:
+        instances = sorted(index)
+        if len(instances) < 2 or self.p < 2 or self.q < 2:
             raise DataValidationError("need >= 2 instances and P, Q >= 2")
-        for inst in self.instances:
+        for inst in instances:
             if len(index[inst]) < 2:
                 raise DataValidationError(f"training instance {inst!r} has a single image")
-        # the raw-set rows of each instance's images, in record order
-        self.rows_of = [
-            np.array([raw_set.row_of(image_id) for image_id in index[inst]])
-            for inst in self.instances
-        ]
+        counts = np.array([len(index[inst]) for inst in instances])
+        slots = np.arange(counts.max())
+        self.pad = slots >= counts[:, None]
+        # the raw-set rows of each instance's images, in record order, padded
+        self.image_rows = np.zeros(self.pad.shape, dtype=np.intp)
+        self.image_rows[~self.pad] = [raw_set.row_of(i) for inst in instances for i in index[inst]]
+        self.takes = np.minimum(self.q, counts)
+        # which of an instance's first Q picks it keeps: its first ``takes``
+        self.kept = slots[: self.q] < self.takes[:, None]
 
     def epoch_batches(self, rng: np.random.Generator):
-        """(rows, labels) of each batch; a label is its instance's position
-        in sorted order."""
-        order = rng.permutation(len(self.instances))
-        for start in range(0, len(order) - 1, self.p):
-            chosen = order[start : start + self.p]
-            if len(chosen) < 2:
-                continue
-            rows, takes = [], []
-            for local in chosen:
-                inst_rows = self.rows_of[local]
-                take = min(self.q, len(inst_rows))
-                rows.append(inst_rows[rng.choice(len(inst_rows), size=take, replace=False)])
-                takes.append(take)
-            yield np.concatenate(rows), np.repeat(chosen, takes)
+        """The epoch laid out at once: ``(rows, labels, edges)``, batch ``i``
+        being ``rows[edges[i]:edges[i + 1]]`` with its labels. A label is
+        its instance's position in sorted order. Batches hold P instances
+        in the drawn order; the last may hold fewer, but never one alone,
+        so a lone trailing instance sits the epoch out."""
+        n = len(self.takes)
+        order = rng.permutation(n)
+        keys = rng.random(self.pad.shape)
+        keys[self.pad] = np.inf
+        picks = np.argsort(keys, axis=1, kind="stable")[:, : self.q]
+        picked = np.take_along_axis(self.image_rows, picks, axis=1)
+        order = order[: n - (n % self.p == 1)]
+        rows = picked[order][self.kept[order]]
+        takes = self.takes[order]
+        bounds = np.concatenate([[0], np.cumsum(takes)])
+        return rows, np.repeat(order, takes), bounds[np.r_[0 : len(order) : self.p, len(order)]]
 
 
 def train_expert(
@@ -282,8 +296,12 @@ def train_expert(
 
     for epoch in range(config.epochs):
         epoch_loss, n_batches = 0.0, 0
-        for rows, labels in sampler.epoch_batches(rng):
-            loss, gw, gb, gp = combined_loss_and_grads(head, prototypes, matrix[rows], labels)
+        rows, labels, edges = sampler.epoch_batches(rng)
+        x = matrix[rows]  # one gather per epoch; a batch is a slice of it
+        for start, end in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            loss, gw, gb, gp = combined_loss_and_grads(
+                head, prototypes, x[start:end], labels[start:end]
+            )
             head.w -= config.step_size * gw
             head.b -= config.step_size * gb
             gp *= config.step_size  # gp is fresh: scale it in place, not via a temporary

@@ -43,11 +43,13 @@ class OutputStage:
     ``submit(job)`` is the stage's worker lane. With ``overlap`` it runs
     ``job()`` through ``fork_job``, one job at a time, so the job overlaps
     the parent's own computation; ``result()`` on the returned handle waits
-    for the job's report and re-raises its exception. ``promote`` and the
-    next ``submit`` wait for a job whose result was not read; ``discard``
-    kills a worker that is still running before it removes the stage.
-    Without overlap, without ``os.fork`` (Windows), or when no worker can be
-    forked, a job runs inline.
+    for the job's report and re-raises its exception. Without overlap,
+    without ``os.fork`` (Windows), or when no worker can be forked, a job
+    runs inline at ``submit``, and ``result()`` re-raises its exception
+    just the same. ``promote`` and the next ``submit`` re-raise the
+    exception of a job whose result was not read, waiting for it first;
+    ``discard`` kills a worker that is still running before it removes the
+    stage.
     """
 
     def __init__(self, out_dir: Path, overlap: bool = False):
@@ -73,20 +75,25 @@ class OutputStage:
         return self.path(name)
 
     def submit(self, job, name: str = "job") -> "Job":
-        """Run ``job()``: in a worker once the previous job has finished, or
+        """Run ``job()`` once the previous job has finished: in a worker, or
         inline without overlap or a worker. ``name`` labels the worker's log
-        line."""
-        if not self._overlap:
-            return Job(name, job())
+        line. An inline job's exception is kept in its handle, as a forked
+        job's is, so a failed job raises at the same point either way."""
         self._wait()
+        if self._overlap:
+            try:
+                self._job = fork_job(job, name)
+                return self._job
+            except OSError:  # no process or memory to fork: the job runs inline
+                pass
         try:
-            self._job = fork_job(job, name)
-        except OSError:  # no process or memory to fork: the job runs inline
-            return Job(name, job())
+            self._job = Job(name, job())
+        except Exception as exc:
+            self._job = Job(name, error=exc)
         return self._job
 
     def _wait(self) -> None:
-        """Wait for the job, if any, and re-raise the exception it sent."""
+        """Wait for the held job, if any, and re-raise its exception."""
         job, self._job = self._job, None
         if job is not None:
             job.result()
@@ -153,16 +160,17 @@ def fork_job(job, name: str) -> "Job":
 class Job:
     """The handle of a job: ``OutputStage.submit`` and ``fork_job`` return it.
 
-    An inline job holds its value. A forked job holds the worker's pid and
-    the read end of its pipe, on which the worker sends one pickled ``(ok,
-    value or exception, seconds)`` report once the job has finished;
-    ``seconds`` is the time the job took.
+    An inline job holds its value or its exception. A forked job holds the
+    worker's pid and the read end of its pipe, on which the worker sends
+    one pickled ``(ok, value or exception, seconds)`` report once the job
+    has finished; ``seconds`` is the time the job took.
     """
 
-    def __init__(self, name: str, value=None, pid: int | None = None, pipe=None):
+    def __init__(self, name: str, value=None, pid: int | None = None, pipe=None,
+                 error: BaseException | None = None):
         self.name = name
         self._value = value
-        self._error: BaseException | None = None
+        self._error = error
         self._pid = pid
         self._pipe = pipe
 

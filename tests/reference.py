@@ -101,20 +101,26 @@ def combined_loss_and_grads(head, prototypes, x, labels):
 
 def expert_batches(raw_set, p_instances, q_images, rng):
     """One epoch of P x Q batches: (rows, labels), a label being the
-    instance's position in sorted order."""
+    instance's position in sorted order. Two draws per epoch: a permutation
+    of the instances, then a block of uniform keys with a row per instance
+    and a column per image of the largest instance. Each instance takes its
+    images in the order of a stable sort of its own keys, at most Q."""
     instances = sorted(raw_set.instance_index)
+    image_lists = [raw_set.instance_index[inst] for inst in instances]
     order = rng.permutation(len(instances))
+    keys = rng.random((len(instances), max(len(ids) for ids in image_lists)))
     for start in range(0, len(order) - 1, p_instances):
         chosen = order[start : start + p_instances]
         if len(chosen) < 2:
             continue
         rows, labels = [], []
         for local in chosen:
-            image_ids = raw_set.instance_index[instances[local]]
-            take = min(q_images, len(image_ids))
-            picks = rng.choice(len(image_ids), size=take, replace=False)
-            rows.extend(raw_set.row_of(image_ids[i]) for i in picks)
-            labels.extend([local] * take)
+            image_ids = image_lists[local]
+            row = keys[local].tolist()
+            by_key = sorted(range(len(image_ids)), key=lambda i: row[i])
+            for i in by_key[:q_images]:
+                rows.append(raw_set.row_of(image_ids[i]))
+                labels.append(local)
         yield np.asarray(rows), np.asarray(labels)
 
 

@@ -1,8 +1,11 @@
-"""Smoke test of benchmarks/bench_pipeline.py: one run of a tiny pipeline."""
+"""Tests of benchmarks/bench_pipeline.py: one run of a tiny pipeline, and the
+suite record and its summary parser without running the suite."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from test_cli import SMALL_CONFIG
 
@@ -55,3 +58,42 @@ def test_parse_log_reads_stage_and_worker_lines():
     stages, workers = _bench().parse_log(text)
     assert stages == {"generating synthetic bundle": 0.65, "training expert head": 2.73}
     assert workers == {"bundle and expert-set writes": 0.19}
+
+
+def test_parse_summary_reads_the_last_summary_line():
+    parse = _bench().parse_summary
+    assert parse("....\n1071 passed in 33.59s\n") == {"passed": 1071, "failed": 0}
+    text = "\n".join([
+        "FAILED tests/test_cli.py::test_x - assert 'took 2 s' in 0.1s",
+        "=========================== short test summary info ============",
+        "2 failed, 1049 passed, 1 skipped, 3 warnings, 1 error in 75.20s (0:01:15)",
+    ])
+    assert parse(text) == {"failed": 2, "passed": 1049, "skipped": 1, "warnings": 3,
+                           "errors": 1}
+    assert parse("== 1 failed, 2 passed, 2 errors in 0.12s ==") == {
+        "failed": 1, "passed": 2, "errors": 2}
+    with pytest.raises(ValueError, match="no pytest summary line"):
+        parse("Traceback (most recent call last):\n")
+
+
+def test_suite_appends_one_record_without_pipeline_runs(tmp_path, monkeypatch, capsys):
+    # run_suite is replaced: the suite must not run inside itself
+    bench = _bench()
+    output = "..F.\n1 failed, 3 passed in 41.02s\n"
+    monkeypatch.setattr(bench, "run_suite", lambda: (41.25, output))
+    record = tmp_path / "BENCH_pipeline.json"
+    assert bench.main(["--suite", "--record", str(record), "--note", "suite"]) == 0
+    assert "1 failed" in capsys.readouterr().out
+    (new,) = json.loads(record.read_text())
+    assert new["note"] == "suite" and "runs" not in new and "config_hash" not in new
+    assert new["suite"] == {
+        "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+        "wall_s": 41.25, "passed": 3, "failed": 1,
+    }
+
+
+@pytest.mark.parametrize("extra", [["--runs", "2"], ["--config", "x.json"]])
+def test_suite_takes_no_pipeline_options(tmp_path, extra):
+    with pytest.raises(SystemExit) as exc:
+        _bench().main(["--suite", "--record", str(tmp_path / "r.json"), *extra])
+    assert exc.value.code == 2

@@ -1804,19 +1804,20 @@ class TestPipelineWorker:
         assert [p.name for p in out.iterdir()] == []
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_expert_error_wins_over_worker_error(self, workspace, tmp_path, capsys,
-                                                 monkeypatch):
+                                                 monkeypatch, threads):
         def fail_tasks(*args, **kwargs):
             raise DataValidationError("task building failed")
 
         def diverge(*args, **kwargs):
-            time.sleep(0.3)  # the worker has failed by now
+            time.sleep(0.3)  # a forked worker has failed by now
             raise DivergenceError("expert training diverged")
 
         monkeypatch.setattr(dataengine, "build_gallery_tasks_per_category", fail_tasks)
         monkeypatch.setattr(expert, "train_expert", diverge)
         out = tmp_path / "run"
-        rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
         assert rc == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err

@@ -294,6 +294,94 @@ class TestTrainExpert:
             train_expert(eset, config=ExpertTrainConfig(d_out=2, epochs=1))
 
 
+def _ragged_raw_set(n_instances):
+    """Instances of 2 to 6 images, their records interleaved."""
+    from ilrkit.embedstore import EmbeddingRecord
+
+    rng = np.random.default_rng(n_instances)
+    sizes = 2 + np.arange(n_instances) % 5
+    records = [
+        EmbeddingRecord(f"im{k}-{j}", f"inst{k:03d}", "x", rng.standard_normal(4))
+        for j in range(sizes.max()) for k in range(n_instances) if j < sizes[k]
+    ]
+    return EmbeddingSet.from_records("raw", records)
+
+
+class _CountingGenerator:
+    """A Generator that records the name of every method called on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return call
+
+
+class TestBatchSampler:
+    """Properties of an epoch of ``expert._BatchSampler`` at P = 8, Q = 4;
+    17 and 25 instances leave one trailing instance over."""
+
+    @staticmethod
+    def _epoch(n_instances, seed=0):
+        raw = _ragged_raw_set(n_instances)
+        sampler = expert._BatchSampler(raw, p_instances=8, q_images=4)
+        return raw, sampler.epoch_batches(np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n_instances", [2, 9, 16, 17, 23, 25])
+    def test_each_instance_once_per_epoch_but_a_lone_trailing_one(self, n_instances):
+        _, (_, labels, _) = self._epoch(n_instances)
+        runs = labels[np.r_[True, labels[1:] != labels[:-1]]]
+        assert len(set(runs.tolist())) == len(runs)  # one run of rows per instance
+        assert len(runs) == n_instances - (n_instances % 8 == 1)
+
+    @pytest.mark.parametrize("n_instances", [2, 9, 16, 17, 23, 25])
+    def test_every_batch_holds_two_to_p_instances(self, n_instances):
+        _, (rows, labels, edges) = self._epoch(n_instances)
+        assert edges[0] == 0 and edges[-1] == len(rows) == len(labels)
+        for start, end in zip(edges[:-1], edges[1:]):
+            assert 2 <= len(np.unique(labels[start:end])) <= 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_instance_gives_min_q_distinct_rows_of_its_own(self, seed):
+        raw, (rows, labels, _) = self._epoch(23, seed)
+        instances = sorted(raw.instance_index)
+        owner = raw.instance_ids
+        for label in np.unique(labels):
+            inst = instances[label]
+            own = rows[labels == label]
+            assert len(set(own.tolist())) == len(own)
+            assert len(own) == min(4, len(raw.instance_index[inst]))
+            assert {owner[row] for row in own.tolist()} == {inst}
+
+    def test_epochs_are_identical_per_seed(self):
+        raw = _ragged_raw_set(23)
+        epochs = []
+        for _ in range(2):
+            sampler = expert._BatchSampler(raw, p_instances=8, q_images=4)
+            rng = np.random.default_rng(5)
+            epochs.append([sampler.epoch_batches(rng) for _ in range(3)])
+        for got, want in zip(*epochs):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+        assert not np.array_equal(epochs[0][0][0], epochs[0][1][0])
+
+    @pytest.mark.parametrize("n_instances", [2, 17, 120])
+    def test_an_epoch_is_two_generator_calls(self, n_instances):
+        sampler = expert._BatchSampler(_ragged_raw_set(n_instances), p_instances=8,
+                                       q_images=4)
+        rng = _CountingGenerator(3)
+        for _ in range(2):
+            sampler.epoch_batches(rng)
+        assert rng.calls == ["permutation", "random"] * 2
+
+
 def test_cosine_and_euclidean_argmax_agree_on_unit_vectors():
     # |a - b|^2 = 2 - 2 cos(a, b) on the unit sphere, so the nearest
     # neighbor under Euclidean distance is the cosine argmax.
