@@ -4,6 +4,7 @@
 Usage, from the root of a source checkout:
 
     python3 benchmarks/bench_pipeline.py --runs 5 [--config CONFIG] [--record PATH]
+    python3 benchmarks/bench_pipeline.py --runs 5 --baseline DIR [--config CONFIG]
     python3 benchmarks/bench_pipeline.py --suite [--record PATH]
 
 Each run is `python -m ilrkit.cli pipeline -v` in a fresh interpreter, with
@@ -17,6 +18,15 @@ worker. One record per invocation is appended to ``--record`` (default
 SHA and whether ``src/`` differs from it, a sha256 of the source, the core
 count, Python, numpy and its BLAS, BLAS thread variables, the config hash,
 and the seconds of every run.
+
+With ``--baseline DIR``, DIR being another checkout of the program (say,
+a `git clone` of the parent commit), it makes ``--runs`` pairs
+of runs: one of DIR's ``src/`` and one of this checkout's, in that order in
+the first pair and swapped in each next one, so that a drift in the host's
+speed falls on both sides alike. It appends one record per side, the
+baseline's first, each with its ``side`` and its own git SHA, ``src/``
+status and source sha256 (the git fields are null when DIR is not a git
+checkout).
 
 With ``--suite`` it times the Tier-1 test suite instead, once: the command
 ``python -m pytest -q --continue-on-collection-errors`` run from the root
@@ -51,21 +61,34 @@ _SUMMARY_END = re.compile(r" in [0-9.]+s\b")
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
 
 
-def _git(*args: str) -> str | None:
+def _git(root: Path, *args: str) -> str | None:
     try:
-        done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+        done = subprocess.run(["git", "-C", str(root), *args], capture_output=True,
                               text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
 
 
-def _source_sha256() -> str:
+def _source_sha256(src: Path) -> str:
     digest = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        digest.update(path.relative_to(SRC).as_posix().encode() + b"\0")
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _checkout(root: Path) -> dict:
+    """The git SHA of the checkout at ``root``, whether its ``src/`` differs
+    from it, and the sha256 of its source; the git fields are None unless
+    ``root`` is the top of a git checkout."""
+    sha = _git(root, "rev-parse", "HEAD") if (root / ".git").exists() else None
+    return {
+        "git_sha": sha,
+        "src_differs_from_git_sha": None if sha is None
+        else bool(_git(root, "status", "--porcelain", "--", "src")),
+        "source_sha256": _source_sha256(root / "src"),
+    }
 
 
 def _blas() -> str:
@@ -104,10 +127,10 @@ def parse_summary(text: str) -> dict[str, int]:
     raise ValueError("no pytest summary line in the output")
 
 
-def _env() -> dict[str, str]:
-    """The environment with this checkout's ``src/`` first on PYTHONPATH."""
+def _env(src: Path = SRC) -> dict[str, str]:
+    """The environment with ``src`` (this checkout's ``src/``) first on PYTHONPATH."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return env
 
 
@@ -119,14 +142,15 @@ def run_suite() -> tuple[float, str]:
     return time.perf_counter() - start, done.stdout
 
 
-def run_once(config: str | None, workdir: Path) -> dict:
-    """One pipeline in a fresh interpreter: its total, stage and worker seconds."""
+def run_once(config: str | None, workdir: Path, src: Path) -> dict:
+    """One pipeline of the program in ``src`` in a fresh interpreter: its
+    total, stage and worker seconds."""
     out = workdir / "out"
     argv = [sys.executable, "-m", "ilrkit.cli", "pipeline", "-v", "--out", str(out)]
     if config is not None:
         argv += ["--config", config]
     start = time.perf_counter()
-    done = subprocess.run(argv, env=_env(), capture_output=True, text=True)
+    done = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
     total = time.perf_counter() - start
     if done.returncode != 0:
         raise SystemExit(f"pipeline exited {done.returncode}:\n{done.stderr}")
@@ -140,13 +164,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="pipeline config JSON (default: the built-in config)")
     parser.add_argument("--suite", action="store_true",
                         help="time one run of the Tier-1 test suite instead of the pipeline")
+    parser.add_argument("--baseline", type=Path, metavar="DIR",
+                        help="another checkout whose runs alternate with this one's")
     parser.add_argument("--record", type=Path, default=ROOT / "BENCH_pipeline.json")
     parser.add_argument("--note", default="", help="free text stored with the record")
     args = parser.parse_args(argv)
-    if args.suite and (args.runs is not None or args.config is not None):
-        parser.error("--suite takes neither --runs nor --config")
+    if args.suite and (args.runs is not None or args.config is not None
+                       or args.baseline is not None):
+        parser.error("--suite takes neither --runs, --config nor --baseline")
     if args.runs is not None and args.runs < 1:
         parser.error("--runs must be >= 1")
+    if args.baseline is not None and not (args.baseline / "src" / "ilrkit").is_dir():
+        parser.error(f"--baseline: {args.baseline} holds no src/ilrkit")
 
     sys.path.insert(0, str(SRC))
     import numpy as np
@@ -156,9 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "note": args.note,
-        "git_sha": _git("rev-parse", "HEAD"),
-        "src_differs_from_git_sha": bool(_git("status", "--porcelain", "--", "src")),
-        "source_sha256": _source_sha256(),
+        **_checkout(ROOT),
         "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "machine": platform.machine(),
@@ -179,20 +206,30 @@ def main(argv: list[str] | None = None) -> int:
         record["suite"] = {"command": "PYTHONPATH=src python " + " ".join(_SUITE),
                            "wall_s": round(wall, 3), **counts}
         done = f"suite {wall:.1f} s, {counts['passed']} passed, {counts['failed']} failed"
+        new = [record]
     else:
-        runs = []
-        for _ in range(args.runs or 5):
-            with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
-                runs.append(run_once(args.config, Path(tmp)))
+        # side name -> checkout root; a plain run has one unnamed side
+        sides = {"baseline": args.baseline.resolve(), "checkout": ROOT} if args.baseline \
+            else {None: ROOT}
+        runs = {side: [] for side in sides}
+        for pair in range(args.runs or 5):
+            for side in list(sides)[:: -1 if pair % 2 else 1]:
+                with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
+                    runs[side].append(run_once(args.config, Path(tmp), sides[side] / "src"))
         record.update({
             "config": args.config,
             "config_hash": load_config(args.config).config_hash(),
-            "median_total_s": round(statistics.median(r["total_s"] for r in runs), 3),
-            "runs": runs,
         })
-        done = f"{len(runs)} runs, median total {record['median_total_s']:.2f} s"
+        new = [
+            {**record, **({"side": side} if side else {}), **_checkout(root),
+             "median_total_s": round(statistics.median(r["total_s"] for r in runs[side]), 3),
+             "runs": runs[side]}
+            for side, root in sides.items()
+        ]
+        done = "; ".join(f"{side + ': ' if side else ''}{len(runs[side])} runs, median total "
+                         f"{r['median_total_s']:.2f} s" for side, r in zip(sides, new))
     records = json.loads(args.record.read_text()) if args.record.exists() else []
-    records.append(record)
+    records.extend(new)
     tmp = args.record.with_name(args.record.name + ".tmp")
     tmp.write_text(json.dumps(records, indent=1) + "\n")
     tmp.replace(args.record)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedstore import parse_json_object, read_input
-from .errors import DataValidationError
+from .errors import DataValidationError, DivergenceError
 from .expert import ExpertHead
 from .fusion import FusionAdapter
 
@@ -23,9 +23,19 @@ _KIND_EXPERT = "expert_head"
 
 
 def _write(path: Path, header: dict, params: list[np.ndarray]) -> None:
+    """Write the checkpoint; a parameter that is non-finite as 32-bit floats
+    (non-finite already, or beyond their range) raises DivergenceError and
+    nothing is written."""
     header = dict(header)
     header["params"] = [list(p.shape) for p in params]
-    blob = b"".join(np.asarray(p, dtype="<f4").tobytes() for p in params)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        stored = [np.asarray(p, dtype="<f4") for p in params]
+    for i, p in enumerate(stored):
+        if not np.isfinite(p).all():
+            raise DivergenceError(
+                f"{path.name}: parameter block {i} is not finite as 32-bit floats"
+            )
+    blob = b"".join(p.tobytes() for p in stored)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         fh.write(blob)

@@ -89,7 +89,7 @@ def triplet_loss(anchor, positive, negative, margin: float = 0.3) -> float:
 
 
 def _pairwise_dist(embeddings: np.ndarray) -> np.ndarray:
-    sq = np.sum(embeddings**2, axis=1)
+    sq = np.add.reduce(embeddings * embeddings, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (embeddings @ embeddings.T)
     return np.sqrt(np.maximum(d2, 0.0))
 
@@ -107,7 +107,7 @@ def _hard_indices(embeddings: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray
     other-code sample; ``codes`` are non-negative integer labels. Ties break
     by lowest index (the first occurrence of a masked argmax/argmin)."""
     counts = np.bincount(codes)
-    if np.count_nonzero(counts) < 2 or np.any(counts == 1):
+    if np.count_nonzero(counts) < 2 or (counts == 1).any():
         raise DataValidationError(
             "batch must contain >= 2 instances with >= 2 samples each"
         )
@@ -115,7 +115,7 @@ def _hard_indices(embeddings: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray
     same = codes[:, None] == codes[None, :]
     positives = np.where(same & _off_diagonal(len(codes)), dist, -np.inf)
     negatives = np.where(same, np.inf, dist)
-    return np.argmax(positives, axis=1), np.argmin(negatives, axis=1)
+    return positives.argmax(axis=1), negatives.argmin(axis=1)
 
 
 def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]]:
@@ -158,10 +158,15 @@ def combined_loss_and_grads(
 
     Returns (loss, grad_w, grad_b, grad_prototypes). ``labels`` are
     integer indices into the prototype columns. The softmax is computed in
-    place in the logits buffer, which then holds the logit gradient; the
-    hard triplets are mined as index arrays (the mining batch_hard_mine
-    reports), and their gradient is scattered into the embedding gradient
-    by one 1-D ``np.add.at`` in the order of a loop over anchors.
+    place in the logits buffer, which then holds the logit gradient. The
+    two products back through the prototypes run on contiguous operands
+    into contiguous results, and a loss weight multiplies the gradients in
+    place, unless it is 1. The hard triplets are mined as index arrays (the
+    mining batch_hard_mine reports), and their gradient is scattered into
+    the embedding gradient by one 1-D ``np.add.at`` in the order of a loop
+    over anchors, from flag, index and value arrays filled column by
+    column. Every floating-point operation and its order are those of
+    ``tests/reference.py``, so the results are bit-equal to it.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
@@ -171,7 +176,7 @@ def combined_loss_and_grads(
     y = x @ head.w + head.b
     # what np.linalg.norm(y, axis=1, keepdims=True) computes for real input
     norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
-    if np.any(norms < _NORM_EPS):
+    if (norms < _NORM_EPS).any():
         raise DataValidationError("zero embedding cannot be normalized")
     e = y / norms
 
@@ -181,12 +186,19 @@ def combined_loss_and_grads(
     np.exp(dlogits, out=dlogits)
     dlogits /= dlogits.sum(axis=1, keepdims=True)
     rows = np.arange(batch)
-    ce = -np.mean(np.log(np.maximum(dlogits[rows, labels], 1e-300)))
+    # what -np.mean(...) computes for a 1-D float64 array
+    ce = -(np.add.reduce(np.log(np.maximum(dlogits[rows, labels], 1e-300))) / batch)
 
     dlogits[rows, labels] -= 1.0
     dlogits /= batch
-    grad_protos = cw * (e.T @ dlogits)
-    de = cw * (dlogits @ prototypes.T)
+    # e.T @ dlogits and dlogits @ prototypes.T, each with contiguous operands
+    # and a contiguous result, which the flat scatter below needs; the same
+    # products, and faster. A loss weight of 1 multiplies exactly, so skip it.
+    grad_protos = np.ascontiguousarray(e.T) @ dlogits
+    de = np.ascontiguousarray((prototypes @ dlogits.T).T)
+    if cw != 1.0:
+        grad_protos *= cw
+        de *= cw
 
     # batch-hard triplet term, as arrays in the order of a loop over anchors
     p, n = _hard_indices(e, labels)
@@ -204,19 +216,26 @@ def combined_loss_and_grads(
     g_n = coef * diff_n / np.where(use_n, d_an, 1.0)[:, None]
     # per anchor: de[a] += g_p, de[p] -= g_p, de[a] -= g_n, de[n] += g_n, as
     # one flat index per element of de; each element takes its additions in
-    # this order, as a 2-D np.add.at over the rows would, but faster
-    use = np.stack([use_p, use_p, use_n, use_n], axis=1)
-    target = np.stack([rows, p, rows, n], axis=1)[use]
-    np.add.at(
-        de.reshape(-1),
-        (target[:, None] * d + np.arange(d)).ravel(),
-        np.stack([g_p, -g_p, -g_n, g_n], axis=1)[use].ravel(),
-    )
+    # this order, as a 2-D np.add.at over the rows would, but faster. Each
+    # array is filled a column at a time, which is cheaper than np.stack.
+    use = np.empty((batch, 4), dtype=bool)
+    use[:, 0] = use[:, 1] = use_p
+    use[:, 2] = use[:, 3] = use_n
+    target = np.empty((batch, 4), dtype=np.intp)
+    target[:, 0] = target[:, 2] = rows
+    target[:, 1], target[:, 3] = p, n
+    values = np.empty((batch, 4, d))
+    values[:, 0] = g_p
+    np.negative(g_p, out=values[:, 1])
+    np.negative(g_n, out=values[:, 2])
+    values[:, 3] = g_n
+    target = target[use]
+    np.add.at(de.reshape(-1), (target[:, None] * d + np.arange(d)).ravel(), values[use].ravel())
 
     # back through normalization: e = y / |y|
-    dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms
+    dy = (de - np.add.reduce(de * e, axis=1, keepdims=True) * e) / norms
     grad_w = x.T @ dy
-    grad_b = dy.sum(axis=0)
+    grad_b = np.add.reduce(dy, axis=0)
     loss = cw * ce + tw * tri_loss
     if not math.isfinite(loss):
         raise DivergenceError("non-finite expert loss")
@@ -302,14 +321,20 @@ def train_expert(
             loss, gw, gb, gp = combined_loss_and_grads(
                 head, prototypes, x[start:end], labels[start:end]
             )
-            head.w -= config.step_size * gw
-            head.b -= config.step_size * gb
-            gp *= config.step_size  # gp is fresh: scale it in place, not via a temporary
+            # the gradients are fresh: scale them in place, not via temporaries
+            gw *= config.step_size
+            head.w -= gw
+            gb *= config.step_size
+            head.b -= gb
+            gp *= config.step_size
             prototypes -= gp
             epoch_loss += loss
             n_batches += 1
         if n_batches and not math.isfinite(epoch_loss):
             raise DivergenceError(f"expert training diverged at epoch {epoch}")
+        # a step can overflow the head after the epoch's last loss was taken
+        if not (np.isfinite(head.w).all() and np.isfinite(head.b).all()):
+            raise DivergenceError(f"expert head diverged at epoch {epoch}")
         logger.info(
             "expert training: epoch %d mean loss %.6f", epoch, epoch_loss / max(n_batches, 1)
         )

@@ -249,29 +249,33 @@ def batch_matching_loss_and_grads(
     answers: np.ndarray,
     readout_temperature: float = 0.1,
     need_grads: bool = True,
-    out: np.ndarray | None = None,
+    out: AdapterGrads | np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdapterGrads | None]:
     """Matching loss of B tasks, and the gradient of their summed loss.
 
     rows is a (B, K+1) index array into views, query first, then the K
     gallery images; answers holds each task's gallery index of the match.
     Every pooled vector of the batch goes through the MLP in one matrix
-    product, and the backward pass is again a few matrix products.
-    Returns the (B,) per-task losses and the gradients (None unless
-    need_grads). The gradients are views of one flat vector holding them in
-    w1, b1, w2, b2 order: ``out``, as long as all the adapter's parameters,
-    when given, or a new one.
+    product, and the backward pass is again a few matrix products. A zero
+    pooled vector is found with one test of all the norms, and located only
+    then. Returns the (B,) per-task losses and the gradients (None unless
+    need_grads). The gradients are written into ``out`` and returned in
+    it: an AdapterGrads whose arrays a trainer made once for all its calls,
+    or a flat vector as long as all the adapter's parameters, which they
+    become views of in w1, b1, w2, b2 order. Without ``out`` they are views
+    of a new flat vector.
     """
     b, m = rows.shape
     x = views.experts[rows]  # (B, K+1, d_e)
-    z = x @ adapter.w1 + adapter.b1
+    z = x @ adapter.w1
+    z += adapter.b1
     a = np.maximum(0.0, z)
     counts = views.token_counts[rows][..., None]
     pooled = views.token_means[rows] + (a @ adapter.w2 + adapter.b2) / counts
 
     norms = np.sqrt(np.einsum("bmd,bmd->bm", pooled, pooled))
-    zero = norms == 0.0
-    if zero.any():
+    if not norms.all():  # diagnose only a failing batch
+        zero = norms == 0.0
         first = int(np.flatnonzero(zero.any(axis=1))[0])
         side = "query" if zero[first, 0] else "gallery"
         raise DataValidationError(f"degenerate zero pooled {side} vector under cosine")
@@ -284,7 +288,7 @@ def batch_matching_loss_and_grads(
     probs = e / e.sum(axis=1, keepdims=True)
     picked = np.arange(b)
     losses = -np.log(np.maximum(probs[picked, answers], 1e-300))
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise DivergenceError("non-finite matching loss")
     if not need_grads:
         return losses, None
@@ -303,7 +307,7 @@ def batch_matching_loss_and_grads(
     d_z = (d_proj @ adapter.w2.T) * (z > 0)
     if out is None:
         out = np.empty(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)))
-    grads = AdapterGrads(*_param_views(out, adapter))
+    grads = out if isinstance(out, AdapterGrads) else AdapterGrads(*_param_views(out, adapter))
     np.matmul(x.T, d_z, out=grads.w1)
     np.add.reduce(d_z, axis=0, out=grads.b1)
     np.matmul(a.T, d_proj, out=grads.w2)
@@ -454,6 +458,9 @@ def train_adapter(
     temperature = config.readout_temperature
     flat, adapter = _flat_adapter(adapter_init)
     grad, part_grad = np.empty(flat.size), np.empty(flat.size)
+    # views of grad and part_grad, made once for every call to write into
+    grads = AdapterGrads(*_param_views(grad, adapter))
+    part_grads = AdapterGrads(*_param_views(part_grad, adapter))
 
     def batch_loss(current, batch, need_grads=True):
         """Losses of the tasks in `batch`, in its order; their summed flat
@@ -461,7 +468,7 @@ def train_adapter(
         if len(tables) == 1:
             ((rows, answers),) = tables.values()
             return batch_matching_loss_and_grads(
-                current, views, rows[batch], answers[batch], temperature, need_grads, grad
+                current, views, rows[batch], answers[batch], temperature, need_grads, grads
             )[0]
         losses, first = np.empty(len(batch)), True
         for k, (rows, answers) in tables.items():
@@ -471,7 +478,7 @@ def train_adapter(
             picked = slot[batch[in_k]]
             losses[in_k], _ = batch_matching_loss_and_grads(
                 current, views, rows[picked], answers[picked], temperature, need_grads,
-                grad if first else part_grad,
+                grads if first else part_grads,
             )
             if need_grads and not first:
                 np.add(grad, part_grad, out=grad)
@@ -503,7 +510,7 @@ def train_adapter(
                 epoch_loss += loss
             grad *= 1.0 / len(batch)
             optimizer.update(flat, grad)
-            if not np.all(np.isfinite(flat)):
+            if not np.isfinite(flat).all():
                 raise DivergenceError(f"adapter parameters diverged at epoch {epoch}")
         epoch_loss /= len(order)
         if not math.isfinite(epoch_loss):

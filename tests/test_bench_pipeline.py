@@ -1,5 +1,6 @@
-"""Tests of benchmarks/bench_pipeline.py: one run of a tiny pipeline, and the
-suite record and its summary parser without running the suite."""
+"""Tests of benchmarks/bench_pipeline.py: one run of a tiny pipeline, the
+suite record and its summary parser without running the suite, and the
+pairing of two checkouts with the pipeline runs faked."""
 
 import importlib.util
 import json
@@ -92,8 +93,50 @@ def test_suite_appends_one_record_without_pipeline_runs(tmp_path, monkeypatch, c
     }
 
 
-@pytest.mark.parametrize("extra", [["--runs", "2"], ["--config", "x.json"]])
+@pytest.mark.parametrize("extra", [["--runs", "2"], ["--config", "x.json"], ["--baseline", "."]])
 def test_suite_takes_no_pipeline_options(tmp_path, extra):
     with pytest.raises(SystemExit) as exc:
         _bench().main(["--suite", "--record", str(tmp_path / "r.json"), *extra])
+    assert exc.value.code == 2
+
+
+def test_baseline_alternates_two_checkouts_and_appends_a_record_each(tmp_path, monkeypatch,
+                                                                     capsys):
+    # run_once is replaced: each call returns which checkout's src/ it was given
+    bench = _bench()
+    baseline = tmp_path / "parent"
+    (baseline / "src" / "ilrkit").mkdir(parents=True)
+    (baseline / "src" / "ilrkit" / "__init__.py").write_text("# the parent\n")
+    calls = []
+
+    def fake_run_once(config, workdir, src):
+        calls.append(src)
+        return {"total_s": float(len(calls)), "stages_s": {}, "workers_s": {}}
+
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
+    record = tmp_path / "BENCH_pipeline.json"
+    assert bench.main(["--runs", "3", "--baseline", str(baseline), "--record", str(record),
+                       "--note", "pairs"]) == 0
+    assert "baseline: 3 runs" in capsys.readouterr().out
+    base_src, own_src = baseline.resolve() / "src", bench.SRC
+    assert calls == [base_src, own_src, own_src, base_src, base_src, own_src]
+    base, own = json.loads(record.read_text())
+    assert (base["side"], own["side"]) == ("baseline", "checkout")
+    assert [r["total_s"] for r in base["runs"]] == [1.0, 4.0, 5.0]
+    assert [r["total_s"] for r in own["runs"]] == [2.0, 3.0, 6.0]
+    assert (base["median_total_s"], own["median_total_s"]) == (4.0, 3.0)
+    assert base["note"] == own["note"] == "pairs"
+    assert base["config_hash"] == own["config_hash"] == load_config(None).config_hash()
+    # each side carries its own source digest and git fields
+    assert base["source_sha256"] == bench._source_sha256(base_src)
+    assert own["source_sha256"] == bench._source_sha256(own_src)
+    assert base["source_sha256"] != own["source_sha256"]
+    assert base["git_sha"] is None and base["src_differs_from_git_sha"] is None
+    assert own["git_sha"] == bench._checkout(bench.ROOT)["git_sha"]
+
+
+def test_baseline_must_hold_the_program(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _bench().main(["--runs", "1", "--baseline", str(tmp_path),
+                       "--record", str(tmp_path / "r.json")])
     assert exc.value.code == 2

@@ -349,6 +349,31 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataValidationError"
 
+    @pytest.mark.parametrize("step_size, message", [
+        (1e308, "head.ckpt: parameter block 0 is not finite as 32-bit floats"),
+        (1.7e308, "expert head diverged at epoch 0"),
+    ], ids=["beyond float32", "beyond float64"])
+    def test_expert_diverging_on_its_last_step_is_4(self, tmp_path, capsys, step_size,
+                                                    message):
+        # 2 instances x 2 images: one batch, so no later loss sees the head
+        rng = np.random.default_rng(3)
+        save_embedding_set(embedstore.EmbeddingSet.from_records("raw", [
+            embedstore.EmbeddingRecord(f"{inst}{i}", inst, "object", rng.standard_normal(6))
+            for inst in "AB" for i in range(2)
+        ]), tmp_path / "raw.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"expert": {
+            "epochs": 1, "step_size": step_size, "p_instances": 2, "q_images": 2, "d_out": 4,
+        }}))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            rc = cli.main(["train-expert", "--embeddings", str(tmp_path / "raw.jsonl"),
+                           "--config", str(config), "--out", str(out / "head.ckpt")])
+        assert rc == 4
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error == {"error": "DivergenceError", "message": message}
+        assert not out.exists() or list(out.iterdir()) == []  # no checkpoint, no manifest
+
     def test_repeated_sweep_taus_are_2(self, workspace, tmp_path, capsys):
         data = workspace / "data"
         out = tmp_path / "sweep"
@@ -1675,7 +1700,7 @@ class TestWorkerLane:
         with pytest.raises(DataValidationError, match="the job failed"):
             with OutputStage(out, overlap=lane != "inline") as stage:
                 stage.record("a.txt", "h", 1).write_text("a")
-                job = stage.submit(fail)  # inline, submit itself raises
+                job = stage.submit(fail)  # inline too, it returns a handle holding the error
                 for _ in range(2):
                     with pytest.raises(DataValidationError, match="the job failed"):
                         job.result()

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from ilrkit import checkpoint, expert, synthgen
 from ilrkit.embedstore import EmbeddingSet
-from ilrkit.errors import DataValidationError
+from ilrkit.errors import DataValidationError, DivergenceError
 from ilrkit.expert import (
     ExpertHead,
     ExpertTrainConfig,
@@ -246,6 +247,23 @@ class TestCombinedLoss:
             for g, w in zip(got[1:], want[1:]):
                 assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("loss_weights", [(1.0, 1.0), (0.7, 1.3), (0.0, 1.0)])
+    def test_default_shapes_bit_equal_to_reference(self, loss_weights):
+        # a default run's step: 32 rows of 64 raw dims into 64 outputs, scored
+        # against 560 prototypes, with fresh weights and labels per batch
+        rng = np.random.default_rng(37)
+        for _ in range(4):
+            head = ExpertHead(rng.uniform(-0.125, 0.125, (64, 64)), rng.uniform(-0.1, 0.1, 64),
+                              loss_weights=loss_weights)
+            protos = rng.uniform(-0.125, 0.125, (64, 560))
+            x = rng.standard_normal((32, 64))
+            labels = np.repeat(rng.choice(560, size=8, replace=False), 4)
+            got = combined_loss_and_grads(head, protos, x, labels)
+            want = reference.combined_loss_and_grads(head, protos, x, labels)
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert np.array_equal(g, w)
+
     def test_zero_loss_weights_zero_gradients(self):
         rng = np.random.default_rng(24)
         head, protos, x, labels = self._case(rng)
@@ -280,6 +298,19 @@ class TestTrainExpert:
         head = train_expert(small_bundle.raw_set, config=cfg)
         trained = synthgen.recall_at_1(embed_set(head, small_bundle.raw_set))
         assert trained >= 0.9
+
+    def test_a_head_that_overflows_on_the_last_step_diverges(self):
+        # one batch, one step: no later loss would see the infinite head
+        from ilrkit.embedstore import EmbeddingRecord
+
+        rng = np.random.default_rng(3)
+        records = [EmbeddingRecord(f"{inst}{i}", inst, "x", rng.standard_normal(6))
+                   for inst in "AB" for i in range(2)]
+        config = ExpertTrainConfig(d_out=4, epochs=1, p_instances=2, q_images=2,
+                                   step_size=1.7e308)
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match="expert head diverged at epoch 0"):
+            train_expert(EmbeddingSet.from_records("raw", records), config=config)
 
     def test_rejects_singleton_instance(self):
         from ilrkit.embedstore import EmbeddingRecord
@@ -406,6 +437,17 @@ def test_expert_checkpoint_round_trip(tmp_path):
     assert loaded.margin == pytest.approx(0.25)
     assert loaded.loss_weights == (1.0, 0.5)
     np.testing.assert_allclose(loaded.w, head.w, atol=1e-6)
+
+
+@pytest.mark.parametrize("value", [1e39, np.inf, np.nan])
+def test_checkpoint_refuses_a_parameter_non_finite_as_float32(tmp_path, value):
+    # 1e39 is finite as float64 but beyond the float32 range
+    head = ExpertHead(np.ones((3, 2)), np.zeros(2))
+    head.w[1, 1] = value  # after the constructor, which refuses inf and nan
+    path = tmp_path / "head.ckpt"
+    with pytest.raises(DivergenceError, match="head.ckpt: parameter block 0 is not finite"):
+        checkpoint.save_expert(head, path)
+    assert not path.exists()
 
 
 def test_expert_checkpoint_kind_checked(tmp_path):

@@ -292,6 +292,30 @@ class TestBatchMatchingLoss:
         for name, total in expected.items():
             np.testing.assert_allclose(getattr(grads, name), total, rtol=1e-12, atol=0)
 
+    def test_reused_gradient_views_equal_fresh_calls(self):
+        # a trainer's views, made once, written by successive batches of a
+        # changing adapter at the default widths (expert 64, tokens 16)
+        rng = np.random.default_rng(22)
+        adapter = init_adapter(64, 16, seed=3)
+        views = matching_views(
+            adapter, [rng.standard_normal((int(rng.integers(1, 5)), 16)) for _ in range(40)],
+            [rng.standard_normal(64) for _ in range(40)],
+        )
+        flat = np.full(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)),
+                       np.nan)
+        out = fusion.AdapterGrads(*fusion._param_views(flat, adapter))
+        for _ in range(5):
+            rows = np.array([rng.permutation(40)[:4] for _ in range(8)])
+            answers = rng.integers(3, size=8)
+            losses, grads = batch_matching_loss_and_grads(adapter, views, rows, answers,
+                                                          out=out)
+            assert grads is out
+            fresh_losses, fresh = batch_matching_loss_and_grads(adapter, views, rows, answers)
+            assert np.array_equal(losses, fresh_losses)
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(grads, name), getattr(fresh, name)), name
+                getattr(adapter, name)[...] -= 0.5 * getattr(fresh, name)
+
     def test_losses_only_pass_matches(self):
         rng = np.random.default_rng(20)
         adapter = _random_adapter(rng)
@@ -497,6 +521,15 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     assert loaded.temperature == pytest.approx(0.7)
     np.testing.assert_allclose(loaded.w1, adapter.w1, atol=1e-6)
     np.testing.assert_allclose(loaded.b2, adapter.b2, atol=1e-6)
+
+
+def test_adapter_checkpoint_refuses_a_parameter_beyond_float32(tmp_path):
+    adapter = _random_adapter(np.random.default_rng(18))
+    adapter.b2[1] = -1e39  # finite as float64, -inf as float32
+    path = tmp_path / "adapter.ckpt"
+    with pytest.raises(DivergenceError, match="parameter block 3 is not finite"):
+        checkpoint.save_adapter(adapter, path)
+    assert not path.exists()
 
 
 def test_adapter_checkpoint_kind_checked(tmp_path):
