@@ -292,6 +292,9 @@ class _BatchSampler:
         return rows, np.repeat(order, takes), bounds[np.r_[0 : len(order) : self.p, len(order)]]
 
 
+# Every non-finite value in training raises DivergenceError, so numpy's
+# floating-point warnings would only print the same fault before it.
+@np.errstate(all="ignore")
 def train_expert(
     raw_set: EmbeddingSet, config: ExpertTrainConfig = ExpertTrainConfig()
 ) -> ExpertHead:

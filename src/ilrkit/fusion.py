@@ -12,10 +12,13 @@ closed form pool(F(x)) = mean(tokens_x) + MLP(e_x) / N_x. Scoring and
 training both use it: pooled_fused evaluates it for one image without
 the N x d attention pass, and training stacks each image's token mean,
 token count and expert vector once, then runs every minibatch as a single
-batched forward and backward pass over index rows: one MLP matrix product
-over all B*(K+1) images, einsums for the cosine scores, and matrix
-products for the gradients, written straight into one flat gradient
-vector that an in-place Adam consumes. The per-task
+batched forward and backward pass over index rows: the B*(K+1) images are
+gathered as rows for one MLP matrix product, each pooled vector is
+normalised once to a unit vector, the cosine scores are dot products of
+unit vectors, and the backward pass runs through the unit vectors into
+matrix products for the gradients. Every temporary of a batch shape lives
+in a workspace made once per run, and the gradients are written into
+views of one flat vector that an in-place Adam consumes. The per-task
 matching_loss_and_grads is the B = 1 case of the same code.
 
 All training math is 64-bit; checkpoints store parameters as 32-bit.
@@ -242,6 +245,46 @@ def _param_views(flat: np.ndarray, like: FusionAdapter) -> list[np.ndarray]:
     return views
 
 
+class _Buffers:
+    """The temporaries of one batch shape: B tasks of K+1 images each, at
+    an adapter's hidden and token widths. Images are rows ``(B*(K+1), .)``;
+    a ``3`` suffix names the ``(B, K+1, .)`` view of the same memory, a
+    ``_col`` suffix the ``(B*(K+1), 1)`` view of a per-image vector."""
+
+    def __init__(self, b: int, m: int, h: int, d: int):
+        n = b * m
+        self.a = np.empty((n, h))
+        self.live = np.empty((n, h), dtype=bool)
+        self.p = np.empty((n, d))  # the pooled vectors, then their gradient
+        self.u = np.empty((n, d))
+        self.dz = np.empty((n, h))
+        self.norms = np.empty(n)
+        self.s = np.empty(n)
+        self.scores = np.empty((b, m - 1))
+        self.col = np.empty((b, 1))
+        self.picked = np.arange(b)
+        self.u3 = self.u.reshape(b, m, d)
+        self.p3 = self.p.reshape(b, m, d)
+        self.norms_col = self.norms[:, None]
+        self.s_col = self.s[:, None]
+
+
+class MatchingWorkspace:
+    """Temporaries for batch_matching_loss_and_grads, made once for each
+    batch shape and reused by every later call of that shape. A trainer
+    keeps one for its run; the losses a call returns are never part of it."""
+
+    def __init__(self):
+        self._by_shape: dict[tuple[int, ...], _Buffers] = {}
+
+    def buffers(self, adapter: FusionAdapter, b: int, m: int) -> _Buffers:
+        key = (b, m, *adapter.w2.shape)
+        found = self._by_shape.get(key)
+        if found is None:
+            found = self._by_shape[key] = _Buffers(*key)
+        return found
+
+
 def batch_matching_loss_and_grads(
     adapter: FusionAdapter,
     views: MatchingViews,
@@ -249,70 +292,93 @@ def batch_matching_loss_and_grads(
     answers: np.ndarray,
     readout_temperature: float = 0.1,
     need_grads: bool = True,
-    out: AdapterGrads | np.ndarray | None = None,
+    out: AdapterGrads | None = None,
+    workspace: MatchingWorkspace | None = None,
 ) -> tuple[np.ndarray, AdapterGrads | None]:
     """Matching loss of B tasks, and the gradient of their summed loss.
 
     rows is a (B, K+1) index array into views, query first, then the K
     gallery images; answers holds each task's gallery index of the match.
-    Every pooled vector of the batch goes through the MLP in one matrix
-    product, and the backward pass is again a few matrix products. A zero
-    pooled vector is found with one test of all the norms, and located only
-    then. Returns the (B,) per-task losses and the gradients (None unless
-    need_grads). The gradients are written into ``out`` and returned in
-    it: an AdapterGrads whose arrays a trainer made once for all its calls,
-    or a flat vector as long as all the adapter's parameters, which they
-    become views of in w1, b1, w2, b2 order. Without ``out`` they are views
-    of a new flat vector.
+    The B*(K+1) images are gathered as rows and go through the MLP in one
+    matrix product. Each pooled vector p is normalised once, u = p/|p|,
+    and the cosines are dot products of unit vectors. The backward pass
+    runs through u: with g the score gradient, dU_q = sum_k g_k u_k and
+    dU_k = g_k u_q, then dP = (dU - (dU.u) u) / (|p| N), N the image's
+    token count, and the MLP's gradients are matrix products. A zero
+    pooled vector is found with one test of all the norms, and located
+    only then.
+
+    Returns the (B,) per-task losses, a new array each call, and the
+    gradients (None unless need_grads), written into ``out`` if given.
+    Every temporary lives in ``workspace``; a trainer passes one for all
+    its calls, and without it a call makes its own.
     """
     b, m = rows.shape
-    x = views.experts[rows]  # (B, K+1, d_e)
-    z = x @ adapter.w1
-    z += adapter.b1
-    a = np.maximum(0.0, z)
-    counts = views.token_counts[rows][..., None]
-    pooled = views.token_means[rows] + (a @ adapter.w2 + adapter.b2) / counts
-
-    norms = np.sqrt(np.einsum("bmd,bmd->bm", pooled, pooled))
+    w = (workspace or MatchingWorkspace()).buffers(adapter, b, m)
+    a, p, u = w.a, w.p, w.u
+    # the gathers make new arrays: ``take`` into ``out=`` buffers its copy
+    idx = rows.reshape(-1)
+    x = views.experts.take(idx, axis=0)
+    counts = views.token_counts.take(idx)
+    np.matmul(x, adapter.w1, out=a)
+    a += adapter.b1
+    np.maximum(0.0, a, out=a)  # ReLU in place: a > 0 exactly where z = xW1 + b1 > 0
+    np.matmul(a, adapter.w2, out=p)
+    p += adapter.b2
+    p /= counts[:, None]
+    p += views.token_means.take(idx, axis=0)
+    norms = w.norms
+    np.vecdot(p, p, out=norms)
+    np.sqrt(norms, out=norms)
     if not norms.all():  # diagnose only a failing batch
-        zero = norms == 0.0
+        zero = (norms == 0.0).reshape(b, m)
         first = int(np.flatnonzero(zero.any(axis=1))[0])
         side = "query" if zero[first, 0] else "gallery"
         raise DataValidationError(f"degenerate zero pooled {side} vector under cosine")
-    q, g = pooled[:, :1], pooled[:, 1:]  # (B, 1, d), (B, K, d)
-    nq, ng = norms[:, :1, None], norms[:, 1:, None]
-    nqng = nq * ng
-    cos = np.einsum("bqd,bkd->bk", q, g)[..., None] / nqng  # (B, K, 1)
-    scores = cos[..., 0] / readout_temperature
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    picked = np.arange(b)
-    losses = -np.log(np.maximum(probs[picked, answers], 1e-300))
+    np.divide(p, w.norms_col, out=u)
+    uq, ug = w.u3[:, :1], w.u3[:, 1:]  # (B, 1, d), (B, K, d)
+
+    # softmax over the cosine scores, in place
+    scores, col = w.scores, w.col
+    np.vecdot(ug, uq, out=scores)
+    scores /= readout_temperature
+    np.maximum.reduce(scores, axis=1, keepdims=True, out=col)
+    scores -= col
+    np.exp(scores, out=scores)
+    np.add.reduce(scores, axis=1, keepdims=True, out=col)
+    scores /= col
+    losses = scores[w.picked, answers]
+    np.maximum(losses, 1e-300, out=losses)
+    np.log(losses, out=losses)
+    np.negative(losses, out=losses)
     if not np.isfinite(losses).all():
         raise DivergenceError("non-finite matching loss")
     if not need_grads:
         return losses, None
 
-    dscores = probs
-    dscores[picked, answers] -= 1.0
-    gsc = (dscores / readout_temperature)[..., None]
-    # the gradient of each pooled vector: the query's in row 0, the gallery's after
-    d_proj = np.empty(pooled.shape)
-    np.add.reduce(gsc * (g / nqng - cos * q / (nq * nq)), axis=1, keepdims=True,
-                  out=d_proj[:, :1])
-    np.multiply(gsc, q / nqng - cos * g / (ng * ng), out=d_proj[:, 1:])
-    d_proj /= counts
-    d_proj = d_proj.reshape(b * m, -1)
-    a, z, x = a.reshape(b * m, -1), z.reshape(b * m, -1), x.reshape(b * m, -1)
-    d_z = (d_proj @ adapter.w2.T) * (z > 0)
+    # dU into the pooled vectors' buffer, then dP in place of it
+    dscores, du = scores, p
+    dscores[w.picked, answers] -= 1.0
+    dscores /= readout_temperature
+    np.matmul(dscores[:, None, :], ug, out=w.p3[:, :1])
+    np.multiply(dscores[:, :, None], uq, out=w.p3[:, 1:])
+    np.vecdot(du, u, out=w.s)
+    np.multiply(w.s_col, u, out=u)  # u is not read again
+    du -= u
+    np.multiply(norms, counts, out=w.s)
+    du /= w.s_col
+    dz = w.dz
+    np.matmul(du, adapter.w2.T, out=dz)
+    np.greater(a, 0.0, out=w.live)
+    dz *= w.live
     if out is None:
-        out = np.empty(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)))
-    grads = out if isinstance(out, AdapterGrads) else AdapterGrads(*_param_views(out, adapter))
-    np.matmul(x.T, d_z, out=grads.w1)
-    np.add.reduce(d_z, axis=0, out=grads.b1)
-    np.matmul(a.T, d_proj, out=grads.w2)
-    np.add.reduce(d_proj, axis=0, out=grads.b2)
-    return losses, grads
+        out = AdapterGrads(*(np.empty(q.shape) for q in
+                             (adapter.w1, adapter.b1, adapter.w2, adapter.b2)))
+    np.matmul(x.T, dz, out=out.w1)
+    np.add.reduce(dz, axis=0, out=out.b1)
+    np.matmul(a.T, du, out=out.w2)
+    np.add.reduce(du, axis=0, out=out.b2)
+    return losses, out
 
 
 def _check_gallery(size: int, answer_index: int) -> None:
@@ -407,6 +473,9 @@ def _flat_adapter(like: FusionAdapter) -> tuple[np.ndarray, FusionAdapter]:
 _SCORE_CHUNK = 64
 
 
+# Every non-finite value in training raises DivergenceError, so numpy's
+# floating-point warnings would only print the same fault before it.
+@np.errstate(all="ignore")
 def train_adapter(
     adapter_init: FusionAdapter,
     tasks: Sequence,
@@ -417,11 +486,13 @@ def train_adapter(
     """Seeded Adam over gallery-matching tasks; deterministic per seed.
 
     Every image's token mean and expert vector is stacked once, and each
-    minibatch is one batch_matching_loss_and_grads call over index rows per
-    gallery size it holds (a single call for a single-size task set). The
-    calls write the gradient into one preallocated flat vector, laid out as
-    the parameters are, and Adam updates that flat parameter vector in
-    place; a step allocates no parameter-sized array.
+    epoch's task rows and answers are gathered once per gallery size, in
+    the epoch's order. A minibatch is one batch_matching_loss_and_grads
+    call per gallery size it holds (a single call for a single-size task
+    set), on slices of those gathers and with one workspace for the run.
+    The calls write the gradient into one preallocated flat vector, laid
+    out as the parameters are, and Adam updates that flat parameter vector
+    in place; a step allocates no parameter-sized array.
     Returns the trained adapter; if the final epoch's mean loss exceeds the
     initial one, the best epoch's parameters are returned instead.
     """
@@ -443,7 +514,7 @@ def train_adapter(
         [expert_vectors[i] for i in index],
     )
     # One row table (query first) per gallery size; slot[t] is task t's row
-    # in its size's table. A single-size task set is one table in task order.
+    # in its size's table.
     sizes = np.array([len(t.gallery_ids) for t in tasks])
     slot = np.empty(len(tasks), dtype=np.intp)
     tables = {}
@@ -455,6 +526,20 @@ def train_adapter(
                       for t in members]),
             np.array([tasks[t].answer_index for t in members]),
         )
+
+    def grouped(order):
+        """The tasks of ``order`` gathered once per gallery size, as
+        ``(rows, answers, at, before)``: their rows and answers in that
+        order, their positions in it, and ``before[i]``, how many of them
+        sit before position i. A single-size task set is one group."""
+        groups = []
+        for k, (rows, answers) in tables.items():
+            at = np.flatnonzero(sizes[order] == k)
+            picked = slot[order[at]]
+            before = np.searchsorted(at, np.arange(len(order) + 1)).tolist()
+            groups.append((rows[picked], answers[picked], at, before))
+        return groups
+
     temperature = config.readout_temperature
     flat, adapter = _flat_adapter(adapter_init)
     grad, part_grad = np.empty(flat.size), np.empty(flat.size)
@@ -462,57 +547,58 @@ def train_adapter(
     grads = AdapterGrads(*_param_views(grad, adapter))
     part_grads = AdapterGrads(*_param_views(part_grad, adapter))
 
-    def batch_loss(current, batch, need_grads=True):
-        """Losses of the tasks in `batch`, in its order; their summed flat
-        gradient goes into `grad`."""
-        if len(tables) == 1:
-            ((rows, answers),) = tables.values()
-            return batch_matching_loss_and_grads(
-                current, views, rows[batch], answers[batch], temperature, need_grads, grads
-            )[0]
-        losses, first = np.empty(len(batch)), True
-        for k, (rows, answers) in tables.items():
-            in_k = sizes[batch] == k
-            if not in_k.any():
+    def run(current, groups, start, end, losses, workspace, need_grads=True):
+        """The tasks at positions start:end of a grouped order: their losses
+        go into ``losses`` at those positions, and their summed gradient
+        into ``grad``, one size's part after the other."""
+        first = True
+        for rows, answers, at, before in groups:
+            lo, hi = before[start], before[end]
+            if lo == hi:
                 continue
-            picked = slot[batch[in_k]]
-            losses[in_k], _ = batch_matching_loss_and_grads(
-                current, views, rows[picked], answers[picked], temperature, need_grads,
-                grads if first else part_grads,
+            losses[at[lo:hi]], _ = batch_matching_loss_and_grads(
+                current, views, rows[lo:hi], answers[lo:hi], temperature, need_grads,
+                grads if first else part_grads, workspace,
             )
             if need_grads and not first:
                 np.add(grad, part_grad, out=grad)
             first = False
-        return losses
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7A1]))
+    n = len(tasks)
+    in_task_order = grouped(np.arange(n))
+    task_losses = np.empty(n)
 
     def mean_loss(current):
-        losses = [
-            batch_loss(current, np.arange(s, min(s + _SCORE_CHUNK, len(tasks))), False)
-            for s in range(0, len(tasks), _SCORE_CHUNK)
-        ]
-        return sum(np.concatenate(losses).tolist()) / len(tasks)
+        # a workspace of its own, so that its larger shapes are not kept
+        # through training
+        scoring = MatchingWorkspace()
+        for s in range(0, n, _SCORE_CHUNK):
+            run(current, in_task_order, s, min(s + _SCORE_CHUNK, n), task_losses, scoring,
+                False)
+        return sum(task_losses.tolist()) / n
 
     initial_loss = mean_loss(adapter)
     best_loss, best = initial_loss, adapter.copy()
-    logger.info("adapter training: initial mean loss %.6f over %d tasks", initial_loss, len(tasks))
+    logger.info("adapter training: initial mean loss %.6f over %d tasks", initial_loss, n)
 
     optimizer = _Adam(flat.size, config.step_size)
-    order = np.arange(len(tasks))
+    order = np.arange(n)
+    workspace = MatchingWorkspace()
     for epoch in range(config.epochs):
         rng.shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            losses = batch_loss(adapter, batch)
-            for loss in losses.tolist():  # in task order, independent of batching
-                epoch_loss += loss
-            grad *= 1.0 / len(batch)
+        groups = grouped(order)
+        for start in range(0, n, config.batch_size):
+            end = min(start + config.batch_size, n)
+            run(adapter, groups, start, end, task_losses, workspace)
+            grad *= 1.0 / (end - start)
             optimizer.update(flat, grad)
             if not np.isfinite(flat).all():
                 raise DivergenceError(f"adapter parameters diverged at epoch {epoch}")
-        epoch_loss /= len(order)
+        epoch_loss = 0.0
+        for loss in task_losses.tolist():  # in the epoch's order, as the batches ran
+            epoch_loss += loss
+        epoch_loss /= n
         if not math.isfinite(epoch_loss):
             raise DivergenceError(f"adapter training diverged at epoch {epoch}")
         if epoch_loss < best_loss:

@@ -31,11 +31,11 @@ def score_gallery(query, gallery, kind: str = "cosine") -> np.ndarray:
     return scores
 
 
-# --- The expert and adapter training steps as they were written before the
+# --- The expert and adapter training steps written plainly, before the
 # in-place, buffer-reusing versions in ilrkit.expert and ilrkit.fusion: list
-# mining, a 2-D np.add.at over stacked targets, Adam through fresh
-# temporaries, and one flat gradient concatenated per gallery size. The
-# trainers must give bit-equal parameters.
+# mining, a 2-D np.add.at over stacked targets, the adapter step on fresh
+# arrays, Adam through fresh temporaries, and one flat gradient concatenated
+# per gallery size. The trainers must give bit-equal parameters.
 
 
 def batch_hard_mine(embeddings, labels):
@@ -169,6 +169,45 @@ class Adam:
 
 def batch_matching_loss_and_grads(adapter, views, rows, answers, readout_temperature=0.1,
                                   need_grads=True):
+    """The adapter step in unit-vector form, on fresh arrays: the images as
+    (B*(K+1), .) rows, u = p/|p| once per pooled vector, the cosines as dot
+    products of unit vectors, and the backward pass through u."""
+    b, m = rows.shape
+    idx = rows.ravel()
+    x = views.experts[idx]
+    z = x @ adapter.w1 + adapter.b1
+    a = np.maximum(0.0, z)
+    counts = views.token_counts[idx][:, None]
+    p = (a @ adapter.w2 + adapter.b2) / counts + views.token_means[idx]
+    norms = np.sqrt(np.vecdot(p, p))[:, None]
+    u = p / norms
+    uq, ug = u.reshape(b, m, -1)[:, :1], u.reshape(b, m, -1)[:, 1:]
+    scores = np.vecdot(ug, uq) / readout_temperature
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    picked = np.arange(b)
+    losses = -np.log(np.maximum(probs[picked, answers], 1e-300))
+    if not need_grads:
+        return losses, None
+    g = probs.copy()
+    g[picked, answers] -= 1.0
+    g /= readout_temperature
+    du = np.empty((b, m, u.shape[1]))
+    du[:, :1] = g[:, None, :] @ ug  # dU_q = sum_k g_k u_k
+    du[:, 1:] = g[:, :, None] * uq  # dU_k = g_k u_q
+    du = du.reshape(b * m, -1)
+    dp = (du - np.vecdot(du, u)[:, None] * u) / (norms * counts)
+    dz = (dp @ adapter.w2.T) * (z > 0)
+    return losses, fusion.AdapterGrads(
+        w1=x.T @ dz, b1=dz.sum(axis=0), w2=a.T @ dp, b2=dp.sum(axis=0)
+    )
+
+
+def quotient_rule_batch_matching_loss_and_grads(adapter, views, rows, answers,
+                                                readout_temperature=0.1, need_grads=True):
+    """The same step written as the quotient rule of cos = q.g / (|q| |g|)
+    on (B, K+1, .) arrays: the formula the adapter trained with before the
+    unit-vector form. Equal in exact arithmetic, not in float64 rounding."""
     b, m = rows.shape
     x = views.experts[rows]
     z = x @ adapter.w1 + adapter.b1

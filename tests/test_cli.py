@@ -8,6 +8,8 @@ import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import time
 import warnings
 
@@ -373,6 +375,48 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert error == {"error": "DivergenceError", "message": message}
         assert not out.exists() or list(out.iterdir()) == []  # no checkpoint, no manifest
+
+    @pytest.mark.parametrize("command, section", [
+        # the step's scaled gradient overflows the head: "expert head diverged"
+        ("train-expert", {"epochs": 1, "step_size": 1.7e308}),
+        # a later forward pass overflows first: "non-finite expert loss"
+        ("train-expert", {"epochs": 3, "step_size": 1e308}),
+        ("train-adapter", {"epochs": 1, "batch_size": 4, "step_size": 1e308}),
+    ], ids=["expert head", "expert loss", "adapter"])
+    def test_a_diverging_trainer_writes_one_json_line(self, workspace, tmp_path, command,
+                                                      section):
+        # a child process: its stderr is what a user sees, warnings included
+        data = workspace / "data"
+        rng = np.random.default_rng(3)
+        save_embedding_set(embedstore.EmbeddingSet.from_records("raw", [
+            embedstore.EmbeddingRecord(f"{inst}{i}", inst, "object", rng.standard_normal(6))
+            for inst in "AB" for i in range(2)
+        ]), tmp_path / "raw.jsonl")
+        config = tmp_path / "config.json"
+        if command == "train-expert":
+            config.write_text(json.dumps(
+                {"expert": {**section, "p_instances": 2, "q_images": 2, "d_out": 4}}
+            ))
+            inputs = ["--embeddings", str(tmp_path / "raw.jsonl")]
+        else:
+            config.write_text(json.dumps({**SMALL_CONFIG, "adapter": section}))
+            inputs = ["--tasks", str(data / "tasks.jsonl"),
+                      "--token-maps", str(data / "token_maps.jsonl"),
+                      "--expert-embeddings", str(data / "expert.jsonl")]
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ilrkit.cli", command, *inputs, "--config", str(config),
+             "--out", str(out / "model.ckpt")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])},
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "DivergenceError"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_repeated_sweep_taus_are_2(self, workspace, tmp_path, capsys):
         data = workspace / "data"

@@ -1,9 +1,11 @@
 """The expert and adapter trainers against reference copies of their steps
-(tests/reference.py): list mining with a 2-D scatter, Adam through fresh
-temporaries, and a flat gradient concatenated per gallery size. The
-trainers reuse buffers and update in place, but every floating-point
-operation keeps its operands and its order, so the trained parameters must
-be bit-equal."""
+(tests/reference.py): list mining with a 2-D scatter, the adapter step in
+unit-vector form on fresh arrays, Adam through fresh temporaries, and a
+flat gradient concatenated per gallery size. The trainers reuse buffers
+and update in place, but every floating-point operation keeps its
+operands and its order, so the trained parameters must be bit-equal. The
+adapter step is also held within rounding of the quotient-rule formula it
+replaced."""
 
 import numpy as np
 import pytest
@@ -159,18 +161,46 @@ class TestTrainAdapterOracle:
         )
         rows = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [5, 2, 3, 0]])
         answers = np.array([0, 2, 1])
-        out = np.full(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)),
-                      np.nan)
+        # the trainer's layout: AdapterGrads views of one flat vector
+        flat = np.full(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)),
+                       np.nan)
+        out = fusion.AdapterGrads(*fusion._param_views(flat, adapter))
         losses, grads = fusion.batch_matching_loss_and_grads(
             adapter, views, rows, answers, out=out
         )
         want_losses, want = reference.batch_matching_loss_and_grads(adapter, views, rows, answers)
+        assert grads is out
         assert np.array_equal(losses, want_losses)
         _assert_same_adapter(grads, want)
-        flat = np.concatenate([want.w1.ravel(), want.b1, want.w2.ravel(), want.b2])
-        assert np.array_equal(out, flat)
+        assert np.array_equal(flat, np.concatenate([want.w1.ravel(), want.b1,
+                                                    want.w2.ravel(), want.b2]))
         for name in ("w1", "b1", "w2", "b2"):
-            assert np.shares_memory(getattr(grads, name), out)
+            assert np.shares_memory(getattr(grads, name), flat)
+
+    @pytest.mark.parametrize("d_e, d, k, b", [(5, 4, 3, 3), (7, 3, 2, 5), (64, 16, 5, 8)],
+                             ids=["small", "two items", "default shapes"])
+    def test_step_is_the_quotient_rule_within_rounding(self, d_e, d, k, b):
+        # the unit-vector step against the quotient-rule formula it replaced
+        rng = np.random.default_rng(56 + d_e)
+        for trial in range(10):
+            adapter = fusion.init_adapter(d_e, d, seed=trial)
+            adapter.w2 *= 10.0 ** rng.uniform(0, 1.5)
+            views = fusion.matching_views(
+                adapter, [rng.standard_normal((int(rng.integers(1, 9)), d)) for _ in range(40)],
+                [rng.standard_normal(d_e) for _ in range(40)],
+            )
+            rows = np.array([rng.permutation(40)[: k + 1] for _ in range(b)])
+            answers = rng.integers(k, size=b)
+            losses, grads = fusion.batch_matching_loss_and_grads(adapter, views, rows, answers)
+            want_losses, want = reference.quotient_rule_batch_matching_loss_and_grads(
+                adapter, views, rows, answers
+            )
+            np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+            for name in ("w1", "b1", "w2", "b2"):
+                # an entry that cancels to near zero is held to its array's scale
+                w = getattr(want, name)
+                np.testing.assert_allclose(getattr(grads, name), w, rtol=1e-12,
+                                           atol=1e-12 * np.abs(w).max(), err_msg=name)
 
     def test_adam_is_the_reference_adam(self):
         rng = np.random.default_rng(55)
