@@ -5,17 +5,14 @@ atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
 config hash, seed, and tool version. Unless --threads is 1, a forked
 worker process runs one job at a time beside the parent and reports once
-the job has finished. In synth and pipeline the worker first generates
-the second half of the synthetic bundle's clusters while the parent
-generates the first (see ``synthgen.generate``); in synth a job then
-writes the token maps. In pipeline one job builds and writes the
-general-view tasks while the expert trains, and a second, while the
-adapter trains, writes the bundle and the expert set and scores the
-general and expert matchers (the tier, the sweep and recall@1), so that
-the parent scores only the fused matcher after training. Every other
-command that reads all of a large JSONL embedding set or token-map file
-has a worker decode the second half of it while the parent decodes the
-first (see ``embedstore.split_reads``).
+the job has finished. In synth a job writes the token maps. In pipeline
+one job builds and writes the general-view tasks while the expert trains,
+and a second, while the adapter trains, writes the bundle and the expert
+set and scores the general and expert matchers (the tier, the sweep and
+recall@1), so that the parent scores only the fused matcher after
+training. Every other command that reads all of a large JSONL embedding
+set or token-map file has a worker decode the second half of it while
+the parent decodes the first (see ``embedstore.split_reads``).
 Outputs, error messages and exit codes do not depend on --threads. A command
 runs with numpy's bundled OpenBLAS at one thread, whatever the
 environment asks, and restores the previous count on return: its matrix
@@ -568,8 +565,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--config", help=f"pipeline config JSON (default: ${ENV_CONFIG})")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="1 runs everything in one process; above 1, a forked worker "
-                        "generates the second half of the synthetic bundle in synth and "
-                        "pipeline, builds pipeline's general-view tasks, writes the bulk "
+                        "builds pipeline's general-view tasks, writes the bulk "
                         "artifacts of pipeline and synth and scores pipeline's general and "
                         "expert matchers while computing goes on, and decodes the second "
                         "half of each large JSONL embedding set or token-map input read in "

@@ -7,7 +7,8 @@ conversation records, and parses free-text answers back for scoring. Task
 and split files are decoded by embedstore's JSON readers.
 
 Each task derives its own random stream from (global seed, task ordinal),
-so task lists are reproducible and independent of scheduling. A task's
+so task lists are reproducible and independent of scheduling; a builder
+sets up the streams of all its tasks at once (``streams.Streams``). A task's
 pool comes from one row of query cosines and boolean masks over it; only
 the candidates a task ranks (below-threshold top-up, detection fallback,
 ``hardest``) are sorted, by (similarity desc, image_id asc).
@@ -27,6 +28,7 @@ import numpy as np
 from . import kernels
 from .embedstore import EmbeddingSet, load_jsonl, parse_json_object, read_input, typed_fields
 from .errors import DataValidationError
+from .streams import Streams
 
 DEFAULT_K = 5
 DEFAULT_TAU = 0.5
@@ -202,9 +204,10 @@ def build_gallery_tasks(
     sampler = _TaskSampler(general, split_side)
     if len(set(sampler.instance_ids)) < 2:
         raise DataValidationError("need images of at least 2 instances")
+    streams = Streams([[seed, t] for t in range(n_tasks)])
     tasks = []
     for t in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        rng = streams[t]
         query, positive = sampler.pick_query(rng)
         sims, above, below = sampler.distractor_pool(query, tau)
         if len(above) + len(below) < k - 1:
@@ -293,9 +296,10 @@ def build_detection_tasks(
     sampler = _TaskSampler(general, split_side)
     if len(set(sampler.instance_ids)) < 2:
         raise DataValidationError("need images of at least 2 instances")
+    streams = Streams([[seed, t, 0xDE7] for t in range(n_tasks)])
     tasks = []
     for t in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t, 0xDE7]))
+        rng = streams[t]
         query, positive = sampler.pick_query(rng)
         is_match = bool(rng.random() < positive_rate)
         if is_match:

@@ -458,6 +458,9 @@ def _span_lines(path: Path, start: int, lineno: int,
             ) from exc
 
 
+_LEADING_ID = '{"image_id": "'  # how save_embedding_set and save_token_maps begin a line
+
+
 def _record_lines(path: Path, only: Collection[str] | None,
                   span: tuple[int, int, int | None] | None = None) -> Iterator[tuple[int, str]]:
     """The jsonl_lines of ``path`` (of its ``span``, the ``_span_lines``
@@ -465,16 +468,28 @@ def _record_lines(path: Path, only: Collection[str] | None,
     is in ``only``; all of them when ``only`` is None.
 
     JSON spells a string other than literally only with a backslash escape,
-    so a line that holds neither a backslash nor ``"<id>"`` for any of the
-    ids cannot hold one of them, and is skipped without being parsed.
+    so a line with a backslash is always kept. A line without one that
+    starts as the writers start a record, ``{"image_id": "<id>"``, and has
+    no other ``"image_id"`` before its last quote, holds the record of that
+    id, and is kept when the id is in ``only``: one set lookup a line. (The
+    numbers after the last quote are not searched: they hold no quote.) Any
+    other line is kept when it holds ``"<id>"`` for one of the ids. A
+    skipped line is not parsed.
     """
     lines = jsonl_lines(path) if span is None else _span_lines(path, *span)
     if only is None:
         return lines
-    needles = [f'"{image_id}"' for image_id in only]
+    wanted = set(only)
+    needles = [f'"{image_id}"' for image_id in wanted]
+    start = len(_LEADING_ID)
     return (
         (lineno, line) for lineno, line in lines
-        if "\\" in line or any(needle in line for needle in needles)
+        if "\\" in line or (
+            line[start:line.find('"', start)] in wanted
+            if line.startswith(_LEADING_ID)
+            and line.find('"image_id"', start, line.rfind('"') + 1) < 0
+            else any(needle in line for needle in needles)
+        )
     )
 
 
@@ -603,20 +618,13 @@ def split_reads(enabled: bool = True):
     JSONL embedding-set and token-map loaders read a file of at least
     SPLIT_BYTES in two halves at once, the second in a forked worker; a load
     with ``only`` stays serial. The value, or the exception and its message,
-    is that of a serial read. ``synthgen.generate`` splits its work the same
-    way (see ``splitting``)."""
+    is that of a serial read."""
     global _split
     previous, _split = _split, enabled and hasattr(os, "fork")
     try:
         yield
     finally:
         _split = previous
-
-
-def splitting() -> bool:
-    """Whether split reads are on: other work that splits in two halves,
-    with the same value either way, may then give one to a forked worker."""
-    return _split
 
 
 def _read_jsonl(read, path: Path, only: Collection[str] | None) -> list:

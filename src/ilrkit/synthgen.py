@@ -5,29 +5,26 @@ view obtained through a random projection (which attenuates the instance
 signal and makes same-cluster instances highly similar), and per-image
 token maps sharing the general view's identity signal. Everything is
 deterministic from the config seed; each entity (projection, cluster,
-instance, image) draws from its own hashed sub-stream, so adding
-instances does not perturb existing ones, and any range of clusters can
-be generated apart from the rest. The views are built as columns (id
-lists and float32 blocks), not as one record per image. With split reads
-on (``embedstore.split_reads``, which the CLI enters when --threads is
-above 1), a forked worker generates the second half of the clusters
-while this process generates the first, for the same arrays.
+instance, image, and each image's tokens) draws from its own hashed
+sub-stream, numpy's ``default_rng(SeedSequence([seed, key digest]))``,
+so adding instances does not perturb existing ones. The streams of each
+kind of entity are set up at once (``streams.Streams``). The views are
+built as columns (id lists and float32 blocks), not as one record per
+image.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import logging
+import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .embedstore import EmbeddingSet, TokenFeatureMap, splitting, token_maps_of
+from .embedstore import EmbeddingSet, TokenFeatureMap, token_maps_of
 from .errors import DataValidationError
-from .stage import fork_job
-
-logger = logging.getLogger(__name__)
+from .streams import Streams
 
 DEFAULT_CATEGORIES = ("person", "face", "pet", "object")
 
@@ -80,13 +77,17 @@ class SynthBundle:
     ground_truth: dict[str, str] = field(default_factory=dict)
 
 
-def _rng(seed: int, *key: str) -> np.random.Generator:
-    digest = hashlib.blake2b("/".join(key).encode(), digest_size=8).digest()
-    return np.random.default_rng(np.random.SeedSequence([seed, int.from_bytes(digest, "little")]))
+def _streams(seed: int, keys: Iterable[str]) -> Streams:
+    """The stream of each key, seeded with ``[seed, the key's 64-bit
+    blake2b digest]``."""
+    return Streams([
+        [seed, int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")]
+        for key in keys
+    ])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))  # np.linalg.norm of a 1-D float64 vector
     if n == 0.0:
         raise DataValidationError("degenerate zero vector in generator")
     return v / n
@@ -96,76 +97,28 @@ def generate(config: SynthConfig) -> SynthBundle:
     """Generate the synthetic bundle deterministically from config.seed.
 
     The views are built as columns: the ids as lists, and the raw, general
-    and token arrays as float32 blocks. Within ``embedstore.split_reads``, a
-    forked worker (``stage.fork_job``) generates the second half of the
-    ordered clusters while this process generates the first, and the
-    worker's blocks become the second block of each view. Since every
-    entity draws from its own sub-stream, the arrays are those of a serial
-    run. When no worker can be forked, or it fails in any way, this process
-    generates that half too, so the bundle, or the error and its message,
-    is always a serial run's."""
+    and token arrays as float32 blocks. A non-finite value raises the error
+    the per-record checks of EmbeddingRecord and TokenFeatureMap give, for
+    the first image that holds one, once the images before it are
+    generated."""
     config.validate()
-    proj = _rng(config.seed, "projection").standard_normal((config.dim_general, config.dim_raw))
+    seed, per_cluster, per_instance = (
+        config.seed, config.instances_per_cluster, config.images_per_instance)
     clusters = [
         (category, f"{category}_c{ki:03d}")
         for category in config.category_names()
         for ki in range(config.clusters_per_category)
     ]
-    mid = (len(clusters) + 1) // 2
-    if splitting() and mid < len(clusters):
-        parts = _halves(config, proj, clusters[:mid], clusters[mid:])
-    else:
-        parts = [_columns(config, proj, clusters)]
-    image_ids, instance_ids, categories = (
-        list(itertools.chain.from_iterable(part[i] for part in parts)) for i in range(3)
-    )
-    raw, general, tokens = ([part[i] for part in parts] for i in range(3, 6))
-    return SynthBundle(
-        raw_set=EmbeddingSet.from_columns(
-            "raw", config.dim_raw, image_ids, instance_ids, categories, raw),
-        general_set=EmbeddingSet.from_columns(
-            "general", config.dim_general, image_ids, instance_ids, categories, general),
-        token_maps=token_maps_of(image_ids, tokens),
-        ground_truth=dict(zip(image_ids, instance_ids)),
-    )
-
-
-def _halves(config: SynthConfig, proj: np.ndarray, first: list, second: list) -> list[tuple]:
-    """The columns of the clusters ``first``, generated here while a forked
-    worker generates those of ``second``, and then the worker's; this
-    process generates ``second`` as well when the worker cannot be forked,
-    raises or dies. An error of ``first`` is raised with the worker killed."""
-    try:
-        worker = fork_job(lambda: _columns(config, proj, second),
-                          "second half of the synthetic bundle")
-    except OSError:  # no process or memory to fork
-        worker = None
-    tail = None
-    try:
-        head = _columns(config, proj, first)
-        if worker is not None:
-            try:
-                tail = worker.result()
-            except Exception as exc:  # noqa: BLE001 - any fault: the half is generated here
-                logger.info("synthetic bundle: the worker's half failed (%s); generating it here",
-                            exc)
-    finally:
-        if worker is not None:
-            worker.kill()  # a worker still running when the first half failed
-    return [head, tail if tail is not None else _columns(config, proj, second)]
-
-
-def _columns(config: SynthConfig, proj: np.ndarray, clusters: list) -> tuple:
-    """The image, instance and category ids of the images of ``clusters``
-    (``(category, cluster_id)`` pairs), in order, and their float32 raw,
-    general and token arrays. A non-finite value raises the error the
-    per-record checks of EmbeddingRecord and TokenFeatureMap give, for the
-    first image that holds one, once the images before it are generated."""
-    per_instance = config.images_per_instance
-    n = len(clusters) * config.instances_per_cluster * per_instance
-    image_ids: list[str] = []
-    instance_ids: list[str] = []
-    categories: list[str] = []
+    instances = [f"{cluster_id}_i{j:03d}" for _, cluster_id in clusters for j in range(per_cluster)]
+    image_ids = [f"{instance_id}_v{m:02d}" for instance_id in instances for m in range(per_instance)]
+    instance_ids = [instance_id for instance_id in instances for _ in range(per_instance)]
+    categories = [category for category, _ in clusters for _ in range(per_cluster * per_instance)]
+    proj = _streams(seed, ["projection"])[0].standard_normal((config.dim_general, config.dim_raw))
+    cluster_rngs = _streams(seed, (f"cluster/{cluster_id}" for _, cluster_id in clusters))
+    instance_rngs = _streams(seed, (f"instance/{instance_id}" for instance_id in instances))
+    image_rngs = _streams(seed, (f"image/{image_id}" for image_id in image_ids))
+    token_rngs = _streams(seed, (f"tokens/{image_id}" for image_id in image_ids))
+    n = len(image_ids)
     raw = np.empty((n, config.dim_raw), dtype=np.float32)
     general = np.empty((n, config.dim_general), dtype=np.float32)
     tokens = np.empty((n, config.n_tokens, config.dim_general), dtype=np.float32)
@@ -173,33 +126,37 @@ def _columns(config: SynthConfig, proj: np.ndarray, clusters: list) -> tuple:
     eps = np.empty((per_instance, config.dim_raw))
     noise = np.empty((per_instance, config.n_tokens, config.dim_general))
     unit = np.empty((per_instance, config.dim_general))
+    done = 0  # the images generated
     try:
-        for category, cluster_id in clusters:
-            centroid = _unit(_rng(config.seed, "cluster", cluster_id).standard_normal(config.dim_raw))
-            for j in range(config.instances_per_cluster):
-                instance_id = f"{cluster_id}_i{j:03d}"
-                u = _rng(config.seed, "instance", instance_id).standard_normal(config.dim_raw)
+        for c in range(len(clusters)):
+            centroid = _unit(cluster_rngs[c].standard_normal(config.dim_raw))
+            for q in range(c * per_cluster, (c + 1) * per_cluster):
+                u = instance_rngs[q].standard_normal(config.dim_raw)
                 u = u - (u @ centroid) * centroid  # confusability governed by alpha alone
                 u = _unit(u)
-                ids = [f"{instance_id}_v{m:02d}" for m in range(per_instance)]
-                for m, image_id in enumerate(ids):
-                    _rng(config.seed, "image", image_id).standard_normal(out=eps[m])
-                    _rng(config.seed, "tokens", image_id).standard_normal(out=noise[m])
+                for m in range(per_instance):
+                    image_rngs[done + m].standard_normal(out=eps[m])
+                    token_rngs[done + m].standard_normal(out=noise[m])
                 views = centroid + config.alpha * u + config.sigma * eps
                 for m, view in enumerate(views):
                     unit[m] = _unit(proj @ view)
-                rows = slice(len(image_ids), len(image_ids) + per_instance)
+                rows = slice(done, done + per_instance)
                 raw[rows] = views
                 general[rows] = unit
                 tokens[rows] = unit[:, None, :] + config.sigma * noise
-                image_ids += ids
-                instance_ids += [instance_id] * per_instance
-                categories += [category] * per_instance
+                done += per_instance
     except DataValidationError:  # a degenerate vector: an earlier non-finite value comes first
-        _check_finite(image_ids, raw, general, tokens)
+        _check_finite(image_ids[:done], raw, general, tokens)
         raise
     _check_finite(image_ids, raw, general, tokens)
-    return image_ids, instance_ids, categories, raw, general, tokens
+    return SynthBundle(
+        raw_set=EmbeddingSet.from_columns(
+            "raw", config.dim_raw, image_ids, instance_ids, categories, [raw]),
+        general_set=EmbeddingSet.from_columns(
+            "general", config.dim_general, image_ids, instance_ids, categories, [general]),
+        token_maps=token_maps_of(image_ids, [tokens]),
+        ground_truth=dict(zip(image_ids, instance_ids)),
+    )
 
 
 def _check_finite(image_ids: list[str], raw: np.ndarray, general: np.ndarray,

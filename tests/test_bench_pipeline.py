@@ -42,8 +42,7 @@ def test_one_run_appends_one_record(tmp_path, capsys):
         "generating synthetic bundle", "training expert head", "training fusion adapter",
         "evaluating matchers",
     ]
-    assert list(run["workers_s"]) == ["second half of the synthetic bundle",
-                                      "task building and writes",
+    assert list(run["workers_s"]) == ["task building and writes",
                                       "bundle writes and adapter-free scoring"]
     assert all(s >= 0 for s in [*run["stages_s"].values(), *run["workers_s"].values()])
 

@@ -477,13 +477,18 @@ class TestOnlyValidation:
             load_embedding_set(path)
 
     def test_parsed_line_is_validated(self, tmp_path):
-        # the line of "b" names "a" too, so it is parsed, and its bad vector found
+        # the line of "b" names "a" too; in a key order other than the
+        # writers' it is parsed, and its bad vector found
         lines = self._lines()
         lines[1].update(category="a", vector=[1.0])
         path = tmp_path / "emb.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        reordered = [lines[0], dict(reversed(lines[1].items()))]
+        path.write_text("".join(json.dumps(o) + "\n" for o in reordered))
         with pytest.raises(DataValidationError, match="line 2: dimension 1 != 2"):
             load_embedding_set(path, only={"a"})
+        # in the writers' order it starts with its own id, "b", and is skipped
+        path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+        assert load_embedding_set(path, only={"a"}).image_ids == ["a"]
 
     def test_selected_duplicate_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -1366,6 +1371,48 @@ class TestSplitReads:
         first, second = embedstore._halves(numbered_lines, path)
         assert first and second
         assert first + second == list(embedstore._record_lines(path, None))
+
+
+class TestFilteredReads:
+    """A load with ``only`` gives what a full load of the lines that hold a
+    selected record gives, blank lines in place of the others: the same
+    records, or the same exception and message."""
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, embedstore._CHUNK + 9),
+           kind=st.sampled_from(["embeddings", "token maps"]),
+           subset=st.sampled_from(["every third", "first half", "all", "none"]),
+           fault=st.sampled_from([None, "non-finite", "second image_id key", "escaped id"]),
+           at=st.integers(0, 2**16))
+    def test_same_as_a_full_load_of_the_selected_lines(self, tmp_path, seed, n, kind, subset,
+                                                        fault, at):
+        rng = np.random.default_rng(seed)
+        if kind == "embeddings":
+            objects, load, outcome = _valid_objects(rng, n, 3), _new_load, _outcome
+        else:
+            objects, load, outcome = _valid_token_objects(rng, n, (2, 3)), load_token_maps, _token_outcome
+        held = [obj["image_id"] for obj in objects]  # the image id of each line's record
+        only = {
+            "every third": set(held[::3]), "first half": set(held[: n // 2]), "all": set(held),
+            "none": {"absent"},
+        }[subset]
+        at %= n
+        if fault == "non-finite":
+            (objects[at]["vector"] if kind == "embeddings" else objects[at]["tokens"][0])[0] = math.nan
+        lines = [json.dumps(obj) for obj in objects]
+        if fault == "second image_id key":  # the last key wins: the line does not start with it
+            lines[at] = lines[at][:-1] + ', "image_id": "late"}'
+            held[at] = "late"
+            only.add("late")
+        elif fault == "escaped id":  # the same id, its first letter spelled as \uXXXX
+            lines[at] = lines[at].replace(
+                f'"image_id": "{held[at][0]}', f'"image_id": "\\u{ord(held[at][0]):04x}', 1)
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join((line if image_id in only else "") + "\n"
+                                for line, image_id in zip(lines, held)))
+        want = outcome(load, path) if only.intersection(held) else []
+        path.write_text("".join(line + "\n" for line in lines))
+        assert outcome(load, path, only) == want
 
 
 def _emb1_bytes(records, dim, count=None):
