@@ -30,6 +30,7 @@ import contextlib
 import functools
 import json
 import logging
+import operator
 import os
 import sys
 from pathlib import Path
@@ -41,12 +42,9 @@ from .config import ENV_CONFIG, PipelineConfig, load_config
 from .embedstore import (
     FORMATS,
     EmbeddingSet,
-    jsonl_lines,
     load_embedding_set,
     load_jsonl,
     load_token_maps,
-    parse_json_object,
-    read_input,
     save_embedding_set,
     save_token_maps,
     split_reads,
@@ -73,23 +71,12 @@ _caption_fields = typed_fields({"query_id": (str,), "caption": (str,)})
 def _load_keyed(path: str, build, key: str) -> dict:
     """The (key, value) pairs that ``build`` makes of the lines of a JSONL
     file, as a dict; a key on a second line is a DataValidationError naming
-    that line. The lines are searched for it only when the dict holds fewer
-    items than the file lines."""
-    pairs = load_jsonl(path, build)
-    by_key = dict(pairs)
-    if len(by_key) != len(pairs):
-        seen = set()
-        for (lineno, _), (k, _) in zip(jsonl_lines(path), pairs):
-            if k in seen:
-                raise DataValidationError(f"{path}: line {lineno}: duplicate {key} {k!r}")
-            seen.add(k)
-    return by_key
+    that line."""
+    return dict(load_jsonl(path, build, operator.itemgetter(0), key))
 
 
 def _load_predictions(path: str) -> evalkit.PredictionLog:
-    return evalkit.PredictionLog(
-        _load_keyed(path, _prediction_fields, "task_id"), model_name="file"
-    )
+    return evalkit.PredictionLog(_load_keyed(path, _prediction_fields, "task_id"))
 
 
 def _needs(args, flag: str, *needed: str) -> None:
@@ -313,10 +300,10 @@ def cmd_sweep(args, config: PipelineConfig) -> None:
     general = load_embedding_set(args.embeddings, config.format)
     side = _split_side(args)
     matchers = _sweep_matchers(args, config, general)
-    result = evalkit.sweep_difficulty(
-        general, side, matchers, taus=tuple(args.taus), k=args.k,
-        n_tasks=args.n_tasks, seed=config.seed,
+    tiers = evalkit.sweep_tasks(
+        general, side, args.taus, k=args.k, n_tasks=args.n_tasks, seed=config.seed
     )
+    result = evalkit.SweepResult.of(evalkit.sweep_accuracies(tiers, matchers))
     with OutputStage(args.out) as stage:
         h = config.config_hash()
         stage.record("sweep.json", h, config.seed).write_text(
@@ -340,7 +327,7 @@ def _matching_reports(tasks, matchers) -> dict[str, evalkit.EvalReport]:
     reports = {}
     for name, matcher in matchers.items():
         best = matcher.predict(tasks)
-        log = evalkit.PredictionLog({t.task_id: b for t, b in zip(tasks, best)}, model_name=name)
+        log = evalkit.PredictionLog({t.task_id: b for t, b in zip(tasks, best)})
         reports[name] = evalkit.score_matching(tasks, log)
     return reports
 

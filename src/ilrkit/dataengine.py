@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -288,7 +289,6 @@ def build_detection_tasks(
     n_tasks: int = DEFAULT_TASKS_PER_CATEGORY,
     positive_rate: float = 0.5,
     seed: int = 0,
-    task_prefix: str = "d",
 ) -> list[DetectionTask]:
     """Single-candidate match/no-match tasks with seeded positive rate."""
     if not 0.0 <= positive_rate <= 1.0:
@@ -314,7 +314,7 @@ def build_detection_tasks(
                 gallery = int(sampler.most_similar(sims, below, 1)[0])
         tasks.append(
             DetectionTask(
-                task_id=f"{task_prefix}{seed:08x}-{t:05d}",
+                task_id=f"d{seed:08x}-{t:05d}",
                 category=sampler.categories[query],
                 query_id=sampler.image_ids[query],
                 gallery_id=sampler.image_ids[gallery],
@@ -347,7 +347,6 @@ def emit_conversations(
     tasks: Sequence[GalleryTask],
     stage: str,
     captions: dict[str, str] | None = None,
-    label_word: dict[str, str] | None = None,
 ) -> list[ConversationRecord]:
     """Emit Stage-1 (multiple choice) or Stage-2 (caption) conversation records.
 
@@ -357,9 +356,6 @@ def emit_conversations(
     """
     if stage not in STAGES:
         raise DataValidationError(f"unknown stage {stage!r}, expected one of {STAGES}")
-    words = dict(DEFAULT_LABEL_WORDS)
-    if label_word:
-        words.update(label_word)
     records = []
     for task in tasks:
         images = task.gallery_ids + (task.query_id,)
@@ -375,7 +371,7 @@ def emit_conversations(
                 raise DataValidationError(
                     f"caption for {task.query_id!r} must contain exactly one {_PLACEHOLDER}"
                 )
-            word = words.get(task.category, task.category.title())
+            word = DEFAULT_LABEL_WORDS.get(task.category, task.category.title())
             prompt = caption_prompt(k)
             target = template.replace(_PLACEHOLDER, f"[{word} {task.answer_index + 1}]")
         records.append(
@@ -467,27 +463,15 @@ def _gallery_task(o: dict) -> GalleryTask:
     return GalleryTask(task_id, category, query_id, tuple(ids), answer, tau, relaxed, seed)
 
 
-def _load_tasks(path: str | Path, build: Callable[[dict], object]) -> list:
-    """The tasks of a JSONL file; a malformed task or a repeated ``task_id``
-    is a ``DataValidationError`` naming its line."""
-    seen: set[str] = set()
-
-    def unique(o: dict):
-        task = build(o)
-        if task.task_id in seen:
-            raise ValueError(f"duplicate task_id {task.task_id!r}")
-        seen.add(task.task_id)
-        return task
-
-    return load_jsonl(path, unique)
+_task_id = operator.attrgetter("task_id")
 
 
 def load_gallery_tasks(path: str | Path) -> list[GalleryTask]:
-    return _load_tasks(path, _gallery_task)
+    return load_jsonl(path, _gallery_task, _task_id, "task_id")
 
 
 def load_detection_tasks(path: str | Path) -> list[DetectionTask]:
-    return _load_tasks(path, lambda o: DetectionTask(*_detection_values(o)))
+    return load_jsonl(path, lambda o: DetectionTask(*_detection_values(o)), _task_id, "task_id")
 
 
 def save_split(manifest: SplitManifest, path: str | Path) -> None:

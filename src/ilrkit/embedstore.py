@@ -16,7 +16,9 @@ lines by ``load_jsonl`` (with ``typed_fields``), the split, manifest,
 checkpoint header and config by ``parse_json_object``, and the array files
 by their loaders. All catch one error tuple, so bytes that are not UTF-8 or
 text that is not JSON, nests too deeply or is not an object raise
-DataValidationError naming the file and line. Each text goes through
+DataValidationError naming the file and line. ``load_jsonl`` also rejects
+a line that repeats the key (task_id or query_id) of an earlier line; of
+all faulty lines, it reports the first. Each text goes through
 ``_json_value``, which gives what ``json.loads`` gives (the same value or
 the same error) without its per-call layers on the common path.
 
@@ -79,7 +81,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -396,16 +398,25 @@ def parse_json_object(data: bytes, where: str) -> dict:
         raise DataValidationError(f"{where}: {exc}") from exc
 
 
-def load_jsonl(path: str | Path, build: Callable[[dict], object]) -> list:
-    """``build`` of the JSON object on each non-blank line of ``path``. A line
-    that is not one, or that ``build`` rejects with ValueError, KeyError or
-    TypeError, raises DataValidationError naming the line."""
+def load_jsonl(path: str | Path, build: Callable[[dict], object],
+               key: Callable[[object], Hashable], name: str) -> list:
+    """``build`` of the JSON object on each non-blank line of ``path``. The
+    first line that is not one, that ``build`` rejects with ValueError,
+    KeyError or TypeError, or whose item repeats the ``key`` of an earlier
+    item (called ``name`` in the message) raises DataValidationError naming
+    the line."""
     items = []
+    seen = set()
     for lineno, line in jsonl_lines(path):
         try:
-            items.append(build(_json_object(line)))
+            item = build(_json_object(line))
         except _MALFORMED as exc:
             raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+        k = key(item)
+        if k in seen:
+            raise DataValidationError(f"{path}: line {lineno}: duplicate {name} {k!r}")
+        seen.add(k)
+        items.append(item)
     return items
 
 

@@ -1,6 +1,6 @@
 """Scoring and reporting: matching accuracy per category, detection
-positive/negative/weighted accuracy, caption-embedding alignment, and
-difficulty sweeps over the similarity threshold.
+positive/negative/weighted accuracy, and difficulty sweeps over the
+similarity threshold.
 
 Every matcher (the general and expert embedding views, and the fused
 view) is the same similarity argmax over the gallery, fed by one
@@ -36,7 +36,6 @@ class PredictionLog:
     """Raw model responses (or pre-parsed indices) keyed by task id."""
 
     entries: dict[str, str | int]
-    model_name: str = "unknown"
 
 
 @dataclass
@@ -53,12 +52,6 @@ class DetectionScore:
     weighted: float
     n_positive: int
     n_negative: int
-
-
-@dataclass
-class CaptionScore:
-    image_alignment: float
-    text_alignment: float
 
 
 @dataclass
@@ -206,24 +199,6 @@ def score_detection(
     else:
         weighted = (c_pos + c_neg) / (n_pos + n_neg)
     return DetectionScore(positive, negative, weighted, n_pos, n_neg)
-
-
-def score_captions(pairs: Sequence[Mapping[str, Sequence[float]]]) -> CaptionScore:
-    """Mean clamped cosine x 100 of caption embeddings against image and
-    reference-caption embeddings."""
-    if not pairs:
-        raise DataValidationError("no caption pairs to score")
-    image_scores, text_scores = [], []
-    for pair in pairs:
-        cap = np.asarray(pair["caption_embedding"], dtype=np.float64)
-        img = np.asarray(pair["image_embedding"], dtype=np.float64)
-        ref = np.asarray(pair["reference_embedding"], dtype=np.float64)
-        image_scores.append(100.0 * max(simcore.similarity(cap, img, "cosine"), 0.0))
-        text_scores.append(100.0 * max(simcore.similarity(cap, ref, "cosine"), 0.0))
-    return CaptionScore(
-        image_alignment=float(np.mean(image_scores)),
-        text_alignment=float(np.mean(text_scores)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +350,3 @@ def sweep_accuracies(
         for name, matcher in matchers.items():
             accuracies[name][tau] = matcher_accuracy(tasks, matcher)
     return accuracies
-
-
-def sweep_difficulty(
-    general: EmbeddingSet,
-    split_side,
-    matchers: Mapping[str, Matcher],
-    taus: Sequence[float] = (0.2, 0.5, 0.8),
-    k: int = dataengine.DEFAULT_K,
-    n_tasks: int = 200,
-    seed: int = 0,
-) -> SweepResult:
-    """Accuracy of each matcher at each difficulty tier, plus the per-tau
-    gap of every other matcher over the "general" baseline matcher."""
-    if BASELINE not in matchers:
-        raise DataValidationError(f"baseline matcher {BASELINE!r} not supplied")
-    tiers = sweep_tasks(general, split_side, taus, k=k, n_tasks=n_tasks, seed=seed)
-    return SweepResult.of(sweep_accuracies(tiers, matchers))

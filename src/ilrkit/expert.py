@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,46 +46,20 @@ class ExpertHead:
             raise DivergenceError("non-finite head parameters")
 
 
-def _normalize_rows(y: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(y, axis=-1, keepdims=True)
-    if np.any(norms < _NORM_EPS):
-        raise DataValidationError("zero vector cannot be normalized")
-    return y / norms
-
-
-def embed(head: ExpertHead, raw_vec) -> np.ndarray:
-    """Unit-normalized identity embedding of one raw vector."""
-    v = np.asarray(raw_vec, dtype=np.float64)
-    if v.shape != (head.w.shape[0],):
-        raise DataValidationError(
-            f"raw vector has shape {v.shape}, head expects ({head.w.shape[0]},)"
-        )
-    return _normalize_rows((v @ head.w + head.b)[None, :])[0]
-
-
-def embed_set(head: ExpertHead, raw_set: EmbeddingSet, encoder_name: str = "expert") -> EmbeddingSet:
+def embed_set(head: ExpertHead, raw_set: EmbeddingSet) -> EmbeddingSet:
     """Embed every record of a raw set, producing an expert-view EmbeddingSet."""
     if raw_set.dimension != head.w.shape[0]:
         raise DataValidationError(
             f"raw vectors have dimension {raw_set.dimension}, head expects {head.w.shape[0]}"
         )
     y = np.asarray(raw_set.matrix(), dtype=np.float64) @ head.w + head.b
-    y = _normalize_rows(y)
+    norms = np.linalg.norm(y, axis=-1, keepdims=True)
+    if np.any(norms < _NORM_EPS):
+        raise DataValidationError("zero vector cannot be normalized")
     return EmbeddingSet.from_columns(
-        encoder_name, y.shape[1], raw_set.image_ids, raw_set.instance_ids, raw_set.categories,
-        [y.astype(np.float32)],
+        "expert", y.shape[1], raw_set.image_ids, raw_set.instance_ids, raw_set.categories,
+        [(y / norms).astype(np.float32)],
     )
-
-
-def triplet_loss(anchor, positive, negative, margin: float = 0.3) -> float:
-    """Hinge triplet loss on unit-normalized embeddings (Euclidean distances)."""
-    a, p, n = (
-        _normalize_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
-        for v in (anchor, positive, negative)
-    )
-    d_ap = float(np.linalg.norm(a - p))
-    d_an = float(np.linalg.norm(a - n))
-    return max(0.0, d_ap - d_an + margin)
 
 
 def _pairwise_dist(embeddings: np.ndarray) -> np.ndarray:
@@ -118,24 +92,6 @@ def _hard_indices(embeddings: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray
     return positives.argmax(axis=1), negatives.argmin(axis=1)
 
 
-def batch_hard_mine(embeddings: np.ndarray, labels) -> list[tuple[int, int, int]]:
-    """Per anchor: farthest same-label and nearest different-label sample.
-
-    Ties break by lowest index (the first occurrence of a masked
-    argmax/argmin). The batch must contain >= 2 labels, each with >= 2
-    samples. The triplets (anchor, positive, negative) of the mining that
-    combined_loss_and_grads runs.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = list(labels)
-    if embeddings.shape[0] != len(labels):
-        raise DataValidationError("embedding/label count mismatch")
-    code_of: dict = {}
-    codes = np.array([code_of.setdefault(lab, len(code_of)) for lab in labels], dtype=np.intp)
-    pos, neg = _hard_indices(embeddings, codes)
-    return list(zip(range(len(labels)), pos.tolist(), neg.tolist()))
-
-
 @dataclass(frozen=True)
 class ExpertTrainConfig:
     d_out: int = 64
@@ -161,8 +117,8 @@ def combined_loss_and_grads(
     place in the logits buffer, which then holds the logit gradient. The
     two products back through the prototypes run on contiguous operands
     into contiguous results, and a loss weight multiplies the gradients in
-    place, unless it is 1. The hard triplets are mined as index arrays (the
-    mining batch_hard_mine reports), and their gradient is scattered into
+    place, unless it is 1. The hard triplets are mined as index arrays (by
+    ``_hard_indices``), and their gradient is scattered into
     the embedding gradient by one 1-D ``np.add.at`` in the order of a loop
     over anchors, from flag, index and value arrays filled column by
     column. Every floating-point operation and its order are those of

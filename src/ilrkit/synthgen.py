@@ -173,8 +173,9 @@ def _check_finite(image_ids: list[str], raw: np.ndarray, general: np.ndarray,
                 raise DataValidationError(f"{kind} {image_id!r} contains non-finite values")
 
 
-def recall_at_1(eset: EmbeddingSet, kind: str = "cosine") -> float:
-    """Fraction of images whose nearest neighbor (excluding self) shares its instance.
+def recall_at_1(eset: EmbeddingSet) -> float:
+    """Fraction of images whose cosine nearest neighbor (excluding self)
+    shares its instance.
 
     Every instance must have at least two images, otherwise the measure is
     undefined for the lone image.
@@ -183,13 +184,10 @@ def recall_at_1(eset: EmbeddingSet, kind: str = "cosine") -> float:
         if len(image_ids) < 2:
             raise DataValidationError(f"instance {instance_id!r} has a single image")
     matrix = np.asarray(eset.matrix(), dtype=np.float64)
-    if kind == "cosine":
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0.0):
-            raise DataValidationError("cosine recall undefined for zero vectors")
-        matrix = matrix / norms[:, None]
-    elif kind != "dot":
-        raise DataValidationError(f"unknown similarity kind {kind!r}")
+    norms = np.linalg.norm(matrix, axis=1)
+    if np.any(norms == 0.0):
+        raise DataValidationError("cosine recall undefined for zero vectors")
+    matrix = matrix / norms[:, None]
     # Row blocks keep the (n, n) similarity matrix from ever being resident.
     nearest = np.empty(len(matrix), dtype=np.intp)
     for start in range(0, len(matrix), _RECALL_BLOCK):

@@ -274,11 +274,24 @@ class TestSubcommandChain:
             assert report["matching_accuracy"][name] == \
                 evalkit.score_matching(tier, log).to_dict(), name
         test_side = dataengine.load_split(out / "split.json").test_instances
-        sweep = evalkit.sweep_difficulty(
-            general, test_side, matchers, taus=SMALL_CONFIG["taus"], k=SMALL_CONFIG["k"],
+        tiers = evalkit.sweep_tasks(
+            general, test_side, SMALL_CONFIG["taus"], k=SMALL_CONFIG["k"],
             n_tasks=SMALL_CONFIG["n_sweep_tasks"], seed=SMALL_CONFIG["seed"],
         )
+        sweep = evalkit.SweepResult.of(evalkit.sweep_accuracies(tiers, matchers))
         assert report["sweep"] == sweep.to_dict()
+        # and the sweep command, on the same files, writes the same sweep
+        taus = [str(t) for t in SMALL_CONFIG["taus"]]
+        assert cli.main(["sweep", "--embeddings", str(out / "general.jsonl"),
+                         "--split", str(out / "split.json"),
+                         "--expert-embeddings", str(out / "expert.jsonl"),
+                         "--adapter", str(out / "adapter.ckpt"),
+                         "--token-maps", str(out / "token_maps.jsonl"),
+                         "--taus", *taus, "--k", str(SMALL_CONFIG["k"]),
+                         "--n-tasks", str(SMALL_CONFIG["n_sweep_tasks"]),
+                         "--threads", threads, "--out", str(tmp_path / "sweep")]
+                        + _cfg(workspace)) == 0
+        assert json.loads((tmp_path / "sweep" / "sweep.json").read_text()) == report["sweep"]
         assert report["recall_at_1"] == {
             name: synthgen.recall_at_1(view.subset(test_side))
             for name, view in (("general", general), ("expert", expert_set))
@@ -985,19 +998,21 @@ class TestMalformedInputs:
         _assert_data_error(rc, capsys)
 
     def test_duplicate_prediction_task_id_is_3(self, workspace, tmp_path, capsys):
-        # a blank line before the repeat: the line number counts it
+        # a blank line before the repeat: the line number counts it; a
+        # malformed line after the repeat does not hide it
         lines = (workspace / "data" / "preds.jsonl").read_text().splitlines()
         repeat = json.loads(lines[0])
         first = repeat["task_id"]
         repeat["response"] = "Image 2"
         preds = tmp_path / "preds.jsonl"
-        preds.write_text("\n".join([*lines, "", json.dumps(repeat)]) + "\n")
         out = tmp_path / "eval"
-        rc = cli.main(["evaluate", "--tasks", str(workspace / "data" / "tasks.jsonl"),
-                       "--predictions", str(preds), "--out", str(out)] + _cfg(workspace))
-        message = _assert_data_error(rc, capsys)
-        assert message == f"{preds}: line {len(lines) + 2}: duplicate task_id {first!r}"
-        assert not out.exists()
+        for after in ([], ['{"task_id": 5, "response": "Image 1"}']):
+            preds.write_text("\n".join([*lines, "", json.dumps(repeat), *after]) + "\n")
+            rc = cli.main(["evaluate", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                           "--predictions", str(preds), "--out", str(out)] + _cfg(workspace))
+            message = _assert_data_error(rc, capsys)
+            assert message == f"{preds}: line {len(lines) + 2}: duplicate task_id {first!r}"
+            assert not out.exists()
 
     def test_duplicate_caption_query_id_is_3(self, workspace, tmp_path, capsys):
         tasks = dataengine.load_gallery_tasks(workspace / "data" / "tasks.jsonl")

@@ -499,7 +499,8 @@ class TestSerialization:
         path = tmp_path / "conv.jsonl"
         save_jsonl(records, path)
         loaded = load_jsonl(
-            path, lambda o: ConversationRecord(**{**o, "images": tuple(o["images"])})
+            path, lambda o: ConversationRecord(**{**o, "images": tuple(o["images"])}),
+            lambda record: record.task_id, "task_id",
         )
         assert loaded == records
 

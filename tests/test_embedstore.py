@@ -1525,7 +1525,7 @@ class TestJsonValue:
         path = tmp_path / "x.jsonl"
         path.write_text(text + "\n")
         with pytest.raises(DataValidationError) as info:
-            embedstore.load_jsonl(path, dict)
+            embedstore.load_jsonl(path, dict, lambda o: o["image_id"], "image_id")
         assert str(info.value) == f"{path}: line 1: expected a JSON object, got {kind}"
 
     def test_readers_decode_through_it(self, tmp_path, monkeypatch):
@@ -1542,6 +1542,6 @@ class TestJsonValue:
         load_embedding_set(path)
         path.write_text('{"image_id": "a", "tokens": [[1.0]]}\n')
         load_token_maps(path)
-        embedstore.load_jsonl(path, dict)
+        embedstore.load_jsonl(path, dict, lambda o: o["image_id"], "image_id")
         embedstore.parse_json_object(b'{"a": 1}', "x")
         assert len(calls) == 4

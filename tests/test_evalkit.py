@@ -9,13 +9,14 @@ from ilrkit.embedstore import EmbeddingRecord, EmbeddingSet
 from ilrkit.errors import DataValidationError
 from ilrkit.evalkit import (
     PredictionLog,
+    SweepResult,
     macro_average,
     matcher_accuracy,
-    score_captions,
     score_detection,
     score_matching,
     similarity_matcher,
-    sweep_difficulty,
+    sweep_accuracies,
+    sweep_tasks,
 )
 from reference import score_gallery
 
@@ -41,7 +42,7 @@ def _log_with_accuracy(tasks, n_correct_per_category):
         hit = seen.get(task.category, 0) < n_correct_per_category[task.category]
         seen[task.category] = seen.get(task.category, 0) + 1
         entries[task.task_id] = "Image 1" if hit else "Image 2"
-    return PredictionLog(entries=entries, model_name="synthetic")
+    return PredictionLog(entries=entries)
 
 
 class TestScoreMatching:
@@ -154,41 +155,6 @@ class TestScoreDetection:
         entries = {tasks[0].task_id: True, tasks[1].task_id: False}
         score = score_detection(tasks, PredictionLog(entries=entries))
         assert score.weighted == pytest.approx(1.0)
-
-
-class TestScoreCaptions:
-    def test_identical_embeddings_score_100(self):
-        v = [0.3, 0.4, 0.5]
-        pairs = [{"caption_embedding": v, "image_embedding": v, "reference_embedding": v}]
-        score = score_captions(pairs)
-        assert score.image_alignment == pytest.approx(100.0)
-        assert score.text_alignment == pytest.approx(100.0)
-
-    def test_orthogonal_and_negative_clamp_to_zero(self):
-        pairs = [{
-            "caption_embedding": [1.0, 0.0],
-            "image_embedding": [0.0, 1.0],
-            "reference_embedding": [-1.0, 0.0],
-        }]
-        score = score_captions(pairs)
-        assert score.image_alignment == pytest.approx(0.0)
-        assert score.text_alignment == pytest.approx(0.0)
-
-    def test_three_pair_mean(self):
-        e1, e2 = [1.0, 0.0], [1.0, 1.0]
-        pairs = [
-            {"caption_embedding": e1, "image_embedding": e1, "reference_embedding": e1},
-            {"caption_embedding": e1, "image_embedding": e2, "reference_embedding": e1},
-            {"caption_embedding": e1, "image_embedding": [0.0, 1.0], "reference_embedding": e1},
-        ]
-        score = score_captions(pairs)
-        expected = (100.0 + 100.0 / np.sqrt(2.0) + 0.0) / 3.0
-        assert score.image_alignment == pytest.approx(expected, abs=1e-9)
-        assert score.text_alignment == pytest.approx(100.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataValidationError):
-            score_captions([])
 
 
 class TestMatchers:
@@ -431,11 +397,17 @@ class TestErrorOrder:
                 matcher.predict(tasks)
 
 
+def _sweep(general, side, matchers, taus, n_tasks, seed=0) -> SweepResult:
+    """A sweep as ``ilrkit sweep`` and ``ilrkit pipeline`` run one."""
+    tiers = sweep_tasks(general, side, taus, n_tasks=n_tasks, seed=seed)
+    return SweepResult.of(sweep_accuracies(tiers, matchers))
+
+
 class TestSweep:
     def test_identical_matchers_zero_gap(self, small_bundle):
         side = set(small_bundle.general_set.instance_index)
         matcher = similarity_matcher(small_bundle.general_set)
-        result = sweep_difficulty(
+        result = _sweep(
             small_bundle.general_set, side,
             {"general": matcher, "clone": matcher},
             taus=(0.2, 0.5), n_tasks=20, seed=1,
@@ -444,28 +416,22 @@ class TestSweep:
         assert result.gaps["clone"] == {0.2: 0.0, 0.5: 0.0}
         assert result.accuracies["clone"] == result.accuracies["general"]
 
-    def test_missing_baseline_rejected(self, small_bundle):
-        side = set(small_bundle.general_set.instance_index)
-        with pytest.raises(DataValidationError, match="baseline"):
-            sweep_difficulty(small_bundle.general_set, side, {"x": lambda t: 0},
-                             taus=(0.2, 0.5), n_tasks=5)
-
     def test_repeated_taus_count_once(self, small_bundle):
         side = set(small_bundle.general_set.instance_index)
         matcher = similarity_matcher(small_bundle.general_set)
         with pytest.raises(DataValidationError, match="at least 2 distinct taus"):
-            sweep_difficulty(small_bundle.general_set, side, {"general": matcher},
-                             taus=(0.5, 0.5), n_tasks=5)
-        result = sweep_difficulty(small_bundle.general_set, side, {"general": matcher},
-                                  taus=(0.5, 0.2, 0.5), n_tasks=5, seed=1)
+            _sweep(small_bundle.general_set, side, {"general": matcher},
+                   taus=(0.5, 0.5), n_tasks=5)
+        result = _sweep(small_bundle.general_set, side, {"general": matcher},
+                        taus=(0.5, 0.2, 0.5), n_tasks=5, seed=1)
         assert list(result.accuracies["general"]) == [0.5, 0.2]
 
     def test_to_dict_structure(self, small_bundle):
         side = set(small_bundle.general_set.instance_index)
         matcher = similarity_matcher(small_bundle.general_set)
-        result = sweep_difficulty(small_bundle.general_set, side,
-                                  {"general": matcher}, taus=(0.2, 0.5),
-                                  n_tasks=10, seed=2)
+        result = _sweep(small_bundle.general_set, side,
+                        {"general": matcher}, taus=(0.2, 0.5),
+                        n_tasks=10, seed=2)
         obj = result.to_dict()
         assert set(obj["accuracies"]["general"]) == {"0.2", "0.5"}
 

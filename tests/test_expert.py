@@ -10,17 +10,23 @@ from ilrkit.errors import DataValidationError, DivergenceError
 from ilrkit.expert import (
     ExpertHead,
     ExpertTrainConfig,
-    batch_hard_mine,
     combined_loss_and_grads,
-    embed,
     embed_set,
     train_expert,
-    triplet_loss,
 )
 
 
 def _unit(deg):
     return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
+
+
+def _mine(embeddings, labels):
+    """The (anchor, positive, negative) triplets that ``expert._hard_indices``
+    mines, with ``labels`` coded in order of first appearance."""
+    code_of: dict = {}
+    codes = np.array([code_of.setdefault(lab, len(code_of)) for lab in labels], dtype=np.intp)
+    pos, neg = expert._hard_indices(np.asarray(embeddings, dtype=np.float64), codes)
+    return list(zip(range(len(labels)), pos.tolist(), neg.tolist()))
 
 
 def _list_batch_hard_mine(embeddings, labels):
@@ -36,37 +42,54 @@ def _list_batch_hard_mine(embeddings, labels):
     return triplets
 
 
+def _triplet_term(rows, labels=(0, 0, 1, 1), margin=0.3):
+    """The loss of combined_loss_and_grads with the classification term
+    weighted 0, on an identity head: the batch-hard hinge of each row,
+    normalized, averaged over the rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1]
+    head = ExpertHead(np.eye(d), np.zeros(d), margin=margin, loss_weights=(0.0, 1.0))
+    return combined_loss_and_grads(head, np.zeros((d, 2)), rows, np.asarray(labels))[0]
+
+
+def _symmetric_batch(theta):
+    """Two instances of two images each, ``theta`` degrees apart, the second
+    instance opposite the first: every anchor's hardest positive is at chord
+    2 sin(theta / 2) and its hardest negative at chord 2 cos(theta / 2)."""
+    return [_unit(0.0), _unit(theta), _unit(180.0), _unit(180.0 + theta)]
+
+
 class TestTripletLoss:
+    """The batch-hard triplet term that training computes."""
+
     def test_perfect_triplet_is_zero(self):
         # d_ap = 0, d_an = sqrt(2): hinge well below zero
-        assert triplet_loss([1.0, 0.0], [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert _triplet_term([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]) == 0.0
 
     def test_inverted_triplet_formula(self):
-        # d_ap = sqrt(2), d_an = 0 -> loss = sqrt(2) + margin
-        got = triplet_loss([1.0, 0.0], [0.0, 1.0], [1.0, 0.0], margin=0.3)
+        # every anchor: d_ap = sqrt(2), d_an = 0 -> loss = sqrt(2) + margin
+        got = _triplet_term([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], margin=0.3)
         assert got == pytest.approx(math.sqrt(2.0) + 0.3, abs=1e-12)
 
     def test_chord_distance_cases(self):
-        # unit-circle chord length is 2 sin(theta / 2)
-        a, p, n = _unit(0.0), _unit(30.0), _unit(90.0)
-        d_ap = 2.0 * math.sin(math.radians(15.0))
-        d_an = 2.0 * math.sin(math.radians(45.0))
-        assert triplet_loss(a, p, n, margin=0.3) == pytest.approx(
-            max(0.0, d_ap - d_an + 0.3), abs=1e-12
-        )
-        assert triplet_loss(a, n, p, margin=0.3) == pytest.approx(
-            max(0.0, d_an - d_ap + 0.3), abs=1e-12
-        )
+        # unit-circle chord length is 2 sin(angle / 2); 60 degrees is inactive
+        for theta in (60.0, 80.0, 120.0):
+            d_ap = 2.0 * math.sin(math.radians(theta / 2.0))
+            d_an = 2.0 * math.cos(math.radians(theta / 2.0))
+            assert _triplet_term(_symmetric_batch(theta), margin=0.3) == pytest.approx(
+                max(0.0, d_ap - d_an + 0.3), abs=1e-12
+            )
 
     def test_inputs_are_normalized_first(self):
-        base = triplet_loss(_unit(0), _unit(40), _unit(10), margin=0.3)
-        scaled = triplet_loss(7.0 * _unit(0), 0.2 * _unit(40), 3.0 * _unit(10),
-                              margin=0.3)
+        rows = np.array(_symmetric_batch(100.0))
+        base = _triplet_term(rows)
+        scaled = _triplet_term(rows * np.array([[7.0], [0.2], [3.0], [1.5]]))
+        assert base > 0.0
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DataValidationError):
-            triplet_loss([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(DataValidationError, match="zero embedding"):
+            _triplet_term([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
 
 class TestBatchHardMine:
@@ -78,7 +101,7 @@ class TestBatchHardMine:
             for lab in range(n_labels):
                 labels += [f"L{lab}"] * int(rng.integers(2, 5))
             emb = rng.standard_normal((len(labels), 6))
-            triplets = batch_hard_mine(emb, labels)
+            triplets = _mine(emb, labels)
             assert len(triplets) == len(labels)
             for a, p, n in triplets:
                 assert labels[p] == labels[a] and p != a
@@ -93,7 +116,7 @@ class TestBatchHardMine:
     def test_ties_break_to_lowest_index(self):
         emb = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
         labels = ["a", "a", "a", "b", "b"]
-        triplets = batch_hard_mine(emb, labels)
+        triplets = _mine(emb, labels)
         # anchor 0: both positives at distance 1 -> index 1 wins
         assert triplets[0] == (0, 1, 3)
 
@@ -111,18 +134,17 @@ class TestBatchHardMine:
             emb = rng.integers(-1, 2, size=(len(labels), 3)).astype(np.float64)
             dup = rng.choice(len(labels), size=len(labels) // 2, replace=False)
             emb[dup] = emb[rng.integers(len(labels), size=len(dup))]
-            assert batch_hard_mine(emb, labels) == _list_batch_hard_mine(emb, labels)
+            got = _mine(emb, labels)
+            assert got == _list_batch_hard_mine(emb, labels)
+            assert got == reference.batch_hard_mine(emb, labels)
             dist = expert._pairwise_dist(emb)
             ties += sum(len(set(row)) < len(row) for row in dist.tolist())
         assert ties > 0
 
     def test_degenerate_batches_rejected(self):
-        with pytest.raises(DataValidationError):
-            batch_hard_mine(np.ones((3, 2)), ["a", "a", "a"])
-        with pytest.raises(DataValidationError):
-            batch_hard_mine(np.ones((3, 2)), ["a", "a", "b"])
-        with pytest.raises(DataValidationError):
-            batch_hard_mine(np.ones((3, 2)), ["a", "a"])
+        for labels in (["a", "a", "a"], ["a", "a", "b"]):
+            with pytest.raises(DataValidationError, match=">= 2 instances with >= 2 samples"):
+                _mine(np.ones((3, 2)), labels)
 
 
 class TestEmbed:
@@ -130,10 +152,13 @@ class TestEmbed:
         rng = np.random.default_rng(21)
         head = ExpertHead(rng.standard_normal((6, 4)), rng.standard_normal(4))
         v = rng.standard_normal(6)
-        got = embed(head, v)
-        raw = v @ head.w + head.b
-        np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-12)
-        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+        raw_set = EmbeddingSet.from_columns(
+            "raw", 6, ["i0"], ["n0"], ["pet"], [v[None, :].astype(np.float32)]
+        )
+        got = embed_set(head, raw_set).vector("i0")
+        raw = v.astype(np.float32).astype(np.float64) @ head.w + head.b
+        np.testing.assert_allclose(got, raw / np.linalg.norm(raw), atol=1e-6)
+        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-6)
 
     def test_embed_set_matches_embed(self, small_bundle):
         rng = np.random.default_rng(22)
@@ -141,17 +166,17 @@ class TestEmbed:
         eset = embed_set(head, small_bundle.raw_set)
         assert eset.dimension == 8
         assert eset.image_ids == small_bundle.raw_set.image_ids
-        for rec in eset.records[:10]:
-            np.testing.assert_allclose(
-                rec.vector,
-                embed(head, small_bundle.raw_set.vector(rec.image_id)),
-                atol=1e-6,
-            )
+        raw = small_bundle.raw_set.matrix().astype(np.float64) @ head.w + head.b
+        want = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        np.testing.assert_allclose(eset.matrix(), want, atol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         head = ExpertHead(np.ones((4, 2)), np.zeros(2))
-        with pytest.raises(DataValidationError):
-            embed(head, np.ones(5))
+        raw_set = EmbeddingSet.from_columns(
+            "raw", 5, ["i0"], ["n0"], ["pet"], [np.ones((1, 5), dtype=np.float32)]
+        )
+        with pytest.raises(DataValidationError, match="head expects 4"):
+            embed_set(head, raw_set)
 
 
 def _loop_combined_loss_and_grads(head, prototypes, x, labels):
@@ -175,7 +200,7 @@ def _loop_combined_loss_and_grads(head, prototypes, x, labels):
     dlogits /= batch
     grad_protos = cw * (e.T @ dlogits)
     de = cw * (dlogits @ prototypes.T)
-    triplets = batch_hard_mine(e, labels)
+    triplets = reference.batch_hard_mine(e, labels)
     tri_loss = 0.0
     for a, p, n in triplets:
         d_ap = np.linalg.norm(e[a] - e[p])

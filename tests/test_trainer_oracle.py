@@ -85,9 +85,11 @@ class TestTrainExpertOracle:
     def test_mining_is_the_reference_mining(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            labels = [f"L{i}" for i in rng.permutation(np.repeat(np.arange(4), 3))]
+            codes = rng.permutation(np.repeat(np.arange(4), 3))
             emb = rng.integers(-1, 2, size=(12, 3)).astype(np.float64)
-            assert expert.batch_hard_mine(emb, labels) == reference.batch_hard_mine(emb, labels)
+            pos, neg = expert._hard_indices(emb, codes)
+            assert list(zip(range(12), pos.tolist(), neg.tolist())) == \
+                reference.batch_hard_mine(emb, [f"L{c}" for c in codes])
 
     @pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2], [3, 3, 3, 5], [4, 4, 4, 4]])
     def test_step_rejects_a_singleton_or_single_instance_batch(self, labels):
