@@ -38,7 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checkpoint, dataengine, evalkit, expert, fusion, simcore, synthgen
-from .config import ENV_CONFIG, PipelineConfig, load_config
+from .config import (
+    ENV_CONFIG,
+    PipelineConfig,
+    check_problems,
+    load_config,
+    tau_problems,
+    taus_problems,
+)
 from .embedstore import (
     FORMATS,
     EmbeddingSet,
@@ -124,6 +131,7 @@ def _split_side(args) -> frozenset[str]:
 def cmd_build_galleries(args, config: PipelineConfig) -> None:
     if args.k < 2:
         raise ConfigError("k must be >= 2 (use build-detection for K=1)")
+    check_problems(tau_problems("--tau", args.tau))
     general = load_embedding_set(args.embeddings, config.format)
     if args.per_category:
         tasks = dataengine.build_gallery_tasks_per_category(
@@ -143,6 +151,7 @@ def cmd_build_galleries(args, config: PipelineConfig) -> None:
 
 
 def cmd_build_detection(args, config: PipelineConfig) -> None:
+    check_problems(tau_problems("--tau", args.tau))
     general = load_embedding_set(args.embeddings, config.format)
     tasks = dataengine.build_detection_tasks(
         general, _split_side(args), tau=args.tau, n_tasks=args.n_tasks,
@@ -295,8 +304,7 @@ def _sweep_matchers(args, config: PipelineConfig, general):
 def cmd_sweep(args, config: PipelineConfig) -> None:
     _needs(args, "--adapter", "--token-maps", "--expert-embeddings")
     _needs(args, "--token-maps", "--adapter", "--expert-embeddings")
-    if len(set(args.taus)) < len(args.taus):
-        raise ConfigError("--taus must not repeat a threshold")
+    check_problems(taus_problems("--taus", args.taus, "threshold of --taus"))
     general = load_embedding_set(args.embeddings, config.format)
     side = _split_side(args)
     matchers = _sweep_matchers(args, config, general)

@@ -42,14 +42,8 @@ class PipelineConfig:
         problems = []
         if self.k < 2:
             problems.append("k must be >= 2 (use build-detection for K=1)")
-        if not 0.0 <= self.tau < 1.0:
-            problems.append("tau must lie in [0, 1) for cosine similarity")
-        if len(self.taus) < 2:
-            problems.append("taus must list at least 2 thresholds")
-        elif len(set(self.taus)) < len(self.taus):
-            problems.append("taus must not repeat a threshold")
-        if any(not 0.0 <= t < 1.0 for t in self.taus):
-            problems.append("every sweep tau must lie in [0, 1)")
+        problems += tau_problems("tau", self.tau)
+        problems += taus_problems("taus", self.taus, "sweep tau")
         if self.n_tasks < 1 or self.n_train_tasks < 1 or self.n_sweep_tasks < 1:
             problems.append("task counts must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
@@ -65,8 +59,7 @@ class PipelineConfig:
         for label, section in (("", self), ("synth", self.synth), ("expert", self.expert),
                                ("adapter", self.adapter)):
             problems += _field_problems(section, label)
-        if problems:
-            raise ConfigError("; ".join(problems))
+        check_problems(problems)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -76,6 +69,30 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+
+
+def tau_problems(name: str, tau: float) -> list[str]:
+    """What is wrong with the similarity threshold ``tau``, called ``name``."""
+    return [] if 0.0 <= tau < 1.0 else [f"{name} must lie in [0, 1) for cosine similarity"]
+
+
+def taus_problems(name: str, taus, each: str) -> list[str]:
+    """What is wrong with the sweep thresholds ``taus``, called ``name``,
+    and each of them ``each``."""
+    problems = []
+    if len(taus) < 2:
+        problems.append(f"{name} must list at least 2 thresholds")
+    elif len(set(taus)) < len(taus):
+        problems.append(f"{name} must not repeat a threshold")
+    if any(not 0.0 <= t < 1.0 for t in taus):
+        problems.append(f"every {each} must lie in [0, 1)")
+    return problems
+
+
+def check_problems(problems: list[str]) -> None:
+    """Raise ConfigError listing ``problems``, if there are any."""
+    if problems:
+        raise ConfigError("; ".join(problems))
 
 
 # lowest allowed value of a field, and whether that value itself is allowed;

@@ -18,9 +18,20 @@ by their loaders. All catch one error tuple, so bytes that are not UTF-8 or
 text that is not JSON, nests too deeply or is not an object raise
 DataValidationError naming the file and line. ``load_jsonl`` also rejects
 a line that repeats the key (task_id or query_id) of an earlier line; of
-all faulty lines, it reports the first. Each text goes through
-``_json_value``, which gives what ``json.loads`` gives (the same value or
-the same error) without its per-call layers on the common path.
+all faulty lines, it reports the first.
+
+Every value and every error is the one ``json.loads`` gives. A document
+(``parse_json_object``) is decoded by ``_json_value``, which is
+``json.loads``. A JSONL line is decoded by ``orjson.loads`` first
+(``_orjson_value``), 2 to 3 times faster, unless it may nest deeper than
+orjson reads safely. json's value of the line is taken instead where
+orjson rejects the line (NaN, Infinity, a number beyond the double range,
+a lone surrogate escape and malformed text; its messages are not json's),
+where a line or a chunk fails a reader's check, so that every error comes
+from json's value, and in ``load_jsonl`` where a field holds a float of
+magnitude at least 2**63, which orjson makes of an integer beyond 64 bits.
+The array loaders need no such check: the float32 of that float is the
+float32 of json's integer.
 
 The JSONL writers print each float32 component with 9 significant digits
 (``%.9g``), the fewest that read back into every finite float32 exactly;
@@ -37,8 +48,8 @@ block through one ``np.asarray``. The component-type, dimension and
 finiteness checks run on the whole chunk, the string-field and
 empty-instance_id checks as passes over its columns, and duplicate ids are
 checked last, over the whole set. Only when a chunk fails a check are its
-lines checked one at a time, to raise the error of its first faulty line
-with the message a per-line check gives. The token-map loader builds and
+lines decoded again by json and checked one at a time, to raise the error
+of its first faulty line with the message a per-line check gives. The token-map loader builds and
 checks (rows, N, d) blocks the same way. The EMB1 loader decodes all
 selected vectors as one block and checks it the same way.
 
@@ -84,6 +95,7 @@ from pathlib import Path
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import DataValidationError
 
@@ -362,23 +374,8 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 _MALFORMED = (ValueError, KeyError, TypeError, RecursionError)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips, narrower than str.strip's
-
-
-def _json_value(text: str):
-    """``json.loads(text)``: the same value, or the same exception with the
-    same message. A value that starts the text and is followed by JSON
-    whitespace alone is taken from ``raw_decode`` as is; anything else
-    (leading whitespace, trailing data, a BOM, any error) is left to
-    ``json.loads`` itself."""
-    try:
-        obj, end = _raw_decode(text)
-    except Exception:  # noqa: BLE001 - json.loads raises it again, as its own
-        return json.loads(text)
-    if end == len(text) or not text[end:].strip(_JSON_SPACE):
-        return obj
-    return json.loads(text)
+# json decodes the documents, and the JSONL lines that orjson leaves to it
+_json_value = json.loads
 
 
 def _json_object(text: str) -> dict:
@@ -398,20 +395,64 @@ def parse_json_object(data: bytes, where: str) -> dict:
         raise DataValidationError(f"{where}: {exc}") from exc
 
 
+_LONG_LINE = 512  # characters: a closed value this short nests at most 256 deep
+_MAX_OPEN = 256  # "[" and "{" of a longer line that orjson may read
+
+
+def _orjson_value(text: str):
+    """orjson's value of the JSONL line ``text``; ValueError where json must
+    decide. orjson reads a text as json does or raises its JSONDecodeError,
+    a ValueError, but for two kinds of text. It reads an integer beyond 64
+    bits as a float (see ``_json_decides``). It parses nesting that json
+    refuses as too deep, and on deeper nesting it crashes the process, so
+    a line longer than _LONG_LINE with more than _MAX_OPEN ``[`` and ``{``
+    is not given to it."""
+    if len(text) > _LONG_LINE and text.count("[") + text.count("{") > _MAX_OPEN:
+        raise ValueError("left to json: may nest deeper than orjson reads safely")
+    return orjson.loads(text)
+
+
+_INT64 = 2.0 ** 63  # orjson reads an integer beyond 64 bits as a float at least this large
+
+
+def _json_decides(obj) -> bool:
+    """Whether json's value of a line must be taken instead of orjson's
+    ``obj``: ``obj`` is not an object, or one of its fields holds a float
+    that json may read as an integer."""
+    if type(obj) is not dict:
+        return True
+    for value in obj.values():
+        if type(value) is float and not -_INT64 < value < _INT64:
+            return True
+    return False
+
+
 def load_jsonl(path: str | Path, build: Callable[[dict], object],
                key: Callable[[object], Hashable], name: str) -> list:
     """``build`` of the JSON object on each non-blank line of ``path``. The
     first line that is not one, that ``build`` rejects with ValueError,
     KeyError or TypeError, or whose item repeats the ``key`` of an earlier
     item (called ``name`` in the message) raises DataValidationError naming
-    the line."""
+    the line.
+
+    A line is decoded by ``_orjson_value``. json's value is built instead
+    where orjson leaves the line to json, ``_json_decides`` on its value,
+    or ``build`` rejects it, so every item and error is json's. The builds
+    take numbers only from the object's own fields, which
+    ``_json_decides`` checks."""
     items = []
     seen = set()
     for lineno, line in jsonl_lines(path):
         try:
-            item = build(_json_object(line))
-        except _MALFORMED as exc:
-            raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
+            obj = _orjson_value(line)
+            if _json_decides(obj):
+                raise ValueError("left to json")
+            item = build(obj)
+        except _MALFORMED:
+            try:
+                item = build(_json_object(line))
+            except _MALFORMED as exc:
+                raise DataValidationError(f"{path}: line {lineno}: {exc}") from exc
         k = key(item)
         if k in seen:
             raise DataValidationError(f"{path}: line {lineno}: duplicate {name} {k!r}")
@@ -549,61 +590,101 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> DataValidationError:
     return DataValidationError(f"{path}: line {lineno}: malformed record: {exc}")
 
 
+def _orjson_rows(chunk: list[tuple[int, str]], fields: Callable) -> list | None:
+    """``fields`` of ``_orjson_value`` of each line of ``chunk``, or None
+    when a line is left to json or lacks a field."""
+    try:
+        return [fields(_orjson_value(line)) for _, line in chunk]
+    except _MALFORMED:
+        return None
+
+
 def _read_jsonl_columns(path: Path, only: Collection[str] | None, span=None):
     """The id columns and float32 blocks of the records of a JSONL file (of
     those in ``only``; of the lines in ``span``, see ``_record_lines``),
     ``_CHUNK`` lines at a time, and the dimension of the first parsed record
-    (None if no line was parsed)."""
+    (None if no line was parsed). A chunk is taken from orjson's values
+    when all its lines have them and pass the whole-chunk checks; otherwise
+    json's values of its lines decide, line by line."""
     image_ids: list[str] = []
     instance_ids: list[str] = []
     categories: list[str] = []
     blocks: list[np.ndarray] = []
     dim = None
     lines = _record_lines(path, only, span)
-    while True:
-        linenos, rows, stop = [], [], None
-        for lineno, line in itertools.islice(lines, _CHUNK):
-            try:
-                rows.append(_record_fields(_json_value(line)))
-            except _MALFORMED as exc:  # raised once the lines before it are checked
-                stop = _malformed(path, lineno, exc)
-                break
-            linenos.append(lineno)
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        rows = _orjson_rows(chunk, _record_fields)
+        block = None
         if rows:
             ids, insts, cats, vectors = zip(*rows)
-            if dim is None:  # the first record's, as every later one's is checked against it
-                dim = len(vectors[0]) if type(vectors[0]) is list else 0
-            block = _chunk_block(path, linenos, ids, insts, cats, vectors, dim)
-            if only is not None:
-                keep = [i for i, image_id in enumerate(ids) if image_id in only]
-                ids, insts, cats = ([col[i] for i in keep] for col in (ids, insts, cats))
-                block = block[keep]
-            if ids:
-                image_ids += ids
-                instance_ids += insts
-                categories += cats
-                blocks.append(block)
-        if stop is not None:
-            raise stop
-        if len(rows) < _CHUNK:
-            return image_ids, instance_ids, categories, blocks, dim
+            if dim is None:
+                dim = _dimension(vectors[0])
+            block = _valid_block(ids, insts, cats, vectors, dim)
+        if block is None:
+            ids, insts, cats, block, dim = _json_chunk(path, chunk, dim)
+        if only is not None:
+            keep = [i for i, image_id in enumerate(ids) if image_id in only]
+            ids, insts, cats = ([col[i] for i in keep] for col in (ids, insts, cats))
+            block = block[keep]
+        if ids:
+            image_ids += ids
+            instance_ids += insts
+            categories += cats
+            blocks.append(block)
+    return image_ids, instance_ids, categories, blocks, dim
 
 
-def _chunk_block(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats: tuple,
-                 vectors: tuple, dim: int) -> np.ndarray:
-    """The chunk's vectors as one (rows, dim) float32 block, once the whole
+def _dimension(vector) -> int:
+    """The dimension of the first record, which every later one's is
+    checked against."""
+    return len(vector) if type(vector) is list else 0
+
+
+def _json_chunk(path: Path, chunk: list[tuple[int, str]], dim: int | None):
+    """The id columns, float32 block and first-record dimension of the
+    records on the lines of ``chunk``, each decoded by json, once the whole
     chunk passes every check. Otherwise its lines are checked one at a time,
-    in the order of a per-line load, and the first faulty line's error raised.
-    """
+    in the order of a per-line load, and the first faulty line's error
+    raised."""
+    linenos, rows, stop = [], [], None
+    for lineno, line in chunk:
+        try:
+            rows.append(_record_fields(_json_value(line)))
+        except _MALFORMED as exc:  # raised once the lines before it are checked
+            stop = _malformed(path, lineno, exc)
+            break
+        linenos.append(lineno)
+    if rows:
+        ids, insts, cats, vectors = zip(*rows)
+        if dim is None:
+            dim = _dimension(vectors[0])
+        block = _valid_block(ids, insts, cats, vectors, dim)
+        if block is None:
+            _raise_first_fault(path, linenos, ids, insts, cats, vectors, dim)
+    if stop is not None:
+        raise stop
+    return ids, insts, cats, block, dim
+
+
+def _valid_block(ids: tuple, insts: tuple, cats: tuple, vectors: tuple,
+                 dim: int) -> np.ndarray | None:
+    """The chunk's vectors as one (rows, dim) float32 block when the whole
+    chunk passes every check; otherwise None."""
     if (_only_type(list, vectors) and set(map(len, vectors)) == {dim}
             and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(vectors)))):
         try:
             block = _float32(vectors)
-        except OverflowError:  # an integer beyond float64, named below
-            pass
-        else:
-            if _records_valid(ids, insts, cats, block):
-                return block
+        except OverflowError:  # an integer beyond float64, named line by line
+            return None
+        if _records_valid(ids, insts, cats, block):
+            return block
+    return None
+
+
+def _raise_first_fault(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats: tuple,
+                       vectors: tuple, dim: int) -> None:
+    """Check a chunk that failed ``_valid_block`` one line at a time, in the
+    order of a per-line load, and raise the first faulty line's error."""
     for lineno, image_id, instance_id, category, vector in zip(linenos, ids, insts, cats,
                                                                 vectors):
         try:
@@ -619,7 +700,7 @@ def _chunk_block(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats:
 
 
 # The smallest JSONL input a split read decodes in two halves.
-SPLIT_BYTES = 1 << 20
+SPLIT_BYTES = 2 << 20
 _split = False  # whether split reads are on; see split_reads
 
 
@@ -839,49 +920,82 @@ def load_token_maps(
     return token_maps_of(image_ids, blocks)
 
 
+_map_fields = operator.itemgetter("image_id", "tokens")
+
+
 def _read_token_columns(path: Path, only: Collection[str] | None, span=None):
     """The image ids and float32 (rows, N, d) blocks of the maps of a JSONL
     file (of those in ``only``; of the lines in ``span``, see
     ``_record_lines``), ``_CHUNK`` lines at a time, and the (N, d) of the
-    first parsed map (None if no line was parsed)."""
+    first parsed map (None if no line was parsed). As in
+    ``_read_jsonl_columns``, a chunk is taken from orjson's values when all
+    its lines have them and pass ``_token_block``; otherwise json's values
+    decide."""
     image_ids: list[str] = []
     blocks: list[np.ndarray] = []
     seen: set[str] = set()
     shape: tuple[int, int] | None = None
     lines = _record_lines(path, only, span)
-    while True:
-        linenos, objs, tokens, stop = [], [], [], None
-        for lineno, line in itertools.islice(lines, _CHUNK):
-            try:
-                obj = _json_value(line)
-                tokens.append(obj["tokens"])
-            except _MALFORMED as exc:  # raised once the lines before it are checked
-                stop = _malformed_map(path, lineno, exc)
-                break
-            linenos.append(lineno)
-            objs.append(obj)
-        if objs:
-            ids = [obj.get("image_id") for obj in objs]
-            if shape is None and type(tokens[0]) is list and tokens[0]:
-                first = tokens[0][0]
-                shape = (len(tokens[0]), len(first) if type(first) is list else 0)
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        rows, block, stop = _orjson_rows(chunk, _map_fields), None, None
+        if rows:
+            ids, tokens = zip(*rows)
+            if shape is None:
+                shape = _first_shape(tokens[0])
             block = _token_block(ids, tokens, shape)
-            if block is None:
-                _check_token_lines(path, linenos, objs, shape, only, seen)
-            keep = []
-            for row, (lineno, image_id) in enumerate(zip(linenos, ids)):
-                if only is None or image_id in only:
-                    if image_id in seen:
-                        raise _duplicate_map(path, lineno, image_id)
-                    seen.add(image_id)
-                    keep.append(row)
-            if keep:
-                image_ids += [ids[row] for row in keep]
-                blocks.append(block if len(keep) == len(ids) else block[keep])
+        if block is None:
+            ids, block, shape, stop = _json_token_chunk(path, chunk, shape, only, seen)
+        keep = []
+        for row, ((lineno, _), image_id) in enumerate(zip(chunk, ids)):
+            if only is None or image_id in only:
+                if image_id in seen:
+                    raise _duplicate_map(path, lineno, image_id)
+                seen.add(image_id)
+                keep.append(row)
+        if keep:
+            image_ids += [ids[row] for row in keep]
+            blocks.append(block if len(keep) == len(ids) else block[keep])
         if stop is not None:
             raise stop
-        if len(objs) < _CHUNK:
-            return image_ids, blocks, shape
+    return image_ids, blocks, shape
+
+
+def _first_shape(tokens) -> tuple[int, int] | None:
+    """The (N, d) of the first parsed map, which every later one's is
+    checked against: d is 0 when its first row is not a list, and there is
+    none when its tokens are not a non-empty list."""
+    if type(tokens) is not list or not tokens:
+        return None
+    return len(tokens), len(tokens[0]) if type(tokens[0]) is list else 0
+
+
+def _json_token_chunk(path: Path, chunk: list[tuple[int, str]],
+                      shape: tuple[int, int] | None, only: Collection[str] | None,
+                      seen: set[str]):
+    """The image ids and (rows, N, d) block of the maps on the lines of
+    ``chunk`` before the first one that json's value or its ``tokens`` key
+    rejects, the first map's (N, d), and that line's error (None if every
+    line has both). A chunk whose maps fail ``_token_block`` is checked one
+    line at a time and the first faulty line's error raised."""
+    linenos, objs, tokens, stop = [], [], [], None
+    for lineno, line in chunk:
+        try:
+            obj = _json_value(line)
+            tokens.append(obj["tokens"])
+        except _MALFORMED as exc:  # raised once the lines before it are checked
+            stop = _malformed_map(path, lineno, exc)
+            break
+        linenos.append(lineno)
+        objs.append(obj)
+    ids = [obj.get("image_id") for obj in objs]
+    block = None
+    if objs:
+        if shape is None:
+            shape = _first_shape(tokens[0])
+        block = _token_block(ids, tokens, shape)
+        if block is None:
+            _check_token_lines(path, linenos, objs, shape, only, seen)
+    return ids, block, shape, stop
 
 
 def _malformed_map(path: Path, lineno: int, exc: Exception) -> DataValidationError:
@@ -892,7 +1006,8 @@ def _duplicate_map(path: Path, lineno: int, image_id: str) -> DataValidationErro
     return DataValidationError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
 
 
-def _token_block(ids: list, tokens: list, shape: tuple[int, int] | None) -> np.ndarray | None:
+def _token_block(ids: Sequence, tokens: Sequence,
+                 shape: tuple[int, int] | None) -> np.ndarray | None:
     """The chunk's tokens as one (rows, N, d) float32 block when every line
     holds a string image_id and an N x d list of finite numbers, N and d
     both at least 1; otherwise None."""

@@ -501,10 +501,20 @@ class TestExitCodes:
         ("sweep", ["--token-maps", "in", "--expert-embeddings", "in"], "--token-maps"),
         ("sweep", ["--adapter", "in", "--token-maps", "in"], "--adapter"),
         ("emit", ["--captions", "in"], "--captions"),
+        # a threshold flag is held to the config's rules for tau and taus
+        ("sweep", ["--taus", "0.5"], "--taus must list at least 2 thresholds"),
+        ("sweep", ["--taus", "0.5", "0.50"], "--taus must not repeat a threshold"),
+        ("sweep", ["--taus", "1.5", "0.5"], "every threshold of --taus must lie in [0, 1)"),
+        ("sweep", ["--taus", "0.2", "nan"], "every threshold of --taus must lie in [0, 1)"),
+        ("build-galleries", ["--tau", "1.5"], "--tau must lie in [0, 1) for cosine similarity"),
+        ("build-galleries", ["--tau", "-0.1"], "--tau must lie in [0, 1)"),
+        ("build-detection", ["--tau", "1.0"], "--tau must lie in [0, 1) for cosine similarity"),
+        ("build-detection", ["--tau", "nan"], "--tau must lie in [0, 1)"),
     ])
     def test_flag_that_would_do_nothing_is_2(self, workspace, tmp_path, capsys, command,
                                              flags, named):
-        """Rejected before any input is read: every input here is missing."""
+        """Rejected before any input is read: every input here is missing.
+        So is a threshold flag that the config's rules reject."""
         inputs, out = str(tmp_path / "in"), str(tmp_path / "out")
         argv = _command_argv(command, inputs, out) + [inputs if f == "in" else f for f in flags]
         _assert_config_error(cli.main(argv + _cfg(workspace)), capsys, named)
@@ -655,7 +665,8 @@ def _checkpoint(path, header, shapes):
 # Every reader of JSON text, the config last, and the faults each must turn
 # into exit 3 (exit 2 for the config): bytes that are not UTF-8 (a valid
 # file behind two bad bytes), nesting deeper than the parser's recursion
-# limit, and a top-level value that is not an object.
+# limit, open or closed (orjson 3.8 crashes the process on a closed array
+# this deep), and a top-level value that is not an object.
 _JSON_READERS = [
     "embeddings", "token_maps", "tasks", "detection_tasks", "predictions", "captions",
     "split", "checkpoint", "manifest", "config",
@@ -665,6 +676,7 @@ _JSONL_READERS = {"embeddings", "token_maps", "tasks", "detection_tasks", "predi
 _JSON_FAULTS = {
     "non_utf8": lambda valid: b"\xff\xfe" + valid,
     "deep": lambda valid: b"[" * 100_000 + b"\n",
+    "deep_closed": lambda valid: b"[" * 300_000 + b"]" * 300_000 + b"\n",
     "wrong_kind": lambda valid: b"[1, 2]\n",
 }
 
@@ -757,7 +769,7 @@ def _check_json_fault(workspace, tmp_path, capsys, reader, fault):
     assert str(bad) in error["message"]
     if reader in _JSONL_READERS and fault != "non_utf8":
         assert f"{bad}: line 1: " in error["message"]
-    if fault == "deep":
+    if fault.startswith("deep"):
         assert "recursion" in error["message"]
     if reader == "manifest":
         assert list(out.iterdir()) == [bad] and bad.read_bytes() == broken
@@ -966,14 +978,14 @@ class TestMalformedInputs:
     def test_fuse_parses_only_lines_that_may_hold_the_id(self, workspace, tmp_path,
                                                          monkeypatch):
         parsed = []
-        decode = embedstore._json_value
+        decode = embedstore._orjson_value
 
         def spy(text):
             parsed.append(text)
             return decode(text)
 
-        # every JSON text embedstore reads is decoded by _json_value
-        monkeypatch.setattr(embedstore, "_json_value", spy)
+        # every JSONL line embedstore reads goes to _orjson_value first
+        monkeypatch.setattr(embedstore, "_orjson_value", spy)
         assert self._fuse(workspace, tmp_path) == 0
         data = workspace / "data"
         for name in ("token_maps.jsonl", "expert.jsonl"):
@@ -1297,6 +1309,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("reader", _JSON_READERS[:-1])
     def test_deeply_nested_json_is_3(self, workspace, tmp_path, capsys, reader):
         _check_json_fault(workspace, tmp_path, capsys, reader, "deep")
+
+    @pytest.mark.parametrize("reader", _JSON_READERS)
+    def test_deeply_nested_closed_json_is_rejected(self, workspace, tmp_path, capsys, reader):
+        _check_json_fault(workspace, tmp_path, capsys, reader, "deep_closed")
 
     def test_deeply_nested_config_is_2(self, workspace, tmp_path, capsys):
         _check_json_fault(workspace, tmp_path, capsys, "config", "deep")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ilrkit import embedstore
+from ilrkit import cli, dataengine, embedstore
 from ilrkit.embedstore import (
     EmbeddingRecord,
     EmbeddingSet,
@@ -346,15 +346,18 @@ def test_magic_constant():
     assert embedstore.MAGIC == b"EMB1"
 
 
+_JSON_MODULES = ("json", "orjson")
+
+
 def _json_decodes(path: Path) -> list[int]:
-    """The lines of ``path`` that call ``json.load`` or ``json.loads`` or
-    import either of them from ``json``."""
+    """The lines of ``path`` that use ``load`` or ``loads`` of ``json`` or
+    ``orjson``, or import either of them from one of those modules."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.module == "json":
+        if isinstance(node, ast.ImportFrom) and node.module in _JSON_MODULES:
             lines += [node.lineno for alias in node.names if alias.name in ("load", "loads")]
         elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
-              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+              and isinstance(node.value, ast.Name) and node.value.id in _JSON_MODULES):
             lines.append(node.lineno)
     return lines
 
@@ -990,6 +993,199 @@ class TestTokenMapsAgainstReference:
             load_token_maps(path, {"map0002", "map0003"})
 
 
+# orjson decodes every JSONL line first and json's value decides where they
+# may differ. Each reader is checked against itself with every line left to
+# json, that is, decoded by json.loads alone as before orjson, on lines that
+# hold what the two decoders read differently or might: integers beyond 64
+# bits, decimal strings of up to 25 digits, NaN, Infinity, 1e400, more
+# digits than int() converts, repeated keys, lone and paired surrogate
+# escapes, and nesting at orjson's limit, one below and one above it.
+
+def _left_to_json(text):
+    raise ValueError("left to json")
+
+
+def _as_with_json_alone(monkeypatch, outcome, load, path):
+    """Assert that ``outcome(load, path)`` is what it is when json.loads
+    decodes every line."""
+    got = outcome(load, path)
+    with monkeypatch.context() as patch:
+        patch.setattr(embedstore, "_orjson_value", _left_to_json)
+        assert got == outcome(load, path)
+
+
+def _repr_outcome(load, path):
+    """The repr of what ``load(path)`` gives (it tells 1 from 1.0, -0.0 from
+    0.0 and shows NaN), or the exception's type and message."""
+    try:
+        return repr(load(path))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def _decimal_text(draw, max_exponent=345):
+    digits = st.text(alphabet="0123456789", min_size=1, max_size=25)
+    text = draw(st.sampled_from(["", "-"])) + (draw(digits).lstrip("0") or "0")
+    if draw(st.booleans()):
+        text += "." + draw(digits)
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + str(draw(st.integers(0, max_exponent))))
+    return text
+
+
+_BIG_INTEGER_TEXT = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30, 10**400]),
+    st.integers(2**64, 2**70), st.integers(-2**70, -2**63 - 1), st.integers(),
+).map(str)
+_NUMBER_TEXT = st.one_of(
+    _BIG_INTEGER_TEXT, _decimal_text(), st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0", "1" * 4301]),
+)
+_COMPONENT_TEXT = st.one_of(_decimal_text(38), _NUMBER_TEXT)
+_STRING_TEXT = st.sampled_from(['"\\ud800"', '"a\\udfff"', '"\\ud83d\\ude00"', '"\\ude00\\ud83d"',
+                                '"\\u00e9\\""', '"猫"'])
+_VALUE_TEXT = st.one_of(_NUMBER_TEXT, _STRING_TEXT,
+                        st.sampled_from(["true", "false", "null", "[]", "{}"]))
+
+
+def _object_text(fields) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in fields) + "}"
+
+
+@st.composite
+def _odd_line(draw, fields: dict) -> str:
+    """An object with ``fields`` (name: strategy of a valid value's text),
+    up to two of them holding another value's text instead, maybe one field
+    twice, and maybe padded past 512 characters with an extra field nested
+    so that the line holds one fewer, exactly as many or one more ``[`` and
+    ``{`` than orjson may read."""
+    odd = draw(st.sets(st.sampled_from(list(fields)), max_size=2))
+    items = [(name, draw(_VALUE_TEXT if name in odd else valid))
+             for name, valid in fields.items()]
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(list(fields)))
+        items.insert(draw(st.integers(0, len(items))), (name, draw(_VALUE_TEXT)))
+    delta = draw(st.sampled_from([None, -1, 0, 1]))
+    if delta is not None:
+        items.append(("pad", json.dumps("x" * embedstore._LONG_LINE)))
+        text = _object_text(items)
+        depth = embedstore._MAX_OPEN + delta - text.count("[") - text.count("{")
+        if depth > 0:
+            items.append(("deep", "[" * depth + "]" * depth))
+    return _object_text(items)
+
+
+def _list_text(strategy, size):
+    return st.lists(strategy, min_size=size, max_size=size).map(lambda xs: f"[{', '.join(xs)}]")
+
+
+_RECORD_FIELDS = {"image_id": st.just('"odd"'), "instance_id": st.just('"inst0"'),
+                  "category": st.just('"pet"'), "vector": _list_text(_COMPONENT_TEXT, 3)}
+_MAP_FIELDS = {"image_id": st.just('"odd"'),
+               "tokens": _list_text(_list_text(_COMPONENT_TEXT, 2), 2)}
+_TASK_FIELDS = {
+    "task_id": st.just('"odd"'), "category": st.just('"pet"'), "query_id": st.just('"q"'),
+    "gallery_ids": st.just('["a", "b", "c"]'), "answer_index": st.just("1"),
+    "tau": st.one_of(_decimal_text(), _BIG_INTEGER_TEXT), "relaxed": st.just("false"),
+    "seed": _BIG_INTEGER_TEXT,
+}
+_PREDICTION_FIELDS = {"task_id": st.just('"odd"'),
+                      "response": st.one_of(st.just('"Image 2"'), _BIG_INTEGER_TEXT)}
+
+
+@st.composite
+def _odd_file(draw, fields: dict, valid_line) -> list[str]:
+    """The lines of a file of valid lines (``valid_line(i)``), up to three of
+    them replaced by an ``_odd_line`` of ``fields``, in one chunk or two."""
+    lines = [valid_line(i) for i in range(draw(st.integers(1, embedstore._CHUNK + 6)))]
+    for _ in range(draw(st.integers(1, 3))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(_odd_line(fields))
+    return lines
+
+
+def _write_lines(tmp_path, lines):
+    path = tmp_path / "odd.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+_DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                HealthCheck.too_slow])
+
+
+class TestOrjsonAgainstJson:
+    """Each JSONL reader gives what it gives when json.loads decodes every
+    line, value for value, or the same exception and message: in one pass,
+    and with split reads on, in two halves."""
+
+    @_DIFFERENTIAL
+    @given(lines=_odd_file(_RECORD_FIELDS, lambda i: _object_text([
+        ("image_id", f'"img{i}"'), ("instance_id", '"inst0"'), ("category", '"pet"'),
+        ("vector", f"[0.5, -1.25, {i}]")])), split=st.booleans())
+    def test_embedding_lines(self, tmp_path, monkeypatch, lines, split):
+        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
+        with embedstore.split_reads(split):
+            _as_with_json_alone(monkeypatch, _outcome, _new_load, _write_lines(tmp_path, lines))
+
+    @_DIFFERENTIAL
+    @given(lines=_odd_file(_MAP_FIELDS, lambda i: _object_text([
+        ("image_id", f'"map{i}"'), ("tokens", f"[[0.5, {i}], [1e-3, -2]]")])),
+           split=st.booleans())
+    def test_token_map_lines(self, tmp_path, monkeypatch, lines, split):
+        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
+        with embedstore.split_reads(split):
+            _as_with_json_alone(monkeypatch, _token_outcome, load_token_maps,
+                                _write_lines(tmp_path, lines))
+
+    @_DIFFERENTIAL
+    @given(lines=_odd_file(_TASK_FIELDS, lambda i: _object_text([
+        ("task_id", f'"t{i}"'), ("category", '"pet"'), ("query_id", '"q"'),
+        ("gallery_ids", '["a", "b"]'), ("answer_index", "0"), ("tau", "0.5"),
+        ("relaxed", "true"), ("seed", str(i))])))
+    def test_task_lines(self, tmp_path, monkeypatch, lines):
+        _as_with_json_alone(monkeypatch, _repr_outcome, dataengine.load_gallery_tasks,
+                            _write_lines(tmp_path, lines))
+
+    @_DIFFERENTIAL
+    @given(lines=_odd_file(_PREDICTION_FIELDS, lambda i: _object_text([
+        ("task_id", f'"t{i}"'), ("response", '"Image 1"')])))
+    def test_prediction_lines(self, tmp_path, monkeypatch, lines):
+        _as_with_json_alone(monkeypatch, _repr_outcome,
+                            lambda p: cli._load_keyed(p, cli._prediction_fields, "task_id"),
+                            _write_lines(tmp_path, lines))
+
+    @pytest.mark.parametrize("number", [2**64, -2**63 - 1, 10**30])
+    def test_integer_beyond_64_bits_is_an_integer(self, tmp_path, number):
+        # orjson reads it as a float, which the tau field would take
+        line = _object_text([
+            ("task_id", '"t"'), ("category", '"pet"'), ("query_id", '"q"'),
+            ("gallery_ids", '["a", "b"]'), ("answer_index", "0"), ("tau", str(number)),
+            ("relaxed", "true"), ("seed", "0")])
+        (task,) = dataengine.load_gallery_tasks(_write_lines(tmp_path, [line]))
+        assert type(task.tau) is int and task.tau == number
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_nesting_limit(self, delta):
+        """A line past 512 characters goes to orjson only while it holds at
+        most _MAX_OPEN ``[`` and ``{``; a shorter one always does."""
+        depth = embedstore._MAX_OPEN + delta
+        deep = "[" * depth + "]" * depth
+        line = f'[{json.dumps("x" * embedstore._LONG_LINE)}, {deep[1:-1]}]'
+        assert len(line) > embedstore._LONG_LINE
+        if delta > 0:
+            with pytest.raises(ValueError, match="left to json"):
+                embedstore._orjson_value(line)
+        else:
+            assert embedstore._orjson_value(line) == json.loads(line)
+        short = "[" * embedstore._LONG_LINE  # cannot nest deeper than orjson reads safely
+        with pytest.raises(ValueError) as info:
+            embedstore._orjson_value(short)
+        assert "left to json" not in str(info.value)
+
+
 # Split reads: with split reads on, a JSONL file is read in two halves, the
 # second by a forked worker, and the halves are joined in file order. Every
 # test below lowers SPLIT_BYTES to 0, so that files of a few lines split.
@@ -1529,19 +1725,29 @@ class TestJsonValue:
         assert str(info.value) == f"{path}: line 1: expected a JSON object, got {kind}"
 
     def test_readers_decode_through_it(self, tmp_path, monkeypatch):
+        # a JSONL line goes to orjson first, and to _json_value too where
+        # orjson leaves it to json (a NaN here); a document goes to
+        # _json_value alone
         calls = []
-        decode = embedstore._json_value
+        for name in ("_orjson_value", "_json_value"):
+            def counted(text, name=name, decode=getattr(embedstore, name)):
+                calls.append(name)
+                return decode(text)
 
-        def counted(text):
-            calls.append(text)
-            return decode(text)
-
-        monkeypatch.setattr(embedstore, "_json_value", counted)
+            monkeypatch.setattr(embedstore, name, counted)
         path = tmp_path / "x.jsonl"
-        path.write_text('{"image_id": "a", "instance_id": "i", "category": "c", "vector": [1]}\n')
-        load_embedding_set(path)
-        path.write_text('{"image_id": "a", "tokens": [[1.0]]}\n')
-        load_token_maps(path)
-        embedstore.load_jsonl(path, dict, lambda o: o["image_id"], "image_id")
+        record = '{"image_id": "a", "instance_id": "i", "category": "c", "vector": [1]%s}\n'
+        tmap = '{"image_id": "a", "tokens": [[1.0]]%s}\n'
+        readers = [(record, load_embedding_set), (tmap, load_token_maps),
+                   (tmap, lambda p: embedstore.load_jsonl(p, dict, lambda o: o["image_id"],
+                                                          "image_id"))]
+        for extra, decoders in (("", ["_orjson_value"]),
+                                (', "x": NaN', ["_orjson_value", "_json_value"])):
+            for line, load in readers:
+                path.write_text(line % extra)
+                calls.clear()
+                load(path)
+                assert calls == decoders
+        calls.clear()
         embedstore.parse_json_object(b'{"a": 1}', "x")
-        assert len(calls) == 4
+        assert calls == ["_json_value"]
