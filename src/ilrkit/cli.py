@@ -49,6 +49,7 @@ from .config import (
 from .embedstore import (
     FORMATS,
     EmbeddingSet,
+    jsonl_values,
     load_embedding_set,
     load_jsonl,
     load_token_maps,
@@ -83,7 +84,15 @@ def _load_keyed(path: str, build, key: str) -> dict:
 
 
 def _load_predictions(path: str) -> evalkit.PredictionLog:
-    return evalkit.PredictionLog(_load_keyed(path, _prediction_fields, "task_id"))
+    """The responses of a prediction file by task id, taken as columns when
+    every line has its fields and no task_id repeats; otherwise the file is
+    read again by ``_load_keyed``, which names the first faulty line. (No
+    field takes a float, so orjson's values need no big-integer check.)"""
+    rows = jsonl_values(path, _prediction_fields)
+    entries = None if rows is None else dict(rows)
+    if entries is None or len(entries) != len(rows):
+        entries = _load_keyed(path, _prediction_fields, "task_id")
+    return evalkit.PredictionLog(entries)
 
 
 def _needs(args, flag: str, *needed: str) -> None:

@@ -17,6 +17,7 @@ the candidates a task ranks (below-threshold top-up, detection fallback,
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import operator
 import re
@@ -27,7 +28,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .embedstore import EmbeddingSet, load_jsonl, parse_json_object, read_input, typed_fields
+from .embedstore import (
+    EmbeddingSet,
+    jsonl_values,
+    load_jsonl,
+    orjson_exact,
+    parse_json_object,
+    read_input,
+    typed_fields,
+)
 from .errors import DataValidationError
 from .streams import Streams
 
@@ -467,7 +476,46 @@ _task_id = operator.attrgetter("task_id")
 
 
 def load_gallery_tasks(path: str | Path) -> list[GalleryTask]:
-    return load_jsonl(path, _gallery_task, _task_id, "task_id")
+    """The gallery tasks of a JSONL file, one a line, checked as columns:
+    the field types of each line as it is decoded (``jsonl_values``), then
+    the gallery sizes, the string ids, the repeated images, the query in its
+    gallery, the answer range, the repeated task_ids and the big-integer
+    rule for tau, each over the whole file. If any check fails, the file is
+    read again line by line (``load_jsonl`` with ``_gallery_task``), which
+    raises the first faulty line's error."""
+    rows = jsonl_values(path, _gallery_values)
+    if rows is None or rows and not _gallery_columns_valid(rows):
+        return load_jsonl(path, _gallery_task, _task_id, "task_id")
+    return list(map(_new_gallery_task, rows))
+
+
+def _gallery_columns_valid(rows: list[tuple]) -> bool:
+    """Whether every task of ``rows``, the ``_gallery_values`` of the lines
+    of a file, passes ``_gallery_task`` and repeats no earlier task_id."""
+    task_ids, _, query_ids, galleries, answers, taus, _, _ = zip(*rows)
+    sizes = list(map(len, galleries))
+    return (
+        min(sizes) >= 2
+        and set(map(type, itertools.chain.from_iterable(galleries))) == {str}
+        and list(map(len, map(set, galleries))) == sizes
+        and not any(map(operator.contains, galleries, query_ids))
+        and min(answers) >= 0 and all(map(operator.lt, answers, sizes))
+        and len(set(task_ids)) == len(task_ids)
+        and orjson_exact(taus)
+    )
+
+
+def _new_gallery_task(values: tuple) -> GalleryTask:
+    """The GalleryTask of a checked ``_gallery_values`` tuple, its fields
+    set at once rather than one at a time by the frozen ``__init__``."""
+    task_id, category, query_id, ids, answer, tau, relaxed, seed = values
+    task = object.__new__(GalleryTask)
+    object.__setattr__(task, "__dict__", {
+        "task_id": task_id, "category": category, "query_id": query_id,
+        "gallery_ids": tuple(ids), "answer_index": answer, "tau": tau, "relaxed": relaxed,
+        "seed": seed,
+    })
+    return task
 
 
 def load_detection_tasks(path: str | Path) -> list[DetectionTask]:

@@ -24,14 +24,17 @@ Every value and every error is the one ``json.loads`` gives. A document
 (``parse_json_object``) is decoded by ``_json_value``, which is
 ``json.loads``. A JSONL line is decoded by ``orjson.loads`` first
 (``_orjson_value``), 2 to 3 times faster, unless it may nest deeper than
-orjson reads safely. json's value of the line is taken instead where
+orjson reads safely (``_too_deep``, counted for a whole chunk of lines
+from one byte mask). The readers reach orjson only through
+``_orjson_values``, which runs that guard before it decodes. json's value of the line is taken instead where
 orjson rejects the line (NaN, Infinity, a number beyond the double range,
 a lone surrogate escape and malformed text; its messages are not json's),
 where a line or a chunk fails a reader's check, so that every error comes
 from json's value, and in ``load_jsonl`` where a field holds a float of
-magnitude at least 2**63, which orjson makes of an integer beyond 64 bits.
-The array loaders need no such check: the float32 of that float is the
-float32 of json's integer.
+magnitude at least 2**63, which orjson makes of an integer beyond 64 bits
+(``orjson_exact``; the column task loader checks its tau column so). The
+array loaders need no such check: the float32 of that float is the float32
+of json's integer.
 
 The JSONL writers print each float32 component with 9 significant digits
 (``%.9g``), the fewest that read back into every finite float32 exactly;
@@ -44,21 +47,26 @@ An EmbeddingSet is stored as columns: the image, instance and category ids
 as lists, and the vectors as float32 blocks of consecutive rows. The JSONL
 loader is a column loader: each line is parsed into the id columns and a
 list of vectors, and every ``_CHUNK`` lines the chunk's vectors become one
-block through one ``np.asarray``. The component-type, dimension and
-finiteness checks run on the whole chunk, the string-field and
-empty-instance_id checks as passes over its columns, and duplicate ids are
-checked last, over the whole set. Only when a chunk fails a check are its
-lines decoded again by json and checked one at a time, to raise the error
-of its first faulty line with the message a per-line check gives. The token-map loader builds and
-checks (rows, N, d) blocks the same way. The EMB1 loader decodes all
-selected vectors as one block and checks it the same way.
+block (``_number_block``): a chunk of floats through one inferred float64
+``np.array``, with the element types checked only where it holds exactly
+0 or 1 (numpy reads true and false as those), any other chunk through a
+type scan and one float32 ``np.asarray``. The dimension and finiteness
+checks run on the whole chunk, the string-field and empty-instance_id
+checks as passes over its columns, and duplicate ids are checked last,
+over the whole set. Only when a chunk fails a check are its lines decoded
+again by json and checked one at a time, to raise the error of its first
+faulty line with the message a per-line check gives. The token-map loader
+builds and checks (rows, N, d) blocks the same way. The EMB1 loader
+decodes all selected vectors as one block and checks it the same way.
 
 Both loaders take ``only=``, a set of image ids, for commands that use a few
 images of a large file. A JSONL line is parsed only if it may hold one of
-those ids (see ``_record_lines``); an EMB1 file has every record header
-walked and checked, but only the selected records' vectors decoded. Every
-parsed line and every decoded record is validated as in a full load; the
-records in between are not.
+those ids (see ``_record_lines``): the lines are found by a search of
+the file's bytes, and only those lines are decoded to text
+(``_id_lines``). An EMB1 file has every record header walked and checked,
+but only the selected records' vectors decoded. Every parsed line and
+every decoded record is validated as in a full load; the records in
+between are not.
 
 Within ``split_reads`` (the CLI enters it when --threads is above 1), the
 JSONL loaders read a file of at least SPLIT_BYTES in two halves at once; a
@@ -92,7 +100,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -143,10 +151,11 @@ class EmbeddingSet:
 
     The set holds columns: ``image_ids``, ``instance_ids``, ``categories``
     and the vectors as (rows, dimension) float32 blocks, in record order.
-    ``vector``, ``row_of`` and ``matrix`` read them; ``records`` builds an
-    EmbeddingRecord per row on first use. ``EmbeddingSet(name, dimension,
-    records)`` and ``from_records`` take records; the loaders and
-    ``expert.embed_set`` build through ``from_columns``.
+    ``vector``, ``row_of``, ``row_index`` and ``matrix`` read them;
+    ``records`` builds an EmbeddingRecord per row on first use.
+    ``EmbeddingSet(name, dimension, records)`` and ``from_records`` take
+    records; the loaders and ``expert.embed_set`` build through
+    ``from_columns``.
     """
 
     def __init__(self, encoder_name: str, dimension: int, records: Iterable[EmbeddingRecord]):
@@ -240,6 +249,11 @@ class EmbeddingSet:
     def row_of(self, image_id: str) -> int:
         return self._row_of[image_id]
 
+    @property
+    def row_index(self) -> Mapping[str, int]:
+        """The row of each image id: the set's own index, which callers only read."""
+        return self._row_of
+
     def record(self, image_id: str) -> EmbeddingRecord:
         return self.records[self._row_of[image_id]]
 
@@ -253,12 +267,14 @@ class EmbeddingSet:
 
     def matrix(self) -> np.ndarray:
         """All vectors stacked as an (n, dimension) float32 array: the one
-        block itself, or the blocks concatenated on first use."""
+        block itself, or the blocks concatenated on first use, which then
+        become the set's one block."""
         if self._matrix is None:
             if len(self._blocks) == 1:
                 self._matrix = self._blocks[0]
             elif self._blocks:
                 self._matrix = np.concatenate(self._blocks)
+                self._blocks, self._starts = [self._matrix], [0, len(self._matrix)]
             else:
                 self._matrix = np.empty((0, self.dimension), dtype=np.float32)
         return self._matrix
@@ -399,32 +415,69 @@ _LONG_LINE = 512  # characters: a closed value this short nests at most 256 deep
 _MAX_OPEN = 256  # "[" and "{" of a longer line that orjson may read
 
 
+def _too_deep(texts: Sequence[str]) -> bool:
+    """Whether one of the JSONL lines ``texts`` may nest deeper than orjson
+    reads safely: it is longer than _LONG_LINE and holds more than _MAX_OPEN
+    ``[`` and ``{``. orjson parses nesting that json refuses as too deep,
+    and on deeper nesting it crashes the process, so no such line may reach
+    ``_orjson_value`` (see ``_orjson_values``).
+
+    The long lines are counted together, from one byte mask of their ``[``
+    and ``{``: each line's count is the number of marked bytes before its
+    end less those before its start. (A total over the lines would not do:
+    a token-map line holds 17 ``[``.) Lines that are not ASCII, where a
+    character may take several bytes, are counted one at a time."""
+    long = [text for text in texts if len(text) > _LONG_LINE]
+    if not long:
+        return False
+    joined = "".join(long)
+    if not joined.isascii():
+        return any(text.count("[") + text.count("{") > _MAX_OPEN for text in long)
+    # "[" and "{" differ in bit 0x20 alone, and no other byte sets it to "{"
+    opens = np.flatnonzero((np.frombuffer(joined.encode(), np.uint8) | 0x20) == ord("{"))
+    if len(opens) <= _MAX_OPEN:
+        return False
+    before_end = np.searchsorted(opens, np.cumsum(list(map(len, long))))
+    return bool(np.diff(before_end, prepend=0).max() > _MAX_OPEN)
+
+
 def _orjson_value(text: str):
-    """orjson's value of the JSONL line ``text``; ValueError where json must
-    decide. orjson reads a text as json does or raises its JSONDecodeError,
-    a ValueError, but for two kinds of text. It reads an integer beyond 64
-    bits as a float (see ``_json_decides``). It parses nesting that json
-    refuses as too deep, and on deeper nesting it crashes the process, so
-    a line longer than _LONG_LINE with more than _MAX_OPEN ``[`` and ``{``
-    is not given to it."""
-    if len(text) > _LONG_LINE and text.count("[") + text.count("{") > _MAX_OPEN:
-        raise ValueError("left to json: may nest deeper than orjson reads safely")
+    """orjson's value of the JSONL line ``text``, which ``_too_deep`` has
+    cleared; every JSONL line goes to orjson through here, called by
+    ``_orjson_values`` alone. orjson reads a text as json does or raises
+    its JSONDecodeError, a ValueError, but for two kinds of text: nesting,
+    which ``_too_deep`` keeps from it, and an integer beyond 64 bits, which
+    it reads as a float (see ``orjson_exact``)."""
     return orjson.loads(text)
 
 
+def _orjson_values(texts: Sequence[str]) -> Iterator:
+    """``_orjson_value`` of each of the JSONL lines ``texts``, in order. A
+    ValueError is raised first, and no line decoded, when one of them is
+    ``_too_deep``: the readers decode JSONL lines only through here, so no
+    line that may crash orjson reaches it."""
+    if _too_deep(texts):
+        raise ValueError("left to json: nested too deeply for orjson")
+    return map(_orjson_value, texts)
+
+
 _INT64 = 2.0 ** 63  # orjson reads an integer beyond 64 bits as a float at least this large
+
+
+def orjson_exact(numbers: Iterable) -> bool:
+    """Whether json reads the JSON numbers whose orjson values are
+    ``numbers`` as orjson does: no magnitude is 2**63 or more. (orjson
+    reads an integer beyond 64 bits as a float of such a magnitude; an
+    integer or a float that large is refused too, so json decides.)"""
+    return max(map(abs, numbers), default=0) < _INT64
 
 
 def _json_decides(obj) -> bool:
     """Whether json's value of a line must be taken instead of orjson's
     ``obj``: ``obj`` is not an object, or one of its fields holds a float
     that json may read as an integer."""
-    if type(obj) is not dict:
-        return True
-    for value in obj.values():
-        if type(value) is float and not -_INT64 < value < _INT64:
-            return True
-    return False
+    return type(obj) is not dict or not orjson_exact(
+        value for value in obj.values() if type(value) is float)
 
 
 def load_jsonl(path: str | Path, build: Callable[[dict], object],
@@ -435,16 +488,16 @@ def load_jsonl(path: str | Path, build: Callable[[dict], object],
     item (called ``name`` in the message) raises DataValidationError naming
     the line.
 
-    A line is decoded by ``_orjson_value``. json's value is built instead
-    where orjson leaves the line to json, ``_json_decides`` on its value,
-    or ``build`` rejects it, so every item and error is json's. The builds
-    take numbers only from the object's own fields, which
-    ``_json_decides`` checks."""
+    A line is decoded by ``_orjson_values``. json's value is built instead
+    where the line is ``_too_deep`` for orjson, orjson rejects it,
+    ``_json_decides`` on its value, or ``build`` rejects it, so every item
+    and error is json's. The builds take numbers only from the object's own
+    fields, which ``_json_decides`` checks."""
     items = []
     seen = set()
     for lineno, line in jsonl_lines(path):
         try:
-            obj = _orjson_value(line)
+            (obj,) = _orjson_values((line,))
             if _json_decides(obj):
                 raise ValueError("left to json")
             item = build(obj)
@@ -459,6 +512,27 @@ def load_jsonl(path: str | Path, build: Callable[[dict], object],
         seen.add(k)
         items.append(item)
     return items
+
+
+def jsonl_values(path: str | Path, values: Callable[[dict], tuple]) -> list[tuple] | None:
+    """``values`` (a ``typed_fields``) of orjson's value of each non-blank
+    line of ``path``, in order, for loaders that check the values as
+    columns; None when the file cannot be read, a line is not UTF-8, is
+    ``_too_deep``, is not JSON to orjson or lacks a field of a type
+    ``values`` takes. The caller then runs ``load_jsonl``, which raises the
+    first faulty line's error, and must itself check with ``orjson_exact``
+    every column that takes floats."""
+    rows: list[tuple] = []
+    lines = jsonl_lines(path)
+    try:
+        while chunk := list(itertools.islice(lines, _CHUNK)):
+            got = _orjson_rows(chunk, values)
+            if got is None:
+                return None
+            rows += got
+    except DataValidationError:
+        return None
+    return rows
 
 
 def typed_fields(types: dict[str, tuple[type, ...]]) -> Callable[[dict], tuple]:
@@ -513,11 +587,23 @@ def _span_lines(path: Path, start: int, lineno: int,
 _LEADING_ID = '{"image_id": "'  # how save_embedding_set and save_token_maps begin a line
 
 
+_SCAN_BYTES = 256 << 10  # bytes searched at once; more than a jsonl_lines decoding step (8 KiB)
+
+
 def _record_lines(path: Path, only: Collection[str] | None,
                   span: tuple[int, int, int | None] | None = None) -> Iterator[tuple[int, str]]:
-    """The jsonl_lines of ``path`` (of its ``span``, the ``_span_lines``
-    arguments ``start, lineno, stop``) that may hold a record whose image_id
-    is in ``only``; all of them when ``only`` is None.
+    """The jsonl_lines of ``path`` that may hold a record whose image_id is
+    in ``only`` (see ``_keeps``), found in its bytes (``_id_lines``); a
+    skipped line is not parsed. When ``only`` is None, all of them, or those
+    of its ``span`` (the ``_span_lines`` arguments ``start, lineno, stop``):
+    a read with ``only`` is never split (see ``_read_jsonl``)."""
+    if only is not None:
+        return _id_lines(path, only)
+    return jsonl_lines(path) if span is None else _span_lines(path, *span)
+
+
+def _keeps(only: Collection[str]) -> Callable[[str], bool]:
+    """Whether a line may hold a record whose image_id is in ``only``.
 
     JSON spells a string other than literally only with a backslash escape,
     so a line with a backslash is always kept. A line without one that
@@ -525,24 +611,88 @@ def _record_lines(path: Path, only: Collection[str] | None,
     no other ``"image_id"`` before its last quote, holds the record of that
     id, and is kept when the id is in ``only``: one set lookup a line. (The
     numbers after the last quote are not searched: they hold no quote.) Any
-    other line is kept when it holds ``"<id>"`` for one of the ids. A
-    skipped line is not parsed.
+    other line is kept when it holds ``"<id>"`` for one of the ids. So a
+    kept line holds ``"<id>"`` for an id of ``only``, or a backslash.
     """
-    lines = jsonl_lines(path) if span is None else _span_lines(path, *span)
-    if only is None:
-        return lines
     wanted = set(only)
     needles = [f'"{image_id}"' for image_id in wanted]
     start = len(_LEADING_ID)
-    return (
-        (lineno, line) for lineno, line in lines
-        if "\\" in line or (
-            line[start:line.find('"', start)] in wanted
-            if line.startswith(_LEADING_ID)
-            and line.find('"image_id"', start, line.rfind('"') + 1) < 0
-            else any(needle in line for needle in needles)
-        )
+    return lambda line: "\\" in line or (
+        line[start:line.find('"', start)] in wanted
+        if line.startswith(_LEADING_ID)
+        and line.find('"image_id"', start, line.rfind('"') + 1) < 0
+        else any(needle in line for needle in needles)
     )
+
+
+def _id_lines(path: Path, only: Collection[str]) -> Iterator[tuple[int, str]]:
+    """The jsonl_lines of ``path`` that ``_keeps(only)`` keeps, found in
+    its bytes: only the lines that hold ``"<id>"`` for an id of ``only``, or
+    a backslash, are decoded and tested. The file is read into one buffer
+    _SCAN_BYTES at a time, the unfinished last line of a block kept at the
+    buffer's start for the next, and each line is numbered from the line
+    feeds before it.
+
+    A line feed ends a line of ASCII text alone, as in jsonl_lines. A file
+    that holds a byte beyond ASCII or a carriage return is read by
+    jsonl_lines from that block on, which decodes, splits and rejects such
+    text its own way: a block's lines are given out only once the next
+    block is known to be ASCII without a carriage return, so the lines
+    given out end more than one decoding step of jsonl_lines (8 KiB) before
+    any such byte, and jsonl_lines reads the lines after them again."""
+    keeps = _keeps(only)
+    needles = [f'"{image_id}"'.encode() for image_id in set(only)] + [b"\\"]
+    try:
+        fh = open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    with fh:
+        buf = bytearray(_SCAN_BYTES)
+        feeds = np.empty(len(buf), bool)  # where buf holds a line feed
+        held: list[tuple[int, str]] = []
+        held_from = lineno = 1  # the numbers of the first held line and of the buffer's first
+        kept = 0  # bytes of the unfinished line at the buffer's start
+        while True:
+            if kept == len(buf):  # one line fills the buffer
+                buf, feeds = buf + bytes(len(buf)), np.empty(2 * len(buf), bool)
+            got = fh.readinto(memoryview(buf)[kept:])
+            filled = kept + got
+            if got and (np.frombuffer(buf, np.uint8, got, kept).max() > 0x7F
+                        or buf.find(b"\r", kept, filled) >= 0):
+                yield from ((n, line) for n, line in jsonl_lines(path)
+                            if n >= held_from and keeps(line))
+                return
+            yield from held
+            end = buf.rfind(b"\n", 0, filled) + 1 if got else filled
+            held, held_from = [], lineno
+            np.equal(np.frombuffer(buf, np.uint8, end), ord("\n"), out=feeds[:end])
+            counted = 0  # the bytes whose line feeds lineno counts
+            for start, stop in _lines_holding(buf, end, needles):
+                lineno += int(np.count_nonzero(feeds[counted:start]))
+                counted = start
+                line = buf[start:stop].decode("ascii")
+                if keeps(line):
+                    held.append((lineno, line))
+            lineno += int(np.count_nonzero(feeds[counted:end]))
+            if not got:
+                yield from held
+                return
+            kept = filled - end
+            buf[:kept] = buf[end:filled]
+
+
+def _lines_holding(buf: bytearray, end: int, needles: list[bytes]) -> list[tuple[int, int]]:
+    """The (start, stop) byte spans, in order, of the lines of ``buf[:end]``
+    that hold one of ``needles``; a line ends with its line feed, or at
+    ``end``."""
+    spans = set()
+    for needle in needles:
+        at = buf.find(needle, 0, end)
+        while at >= 0:
+            stop = buf.find(b"\n", at, end) + 1 or end
+            spans.add((buf.rfind(b"\n", 0, at) + 1, stop))
+            at = buf.find(needle, stop, end)
+    return sorted(spans)
 
 
 _NUMBER_TYPES = frozenset((float, int))
@@ -591,10 +741,10 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> DataValidationError:
 
 
 def _orjson_rows(chunk: list[tuple[int, str]], fields: Callable) -> list | None:
-    """``fields`` of ``_orjson_value`` of each line of ``chunk``, or None
-    when a line is left to json or lacks a field."""
+    """``fields`` of ``_orjson_values`` of the lines of ``chunk``, or None
+    when a line is ``_too_deep``, orjson rejects it or it lacks a field."""
     try:
-        return [fields(_orjson_value(line)) for _, line in chunk]
+        return list(map(fields, _orjson_values([line for _, line in chunk])))
     except _MALFORMED:
         return None
 
@@ -666,18 +816,50 @@ def _json_chunk(path: Path, chunk: list[tuple[int, str]], dim: int | None):
     return ids, insts, cats, block, dim
 
 
+def _number_block(rows: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``rows``, nested lists of JSON numbers of ``shape``, as one float32
+    array; None when they are not such lists, or a number is an integer
+    beyond the float64 range (named line by line).
+
+    A chunk of floats converts in one inferred float64 array. numpy reads
+    true and false in it as 1.0 and 0.0, so the element types are checked
+    where it holds exactly 0 or 1. Any other chunk (integers alone are
+    int64, integers beyond 64 bits object, strings text) has the types of
+    its lists and numbers scanned and converts through ``_float32``. Either
+    way each number becomes the float32 of its float64, and a number beyond
+    the float32 range becomes inf."""
+    try:
+        inferred = np.array(rows)
+    except (ValueError, OverflowError):  # ragged lists, or an integer beyond float64
+        inferred = None
+    if inferred is not None and inferred.dtype == np.float64 and inferred.shape == shape:
+        flat = inferred.reshape(-1)
+        at = np.flatnonzero((flat == 0.0) | (flat == 1.0))
+        for index in zip(*np.unravel_index(at, shape)):
+            if type(functools.reduce(operator.getitem, index, rows)) is bool:
+                return None
+        with np.errstate(over="ignore"):
+            return inferred.astype(np.float32)
+    level = rows
+    for size in shape[1:]:
+        if not (_only_type(list, level) and set(map(len, level)) == {size}):
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    if not _NUMBER_TYPES.issuperset(map(type, level)):
+        return None
+    try:
+        return _float32(rows)
+    except OverflowError:  # an integer beyond float64, named line by line
+        return None
+
+
 def _valid_block(ids: tuple, insts: tuple, cats: tuple, vectors: tuple,
                  dim: int) -> np.ndarray | None:
     """The chunk's vectors as one (rows, dim) float32 block when the whole
     chunk passes every check; otherwise None."""
-    if (_only_type(list, vectors) and set(map(len, vectors)) == {dim}
-            and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(vectors)))):
-        try:
-            block = _float32(vectors)
-        except OverflowError:  # an integer beyond float64, named line by line
-            return None
-        if _records_valid(ids, insts, cats, block):
-            return block
+    block = _number_block(vectors, (len(vectors), dim))
+    if block is not None and _records_valid(ids, insts, cats, block):
+        return block
     return None
 
 
@@ -1011,20 +1193,10 @@ def _token_block(ids: Sequence, tokens: Sequence,
     """The chunk's tokens as one (rows, N, d) float32 block when every line
     holds a string image_id and an N x d list of finite numbers, N and d
     both at least 1; otherwise None."""
-    if shape is None or 0 in shape:
+    if shape is None or 0 in shape or not _only_type(str, ids):
         return None
-    n, d = shape
-    if not (_only_type(str, ids) and _only_type(list, tokens) and set(map(len, tokens)) == {n}):
-        return None
-    rows = list(itertools.chain.from_iterable(tokens))
-    if not (_only_type(list, rows) and set(map(len, rows)) == {d}
-            and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))):
-        return None
-    try:
-        block = _float32(tokens)
-    except OverflowError:  # an integer beyond float64, named line by line
-        return None
-    return block if np.isfinite(block).all() else None
+    block = _number_block(tokens, (len(tokens), *shape))
+    return block if block is not None and np.isfinite(block).all() else None
 
 
 def _check_token_lines(path: Path, linenos: list[int], objs: list[dict],

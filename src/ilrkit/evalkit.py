@@ -3,14 +3,15 @@ positive/negative/weighted accuracy, and difficulty sweeps over the
 similarity threshold.
 
 Every matcher (the general and expert embedding views, and the fused
-view) is the same similarity argmax over the gallery, fed by one
-vector(image_id) lookup per view. A matcher scores a whole task list in
-one batched pass (``predict``, through simcore.match_batch); calling it on
-one task is the one-task case of that pass. Errors come in task order, as
-if each task were scored alone: an image missing from a view raises
-DataValidationError naming the first such task, once the tasks before it
-are scored. The fused view pools each distinct image once, on its first
-use, with the closed form of fusion.pooled_fused.
+view) is the same similarity argmax over the gallery, fed by one row
+number lookup per image into one matrix per view. A matcher scores a whole
+task list in one batched pass (``predict``, through simcore.match_batch,
+which gathers each chunk's vectors by index); calling it on one task is
+the one-task case of that pass. Errors come in task order, as if each task
+were scored alone: an image missing from a view raises DataValidationError
+naming the first such task, once the tasks before it are scored. The fused
+view pools each distinct image once, on its first use, with the closed
+form of fusion.pooled_fused, into the next row of its matrix.
 
 Accuracies are kept as fractions in [0, 1] internally and rendered as
 percentages in the plain-text tables. The aggregate "average" column is
@@ -117,6 +118,11 @@ class EvalReport:
 
 
 def _response_index(response: str | int, k: int) -> int | None:
+    """The 0-based gallery index a response names: an integer in [0, k), or
+    a text parse_answer reads; None for anything else. true and false answer
+    a detection task, so a gallery task counts them as parse failures."""
+    if isinstance(response, bool):
+        return None
     if isinstance(response, int):
         return response if 0 <= response < k else None
     return parse_answer(response, k)
@@ -208,31 +214,35 @@ Matcher = Callable[[GalleryTask], int]
 
 
 class ArgmaxMatcher:
-    """Similarity argmax over each task's gallery, with vectors from
-    ``vector(image_id)``; of exactly equal scores the lowest index wins.
-    BLAS may round the scores of two copies of one vector differently."""
+    """Similarity argmax over each task's gallery, where the vector of an
+    image is row ``row(image_id)`` of the (n, d) ``vectors``; of exactly
+    equal scores the lowest index wins. BLAS may round the scores of two
+    copies of one vector differently."""
 
-    def __init__(self, vector: Callable[[str], np.ndarray], view: str, kind: str):
-        self._vector = vector
+    def __init__(self, row: Callable[[str], int], vectors: np.ndarray, view: str, kind: str):
+        self._row = row
+        self._vectors = vectors
         self._view = view
         self._kind = kind
 
     def predict(self, tasks: Sequence[GalleryTask]) -> list[int]:
-        """The predicted 0-based gallery index of every task, in one batched pass."""
-        vector = self._vector
+        """The predicted 0-based gallery index of every task, in one batched
+        pass: the row numbers of a chunk of tasks are looked up, and their
+        vectors gathered from one matrix (simcore.match_batch)."""
+        row = self._row
         failed = None
 
         def rows():
             nonlocal failed
             for task in tasks:
                 try:
-                    row = [vector(task.query_id), *map(vector, task.gallery_ids)]
+                    numbers = [row(task.query_id), *map(row, task.gallery_ids)]
                 except (KeyError, IlrkitError) as exc:  # raised once the tasks before it are scored
                     failed = task, exc
                     return
-                yield row
+                yield numbers
 
-        best = simcore.match_batch(rows(), self._kind)
+        best = simcore.match_batch(self._vectors, rows(), self._kind)
         if failed is not None:
             task, exc = failed
             if isinstance(exc, KeyError):
@@ -247,8 +257,10 @@ class ArgmaxMatcher:
 
 
 def similarity_matcher(view: EmbeddingSet, kind: str = "cosine") -> ArgmaxMatcher:
-    """Plain feature-similarity argmax over the gallery, on one encoder view."""
-    return ArgmaxMatcher(view.vector, f"{view.encoder_name!r} embedding set", kind)
+    """Plain feature-similarity argmax over the gallery, on one encoder view,
+    gathered from the view's float32 matrix."""
+    return ArgmaxMatcher(view.row_index.__getitem__, view.matrix(),
+                         f"{view.encoder_name!r} embedding set", kind)
 
 
 def fused_matcher(
@@ -258,18 +270,21 @@ def fused_matcher(
 ) -> ArgmaxMatcher:
     """Cosine argmax over mean-pooled fused token features.
 
-    Each image is pooled once per matcher, on its first appearance.
+    Each image is pooled once per matcher, on its first appearance, into
+    the next row of one float64 matrix with a row for every token map.
     """
-    cache: dict[str, np.ndarray] = {}
+    pooled = np.empty((len(token_maps), adapter.output_dim))
+    row_of: dict[str, int] = {}
 
-    def pooled(image_id: str) -> np.ndarray:
-        vec = cache.get(image_id)
-        if vec is None:
-            vec = fusion.pooled_fused(adapter, token_maps[image_id], expert_vectors[image_id])
-            cache[image_id] = vec
-        return vec
+    def row(image_id: str) -> int:
+        r = row_of.get(image_id)
+        if r is None:
+            pooled[len(row_of)] = fusion.pooled_fused(
+                adapter, token_maps[image_id], expert_vectors[image_id])
+            r = row_of[image_id] = len(row_of)
+        return r
 
-    return ArgmaxMatcher(pooled, "token maps or expert vectors", "cosine")
+    return ArgmaxMatcher(row, pooled, "token maps or expert vectors", "cosine")
 
 
 def matcher_accuracy(tasks: Sequence[GalleryTask], matcher: Matcher) -> float:
@@ -328,10 +343,8 @@ def sweep_tasks(
     seed: int = 0,
 ) -> dict[float, list[GalleryTask]]:
     """The gallery tasks of each difficulty tier of a sweep, keyed by tau,
-    one tier for each distinct tau, in the order given."""
-    taus = list(dict.fromkeys(taus))
-    if len(taus) < 2:
-        raise DataValidationError("need at least 2 distinct taus to sweep")
+    in the order given. Callers pass at least 2 distinct taus: the sweep
+    command checks ``--taus`` and the pipeline its config first."""
     return {
         tau: dataengine.build_gallery_tasks(
             general, split_side, k=k, tau=tau, n_tasks=n_tasks, seed=seed,

@@ -6,11 +6,12 @@ in 64-bit floats so that ranking and tie behavior are stable even over
 callers may parallelize over queries freely.
 
 Gallery matching is batched: ``match_batch`` scores many (query, gallery)
-rows in chunks of stacked float64 blocks, and ``match_by_similarity`` is its
-one-row case. A chunk goes through the float64 operations of scoring each
-row alone (a matrix-vector product per row, the query norm as a dot
-product, the gallery norms as ``np.linalg.norm`` computes them), so every
-score is bit-equal to scoring that row alone.
+rows of row numbers of one matrix in chunks of stacked float64 blocks
+gathered from it, and ``match_by_similarity`` is its one-row case. A chunk
+goes through the float64 operations of scoring each row alone (a
+matrix-vector product per row, the query norm as a dot product, the
+gallery norms as ``np.linalg.norm`` computes them), so every score is
+bit-equal to scoring that row alone.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ def _stacked_scores(queries: np.ndarray, galleries: np.ndarray, kind: str) -> np
 _CHUNK = 64  # rows per scored chunk: (64, d) queries and (64, k, d) galleries
 
 
-def _match_chunk(chunk: list[Sequence[np.ndarray]], kind: str) -> list[int]:
+def _match_chunk(vectors: np.ndarray, chunk: list[Sequence[int]], kind: str) -> list[int]:
+    """The best gallery index of each row of ``chunk``. The rows are grouped
+    by length, in order of first appearance, and each group is gathered
+    from ``vectors`` by index and widened to float64."""
     by_size: dict[int, list[int]] = {}
     for i, row in enumerate(chunk):
         by_size.setdefault(len(row), []).append(i)
@@ -99,38 +103,33 @@ def _match_chunk(chunk: list[Sequence[np.ndarray]], kind: str) -> list[int]:
     for size, members in by_size.items():
         if size < 2:
             raise DataValidationError("gallery must be a non-empty (n, d) matrix")
-        try:
-            queries = np.array([chunk[i][0] for i in members], dtype=np.float64)
-            galleries = np.array([v for i in members for v in chunk[i][1:]], dtype=np.float64)
-        except ValueError as exc:  # vectors of differing lengths
-            raise DataValidationError(f"vectors of differing lengths in one chunk: {exc}") from exc
-        if galleries.shape[1:] != queries.shape[1:]:
-            raise DataValidationError(
-                f"dimension mismatch: query {queries.shape[1]}, gallery {galleries.shape[1]}"
-            )
-        galleries = galleries.reshape(len(members), size - 1, -1)
+        index = np.array([chunk[i] for i in members])
+        queries = vectors[index[:, 0]].astype(np.float64)
+        galleries = vectors[index[:, 1:]].astype(np.float64)
         scores = _stacked_scores(queries, galleries, kind)
         for i, b in zip(members, np.argmax(scores, axis=1).tolist()):
             best[i] = b
     return best
 
 
-def match_batch(rows: Iterable[Sequence[np.ndarray]], kind: str = DEFAULT_KIND) -> list[int]:
-    """The best gallery index of every row ``(query, g_1, ..., g_k)`` of
-    vectors, in order; of exactly equal scores the lowest index wins. BLAS
-    rounds a dot product by the row's position, so two copies of one vector
-    in a gallery need not score equally.
+def match_batch(vectors: np.ndarray, rows: Iterable[Sequence[int]],
+                kind: str = DEFAULT_KIND) -> list[int]:
+    """The best gallery index of every row ``(query, g_1, ..., g_k)`` of row
+    numbers of the (n, d) ``vectors``, in order; of exactly equal scores the
+    lowest index wins. BLAS rounds a dot product by the row's position, so
+    two copies of one vector in a gallery need not score equally.
 
-    ``rows`` is consumed lazily, ``_CHUNK`` rows at a time; the rows of a
-    chunk are grouped by length and each group is widened to float64, so
-    no more than one chunk of rows and vectors is held at once. A zero
-    vector under cosine raises DataValidationError.
+    ``rows`` is consumed lazily, ``_CHUNK`` rows at a time, so a caller may
+    fill ``vectors`` with the rows of a chunk as it names them. The rows of
+    a chunk are grouped by length and each group's vectors are gathered by
+    index and widened to float64, so no more than one chunk of vectors is
+    held at once. A zero vector under cosine raises DataValidationError.
     """
     _check_kind(kind)
     rows = iter(rows)
     best: list[int] = []
     while chunk := list(itertools.islice(rows, _CHUNK)):
-        best.extend(_match_chunk(chunk, kind))
+        best.extend(_match_chunk(vectors, chunk, kind))
     return best
 
 

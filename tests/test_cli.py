@@ -859,6 +859,23 @@ class TestMalformedInputs:
                        "--out", str(tmp_path / "eval")] + _cfg(workspace))
         _assert_data_error(rc, capsys)
 
+    def test_boolean_response_is_a_parse_failure(self, workspace, tmp_path):
+        # a detection log answers true or false; a gallery task counts either
+        # as unparsed, not as "Image 2" or "Image 1"
+        tasks = dataengine.load_gallery_tasks(workspace / "data" / "tasks.jsonl")
+        assert {t.answer_index for t in tasks} & {0, 1}
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"task_id": t.task_id, "response": t.answer_index == 1}) + "\n"
+            for t in tasks
+        ))
+        assert cli.main(["evaluate", "--tasks", str(workspace / "data" / "tasks.jsonl"),
+                         "--predictions", str(preds),
+                         "--out", str(tmp_path / "eval")] + _cfg(workspace)) == 0
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert report["average"] == 0.0
+        assert sum(c["parse_failures"] for c in report["per_category"].values()) == len(tasks)
+
     def test_unknown_image_id_in_match_is_3(self, workspace, tmp_path, capsys):
         data = workspace / "data"
         tasks = dataengine.load_gallery_tasks(data / "tasks.jsonl")

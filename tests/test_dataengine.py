@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ilrkit import dataengine
 from ilrkit.dataengine import (
@@ -544,3 +546,110 @@ def test_tasks_are_frozen(toy_pool):
                                   k=3, tau=0.5, n_tasks=1, seed=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         task.answer_index = 0
+
+
+# The column task loader against the per-line one it falls back on:
+# ``load_jsonl`` with ``_gallery_task``, which read every task file before
+# the columns were checked at once. Each drawn file holds valid lines and
+# at most one fault, in any line; the two must give the same tasks, or the
+# same exception and message.
+
+_FAULTS = {
+    "task_id type": ("task_id", 5),
+    "category type": ("category", None),
+    "gallery type": ("gallery_ids", "g0"),
+    "gallery element type": ("gallery_ids", ["g0", 3]),
+    "answer type": ("answer_index", 1.0),
+    "answer bool": ("answer_index", True),
+    "tau type": ("tau", "0.5"),
+    "relaxed type": ("relaxed", 1),
+    "seed type": ("seed", 0.5),
+    "one image": ("gallery_ids", ["g0"]),
+    "no image": ("gallery_ids", []),
+    "repeated image": ("gallery_ids", ["g0", "g1", "g0"]),
+    "query in gallery": ("gallery_ids", ["g0", "q", "g1"]),
+    "answer too large": ("answer_index", 3),
+    "answer negative": ("answer_index", -1),
+    "big tau": ("tau", 2**64 + 1),
+    "negative big tau": ("tau", -2**63 - 5),
+    "big seed": ("seed", 2**70),
+    "big answer": ("answer_index", 2**64),
+    "tau 2**63": ("tau", 2**63),
+}
+_TEXT_FAULTS = ["malformed", "not an object", "missing field", "non-UTF-8", "NaN tau",
+                "repeated task_id", "blank line"]
+
+
+def _task_object(i: int) -> dict:
+    return {"task_id": f"t{i}", "category": "pet", "query_id": "q",
+            "gallery_ids": ["g0", "g1", "g2"], "answer_index": i % 3, "tau": 0.5 + i / 1000,
+            "relaxed": i % 2 == 0, "seed": i}
+
+
+def _task_file_bytes(n, fault, at, reverse) -> bytes:
+    objects = [_task_object(i) for i in range(n)]
+    if fault in _FAULTS:
+        field, value = _FAULTS[fault]
+        objects[at][field] = value
+    elif fault == "missing field":
+        del objects[at]["seed"]
+    elif fault == "repeated task_id":  # a copy of another line's task_id, with another seed
+        objects.insert(at, dict(objects[at * 7 % n], seed=n))
+    lines = [json.dumps(dict(list(o.items())[::-1] if reverse else o.items())).encode()
+             for o in objects]
+    if fault == "malformed":
+        lines[at] = lines[at][:-1]
+    elif fault == "not an object":
+        lines[at] = b"[1, 2]"
+    elif fault == "non-UTF-8":
+        lines[at] = lines[at].replace(b'"pet"', b'"p\xffet"')
+    elif fault == "NaN tau":
+        lines[at] = lines[at].replace(b'"tau": ', b'"tau": NaN, "x": ')
+    elif fault == "blank line":
+        lines.insert(at, b"  ")
+    return b"".join(line + b"\n" for line in lines)
+
+
+def _repr_or_error(load, path):
+    try:
+        return repr(load(path))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+def _per_line_tasks(path):
+    return load_jsonl(path, dataengine._gallery_task, dataengine._task_id, "task_id")
+
+
+class TestColumnTaskLoader:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 150), fault=st.sampled_from([None, *_FAULTS, *_TEXT_FAULTS]),
+           at=st.integers(0, 2**16), reverse=st.booleans())
+    def test_same_as_the_per_line_loader(self, tmp_path, monkeypatch, n, fault, at, reverse):
+        path = tmp_path / "tasks.jsonl"
+        path.write_bytes(_task_file_bytes(n, fault, at % n, reverse))
+        want = _repr_or_error(_per_line_tasks, path)
+        per_line = []
+        monkeypatch.setattr(dataengine, "load_jsonl",
+                            lambda *args: per_line.append(args) or load_jsonl(*args))
+        assert _repr_or_error(load_gallery_tasks, path) == want
+        # a file without a fault is read once, as columns; one whose numbers
+        # json may read otherwise than orjson is read again, line by line
+        assert bool(per_line) is (fault not in (None, "blank line"))
+
+    def test_tasks_are_the_dataclass(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_bytes(_task_file_bytes(70, None, 0, False))
+        tasks = load_gallery_tasks(path)
+        assert tasks == [GalleryTask(**{**_task_object(i), "gallery_ids": ("g0", "g1", "g2")})
+                         for i in range(70)]
+        assert all(type(t.gallery_ids) is tuple for t in tasks)
+        assert len(set(tasks)) == 70  # hashable, as the frozen dataclass is
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tasks[0].tau = 0.1
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text("\n \n")
+        assert load_gallery_tasks(path) == []

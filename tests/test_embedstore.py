@@ -1170,20 +1170,36 @@ class TestOrjsonAgainstJson:
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_nesting_limit(self, delta):
         """A line past 512 characters goes to orjson only while it holds at
-        most _MAX_OPEN ``[`` and ``{``; a shorter one always does."""
+        most _MAX_OPEN ``[`` and ``{``, alone or among other long lines,
+        ASCII or not; a shorter one always does."""
         depth = embedstore._MAX_OPEN + delta
         deep = "[" * depth + "]" * depth
         line = f'[{json.dumps("x" * embedstore._LONG_LINE)}, {deep[1:-1]}]'
         assert len(line) > embedstore._LONG_LINE
-        if delta > 0:
-            with pytest.raises(ValueError, match="left to json"):
-                embedstore._orjson_value(line)
-        else:
-            assert embedstore._orjson_value(line) == json.loads(line)
+        below = f'[{json.dumps("y" * embedstore._LONG_LINE)}, {"[0], " * 250}0]'  # 251 each
+        for text in (line, line.replace("x", "é", 1)):
+            assert embedstore._too_deep([text]) is (delta > 0)
+            assert embedstore._too_deep([below, text, below, "[" * embedstore._LONG_LINE]) is (
+                delta > 0)
+            if delta <= 0:
+                assert embedstore._orjson_value(text) == json.loads(text)
+        assert not embedstore._too_deep([below] * 64)
         short = "[" * embedstore._LONG_LINE  # cannot nest deeper than orjson reads safely
-        with pytest.raises(ValueError) as info:
+        assert not embedstore._too_deep([short])
+        with pytest.raises(ValueError):  # orjson's own error: the text is not closed
             embedstore._orjson_value(short)
-        assert "left to json" not in str(info.value)
+
+    def test_decode_entry_guards_before_it_decodes(self, monkeypatch):
+        """``_orjson_values`` refuses a chunk with a line nested too deeply
+        for orjson before any line of it reaches ``_orjson_value``."""
+        decoded = []
+        monkeypatch.setattr(embedstore, "_orjson_value", decoded.append)
+        deep = "[" * (embedstore._MAX_OPEN + 1) + "]" * (embedstore._MAX_OPEN + 1)
+        with pytest.raises(ValueError):
+            embedstore._orjson_values(["[1]", deep, "[2]"])
+        assert decoded == []
+        list(embedstore._orjson_values(["[1]", "[2]"]))
+        assert decoded == ["[1]", "[2]"]
 
 
 # Split reads: with split reads on, a JSONL file is read in two halves, the
@@ -1609,6 +1625,124 @@ class TestFilteredReads:
         want = outcome(load, path) if only.intersection(held) else []
         path.write_text("".join(line + "\n" for line in lines))
         assert outcome(load, path, only) == want
+
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 30),
+           kind=st.sampled_from(["embeddings", "token maps"]),
+           block=st.sampled_from([1, 5, 40, 200, 1 << 16]),
+           faults=st.lists(st.sampled_from(["crlf", "lone cr", "non-ASCII", "escaped id",
+                                            "repeated id", "no final feed", "blank"]),
+                           max_size=3),
+           at=st.lists(st.integers(0, 2**16), min_size=3, max_size=3),
+           picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
+           absent=st.booleans())
+    def test_bytes_search_as_the_line_filter(self, tmp_path, monkeypatch, seed, n, kind, block,
+                                             faults, at, picks, absent):
+        """The lines found in the bytes, in blocks of any size, are the
+        lines the filter keeps when it decodes and tests every line, and
+        the loads give the same records or error."""
+        monkeypatch.setattr(embedstore, "_SCAN_BYTES", block)
+        rng = np.random.default_rng(seed)
+        if kind == "embeddings":
+            objects, load, outcome = _valid_objects(rng, n, 3), _new_load, _outcome
+        else:
+            objects, load, outcome = _valid_token_objects(rng, n, (2, 3)), load_token_maps, _token_outcome
+        held = [obj["image_id"] for obj in objects]
+        only = {held[p % n] for p in picks} | ({"absent"} if absent else set())
+        lines = [json.dumps(obj) for obj in objects]
+        for fault, a in zip(faults, at):
+            a %= len(lines)
+            if fault == "crlf":
+                lines[a] += "\r"
+            elif fault == "lone cr":  # a line break to jsonl_lines
+                lines[a] = lines[a].replace(", ", ",\r ", 1)
+            elif fault == "non-ASCII":
+                lines[a] = lines[a][:-1] + ', "note": "\u00e9t\u00e9"}'
+            elif fault == "escaped id" and lines[a].startswith('{"image_id": "'):
+                first = lines[a][14]
+                lines[a] = lines[a].replace(f'"image_id": "{first}',
+                                            f'"image_id": "\\u{ord(first):04x}', 1)
+            elif fault == "repeated id":
+                lines.insert(a, lines[a])
+            elif fault == "blank":
+                lines.insert(a, "  ")
+        text = "".join(line + "\n" for line in lines)
+        if "no final feed" in faults:
+            text = text[:-1]
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(text.encode())
+        assert _filtered(path, only) == _line_filter_reference(path, only)
+        want = outcome(load, path, only)
+        monkeypatch.setattr(embedstore, "_record_lines",  # every line decoded and tested
+                            lambda path, only, span=None: _line_filter_lines(path, only))
+        assert outcome(load, path, only) == want
+
+    @pytest.mark.parametrize("cut", range(-2, 16))
+    def test_id_split_across_blocks(self, tmp_path, monkeypatch, cut):
+        objects = _valid_objects(np.random.default_rng(3), 9, 3)
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
+        target = objects[5]["image_id"]
+        # the first block ends ``cut`` bytes into the quoted id of line 6
+        monkeypatch.setattr(embedstore, "_SCAN_BYTES",
+                            path.read_bytes().index(f'"{target}"'.encode()) + cut)
+        assert _filtered(path, {target}) == _line_filter_reference(path, {target})
+        assert [line for line, _ in _filtered(path, {target})] == [6]
+        assert load_embedding_set(path, only={target}).image_ids == [target]
+
+    @_ORACLE
+    @given(at=st.integers(0, 2**20), damage=st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"]))
+    def test_bytes_beyond_utf8(self, tmp_path, monkeypatch, at, damage):
+        """jsonl_lines decodes 8 KiB at a time and names the line before the
+        step that failed; the bytes search gives out the lines it gives
+        before that, and its error."""
+        monkeypatch.setattr(embedstore, "_SCAN_BYTES", 9000)
+        objects = _valid_objects(np.random.default_rng(4), 400, 4)
+        data = "".join(json.dumps(obj) + "\n" for obj in objects).encode()
+        at %= len(data) + 1
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(data[:at] + damage + data[at:])
+        only = {objects[i]["image_id"] for i in (0, 150, 399)}
+        assert _filtered(path, only) == _line_filter_reference(path, only)
+
+
+def _line_filter_lines(path, only):
+    """The (line number, text) of each line of jsonl_lines that the filter
+    keeps when it decodes and tests every line, written out as it was before
+    the bytes search."""
+    wanted = set(only)
+    needles = [f'"{image_id}"' for image_id in wanted]
+    start = len('{"image_id": "')
+    for lineno, line in embedstore.jsonl_lines(path):
+        if "\\" in line or (
+            line[start:line.find('"', start)] in wanted
+            if line.startswith('{"image_id": "')
+            and line.find('"image_id"', start, line.rfind('"') + 1) < 0
+            else any(needle in line for needle in needles)
+        ):
+            yield lineno, line
+
+
+def _line_filter_reference(path, only):
+    """``_line_filter_lines``, then the type and message of the error that
+    ended the read, if one did."""
+    out = []
+    try:
+        out.extend(_line_filter_lines(path, only))
+    except DataValidationError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _filtered(path, only):
+    """What ``_record_lines`` gives out, then the error's type and message."""
+    out = []
+    try:
+        out.extend(embedstore._record_lines(path, only))
+    except DataValidationError as exc:
+        out.append((type(exc), str(exc)))
+    return out
 
 
 def _emb1_bytes(records, dim, count=None):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ilrkit import evalkit, fusion, simcore
 from ilrkit.dataengine import DetectionTask, GalleryTask, build_gallery_tasks
@@ -72,6 +74,21 @@ class TestScoreMatching:
             tasks, PredictionLog(entries={tasks[0].task_id: 0, tasks[1].task_id: 4})
         )
         assert report.per_category["pet"].accuracy == pytest.approx(0.5)
+
+    def test_boolean_responses_are_parse_failures(self):
+        # true is an int equal to 1 to Python, but it answers a yes/no
+        # question: scored as "Image 2" it would be right here
+        tasks = _tasks({"pet": 2})
+        tasks = [dataclasses.replace(t, answer_index=i) for i, t in zip((1, 0), tasks)]
+        report = score_matching(
+            tasks, PredictionLog(entries={tasks[0].task_id: True, tasks[1].task_id: False})
+        )
+        assert report.per_category["pet"].accuracy == 0.0
+        assert report.per_category["pet"].parse_failures == 2
+        report = score_matching(
+            tasks, PredictionLog(entries={tasks[0].task_id: 1, tasks[1].task_id: 0})
+        )
+        assert report.per_category["pet"].accuracy == 1.0
 
     def test_missing_response_rejected(self):
         tasks = _tasks({"pet": 2})
@@ -416,16 +433,6 @@ class TestSweep:
         assert result.gaps["clone"] == {0.2: 0.0, 0.5: 0.0}
         assert result.accuracies["clone"] == result.accuracies["general"]
 
-    def test_repeated_taus_count_once(self, small_bundle):
-        side = set(small_bundle.general_set.instance_index)
-        matcher = similarity_matcher(small_bundle.general_set)
-        with pytest.raises(DataValidationError, match="at least 2 distinct taus"):
-            _sweep(small_bundle.general_set, side, {"general": matcher},
-                   taus=(0.5, 0.5), n_tasks=5)
-        result = _sweep(small_bundle.general_set, side, {"general": matcher},
-                        taus=(0.5, 0.2, 0.5), n_tasks=5, seed=1)
-        assert list(result.accuracies["general"]) == [0.5, 0.2]
-
     def test_to_dict_structure(self, small_bundle):
         side = set(small_bundle.general_set.instance_index)
         matcher = similarity_matcher(small_bundle.general_set)
@@ -453,3 +460,66 @@ class TestReportRendering:
         obj = json.loads(report.to_json())
         assert obj["per_category"]["person"]["accuracy"] == pytest.approx(0.7)
         assert obj["average"] == pytest.approx(0.7)
+
+
+def _loop_outcome(view, tasks, kind):
+    """Each task scored alone by match_by_similarity, in order: the best
+    indexes, or the first error's type and message."""
+    preds = []
+    for task in tasks:
+        try:
+            query = view.vector(task.query_id)
+            gallery = [view.vector(g) for g in task.gallery_ids]
+        except KeyError as exc:
+            return (DataValidationError, f"task {task.task_id!r}: image {exc.args[0]!r} is not "
+                                         f"in the {view.encoder_name!r} embedding set")
+        try:
+            preds.append(simcore.match_by_similarity(query, gallery, kind).best_index)
+        except DataValidationError as exc:
+            return type(exc), str(exc)
+    return preds
+
+
+class TestGatheredPredict:
+    """A matcher gathers each chunk's vectors from one matrix by row number;
+    its predictions are bit-equal to scoring each task alone, and its
+    errors come in the same order."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), kind=st.sampled_from(["cosine", "dot"]),
+           chunk=st.sampled_from([1, 3, 8, 64]), n=st.integers(1, 150),
+           ints=st.booleans(), zero_at=st.one_of(st.none(), st.integers(0, 149)),
+           missing_at=st.one_of(st.none(), st.integers(0, 149)))
+    @example(seed=1, kind="cosine", chunk=3, n=40, ints=True, zero_at=4, missing_at=20)
+    @example(seed=1, kind="cosine", chunk=8, n=40, ints=False, zero_at=20, missing_at=4)
+    def test_against_scoring_each_task_alone(self, monkeypatch, seed, kind, chunk, n, ints,
+                                             zero_at, missing_at):
+        monkeypatch.setattr(simcore, "_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        # three copies of each vector; small integers score copies exactly alike
+        base = (rng.integers(-3, 4, size=(12, 6)) if ints
+                else rng.standard_normal((12, 6))).astype(np.float32)
+        base[~base.any(axis=1), 0] = 1.0
+        records = [EmbeddingRecord(f"v{i}c{c}", f"v{i}", "pet", base[i])
+                   for i in range(12) for c in range(3)]
+        records.append(EmbeddingRecord("zero", "z", "pet", np.zeros(6, np.float32)))
+        ids = [r.image_id for r in records[:-1]]
+        tasks = []
+        for t in range(n):
+            size = int(rng.integers(2, 7))
+            pick = rng.choice(len(ids), size + 1, replace=False)
+            tasks.append(GalleryTask(f"t{t}", "pet", ids[pick[0]],
+                                     tuple(ids[i] for i in pick[1:]), 0, 0.5, False, t))
+        if zero_at is not None:
+            tasks[zero_at % n] = dataclasses.replace(tasks[zero_at % n], query_id="zero")
+        if missing_at is not None:
+            task = tasks[missing_at % n]
+            tasks[missing_at % n] = dataclasses.replace(
+                task, gallery_ids=(*task.gallery_ids[:-1], "absent"))
+        view = EmbeddingSet.from_records("v", records)
+        try:
+            got = evalkit.similarity_matcher(view, kind).predict(tasks)
+        except DataValidationError as exc:
+            got = type(exc), str(exc)
+        assert got == _loop_outcome(view, tasks, kind)
