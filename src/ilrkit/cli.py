@@ -3,17 +3,15 @@
 Outputs are written to a temporary sibling directory and promoted
 atomically, so interrupted runs never leave half-written files. Every
 output directory carries a manifest.json recording each artifact's
-config hash, seed, and tool version. Unless --threads is 1, a forked
-worker process runs one job at a time beside the parent and reports once
-the job has finished. In synth a job writes the token maps. In pipeline
-one job builds and writes the general-view tasks while the expert trains,
-and a second, while the adapter trains, writes the bundle and the expert
-set and scores the general and expert matchers (the tier, the sweep and
-recall@1), so that the parent scores only the fused matcher after
-training. Every other command that reads all of a large JSONL embedding
-set or token-map file has a worker decode the second half of it while
-the parent decodes the first (see ``embedstore.split_reads``).
-Outputs, error messages and exit codes do not depend on --threads. A command
+config hash, seed, and tool version. synth and pipeline take --threads:
+unless it is 1, a forked worker process runs one job at a time beside the
+parent and reports once the job has finished. In synth a job writes the
+token maps. In pipeline one job builds and writes the general-view tasks
+while the expert trains, and a second, while the adapter trains, writes
+the bundle and the expert set and scores the general and expert matchers
+(the tier, the sweep and recall@1), so that the parent scores only the
+fused matcher after training. Outputs, error messages and exit codes do
+not depend on --threads. A command
 runs with numpy's bundled OpenBLAS at one thread, whatever the
 environment asks, and restores the previous count on return: its matrix
 products are small (expert batches of 32 by 64), and on a 2-core host
@@ -55,7 +53,6 @@ from .embedstore import (
     load_token_maps,
     save_embedding_set,
     save_token_maps,
-    split_reads,
     typed_fields,
 )
 from .errors import ConfigError, DataValidationError, IlrkitError
@@ -565,15 +562,15 @@ def _check_out(out: Path, is_dir: bool) -> None:
         raise ConfigError(f"--out {out}: {existing} is not a directory")
 
 
-def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = False) -> None:
     p.add_argument("--config", help=f"pipeline config JSON (default: ${ENV_CONFIG})")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="1 runs everything in one process; above 1, a forked worker "
-                        "builds pipeline's general-view tasks, writes the bulk "
-                        "artifacts of pipeline and synth and scores pipeline's general and "
-                        "expert matchers while computing goes on, and decodes the second "
-                        "half of each large JSONL embedding set or token-map input read in "
-                        "full (default: the CPUs this process may run on)")
+    if threads:
+        p.add_argument("--threads", type=int, default=None, metavar="N",
+                       help="1 runs everything in one process; above 1, a forked worker "
+                            "builds pipeline's general-view tasks, writes the bulk "
+                            "artifacts of pipeline and synth and scores pipeline's general "
+                            "and expert matchers while computing goes on (default: the "
+                            "CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -589,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic dual-view bundle")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, threads=True)
 
     p = sub.add_parser("split", help="identity-disjoint train/test split")
     p.add_argument("--embeddings", required=True)
@@ -688,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full synthetic pipeline end to end")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, threads=True)
 
     return parser
 
@@ -711,16 +708,17 @@ def main(argv: list[str] | None = None) -> int:
             config.seed = args.seed
         if args.format is not None:
             config.format = args.format
-        if args.threads is None:
-            args.threads = _usable_cpus()
-        elif args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        if "threads" in args:
+            if args.threads is None:
+                args.threads = _usable_cpus()
+            elif args.threads < 1:
+                raise ConfigError("--threads must be >= 1")
         config.validate()
         if args.out is not None:
             _check_out(Path(args.out), args.command in _DIRECTORY_OUTPUTS)
         # looked up when called, so that a rebound cmd_* function is the one run
         command = globals()["cmd_" + args.command.replace("-", "_")]
-        with _one_blas_thread(), split_reads(args.threads > 1):
+        with _one_blas_thread():
             command(args, config)
     except IlrkitError as exc:
         sys.stderr.write(

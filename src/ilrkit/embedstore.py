@@ -44,20 +44,21 @@ the 17-digit float64 repr of each component, load to the same arrays. A
 set with a non-finite component is refused before anything is written.
 
 An EmbeddingSet is stored as columns: the image, instance and category ids
-as lists, and the vectors as float32 blocks of consecutive rows. The JSONL
-loader is a column loader: each line is parsed into the id columns and a
-list of vectors, and every ``_CHUNK`` lines the chunk's vectors become one
-block (``_number_block``): a chunk of floats through one inferred float64
-``np.array``, with the element types checked only where it holds exactly
-0 or 1 (numpy reads true and false as those), any other chunk through a
-type scan and one float32 ``np.asarray``. The dimension and finiteness
-checks run on the whole chunk, the string-field and empty-instance_id
-checks as passes over its columns, and duplicate ids are checked last,
-over the whole set. Only when a chunk fails a check are its lines decoded
-again by json and checked one at a time, to raise the error of its first
-faulty line with the message a per-line check gives. The token-map loader
-builds and checks (rows, N, d) blocks the same way. The EMB1 loader
-decodes all selected vectors as one block and checks it the same way.
+as lists, and the vectors as one (n, dimension) float32 array. Both JSONL
+loaders are one column reader (``_read_columns``), told by a ``_Kind``
+which fields a line holds and how they are checked. Every ``_CHUNK`` lines
+the chunk's numbers become one block (``_number_block``): a chunk of
+floats through one inferred float64 ``np.array``, with the element types
+checked only where it holds exactly 0 or 1 (numpy reads true and false as
+those), any other chunk through a type scan and one float32 ``np.asarray``.
+The shape and finiteness checks run on the whole chunk and the string
+checks as passes over its columns; each block is then written into one
+array that grows as the file is read. Repeated ids of an embedding set are
+checked last, over the whole set; those of token maps line by line. Only
+when a chunk fails a check are its lines decoded again by json and checked
+one at a time, as a per-line load checks them, so the first faulty line
+raises the error it gives. The EMB1 loader decodes all selected vectors as
+one block and checks it the same way.
 
 Both loaders take ``only=``, a set of image ids, for commands that use a few
 images of a large file. A JSONL line is parsed only if it may hold one of
@@ -68,20 +69,6 @@ but only the selected records' vectors decoded. Every parsed line and
 every decoded record is validated as in a full load; the records in
 between are not.
 
-Within ``split_reads`` (the CLI enters it when --threads is above 1), the
-JSONL loaders read a file of at least SPLIT_BYTES in two halves at once; a
-load with ``only`` parses few of its lines and stays serial. The file is
-split just past the first line feed at or after its middle byte. A forked
-worker (``stage.fork_job``) runs the column reader on the second half,
-streamed from a seeked binary file and numbered from the line it begins,
-while the parent reads the first half; the parent joins the halves' columns
-in file order. Each half keeps the chunks and the whole-chunk checks of a
-serial read. The parent reads the whole file serially when no worker can be
-forked, and again when either half raises (bytes that are not UTF-8 and a
-line holding a carriage return are errors of a half), when the halves'
-first records differ in shape, or when an id is in both halves. So the
-value, or the error and its message, is always a serial read's.
-
 Vectors are stored un-normalized, exactly as the encoder produced them;
 normalization is the similarity layer's job. Sets are immutable once
 loaded and safe to share across threads.
@@ -89,14 +76,10 @@ loaded and safe to share across threads.
 
 from __future__ import annotations
 
-import bisect
-import contextlib
 import functools
-import io
 import itertools
 import json
 import operator
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,7 +133,7 @@ class EmbeddingSet:
     """A validated collection of embedding records under one encoder view.
 
     The set holds columns: ``image_ids``, ``instance_ids``, ``categories``
-    and the vectors as (rows, dimension) float32 blocks, in record order.
+    and the vectors as one (n, dimension) float32 array, in record order.
     ``vector``, ``row_of``, ``row_index`` and ``matrix`` read them;
     ``records`` builds an EmbeddingRecord per row on first use.
     ``EmbeddingSet(name, dimension, records)`` and ``from_records`` take
@@ -168,10 +151,11 @@ class EmbeddingSet:
                     f"record {i} ({rec.image_id!r}): dimension "
                     f"{rec.vector.shape[0]} != declared {dimension}"
                 )
-        blocks = [np.stack([rec.vector for rec in records])] if records else []
+        matrix = (np.stack([rec.vector for rec in records]) if records
+                  else np.empty((0, dimension), dtype=np.float32))
         self._set_columns(
             encoder_name, dimension, image_ids, [rec.instance_id for rec in records],
-            [rec.category for rec in records], blocks,
+            [rec.category for rec in records], matrix,
         )
         self._records = records
 
@@ -183,32 +167,27 @@ class EmbeddingSet:
         image_ids: list[str],
         instance_ids: list[str],
         categories: list[str],
-        blocks: list[np.ndarray],
+        matrix: np.ndarray,
     ) -> "EmbeddingSet":
-        """A set over validated columns and float32 (rows, dimension) blocks
-        that hold one row per id, in order; repeated image ids are rejected.
-        The set keeps the lists and blocks without copying them."""
+        """A set over validated columns and a float32 (n, dimension) matrix
+        that holds one row per id, in order; repeated image ids are rejected.
+        The set keeps the lists and the matrix without copying them."""
         eset = cls.__new__(cls)
-        eset._set_columns(encoder_name, dimension, image_ids, instance_ids, categories, blocks)
+        eset._set_columns(encoder_name, dimension, image_ids, instance_ids, categories, matrix)
         return eset
 
-    def _set_columns(self, encoder_name, dimension, image_ids, instance_ids, categories, blocks):
+    def _set_columns(self, encoder_name, dimension, image_ids, instance_ids, categories, matrix):
         # a set is empty only when a filtered load selected nothing
         self.encoder_name = encoder_name
         self.dimension = dimension
         self._image_ids = image_ids
         self._instance_ids = instance_ids
         self._categories = categories
-        self._blocks = blocks
+        self._matrix = matrix
         self._row_of = dict(zip(image_ids, range(len(image_ids))))
         if len(self._row_of) != len(image_ids):
             _check_unique(image_ids)
-        self._starts = list(itertools.accumulate(map(len, blocks), initial=0))
-        # a view of a row is made when vector() first asks for it: a command
-        # that scores a few tiers asks for a fraction of the rows
-        self._vectors: list[np.ndarray | None] = [None] * len(image_ids)
         self._records: list[EmbeddingRecord] | None = None
-        self._matrix: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, encoder_name: str, records: Iterable[EmbeddingRecord]) -> "EmbeddingSet":
@@ -240,10 +219,7 @@ class EmbeddingSet:
     @property
     def records(self) -> list[EmbeddingRecord]:
         if self._records is None:
-            self._records = list(map(
-                EmbeddingRecord, self._image_ids, self._instance_ids, self._categories,
-                itertools.chain.from_iterable(self._blocks),
-            ))
+            self._records = list(itertools.starmap(EmbeddingRecord, self._column_rows()))
         return self._records
 
     def row_of(self, image_id: str) -> int:
@@ -258,25 +234,10 @@ class EmbeddingSet:
         return self.records[self._row_of[image_id]]
 
     def vector(self, image_id: str) -> np.ndarray:
-        row = self._row_of[image_id]
-        vec = self._vectors[row]
-        if vec is None:
-            block = bisect.bisect_right(self._starts, row) - 1
-            vec = self._vectors[row] = self._blocks[block][row - self._starts[block]]
-        return vec
+        return self._matrix[self._row_of[image_id]]
 
     def matrix(self) -> np.ndarray:
-        """All vectors stacked as an (n, dimension) float32 array: the one
-        block itself, or the blocks concatenated on first use, which then
-        become the set's one block."""
-        if self._matrix is None:
-            if len(self._blocks) == 1:
-                self._matrix = self._blocks[0]
-            elif self._blocks:
-                self._matrix = np.concatenate(self._blocks)
-                self._blocks, self._starts = [self._matrix], [0, len(self._matrix)]
-            else:
-                self._matrix = np.empty((0, self.dimension), dtype=np.float32)
+        """All vectors as the set's (n, dimension) float32 array itself."""
         return self._matrix
 
     def subset(self, instances: Collection[str]) -> "EmbeddingSet":
@@ -288,13 +249,12 @@ class EmbeddingSet:
         columns = [[column[i] for i in rows]
                    for column in (self._image_ids, self._instance_ids, self._categories)]
         return EmbeddingSet.from_columns(
-            self.encoder_name, self.dimension, *columns, [self.matrix()[rows]]
+            self.encoder_name, self.dimension, *columns, self._matrix[rows]
         )
 
     def _column_rows(self) -> Iterator[tuple[str, str, str, np.ndarray]]:
         """(image_id, instance_id, category, vector) of every record, in order."""
-        return zip(self._image_ids, self._instance_ids, self._categories,
-                   itertools.chain.from_iterable(self._blocks))
+        return zip(self._image_ids, self._instance_ids, self._categories, self._matrix)
 
 
 @dataclass(frozen=True)
@@ -338,14 +298,15 @@ def load_embedding_set(
     _check_format(fmt)
     path = Path(path)
     if fmt == "jsonl":
-        image_ids, instance_ids, categories, blocks = _read_jsonl(_read_jsonl_columns, path, only)
+        (image_ids, instance_ids, categories), matrix = _read_columns(_RECORDS, path, only)
     else:
-        image_ids, instance_ids, categories, blocks = _read_bin_columns(path, only)
-    if not image_ids and only is None:
-        raise DataValidationError(f"{path}: empty embedding file")
-    dimension = blocks[0].shape[1] if blocks else 0
+        image_ids, instance_ids, categories, matrix = _read_bin_columns(path, only)
+    if not image_ids:
+        if only is None:
+            raise DataValidationError(f"{path}: empty embedding file")
+        matrix = np.empty((0, 0), dtype=np.float32)
     return EmbeddingSet.from_columns(
-        path.stem, dimension, image_ids, instance_ids, categories, blocks
+        path.stem, matrix.shape[1], image_ids, instance_ids, categories, matrix
     )
 
 
@@ -555,51 +516,17 @@ def typed_fields(types: dict[str, tuple[type, ...]]) -> Callable[[dict], tuple]:
     return values
 
 
-def _span_lines(path: Path, start: int, lineno: int,
-                stop: int | None) -> Iterator[tuple[int, str]]:
-    """jsonl_lines of lines ``lineno`` up to ``stop`` (the end of the file
-    when None) of ``path``, where byte ``start`` begins line ``lineno``,
-    streamed from a seeked binary file and split at line feeds alone. Bytes
-    that are not UTF-8, and a line holding a carriage return, which
-    jsonl_lines would take as a line break, raise DataValidationError."""
-    try:
-        raw = open(path, "rb")
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    with raw:
-        raw.seek(start)
-        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
-        n = lineno - 1
-        try:
-            for n, line in enumerate(fh, start=lineno):
-                if n == stop:
-                    return
-                if "\r" in line:
-                    raise DataValidationError(f"{path}: line {n}: carriage return")
-                if line.strip():
-                    yield n, line
-        except UnicodeDecodeError as exc:
-            raise DataValidationError(
-                f"{path}: not UTF-8 text after line {n}: {exc.reason}"
-            ) from exc
-
-
 _LEADING_ID = '{"image_id": "'  # how save_embedding_set and save_token_maps begin a line
 
 
 _SCAN_BYTES = 256 << 10  # bytes searched at once; more than a jsonl_lines decoding step (8 KiB)
 
 
-def _record_lines(path: Path, only: Collection[str] | None,
-                  span: tuple[int, int, int | None] | None = None) -> Iterator[tuple[int, str]]:
+def _record_lines(path: Path, only: Collection[str] | None) -> Iterator[tuple[int, str]]:
     """The jsonl_lines of ``path`` that may hold a record whose image_id is
     in ``only`` (see ``_keeps``), found in its bytes (``_id_lines``); a
-    skipped line is not parsed. When ``only`` is None, all of them, or those
-    of its ``span`` (the ``_span_lines`` arguments ``start, lineno, stop``):
-    a read with ``only`` is never split (see ``_read_jsonl``)."""
-    if only is not None:
-        return _id_lines(path, only)
-    return jsonl_lines(path) if span is None else _span_lines(path, *span)
+    skipped line is not parsed. When ``only`` is None, all of them."""
+    return jsonl_lines(path) if only is None else _id_lines(path, only)
 
 
 def _keeps(only: Collection[str]) -> Callable[[str], bool]:
@@ -725,19 +652,13 @@ def _only_type(kind: type, *columns: Sequence) -> bool:
     return all({type(x) for x in column} == {kind} for column in columns)
 
 
-def _records_valid(ids: Sequence, instance_ids: Sequence, categories: Sequence,
-                   block: np.ndarray) -> bool:
-    """Whether every row passes EmbeddingRecord's checks, as column passes."""
-    return (block.shape[1] > 0 and _only_type(str, ids, instance_ids, categories)
-            and "" not in instance_ids and bool(np.isfinite(block).all()))
+def _record_strings_valid(ids: Sequence, instance_ids: Sequence, categories: Sequence) -> bool:
+    """Whether the string fields of every row pass EmbeddingRecord's checks,
+    as column passes."""
+    return _only_type(str, ids, instance_ids, categories) and "" not in instance_ids
 
 
-_CHUNK = 64  # JSONL lines whose vectors become one float32 block
-_record_fields = operator.itemgetter("image_id", "instance_id", "category", "vector")
-
-
-def _malformed(path: Path, lineno: int, exc: Exception) -> DataValidationError:
-    return DataValidationError(f"{path}: line {lineno}: malformed record: {exc}")
+_CHUNK = 64  # JSONL lines whose numbers become one float32 block
 
 
 def _orjson_rows(chunk: list[tuple[int, str]], fields: Callable) -> list | None:
@@ -749,71 +670,175 @@ def _orjson_rows(chunk: list[tuple[int, str]], fields: Callable) -> list | None:
         return None
 
 
-def _read_jsonl_columns(path: Path, only: Collection[str] | None, span=None):
-    """The id columns and float32 blocks of the records of a JSONL file (of
-    those in ``only``; of the lines in ``span``, see ``_record_lines``),
-    ``_CHUNK`` lines at a time, and the dimension of the first parsed record
-    (None if no line was parsed). A chunk is taken from orjson's values
-    when all its lines have them and pass the whole-chunk checks; otherwise
-    json's values of its lines decide, line by line."""
-    image_ids: list[str] = []
-    instance_ids: list[str] = []
-    categories: list[str] = []
-    blocks: list[np.ndarray] = []
-    dim = None
-    lines = _record_lines(path, only, span)
+@dataclass(frozen=True)
+class _Kind:
+    """A kind of JSONL record file, as ``_read_columns`` reads it."""
+
+    fields: tuple[str, ...]  # the string fields, image_id first, then the numbers
+    build: Callable  # the checked item of json's value of a line, as a per-line load builds it
+    first_shape: Callable  # the shape of every line's numbers, from the first parsed line's
+    strings_valid: Callable[..., bool]  # whether a chunk's string columns pass the item's checks
+    name: str  # what a line holds, in the error of a line that does not
+    mismatch: str  # the error of numbers of another shape: format(theirs, the first line's)
+    repeats_by_line: bool  # a repeated image_id is an error of its line (else of the whole set)
+
+    @functools.cached_property
+    def values(self) -> Callable[[dict], tuple]:
+        return operator.itemgetter(*self.fields)
+
+    @functools.cached_property
+    def parts(self) -> Callable[[object], tuple]:
+        return operator.attrgetter(*self.fields)
+
+
+def _record(obj) -> EmbeddingRecord:
+    return EmbeddingRecord(obj["image_id"], obj["instance_id"], obj["category"],
+                           _numbers(obj["vector"], "vector"))
+
+
+def _map(obj) -> TokenFeatureMap:
+    tokens = _numbers(obj["tokens"], "tokens")  # a per-line load checks these first
+    return TokenFeatureMap(obj["image_id"], tokens)
+
+
+def _first_shape(tokens) -> tuple[int, int] | None:
+    """The (N, d) of the first parsed map: d is 0 when its first row is not a
+    list, and there is none when its tokens are not a non-empty list."""
+    if type(tokens) is not list or not tokens:
+        return None
+    return len(tokens), len(tokens[0]) if type(tokens[0]) is list else 0
+
+
+_RECORDS = _Kind(
+    fields=("image_id", "instance_id", "category", "vector"), build=_record,
+    first_shape=lambda vector: (len(vector) if type(vector) is list else 0,),
+    strings_valid=_record_strings_valid, name="record",
+    mismatch="dimension {0[0]} != {1[0]} of first record", repeats_by_line=False,
+)
+_MAPS = _Kind(
+    fields=("image_id", "tokens"), build=_map, first_shape=_first_shape,
+    strings_valid=functools.partial(_only_type, str), name="token map",
+    mismatch="token map shape {0} != {1}", repeats_by_line=True,
+)
+
+
+def _read_columns(kind: _Kind, path: Path, only: Collection[str] | None):
+    """The string columns of the records of a JSONL file of ``kind`` (of
+    those in ``only``), in file order, and their numbers as one float32
+    array (None when no record is kept), read ``_CHUNK`` lines at a time.
+
+    A chunk is taken from orjson's values when all its lines have them and
+    it passes the whole-chunk checks (``_chunk_block``); otherwise its lines
+    are decoded by json and checked one at a time (``_json_rows``). Each
+    chunk's kept rows are written into one array, which is doubled when
+    full (see ``_first_rows``)."""
+    columns: list[list] = [[] for _ in kind.fields[:-1]]
+    seen: set[str] | None = set() if kind.repeats_by_line else None
+    shape = out = None
+    used = 0
+    lines = _record_lines(path, only)
     while chunk := list(itertools.islice(lines, _CHUNK)):
-        rows = _orjson_rows(chunk, _record_fields)
-        block = None
+        rows, block = _orjson_rows(chunk, kind.values), None
         if rows:
-            ids, insts, cats, vectors = zip(*rows)
-            if dim is None:
-                dim = _dimension(vectors[0])
-            block = _valid_block(ids, insts, cats, vectors, dim)
-        if block is None:
-            ids, insts, cats, block, dim = _json_chunk(path, chunk, dim)
-        if only is not None:
-            keep = [i for i, image_id in enumerate(ids) if image_id in only]
-            ids, insts, cats = ([col[i] for i in keep] for col in (ids, insts, cats))
-            block = block[keep]
-        if ids:
-            image_ids += ids
-            instance_ids += insts
-            categories += cats
-            blocks.append(block)
-    return image_ids, instance_ids, categories, blocks, dim
+            *strings, numbers = zip(*rows)
+            if shape is None:
+                shape = kind.first_shape(numbers[0])
+            block = _chunk_block(kind, strings, numbers, shape)
+        if block is not None:
+            keep = _kept_rows(path, chunk, strings[0], only, seen)
+            if keep is not None and len(keep) < len(block):
+                strings, block = [[column[i] for i in keep] for column in strings], block[keep]
+        else:
+            kept, shape = _json_rows(kind, path, chunk, shape, only, seen)
+            if not kept:
+                continue
+            *strings, numbers = zip(*kept)
+            block = np.stack(numbers)
+        if len(block):
+            for column, values in zip(columns, strings):
+                column += values
+            if out is None:
+                out = np.empty((_first_rows(path, chunk, only, block[0].size), *block.shape[1:]),
+                               dtype=np.float32)
+            elif used + len(block) > len(out):
+                grown = np.empty((2 * len(out), *out.shape[1:]), dtype=np.float32)
+                grown[:used] = out[:used]
+                out = grown
+            out[used:used + len(block)] = block
+            used += len(block)
+    return columns, None if out is None else out[:used]
 
 
-def _dimension(vector) -> int:
-    """The dimension of the first record, which every later one's is
-    checked against."""
-    return len(vector) if type(vector) is list else 0
+def _first_rows(path: Path, chunk: list[tuple[int, str]], only: Collection[str] | None,
+                size: int) -> int:
+    """The rows of a read's array when its first rows, of ``size`` numbers
+    each, are kept from ``chunk``: for a read of ``only``, one chunk's; for
+    a whole file, one chunk's more than it holds lines as long as the
+    chunk's are on average, but no more than its bytes can hold at two a
+    number (a digit and a comma). The pages of rows never written are
+    never touched."""
+    if only is not None:
+        return _CHUNK
+    nbytes = path.stat().st_size
+    per_line = sum(len(line) for _, line in chunk) / len(chunk)
+    return _CHUNK + min(int(nbytes / per_line), nbytes // (2 * size))
 
 
-def _json_chunk(path: Path, chunk: list[tuple[int, str]], dim: int | None):
-    """The id columns, float32 block and first-record dimension of the
-    records on the lines of ``chunk``, each decoded by json, once the whole
-    chunk passes every check. Otherwise its lines are checked one at a time,
-    in the order of a per-line load, and the first faulty line's error
-    raised."""
-    linenos, rows, stop = [], [], None
+def _chunk_block(kind: _Kind, strings: list[tuple], numbers: tuple,
+                 shape: tuple[int, ...] | None) -> np.ndarray | None:
+    """The chunk's numbers as one (rows, *shape) float32 block when every
+    line passes the item's checks: string fields, numbers of ``shape`` (no
+    side of it 0) and finite; otherwise None."""
+    if shape is None or 0 in shape or not kind.strings_valid(*strings):
+        return None
+    block = _number_block(numbers, (len(numbers), *shape))
+    return block if block is not None and np.isfinite(block).all() else None
+
+
+def _json_rows(kind: _Kind, path: Path, chunk: list[tuple[int, str]],
+               shape: tuple[int, ...] | None, only: Collection[str] | None,
+               seen: set[str] | None) -> tuple[list[tuple], tuple[int, ...]]:
+    """The fields of the kept records on the lines of ``chunk``, each decoded
+    by json and checked as a per-line load checks it, and the shape of the
+    first parsed line's numbers; the first faulty line raises its error."""
+    kept = []
     for lineno, line in chunk:
         try:
-            rows.append(_record_fields(_json_value(line)))
-        except _MALFORMED as exc:  # raised once the lines before it are checked
-            stop = _malformed(path, lineno, exc)
-            break
-        linenos.append(lineno)
-    if rows:
-        ids, insts, cats, vectors = zip(*rows)
-        if dim is None:
-            dim = _dimension(vectors[0])
-        block = _valid_block(ids, insts, cats, vectors, dim)
-        if block is None:
-            _raise_first_fault(path, linenos, ids, insts, cats, vectors, dim)
-    if stop is not None:
-        raise stop
-    return ids, insts, cats, block, dim
+            row = kind.parts(kind.build(_json_value(line)))
+        except _MALFORMED as exc:
+            raise DataValidationError(f"{path}: line {lineno}: malformed {kind.name}: {exc}") from exc
+        if shape is None:
+            shape = row[-1].shape
+        elif row[-1].shape != shape:
+            raise DataValidationError(
+                f"{path}: line {lineno}: " + kind.mismatch.format(row[-1].shape, shape))
+        if _kept_row(path, lineno, row[0], only, seen):
+            kept.append(row)
+    return kept, shape
+
+
+def _kept_row(path: Path, lineno: int, image_id: str, only: Collection[str] | None,
+              seen: set[str] | None) -> bool:
+    """Whether the record of line ``lineno`` is kept: its image_id is in
+    ``only``, or ``only`` is None. With ``seen``, the ids kept before it, a
+    kept id seen already raises DataValidationError naming the line."""
+    if only is not None and image_id not in only:
+        return False
+    if seen is not None:
+        if image_id in seen:
+            raise DataValidationError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+    return True
+
+
+def _kept_rows(path: Path, chunk: list[tuple[int, str]], ids: Sequence[str],
+               only: Collection[str] | None, seen: set[str] | None) -> list[int] | None:
+    """The rows of the records of ``chunk`` that ``_kept_row`` keeps, in
+    order; None when it keeps every row unchecked."""
+    if only is None and seen is None:
+        return None
+    return [row for row, ((lineno, _), image_id) in enumerate(zip(chunk, ids))
+            if _kept_row(path, lineno, image_id, only, seen)]
 
 
 def _number_block(rows: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -853,121 +878,9 @@ def _number_block(rows: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
         return None
 
 
-def _valid_block(ids: tuple, insts: tuple, cats: tuple, vectors: tuple,
-                 dim: int) -> np.ndarray | None:
-    """The chunk's vectors as one (rows, dim) float32 block when the whole
-    chunk passes every check; otherwise None."""
-    block = _number_block(vectors, (len(vectors), dim))
-    if block is not None and _records_valid(ids, insts, cats, block):
-        return block
-    return None
-
-
-def _raise_first_fault(path: Path, linenos: list[int], ids: tuple, insts: tuple, cats: tuple,
-                       vectors: tuple, dim: int) -> None:
-    """Check a chunk that failed ``_valid_block`` one line at a time, in the
-    order of a per-line load, and raise the first faulty line's error."""
-    for lineno, image_id, instance_id, category, vector in zip(linenos, ids, insts, cats,
-                                                                vectors):
-        try:
-            vec = _numbers(vector, "vector")
-        except ValueError as exc:
-            raise _malformed(path, lineno, exc) from exc
-        EmbeddingRecord(image_id, instance_id, category, vec)
-        if vec.shape[0] != dim:
-            raise DataValidationError(
-                f"{path}: line {lineno}: dimension {vec.shape[0]} != {dim} of first record"
-            )
-    raise AssertionError(f"{path}: a chunk failed its checks but none of its lines did")
-
-
-# The smallest JSONL input a split read decodes in two halves.
-SPLIT_BYTES = 2 << 20
-_split = False  # whether split reads are on; see split_reads
-
-
-@contextlib.contextmanager
-def split_reads(enabled: bool = True):
-    """Within the block, with ``enabled`` and where ``os.fork`` exists, the
-    JSONL embedding-set and token-map loaders read a file of at least
-    SPLIT_BYTES in two halves at once, the second in a forked worker; a load
-    with ``only`` stays serial. The value, or the exception and its message,
-    is that of a serial read."""
-    global _split
-    previous, _split = _split, enabled and hasattr(os, "fork")
-    try:
-        yield
-    finally:
-        _split = previous
-
-
-def _read_jsonl(read, path: Path, only: Collection[str] | None) -> list:
-    """The columns ``read`` (``_read_jsonl_columns`` or
-    ``_read_token_columns``) gives for all of ``path``, without the first
-    parsed line's shape. They are the two halves' columns joined in file
-    order when a split read gives both, their first parsed lines agree on
-    the shape and no id is in both; otherwise those of one serial read,
-    which raises the error of a whole-file read. A load with ``only`` parses
-    few of the lines it reads and is never split."""
-    halves = _halves(read, path) if only is None else None
-    if halves is not None:
-        (ids, *first, shape), (more_ids, *second, more_shape) = halves
-        if (None in (shape, more_shape) or shape == more_shape) and set(ids).isdisjoint(more_ids):
-            return [ids + more_ids, *(a + b for a, b in zip(first, second))]
-    return read(path, only)[:-1]
-
-
-def _halves(read, path: Path) -> tuple | None:
-    """``read(path, None, span)`` of the two halves of ``path`` (see
-    ``_split_point``): the first read here while a forked worker reads the
-    second. None when split reads are off, ``path`` has no split point, no
-    worker can be forked, or either half raises."""
-    point = _split_point(path, SPLIT_BYTES) if _split else None
-    if point is None:
-        return None
-    mid, lineno = point
-    from .stage import fork_job  # here: stage imports this module
-
-    try:
-        second = fork_job(lambda: read(path, None, (mid, lineno, None)),
-                          f"second half of {path.name}")
-    except OSError:  # no process or memory to fork: the serial read
-        return None
-    try:
-        return read(path, None, (0, 1, lineno)), second.result()
-    except Exception:  # noqa: BLE001 - any fault: the serial read raises the right error
-        return None
-    finally:
-        second.kill()  # a worker still running when the first half failed
-
-
-def _split_point(path: Path, limit: int = 0) -> tuple[int, int] | None:
-    """The first byte of the second half of ``path``, just past the first
-    line feed at or after its middle byte, and the number of the line it
-    begins. None when the file is smaller than ``limit``, has no line
-    past that point, or cannot be read (the serial read names the error)."""
-    try:
-        with open(path, "rb") as fh:
-            size = fh.seek(0, os.SEEK_END)
-            if size < limit:
-                return None
-            fh.seek(size // 2)
-            mid = size // 2 + len(fh.readline())
-            if mid >= size:
-                return None
-            fh.seek(0)
-            lineno, left = 1, mid
-            while left > 0 and (block := fh.read(min(left, 1 << 16))):
-                lineno += block.count(b"\n")
-                left -= len(block)
-            return mid, lineno
-    except OSError:
-        return None
-
-
 def _read_bin_columns(path: Path, only: Collection[str] | None):
-    """The id columns and one float32 block of the records of an EMB1 file
-    (of those in ``only``)."""
+    """The id columns and the float32 (rows, dimension) array of the records
+    of an EMB1 file (of those in ``only``)."""
     data = read_input(path)
     if len(data) == 0:
         raise DataValidationError(f"{path}: empty embedding file")
@@ -1018,12 +931,13 @@ def _read_bin_columns(path: Path, only: Collection[str] | None):
     view = memoryview(data)
     raw = b"".join(view[o : o + nbytes] for o in offsets)
     block = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(len(offsets), dim)
-    if offsets and not _records_valid(image_ids, instance_ids, categories, block):
+    if offsets and not (dim > 0 and _record_strings_valid(image_ids, instance_ids, categories)
+                        and np.isfinite(block).all()):
         for fields in zip(image_ids, instance_ids, categories, block):
             EmbeddingRecord(*fields)
     if stop is not None:
         raise stop
-    return image_ids, instance_ids, categories, [block] if offsets else []
+    return image_ids, instance_ids, categories, block
 
 
 _COMPONENT = "%.9g"  # 9 significant digits round-trip every finite float32
@@ -1049,7 +963,7 @@ def _float_text(fmt: str, components: list[float]) -> str:
 
 def _check_finite(eset: EmbeddingSet) -> None:
     """Reject a set with a non-finite component, naming its first such record."""
-    if all(np.isfinite(block).all() for block in eset._blocks):
+    if np.isfinite(eset.matrix()).all():
         return
     for image_id, _, _, vector in eset._column_rows():
         if not np.isfinite(vector).all():
@@ -1090,147 +1004,28 @@ def load_token_maps(
 
     With ``only``, returns just the maps whose image_id is in it, in file
     order, and possibly none; N and d are enforced across the parsed lines.
-    Like the embedding-set loader, every ``_CHUNK`` lines become one float32
-    (rows, N, d) block, checked as a whole; the maps hold views of its rows.
-    A chunk that fails a check has its lines checked one at a time, so the
-    first faulty line raises the error a per-line load gives.
+    The embedding-set loader's column reader reads the file into one float32
+    (n, N, d) array, checked a chunk at a time; the maps hold views of its
+    rows. A chunk that fails a check has its lines checked one at a time,
+    so the first faulty line raises the error a per-line load gives.
     """
     path = Path(path)
-    image_ids, blocks = _read_jsonl(_read_token_columns, path, only)
-    if not image_ids and only is None:
-        raise DataValidationError(f"{path}: empty token-map file")
-    return token_maps_of(image_ids, blocks)
+    (image_ids,), tokens = _read_columns(_MAPS, path, only)
+    if not image_ids:
+        if only is None:
+            raise DataValidationError(f"{path}: empty token-map file")
+        return []
+    return token_maps_of(image_ids, tokens)
 
 
-_map_fields = operator.itemgetter("image_id", "tokens")
-
-
-def _read_token_columns(path: Path, only: Collection[str] | None, span=None):
-    """The image ids and float32 (rows, N, d) blocks of the maps of a JSONL
-    file (of those in ``only``; of the lines in ``span``, see
-    ``_record_lines``), ``_CHUNK`` lines at a time, and the (N, d) of the
-    first parsed map (None if no line was parsed). As in
-    ``_read_jsonl_columns``, a chunk is taken from orjson's values when all
-    its lines have them and pass ``_token_block``; otherwise json's values
-    decide."""
-    image_ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    seen: set[str] = set()
-    shape: tuple[int, int] | None = None
-    lines = _record_lines(path, only, span)
-    while chunk := list(itertools.islice(lines, _CHUNK)):
-        rows, block, stop = _orjson_rows(chunk, _map_fields), None, None
-        if rows:
-            ids, tokens = zip(*rows)
-            if shape is None:
-                shape = _first_shape(tokens[0])
-            block = _token_block(ids, tokens, shape)
-        if block is None:
-            ids, block, shape, stop = _json_token_chunk(path, chunk, shape, only, seen)
-        keep = []
-        for row, ((lineno, _), image_id) in enumerate(zip(chunk, ids)):
-            if only is None or image_id in only:
-                if image_id in seen:
-                    raise _duplicate_map(path, lineno, image_id)
-                seen.add(image_id)
-                keep.append(row)
-        if keep:
-            image_ids += [ids[row] for row in keep]
-            blocks.append(block if len(keep) == len(ids) else block[keep])
-        if stop is not None:
-            raise stop
-    return image_ids, blocks, shape
-
-
-def _first_shape(tokens) -> tuple[int, int] | None:
-    """The (N, d) of the first parsed map, which every later one's is
-    checked against: d is 0 when its first row is not a list, and there is
-    none when its tokens are not a non-empty list."""
-    if type(tokens) is not list or not tokens:
-        return None
-    return len(tokens), len(tokens[0]) if type(tokens[0]) is list else 0
-
-
-def _json_token_chunk(path: Path, chunk: list[tuple[int, str]],
-                      shape: tuple[int, int] | None, only: Collection[str] | None,
-                      seen: set[str]):
-    """The image ids and (rows, N, d) block of the maps on the lines of
-    ``chunk`` before the first one that json's value or its ``tokens`` key
-    rejects, the first map's (N, d), and that line's error (None if every
-    line has both). A chunk whose maps fail ``_token_block`` is checked one
-    line at a time and the first faulty line's error raised."""
-    linenos, objs, tokens, stop = [], [], [], None
-    for lineno, line in chunk:
-        try:
-            obj = _json_value(line)
-            tokens.append(obj["tokens"])
-        except _MALFORMED as exc:  # raised once the lines before it are checked
-            stop = _malformed_map(path, lineno, exc)
-            break
-        linenos.append(lineno)
-        objs.append(obj)
-    ids = [obj.get("image_id") for obj in objs]
-    block = None
-    if objs:
-        if shape is None:
-            shape = _first_shape(tokens[0])
-        block = _token_block(ids, tokens, shape)
-        if block is None:
-            _check_token_lines(path, linenos, objs, shape, only, seen)
-    return ids, block, shape, stop
-
-
-def _malformed_map(path: Path, lineno: int, exc: Exception) -> DataValidationError:
-    return DataValidationError(f"{path}: line {lineno}: malformed token map: {exc}")
-
-
-def _duplicate_map(path: Path, lineno: int, image_id: str) -> DataValidationError:
-    return DataValidationError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
-
-
-def _token_block(ids: Sequence, tokens: Sequence,
-                 shape: tuple[int, int] | None) -> np.ndarray | None:
-    """The chunk's tokens as one (rows, N, d) float32 block when every line
-    holds a string image_id and an N x d list of finite numbers, N and d
-    both at least 1; otherwise None."""
-    if shape is None or 0 in shape or not _only_type(str, ids):
-        return None
-    block = _number_block(tokens, (len(tokens), *shape))
-    return block if block is not None and np.isfinite(block).all() else None
-
-
-def _check_token_lines(path: Path, linenos: list[int], objs: list[dict],
-                       shape: tuple[int, int] | None, only: Collection[str] | None,
-                       seen: set[str]) -> None:
-    """Check a chunk that failed ``_token_block`` one line at a time, as a
-    per-line load does, and raise the first faulty line's error."""
-    for lineno, obj in zip(linenos, objs):
-        try:
-            tokens = _numbers(obj["tokens"], "tokens")
-            tmap = TokenFeatureMap(obj["image_id"], tokens)
-        except _MALFORMED as exc:
-            raise _malformed_map(path, lineno, exc) from exc
-        if shape is None:
-            shape = tmap.tokens.shape
-        elif tmap.tokens.shape != shape:
-            raise DataValidationError(
-                f"{path}: line {lineno}: token map shape {tmap.tokens.shape} != {shape}"
-            )
-        if only is None or tmap.image_id in only:
-            if tmap.image_id in seen:
-                raise _duplicate_map(path, lineno, tmap.image_id)
-            seen.add(tmap.image_id)
-    raise AssertionError(f"{path}: a chunk failed its checks but none of its lines did")
-
-
-def token_maps_of(image_ids: Sequence[str], blocks: Sequence[np.ndarray]) -> list[TokenFeatureMap]:
+def token_maps_of(image_ids: Sequence[str], tokens: np.ndarray) -> list[TokenFeatureMap]:
     """One TokenFeatureMap per id, holding a view of its row of the float32
-    (rows, N, d) ``blocks``, which hold one row per id, in order, and have
-    been checked already (string ids, finite tokens, N and d at least 1)."""
-    return list(map(_token_map, image_ids, itertools.chain.from_iterable(blocks)))
+    (n, N, d) array ``tokens``, which holds one row per id, in order, and
+    has been checked already (string ids, finite tokens, N and d at least 1)."""
+    return list(map(_unchecked_map, image_ids, tokens))
 
 
-def _token_map(image_id: str, tokens: np.ndarray) -> TokenFeatureMap:
+def _unchecked_map(image_id: str, tokens: np.ndarray) -> TokenFeatureMap:
     tmap = object.__new__(TokenFeatureMap)
     object.__setattr__(tmap, "image_id", image_id)
     object.__setattr__(tmap, "tokens", tokens)

@@ -58,7 +58,7 @@ def embed_set(head: ExpertHead, raw_set: EmbeddingSet) -> EmbeddingSet:
         raise DataValidationError("zero vector cannot be normalized")
     return EmbeddingSet.from_columns(
         "expert", y.shape[1], raw_set.image_ids, raw_set.instance_ids, raw_set.categories,
-        [(y / norms).astype(np.float32)],
+        (y / norms).astype(np.float32),
     )
 
 

@@ -4,10 +4,8 @@ An ``OutputStage`` collects a command's output files in a temporary
 directory and promotes them, with the manifest, atomically. ``fork_job``
 is the package's one way to run work in another process: it forks a
 worker that runs one job and sends back one report once the job has
-finished, which ``Job.result()`` reads. Two callers use it: the stage's
-``submit``, which overlaps a job with the parent's own computation, and
-``embedstore``'s split reads, which decode the second half of a large
-JSONL input while the parent decodes the first. ``StageLog`` logs the
+finished, which ``Job.result()`` reads. The stage's ``submit`` uses it
+to overlap a job with the parent's own computation. ``StageLog`` logs the
 seconds of each pipeline stage.
 
 ``pickle`` and ``signal`` are imported where they are used: the import

@@ -9,8 +9,8 @@ instance, image, and each image's tokens) draws from its own hashed
 sub-stream, numpy's ``default_rng(SeedSequence([seed, key digest]))``,
 so adding instances does not perturb existing ones. The streams of each
 kind of entity are set up at once (``streams.Streams``). The views are
-built as columns (id lists and float32 blocks), not as one record per
-image.
+built as columns (id lists and one float32 array each), not as one
+record per image.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def generate(config: SynthConfig) -> SynthBundle:
     """Generate the synthetic bundle deterministically from config.seed.
 
     The views are built as columns: the ids as lists, and the raw, general
-    and token arrays as float32 blocks. A non-finite value raises the error
+    and token arrays as one float32 array each. A non-finite value raises the error
     the per-record checks of EmbeddingRecord and TokenFeatureMap give, for
     the first image that holds one, once the images before it are
     generated."""
@@ -151,10 +151,10 @@ def generate(config: SynthConfig) -> SynthBundle:
     _check_finite(image_ids, raw, general, tokens)
     return SynthBundle(
         raw_set=EmbeddingSet.from_columns(
-            "raw", config.dim_raw, image_ids, instance_ids, categories, [raw]),
+            "raw", config.dim_raw, image_ids, instance_ids, categories, raw),
         general_set=EmbeddingSet.from_columns(
-            "general", config.dim_general, image_ids, instance_ids, categories, [general]),
-        token_maps=token_maps_of(image_ids, [tokens]),
+            "general", config.dim_general, image_ids, instance_ids, categories, general),
+        token_maps=token_maps_of(image_ids, tokens),
         ground_truth=dict(zip(image_ids, instance_ids)),
     )
 

@@ -1,10 +1,13 @@
 import contextlib
+import ctypes
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import logging
 import os
+import platform
 import re
 import shutil
 import signal
@@ -12,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,7 +293,7 @@ class TestSubcommandChain:
                          "--token-maps", str(out / "token_maps.jsonl"),
                          "--taus", *taus, "--k", str(SMALL_CONFIG["k"]),
                          "--n-tasks", str(SMALL_CONFIG["n_sweep_tasks"]),
-                         "--threads", threads, "--out", str(tmp_path / "sweep")]
+                         "--out", str(tmp_path / "sweep")]
                         + _cfg(workspace)) == 0
         assert json.loads((tmp_path / "sweep" / "sweep.json").read_text()) == report["sweep"]
         assert report["recall_at_1"] == {
@@ -532,6 +536,22 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
                 cli.main(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_threads_only_where_a_job_forks(self, tmp_path, command):
+        """--threads runs the jobs of synth and pipeline in a worker; no
+        other command has a job, so there the flag is an error."""
+        argv = _command_argv(command, str(tmp_path / "in"), str(tmp_path / "out"))
+        argv += ["--threads", "2"]
+        if command in ("synth", "pipeline"):
+            assert cli.build_parser().parse_args(argv).threads == 2
+        else:
+            err = io.StringIO()
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 2" in err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("place", ["taken", "under a file"])
     @pytest.mark.parametrize("command", _COMMANDS)
@@ -1544,7 +1564,45 @@ class TestBlasThreads:
         assert "BLAS threads not capped" in caplog.text
 
 
+GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
+def _stack() -> str:
+    """The numeric stack that artifact bytes may depend on: numpy's version,
+    the run-time configuration of the OpenBLAS bundled with it (which names
+    the CPU core its kernels were picked for) and the machine."""
+    blas = "no bundled OpenBLAS"
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/libscipy_openblas*"),
+                       *package.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        blas = " ".join(config().decode().split())
+    return f"numpy {np.__version__}, {blas}, {platform.machine()}"
+
+
 class TestDeterminism:
+    def test_pipeline_bytes_as_recorded(self, workspace, tmp_path):
+        """Every file ``pipeline`` writes at the small config, at --threads 1
+        and 2, has the sha256 in tests/golden_digests.json. The digests were
+        recorded on the stacks listed there; on any other the test skips,
+        naming the stack. A change that alters artifacts on purpose records
+        the new digests in the same commit."""
+        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+        stack = _stack()
+        if stack not in golden["stacks"]:
+            pytest.skip(f"no golden digests recorded for the stack {stack!r}")
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert cli.main(["pipeline", "--out", str(out), "--threads", threads]
+                            + _cfg(workspace)) == 0
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in sorted(out.iterdir())}
+            assert digests == golden["digests"], threads
+
     def test_subcommand_outputs_byte_identical(self, workspace, tmp_path):
         data = workspace / "data"
         outs = []
@@ -2080,6 +2138,12 @@ class TestGenerationWorker:
         assert outputs["1"] == outputs["2"]
 
     @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_one_worker_at_any_threads(self, workspace, tmp_path, forks, command):
+        # above 2, --threads acts as 2: one worker runs the jobs one at a time
+        self._run(workspace, command, tmp_path / "run", "10000")
+        assert len(forks) == self.JOBS[command]
+
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
     def test_generation_error_at_any_threads(self, workspace, tmp_path, capsys, command):
         # an alpha beyond the float32 range: the first raw vector is infinite
         config = tmp_path / "config.json"
@@ -2095,126 +2159,6 @@ class TestGenerationWorker:
             assert message == "record 'person_c000_i000_v00' contains non-finite values"
             assert not out.exists() or list(out.iterdir()) == []
             _assert_no_child_left()
-
-
-class TestSplitReadsInCommands:
-    """With SPLIT_BYTES lowered so that every workspace file splits, the
-    commands that read JSONL embedding sets and token maps write the same
-    bytes, and fail with the same message and exit code, at any --threads."""
-
-    @pytest.fixture(autouse=True)
-    def split_any_size(self, monkeypatch):
-        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-
-    @staticmethod
-    def _commands(workspace, out):
-        data = workspace / "data"
-        views = ["--token-maps", str(data / "token_maps.jsonl"),
-                 "--expert-embeddings", str(data / "expert.jsonl")]
-        return {
-            "train-adapter": ["train-adapter", "--tasks", str(data / "tasks.jsonl"), *views,
-                              "--out", str(out / "adapter.ckpt")],
-            "match": ["match", "--embeddings", str(data / "expert.jsonl"),
-                      "--tasks", str(data / "tasks.jsonl"), "--out", str(out / "preds.jsonl")],
-            "fuse": ["fuse", "--checkpoint", str(out / "adapter.ckpt"), *views,
-                     "--image-id", _FUSE_ID, "--out", str(out / "fuse" / "fused.json")],
-            "embed": ["embed", "--checkpoint", str(data / "expert_head.ckpt"),
-                      "--embeddings", str(data / "raw.jsonl"), "--out", str(out / "e.jsonl")],
-            "sweep": ["sweep", "--embeddings", str(data / "general.jsonl"),
-                      "--split", str(data / "split.json"), "--adapter", str(out / "adapter.ckpt"),
-                      *views, "--taus", "0.1", "0.4", "--k", "3", "--n-tasks", "5",
-                      "--out", str(out / "sweep")],
-        }
-
-    def test_same_bytes_at_any_threads(self, workspace, tmp_path, forks):
-        outputs = {}
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            for name, argv in self._commands(workspace, out).items():
-                before = len(forks)
-                assert cli.main([*argv, "--threads", threads] + _cfg(workspace)) == 0, name
-                # one worker for each JSONL view or token-map file the command reads
-                # (fuse reads one image of each: a filtered load, never split)
-                split_files = {"match": 1, "embed": 1, "train-adapter": 2, "fuse": 0, "sweep": 3}
-                assert len(forks) - before == (split_files[name] if threads == "2" else 0), name
-            outputs[threads] = {p.relative_to(out): p.read_bytes()
-                                for p in sorted(out.rglob("*")) if p.is_file()}
-        assert len(outputs["1"]) == 7  # one output of each command, 2 manifests
-        assert outputs["1"] == outputs["2"]
-
-    @pytest.mark.parametrize("command", ["match", "fuse", "train-adapter"])
-    def test_one_worker_per_load(self, workspace, tmp_path, forks, command):
-        argv = self._commands(workspace, tmp_path)[command]
-        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), tmp_path / "adapter.ckpt")
-        assert cli.main([*argv, "--threads", "10000"] + _cfg(workspace)) == 0
-        # match loads one JSONL view, train-adapter the token maps and the
-        # expert set; fuse loads one image of each, never split
-        assert len(forks) == {"match": 1, "fuse": 0, "train-adapter": 2}[command]
-
-    @pytest.mark.parametrize("damage", [
-        "not UTF-8 in the first half", "not UTF-8 in the second half",
-        "carriage return in the second half", "decode error in the second half",
-        "dimension change at the second half", "duplicate across the halves",
-    ])
-    @pytest.mark.parametrize("target", ["expert.jsonl", "token_maps.jsonl"])
-    def test_same_error_at_any_threads(self, workspace, tmp_path, capsys, forks, damage,
-                                       target):
-        data = workspace / "data"
-        lines = (data / target).read_bytes().splitlines(keepends=True)
-        second = embedstore._split_point(data / target)[1] - 1  # its first line's index
-        key = b'"vector": [' if target == "expert.jsonl" else b'"tokens": [['
-        if damage == "not UTF-8 in the first half":
-            lines[2] = lines[2].replace(b"_", b"\xff", 1)
-        elif damage == "not UTF-8 in the second half":
-            lines[-2] = lines[-2].replace(b"_", b"\xc3(", 1)
-        elif damage == "carriage return in the second half":
-            lines[-3] = lines[-3].replace(b", ", b",\r ", 1)
-        elif damage == "decode error in the second half":
-            lines[-4] = lines[-4][:-9] + b"\n"
-        elif damage == "dimension change at the second half":
-            lines[second:] = [line.replace(key, key + b"0.5, ") for line in lines[second:]]
-        else:
-            lines[-1] = lines[1]
-        bad = tmp_path / target
-        bad.write_bytes(b"".join(lines))
-        adapter = tmp_path / "adapter.ckpt"
-        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
-        views = {"expert.jsonl": data / "expert.jsonl", "token_maps.jsonl": data / "token_maps.jsonl"}
-        views[target] = bad
-        results = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"out{threads}"
-            rc = cli.main(["train-adapter", "--tasks", str(data / "tasks.jsonl"),
-                           "--token-maps", str(views["token_maps.jsonl"]),
-                           "--expert-embeddings", str(views["expert.jsonl"]),
-                           "--out", str(out / "a.ckpt"), "--threads", threads]
-                          + _cfg(workspace))
-            results.append((rc, capsys.readouterr().err, out.exists()))
-        assert results[0] == results[1]
-        assert results[0][0] == 3 and not results[0][2]
-        message = json.loads(results[0][1])["message"]
-        assert message.startswith(f"{bad}") or "duplicate" in message, message
-        # at --threads 2: the token maps, then (if they load) the expert set
-        assert len(forks) == (2 if target == "expert.jsonl" else 1)
-
-    @_FUZZ
-    @given(data=st.data())
-    def test_damaged_bytes_at_any_threads(self, workspace, tmp_path, data, monkeypatch):
-        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(data.draw(_damaged((workspace / "data" / "general.jsonl").read_bytes())))
-        results = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"s{threads}.json"
-            out.unlink(missing_ok=True)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                rc = cli.main(["split", "--embeddings", str(bad), "--out", str(out),
-                               "--threads", threads] + _cfg(workspace))
-            results.append((rc, err.getvalue(), out.read_bytes() if out.exists() else None))
-        assert results[0] == results[1]
-        assert results[0][0] in (0, 3)
-        _assert_no_child_left()
 
 
 def _wait_until(condition, seconds=10):

@@ -1,10 +1,7 @@
 import ast
-import errno
 import json
 import math
-import os
 import re
-import signal
 import struct
 import warnings
 from pathlib import Path
@@ -46,23 +43,22 @@ class TestEmbeddingSet:
         assert sample_set.instance_index["inst01"] == ["img001", "img005", "img009"]
         assert sample_set.matrix().shape == (10, 12)
 
-    def test_columns_across_blocks(self, sample_set):
-        m = sample_set.matrix()
+    def test_columns_of_one_matrix(self, sample_set):
+        m = sample_set.matrix().copy()
         eset = EmbeddingSet.from_columns("enc", 12, sample_set.image_ids,
-                                         sample_set.instance_ids, sample_set.categories,
-                                         [m[:3], m[3:4], m[4:]])
+                                         sample_set.instance_ids, sample_set.categories, m)
+        assert eset.matrix() is m  # kept, not copied
         for i, image_id in enumerate(sample_set.image_ids):
             assert eset.vector(image_id).tobytes() == m[i].tobytes()
+            assert np.shares_memory(eset.vector(image_id), m)
         assert [r.vector.tobytes() for r in eset.records] == [row.tobytes() for row in m]
-        assert eset.matrix().tobytes() == m.tobytes()
-        assert eset.vector("img009").tobytes() == m[9].tobytes()
         sub = eset.subset({"inst01"})
         assert sub.image_ids == ["img001", "img005", "img009"]
         assert sub.matrix().tobytes() == m[[1, 5, 9]].tobytes()
         with pytest.raises(DataValidationError, match="at least one record"):
             eset.subset({"nope"})
         with pytest.raises(DataValidationError, match="duplicate image_id 'a'"):
-            EmbeddingSet.from_columns("enc", 12, ["a", "a"], ["i", "i"], ["c", "c"], [m[:2]])
+            EmbeddingSet.from_columns("enc", 12, ["a", "a"], ["i", "i"], ["c", "c"], m[:2])
 
     def test_duplicate_image_id_rejected(self):
         rec = EmbeddingRecord("a", "i", "pet", np.ones(3, dtype=np.float32))
@@ -257,7 +253,7 @@ class TestWriterText:
         n = len(values)
         return EmbeddingSet.from_columns(
             "enc", d, [f"img{i}" for i in range(n)], [f"inst{i % 7}" for i in range(n)],
-            ["pet"] * n, [values],
+            ["pet"] * n, values,
         )
 
     def _maps(self, values, shape=(3, 5)):
@@ -336,7 +332,7 @@ class TestWriterText:
         block = np.ones((70, 3), dtype=np.float32)
         block[66, 1] = value
         eset = EmbeddingSet.from_columns("enc", 3, [f"img{i}" for i in range(70)],
-                                         ["inst"] * 70, ["pet"] * 70, [block[:64], block[64:]])
+                                         ["inst"] * 70, ["pet"] * 70, block)
         with pytest.raises(DataValidationError, match="record 'img66' contains non-finite"):
             save_embedding_set(eset, tmp_path / "e", fmt)
         assert not (tmp_path / "e").exists()
@@ -1118,27 +1114,21 @@ _DIFFERENTIAL = settings(derandomize=True, database=None, deadline=None, max_exa
 
 class TestOrjsonAgainstJson:
     """Each JSONL reader gives what it gives when json.loads decodes every
-    line, value for value, or the same exception and message: in one pass,
-    and with split reads on, in two halves."""
+    line, value for value, or the same exception and message."""
 
     @_DIFFERENTIAL
     @given(lines=_odd_file(_RECORD_FIELDS, lambda i: _object_text([
         ("image_id", f'"img{i}"'), ("instance_id", '"inst0"'), ("category", '"pet"'),
-        ("vector", f"[0.5, -1.25, {i}]")])), split=st.booleans())
-    def test_embedding_lines(self, tmp_path, monkeypatch, lines, split):
-        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-        with embedstore.split_reads(split):
-            _as_with_json_alone(monkeypatch, _outcome, _new_load, _write_lines(tmp_path, lines))
+        ("vector", f"[0.5, -1.25, {i}]")])))
+    def test_embedding_lines(self, tmp_path, monkeypatch, lines):
+        _as_with_json_alone(monkeypatch, _outcome, _new_load, _write_lines(tmp_path, lines))
 
     @_DIFFERENTIAL
     @given(lines=_odd_file(_MAP_FIELDS, lambda i: _object_text([
-        ("image_id", f'"map{i}"'), ("tokens", f"[[0.5, {i}], [1e-3, -2]]")])),
-           split=st.booleans())
-    def test_token_map_lines(self, tmp_path, monkeypatch, lines, split):
-        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-        with embedstore.split_reads(split):
-            _as_with_json_alone(monkeypatch, _token_outcome, load_token_maps,
-                                _write_lines(tmp_path, lines))
+        ("image_id", f'"map{i}"'), ("tokens", f"[[0.5, {i}], [1e-3, -2]]")])))
+    def test_token_map_lines(self, tmp_path, monkeypatch, lines):
+        _as_with_json_alone(monkeypatch, _token_outcome, load_token_maps,
+                            _write_lines(tmp_path, lines))
 
     @_DIFFERENTIAL
     @given(lines=_odd_file(_TASK_FIELDS, lambda i: _object_text([
@@ -1200,389 +1190,6 @@ class TestOrjsonAgainstJson:
         assert decoded == []
         list(embedstore._orjson_values(["[1]", "[2]"]))
         assert decoded == ["[1]", "[2]"]
-
-
-# Split reads: with split reads on, a JSONL file is read in two halves, the
-# second by a forked worker, and the halves are joined in file order. Every
-# test below lowers SPLIT_BYTES to 0, so that files of a few lines split.
-
-@pytest.fixture
-def split_reads(monkeypatch):
-    """Split reads on for any file size. Yields the list of how each load
-    with split reads on read its file: "joined" (two halves), "re-read" (two
-    halves, then a serial read) or "serial" (no halves: the load has
-    ``only``, no worker was forked, a half raised, or the file has no second
-    half)."""
-    monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-    reads = []
-    read_jsonl = embedstore._read_jsonl
-
-    def record(read, path, only):
-        halves, serial = [], []
-        halves_of = embedstore._halves
-
-        def spy(*args):
-            halves.append(halves_of(*args))
-            return halves[-1]
-
-        def spied_read(path, only, span=None):
-            if span is None:
-                serial.append(path)
-            return read(path, only, span)
-
-        monkeypatch.setattr(embedstore, "_halves", spy)
-        try:
-            return read_jsonl(spied_read, path, only)
-        finally:
-            monkeypatch.setattr(embedstore, "_halves", halves_of)
-            if embedstore._split:  # serial loads of the test are not recorded
-                reads.append("serial" if not halves or halves[0] is None else
-                             "re-read" if serial else "joined")
-
-    monkeypatch.setattr(embedstore, "_read_jsonl", record)
-    with embedstore.split_reads():
-        yield reads
-    _assert_no_child_left()
-
-
-def _serial(outcome, load, path, only=None):
-    """``outcome`` of ``load`` with split reads off."""
-    with embedstore.split_reads(False):
-        return outcome(load, path, only)
-
-
-def _assert_split_as_serial(load, path, only=None):
-    """A split load of ``path`` gives what a serial load gives; returns that."""
-    outcome = _token_outcome if load is load_token_maps else _outcome
-    want = _serial(outcome, load, path, only)
-    assert outcome(load, path, only) == want
-    return want
-
-
-def _splits(path) -> bool:
-    """Whether ``path`` has a line after the first line feed at or past its
-    middle byte."""
-    data = path.read_bytes()
-    return 0 < data.find(b"\n", len(data) // 2) + 1 < len(data)
-
-
-def _second_half_line(path) -> int:
-    """The number of the first line of the second half of ``path``."""
-    return embedstore._split_point(path)[1]
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestSplitReads:
-    """A split read gives a serial read's value bit for bit, and for a
-    damaged file the same exception and message."""
-
-    @_ORACLE
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 3 * embedstore._CHUNK + 5),
-           dim=st.sampled_from([1, 3, 16]), blank=st.sets(st.integers(0, 400), max_size=6),
-           last_newline=st.booleans(),
-           subset=st.sampled_from([None, "every third", "first half", "second half", "none"]))
-    def test_valid_embedding_sets(self, split_reads, tmp_path, seed, n, dim, blank,
-                                  last_newline, subset):
-        rng = np.random.default_rng(seed)
-        objects = _valid_objects(rng, n, dim)
-        lines = [json.dumps(obj) for obj in objects]
-        for at in sorted(blank, reverse=True):
-            lines.insert(min(at, len(lines)), "  ")
-        path = tmp_path / "emb.jsonl"
-        path.write_text("\n".join(lines) + ("\n" if last_newline else ""), encoding="utf-8")
-        ids = [obj["image_id"] for obj in objects]
-        only = {
-            None: None, "every third": set(ids[::3]), "first half": set(ids[: n // 2]),
-            "second half": set(ids[n // 2 :]), "none": {"absent"},
-        }[subset]
-        records = _assert_split_as_serial(_new_load, path, only)
-        assert split_reads[-1] == ("joined" if only is None and _splits(path) else "serial")
-        if only is None:
-            assert len(records) == n
-
-    @_ORACLE
-    @given(seed=st.integers(0, 2**16), n=st.integers(1, 2 * embedstore._CHUNK + 9),
-           shape=st.sampled_from([(1, 1), (2, 3), (16, 4)]),
-           blank=st.sets(st.integers(0, 200), max_size=4), last_newline=st.booleans(),
-           subset=st.sampled_from([None, "every third", "first half", "second half", "none"]))
-    def test_valid_token_maps(self, split_reads, tmp_path, seed, n, shape, blank,
-                              last_newline, subset):
-        objects = _valid_token_objects(np.random.default_rng(seed), n, shape)
-        lines = [json.dumps(o) for o in objects]
-        for at in sorted(blank, reverse=True):
-            lines.insert(at % (n + 1), " \t")
-        path = tmp_path / "t.jsonl"
-        path.write_text("\n".join(lines) + ("\n" if last_newline else ""), encoding="utf-8")
-        ids = [o["image_id"] for o in objects]
-        only = {
-            None: None, "every third": set(ids[::3]), "first half": set(ids[: n // 2]),
-            "second half": set(ids[n // 2 :]), "none": {"absent"},
-        }[subset]
-        maps = _assert_split_as_serial(load_token_maps, path, only)
-        assert split_reads[-1] == ("joined" if only is None and _splits(path) else "serial")
-        if only is None:
-            assert len(maps) == n
-
-    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
-    @pytest.mark.parametrize("middle", ["line feed", "inside a line", "in the last line"])
-    def test_middle_byte(self, split_reads, tmp_path, load, middle):
-        # two lines; the first padded with spaces until the middle byte is
-        # its line feed, or the first byte of the second line; or one long line
-        if load is load_token_maps:
-            objects = _valid_token_objects(np.random.default_rng(1), 2, (2, 2))
-        else:
-            objects = _valid_objects(np.random.default_rng(1), 2, 3)
-        first, second = (json.dumps(o) for o in objects)
-        path = tmp_path / "x.jsonl"
-        for pad in range(4 * len(second)):
-            data = (first + " " * pad + "\n" + second + "\n").encode()
-            if middle == "in the last line":
-                data = (first + "\n" + second + " " * (3 * len(first)) + "\n").encode()
-            wanted = {"line feed": b"\n", "inside a line": b" "}.get(middle)
-            if wanted is None or data[len(data) // 2: len(data) // 2 + 1] == wanted:
-                break
-        path.write_bytes(data)
-        assert len(_assert_split_as_serial(load, path)) == 2
-        assert split_reads == ["serial" if middle == "in the last line" else "joined"]
-
-    @pytest.mark.parametrize("half", ["first", "second"])
-    @pytest.mark.parametrize("kind", sorted(_DAMAGE))
-    def test_damaged_embedding_sets(self, split_reads, tmp_path, kind, half):
-        n = 2 * embedstore._CHUNK + 10
-        objects = _valid_objects(np.random.default_rng(7), n, 3)
-        at = 5 if half == "first" else n - 5
-        text = _DAMAGE[kind](objects, at)
-        path = tmp_path / "emb.jsonl"
-        path.write_text("".join((text if i == at and text else json.dumps(o)) + "\n"
-                                for i, o in enumerate(objects)))
-        assert (at + 1 >= _second_half_line(path)) == (half == "second")
-        outcome = _assert_split_as_serial(_new_load, path)
-        assert outcome[0] is DataValidationError
-        # a repeat within one half is found by the set, over the joined columns
-        assert split_reads == ["joined" if kind == "duplicate" else "serial"]
-        if kind != "duplicate":  # the set, not the column reader, finds repeated ids
-            # the half that holds the fault names it as a whole-file read does
-            assert self._half_outcome(embedstore._read_jsonl_columns, path, half) == outcome
-
-    @pytest.mark.parametrize("half", ["first", "second"])
-    @pytest.mark.parametrize("kind", sorted(_TOKEN_DAMAGE))
-    def test_damaged_token_maps(self, split_reads, tmp_path, kind, half):
-        n = 2 * embedstore._CHUNK + 10
-        objects = _valid_token_objects(np.random.default_rng(7), n, (2, 3))
-        at = 5 if half == "first" else n - 5
-        text = _TOKEN_DAMAGE[kind](objects, at)
-        path = tmp_path / "t.jsonl"
-        path.write_text("".join((text if i == at and text else json.dumps(o)) + "\n"
-                                for i, o in enumerate(objects)))
-        assert (at + 1 >= _second_half_line(path)) == (half == "second")
-        outcome = _assert_split_as_serial(load_token_maps, path)
-        assert outcome[0] is DataValidationError
-        assert split_reads == ["serial"]
-        assert self._half_outcome(embedstore._read_token_columns, path, half) == outcome
-
-    @staticmethod
-    def _half_outcome(read, path, half):
-        """The exception type and message of ``read`` of one half of ``path``."""
-        mid, lineno = embedstore._split_point(path)
-        span = (0, 1, lineno) if half == "first" else (mid, lineno, None)
-        with pytest.raises(Exception) as info:
-            with np.errstate(over="ignore"):
-                read(path, None, span)
-        return info.type, str(info.value)
-
-    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
-    @pytest.mark.parametrize("half", ["first", "second"])
-    @pytest.mark.parametrize("damage", [
-        b"\xff", b"\xc3(", b"\xed\xa0\x80",  # not UTF-8
-        b"\r", b" \r ",  # a line break to a text reader, inside the line
-    ])
-    def test_damaged_bytes(self, split_reads, tmp_path, load, half, damage):
-        n = 40
-        if load is load_token_maps:
-            objects = _valid_token_objects(np.random.default_rng(2), n, (2, 2))
-        else:
-            objects = _valid_objects(np.random.default_rng(2), n, 3)
-        lines = [json.dumps(o).encode() + b"\n" for o in objects]
-        at = 3 if half == "first" else n - 3
-        lines[at] = lines[at][:20] + damage + lines[at][20:]
-        path = tmp_path / "x.jsonl"
-        path.write_bytes(b"".join(lines))
-        outcome = _assert_split_as_serial(load, path)
-        assert outcome[0] is DataValidationError
-        assert split_reads == ["serial"]
-
-    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
-    @pytest.mark.parametrize("half", ["first", "second", "both"])
-    def test_crlf_lines(self, split_reads, tmp_path, load, half):
-        # a text reader takes \r\n for \n: the value is the serial read's
-        n = 40
-        if load is load_token_maps:
-            objects = _valid_token_objects(np.random.default_rng(2), n, (2, 2))
-        else:
-            objects = _valid_objects(np.random.default_rng(2), n, 3)
-        ends = {"first": range(n // 4), "second": range(3 * n // 4, n), "both": range(n)}[half]
-        path = tmp_path / "x.jsonl"
-        path.write_bytes(b"".join(json.dumps(o).encode() + (b"\r\n" if i in ends else b"\n")
-                                  for i, o in enumerate(objects)))
-        assert len(_assert_split_as_serial(load, path)) == n
-        assert split_reads == ["serial"]
-
-    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
-    def test_shape_change_in_the_second_half(self, split_reads, tmp_path, load):
-        # each half is valid alone: the shape changes at the second half's
-        # first line, so only the join can find the fault
-        n = 40
-        if load is load_token_maps:
-            def lines(change):
-                objects = _valid_token_objects(np.random.default_rng(3), n, (2, 2))
-                for o in objects[change:]:
-                    o["tokens"].append([0.5, 0.5])
-                return objects
-            message = r"token map shape \(3, 2\) != \(2, 2\)"
-        else:
-            def lines(change):
-                objects = _valid_objects(np.random.default_rng(3), n, 3)
-                for o in objects[change:]:
-                    o["vector"].append(0.5)
-                return objects
-            message = "dimension 4 != 3 of first record"
-        path = tmp_path / "x.jsonl"
-        change = n // 2
-        for _ in range(10):  # move the change to the second half's first line
-            path.write_text("".join(json.dumps(o) + "\n" for o in lines(change)))
-            if _second_half_line(path) == change + 1:
-                break
-            change = _second_half_line(path) - 1
-        assert _second_half_line(path) == change + 1
-        outcome = _assert_split_as_serial(load, path)
-        assert outcome[0] is DataValidationError
-        assert re.search(f"line {change + 1}: {message}", outcome[1])
-        assert split_reads == ["re-read"]
-
-    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
-    def test_duplicate_across_the_halves(self, split_reads, tmp_path, load):
-        n = 40
-        if load is load_token_maps:
-            objects = _valid_token_objects(np.random.default_rng(4), n, (2, 2))
-        else:
-            objects = _valid_objects(np.random.default_rng(4), n, 3)
-        objects[n - 2]["image_id"] = objects[1]["image_id"]
-        path = tmp_path / "x.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
-        outcome = _assert_split_as_serial(load, path)
-        assert outcome[0] is DataValidationError
-        assert f"duplicate image_id {objects[1]['image_id']!r}" in outcome[1]
-        assert split_reads == ["re-read"]
-
-    def test_one_worker_per_load(self, split_reads, tmp_path, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        objects = _valid_objects(np.random.default_rng(5), 3 * embedstore._CHUNK, 4)
-        path = tmp_path / "x.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
-        load_embedding_set(path)
-        assert len(forks) == 1 and split_reads == ["joined"]
-        with embedstore.split_reads(False):
-            load_embedding_set(path)
-        assert len(forks) == 1
-        monkeypatch.setattr(embedstore, "SPLIT_BYTES", path.stat().st_size + 1)
-        load_embedding_set(path)
-        assert len(forks) == 1 and split_reads == ["joined", "serial"]
-
-    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
-    def test_filtered_loads_stay_serial(self, split_reads, tmp_path, load):
-        if load is load_token_maps:
-            objects = _valid_token_objects(np.random.default_rng(5), 40, (2, 2))
-        else:
-            objects = _valid_objects(np.random.default_rng(5), 40, 4)
-        path = tmp_path / "x.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
-        only = {objects[0]["image_id"], objects[-1]["image_id"]}
-        assert len(_assert_split_as_serial(load, path, only)) == 2
-        assert len(_assert_split_as_serial(load, path)) == 40
-        assert split_reads == ["serial", "joined"]
-
-    @pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM], ids=["EAGAIN", "ENOMEM"])
-    def test_failed_fork_reads_serially(self, split_reads, tmp_path, monkeypatch, code):
-        pipes = []
-        pipe = os.pipe
-
-        def recorded_pipe():
-            pipes.extend(pipe())
-            return pipes[-2:]
-
-        def failed_fork():
-            raise OSError(code, os.strerror(code))  # EAGAIN: a BlockingIOError
-
-        monkeypatch.setattr(os, "pipe", recorded_pipe)
-        monkeypatch.setattr(os, "fork", failed_fork)
-        objects = _valid_objects(np.random.default_rng(5), 40, 4)
-        path = tmp_path / "x.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
-        assert load_embedding_set(path).image_ids == [o["image_id"] for o in objects]
-        assert split_reads == ["serial"]
-        assert len(pipes) == 2
-        for fd in pipes:  # both ends closed
-            with pytest.raises(OSError):
-                os.fstat(fd)
-
-    def test_no_split_without_fork(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
-        monkeypatch.delattr(os, "fork")
-        path = tmp_path / "x.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n"
-                                for o in _valid_objects(np.random.default_rng(6), 10, 2)))
-        with embedstore.split_reads():
-            assert not embedstore._split
-            assert len(load_embedding_set(path).image_ids) == 10
-        assert not embedstore._split
-
-    def test_dead_worker_falls_back_to_a_serial_read(self, split_reads, tmp_path,
-                                                     monkeypatch):
-        parent = os.getpid()
-        read = embedstore._read_jsonl_columns
-
-        def die_in_the_worker(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return read(*args)
-
-        monkeypatch.setattr(embedstore, "_read_jsonl_columns", die_in_the_worker)
-        objects = _valid_objects(np.random.default_rng(8), 50, 4)
-        path = tmp_path / "x.jsonl"
-        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
-        assert load_embedding_set(path).image_ids == [o["image_id"] for o in objects]
-        assert split_reads == ["serial"]
-
-    def test_halves_number_their_lines_as_a_whole_file_read(self, split_reads, tmp_path):
-        objects = _valid_objects(np.random.default_rng(9), 30, 2)
-        lines = [json.dumps(o) for o in objects]
-        lines[2:2] = ["", " "]
-        lines[20:20] = ["\t"]
-        path = tmp_path / "x.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        mid, lineno = embedstore._split_point(path)
-        data = path.read_bytes()
-        assert data[mid - 1: mid] == b"\n" and lineno == data[:mid].count(b"\n") + 1
-
-        def numbered_lines(path, only, span=None):
-            return list(embedstore._record_lines(path, only, span))
-
-        first, second = embedstore._halves(numbered_lines, path)
-        assert first and second
-        assert first + second == list(embedstore._record_lines(path, None))
 
 
 class TestFilteredReads:

@@ -153,7 +153,7 @@ class TestEmbed:
         head = ExpertHead(rng.standard_normal((6, 4)), rng.standard_normal(4))
         v = rng.standard_normal(6)
         raw_set = EmbeddingSet.from_columns(
-            "raw", 6, ["i0"], ["n0"], ["pet"], [v[None, :].astype(np.float32)]
+            "raw", 6, ["i0"], ["n0"], ["pet"], v[None, :].astype(np.float32)
         )
         got = embed_set(head, raw_set).vector("i0")
         raw = v.astype(np.float32).astype(np.float64) @ head.w + head.b
@@ -173,7 +173,7 @@ class TestEmbed:
     def test_shape_mismatch_rejected(self):
         head = ExpertHead(np.ones((4, 2)), np.zeros(2))
         raw_set = EmbeddingSet.from_columns(
-            "raw", 5, ["i0"], ["n0"], ["pet"], [np.ones((1, 5), dtype=np.float32)]
+            "raw", 5, ["i0"], ["n0"], ["pet"], np.ones((1, 5), dtype=np.float32)
         )
         with pytest.raises(DataValidationError, match="head expects 4"):
             embed_set(head, raw_set)
