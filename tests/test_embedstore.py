@@ -1192,6 +1192,157 @@ class TestOrjsonAgainstJson:
         assert decoded == ["[1]", "[2]"]
 
 
+def _assert_as_reference(load, path, only=None):
+    """``load`` of ``path`` gives what its per-line reference gives; returns that."""
+    if load is load_token_maps:
+        return _assert_tokens_as_reference(path, only)
+    return _assert_same_as_reference(path, only)
+
+
+class TestSplitReads:
+    """Files of several chunks, read in one pass: a fault in the first or
+    the second half of a file gives the per-line reference's exception and
+    message, and a valid file its values bit for bit."""
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 3 * embedstore._CHUNK + 5),
+           dim=st.sampled_from([1, 3, 16]), blank=st.sets(st.integers(0, 400), max_size=6),
+           last_newline=st.booleans(),
+           subset=st.sampled_from([None, "every third", "first half", "second half", "none"]))
+    def test_valid_embedding_sets(self, tmp_path, seed, n, dim, blank, last_newline, subset):
+        rng = np.random.default_rng(seed)
+        objects = _valid_objects(rng, n, dim)
+        lines = [json.dumps(obj) for obj in objects]
+        for at in sorted(blank, reverse=True):
+            lines.insert(min(at, len(lines)), "  ")
+        path = tmp_path / "emb.jsonl"
+        path.write_text("\n".join(lines) + ("\n" if last_newline else ""), encoding="utf-8")
+        ids = [obj["image_id"] for obj in objects]
+        only = {
+            None: None, "every third": set(ids[::3]), "first half": set(ids[: n // 2]),
+            "second half": set(ids[n // 2 :]), "none": {"absent"},
+        }[subset]
+        records = _assert_same_as_reference(path, only)
+        if only is None:
+            assert len(records) == n
+
+    @_ORACLE
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 2 * embedstore._CHUNK + 9),
+           shape=st.sampled_from([(1, 1), (2, 3), (16, 4)]),
+           blank=st.sets(st.integers(0, 200), max_size=4), last_newline=st.booleans(),
+           subset=st.sampled_from([None, "every third", "first half", "second half", "none"]))
+    def test_valid_token_maps(self, tmp_path, seed, n, shape, blank, last_newline, subset):
+        objects = _valid_token_objects(np.random.default_rng(seed), n, shape)
+        lines = [json.dumps(o) for o in objects]
+        for at in sorted(blank, reverse=True):
+            lines.insert(at % (n + 1), " \t")
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + ("\n" if last_newline else ""), encoding="utf-8")
+        ids = [o["image_id"] for o in objects]
+        only = {
+            None: None, "every third": set(ids[::3]), "first half": set(ids[: n // 2]),
+            "second half": set(ids[n // 2 :]), "none": {"absent"},
+        }[subset]
+        maps = _assert_tokens_as_reference(path, only)
+        if only is None:
+            assert len(maps) == n
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    @pytest.mark.parametrize("kind", sorted(_DAMAGE))
+    def test_damaged_embedding_sets(self, tmp_path, kind, half):
+        # the fault sits in the first chunk, or in the last of three
+        n = 2 * embedstore._CHUNK + 10
+        objects = _valid_objects(np.random.default_rng(7), n, 3)
+        at = 5 if half == "first" else n - 5
+        assert at // embedstore._CHUNK == (0 if half == "first" else 2)
+        text = _DAMAGE[kind](objects, at)
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join((text if i == at and text else json.dumps(o)) + "\n"
+                                for i, o in enumerate(objects)))
+        assert _assert_same_as_reference(path)[0] is DataValidationError
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    @pytest.mark.parametrize("kind", sorted(_TOKEN_DAMAGE))
+    def test_damaged_token_maps(self, tmp_path, kind, half):
+        n = 2 * embedstore._CHUNK + 10
+        objects = _valid_token_objects(np.random.default_rng(7), n, (2, 3))
+        at = 5 if half == "first" else n - 5
+        assert at // embedstore._CHUNK == (0 if half == "first" else 2)
+        text = _TOKEN_DAMAGE[kind](objects, at)
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join((text if i == at and text else json.dumps(o)) + "\n"
+                                for i, o in enumerate(objects)))
+        assert _assert_tokens_as_reference(path)[0] is DataValidationError
+
+    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
+    @pytest.mark.parametrize("half", ["first", "second"])
+    @pytest.mark.parametrize("damage", [
+        b"\xff", b"\xc3(", b"\xed\xa0\x80",  # not UTF-8
+        b"\r", b" \r ",  # a line break to a text reader, inside the line
+    ])
+    def test_damaged_bytes(self, tmp_path, load, half, damage):
+        n = 40
+        if load is load_token_maps:
+            objects = _valid_token_objects(np.random.default_rng(2), n, (2, 2))
+        else:
+            objects = _valid_objects(np.random.default_rng(2), n, 3)
+        lines = [json.dumps(o).encode() + b"\n" for o in objects]
+        at = 3 if half == "first" else n - 3
+        lines[at] = lines[at][:20] + damage + lines[at][20:]
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b"".join(lines))
+        assert _assert_as_reference(load, path)[0] is DataValidationError
+
+    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
+    @pytest.mark.parametrize("half", ["first", "second", "both"])
+    def test_crlf_lines(self, tmp_path, load, half):
+        # a text reader takes \r\n for \n: the value is the reference's
+        n = 40
+        if load is load_token_maps:
+            objects = _valid_token_objects(np.random.default_rng(2), n, (2, 2))
+        else:
+            objects = _valid_objects(np.random.default_rng(2), n, 3)
+        ends = {"first": range(n // 4), "second": range(3 * n // 4, n), "both": range(n)}[half]
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b"".join(json.dumps(o).encode() + (b"\r\n" if i in ends else b"\n")
+                                  for i, o in enumerate(objects)))
+        assert len(_assert_as_reference(load, path)) == n
+
+    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
+    def test_shape_change_in_the_second_half(self, tmp_path, load):
+        # each chunk is valid alone: the shape changes at the second chunk's
+        # first line, so only a check across chunks finds the fault
+        n = 2 * embedstore._CHUNK
+        change = embedstore._CHUNK
+        if load is load_token_maps:
+            objects = _valid_token_objects(np.random.default_rng(3), n, (2, 2))
+            for o in objects[change:]:
+                o["tokens"].append([0.5, 0.5])
+            message = r"token map shape \(3, 2\) != \(2, 2\)"
+        else:
+            objects = _valid_objects(np.random.default_rng(3), n, 3)
+            for o in objects[change:]:
+                o["vector"].append(0.5)
+            message = "dimension 4 != 3 of first record"
+        path = tmp_path / "x.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        outcome = _assert_as_reference(load, path)
+        assert outcome[0] is DataValidationError
+        assert re.search(f"line {change + 1}: {message}", outcome[1])
+
+    @pytest.mark.parametrize("load", [_new_load, load_token_maps])
+    def test_filtered_loads_stay_serial(self, tmp_path, load):
+        if load is load_token_maps:
+            objects = _valid_token_objects(np.random.default_rng(5), 40, (2, 2))
+        else:
+            objects = _valid_objects(np.random.default_rng(5), 40, 4)
+        path = tmp_path / "x.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objects))
+        only = {objects[0]["image_id"], objects[-1]["image_id"]}
+        assert len(_assert_as_reference(load, path, only)) == 2
+        assert len(_assert_as_reference(load, path)) == 40
+
+
 class TestFilteredReads:
     """A load with ``only`` gives what a full load of the lines that hold a
     selected record gives, blank lines in place of the others: the same
