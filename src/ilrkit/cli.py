@@ -7,15 +7,14 @@ config hash, seed, and tool version. synth and pipeline take --threads:
 unless it is 1, a forked worker process runs one job at a time beside the
 parent and reports once the job has finished. In synth a job writes the
 token maps. In pipeline one job builds and writes the general-view tasks
-while the expert trains, and a second, while the adapter trains, writes
-the bundle and the expert set and scores the general and expert matchers
-(the tier, the sweep and recall@1), so that the parent scores only the
-fused matcher after training. Outputs, error messages and exit codes do
-not depend on --threads. A command
-runs with numpy's bundled OpenBLAS at one thread, whatever the
-environment asks, and restores the previous count on return: its matrix
-products are small (expert batches of 32 by 64), and on a 2-core host
-two BLAS threads made the default pipeline 1.5 times slower. Exit codes:
+and writes the token maps while the expert trains, and a second writes
+the raw view and the expert set and computes recall@1 while the parent
+fits the adapter and scores every matcher. Outputs, error messages and
+exit codes do not depend on --threads. A command runs with numpy's
+bundled OpenBLAS at one thread, whatever the environment asks, and
+restores the previous count on return: its matrix products are small
+(expert batches of 32 by 64), and on a 2-core host two BLAS threads made
+the default pipeline 1.5 times slower. Exit codes:
 0 success, 2 config error (also a flag that would do nothing, or an
 --out of the wrong kind), 3 data validation error, 4 numeric divergence,
 5 a worker process died.
@@ -210,10 +209,12 @@ def cmd_embed(args, config: PipelineConfig) -> None:
 
 
 def _fusion_views(token_maps, expert_set: EmbeddingSet):
-    """The token maps and the float64 expert vectors, each keyed by image id."""
+    """The token maps and the expert vectors, each keyed by image id. The
+    vectors are the float32 rows of the set's matrix, not a copy: fusion
+    widens each to float64, which is exact."""
     return (
         {t.image_id: t for t in token_maps},
-        dict(zip(expert_set.image_ids, expert_set.matrix().astype(np.float64))),
+        dict(zip(expert_set.image_ids, expert_set.matrix())),
     )
 
 
@@ -224,21 +225,28 @@ def _load_views(args, config: PipelineConfig, only: set[str] | None = None):
     )
 
 
+def _adapter(tasks, token_maps, expert_vectors, config: PipelineConfig):
+    """The adapter fitted in closed form on ``tasks``, fine-tuned from there
+    for ``adapter.epochs`` when that is above 0; the fit; and the seed that
+    made the adapter: ``adapter.seed``, which orders the fine-tuning
+    batches, if fine-tuning ran, else the top-level seed."""
+    fit = fusion.fit_adapter(tasks, token_maps, expert_vectors)
+    if not config.adapter.epochs:
+        return fit.adapter, fit, config.seed
+    adapter = fusion.train_adapter(fit.adapter, tasks, token_maps, expert_vectors,
+                                   config.adapter)
+    return adapter, fit, config.adapter.seed
+
+
 def cmd_train_adapter(args, config: PipelineConfig) -> None:
     tasks = dataengine.load_gallery_tasks(args.tasks)
-    token_maps, expert_vectors = _load_views(args, config)
-    any_map = next(iter(token_maps.values()))
-    expert_dim = len(next(iter(expert_vectors.values())))
-    adapter = fusion.init_adapter(
-        expert_dim, any_map.tokens.shape[1], seed=config.adapter.seed
-    )
-    adapter = fusion.train_adapter(adapter, tasks, token_maps, expert_vectors, config.adapter)
+    adapter, fit, seed = _adapter(tasks, *_load_views(args, config), config)
     with OutputStage(Path(args.out).parent) as stage:
         checkpoint.save_adapter(
-            adapter, stage.record(Path(args.out).name, config.config_hash(), config.adapter.seed),
-            seed=config.adapter.seed,
+            adapter, stage.record(Path(args.out).name, config.config_hash(), seed), seed=seed
         )
-    print(f"trained fusion adapter -> {args.out}")
+    print(f"fitted fusion adapter (scale {fit.scale:g}, {config.adapter.epochs} "
+          f"fine-tuning epochs) -> {args.out}")
 
 
 def cmd_fuse(args, config: PipelineConfig) -> None:
@@ -351,15 +359,17 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     evaluate all matchers -> sweep, with one manifest for everything.
 
     The tiers, detection tasks, conversations and adapter-training tasks
-    depend on the general view alone, so one job builds and writes them
-    while the parent trains the expert. A second job, while the parent
-    trains the adapter, writes the bundle and the expert set, builds the
-    sweep's tasks, scores the general and expert matchers on the tier and
-    the sweep, and computes both recall@1 values; after the adapter, the
-    parent scores the fused matcher alone and assembles the report. At
-    --threads 1 each job runs in the parent where it is submitted and keeps
-    its error until its result is read, so when a job and a trainer both
-    fail, the trainer's error wins at any --threads."""
+    depend on the general view alone, so one job builds and writes them,
+    and then writes the token maps, while the parent trains the expert. A
+    second job writes the raw view and the expert set and computes both
+    recall@1 values while the parent fits the adapter, builds the sweep's
+    tasks, scores every matcher and writes the general view and the ground
+    truth. The lanes were balanced by measuring each part; recall@1 sits in
+    the job because its similarity blocks would raise the parent's peak
+    memory. At --threads 1 each job runs in the parent where it is
+    submitted and keeps its error until its result is read, so when a job
+    and the parent's own work both fail, the parent's error wins at any
+    --threads."""
     out = Path(args.out)
     stages = StageLog()
     with OutputStage(out, args.threads > 1) as stage:
@@ -380,6 +390,11 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 "detection_tasks.jsonl", "conversations_mcq.jsonl", "conversations_caption.jsonl",
             )
         ]
+        # the bundle files carry the seed that generated them
+        raw_path, general_path, maps_path, truth_path = (
+            stage.record(name, h, config.synth.seed)
+            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
+        )
 
         def build_and_write_tasks():
             tiers = {
@@ -403,6 +418,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
                 n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
             )
+            save_token_maps(bundle.token_maps, maps_path)
             return tier, train_tasks
 
         tasks = stage.submit(build_and_write_tasks, name="task building and writes")
@@ -419,66 +435,57 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         expert_set = expert.embed_set(head, bundle.raw_set)
         tier, train_tasks = tasks.result()
 
-        # the bundle files carry the seed that generated them
-        raw_path, general_path, maps_path, truth_path = (
-            stage.record(name, h, config.synth.seed)
-            for name in (f"raw.{ext}", f"general.{ext}", "token_maps.jsonl", "ground_truth.jsonl")
-        )
         expert_path = stage.record(f"expert.{ext}", h, seed, expert_seeds)
 
-        def write_bundle_and_score_views():
+        def write_sets_and_recall():
             save_embedding_set(bundle.raw_set, raw_path, ext)
-            save_embedding_set(bundle.general_set, general_path, ext)
-            save_token_maps(bundle.token_maps, maps_path)
-            _write_ground_truth(truth_path, bundle.ground_truth)
             save_embedding_set(expert_set, expert_path, ext)
-            sweep_tiers = evalkit.sweep_tasks(
-                bundle.general_set, split.test_instances, config.taus, k=config.k,
-                n_tasks=config.n_sweep_tasks, seed=seed,
-            )
-            matchers = {
-                "general": evalkit.similarity_matcher(bundle.general_set),
-                "expert": evalkit.similarity_matcher(expert_set),
-            }
-            recall = {
+            return {
                 name: synthgen.recall_at_1(view.subset(split.test_instances))
                 for name, view in (("general", bundle.general_set), ("expert", expert_set))
             }
-            return (sweep_tiers, _matching_reports(tier, matchers),
-                    evalkit.sweep_accuracies(sweep_tiers, matchers), recall)
 
-        scored = stage.submit(write_bundle_and_score_views,
-                              name="bundle writes and adapter-free scoring")
+        recall = stage.submit(write_sets_and_recall, name="raw and expert-set writes and recall")
 
-        stages.next("training fusion adapter")
+        stages.next("fitting fusion adapter")
         token_maps, expert_vectors = _fusion_views(bundle.token_maps, expert_set)
-        any_map = next(iter(token_maps.values()))
-        adapter = fusion.init_adapter(
-            expert_set.dimension, any_map.tokens.shape[1], seed=config.adapter.seed
-        )
-        adapter = fusion.train_adapter(
-            adapter, train_tasks, token_maps, expert_vectors, config.adapter
-        )
-        adapter_seeds = {**expert_seeds, "adapter.seed": config.adapter.seed}
+        adapter, fit, adapter_seed = _adapter(train_tasks, token_maps, expert_vectors, config)
+        # fine-tuning adds the seed that ordered its batches
+        adapter_seeds = (expert_seeds if not config.adapter.epochs
+                         else {**expert_seeds, "adapter.seed": adapter_seed})
         checkpoint.save_adapter(
-            adapter, stage.record("adapter.ckpt", h, config.adapter.seed, adapter_seeds)
+            adapter, stage.record("adapter.ckpt", h, adapter_seed, adapter_seeds)
         )
 
         stages.next("evaluating matchers")
-        sweep_tiers, matcher_reports, accuracies, recall = scored.result()
-        fused = {"fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors)}
-        matcher_reports.update(_matching_reports(tier, fused))
-        accuracies.update(evalkit.sweep_accuracies(sweep_tiers, fused))
-        sweep = evalkit.SweepResult.of(accuracies)
+        sweep_tiers = evalkit.sweep_tasks(
+            bundle.general_set, split.test_instances, config.taus, k=config.k,
+            n_tasks=config.n_sweep_tasks, seed=seed,
+        )
+        matchers = {
+            "general": evalkit.similarity_matcher(bundle.general_set),
+            "expert": evalkit.similarity_matcher(expert_set),
+            "fused": evalkit.fused_matcher(adapter, token_maps, expert_vectors),
+        }
+        matcher_reports = _matching_reports(tier, matchers)
+        sweep = evalkit.SweepResult.of(evalkit.sweep_accuracies(sweep_tiers, matchers))
+        save_embedding_set(bundle.general_set, general_path, ext)
+        _write_ground_truth(truth_path, bundle.ground_truth)
 
         # the matcher reports are serialized before the fused one takes the
         # sweep table for report.txt, so report.json holds that table once
         summary = {
+            "adapter": {
+                "scale": fit.scale,
+                "training_accuracy": {f"{s:g}": a for s, a in fit.accuracies.items()},
+                "training_images": fit.images,
+                "fine_tuning_epochs": config.adapter.epochs,
+            },
             "matching_accuracy": {
                 name: rep.to_dict() for name, rep in sorted(matcher_reports.items())
             },
             "sweep": sweep.to_dict(),
-            "recall_at_1": recall,
+            "recall_at_1": recall.result(),
         }
         report = matcher_reports["fused"]
         report.sweep = {
@@ -567,10 +574,9 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = 
     if threads:
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="1 runs everything in one process; above 1, a forked worker "
-                            "builds pipeline's general-view tasks, writes the bulk "
-                            "artifacts of pipeline and synth and scores pipeline's general "
-                            "and expert matchers while computing goes on (default: the "
-                            "CPUs this process may run on)")
+                            "builds pipeline's general-view tasks and writes the bulk "
+                            "artifacts of pipeline and synth while computing goes on "
+                            "(default: the CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -637,7 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("train-adapter", help="train the fusion adapter on gallery tasks")
+    p = sub.add_parser("train-adapter",
+                       help="fit the fusion adapter in closed form on gallery tasks, then "
+                            "fine-tune it for the config's adapter.epochs (default 0)")
     p.add_argument("--tasks", required=True)
     p.add_argument("--token-maps", required=True)
     p.add_argument("--expert-embeddings", required=True)

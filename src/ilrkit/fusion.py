@@ -3,25 +3,33 @@
 The expert identity vector is projected through a two-layer MLP, scored
 against every token of the general encoder's feature map with a scaled
 dot product, and the softmax-weighted projection is added back to each
-token (fuse). A desk-scale training surrogate optimizes the same
-parameters on the gallery-matching task via a cosine readout over
-mean-pooled fused features, with fully analytic gradients.
+token (fuse).
 
 The attention weights sum to one, so the pooled fused vector has the
-closed form pool(F(x)) = mean(tokens_x) + MLP(e_x) / N_x. Scoring and
-training both use it: pooled_fused evaluates it for one image without
-the N x d attention pass, and training stacks each image's token mean,
-token count and expert vector once, then runs every minibatch as a single
-batched forward and backward pass over index rows: the B*(K+1) images are
-gathered as rows for one MLP matrix product, each pooled vector is
-normalised once to a unit vector, the cosine scores are dot products of
-unit vectors, and the backward pass runs through the unit vectors into
-matrix products for the gradients. Every temporary of a batch shape lives
-in a workspace made once per run, and the gradients are written into
-views of one flat vector that an in-place Adam consumes. The per-task
-matching_loss_and_grads is the B = 1 case of the same code.
+closed form pool(F(x)) = mean(tokens_x) + MLP(e_x) / N_x, and the
+adapter is fitted in closed form (fit_adapter): the MLP is a linear
+projector, s (e - mu) P, with P the top principal directions of the
+training images' expert vectors and s the scale, from a fixed grid, that
+answers the most training tasks under the pooled cosine readout. Because
+ReLU(z) - ReLU(-z) = z, the projector fits the MLP's shapes exactly:
+w1 = [P, -P, 0], b1 = [-mu P, mu P, 0], w2 = [s I; -s I; 0], b2 = 0.
 
-All training math is 64-bit; checkpoints store parameters as 32-bit.
+A desk-scale training surrogate (train_adapter) can fine-tune the same
+parameters from the closed form on the gallery-matching task, via a
+cosine readout over mean-pooled fused features with fully analytic
+gradients. Training stacks each image's token mean, token count and
+expert vector once, then runs every minibatch as a single batched forward
+and backward pass over index rows: the B*(K+1) images are gathered as rows
+for one MLP matrix product, each pooled vector is normalised once to a
+unit vector, the cosine scores are dot products of unit vectors, and the
+backward pass runs through the unit vectors into matrix products for the
+gradients. Every temporary of a batch shape lives in a workspace made once
+per run, and the gradients are written into views of one flat vector that
+an in-place Adam consumes. The per-task matching_loss_and_grads is the
+B = 1 case of the same code.
+
+All fitting and training math is 64-bit; checkpoints store parameters as
+32-bit.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import simcore
 from .embedstore import TokenFeatureMap
 from .errors import DataValidationError, DivergenceError
 
@@ -85,22 +94,6 @@ class FusionOutput:
     fused: np.ndarray  # (N, d)
     attention: np.ndarray  # (N,), non-negative, sums to 1
     projected: np.ndarray  # (d,)
-
-
-def init_adapter(expert_dim: int, output_dim: int, seed: int = 0) -> FusionAdapter:
-    """Seeded uniform init in +/- 1/sqrt(fan_in) with max(expert_dim,
-    output_dim) hidden units and temperature 1; final layer scaled by 0.1
-    so the initial fusion is a small perturbation of the tokens."""
-    hidden = max(expert_dim, output_dim)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA7]))
-    lim1 = 1.0 / math.sqrt(expert_dim)
-    lim2 = 1.0 / math.sqrt(hidden)
-    return FusionAdapter(
-        w1=rng.uniform(-lim1, lim1, size=(expert_dim, hidden)),
-        b1=rng.uniform(-lim1, lim1, size=hidden),
-        w2=0.1 * rng.uniform(-lim2, lim2, size=(hidden, output_dim)),
-        b2=0.1 * rng.uniform(-lim2, lim2, size=output_dim),
-    )
 
 
 def project_expert(adapter: FusionAdapter, expert_vec: Sequence[float]) -> np.ndarray:
@@ -420,7 +413,7 @@ def matching_loss_and_grads(
 @dataclass(frozen=True)
 class AdapterTrainConfig:
     step_size: float = 0.02  # Adam step
-    epochs: int = 30
+    epochs: int = 0  # fine-tuning epochs after the closed-form fit; 0 keeps the fit
     batch_size: int = 8
     seed: int = 0
     readout_temperature: float = 0.1
@@ -473,6 +466,120 @@ def _flat_adapter(like: FusionAdapter) -> tuple[np.ndarray, FusionAdapter]:
 _SCORE_CHUNK = 64
 
 
+def _task_images(tasks: Sequence, token_maps: Mapping[str, TokenFeatureMap],
+                 expert_vectors: Mapping[str, np.ndarray]) -> dict[str, int]:
+    """Each image of ``tasks`` (queries and galleries, in order of first
+    appearance) and its row number; a missing token map or expert vector,
+    a gallery of fewer than 2 images or an answer out of range raises
+    DataValidationError."""
+    if not tasks:
+        raise DataValidationError("no training tasks")
+    index: dict[str, int] = {}
+    for task in tasks:
+        for image_id in (task.query_id, *task.gallery_ids):
+            if image_id not in token_maps:
+                raise DataValidationError(f"missing token map for image {image_id!r}")
+            if image_id not in expert_vectors:
+                raise DataValidationError(f"missing expert vector for image {image_id!r}")
+            index.setdefault(image_id, len(index))
+    for task in tasks:
+        _check_gallery(len(task.gallery_ids), task.answer_index)
+    return index
+
+
+# The scales s that fit_adapter tries, smallest first: a tie goes to the
+# smaller scale.
+SCALES = tuple(4.0**i for i in range(8))
+
+
+@dataclass(frozen=True)
+class AdapterFit:
+    """A closed-form adapter and what chose it: its scale, the fraction of
+    training tasks answered at each scale of SCALES, and the number of
+    training images its projector was fitted on."""
+
+    adapter: FusionAdapter
+    scale: float
+    accuracies: dict[float, float]
+    images: int
+
+
+def _principal_directions(centred: np.ndarray, width: int) -> np.ndarray:
+    """The (d_e, width) matrix P of the top principal directions of the
+    (n, d_e) ``centred`` rows: the eigenvectors of their d_e x d_e scatter
+    matrix (np.linalg.eigh), by falling eigenvalue, each signed so that its
+    entry of largest magnitude is positive. A column past the rank of the
+    scatter (an eigenvalue within rounding of zero, or past d_e) is zero."""
+    values, vectors = np.linalg.eigh(centred.T @ centred)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    d_e = len(values)
+    kept = values > max(values[0], 0.0) * d_e * np.finfo(np.float64).eps
+    p = np.zeros((d_e, width))
+    m = min(width, d_e)
+    p[:, :m] = np.where(kept[:m], vectors[:, :m], 0.0)
+    largest = p[np.abs(p).argmax(axis=0), np.arange(width)]
+    p *= np.where(largest < 0.0, -1.0, 1.0)
+    return p
+
+
+def _closed_form_adapter(mu: np.ndarray, p: np.ndarray, scale: float) -> FusionAdapter:
+    """The adapter whose projection is scale * (e - mu) P for every e, in
+    hidden width max(d_e, 2d): w1 = [P, -P, 0], b1 = [-mu P, mu P, 0],
+    w2 = [scale I; -scale I; 0], b2 = 0, as ReLU(z) - ReLU(-z) = z."""
+    d_e, d = p.shape
+    hidden = max(d_e, 2 * d)
+    w1, b1, w2 = np.zeros((d_e, hidden)), np.zeros(hidden), np.zeros((hidden, d))
+    shift = mu @ p
+    w1[:, :d], w1[:, d : 2 * d] = p, -p
+    b1[:d], b1[d : 2 * d] = -shift, shift
+    w2[:d], w2[d : 2 * d] = scale * np.eye(d), -scale * np.eye(d)
+    return FusionAdapter(w1, b1, w2, np.zeros(d))
+
+
+def fit_adapter(
+    tasks: Sequence,
+    token_maps: Mapping[str, TokenFeatureMap],
+    expert_vectors: Mapping[str, np.ndarray],
+) -> AdapterFit:
+    """The adapter in closed form, from every query and gallery image of
+    the training ``tasks``.
+
+    mu is the mean of those images' expert vectors and P their principal
+    directions (_principal_directions) at the token width. The scale
+    is the one of SCALES whose pooled fused vectors,
+    mean(tokens) + scale (e - mu) P / N, answer the most tasks by cosine
+    argmax (simcore.match_batch, a chunk of tasks at a time); of equal
+    counts the smaller scale wins. A zero pooled vector raises
+    DataValidationError.
+    """
+    index = _task_images(tasks, token_maps, expert_vectors)
+    first = next(iter(index))
+    tokens = token_maps[first]
+    d = np.shape(tokens.tokens if isinstance(tokens, TokenFeatureMap) else tokens)[-1]
+    d_e = np.size(expert_vectors[first])
+    # a zero adapter of the widths of the first image checks every image
+    views = matching_views(_closed_form_adapter(np.zeros(d_e), np.zeros((d_e, d)), 1.0),
+                           [token_maps[i] for i in index], [expert_vectors[i] for i in index])
+    # the views are this call's own: centred in place, they are e - mu
+    centred = views.experts
+    mu = centred.mean(axis=0)
+    centred -= mu
+    p = _principal_directions(centred, d)
+    shifted = centred @ p
+    shifted /= views.token_counts[:, None]
+    rows = [[index[i] for i in (t.query_id, *t.gallery_ids)] for t in tasks]
+    answers = np.array([t.answer_index for t in tasks])
+    accuracies, best, most = {}, SCALES[0], -1
+    for scale in SCALES:
+        pooled = views.token_means + scale * shifted
+        correct = int(np.count_nonzero(
+            np.array(simcore.match_batch(pooled, rows, "cosine")) == answers))
+        accuracies[scale] = correct / len(tasks)
+        if correct > most:
+            best, most = scale, correct
+    return AdapterFit(_closed_form_adapter(mu, p, best), best, accuracies, len(index))
+
+
 # Every non-finite value in training raises DivergenceError, so numpy's
 # floating-point warnings would only print the same fault before it.
 @np.errstate(all="ignore")
@@ -496,18 +603,7 @@ def train_adapter(
     Returns the trained adapter; if the final epoch's mean loss exceeds the
     initial one, the best epoch's parameters are returned instead.
     """
-    if not tasks:
-        raise DataValidationError("no training tasks")
-    index: dict[str, int] = {}
-    for task in tasks:
-        for image_id in (task.query_id, *task.gallery_ids):
-            if image_id not in token_maps:
-                raise DataValidationError(f"missing token map for image {image_id!r}")
-            if image_id not in expert_vectors:
-                raise DataValidationError(f"missing expert vector for image {image_id!r}")
-            index.setdefault(image_id, len(index))
-    for task in tasks:
-        _check_gallery(len(task.gallery_ids), task.answer_index)
+    index = _task_images(tasks, token_maps, expert_vectors)
     views = matching_views(
         adapter_init,
         [token_maps[i] for i in index],

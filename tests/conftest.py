@@ -56,21 +56,14 @@ def token_map_index(default_bundle):
 
 @pytest.fixture(scope="session")
 def trained_adapter(default_bundle, default_split, token_map_index, expert_vectors):
-    """30-epoch trained fusion adapter plus the wall-clock training seconds."""
+    """The fusion adapter fitted in closed form on 2,000 training tasks,
+    plus the wall-clock seconds of the fit."""
     train_tasks = dataengine.build_gallery_tasks(
         default_bundle.general_set, default_split.train_instances,
         n_tasks=2000, seed=8, task_prefix="a-",
     )
-    adapter = fusion.init_adapter(
-        len(next(iter(expert_vectors.values()))),
-        default_bundle.token_maps[0].tokens.shape[1],
-        seed=0,
-    )
     t0 = time.monotonic()
-    adapter = fusion.train_adapter(
-        adapter, train_tasks, token_map_index, expert_vectors,
-        fusion.AdapterTrainConfig(epochs=30),
-    )
+    adapter = fusion.fit_adapter(train_tasks, token_map_index, expert_vectors).adapter
     elapsed = time.monotonic() - t0
     return adapter, elapsed
 

@@ -302,3 +302,43 @@ def train_adapter(adapter_init, tasks, token_maps, expert_vectors, config):
         if epoch_loss < best_loss:
             best_loss, best = epoch_loss, adapter.copy()
     return best if mean_loss(adapter) > initial_loss else adapter
+
+
+def init_adapter(expert_dim: int, output_dim: int, seed: int = 0) -> fusion.FusionAdapter:
+    """A seeded random adapter, the start the trainer oracle cases fine-tune
+    from: uniform in +/- 1/sqrt(fan_in) with max(expert_dim, output_dim)
+    hidden units and temperature 1, the final layer scaled by 0.1 so the
+    fusion is a small perturbation of the tokens."""
+    hidden = max(expert_dim, output_dim)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA7]))
+    lim1 = 1.0 / math.sqrt(expert_dim)
+    lim2 = 1.0 / math.sqrt(hidden)
+    return fusion.FusionAdapter(
+        w1=rng.uniform(-lim1, lim1, size=(expert_dim, hidden)),
+        b1=rng.uniform(-lim1, lim1, size=hidden),
+        w2=0.1 * rng.uniform(-lim2, lim2, size=(hidden, output_dim)),
+        b2=0.1 * rng.uniform(-lim2, lim2, size=output_dim),
+    )
+
+
+def pick_scale(tasks, token_maps, expert_vectors, mu, p):
+    """fusion.fit_adapter's choice of scale written as a loop over scales
+    and tasks: each image pooled alone as mean(tokens) + s (e - mu) P / N,
+    each task scored by score_gallery's cosine, the first best score
+    taken as the answer. Returns the scale answering the most tasks, the
+    first of equal counts, and the fraction answered at each scale."""
+    accuracies = {}
+    for scale in fusion.SCALES:
+        correct = 0
+        for task in tasks:
+            pooled = []
+            for image_id in (task.query_id, *task.gallery_ids):
+                tokens = token_maps[image_id]
+                tokens = np.asarray(getattr(tokens, "tokens", tokens), dtype=np.float64)
+                shifted = (np.asarray(expert_vectors[image_id], dtype=np.float64) - mu) @ p
+                pooled.append(tokens.mean(axis=0) + scale * (shifted / tokens.shape[0]))
+            scores = score_gallery(pooled[0], np.array(pooled[1:]))
+            correct += int(np.argmax(scores)) == task.answer_index
+        accuracies[scale] = correct / len(tasks)
+    best = max(accuracies.values())
+    return next(s for s in fusion.SCALES if accuracies[s] == best), accuracies

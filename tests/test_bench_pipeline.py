@@ -39,11 +39,11 @@ def test_one_run_appends_one_record(tmp_path, capsys):
     (run,) = new["runs"]
     assert run["total_s"] > 0 and new["median_total_s"] == run["total_s"]
     assert list(run["stages_s"]) == [
-        "generating synthetic bundle", "training expert head", "training fusion adapter",
+        "generating synthetic bundle", "training expert head", "fitting fusion adapter",
         "evaluating matchers",
     ]
     assert list(run["workers_s"]) == ["task building and writes",
-                                      "bundle writes and adapter-free scoring"]
+                                      "raw and expert-set writes and recall"]
     assert all(s >= 0 for s in [*run["stages_s"].values(), *run["workers_s"].values()])
 
 

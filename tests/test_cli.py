@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference
 from ilrkit import checkpoint, cli, dataengine, embedstore, evalkit, expert, fusion, synthgen
 from ilrkit.config import PipelineConfig
 from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
@@ -146,6 +147,25 @@ class TestSubcommandChain:
             for line in fh:
                 obj = json.loads(line)
                 assert dataengine.parse_answer(obj["target"], 3) == obj["answer_index"]
+
+    @pytest.mark.parametrize("epochs, seed", [(0, 1), (1, 9)],
+                             ids=["closed form", "fine-tuned"])
+    def test_train_adapter_names_the_seed_that_made_it(self, workspace, tmp_path, epochs,
+                                                       seed):
+        # the top-level seed without fine-tuning, adapter.seed with it, in
+        # the manifest and the checkpoint header alike
+        data = workspace / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "adapter": {
+            **SMALL_CONFIG["adapter"], "epochs": epochs, "seed": 9}}))
+        ckpt = tmp_path / "adapter.ckpt"
+        assert cli.main(["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                         "--token-maps", str(data / "token_maps.jsonl"),
+                         "--expert-embeddings", str(data / "expert.jsonl"),
+                         "--out", str(ckpt), "--config", str(config)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["adapter.ckpt"]["seed"] \
+            == seed
+        assert json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["seed"] == seed
 
     def test_train_adapter_and_fuse(self, workspace, tmp_path):
         data = workspace / "data"
@@ -925,7 +945,7 @@ class TestMalformedInputs:
             if json.loads(line)["image_id"] != missing
         ))
         adapter = tmp_path / "adapter.ckpt"
-        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        checkpoint.save_adapter(reference.init_adapter(8, 8, seed=0), adapter)
         rc = cli.main(["sweep", "--embeddings", str(data / "general.jsonl"),
                        "--split", str(data / "split.json"),
                        "--expert-embeddings", str(data / "expert.jsonl"),
@@ -942,7 +962,7 @@ class TestMalformedInputs:
         partial = tmp_path / "expert.jsonl"
         save_embedding_set(expert_set.from_records("expert", expert_set.records[1:]), partial)
         adapter = tmp_path / "adapter.ckpt"
-        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        checkpoint.save_adapter(reference.init_adapter(8, 8, seed=0), adapter)
         rc = cli.main(["fuse", "--checkpoint", str(adapter),
                        "--token-maps", str(data / "token_maps.jsonl"),
                        "--expert-embeddings", str(partial), "--image-id", missing]
@@ -955,7 +975,7 @@ class TestMalformedInputs:
         copies given; writes tmp_path/fused.json."""
         data = workspace / "data"
         adapter = tmp_path / "adapter.ckpt"
-        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+        checkpoint.save_adapter(reference.init_adapter(8, 8, seed=0), adapter)
         return cli.main(["fuse", "--checkpoint", str(adapter),
                          "--token-maps", str(token_maps or data / "token_maps.jsonl"),
                          "--expert-embeddings", str(expert or data / "expert.jsonl"),
@@ -1396,7 +1416,7 @@ class TestFuzzedBinaryInputs:
         data = workspace / "data"
         root = tmp_path_factory.mktemp("fuzz")
         save_embedding_set(load_embedding_set(data / "general.jsonl"), root / "g.bin", "bin")
-        checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), root / "adapter.ckpt")
+        checkpoint.save_adapter(reference.init_adapter(8, 8, seed=0), root / "adapter.ckpt")
         save_embedding_set(load_embedding_set(data / "expert.jsonl"), root / "e.bin", "bin")
         (root / "config.json").write_text(json.dumps(dict(SMALL_CONFIG, format="bin")))
         return {"emb1": root / "g.bin", "expert": data / "expert_head.ckpt",
@@ -1520,7 +1540,7 @@ class TestFuzzedTextInputs:
         bad.write_bytes(data.draw(_damaged(blob)))
         adapter = tmp_path / "adapter.ckpt"
         if not adapter.exists():
-            checkpoint.save_adapter(fusion.init_adapter(8, 8, seed=0), adapter)
+            checkpoint.save_adapter(reference.init_adapter(8, 8, seed=0), adapter)
         self._run(["fuse", "--checkpoint", str(adapter),
                    "--token-maps", str(data_dir / "token_maps.jsonl"),
                    "--expert-embeddings", str(bad), "--image-id", _FUSE_ID,
@@ -1584,24 +1604,65 @@ def _stack() -> str:
     return f"numpy {np.__version__}, {blas}, {platform.machine()}"
 
 
+def _golden_digests() -> dict:
+    """The recorded digests of each command's output files. They were made
+    on the stacks that tests/golden_digests.json lists; on any other the
+    calling test skips, naming the stack."""
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    stack = _stack()
+    if stack not in golden["stacks"]:
+        pytest.skip(f"no golden digests recorded for the stack {stack!r}")
+    return golden["digests"]
+
+
+def _digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+# the task builders pinned by their digests, each run on a fresh synth
+# bundle and split at the small config
+_GOLDEN_BUILDS = {
+    "build-galleries": ["build-galleries", "--k", "3", "--tau", "0.3", "--n-tasks", "10"],
+    "build-galleries --per-category": ["build-galleries", "--k", "3", "--tau", "0.3",
+                                       "--n-tasks", "4", "--per-category"],
+    "build-detection": ["build-detection", "--tau", "0.3", "--n-tasks", "10"],
+}
+
+
 class TestDeterminism:
     def test_pipeline_bytes_as_recorded(self, workspace, tmp_path):
         """Every file ``pipeline`` writes at the small config, at --threads 1
-        and 2, has the sha256 in tests/golden_digests.json. The digests were
-        recorded on the stacks listed there; on any other the test skips,
-        naming the stack. A change that alters artifacts on purpose records
-        the new digests in the same commit."""
-        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
-        stack = _stack()
-        if stack not in golden["stacks"]:
-            pytest.skip(f"no golden digests recorded for the stack {stack!r}")
+        and 2, has the sha256 in tests/golden_digests.json. A change that
+        alters artifacts on purpose records the new digests in the same
+        commit."""
+        golden = _golden_digests()
         for threads in ("1", "2"):
             out = tmp_path / threads
             assert cli.main(["pipeline", "--out", str(out), "--threads", threads]
                             + _cfg(workspace)) == 0
-            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                       for p in sorted(out.iterdir())}
-            assert digests == golden["digests"], threads
+            assert _digests(out) == golden["pipeline"], threads
+
+    @pytest.mark.parametrize("command", ["synth", *_GOLDEN_BUILDS])
+    def test_command_bytes_as_recorded(self, workspace, tmp_path, command):
+        """Every file ``synth`` writes at --threads 1 and 2, and every file
+        each task builder writes from its bundle, has its recorded sha256."""
+        golden = _golden_digests()
+        for threads in ("1", "2"):
+            bundle = tmp_path / f"bundle{threads}"
+            assert cli.main(["synth", "--out", str(bundle), "--threads", threads]
+                            + _cfg(workspace)) == 0
+            if command == "synth":
+                assert _digests(bundle) == golden["synth"], threads
+        if command == "synth":
+            return
+        split = tmp_path / "split" / "split.json"
+        assert cli.main(["split", "--embeddings", str(bundle / "general.jsonl"),
+                         "--out", str(split)] + _cfg(workspace)) == 0
+        out = tmp_path / "out" / "tasks.jsonl"
+        assert cli.main([*_GOLDEN_BUILDS[command], "--embeddings", str(bundle / "general.jsonl"),
+                         "--split", str(split), "--out", str(out)] + _cfg(workspace)) == 0
+        assert _digests(out.parent) == golden[command]
 
     def test_subcommand_outputs_byte_identical(self, workspace, tmp_path):
         data = workspace / "data"
@@ -1622,6 +1683,27 @@ class TestDeterminism:
         stray = [p for p in data.iterdir() if p.name.startswith(".stage-")]
         assert stray == []
 
+    def test_report_records_the_adapter_fit(self, workspace, tmp_path):
+        fits = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert cli.main(["pipeline", "--out", str(out), "--threads", threads]
+                            + _cfg(workspace)) == 0
+            fits.append(json.loads((out / "report.json").read_text())["adapter"])
+        fit = fits[0]
+        assert fits[1] == fit
+        assert set(fit) == {"scale", "training_accuracy", "training_images",
+                            "fine_tuning_epochs"}
+        assert sorted(fit["training_accuracy"], key=float) == [f"{s:g}" for s in fusion.SCALES]
+        best = max(fit["training_accuracy"].values())
+        assert fit["training_accuracy"][f"{fit['scale']:g}"] == best
+        assert fit["fine_tuning_epochs"] == SMALL_CONFIG["adapter"]["epochs"]
+        # the training tasks' images all come from the train side
+        train = dataengine.load_split(tmp_path / "1" / "split.json").train_instances
+        general = load_embedding_set(tmp_path / "1" / "general.jsonl")
+        on_train_side = sum(r.instance_id in train for r in general.records)
+        assert 2 <= fit["training_images"] <= on_train_side
+
     def test_pipeline_logs_stage_seconds(self, workspace, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="ilrkit")
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "-v", "--threads", "2"]
@@ -1630,6 +1712,10 @@ class TestDeterminism:
         lines = [m for m in messages if m.startswith("pipeline:")]
         assert lines[0] == "pipeline: generating synthetic bundle"
         assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
+        assert [line.split(" (")[0] for line in lines[1:4]] == [
+            "pipeline: training expert head", "pipeline: fitting fusion adapter",
+            "pipeline: evaluating matchers",
+        ]
         assert len(lines) == 5
         for prev, line in zip(lines, lines[1:]):
             stage = prev.removeprefix("pipeline: ").split(" (")[0]
@@ -1637,7 +1723,7 @@ class TestDeterminism:
         # each worker job logs its own seconds, on a line of its own
         workers = [m for m in messages if m.startswith("worker:")]
         assert [m.split(" took ")[0] for m in workers] == [
-            "worker: task building and writes", "worker: bundle writes and adapter-free scoring",
+            "worker: task building and writes", "worker: raw and expert-set writes and recall",
         ]
         for line in workers:
             assert re.fullmatch(r"worker: .+ took \d+\.\d\d s", line), line
@@ -1664,13 +1750,16 @@ class TestDeterminism:
     def test_manifest_names_every_seed_of_the_trained_artifacts(self, workspace, tmp_path):
         # the expert and the adapter are trained on the split that the
         # top-level seed draws; a change of either seed shows in their entries
+        closed_form = {**SMALL_CONFIG["adapter"], "epochs": 0}
         configs = {
             "base": SMALL_CONFIG,
             "seed": {**SMALL_CONFIG, "seed": 5},
             "expert.seed": {**SMALL_CONFIG, "expert": {**SMALL_CONFIG["expert"], "seed": 9}},
             "adapter.seed": {**SMALL_CONFIG, "adapter": {**SMALL_CONFIG["adapter"], "seed": 9}},
+            "closed form": {**SMALL_CONFIG, "adapter": closed_form},
+            "closed form, adapter.seed": {**SMALL_CONFIG, "adapter": {**closed_form, "seed": 9}},
         }
-        entries = {}
+        entries, files = {}, {}
         for name, config in configs.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(config))
@@ -1681,6 +1770,16 @@ class TestDeterminism:
             entries[name] = {artifact: {k: v for k, v in manifest[artifact].items()
                                         if k != "config_hash"}
                              for artifact in ("expert_head.ckpt", "expert.jsonl", "adapter.ckpt")}
+            files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                           if p.name != "manifest.json"}
+        # without fine-tuning the top-level seed, which drew the training
+        # tasks, made the adapter, and adapter.seed changes no byte
+        closed = entries["closed form"]
+        assert closed["adapter.ckpt"]["seed"] == SMALL_CONFIG["seed"]
+        assert closed["adapter.ckpt"]["seeds"] == {"seed": 1, "expert.seed": 0}
+        assert entries["closed form, adapter.seed"] == closed
+        assert files["closed form, adapter.seed"] == files["closed form"]
+        assert files["closed form"]["adapter.ckpt"] != files["base"]["adapter.ckpt"]
         base = entries["base"]
         seed, expert_seed, adapter_seed = 1, 0, 0  # SMALL_CONFIG's
         assert base["expert_head.ckpt"]["seeds"] == {"seed": seed, "expert.seed": expert_seed}
@@ -1702,21 +1801,21 @@ class TestDeterminism:
                                                 monkeypatch):
         parent = os.getpid()
         failed = tmp_path / "failed"
-        save_token_maps = cli.save_token_maps
+        save_embedding_set = cli.save_embedding_set
 
-        def slow_save_token_maps(*args, **kwargs):
-            # at --threads 2 the bundle writer, a job the parent does not
-            # wait for, runs until the adapter has failed
+        def slow_save_embedding_set(*args, **kwargs):
+            # at --threads 2 the raw and expert-set writer, a job the parent
+            # does not wait for, runs until the adapter fit has failed
             if os.getpid() != parent:
                 _wait_for(failed)
-            save_token_maps(*args, **kwargs)
+            save_embedding_set(*args, **kwargs)
 
         def fail(*args, **kwargs):
             failed.touch()
             raise DataValidationError("adapter training failed")
 
-        monkeypatch.setattr(cli, "save_token_maps", slow_save_token_maps)
-        monkeypatch.setattr(fusion, "train_adapter", fail)
+        monkeypatch.setattr(cli, "save_embedding_set", slow_save_embedding_set)
+        monkeypatch.setattr(fusion, "fit_adapter", fail)
         for threads in ("1", "2"):
             failed.unlink(missing_ok=True)
             out = tmp_path / f"run{threads}"
@@ -1933,10 +2032,9 @@ class TestPipelineWorker:
         assert len(set(recorded)) == 1 and int(recorded[0]) != os.getpid()
         _assert_no_child_left()
 
-    def test_adapter_free_scoring_is_done_in_the_worker(self, workspace, tmp_path,
-                                                         monkeypatch):
-        # the sweep's tasks, the general and expert scores and recall@1 come
-        # from the second job; the parent scores the fused matcher alone
+    def test_every_matcher_is_scored_in_the_parent(self, workspace, tmp_path, monkeypatch):
+        # the sweep's tasks and every matcher's scores come from the parent,
+        # after the adapter fit; the second job computes recall@1
         pids = tmp_path / "pids"
 
         def record_pid(module, name):
@@ -1956,14 +2054,11 @@ class TestPipelineWorker:
                         + _cfg(workspace)) == 0
         calls = [line.split() for line in pids.read_text().splitlines()]
         parent = str(os.getpid())
-        in_parent = [name for name, pid in calls if pid == parent]
-        assert in_parent == ["fused_matcher", "sweep_accuracies"]
-        workers = {pid for name, pid in calls if pid != parent}
-        assert len(workers) == 1
-        assert sorted(name for name, pid in calls if pid != parent) == [
-            "recall_at_1", "recall_at_1", "similarity_matcher", "similarity_matcher",
-            "sweep_accuracies", "sweep_tasks",
+        assert sorted(name for name, pid in calls if pid == parent) == [
+            "fused_matcher", "similarity_matcher", "similarity_matcher", "sweep_accuracies",
+            "sweep_tasks",
         ]
+        assert [name for name, pid in calls if pid != parent] == ["recall_at_1"] * 2
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -2003,48 +2098,78 @@ class TestPipelineWorker:
 
     def test_bundle_and_expert_set_are_written_while_the_adapter_trains(
             self, workspace, tmp_path, monkeypatch):
+        # the second job writes the raw view and the expert set while the
+        # parent fits the adapter; the parent writes the general view after
         parent = os.getpid()
-        training, trained = tmp_path / "training", tmp_path / "trained"
+        fitting, fitted = tmp_path / "fitting", tmp_path / "fitted"
         writes = tmp_path / "writes"
-        names = {"raw.jsonl", "general.jsonl", "token_maps.jsonl", "expert.jsonl"}
+        in_job = {"raw.jsonl", "expert.jsonl"}
         task_files = {"tasks_tau0.1.jsonl", "tasks_tau0.3.jsonl", "tasks_tau0.4.jsonl",
                       "detection_tasks.jsonl", "conversations_mcq.jsonl",
-                      "conversations_caption.jsonl"}
-        staged = []  # the stage's files when the adapter starts training
-        train_adapter = fusion.train_adapter
+                      "conversations_caption.jsonl", "token_maps.jsonl"}
+        staged = []  # the stage's files when the adapter fit starts
+        fit_adapter = fusion.fit_adapter
 
         def written():
             return writes.read_text().splitlines() if writes.exists() else []
 
-        def train_while_writing(*args, **kwargs):
+        def fit_while_writing(*args, **kwargs):
             (stage_dir,) = (tmp_path / "run").glob(".stage-*")
             staged.append({p.name for p in stage_dir.iterdir()})
-            training.touch()
-            adapter = train_adapter(*args, **kwargs)
-            _wait_until(lambda: len(written()) == len(names))
-            trained.touch()
-            return adapter
+            fitting.touch()
+            fit = fit_adapter(*args, **kwargs)
+            _wait_until(lambda: len(written()) == len(in_job))
+            fitted.touch()
+            return fit
 
-        def record_writer(write):
-            def record(obj, path, *args):
-                _wait_for(training)
-                write(obj, path, *args)
-                during = training.exists() and not trained.exists()
-                with open(writes, "a") as fh:
-                    fh.write(f"{os.path.basename(path)} {os.getpid()} {during}\n")
-            return record
+        save_embedding_set = cli.save_embedding_set
 
-        monkeypatch.setattr(fusion, "train_adapter", train_while_writing)
-        monkeypatch.setattr(cli, "save_embedding_set", record_writer(cli.save_embedding_set))
-        monkeypatch.setattr(cli, "save_token_maps", record_writer(cli.save_token_maps))
+        def record(eset, path, *args):
+            _wait_for(fitting)
+            save_embedding_set(eset, path, *args)
+            during = fitting.exists() and not fitted.exists()
+            with open(writes, "a") as fh:
+                fh.write(f"{os.path.basename(path)} {os.getpid()} {during}\n")
+
+        monkeypatch.setattr(fusion, "fit_adapter", fit_while_writing)
+        monkeypatch.setattr(cli, "save_embedding_set", record)
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
-        # the first job wrote every task file before it reported
+        # the first job wrote every task file and the token maps before it reported
         assert len(staged) == 1 and task_files <= staged[0]
-        records = [line.split() for line in written()]
-        assert {name for name, _, _ in records} == names
-        for name, pid, during in records:
-            assert int(pid) != parent and during == "True", (name, pid, during)
+        records = {name: (int(pid), during) for name, pid, during in map(str.split, written())}
+        assert set(records) == in_job | {"general.jsonl"}
+        for name in in_job:
+            assert records[name][0] != parent and records[name][1] == "True", name
+        assert records["general.jsonl"] == (parent, "False")
+        _assert_no_child_left()
+
+    def test_token_maps_are_written_while_the_expert_trains(self, workspace, tmp_path,
+                                                            monkeypatch):
+        parent = os.getpid()
+        training, trained = tmp_path / "training", tmp_path / "trained"
+        writes = tmp_path / "writes"
+        train_expert, save_token_maps = expert.train_expert, cli.save_token_maps
+
+        def train_while_writing(*args, **kwargs):
+            training.touch()
+            head = train_expert(*args, **kwargs)
+            _wait_for(writes)
+            trained.touch()
+            return head
+
+        def record(maps, path):
+            _wait_for(training)
+            save_token_maps(maps, path)
+            during = training.exists() and not trained.exists()
+            writes.write_text(f"{os.getpid()} {during}")
+
+        monkeypatch.setattr(expert, "train_expert", train_while_writing)
+        monkeypatch.setattr(cli, "save_token_maps", record)
+        assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
+                        + _cfg(workspace)) == 0
+        pid, during = writes.read_text().split()
+        assert int(pid) != parent and during == "True"
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -2067,22 +2192,26 @@ class TestPipelineWorker:
 
     def test_worker_killed_after_its_result_is_5(self, workspace, tmp_path, capsys,
                                                  monkeypatch):
-        # the worker dies while writing, once the parent has received the tasks
+        # the second job's worker dies while writing, once the parent has
+        # received the first job's tasks
+        parent = os.getpid()
         received = tmp_path / "received"
         trained = []
-        train_adapter = fusion.train_adapter
+        fit_adapter, save_embedding_set = fusion.fit_adapter, cli.save_embedding_set
 
-        def record_training(*args, **kwargs):
+        def record_fit(*args, **kwargs):
             trained.append(os.getpid())
             received.touch()
-            return train_adapter(*args, **kwargs)
+            return fit_adapter(*args, **kwargs)
 
         def die(*args, **kwargs):
+            if os.getpid() == parent:  # the general view, written after the fit
+                return save_embedding_set(*args, **kwargs)
             _wait_for(received)
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(fusion, "train_adapter", record_training)
-        monkeypatch.setattr(cli, "save_token_maps", die)
+        monkeypatch.setattr(fusion, "fit_adapter", record_fit)
+        monkeypatch.setattr(cli, "save_embedding_set", die)
         out = tmp_path / "run"
         rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
         assert rc == 5

@@ -28,7 +28,7 @@ def test_hash_is_stable_and_sensitive():
 def test_default_hash_is_pinned():
     # every manifest carries this hash; a change to the canonical JSON shows here
     assert PipelineConfig().config_hash() == (
-        "992eb36e272105bbd831071131b5a95346969dbfb4012e3b5e064cf0d94f028a"
+        "0324fd481966654bf4010dad6cd5bec7c7a500f868fe5b218e8c5f560938d8a3"
     )
 
 

@@ -20,7 +20,7 @@ from ilrkit.evalkit import (
     sweep_accuracies,
     sweep_tasks,
 )
-from reference import score_gallery
+from reference import init_adapter, score_gallery
 
 
 def _tasks(per_category_counts):
@@ -234,8 +234,8 @@ def _fused_views(bundle):
     maps = {t.image_id: t for t in bundle.token_maps}
     vectors = {r.image_id: np.asarray(r.vector, dtype=np.float64)
                for r in bundle.raw_set.records}
-    adapter = fusion.init_adapter(bundle.raw_set.dimension,
-                                  bundle.token_maps[0].tokens.shape[1], seed=3)
+    adapter = init_adapter(bundle.raw_set.dimension, bundle.token_maps[0].tokens.shape[1],
+                           seed=3)
     return adapter, maps, vectors
 
 

@@ -476,9 +476,7 @@ def test_checkpoint_refuses_a_parameter_non_finite_as_float32(tmp_path, value):
 
 
 def test_expert_checkpoint_kind_checked(tmp_path):
-    from ilrkit.fusion import init_adapter
-
     path = tmp_path / "adapter.ckpt"
-    checkpoint.save_adapter(init_adapter(3, 2), path)
+    checkpoint.save_adapter(reference.init_adapter(3, 2), path)
     with pytest.raises(DataValidationError, match="not an expert head"):
         checkpoint.load_expert(path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from ilrkit import checkpoint, fusion
 from ilrkit.dataengine import GalleryTask
 from ilrkit.embedstore import TokenFeatureMap
@@ -12,13 +13,13 @@ from ilrkit.fusion import (
     FusionAdapter,
     batch_matching_loss_and_grads,
     fuse,
-    init_adapter,
     matching_loss_and_grads,
     matching_views,
     pooled_fused,
     project_expert,
     train_adapter,
 )
+from reference import init_adapter
 
 
 def _random_adapter(rng, d_e=5, h=7, d=4, temperature=1.0):
@@ -429,7 +430,7 @@ class TestMatchingViewsMeans:
         maps = default_bundle.token_maps
         assert len(maps) > 2 * fusion._MEAN_ROWS
         vecs = [expert_vectors[m.image_id] for m in maps]
-        adapter = fusion.init_adapter(len(vecs[0]), maps[0].tokens.shape[1], seed=3)
+        adapter = init_adapter(len(vecs[0]), maps[0].tokens.shape[1], seed=3)
         self._assert_bit_equal(adapter, maps, vecs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -524,6 +525,153 @@ class TestTrainAdapter:
             ) / len(tasks)
             expected = getattr(init, name) - step * g / (np.abs(g) + 1e-8)
             np.testing.assert_allclose(getattr(out, name), expected, rtol=0, atol=1e-12)
+
+
+def _fit_setup(rng, n_images, d_e, d, n_tasks=30, sizes=(3,), counts=(1, 2, 4)):
+    """Tasks over ``n_images`` images with random float32 token maps of
+    width ``d`` (token counts drawn from ``counts``) and expert vectors of
+    width ``d_e``."""
+    images = [f"im{i}" for i in range(n_images)]
+    token_maps = {
+        i: TokenFeatureMap(i, rng.standard_normal((int(rng.choice(counts)), d)).astype(np.float32))
+        for i in images
+    }
+    vectors = {i: rng.standard_normal(d_e) for i in images}
+    tasks = []
+    for t in range(n_tasks):
+        k = sizes[t % len(sizes)]
+        picks = rng.choice(n_images, size=k + 1, replace=n_images < k + 1)
+        tasks.append(GalleryTask(
+            task_id=f"t{t}", category="object", query_id=images[picks[0]],
+            gallery_ids=tuple(images[i] for i in picks[1:]),
+            answer_index=int(rng.integers(k)), tau=0.5, relaxed=False, seed=0,
+        ))
+    return tasks, token_maps, vectors
+
+
+def _task_experts(tasks, vectors):
+    """The expert vectors of the tasks' images, in order of first appearance."""
+    seen = dict.fromkeys(i for t in tasks for i in (t.query_id, *t.gallery_ids))
+    return np.array([vectors[i] for i in seen])
+
+
+class TestClosedFormFit:
+    @pytest.mark.parametrize("n_images, d_e, d, hidden, rank", [
+        (40, 9, 4, 9, 4),  # d < d_e
+        (40, 6, 6, 12, 6),  # d = d_e: hidden width 2d
+        (40, 5, 7, 14, 5),  # d > d_e: the columns past d_e are zero
+        (3, 8, 4, 8, 2),  # fewer images than d: the columns past the rank are zero
+    ], ids=["d below d_e", "d equal to d_e", "d above d_e", "fewer images than d"])
+    def test_projection_is_exact_on_unseen_vectors(self, n_images, d_e, d, hidden, rank):
+        rng = np.random.default_rng(60 + d_e)
+        tasks, token_maps, vectors = _fit_setup(rng, n_images, d_e, d)
+        fit = fusion.fit_adapter(tasks, token_maps, vectors)
+        adapter = fit.adapter
+        assert adapter.w1.shape == (d_e, hidden) and adapter.w2.shape == (hidden, d)
+        assert np.all(adapter.b2 == 0.0) and adapter.temperature == 1.0
+        experts = _task_experts(tasks, vectors)
+        assert fit.images == len(experts) and fit.scale in fusion.SCALES
+        mu = experts.mean(axis=0)
+        p = fusion._principal_directions(experts - mu, d)
+        # orthonormal directions up to the rank, zero columns past it
+        nonzero = np.abs(p).max(axis=0) > 0.0
+        assert nonzero.tolist() == [True] * rank + [False] * (d - rank)
+        np.testing.assert_allclose(p.T @ p, np.diag(nonzero.astype(float)), atol=1e-12)
+        for _ in range(20):
+            e = rng.standard_normal(d_e) * 10.0 ** rng.integers(-2, 3)
+            want = fit.scale * ((e - mu) @ p)
+            got = project_expert(adapter, e)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_directions_follow_the_variance_with_fixed_signs(self):
+        rng = np.random.default_rng(61)
+        spread = np.array([9.0, 0.2, 3.0, 1.0])
+        experts = rng.standard_normal((2000, 4)) * spread + 7.0
+        p = fusion._principal_directions(experts - experts.mean(axis=0), 3)
+        # the axes of largest spread, in order, each with a positive sign
+        np.testing.assert_allclose(np.abs(p), np.eye(4)[:, [0, 2, 3]], atol=0.1)
+        assert np.all(p[[0, 2, 3], [0, 1, 2]] > 0)
+        # flipping the data flips no column
+        flipped = fusion._principal_directions(experts.mean(axis=0) - experts, 3)
+        assert np.array_equal(flipped, p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sizes", [(3,), (2, 4, 3)], ids=["one size", "mixed sizes"])
+    def test_scale_is_the_reference_pick(self, seed, sizes):
+        # few tasks, so that several scales often answer the same number
+        rng = np.random.default_rng(70 + seed)
+        tasks, token_maps, vectors = _fit_setup(rng, 12, 6, 4, n_tasks=5 + 40 * (seed % 2),
+                                                sizes=sizes)
+        fit = fusion.fit_adapter(tasks, token_maps, vectors)
+        experts = _task_experts(tasks, vectors)
+        mu = experts.mean(axis=0)
+        p = fusion._principal_directions(experts - mu, 4)
+        scale, accuracies = reference.pick_scale(tasks, token_maps, vectors, mu, p)
+        assert fit.accuracies == accuracies
+        assert fit.scale == scale
+
+    def test_ties_go_to_the_smaller_scale(self):
+        rng = np.random.default_rng(80)
+        ties = 0
+        for _ in range(12):
+            tasks, token_maps, vectors = _fit_setup(rng, 10, 5, 3, n_tasks=3)
+            fit = fusion.fit_adapter(tasks, token_maps, vectors)
+            best = max(fit.accuracies.values())
+            assert fit.scale == min(s for s, a in fit.accuracies.items() if a == best)
+            ties += sum(a == best for a in fit.accuracies.values()) > 1
+        assert ties > 0
+
+    def test_more_tasks_than_one_scoring_chunk(self, default_bundle, default_split,
+                                               token_map_index, expert_vectors):
+        from ilrkit import dataengine
+
+        tasks = dataengine.build_gallery_tasks(
+            default_bundle.general_set, default_split.train_instances,
+            n_tasks=150, seed=8, task_prefix="a-",
+        )
+        fit = fusion.fit_adapter(tasks, token_map_index, expert_vectors)
+        experts = _task_experts(tasks, expert_vectors)
+        mu = experts.mean(axis=0)
+        p = fusion._principal_directions(experts - mu, 16)
+        assert (fit.scale, fit.accuracies) == reference.pick_scale(
+            tasks, token_map_index, expert_vectors, mu, p)
+        assert fit.adapter.w1.shape == (64, 64)
+
+    @pytest.mark.parametrize("images", [1, 4], ids=["one image", "identical vectors"])
+    def test_no_spread_gives_a_zero_projection(self, images):
+        rng = np.random.default_rng(81)
+        tasks, token_maps, vectors = _fit_setup(rng, images, 5, 3, n_tasks=4)
+        vectors = {i: np.full(5, 0.5) for i in vectors}
+        fit = fusion.fit_adapter(tasks, token_maps, vectors)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.isfinite(getattr(fit.adapter, name)).all(), name
+        assert not project_expert(fit.adapter, rng.standard_normal(5)).any()
+        assert fit.scale == 1.0 and len(set(fit.accuracies.values())) == 1
+
+    def test_zero_pooled_vector_is_a_data_error(self):
+        rng = np.random.default_rng(82)
+        tasks, token_maps, vectors = _fit_setup(rng, 4, 5, 3, n_tasks=4)
+        token_maps = {i: TokenFeatureMap(i, np.zeros((2, 3), dtype=np.float32))
+                      for i in token_maps}
+        vectors = {i: np.ones(5) for i in vectors}
+        with pytest.raises(DataValidationError, match="zero vectors"):
+            fusion.fit_adapter(tasks, token_maps, vectors)
+
+    def test_missing_views_and_empty_tasks_rejected(self):
+        rng = np.random.default_rng(83)
+        tasks, token_maps, vectors = _fit_setup(rng, 6, 5, 3, n_tasks=4)
+        with pytest.raises(DataValidationError, match="no training tasks"):
+            fusion.fit_adapter([], token_maps, vectors)
+        del vectors[tasks[1].gallery_ids[0]]
+        with pytest.raises(DataValidationError, match="missing expert vector"):
+            fusion.fit_adapter(tasks, token_maps, vectors)
+
+    def test_fixture_is_the_closed_form_at_default_shapes(self, trained_adapter):
+        # hidden width max(64, 2 * 16): P, -P and 32 zero units
+        adapter, _ = trained_adapter
+        assert adapter.w1.shape == (64, 64) and adapter.w2.shape == (64, 16)
+        assert np.array_equal(adapter.w2[:16], -adapter.w2[16:32])
+        assert not adapter.w1[:, 32:].any() and not adapter.w2[32:].any()
 
 
 class TestAdapterValidation:

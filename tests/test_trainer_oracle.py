@@ -125,17 +125,30 @@ class TestTrainAdapterOracle:
     def test_bit_equal_to_reference(self, seed, sizes):
         rng = np.random.default_rng(50 + seed)
         tasks, token_maps, vectors = _adapter_setup(rng, 23, sizes)
-        init = fusion.init_adapter(5, 4, seed=seed)
+        init = reference.init_adapter(5, 4, seed=seed)
         config = fusion.AdapterTrainConfig(epochs=4, batch_size=5, seed=seed, step_size=0.05)
         got = fusion.train_adapter(init, tasks, token_maps, vectors, config)
         want = reference.train_adapter(init, tasks, token_maps, vectors, config)
         _assert_same_adapter(got, want)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fine_tuning_from_the_closed_form(self, seed):
+        # the start fine-tuning takes in train-adapter and pipeline: the fit
+        # of the same tasks, whose 2 * d hidden units leave some dead
+        rng = np.random.default_rng(57 + seed)
+        tasks, token_maps, vectors = _adapter_setup(rng, 23, (2, 4, 3))
+        init = fusion.fit_adapter(tasks, token_maps, vectors).adapter
+        config = fusion.AdapterTrainConfig(epochs=3, batch_size=5, seed=seed, step_size=0.05)
+        got = fusion.train_adapter(init, tasks, token_maps, vectors, config)
+        want = reference.train_adapter(init, tasks, token_maps, vectors, config)
+        _assert_same_adapter(got, want)
+        assert not np.array_equal(got.w1, init.w1)
+
     def test_best_epoch_return_is_bit_equal(self, caplog):
         # a step this large overshoots, so training returns its best epoch
         rng = np.random.default_rng(4)
         tasks, token_maps, vectors = _adapter_setup(rng, 16, (3, 4))
-        init = fusion.init_adapter(5, 4, seed=1)
+        init = reference.init_adapter(5, 4, seed=1)
         config = fusion.AdapterTrainConfig(epochs=1, batch_size=4, seed=1, step_size=3.0)
         got = fusion.train_adapter(init, tasks, token_maps, vectors, config)
         assert "returning best checkpoint" in caplog.text
@@ -148,7 +161,7 @@ class TestTrainAdapterOracle:
             default_bundle.general_set, default_split.train_instances,
             n_tasks=200, seed=8, task_prefix="a-",
         )
-        init = fusion.init_adapter(64, 16, seed=0)
+        init = reference.init_adapter(64, 16, seed=0)
         config = fusion.AdapterTrainConfig(epochs=2, seed=7)
         got = fusion.train_adapter(init, tasks, token_map_index, expert_vectors, config)
         want = reference.train_adapter(init, tasks, token_map_index, expert_vectors, config)
@@ -156,7 +169,7 @@ class TestTrainAdapterOracle:
 
     def test_step_into_a_buffer_is_the_reference_step(self):
         rng = np.random.default_rng(54)
-        adapter = fusion.init_adapter(5, 4, seed=2)
+        adapter = reference.init_adapter(5, 4, seed=2)
         views = fusion.matching_views(
             adapter, [rng.standard_normal((n, 4)) for n in (1, 2, 3, 4, 5, 6)],
             [rng.standard_normal(5) for _ in range(6)],
@@ -185,7 +198,7 @@ class TestTrainAdapterOracle:
         # the unit-vector step against the quotient-rule formula it replaced
         rng = np.random.default_rng(56 + d_e)
         for trial in range(10):
-            adapter = fusion.init_adapter(d_e, d, seed=trial)
+            adapter = reference.init_adapter(d_e, d, seed=trial)
             adapter.w2 *= 10.0 ** rng.uniform(0, 1.5)
             views = fusion.matching_views(
                 adapter, [rng.standard_normal((int(rng.integers(1, 9)), d)) for _ in range(40)],
