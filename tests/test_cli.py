@@ -1629,6 +1629,10 @@ _GOLDEN_BUILDS = {
     "build-detection": ["build-detection", "--tau", "0.3", "--n-tasks", "10"],
 }
 
+# the fine-tune pinned by its digests: the 2 epochs perfbench's score_loop
+# runs, from the closed form, at the small config's batch size
+_GOLDEN_FINE_TUNE = {**SMALL_CONFIG, "adapter": {**SMALL_CONFIG["adapter"], "epochs": 2}}
+
 
 class TestDeterminism:
     def test_pipeline_bytes_as_recorded(self, workspace, tmp_path):
@@ -1643,10 +1647,12 @@ class TestDeterminism:
                             + _cfg(workspace)) == 0
             assert _digests(out) == golden["pipeline"], threads
 
-    @pytest.mark.parametrize("command", ["synth", *_GOLDEN_BUILDS])
+    @pytest.mark.parametrize("command", ["synth", *_GOLDEN_BUILDS, "train-adapter"])
     def test_command_bytes_as_recorded(self, workspace, tmp_path, command):
-        """Every file ``synth`` writes at --threads 1 and 2, and every file
-        each task builder writes from its bundle, has its recorded sha256."""
+        """Every file ``synth`` writes at --threads 1 and 2, every file each
+        task builder writes from its bundle, and the files ``train-adapter``
+        writes when it fine-tunes on the bundle's train-side tasks with the
+        expert's vectors, have their recorded sha256."""
         golden = _golden_digests()
         for threads in ("1", "2"):
             bundle = tmp_path / f"bundle{threads}"
@@ -1656,13 +1662,32 @@ class TestDeterminism:
                 assert _digests(bundle) == golden["synth"], threads
         if command == "synth":
             return
-        split = tmp_path / "split" / "split.json"
+        split = ["--split", str(tmp_path / "split" / "split.json")]
         assert cli.main(["split", "--embeddings", str(bundle / "general.jsonl"),
-                         "--out", str(split)] + _cfg(workspace)) == 0
-        out = tmp_path / "out" / "tasks.jsonl"
-        assert cli.main([*_GOLDEN_BUILDS[command], "--embeddings", str(bundle / "general.jsonl"),
-                         "--split", str(split), "--out", str(out)] + _cfg(workspace)) == 0
-        assert _digests(out.parent) == golden[command]
+                         "--out", split[1]] + _cfg(workspace)) == 0
+        general = ["--embeddings", str(bundle / "general.jsonl")]
+        out = tmp_path / "out"
+        if command in _GOLDEN_BUILDS:
+            assert cli.main([*_GOLDEN_BUILDS[command], *general, *split,
+                             "--out", str(out / "tasks.jsonl")] + _cfg(workspace)) == 0
+            assert _digests(out) == golden[command]
+            return
+        d = tmp_path / "train"
+        config = tmp_path / "fine_tune.json"
+        config.write_text(json.dumps(_GOLDEN_FINE_TUNE))
+        for argv in (
+            ["build-galleries", *general, *split, "--side", "train", "--n-tasks", "24",
+             "--out", str(d / "tasks.jsonl")],
+            ["train-expert", "--embeddings", str(bundle / "raw.jsonl"), *split,
+             "--out", str(d / "expert_head.ckpt")],
+            ["embed", "--checkpoint", str(d / "expert_head.ckpt"),
+             "--embeddings", str(bundle / "raw.jsonl"), "--out", str(d / "expert.jsonl")],
+            ["train-adapter", "--tasks", str(d / "tasks.jsonl"),
+             "--token-maps", str(bundle / "token_maps.jsonl"),
+             "--expert-embeddings", str(d / "expert.jsonl"), "--out", str(out / "adapter.ckpt")],
+        ):
+            assert cli.main(argv + ["--config", str(config)]) == 0, argv[0]
+        assert _digests(out) == golden[command]
 
     def test_subcommand_outputs_byte_identical(self, workspace, tmp_path):
         data = workspace / "data"
