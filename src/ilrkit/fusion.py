@@ -18,15 +18,14 @@ A desk-scale training surrogate (train_adapter) can fine-tune the same
 parameters from the closed form on the gallery-matching task, via a
 cosine readout over mean-pooled fused features with fully analytic
 gradients. Training stacks each image's token mean, token count and
-expert vector once, then runs every minibatch as a single batched forward
-and backward pass over index rows: the B*(K+1) images are gathered as rows
-for one MLP matrix product, each pooled vector is normalised once to a
-unit vector, the cosine scores are dot products of unit vectors, and the
-backward pass runs through the unit vectors into matrix products for the
-gradients. Every temporary of a batch shape lives in a workspace made once
-per run, and the gradients are written into views of one flat vector that
-an in-place Adam consumes. The per-task matching_loss_and_grads is the
-B = 1 case of the same code.
+expert vector once, then runs every minibatch as one batched forward and
+backward pass per gallery size (batch_matching_loss_and_grads): the
+B*(K+1) images are gathered as rows for one MLP matrix product, each
+pooled vector is normalised once to a unit vector, the cosine scores are
+dot products of unit vectors, and the backward pass runs through the unit
+vectors into matrix products for the gradients. Adam updates each
+parameter array. The per-task matching_loss_and_grads is the B = 1 case
+of the same code.
 
 All fitting and training math is 64-bit; checkpoints store parameters as
 32-bit.
@@ -229,55 +228,6 @@ def matching_views(
     return views
 
 
-def _param_views(flat: np.ndarray, like: FusionAdapter) -> list[np.ndarray]:
-    """w1, b1, w2, b2 shaped views into consecutive parts of ``flat``."""
-    views, start = [], 0
-    for p in (like.w1, like.b1, like.w2, like.b2):
-        views.append(flat[start : start + p.size].reshape(p.shape))
-        start += p.size
-    return views
-
-
-class _Buffers:
-    """The temporaries of one batch shape: B tasks of K+1 images each, at
-    an adapter's hidden and token widths. Images are rows ``(B*(K+1), .)``;
-    a ``3`` suffix names the ``(B, K+1, .)`` view of the same memory, a
-    ``_col`` suffix the ``(B*(K+1), 1)`` view of a per-image vector."""
-
-    def __init__(self, b: int, m: int, h: int, d: int):
-        n = b * m
-        self.a = np.empty((n, h))
-        self.live = np.empty((n, h), dtype=bool)
-        self.p = np.empty((n, d))  # the pooled vectors, then their gradient
-        self.u = np.empty((n, d))
-        self.dz = np.empty((n, h))
-        self.norms = np.empty(n)
-        self.s = np.empty(n)
-        self.scores = np.empty((b, m - 1))
-        self.col = np.empty((b, 1))
-        self.picked = np.arange(b)
-        self.u3 = self.u.reshape(b, m, d)
-        self.p3 = self.p.reshape(b, m, d)
-        self.norms_col = self.norms[:, None]
-        self.s_col = self.s[:, None]
-
-
-class MatchingWorkspace:
-    """Temporaries for batch_matching_loss_and_grads, made once for each
-    batch shape and reused by every later call of that shape. A trainer
-    keeps one for its run; the losses a call returns are never part of it."""
-
-    def __init__(self):
-        self._by_shape: dict[tuple[int, ...], _Buffers] = {}
-
-    def buffers(self, adapter: FusionAdapter, b: int, m: int) -> _Buffers:
-        key = (b, m, *adapter.w2.shape)
-        found = self._by_shape.get(key)
-        if found is None:
-            found = self._by_shape[key] = _Buffers(*key)
-        return found
-
-
 def batch_matching_loss_and_grads(
     adapter: FusionAdapter,
     views: MatchingViews,
@@ -285,8 +235,6 @@ def batch_matching_loss_and_grads(
     answers: np.ndarray,
     readout_temperature: float = 0.1,
     need_grads: bool = True,
-    out: AdapterGrads | None = None,
-    workspace: MatchingWorkspace | None = None,
 ) -> tuple[np.ndarray, AdapterGrads | None]:
     """Matching loss of B tasks, and the gradient of their summed loss.
 
@@ -301,77 +249,44 @@ def batch_matching_loss_and_grads(
     pooled vector is found with one test of all the norms, and located
     only then.
 
-    Returns the (B,) per-task losses, a new array each call, and the
-    gradients (None unless need_grads), written into ``out`` if given.
-    Every temporary lives in ``workspace``; a trainer passes one for all
-    its calls, and without it a call makes its own.
+    Returns the (B,) per-task losses and the gradients (None unless
+    need_grads).
     """
     b, m = rows.shape
-    w = (workspace or MatchingWorkspace()).buffers(adapter, b, m)
-    a, p, u = w.a, w.p, w.u
-    # the gathers make new arrays: ``take`` into ``out=`` buffers its copy
-    idx = rows.reshape(-1)
-    x = views.experts.take(idx, axis=0)
-    counts = views.token_counts.take(idx)
-    np.matmul(x, adapter.w1, out=a)
-    a += adapter.b1
-    np.maximum(0.0, a, out=a)  # ReLU in place: a > 0 exactly where z = xW1 + b1 > 0
-    np.matmul(a, adapter.w2, out=p)
-    p += adapter.b2
-    p /= counts[:, None]
-    p += views.token_means.take(idx, axis=0)
-    norms = w.norms
-    np.vecdot(p, p, out=norms)
-    np.sqrt(norms, out=norms)
+    idx = rows.ravel()
+    x = views.experts[idx]
+    z = x @ adapter.w1 + adapter.b1
+    a = np.maximum(0.0, z)
+    counts = views.token_counts[idx][:, None]
+    p = (a @ adapter.w2 + adapter.b2) / counts + views.token_means[idx]
+    norms = np.sqrt(np.vecdot(p, p))[:, None]
     if not norms.all():  # diagnose only a failing batch
         zero = (norms == 0.0).reshape(b, m)
         first = int(np.flatnonzero(zero.any(axis=1))[0])
         side = "query" if zero[first, 0] else "gallery"
         raise DataValidationError(f"degenerate zero pooled {side} vector under cosine")
-    np.divide(p, w.norms_col, out=u)
-    uq, ug = w.u3[:, :1], w.u3[:, 1:]  # (B, 1, d), (B, K, d)
-
-    # softmax over the cosine scores, in place
-    scores, col = w.scores, w.col
-    np.vecdot(ug, uq, out=scores)
-    scores /= readout_temperature
-    np.maximum.reduce(scores, axis=1, keepdims=True, out=col)
-    scores -= col
-    np.exp(scores, out=scores)
-    np.add.reduce(scores, axis=1, keepdims=True, out=col)
-    scores /= col
-    losses = scores[w.picked, answers]
-    np.maximum(losses, 1e-300, out=losses)
-    np.log(losses, out=losses)
-    np.negative(losses, out=losses)
+    u = p / norms
+    uq, ug = u.reshape(b, m, -1)[:, :1], u.reshape(b, m, -1)[:, 1:]  # (B, 1, d), (B, K, d)
+    scores = np.vecdot(ug, uq) / readout_temperature
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    picked = np.arange(b)
+    losses = -np.log(np.maximum(probs[picked, answers], 1e-300))
     if not np.isfinite(losses).all():
         raise DivergenceError("non-finite matching loss")
     if not need_grads:
         return losses, None
-
-    # dU into the pooled vectors' buffer, then dP in place of it
-    dscores, du = scores, p
-    dscores[w.picked, answers] -= 1.0
-    dscores /= readout_temperature
-    np.matmul(dscores[:, None, :], ug, out=w.p3[:, :1])
-    np.multiply(dscores[:, :, None], uq, out=w.p3[:, 1:])
-    np.vecdot(du, u, out=w.s)
-    np.multiply(w.s_col, u, out=u)  # u is not read again
-    du -= u
-    np.multiply(norms, counts, out=w.s)
-    du /= w.s_col
-    dz = w.dz
-    np.matmul(du, adapter.w2.T, out=dz)
-    np.greater(a, 0.0, out=w.live)
-    dz *= w.live
-    if out is None:
-        out = AdapterGrads(*(np.empty(q.shape) for q in
-                             (adapter.w1, adapter.b1, adapter.w2, adapter.b2)))
-    np.matmul(x.T, dz, out=out.w1)
-    np.add.reduce(dz, axis=0, out=out.b1)
-    np.matmul(a.T, du, out=out.w2)
-    np.add.reduce(du, axis=0, out=out.b2)
-    return losses, out
+    probs[picked, answers] -= 1.0
+    g = probs / readout_temperature  # the score gradient
+    du = np.empty((b, m, u.shape[1]))
+    du[:, :1] = g[:, None, :] @ ug  # dU_q = sum_k g_k u_k
+    du[:, 1:] = g[:, :, None] * uq  # dU_k = g_k u_q
+    du = du.reshape(b * m, -1)
+    dp = (du - np.vecdot(du, u)[:, None] * u) / (norms * counts)
+    dz = (dp @ adapter.w2.T) * (z > 0)
+    return losses, AdapterGrads(
+        w1=x.T @ dz, b1=dz.sum(axis=0), w2=a.T @ dp, b2=dp.sum(axis=0)
+    )
 
 
 def _check_gallery(size: int, answer_index: int) -> None:
@@ -420,44 +335,30 @@ class AdapterTrainConfig:
 
 
 class _Adam:
-    """Deterministic Adam state over one flat parameter vector, updated in
-    place through two scratch vectors."""
+    """Deterministic Adam state for one parameter array."""
 
-    def __init__(self, size: int, step: float,
+    def __init__(self, shape: int | tuple[int, ...], step: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.step = step
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
-        self._s = np.empty(size)
-        self._u = np.empty(size)
 
     def update(self, param: np.ndarray, grad: np.ndarray) -> None:
         """param -= step * mh / (sqrt(vh) + eps), with m = beta1 m + (1 - beta1) g,
         v = beta2 v + (1 - beta2) g g, mh and vh their bias-corrected forms."""
         self.t += 1
-        m, v, s, u = self.m, self.v, self._s, self._u
-        m *= self.beta1
-        np.multiply(grad, 1 - self.beta1, out=s)
-        m += s
-        v *= self.beta2
-        np.multiply(grad, 1 - self.beta2, out=s)
-        s *= grad
-        v += s
-        np.divide(m, 1 - self.beta1**self.t, out=s)
-        s *= self.step
-        np.divide(v, 1 - self.beta2**self.t, out=u)
-        np.sqrt(u, out=u)
-        u += self.eps
-        s /= u
-        param -= s
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        mh = self.m / (1 - self.beta1**self.t)
+        vh = self.v / (1 - self.beta2**self.t)
+        param -= self.step * mh / (np.sqrt(vh) + self.eps)
 
 
-def _flat_adapter(like: FusionAdapter) -> tuple[np.ndarray, FusionAdapter]:
-    """A copy of `like` whose parameters are views into one flat vector."""
-    flat = np.concatenate([p.ravel() for p in (like.w1, like.b1, like.w2, like.b2)])
-    return flat, FusionAdapter(*_param_views(flat, like), like.temperature)
+def _params(x: FusionAdapter | AdapterGrads) -> tuple[np.ndarray, ...]:
+    """w1, b1, w2, b2 of an adapter or of its gradients."""
+    return x.w1, x.b1, x.w2, x.b2
 
 
 # Tasks per forward pass when scoring the whole task set. The pass holds
@@ -592,16 +493,18 @@ def train_adapter(
 ) -> FusionAdapter:
     """Seeded Adam over gallery-matching tasks; deterministic per seed.
 
-    Every image's token mean and expert vector is stacked once, and each
-    epoch's task rows and answers are gathered once per gallery size, in
-    the epoch's order. A minibatch is one batch_matching_loss_and_grads
-    call per gallery size it holds (a single call for a single-size task
-    set), on slices of those gathers and with one workspace for the run.
-    The calls write the gradient into one preallocated flat vector, laid
-    out as the parameters are, and Adam updates that flat parameter vector
-    in place; a step allocates no parameter-sized array.
-    Returns the trained adapter; if the final epoch's mean loss exceeds the
-    initial one, the best epoch's parameters are returned instead.
+    Every image's token mean and expert vector is stacked once. A
+    minibatch is one batch_matching_loss_and_grads call per gallery size
+    it holds, smallest size first; Adam steps on the sum of their
+    gradients over the batch's task count, with one state per parameter
+    array.
+
+    Returns the trained adapter, unless the mean loss of the final
+    parameters, taken again over all tasks after the last epoch
+    (_SCORE_CHUNK tasks per pass, as the initial mean loss is), exceeds
+    the initial one. Then it returns the parameters at the end of the
+    epoch whose running mean loss was lowest, or the initial parameters if
+    no epoch's was below the initial mean loss.
     """
     index = _task_images(tasks, token_maps, expert_vectors)
     views = matching_views(
@@ -623,77 +526,51 @@ def train_adapter(
             np.array([tasks[t].answer_index for t in members]),
         )
 
-    def grouped(order):
-        """The tasks of ``order`` gathered once per gallery size, as
-        ``(rows, answers, at, before)``: their rows and answers in that
-        order, their positions in it, and ``before[i]``, how many of them
-        sit before position i. A single-size task set is one group."""
-        groups = []
+    def batch_loss(current, batch, need_grads=True):
+        """The losses of the tasks ``batch`` lists, in its order, and the
+        gradient of their sum."""
+        losses, total = np.empty(len(batch)), None
         for k, (rows, answers) in tables.items():
-            at = np.flatnonzero(sizes[order] == k)
-            picked = slot[order[at]]
-            before = np.searchsorted(at, np.arange(len(order) + 1)).tolist()
-            groups.append((rows[picked], answers[picked], at, before))
-        return groups
-
-    temperature = config.readout_temperature
-    flat, adapter = _flat_adapter(adapter_init)
-    grad, part_grad = np.empty(flat.size), np.empty(flat.size)
-    # views of grad and part_grad, made once for every call to write into
-    grads = AdapterGrads(*_param_views(grad, adapter))
-    part_grads = AdapterGrads(*_param_views(part_grad, adapter))
-
-    def run(current, groups, start, end, losses, workspace, need_grads=True):
-        """The tasks at positions start:end of a grouped order: their losses
-        go into ``losses`` at those positions, and their summed gradient
-        into ``grad``, one size's part after the other."""
-        first = True
-        for rows, answers, at, before in groups:
-            lo, hi = before[start], before[end]
-            if lo == hi:
+            in_k = sizes[batch] == k
+            if not in_k.any():
                 continue
-            losses[at[lo:hi]], _ = batch_matching_loss_and_grads(
-                current, views, rows[lo:hi], answers[lo:hi], temperature, need_grads,
-                grads if first else part_grads, workspace,
+            picked = slot[batch[in_k]]
+            losses[in_k], grads = batch_matching_loss_and_grads(
+                current, views, rows[picked], answers[picked], config.readout_temperature,
+                need_grads,
             )
-            if need_grads and not first:
-                np.add(grad, part_grad, out=grad)
-            first = False
+            if need_grads:
+                total = grads if total is None else AdapterGrads(
+                    *(t + g for t, g in zip(_params(total), _params(grads))))
+        return losses, total
 
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7A1]))
     n = len(tasks)
-    in_task_order = grouped(np.arange(n))
-    task_losses = np.empty(n)
 
     def mean_loss(current):
-        # a workspace of its own, so that its larger shapes are not kept
-        # through training
-        scoring = MatchingWorkspace()
-        for s in range(0, n, _SCORE_CHUNK):
-            run(current, in_task_order, s, min(s + _SCORE_CHUNK, n), task_losses, scoring,
-                False)
-        return sum(task_losses.tolist()) / n
+        losses = [batch_loss(current, np.arange(s, min(s + _SCORE_CHUNK, n)), False)[0]
+                  for s in range(0, n, _SCORE_CHUNK)]
+        return sum(np.concatenate(losses).tolist()) / n
 
+    adapter = adapter_init.copy()
     initial_loss = mean_loss(adapter)
     best_loss, best = initial_loss, adapter.copy()
     logger.info("adapter training: initial mean loss %.6f over %d tasks", initial_loss, n)
 
-    optimizer = _Adam(flat.size, config.step_size)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7A1]))
+    optimizers = [_Adam(p.shape, config.step_size) for p in _params(adapter)]
     order = np.arange(n)
-    workspace = MatchingWorkspace()
     for epoch in range(config.epochs):
         rng.shuffle(order)
-        groups = grouped(order)
-        for start in range(0, n, config.batch_size):
-            end = min(start + config.batch_size, n)
-            run(adapter, groups, start, end, task_losses, workspace)
-            grad *= 1.0 / (end - start)
-            optimizer.update(flat, grad)
-            if not np.isfinite(flat).all():
-                raise DivergenceError(f"adapter parameters diverged at epoch {epoch}")
         epoch_loss = 0.0
-        for loss in task_losses.tolist():  # in the epoch's order, as the batches ran
-            epoch_loss += loss
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            losses, grads = batch_loss(adapter, batch)
+            for loss in losses.tolist():
+                epoch_loss += loss
+            for optimizer, param, grad in zip(optimizers, _params(adapter), _params(grads)):
+                optimizer.update(param, grad * (1.0 / len(batch)))
+            if not all(np.isfinite(param).all() for param in _params(adapter)):
+                raise DivergenceError(f"adapter parameters diverged at epoch {epoch}")
         epoch_loss /= n
         if not math.isfinite(epoch_loss):
             raise DivergenceError(f"adapter training diverged at epoch {epoch}")

@@ -275,13 +275,20 @@ def train_adapter(adapter_init, tasks, token_maps, expert_vectors, config):
                 grad = g if grad is None else grad + g
         return losses, grad
 
-    flat, adapter = fusion._flat_adapter(adapter_init)
+    # one flat vector of all the parameters, and an adapter of views into it
+    params = (adapter_init.w1, adapter_init.b1, adapter_init.w2, adapter_init.b2)
+    flat = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params])
+    adapter = fusion.FusionAdapter(
+        *(part.reshape(p.shape) for part, p in zip(np.split(flat, ends[:-1]), params)),
+        adapter_init.temperature,
+    )
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7A1]))
 
     def mean_loss(current):
         losses = [
-            batch_loss(current, np.arange(s, min(s + fusion._SCORE_CHUNK, len(tasks))), False)[0]
-            for s in range(0, len(tasks), fusion._SCORE_CHUNK)
+            batch_loss(current, np.arange(s, min(s + 64, len(tasks))), False)[0]
+            for s in range(0, len(tasks), 64)
         ]
         return sum(np.concatenate(losses).tolist()) / len(tasks)
 

@@ -293,63 +293,6 @@ class TestBatchMatchingLoss:
         for name, total in expected.items():
             np.testing.assert_allclose(getattr(grads, name), total, rtol=1e-12, atol=0)
 
-    def test_reused_gradient_views_equal_fresh_calls(self):
-        # a trainer's views, made once, written by successive batches of a
-        # changing adapter at the default widths (expert 64, tokens 16)
-        rng = np.random.default_rng(22)
-        adapter = init_adapter(64, 16, seed=3)
-        views = matching_views(
-            adapter, [rng.standard_normal((int(rng.integers(1, 5)), 16)) for _ in range(40)],
-            [rng.standard_normal(64) for _ in range(40)],
-        )
-        flat = np.full(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)),
-                       np.nan)
-        out = fusion.AdapterGrads(*fusion._param_views(flat, adapter))
-        for _ in range(5):
-            rows = np.array([rng.permutation(40)[:4] for _ in range(8)])
-            answers = rng.integers(3, size=8)
-            losses, grads = batch_matching_loss_and_grads(adapter, views, rows, answers,
-                                                          out=out)
-            assert grads is out
-            fresh_losses, fresh = batch_matching_loss_and_grads(adapter, views, rows, answers)
-            assert np.array_equal(losses, fresh_losses)
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(getattr(grads, name), getattr(fresh, name)), name
-                getattr(adapter, name)[...] -= 0.5 * getattr(fresh, name)
-
-    def test_one_workspace_across_shapes_equals_fresh_calls(self):
-        # a trainer's workspace, reused by batches of a changing adapter at
-        # gallery sizes 2, 3 and 4, a short last batch and a losses-only pass
-        rng = np.random.default_rng(23)
-        adapter = init_adapter(64, 16, seed=4)
-        views = matching_views(
-            adapter, [rng.standard_normal((int(rng.integers(1, 5)), 16)) for _ in range(40)],
-            [rng.standard_normal(64) for _ in range(40)],
-        )
-        workspace = fusion.MatchingWorkspace()
-        returned = []
-        for k, b, need_grads in [(2, 8, True), (3, 8, True), (4, 8, True), (2, 8, True),
-                                 (4, 8, False), (3, 8, True), (4, 8, True), (3, 5, True)]:
-            rows = np.array([rng.permutation(40)[: k + 1] for _ in range(b)])
-            answers = rng.integers(k, size=b)
-            losses, grads = batch_matching_loss_and_grads(
-                adapter, views, rows, answers, need_grads=need_grads, workspace=workspace
-            )
-            fresh_losses, fresh = batch_matching_loss_and_grads(
-                adapter, views, rows, answers, need_grads=need_grads
-            )
-            assert np.array_equal(losses, fresh_losses)
-            returned.append((losses, fresh_losses))
-            if not need_grads:
-                assert grads is None
-                continue
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(getattr(grads, name), getattr(fresh, name)), name
-                getattr(adapter, name)[...] -= 0.5 * getattr(fresh, name)
-        # no call overwrote the losses an earlier one returned
-        for losses, fresh_losses in returned:
-            assert np.array_equal(losses, fresh_losses)
-
     def test_losses_only_pass_matches(self):
         rng = np.random.default_rng(20)
         adapter = _random_adapter(rng)

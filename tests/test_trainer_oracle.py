@@ -1,11 +1,9 @@
 """The expert and adapter trainers against reference copies of their steps
-(tests/reference.py): list mining with a 2-D scatter, the adapter step in
-unit-vector form on fresh arrays, Adam through fresh temporaries, and a
-flat gradient concatenated per gallery size. The trainers reuse buffers
-and update in place, but every floating-point operation keeps its
-operands and its order, so the trained parameters must be bit-equal. The
-adapter step is also held within rounding of the quotient-rule formula it
-replaced."""
+(tests/reference.py): list mining with a 2-D scatter, and an adapter
+trainer whose Adam runs over one flat vector of all the parameters. Every
+floating-point operation keeps its operands and its order, so the trained
+parameters must be bit-equal. The adapter step is also held within
+rounding of the quotient-rule formula it replaced."""
 
 import numpy as np
 import pytest
@@ -167,31 +165,6 @@ class TestTrainAdapterOracle:
         want = reference.train_adapter(init, tasks, token_map_index, expert_vectors, config)
         _assert_same_adapter(got, want)
 
-    def test_step_into_a_buffer_is_the_reference_step(self):
-        rng = np.random.default_rng(54)
-        adapter = reference.init_adapter(5, 4, seed=2)
-        views = fusion.matching_views(
-            adapter, [rng.standard_normal((n, 4)) for n in (1, 2, 3, 4, 5, 6)],
-            [rng.standard_normal(5) for _ in range(6)],
-        )
-        rows = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [5, 2, 3, 0]])
-        answers = np.array([0, 2, 1])
-        # the trainer's layout: AdapterGrads views of one flat vector
-        flat = np.full(sum(p.size for p in (adapter.w1, adapter.b1, adapter.w2, adapter.b2)),
-                       np.nan)
-        out = fusion.AdapterGrads(*fusion._param_views(flat, adapter))
-        losses, grads = fusion.batch_matching_loss_and_grads(
-            adapter, views, rows, answers, out=out
-        )
-        want_losses, want = reference.batch_matching_loss_and_grads(adapter, views, rows, answers)
-        assert grads is out
-        assert np.array_equal(losses, want_losses)
-        _assert_same_adapter(grads, want)
-        assert np.array_equal(flat, np.concatenate([want.w1.ravel(), want.b1,
-                                                    want.w2.ravel(), want.b2]))
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.shares_memory(getattr(grads, name), flat)
-
     @pytest.mark.parametrize("d_e, d, k, b", [(5, 4, 3, 3), (7, 3, 2, 5), (64, 16, 5, 8)],
                              ids=["small", "two items", "default shapes"])
     def test_step_is_the_quotient_rule_within_rounding(self, d_e, d, k, b):
@@ -219,12 +192,13 @@ class TestTrainAdapterOracle:
 
     def test_adam_is_the_reference_adam(self):
         rng = np.random.default_rng(55)
-        got, want = fusion._Adam(50, 0.01), reference.Adam(50, 0.01)
-        p_got, p_want = np.zeros(50), np.zeros(50)
+        # one parameter array of the adapter against the reference's flat vector
+        got, want = fusion._Adam((5, 10), 0.01), reference.Adam(50, 0.01)
+        p_got, p_want = np.zeros((5, 10)), np.zeros(50)
         for _ in range(20):
             grad = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 3)
-            got.update(p_got, grad.copy())
+            got.update(p_got, grad.reshape(5, 10).copy())
             want.update(p_want, grad)
-        assert np.array_equal(p_got, p_want)
-        assert np.array_equal(got.m, want.m) and np.array_equal(got.v, want.v)
+        assert np.array_equal(p_got.ravel(), p_want)
+        assert np.array_equal(got.m.ravel(), want.m) and np.array_equal(got.v.ravel(), want.v)
 
