@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,8 @@ def _expect_blocks(path, params: list[np.ndarray], count: int) -> None:
 def _number(path, value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataValidationError(f"{path}: {what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, an int beyond the float range
+        raise DataValidationError(f"{path}: {what} must be a finite number")
     return float(value)
 
 

@@ -229,13 +229,13 @@ def _adapter(tasks, token_maps, expert_vectors, config: PipelineConfig):
     """The adapter fitted in closed form on ``tasks``, fine-tuned from there
     for ``adapter.epochs`` when that is above 0; the fit; and the seed that
     made the adapter: ``adapter.seed``, which orders the fine-tuning
-    batches, if fine-tuning ran, else the top-level seed."""
-    fit = fusion.fit_adapter(tasks, token_maps, expert_vectors)
+    batches, if fine-tuning ran, else the top-level seed. The tasks are
+    stacked once, for the fit and the fine-tune."""
+    stack = fusion.stack_tasks(tasks, token_maps, expert_vectors)
+    fit = fusion.fit_adapter(stack)
     if not config.adapter.epochs:
         return fit.adapter, fit, config.seed
-    adapter = fusion.train_adapter(fit.adapter, tasks, token_maps, expert_vectors,
-                                   config.adapter)
-    return adapter, fit, config.adapter.seed
+    return fusion.train_adapter(fit.adapter, stack, config.adapter), fit, config.adapter.seed
 
 
 def cmd_train_adapter(args, config: PipelineConfig) -> None:

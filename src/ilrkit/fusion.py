@@ -14,15 +14,18 @@ answers the most training tasks under the pooled cosine readout. Because
 ReLU(z) - ReLU(-z) = z, the projector fits the MLP's shapes exactly:
 w1 = [P, -P, 0], b1 = [-mu P, mu P, 0], w2 = [s I; -s I; 0], b2 = 0.
 
+The fit and the fine-tune take the training tasks stacked once
+(stack_tasks): each image's token mean, token count and expert vector as
+one row, and the tasks of each gallery size as one table of row numbers.
+
 A desk-scale training surrogate (train_adapter) can fine-tune the same
 parameters from the closed form on the gallery-matching task, via a
 cosine readout over mean-pooled fused features with fully analytic
-gradients. Training stacks each image's token mean, token count and
-expert vector once, then runs every minibatch as one batched forward and
-backward pass per gallery size (batch_matching_loss_and_grads): the
-B*(K+1) images are gathered as rows for one MLP matrix product, each
-pooled vector is normalised once to a unit vector, the cosine scores are
-dot products of unit vectors, and the backward pass runs through the unit
+gradients. It runs every minibatch as one batched forward and backward
+pass per gallery size (batch_matching_loss_and_grads): the B*(K+1)
+images are gathered as rows for one MLP matrix product, each pooled
+vector is normalised once to a unit vector, the cosine scores are dot
+products of unit vectors, and the backward pass runs through the unit
 vectors into matrix products for the gradients. Adam updates each
 parameter array. The per-task matching_loss_and_grads is the B = 1 case
 of the same code.
@@ -112,21 +115,19 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _checked_tokens(adapter: FusionAdapter, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
-    """The (N, d) tokens of one image, checked against the adapter: a
-    TokenFeatureMap's float32 matrix as it is, anything else as float64."""
+def _checked_tokens(width: int, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
+    """The (N, width) tokens of one image: a TokenFeatureMap's float32
+    matrix as it is, anything else as float64."""
     tok = (tokens.tokens if isinstance(tokens, TokenFeatureMap)
            else np.asarray(tokens, dtype=np.float64))
-    if tok.ndim != 2 or tok.shape[0] == 0 or tok.shape[1] != adapter.output_dim:
-        raise DataValidationError(
-            f"tokens have shape {tok.shape}, adapter expects (N, {adapter.output_dim})"
-        )
+    if tok.ndim != 2 or tok.shape[0] == 0 or tok.shape[1] != width:
+        raise DataValidationError(f"tokens have shape {tok.shape}, adapter expects (N, {width})")
     return tok
 
 
 def _token_matrix(adapter: FusionAdapter, tokens: TokenFeatureMap | np.ndarray) -> np.ndarray:
     """The (N, d) tokens of one image as float64, checked against the adapter."""
-    return np.asarray(_checked_tokens(adapter, tokens), dtype=np.float64)
+    return np.asarray(_checked_tokens(adapter.output_dim, tokens), dtype=np.float64)
 
 
 def fuse(
@@ -189,33 +190,33 @@ _MEAN_ROWS = 256  # images whose tokens are stacked for one mean call
 
 
 def matching_views(
-    adapter: FusionAdapter,
+    adapter: FusionAdapter | None,
     tokens: Sequence[TokenFeatureMap | np.ndarray],
     expert_vecs: Sequence[Sequence[float]],
 ) -> MatchingViews:
     """Stack the token means, token counts and expert vectors of some images.
 
-    The images are checked one at a time; the means of those with the same
-    token count are then taken ``_MEAN_ROWS`` images per call, as the
-    float64 mean over axis 1 of their stacked tokens. That adds each
-    image's token rows in the order its own ``mean(axis=0)`` does, so the
-    means are bit-equal to it.
+    The images are checked one at a time against the adapter's widths or,
+    with no adapter, against the first image's token width and expert
+    vector size; the means of those with the same token count are then
+    taken ``_MEAN_ROWS`` images per call, as the float64 mean over axis 1
+    of their stacked tokens. That adds each image's token rows in the
+    order its own ``mean(axis=0)`` does, so the means are bit-equal to it.
     """
+    if adapter is None:
+        d, d_e = np.shape(getattr(tokens[0], "tokens", tokens[0]))[-1], np.size(expert_vecs[0])
+    else:
+        d, d_e = adapter.output_dim, adapter.expert_dim
     n = len(tokens)
-    views = MatchingViews(
-        token_means=np.empty((n, adapter.output_dim)),
-        token_counts=np.empty(n),
-        experts=np.empty((n, adapter.expert_dim)),
-    )
+    views = MatchingViews(np.empty((n, d)), np.empty(n), np.empty((n, d_e)))
     mats = []
     by_count: dict[int, list[int]] = {}
     for i, (tok, vec) in enumerate(zip(tokens, expert_vecs)):
-        t = _checked_tokens(adapter, tok)
+        t = _checked_tokens(d, tok)
         v = np.asarray(vec, dtype=np.float64)
-        if v.shape != (adapter.expert_dim,):
+        if v.shape != (d_e,):
             raise DataValidationError(
-                f"expert vector has shape {v.shape}, adapter expects ({adapter.expert_dim},)"
-            )
+                f"expert vector has shape {v.shape}, adapter expects ({d_e},)")
         mats.append(t)
         by_count.setdefault(t.shape[0], []).append(i)
         views.experts[i] = v
@@ -367,12 +368,26 @@ def _params(x: FusionAdapter | AdapterGrads) -> tuple[np.ndarray, ...]:
 _SCORE_CHUNK = 64
 
 
-def _task_images(tasks: Sequence, token_maps: Mapping[str, TokenFeatureMap],
-                 expert_vectors: Mapping[str, np.ndarray]) -> dict[str, int]:
-    """Each image of ``tasks`` (queries and galleries, in order of first
-    appearance) and its row number; a missing token map or expert vector,
-    a gallery of fewer than 2 images or an answer out of range raises
-    DataValidationError."""
+@dataclass(frozen=True)
+class TaskStack:
+    """Training tasks stacked once: one views row per image (queries and
+    galleries, in order of first appearance), and per gallery size k,
+    smallest first, the tasks of that size as (rows (T_k, k+1) of view
+    rows, query first; answers (T_k,)). Task t is row slot[t] of table
+    sizes[t]."""
+
+    views: MatchingViews
+    sizes: np.ndarray
+    slot: np.ndarray
+    tables: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def stack_tasks(tasks: Sequence, token_maps: Mapping[str, TokenFeatureMap],
+                expert_vectors: Mapping[str, np.ndarray]) -> TaskStack:
+    """The TaskStack of ``tasks``: every image's views (matching_views,
+    checked against the first image's widths) and the row tables. No
+    tasks, a missing token map or expert vector, a gallery of fewer than 2
+    images or an answer out of range raises DataValidationError."""
     if not tasks:
         raise DataValidationError("no training tasks")
     index: dict[str, int] = {}
@@ -385,7 +400,17 @@ def _task_images(tasks: Sequence, token_maps: Mapping[str, TokenFeatureMap],
             index.setdefault(image_id, len(index))
     for task in tasks:
         _check_gallery(len(task.gallery_ids), task.answer_index)
-    return index
+    views = matching_views(None, [token_maps[i] for i in index],
+                           [expert_vectors[i] for i in index])
+    sizes = np.array([len(t.gallery_ids) for t in tasks])
+    slot = np.empty(len(tasks), dtype=np.intp)
+    tables = {}
+    for k in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == k)
+        slot[members] = np.arange(len(members))
+        rows = [[index[i] for i in (tasks[t].query_id, *tasks[t].gallery_ids)] for t in members]
+        tables[k] = np.array(rows), np.array([tasks[t].answer_index for t in members])
+    return TaskStack(views, sizes, slot, tables)
 
 
 # The scales s that fit_adapter tries, smallest first: a tie goes to the
@@ -437,48 +462,34 @@ def _closed_form_adapter(mu: np.ndarray, p: np.ndarray, scale: float) -> FusionA
     return FusionAdapter(w1, b1, w2, np.zeros(d))
 
 
-def fit_adapter(
-    tasks: Sequence,
-    token_maps: Mapping[str, TokenFeatureMap],
-    expert_vectors: Mapping[str, np.ndarray],
-) -> AdapterFit:
+def fit_adapter(stack: TaskStack) -> AdapterFit:
     """The adapter in closed form, from every query and gallery image of
-    the training ``tasks``.
+    the training tasks that stack_tasks stacked.
 
     mu is the mean of those images' expert vectors and P their principal
     directions (_principal_directions) at the token width. The scale
     is the one of SCALES whose pooled fused vectors,
     mean(tokens) + scale (e - mu) P / N, answer the most tasks by cosine
-    argmax (simcore.match_batch, a chunk of tasks at a time); of equal
-    counts the smaller scale wins. A zero pooled vector raises
-    DataValidationError.
+    argmax (simcore.match_batch over each of the stack's tables); of
+    equal counts the smaller scale wins. A zero pooled vector raises
+    DataValidationError. The stack is left as it was.
     """
-    index = _task_images(tasks, token_maps, expert_vectors)
-    first = next(iter(index))
-    tokens = token_maps[first]
-    d = np.shape(tokens.tokens if isinstance(tokens, TokenFeatureMap) else tokens)[-1]
-    d_e = np.size(expert_vectors[first])
-    # a zero adapter of the widths of the first image checks every image
-    views = matching_views(_closed_form_adapter(np.zeros(d_e), np.zeros((d_e, d)), 1.0),
-                           [token_maps[i] for i in index], [expert_vectors[i] for i in index])
-    # the views are this call's own: centred in place, they are e - mu
-    centred = views.experts
-    mu = centred.mean(axis=0)
-    centred -= mu
-    p = _principal_directions(centred, d)
+    views = stack.views
+    mu = views.experts.mean(axis=0)
+    centred = views.experts - mu  # a fresh array: the fine-tune reads the same stack
+    p = _principal_directions(centred, views.token_means.shape[1])
     shifted = centred @ p
     shifted /= views.token_counts[:, None]
-    rows = [[index[i] for i in (t.query_id, *t.gallery_ids)] for t in tasks]
-    answers = np.array([t.answer_index for t in tasks])
     accuracies, best, most = {}, SCALES[0], -1
     for scale in SCALES:
         pooled = views.token_means + scale * shifted
-        correct = int(np.count_nonzero(
-            np.array(simcore.match_batch(pooled, rows, "cosine")) == answers))
-        accuracies[scale] = correct / len(tasks)
+        correct = sum(
+            np.count_nonzero(np.equal(simcore.match_batch(pooled, rows, "cosine"), answers))
+            for rows, answers in stack.tables.values())
+        accuracies[scale] = correct / len(stack.sizes)
         if correct > most:
             best, most = scale, correct
-    return AdapterFit(_closed_form_adapter(mu, p, best), best, accuracies, len(index))
+    return AdapterFit(_closed_form_adapter(mu, p, best), best, accuracies, len(views.experts))
 
 
 # Every non-finite value in training raises DivergenceError, so numpy's
@@ -486,18 +497,17 @@ def fit_adapter(
 @np.errstate(all="ignore")
 def train_adapter(
     adapter_init: FusionAdapter,
-    tasks: Sequence,
-    token_maps: Mapping[str, TokenFeatureMap],
-    expert_vectors: Mapping[str, np.ndarray],
+    stack: TaskStack,
     config: AdapterTrainConfig = AdapterTrainConfig(),
 ) -> FusionAdapter:
-    """Seeded Adam over gallery-matching tasks; deterministic per seed.
+    """Seeded Adam over the gallery-matching tasks that stack_tasks
+    stacked; deterministic per seed.
 
-    Every image's token mean and expert vector is stacked once. A
-    minibatch is one batch_matching_loss_and_grads call per gallery size
-    it holds, smallest size first; Adam steps on the sum of their
-    gradients over the batch's task count, with one state per parameter
-    array.
+    A minibatch is one batch_matching_loss_and_grads call per gallery
+    size it holds, on that size's table of the stack, smallest size
+    first; Adam steps on the sum of their gradients over the batch's task
+    count, with one state per parameter array. An adapter whose widths
+    differ from the stacked images' raises DataValidationError.
 
     Returns the trained adapter, unless the mean loss of the final
     parameters, taken again over all tasks after the last epoch
@@ -506,31 +516,16 @@ def train_adapter(
     epoch whose running mean loss was lowest, or the initial parameters if
     no epoch's was below the initial mean loss.
     """
-    index = _task_images(tasks, token_maps, expert_vectors)
-    views = matching_views(
-        adapter_init,
-        [token_maps[i] for i in index],
-        [expert_vectors[i] for i in index],
-    )
-    # One row table (query first) per gallery size; slot[t] is task t's row
-    # in its size's table.
-    sizes = np.array([len(t.gallery_ids) for t in tasks])
-    slot = np.empty(len(tasks), dtype=np.intp)
-    tables = {}
-    for k in sorted(set(sizes.tolist())):
-        members = np.flatnonzero(sizes == k)
-        slot[members] = np.arange(len(members))
-        tables[k] = (
-            np.array([[index[i] for i in (tasks[t].query_id, *tasks[t].gallery_ids)]
-                      for t in members]),
-            np.array([tasks[t].answer_index for t in members]),
-        )
+    views, sizes, slot = stack.views, stack.sizes, stack.slot
+    widths = (adapter_init.expert_dim, adapter_init.output_dim)
+    if widths != (views.experts.shape[1], views.token_means.shape[1]):
+        raise DataValidationError(f"adapter widths {widths} differ from the stacked images'")
 
     def batch_loss(current, batch, need_grads=True):
         """The losses of the tasks ``batch`` lists, in its order, and the
         gradient of their sum."""
         losses, total = np.empty(len(batch)), None
-        for k, (rows, answers) in tables.items():
+        for k, (rows, answers) in stack.tables.items():
             in_k = sizes[batch] == k
             if not in_k.any():
                 continue
@@ -544,7 +539,7 @@ def train_adapter(
                     *(t + g for t, g in zip(_params(total), _params(grads))))
         return losses, total
 
-    n = len(tasks)
+    n = len(sizes)
 
     def mean_loss(current):
         losses = [batch_loss(current, np.arange(s, min(s + _SCORE_CHUNK, n)), False)[0]

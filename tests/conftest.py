@@ -63,7 +63,8 @@ def trained_adapter(default_bundle, default_split, token_map_index, expert_vecto
         n_tasks=2000, seed=8, task_prefix="a-",
     )
     t0 = time.monotonic()
-    adapter = fusion.fit_adapter(train_tasks, token_map_index, expert_vectors).adapter
+    adapter = fusion.fit_adapter(
+        fusion.stack_tasks(train_tasks, token_map_index, expert_vectors)).adapter
     elapsed = time.monotonic() - t0
     return adapter, elapsed
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import platform
 import re
@@ -166,6 +167,31 @@ class TestSubcommandChain:
         assert json.loads((tmp_path / "manifest.json").read_text())["adapter.ckpt"]["seed"] \
             == seed
         assert json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["seed"] == seed
+
+    @pytest.mark.parametrize("command", ["train-adapter", "pipeline"])
+    def test_training_tasks_are_stacked_once(self, workspace, tmp_path, monkeypatch, command):
+        # the closed-form fit and the fine-tune read one stack of the tasks
+        calls = []
+        for name in ("stack_tasks", "matching_views"):
+            def counted(*args, _name=name, _call=getattr(fusion, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(fusion, name, counted)
+        data = workspace / "data"
+        if command == "train-adapter":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**SMALL_CONFIG, "adapter": {
+                **SMALL_CONFIG["adapter"], "epochs": 2}}))
+            argv = ["train-adapter", "--tasks", str(data / "tasks.jsonl"),
+                    "--token-maps", str(data / "token_maps.jsonl"),
+                    "--expert-embeddings", str(data / "expert.jsonl"),
+                    "--out", str(tmp_path / "adapter.ckpt"), "--config", str(config)]
+        else:
+            assert SMALL_CONFIG["adapter"]["epochs"] == 1
+            argv = ["pipeline", "--out", str(tmp_path / "run"), "--threads", "1"] + _cfg(workspace)
+        assert cli.main(argv) == 0
+        assert calls == ["stack_tasks", "matching_views"]
 
     def test_train_adapter_and_fuse(self, workspace, tmp_path):
         data = workspace / "data"
@@ -693,6 +719,9 @@ def _assert_data_error(rc, capsys):
     return error["message"]
 
 
+_ADAPTER_SHAPES = [[8, 8], [8], [8, 8], [8]]  # an 8-wide adapter
+
+
 def _checkpoint(path, header, shapes):
     header = dict(header, params=shapes)
     blob = b""
@@ -854,6 +883,47 @@ class TestMalformedInputs:
                        "--embeddings", str(workspace / "data" / "raw.jsonl"),
                        "--out", str(tmp_path / "e.jsonl")] + _cfg(workspace))
         _assert_data_error(rc, capsys)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**401, -(10**401)],
+                             ids=["NaN", "Infinity", "-Infinity", "huge", "-huge"])
+    @pytest.mark.parametrize("field", ["temperature", "margin", "loss_weights[0]",
+                                       "loss_weights[1]"])
+    def test_non_finite_checkpoint_scalar_is_rejected(self, tmp_path, field, value):
+        if field == "temperature":
+            header, shapes = {"kind": "fusion_adapter", "temperature": value}, _ADAPTER_SHAPES
+            load = checkpoint.load_adapter
+        else:
+            header = {"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}
+            if field == "margin":
+                header["margin"] = value
+            else:
+                header["loss_weights"][int(field[-2])] = value
+            shapes, load = [[24, 8], [8]], checkpoint.load_expert
+        ckpt = _checkpoint(tmp_path / "x.ckpt", header, shapes)
+        name = field.split("[")[0]
+        with pytest.raises(DataValidationError, match=f"{name} must be a finite number"):
+            load(ckpt)
+
+    def test_non_finite_adapter_temperature_is_3(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        ckpt = _checkpoint(tmp_path / "adapter.ckpt",
+                           {"kind": "fusion_adapter", "temperature": math.nan}, _ADAPTER_SHAPES)
+        some_id = load_embedding_set(data / "general.jsonl").image_ids[0]
+        rc = cli.main(["fuse", "--checkpoint", str(ckpt),
+                       "--token-maps", str(data / "token_maps.jsonl"),
+                       "--expert-embeddings", str(data / "expert.jsonl"),
+                       "--image-id", some_id] + _cfg(workspace))
+        assert "temperature must be a finite number" in _assert_data_error(rc, capsys)
+
+    def test_non_finite_expert_margin_is_3(self, workspace, tmp_path, capsys):
+        ckpt = _checkpoint(tmp_path / "head.ckpt", {
+            "kind": "expert_head", "margin": math.inf, "loss_weights": [1.0, 1.0]},
+            [[24, 8], [8]])
+        rc = cli.main(["embed", "--checkpoint", str(ckpt),
+                       "--embeddings", str(workspace / "data" / "raw.jsonl"),
+                       "--out", str(tmp_path / "e.jsonl")] + _cfg(workspace))
+        assert "margin must be a finite number" in _assert_data_error(rc, capsys)
+        assert not (tmp_path / "e.jsonl").exists()
 
     def test_checkpoint_header_not_object_is_3(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "head.ckpt"

@@ -17,6 +17,7 @@ from ilrkit.fusion import (
     matching_views,
     pooled_fused,
     project_expert,
+    stack_tasks,
     train_adapter,
 )
 from reference import init_adapter
@@ -415,7 +416,7 @@ class TestTrainAdapter:
         rng = np.random.default_rng(15)
         tasks, token_maps, vecs = _toy_training_setup(rng)
         init = init_adapter(5, 4, seed=0)
-        out = train_adapter(init, tasks, token_maps, vecs,
+        out = train_adapter(init, stack_tasks(tasks, token_maps, vecs),
                             AdapterTrainConfig(epochs=0))
         assert np.array_equal(out.w1, init.w1)
         assert np.array_equal(out.b2, init.b2)
@@ -425,8 +426,8 @@ class TestTrainAdapter:
         tasks, token_maps, vecs = _toy_training_setup(rng)
         init = init_adapter(5, 4, seed=0)
         cfg = AdapterTrainConfig(epochs=2, seed=3)
-        a = train_adapter(init, tasks, token_maps, vecs, cfg)
-        b = train_adapter(init, tasks, token_maps, vecs, cfg)
+        a = train_adapter(init, stack_tasks(tasks, token_maps, vecs), cfg)
+        b = train_adapter(init, stack_tasks(tasks, token_maps, vecs), cfg)
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.w2, b.w2)
 
@@ -436,9 +437,16 @@ class TestTrainAdapter:
         init = init_adapter(5, 4, seed=0)
         del token_maps[tasks[0].query_id]
         with pytest.raises(DataValidationError, match="token map"):
-            train_adapter(init, tasks, token_maps, vecs)
+            stack_tasks(tasks, token_maps, vecs)
         with pytest.raises(DataValidationError, match="no training tasks"):
-            train_adapter(init, [], {}, {})
+            stack_tasks([], {}, {})
+
+    def test_adapter_of_other_widths_rejected(self):
+        rng = np.random.default_rng(18)
+        stack = stack_tasks(*_toy_training_setup(rng))
+        for init in (init_adapter(6, 4, seed=0), init_adapter(5, 3, seed=0)):
+            with pytest.raises(DataValidationError, match="adapter widths"):
+                train_adapter(init, stack)
 
     def test_mixed_gallery_sizes_train(self):
         rng = np.random.default_rng(22)
@@ -453,7 +461,7 @@ class TestTrainAdapter:
         ]
         init = init_adapter(5, 4, seed=0)
         step = 1e-4
-        out = train_adapter(init, tasks, token_maps, vecs,
+        out = train_adapter(init, stack_tasks(tasks, token_maps, vecs),
                             AdapterTrainConfig(step_size=step, epochs=1,
                                                batch_size=len(tasks)))
         # one Adam step from zero state moves each parameter by
@@ -508,7 +516,7 @@ class TestClosedFormFit:
     def test_projection_is_exact_on_unseen_vectors(self, n_images, d_e, d, hidden, rank):
         rng = np.random.default_rng(60 + d_e)
         tasks, token_maps, vectors = _fit_setup(rng, n_images, d_e, d)
-        fit = fusion.fit_adapter(tasks, token_maps, vectors)
+        fit = fusion.fit_adapter(fusion.stack_tasks(tasks, token_maps, vectors))
         adapter = fit.adapter
         assert adapter.w1.shape == (d_e, hidden) and adapter.w2.shape == (hidden, d)
         assert np.all(adapter.b2 == 0.0) and adapter.temperature == 1.0
@@ -545,7 +553,7 @@ class TestClosedFormFit:
         rng = np.random.default_rng(70 + seed)
         tasks, token_maps, vectors = _fit_setup(rng, 12, 6, 4, n_tasks=5 + 40 * (seed % 2),
                                                 sizes=sizes)
-        fit = fusion.fit_adapter(tasks, token_maps, vectors)
+        fit = fusion.fit_adapter(fusion.stack_tasks(tasks, token_maps, vectors))
         experts = _task_experts(tasks, vectors)
         mu = experts.mean(axis=0)
         p = fusion._principal_directions(experts - mu, 4)
@@ -558,7 +566,7 @@ class TestClosedFormFit:
         ties = 0
         for _ in range(12):
             tasks, token_maps, vectors = _fit_setup(rng, 10, 5, 3, n_tasks=3)
-            fit = fusion.fit_adapter(tasks, token_maps, vectors)
+            fit = fusion.fit_adapter(fusion.stack_tasks(tasks, token_maps, vectors))
             best = max(fit.accuracies.values())
             assert fit.scale == min(s for s, a in fit.accuracies.items() if a == best)
             ties += sum(a == best for a in fit.accuracies.values()) > 1
@@ -572,7 +580,7 @@ class TestClosedFormFit:
             default_bundle.general_set, default_split.train_instances,
             n_tasks=150, seed=8, task_prefix="a-",
         )
-        fit = fusion.fit_adapter(tasks, token_map_index, expert_vectors)
+        fit = fusion.fit_adapter(fusion.stack_tasks(tasks, token_map_index, expert_vectors))
         experts = _task_experts(tasks, expert_vectors)
         mu = experts.mean(axis=0)
         p = fusion._principal_directions(experts - mu, 16)
@@ -585,7 +593,7 @@ class TestClosedFormFit:
         rng = np.random.default_rng(81)
         tasks, token_maps, vectors = _fit_setup(rng, images, 5, 3, n_tasks=4)
         vectors = {i: np.full(5, 0.5) for i in vectors}
-        fit = fusion.fit_adapter(tasks, token_maps, vectors)
+        fit = fusion.fit_adapter(fusion.stack_tasks(tasks, token_maps, vectors))
         for name in ("w1", "b1", "w2", "b2"):
             assert np.isfinite(getattr(fit.adapter, name)).all(), name
         assert not project_expert(fit.adapter, rng.standard_normal(5)).any()
@@ -598,16 +606,16 @@ class TestClosedFormFit:
                       for i in token_maps}
         vectors = {i: np.ones(5) for i in vectors}
         with pytest.raises(DataValidationError, match="zero vectors"):
-            fusion.fit_adapter(tasks, token_maps, vectors)
+            fusion.fit_adapter(fusion.stack_tasks(tasks, token_maps, vectors))
 
     def test_missing_views_and_empty_tasks_rejected(self):
         rng = np.random.default_rng(83)
         tasks, token_maps, vectors = _fit_setup(rng, 6, 5, 3, n_tasks=4)
         with pytest.raises(DataValidationError, match="no training tasks"):
-            fusion.fit_adapter([], token_maps, vectors)
+            fusion.stack_tasks([], token_maps, vectors)
         del vectors[tasks[1].gallery_ids[0]]
         with pytest.raises(DataValidationError, match="missing expert vector"):
-            fusion.fit_adapter(tasks, token_maps, vectors)
+            fusion.fit_adapter(fusion.stack_tasks(tasks, token_maps, vectors))
 
     def test_fixture_is_the_closed_form_at_default_shapes(self, trained_adapter):
         # hidden width max(64, 2 * 16): P, -P and 32 zero units

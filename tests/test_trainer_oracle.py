@@ -125,19 +125,21 @@ class TestTrainAdapterOracle:
         tasks, token_maps, vectors = _adapter_setup(rng, 23, sizes)
         init = reference.init_adapter(5, 4, seed=seed)
         config = fusion.AdapterTrainConfig(epochs=4, batch_size=5, seed=seed, step_size=0.05)
-        got = fusion.train_adapter(init, tasks, token_maps, vectors, config)
+        got = fusion.train_adapter(init, fusion.stack_tasks(tasks, token_maps, vectors), config)
         want = reference.train_adapter(init, tasks, token_maps, vectors, config)
         _assert_same_adapter(got, want)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fine_tuning_from_the_closed_form(self, seed):
         # the start fine-tuning takes in train-adapter and pipeline: the fit
-        # of the same tasks, whose 2 * d hidden units leave some dead
+        # of the same stacked tasks, whose 2 * d hidden units leave some
+        # dead; the fine-tune then trains on the stack the fit read
         rng = np.random.default_rng(57 + seed)
         tasks, token_maps, vectors = _adapter_setup(rng, 23, (2, 4, 3))
-        init = fusion.fit_adapter(tasks, token_maps, vectors).adapter
+        stack = fusion.stack_tasks(tasks, token_maps, vectors)
+        init = fusion.fit_adapter(stack).adapter
         config = fusion.AdapterTrainConfig(epochs=3, batch_size=5, seed=seed, step_size=0.05)
-        got = fusion.train_adapter(init, tasks, token_maps, vectors, config)
+        got = fusion.train_adapter(init, stack, config)
         want = reference.train_adapter(init, tasks, token_maps, vectors, config)
         _assert_same_adapter(got, want)
         assert not np.array_equal(got.w1, init.w1)
@@ -148,7 +150,7 @@ class TestTrainAdapterOracle:
         tasks, token_maps, vectors = _adapter_setup(rng, 16, (3, 4))
         init = reference.init_adapter(5, 4, seed=1)
         config = fusion.AdapterTrainConfig(epochs=1, batch_size=4, seed=1, step_size=3.0)
-        got = fusion.train_adapter(init, tasks, token_maps, vectors, config)
+        got = fusion.train_adapter(init, fusion.stack_tasks(tasks, token_maps, vectors), config)
         assert "returning best checkpoint" in caplog.text
         want = reference.train_adapter(init, tasks, token_maps, vectors, config)
         _assert_same_adapter(got, want)
@@ -161,7 +163,8 @@ class TestTrainAdapterOracle:
         )
         init = reference.init_adapter(64, 16, seed=0)
         config = fusion.AdapterTrainConfig(epochs=2, seed=7)
-        got = fusion.train_adapter(init, tasks, token_map_index, expert_vectors, config)
+        got = fusion.train_adapter(
+            init, fusion.stack_tasks(tasks, token_map_index, expert_vectors), config)
         want = reference.train_adapter(init, tasks, token_map_index, expert_vectors, config)
         _assert_same_adapter(got, want)
 
