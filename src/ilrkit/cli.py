@@ -6,10 +6,11 @@ output directory carries a manifest.json recording each artifact's
 config hash, seed, and tool version. synth and pipeline take --threads:
 unless it is 1, a forked worker process runs one job at a time beside the
 parent and reports once the job has finished. In synth a job writes the
-token maps. In pipeline one job builds and writes the general-view tasks
-and writes the token maps while the expert trains, and a second writes
-the raw view and the expert set and computes recall@1 while the parent
-fits the adapter and scores every matcher. Outputs, error messages and
+token maps. In pipeline one job does all the general-view work while the
+expert trains (every task set, the token maps, the general view and the
+ground truth), and a second writes the raw view and the expert set and
+computes recall@1 while the parent fits the adapter and scores every
+matcher. Outputs, error messages and
 exit codes do not depend on --threads. A command runs with numpy's
 bundled OpenBLAS at one thread, whatever the environment asks, and
 restores the previous count on return: its matrix products are small
@@ -358,15 +359,16 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     """synth -> split -> build tiers -> train-expert -> train-adapter ->
     evaluate all matchers -> sweep, with one manifest for everything.
 
-    The tiers, detection tasks, conversations and adapter-training tasks
-    depend on the general view alone, so one job builds and writes them,
-    and then writes the token maps, while the parent trains the expert. A
-    second job writes the raw view and the expert set and computes both
-    recall@1 values while the parent fits the adapter, builds the sweep's
-    tasks, scores every matcher and writes the general view and the ground
-    truth. The lanes were balanced by measuring each part; recall@1 sits in
-    the job because its similarity blocks would raise the parent's peak
-    memory. At --threads 1 each job runs in the parent where it is
+    The tiers, detection tasks, conversations, adapter-training tasks and
+    sweep tasks depend on the general view alone, so one job builds them,
+    writes them with the token maps, the general view and the ground truth,
+    and returns what the parent scores, while the parent trains the expert.
+    A second job writes the raw view and the expert set and computes both
+    recall@1 values while the parent fits the adapter, scores every matcher
+    and writes the reports. The lanes were planned by measuring each part:
+    neither job outlasts the parent's stage it overlaps, so the expert's
+    training is the critical path; recall@1 sits in the job because its
+    similarity blocks would raise the parent's peak memory. At --threads 1 each job runs in the parent where it is
     submitted and keeps its error until its result is read, so when a job
     and the parent's own work both fail, the parent's error wins at any
     --threads."""
@@ -418,8 +420,14 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
                 bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
                 n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
             )
+            sweep_tiers = evalkit.sweep_tasks(
+                bundle.general_set, split.test_instances, config.taus, k=config.k,
+                n_tasks=config.n_sweep_tasks, seed=seed,
+            )
             save_token_maps(bundle.token_maps, maps_path)
-            return tier, train_tasks
+            save_embedding_set(bundle.general_set, general_path, ext)
+            _write_ground_truth(truth_path, bundle.ground_truth)
+            return tier, train_tasks, sweep_tiers
 
         tasks = stage.submit(build_and_write_tasks, name="task building and writes")
 
@@ -433,7 +441,7 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             head, stage.record("expert_head.ckpt", h, config.expert.seed, expert_seeds)
         )
         expert_set = expert.embed_set(head, bundle.raw_set)
-        tier, train_tasks = tasks.result()
+        tier, train_tasks, sweep_tiers = tasks.result()
 
         expert_path = stage.record(f"expert.{ext}", h, seed, expert_seeds)
 
@@ -458,10 +466,6 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         )
 
         stages.next("evaluating matchers")
-        sweep_tiers = evalkit.sweep_tasks(
-            bundle.general_set, split.test_instances, config.taus, k=config.k,
-            n_tasks=config.n_sweep_tasks, seed=seed,
-        )
         matchers = {
             "general": evalkit.similarity_matcher(bundle.general_set),
             "expert": evalkit.similarity_matcher(expert_set),
@@ -469,8 +473,6 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         }
         matcher_reports = _matching_reports(tier, matchers)
         sweep = evalkit.SweepResult.of(evalkit.sweep_accuracies(sweep_tiers, matchers))
-        save_embedding_set(bundle.general_set, general_path, ext)
-        _write_ground_truth(truth_path, bundle.ground_truth)
 
         # the matcher reports are serialized before the fused one takes the
         # sweep table for report.txt, so report.json holds that table once
@@ -574,9 +576,9 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = 
     if threads:
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="1 runs everything in one process; above 1, a forked worker "
-                            "builds pipeline's general-view tasks and writes the bulk "
-                            "artifacts of pipeline and synth while computing goes on "
-                            "(default: the CPUs this process may run on)")
+                            "does pipeline's general-view work while the expert trains, "
+                            "and writes the bulk artifacts of pipeline and synth while "
+                            "computing goes on (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")

@@ -19,6 +19,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -1659,8 +1660,9 @@ GOLDEN_DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 def _stack() -> str:
     """The numeric stack that artifact bytes may depend on: numpy's version,
-    the run-time configuration of the OpenBLAS bundled with it (which names
-    the CPU core its kernels were picked for) and the machine."""
+    orjson's (which spells the JSONL arrays' floats), the run-time
+    configuration of the OpenBLAS bundled with numpy (which names the CPU
+    core its kernels were picked for) and the machine."""
     blas = "no bundled OpenBLAS"
     package = Path(np.__file__).parent
     for lib in sorted([*package.parent.glob("numpy.libs/libscipy_openblas*"),
@@ -1671,7 +1673,7 @@ def _stack() -> str:
             continue
         config.argtypes, config.restype = [], ctypes.c_char_p
         blas = " ".join(config().decode().split())
-    return f"numpy {np.__version__}, {blas}, {platform.machine()}"
+    return f"numpy {np.__version__}, orjson {orjson.__version__}, {blas}, {platform.machine()}"
 
 
 def _golden_digests() -> dict:
@@ -1898,12 +1900,13 @@ class TestDeterminism:
         failed = tmp_path / "failed"
         save_embedding_set = cli.save_embedding_set
 
-        def slow_save_embedding_set(*args, **kwargs):
+        def slow_save_embedding_set(eset, path, *args):
             # at --threads 2 the raw and expert-set writer, a job the parent
-            # does not wait for, runs until the adapter fit has failed
-            if os.getpid() != parent:
+            # does not wait for, runs until the adapter fit has failed; the
+            # first job's general view, which the parent waits for, does not
+            if os.getpid() != parent and os.path.basename(path) != "general.jsonl":
                 _wait_for(failed)
-            save_embedding_set(*args, **kwargs)
+            save_embedding_set(eset, path, *args)
 
         def fail(*args, **kwargs):
             failed.touch()
@@ -2128,8 +2131,9 @@ class TestPipelineWorker:
         _assert_no_child_left()
 
     def test_every_matcher_is_scored_in_the_parent(self, workspace, tmp_path, monkeypatch):
-        # the sweep's tasks and every matcher's scores come from the parent,
-        # after the adapter fit; the second job computes recall@1
+        # every matcher's scores come from the parent, after the adapter fit;
+        # the first job builds the sweep's tasks with the tiers, and the
+        # second job computes recall@1
         pids = tmp_path / "pids"
 
         def record_pid(module, name):
@@ -2144,6 +2148,7 @@ class TestPipelineWorker:
 
         for name in ("sweep_tasks", "similarity_matcher", "fused_matcher", "sweep_accuracies"):
             record_pid(evalkit, name)
+        record_pid(dataengine, "build_detection_tasks")
         record_pid(synthgen, "recall_at_1")
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
@@ -2151,9 +2156,13 @@ class TestPipelineWorker:
         parent = str(os.getpid())
         assert sorted(name for name, pid in calls if pid == parent) == [
             "fused_matcher", "similarity_matcher", "similarity_matcher", "sweep_accuracies",
-            "sweep_tasks",
         ]
-        assert [name for name, pid in calls if pid != parent] == ["recall_at_1"] * 2
+        jobs = {}
+        for name, pid in calls:
+            if pid != parent:
+                jobs.setdefault(pid, []).append(name)
+        assert sorted(jobs.values()) == [["build_detection_tasks", "sweep_tasks"],
+                                         ["recall_at_1"] * 2]
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -2194,14 +2203,16 @@ class TestPipelineWorker:
     def test_bundle_and_expert_set_are_written_while_the_adapter_trains(
             self, workspace, tmp_path, monkeypatch):
         # the second job writes the raw view and the expert set while the
-        # parent fits the adapter; the parent writes the general view after
+        # parent fits the adapter; the first job wrote the general view and
+        # the ground truth with the tasks, before the fit
         parent = os.getpid()
         fitting, fitted = tmp_path / "fitting", tmp_path / "fitted"
         writes = tmp_path / "writes"
         in_job = {"raw.jsonl", "expert.jsonl"}
-        task_files = {"tasks_tau0.1.jsonl", "tasks_tau0.3.jsonl", "tasks_tau0.4.jsonl",
-                      "detection_tasks.jsonl", "conversations_mcq.jsonl",
-                      "conversations_caption.jsonl", "token_maps.jsonl"}
+        first_job_files = {"tasks_tau0.1.jsonl", "tasks_tau0.3.jsonl", "tasks_tau0.4.jsonl",
+                           "detection_tasks.jsonl", "conversations_mcq.jsonl",
+                           "conversations_caption.jsonl", "token_maps.jsonl", "general.jsonl",
+                           "ground_truth.jsonl"}
         staged = []  # the stage's files when the adapter fit starts
         fit_adapter = fusion.fit_adapter
 
@@ -2213,14 +2224,15 @@ class TestPipelineWorker:
             staged.append({p.name for p in stage_dir.iterdir()})
             fitting.touch()
             fit = fit_adapter(*args, **kwargs)
-            _wait_until(lambda: len(written()) == len(in_job))
+            _wait_until(lambda: len(written()) == len(in_job) + 1)
             fitted.touch()
             return fit
 
         save_embedding_set = cli.save_embedding_set
 
         def record(eset, path, *args):
-            _wait_for(fitting)
+            if os.path.basename(path) in in_job:
+                _wait_for(fitting)
             save_embedding_set(eset, path, *args)
             during = fitting.exists() and not fitted.exists()
             with open(writes, "a") as fh:
@@ -2230,13 +2242,17 @@ class TestPipelineWorker:
         monkeypatch.setattr(cli, "save_embedding_set", record)
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
-        # the first job wrote every task file and the token maps before it reported
-        assert len(staged) == 1 and task_files <= staged[0]
+        # the first job wrote every general-view file before it reported
+        assert len(staged) == 1 and first_job_files <= staged[0]
+        assert not in_job & staged[0]
         records = {name: (int(pid), during) for name, pid, during in map(str.split, written())}
         assert set(records) == in_job | {"general.jsonl"}
+        (second_job,) = {records[name][0] for name in in_job}
         for name in in_job:
-            assert records[name][0] != parent and records[name][1] == "True", name
-        assert records["general.jsonl"] == (parent, "False")
+            assert records[name][1] == "True", name
+        first_job = records["general.jsonl"][0]
+        assert records["general.jsonl"][1] == "False"
+        assert len({parent, first_job, second_job}) == 3
         _assert_no_child_left()
 
     def test_token_maps_are_written_while_the_expert_trains(self, workspace, tmp_path,
@@ -2299,9 +2315,10 @@ class TestPipelineWorker:
             received.touch()
             return fit_adapter(*args, **kwargs)
 
-        def die(*args, **kwargs):
-            if os.getpid() == parent:  # the general view, written after the fit
-                return save_embedding_set(*args, **kwargs)
+        def die(eset, path, *args):
+            if os.path.basename(path) == "general.jsonl":  # the first job's write
+                return save_embedding_set(eset, path, *args)
+            assert os.getpid() != parent
             _wait_for(received)
             os.kill(os.getpid(), signal.SIGKILL)
 

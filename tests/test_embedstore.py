@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -239,14 +240,20 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float32).view(np.uint32)
 
 
+def _digits(text: str) -> tuple:
+    """The sign, significant digits and exponent of a decimal's text."""
+    return Decimal(text).normalize().as_tuple()
+
+
 def _component_texts(line: str, key: str) -> list[str]:
     """The text of every number of ``key`` in a written JSONL line."""
     return re.split(r"[\[\], ]+", line.split(f'"{key}": ', 1)[1].rstrip("}\n"))[1:-1]
 
 
 class TestWriterText:
-    """Both JSONL writers print each float32 component as ``%.9g`` text
-    (``-0.0`` for negative zero), which loads back bit-equal."""
+    """Both JSONL writers print each float32 component as the shortest
+    decimal that reads back to it (``-0.0`` for negative zero), which loads
+    back bit-equal."""
 
     def _set(self, values, d=16):
         values = values[: len(values) // d * d].reshape(-1, d)
@@ -279,9 +286,11 @@ class TestWriterText:
                 assert np.array_equal(_bits(got.tokens), _bits(want.tokens))
 
     def test_spelling(self, tmp_path):
-        """Every component is ``'%.9g' % x`` but negative zero, which is
-        ``-0.0`` (``-0`` would read back as +0), and every line is strict JSON."""
-        values = _float32_values(7, 600)
+        """Every component is the shortest decimal that reads back to its
+        float32: the digits and exponent of ``np.format_float_scientific(x,
+        unique=True)``. Negative zero is ``-0.0`` (``-0`` would read back
+        as +0), and every line is strict JSON."""
+        values = _float32_values(7)
         eset, maps = self._set(values, 4), self._maps(values, (2, 3))
         save_embedding_set(eset, tmp_path / "e.jsonl")
         save_token_maps(maps, tmp_path / "t.jsonl")
@@ -293,10 +302,45 @@ class TestWriterText:
             assert len(lines) == len(rows)
             for line, row in zip(lines, rows):
                 json.loads(line, parse_constant=pytest.fail)  # no NaN or Infinity
-                want = ["-0.0" if x == 0 and np.signbit(x) else "%.9g" % x for x in row]
-                assert _component_texts(line, key) == want
-                negative_zeros += want.count("-0.0")
+                texts = _component_texts(line, key)
+                assert [_digits(t) for t in texts] == [
+                    _digits(np.format_float_scientific(x, unique=True)) for x in row
+                ]
+                zeros = [t for t, x in zip(texts, row) if x == 0]
+                assert zeros == ["-0.0" if np.signbit(x) else "0.0" for x in row if x == 0]
+                negative_zeros += zeros.count("-0.0")
         assert negative_zeros >= 2
+
+    def test_random_bit_patterns_round_trip(self, tmp_path):
+        """Over 10**6 random finite float32 bit patterns, with subnormals and
+        the extremes among them, read back bit-equal through the loader and
+        through json.loads."""
+        maps = self._maps(_float32_values(9, 2 ** 20), (16, 16))
+        want = np.stack([m.tokens for m in maps])
+        assert want.size >= 10 ** 6
+        assert np.isin([_F32_MAX, -_F32_MAX, np.float32(1e-45)], want).all()
+        save_token_maps(maps, tmp_path / "t.jsonl")
+        loaded = np.stack([m.tokens for m in load_token_maps(tmp_path / "t.jsonl")])
+        assert np.array_equal(_bits(loaded), _bits(want))
+        with open(tmp_path / "t.jsonl", encoding="utf-8") as fh:
+            by_json = np.array([json.loads(line)["tokens"] for line in fh], dtype=np.float32)
+        assert np.array_equal(_bits(by_json), _bits(want))
+
+    def test_non_contiguous_blocks_round_trip(self, tmp_path):
+        """Transposed views are written in their own C order."""
+        values = _float32_values(10, 1200)
+        block = values[:1200].reshape(40, 30)
+        eset = EmbeddingSet.from_columns("enc", 40, [f"img{i}" for i in range(30)],
+                                         ["inst"] * 30, ["pet"] * 30, block.T)
+        tokens = block.reshape(8, 5, 30).transpose(0, 2, 1)  # (8, 30, 5) views
+        maps = [TokenFeatureMap(f"img{i}", t) for i, t in enumerate(tokens)]
+        assert not (eset.matrix().flags.c_contiguous or maps[0].tokens.flags.c_contiguous)
+        save_embedding_set(eset, tmp_path / "e.jsonl")
+        save_token_maps(maps, tmp_path / "t.jsonl")
+        loaded = load_embedding_set(tmp_path / "e.jsonl")
+        assert np.array_equal(_bits(loaded.matrix()), _bits(block.T))
+        loaded_maps = load_token_maps(tmp_path / "t.jsonl")
+        assert np.array_equal(_bits([m.tokens for m in loaded_maps]), _bits(tokens))
 
     def test_float64_repr_files_load_bit_equal(self, tmp_path):
         """A file in the float64-repr spelling of earlier versions loads to the
@@ -336,6 +380,16 @@ class TestWriterText:
         with pytest.raises(DataValidationError, match="record 'img66' contains non-finite"):
             save_embedding_set(eset, tmp_path / "e", fmt)
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_token_map_rejected(self, tmp_path, value):
+        # token_maps_of skips TokenFeatureMap's own finiteness check
+        tokens = np.ones((70, 2, 3), dtype=np.float32)
+        tokens[66, 1, 2] = value
+        maps = embedstore.token_maps_of([f"img{i}" for i in range(70)], tokens)
+        with pytest.raises(DataValidationError, match="token map 'img66' contains non-finite"):
+            save_token_maps(maps, tmp_path / "t")
+        assert not (tmp_path / "t").exists()
 
 
 def test_magic_constant():
