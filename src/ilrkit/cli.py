@@ -10,12 +10,12 @@ token maps. In pipeline one job does all the general-view work while the
 expert trains (every task set, the token maps, the general view and the
 ground truth), and a second writes the raw view and the expert set and
 computes recall@1 while the parent fits the adapter and scores every
-matcher. Outputs, error messages and
-exit codes do not depend on --threads. A command runs with numpy's
-bundled OpenBLAS at one thread, whatever the environment asks, and
-restores the previous count on return: its matrix products are small
-(expert batches of 32 by 64), and on a 2-core host two BLAS threads made
-the default pipeline 1.5 times slower. Exit codes:
+matcher. Outputs, error messages and exit codes do not depend on
+--threads. A command runs with numpy's bundled OpenBLAS at one thread,
+whatever the environment asks, and restores the previous count on
+return: its matrix products are small (expert batches of 32 by 64), and
+on a 2-core host two BLAS threads made the default pipeline 1.5 times
+slower. Exit codes:
 0 success, 2 config error (also a flag that would do nothing, or an
 --out of the wrong kind), 3 data validation error, 4 numeric divergence,
 5 a worker process died.
@@ -368,10 +368,10 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     and writes the reports. The lanes were planned by measuring each part:
     neither job outlasts the parent's stage it overlaps, so the expert's
     training is the critical path; recall@1 sits in the job because its
-    similarity blocks would raise the parent's peak memory. At --threads 1 each job runs in the parent where it is
-    submitted and keeps its error until its result is read, so when a job
-    and the parent's own work both fail, the parent's error wins at any
-    --threads."""
+    similarity blocks would raise the parent's peak memory. At --threads 1
+    each job runs in the parent where it is submitted and keeps its error
+    until its result is read, so when a job and the parent's own work both
+    fail, the parent's error wins at any --threads."""
     out = Path(args.out)
     stages = StageLog()
     with OutputStage(out, args.threads > 1) as stage:

@@ -943,6 +943,7 @@ def _read_bin_columns(path: Path, only: Collection[str] | None):
 
 
 def _string_text(text: str) -> bytes:
+    """``text`` as a JSON string, escaped to ASCII as json.dumps writes it."""
     return json.dumps(text).encode()
 
 
