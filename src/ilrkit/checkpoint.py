@@ -101,27 +101,17 @@ def load_adapter(path: str | Path) -> FusionAdapter:
 
 
 def save_expert(head: ExpertHead, path: str | Path, seed: int | None = None) -> None:
-    header = {
-        "kind": _KIND_EXPERT,
-        "margin": head.margin,
-        "loss_weights": list(head.loss_weights),
-    }
+    header = {"kind": _KIND_EXPERT}
     if seed is not None:
         header["seed"] = seed
     _write(Path(path), header, [head.w, head.b])
 
 
 def load_expert(path: str | Path) -> ExpertHead:
+    """The head of an expert checkpoint; the margin and loss weights in the
+    header of one written by the retired trainer are ignored."""
     header, params = _read(Path(path))
     if header.get("kind") != _KIND_EXPERT:
         raise DataValidationError(f"{path}: not an expert head checkpoint")
     _expect_blocks(path, params, 2)
-    w, b = params
-    weights = header.get("loss_weights")
-    if not isinstance(weights, list) or len(weights) != 2:
-        raise DataValidationError(f"{path}: loss_weights must be a list of 2 numbers")
-    return ExpertHead(
-        w, b,
-        margin=_number(path, header.get("margin"), "margin"),
-        loss_weights=tuple(_number(path, x, "loss_weights") for x in weights),
-    )
+    return ExpertHead(*params)

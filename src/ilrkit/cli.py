@@ -6,19 +6,19 @@ output directory carries a manifest.json recording each artifact's
 config hash, seed, and tool version. synth and pipeline take --threads:
 unless it is 1, a forked worker process runs one job at a time beside the
 parent and reports once the job has finished. In synth a job writes the
-token maps. In pipeline one job does all the general-view work while the
-expert trains (every task set, the token maps, the general view and the
-ground truth), and a second writes the raw view and the expert set and
-computes recall@1 while the parent fits the adapter and scores every
-matcher. Outputs, error messages and exit codes do not depend on
---threads. A command runs with numpy's bundled OpenBLAS at one thread,
-whatever the environment asks, and restores the previous count on
-return: its matrix products are small (expert batches of 32 by 64), and
-on a 2-core host two BLAS threads made the default pipeline 1.5 times
-slower. Exit codes:
+token maps. In pipeline one job does all the general-view work (every
+task set, the token maps, the general view and the ground truth) while
+the parent fits the expert and then waits for it, and a second writes the
+raw view and the expert set and computes recall@1 while the parent fits
+the adapter and scores every matcher. Outputs, error messages and exit
+codes do not depend on --threads. A command runs with numpy's bundled OpenBLAS at one
+thread, whatever the environment asks, and restores the previous count on
+return: its matrix products are small (64 columns wide at the default
+config), and on a 2-core host two BLAS threads made the default pipeline
+1.5 times slower. Exit codes:
 0 success, 2 config error (also a flag that would do nothing, or an
---out of the wrong kind), 3 data validation error, 4 numeric divergence,
-5 a worker process died.
+--out of the wrong kind), 3 data validation error, 4 numeric divergence
+(the adapter's fine-tune), 5 a worker process died.
 """
 
 from __future__ import annotations
@@ -190,13 +190,13 @@ def cmd_train_expert(args, config: PipelineConfig) -> None:
     raw = load_embedding_set(args.embeddings, config.format)
     if args.split:
         raw = raw.subset(dataengine.load_split(args.split).train_instances)
-    head = expert.train_expert(raw, config=config.expert)
+    head = expert.fit_expert(raw, config=config.expert)
     with OutputStage(Path(args.out).parent) as stage:
         checkpoint.save_expert(
-            head, stage.record(Path(args.out).name, config.config_hash(), config.expert.seed),
-            seed=config.expert.seed,
+            head, stage.record(Path(args.out).name, config.config_hash(), config.seed),
+            seed=config.seed,
         )
-    print(f"trained expert head ({head.w.shape[0]} -> {head.w.shape[1]}) -> {args.out}")
+    print(f"fitted expert head ({head.w.shape[0]} -> {head.w.shape[1]}) -> {args.out}")
 
 
 def cmd_embed(args, config: PipelineConfig) -> None:
@@ -362,16 +362,17 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     The tiers, detection tasks, conversations, adapter-training tasks and
     sweep tasks depend on the general view alone, so one job builds them,
     writes them with the token maps, the general view and the ground truth,
-    and returns what the parent scores, while the parent trains the expert.
+    and returns what the parent scores, while the parent fits the expert.
     A second job writes the raw view and the expert set and computes both
     recall@1 values while the parent fits the adapter, scores every matcher
-    and writes the reports. The lanes were planned by measuring each part:
-    neither job outlasts the parent's stage it overlaps, so the expert's
-    training is the critical path; recall@1 sits in the job because its
-    similarity blocks would raise the parent's peak memory. At --threads 1
-    each job runs in the parent where it is submitted and keeps its error
-    until its result is read, so when a job and the parent's own work both
-    fail, the parent's error wins at any --threads."""
+    and writes the reports. The expert's closed-form fit takes milliseconds,
+    so the first job is the critical path, and the parent waits for it;
+    the second job does not outlast the parent's stage it overlaps.
+    recall@1 sits in that job because its similarity blocks would raise
+    the parent's peak memory. At --threads 1 each job runs in the parent
+    where it is submitted and keeps its error until its result is read, so
+    when a job and the parent's own work both fail, the parent's error wins
+    at any --threads."""
     out = Path(args.out)
     stages = StageLog()
     with OutputStage(out, args.threads > 1) as stage:
@@ -431,19 +432,16 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
 
         tasks = stage.submit(build_and_write_tasks, name="task building and writes")
 
-        # the expert and the adapter are trained on the split that seed drew
-        expert_seeds = {"seed": seed, "expert.seed": config.expert.seed}
-        stages.next("training expert head")
-        head = expert.train_expert(
-            bundle.raw_set.subset(split.train_instances), config=config.expert
-        )
-        checkpoint.save_expert(
-            head, stage.record("expert_head.ckpt", h, config.expert.seed, expert_seeds)
-        )
+        # the expert and the adapter are fitted on the split that seed drew
+        stages.next("fitting expert head")
+        head = expert.fit_expert(bundle.raw_set.subset(split.train_instances), config=config.expert)
+        checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, seed))
         expert_set = expert.embed_set(head, bundle.raw_set)
+        # a stage of its own, so that the fit's seconds are the fit's
+        stages.next("waiting for task building")
         tier, train_tasks, sweep_tiers = tasks.result()
 
-        expert_path = stage.record(f"expert.{ext}", h, seed, expert_seeds)
+        expert_path = stage.record(f"expert.{ext}", h, seed)
 
         def write_sets_and_recall():
             save_embedding_set(bundle.raw_set, raw_path, ext)
@@ -459,8 +457,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         token_maps, expert_vectors = _fusion_views(bundle.token_maps, expert_set)
         adapter, fit, adapter_seed = _adapter(train_tasks, token_maps, expert_vectors, config)
         # fine-tuning adds the seed that ordered its batches
-        adapter_seeds = (expert_seeds if not config.adapter.epochs
-                         else {**expert_seeds, "adapter.seed": adapter_seed})
+        adapter_seeds = (
+            {"seed": seed, "adapter.seed": adapter_seed} if config.adapter.epochs else None)
         checkpoint.save_adapter(
             adapter, stage.record("adapter.ckpt", h, adapter_seed, adapter_seeds)
         )
@@ -576,7 +574,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = 
     if threads:
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="1 runs everything in one process; above 1, a forked worker "
-                            "does pipeline's general-view work while the expert trains, "
+                            "does pipeline's general-view work while the expert is fitted, "
                             "and writes the bulk artifacts of pipeline and synth while "
                             "computing goes on (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
@@ -633,13 +631,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("train-expert", help="train the toy expert head")
+    p = sub.add_parser("train-expert", help="fit the toy expert head in closed form")
     p.add_argument("--embeddings", required=True, help="raw-view embedding set")
-    p.add_argument("--split", help="restrict training to the train side of this split")
+    p.add_argument("--split", help="restrict the fit to the train side of this split")
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("embed", help="embed a raw set with a trained expert head")
+    p = sub.add_parser("embed", help="embed a raw set with a fitted expert head")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)

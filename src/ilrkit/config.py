@@ -9,17 +9,26 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .embedstore import FORMATS, parse_json_object
 from .errors import ConfigError, DataValidationError
-from .expert import ExpertTrainConfig
+from .expert import ExpertConfig
 from .fusion import AdapterTrainConfig
 from .synthgen import SynthConfig
 
 ENV_CONFIG = "ILRKIT_CONFIG"
+
+logger = logging.getLogger(__name__)
+
+# Fields of the expert's retired SGD trainer: a config may still carry them
+# (perfbench's workloads write expert.seed and expert.epochs), but they act
+# on nothing, so they are logged and dropped, and the config hash omits them.
+_RETIRED = {"expert": frozenset(
+    ("margin", "loss_weights", "p_instances", "q_images", "step_size", "epochs", "seed"))}
 
 
 @dataclass
@@ -35,7 +44,7 @@ class PipelineConfig:
     positive_rate: float = 0.5
     format: str = "jsonl"  # embedding interchange format
     synth: SynthConfig = field(default_factory=SynthConfig)
-    expert: ExpertTrainConfig = field(default_factory=ExpertTrainConfig)
+    expert: ExpertConfig = field(default_factory=ExpertConfig)
     adapter: AdapterTrainConfig = field(default_factory=AdapterTrainConfig)
 
     def validate(self) -> None:
@@ -100,9 +109,7 @@ def check_problems(problems: list[str]) -> None:
 _LOWER_BOUNDS = {
     "": {"seed": (0, True)},
     "synth": {"seed": (0, True)},
-    "expert": {"d_out": (1, True), "margin": (0, True), "loss_weights": (0, True),
-               "p_instances": (2, True), "q_images": (2, True), "step_size": (0, False),
-               "epochs": (0, True), "seed": (0, True)},
+    "expert": {"d_out": (2, True)},  # an embedding of one dimension cannot rank
     "adapter": {"step_size": (0, False), "epochs": (0, True), "batch_size": (1, True),
                 "seed": (0, True), "readout_temperature": (0, False)},
 }
@@ -142,14 +149,19 @@ def _checked_fields(cls, obj, label: str) -> dict:
     """``obj`` as keyword arguments of ``cls``: unknown fields are rejected,
     int fields must hold integers (not floats or bools), float fields
     numbers and tuple fields lists of numbers, of the tuple's length when
-    it is fixed. Ranges are left to ``validate``."""
+    it is fixed. A retired field (_RETIRED) is logged and left out. Ranges
+    are left to ``validate``."""
     prefix = f"{label}." if label else ""
     if not isinstance(obj, dict):
         raise ConfigError(f"{label} must be a JSON object")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    retired = _RETIRED.get(label, frozenset()) & set(obj)
+    unknown = set(obj) - retired - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {label or 'config'} fields: {sorted(unknown)}")
-    kwargs = dict(obj)
+    for name in sorted(retired):
+        logger.warning("%s%s has no effect: the expert head is fitted in closed form",
+                       prefix, name)
+    kwargs = {name: value for name, value in obj.items() if name not in retired}
     for f in dataclasses.fields(cls):
         if f.name not in obj:
             continue
@@ -172,7 +184,7 @@ def _checked_fields(cls, obj, label: str) -> dict:
 
 def config_from_dict(obj: dict) -> PipelineConfig:
     kwargs = _checked_fields(PipelineConfig, obj, "")
-    for name, cls in (("synth", SynthConfig), ("expert", ExpertTrainConfig),
+    for name, cls in (("synth", SynthConfig), ("expert", ExpertConfig),
                       ("adapter", AdapterTrainConfig)):
         if name in kwargs:
             kwargs[name] = cls(**_checked_fields(cls, kwargs[name], name))

@@ -34,10 +34,11 @@ def _restrict(eset, instances, name):
 
 @pytest.fixture(scope="session")
 def trained_expert(default_bundle, default_split):
-    """Trained expert head, its embedding set, and the wall-clock seconds."""
+    """The expert head fitted on the train side, its embedding set, and the
+    wall-clock seconds of the fit."""
     train_raw = _restrict(default_bundle.raw_set, default_split.train_instances, "raw")
     t0 = time.monotonic()
-    head = expert.train_expert(train_raw, config=expert.ExpertTrainConfig(seed=0))
+    head = expert.fit_expert(train_raw)
     elapsed = time.monotonic() - t0
     expert_set = expert.embed_set(head, default_bundle.raw_set)
     return head, expert_set, elapsed

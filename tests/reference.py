@@ -31,124 +31,48 @@ def score_gallery(query, gallery, kind: str = "cosine") -> np.ndarray:
     return scores
 
 
-# --- The expert and adapter training steps written plainly, before the
-# in-place, buffer-reusing versions in ilrkit.expert and ilrkit.fusion: list
-# mining, a 2-D np.add.at over stacked targets, the adapter step on fresh
-# arrays, Adam through fresh temporaries, and one flat gradient concatenated
-# per gallery size. The trainers must give bit-equal parameters.
+def fit_expert(raw_set, d_out):
+    """expert.fit_expert with its scatters summed image by image: the mean,
+    each instance's mean and the within- and between-instance covariances as
+    sums of outer products, then the same two eigen-decompositions, and the
+    columns whitened, ordered, cut and signed one at a time."""
+    rows = [np.asarray(v, dtype=np.float64) for v in raw_set.matrix()]
+    n, d = len(rows), len(rows[0])
+    mu = np.zeros(d)
+    for row in rows:
+        mu += row
+    mu /= n
+    sums, counts = {}, {}
+    for instance, row in zip(raw_set.instance_ids, rows):
+        sums[instance] = sums.get(instance, np.zeros(d)) + (row - mu)
+        counts[instance] = counts.get(instance, 0) + 1
+    if len(sums) < 2:
+        raise DataValidationError("the expert fit needs >= 2 training instances")
+    s_w, s_b = np.zeros((d, d)), np.zeros((d, d))
+    for instance, row in zip(raw_set.instance_ids, rows):
+        mean = sums[instance] / counts[instance]
+        s_w += np.outer(row - mu - mean, row - mu - mean)
+        s_b += np.outer(mean, mean)
+    s_w /= n
+    s_b /= n
+    variance = (np.trace(s_w) + np.trace(s_b)) / d
+    ridge = expert._RIDGE * variance
+    values, vectors = np.linalg.eigh(s_w)
+    whitening = np.zeros((d, d))
+    for j in range(d):
+        whitening[:, j] = vectors[:, j] / math.sqrt(max(values[j], 0.0) + ridge)
+    directions = np.linalg.eigh(whitening.T @ s_b @ whitening)[1]
+    w = np.zeros((d, d_out))
+    for j in range(min(d, d_out)):
+        column = whitening @ directions[:, d - 1 - j]  # by falling eigenvalue
+        w[:, j] = -column if column[np.argmax(np.abs(column))] < 0 else column
+    return expert.ExpertHead(w, -(mu @ w))
 
 
-def batch_hard_mine(embeddings, labels):
-    """Per anchor (anchor, farthest same-label, nearest other-label); ties
-    to the lowest index."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = list(labels)
-    code_of: dict = {}
-    codes = np.array([code_of.setdefault(lab, len(code_of)) for lab in labels], dtype=np.intp)
-    if len(code_of) < 2 or np.bincount(codes).min() < 2:
-        raise DataValidationError("batch must contain >= 2 instances with >= 2 samples each")
-    dist = expert._pairwise_dist(embeddings)
-    same = codes[:, None] == codes[None, :]
-    positives = np.where(same & ~np.eye(len(labels), dtype=bool), dist, -np.inf)
-    negatives = np.where(same, np.inf, dist)
-    pos = np.argmax(positives, axis=1).tolist()
-    neg = np.argmin(negatives, axis=1).tolist()
-    return list(zip(range(len(labels)), pos, neg))
-
-
-def combined_loss_and_grads(head, prototypes, x, labels):
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    batch = x.shape[0]
-    cw, tw = head.loss_weights
-    y = x @ head.w + head.b
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
-    if np.any(norms < expert._NORM_EPS):
-        raise DataValidationError("zero embedding cannot be normalized")
-    e = y / norms
-    logits = e @ prototypes
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    rows = np.arange(batch)
-    ce = -np.mean(np.log(np.maximum(probs[rows, labels], 1e-300)))
-    dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
-    dlogits /= batch
-    grad_protos = cw * (e.T @ dlogits)
-    de = cw * (dlogits @ prototypes.T)
-    a, p, n = np.array(batch_hard_mine(e, labels), dtype=np.intp).T
-    diff_p, diff_n = e[a] - e[p], e[a] - e[n]
-    d_ap = np.sqrt((diff_p[:, None, :] @ diff_p[:, :, None])[:, 0, 0])
-    d_an = np.sqrt((diff_n[:, None, :] @ diff_n[:, :, None])[:, 0, 0])
-    hinge = d_ap - d_an + head.margin
-    live = hinge > 0
-    tri_loss = sum(hinge[live].tolist()) / batch
-    coef = tw / batch
-    use_p = live & (d_ap > expert._NORM_EPS)
-    use_n = live & (d_an > expert._NORM_EPS)
-    g_p = coef * diff_p / np.where(use_p, d_ap, 1.0)[:, None]
-    g_n = coef * diff_n / np.where(use_n, d_an, 1.0)[:, None]
-    use = np.stack([use_p, use_p, use_n, use_n], axis=1)
-    np.add.at(
-        de,
-        np.stack([a, p, a, n], axis=1)[use],
-        np.stack([g_p, -g_p, -g_n, g_n], axis=1)[use],
-    )
-    dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms
-    return cw * ce + tw * tri_loss, x.T @ dy, dy.sum(axis=0), grad_protos
-
-
-def expert_batches(raw_set, p_instances, q_images, rng):
-    """One epoch of P x Q batches: (rows, labels), a label being the
-    instance's position in sorted order. Two draws per epoch: a permutation
-    of the instances, then a block of uniform keys with a row per instance
-    and a column per image of the largest instance. Each instance takes its
-    images in the order of a stable sort of its own keys, at most Q."""
-    instances = sorted(raw_set.instance_index)
-    image_lists = [raw_set.instance_index[inst] for inst in instances]
-    order = rng.permutation(len(instances))
-    keys = rng.random((len(instances), max(len(ids) for ids in image_lists)))
-    for start in range(0, len(order) - 1, p_instances):
-        chosen = order[start : start + p_instances]
-        if len(chosen) < 2:
-            continue
-        rows, labels = [], []
-        for local in chosen:
-            image_ids = image_lists[local]
-            row = keys[local].tolist()
-            by_key = sorted(range(len(image_ids)), key=lambda i: row[i])
-            for i in by_key[:q_images]:
-                rows.append(raw_set.row_of(image_ids[i]))
-                labels.append(local)
-        yield np.asarray(rows), np.asarray(labels)
-
-
-def train_expert(raw_set, config):
-    instances = sorted(raw_set.instance_index)
-    label_of = {inst: i for i, inst in enumerate(instances)}
-    d_raw = raw_set.dimension
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xE8]))
-    lim = 1.0 / math.sqrt(d_raw)
-    head = expert.ExpertHead(
-        w=rng.uniform(-lim, lim, size=(d_raw, config.d_out)),
-        b=np.zeros(config.d_out),
-        margin=config.margin,
-        loss_weights=config.loss_weights,
-    )
-    lim = 1.0 / math.sqrt(config.d_out)
-    prototypes = rng.uniform(-lim, lim, size=(head.w.shape[1], len(instances)))
-    matrix = np.asarray(raw_set.matrix(), dtype=np.float64)
-    record_labels = np.asarray([label_of[inst] for inst in raw_set.instance_ids])
-    for _ in range(config.epochs):
-        for rows, _labels in expert_batches(raw_set, config.p_instances, config.q_images, rng):
-            _, gw, gb, gp = combined_loss_and_grads(
-                head, prototypes, matrix[rows], record_labels[rows]
-            )
-            head.w -= config.step_size * gw
-            head.b -= config.step_size * gb
-            prototypes -= config.step_size * gp
-    return head
+# --- The adapter training step written plainly, before the in-place,
+# buffer-reusing version in ilrkit.fusion: the adapter step on fresh arrays,
+# Adam through fresh temporaries, and one flat gradient concatenated per
+# gallery size. The trainer must give bit-equal parameters.
 
 
 class Adam:

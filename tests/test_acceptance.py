@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ilrkit import dataengine, evalkit, simcore, synthgen
-from ilrkit.expert import ExpertHead, combined_loss_and_grads
 from ilrkit.fusion import FusionAdapter, fuse, matching_loss_and_grads
 
 
@@ -133,41 +132,10 @@ def test_03_gradient_checks(capsys):
             [adapter.w1, adapter.b1, adapter.w2, adapter.b2],
             [grads.w1, grads.b1, grads.w2, grads.b2],
         ))
-    checked = 0
-    while checked < 100:  # combined expert loss micro-instances
-        head = ExpertHead(rng.standard_normal((4, 3)), rng.standard_normal(3),
-                          margin=0.3)
-        protos = rng.standard_normal((3, 2))
-        x = rng.standard_normal((4, 4))
-        labels = np.array([0, 0, 1, 1])
-        # resample if a hinge or the batch-hard mining choice sits at a kink
-        y = x @ head.w + head.b
-        e = y / np.linalg.norm(y, axis=1, keepdims=True)
-        dist = np.linalg.norm(e[:, None, :] - e[None, :, :], axis=2)
-        near_kink = False
-        for a in range(4):
-            same = [j for j in range(4) if labels[j] == labels[a] and j != a]
-            diff = [j for j in range(4) if labels[j] != labels[a]]
-            d_ap = max(dist[a, j] for j in same)
-            d_an = min(dist[a, j] for j in diff)
-            gaps = [abs(dist[a, i] - dist[a, j])
-                    for i in diff for j in diff if i < j]
-            if abs(d_ap - d_an + head.margin) < 5e-3 or (gaps and min(gaps) < 5e-3):
-                near_kink = True
-        if near_kink:
-            continue
-        checked += 1
-
-        def loss_fn():
-            return combined_loss_and_grads(head, protos, x, labels)[0]
-
-        _, gw, gb, gp = combined_loss_and_grads(head, protos, x, labels)
-        worst = max(worst, _fd_max_rel(loss_fn, [head.w, head.b, protos],
-                                       [gw, gb, gp]))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-4 and elapsed < 30.0
     _verdict(capsys, ok, "gradient checks",
-             f"200 micro-instances, max relative error {worst:.2e} in {elapsed:.1f}s")
+             f"100 adapter micro-instances, max relative error {worst:.2e} in {elapsed:.1f}s")
 
 
 def test_04_gallery_construction_soundness(capsys, default_bundle, default_split):
@@ -331,7 +299,7 @@ PIPELINE_CONFIG = {
         "instances_per_cluster": 4, "images_per_instance": 3,
         "dim_raw": 24, "dim_general": 8, "n_tokens": 4,
     },
-    "expert": {"d_out": 8, "epochs": 2, "p_instances": 4, "q_images": 2},
+    "expert": {"d_out": 8},
     "adapter": {"epochs": 1, "batch_size": 4},
 }
 

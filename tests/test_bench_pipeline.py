@@ -39,8 +39,8 @@ def test_one_run_appends_one_record(tmp_path, capsys):
     (run,) = new["runs"]
     assert run["total_s"] > 0 and new["median_total_s"] == run["total_s"]
     assert list(run["stages_s"]) == [
-        "generating synthetic bundle", "training expert head", "fitting fusion adapter",
-        "evaluating matchers",
+        "generating synthetic bundle", "fitting expert head", "waiting for task building",
+        "fitting fusion adapter", "evaluating matchers",
     ]
     assert list(run["workers_s"]) == ["task building and writes",
                                       "raw and expert-set writes and recall"]
@@ -50,13 +50,13 @@ def test_one_run_appends_one_record(tmp_path, capsys):
 def test_parse_log_reads_stage_and_worker_lines():
     text = "\n".join([
         "INFO __main__: pipeline: generating synthetic bundle",
-        "INFO __main__: pipeline: training expert head (generating synthetic bundle took 0.65 s)",
+        "INFO __main__: pipeline: fitting expert head (generating synthetic bundle took 0.65 s)",
         "INFO ilrkit.fusion: adapter training: epoch 0 mean loss 0.1",
         "INFO __main__: worker: bundle and expert-set writes took 0.19 s",
-        "INFO __main__: pipeline: done (training expert head took 2.73 s)",
+        "INFO __main__: pipeline: done (fitting expert head took 2.73 s)",
     ])
     stages, workers = _bench().parse_log(text)
-    assert stages == {"generating synthetic bundle": 0.65, "training expert head": 2.73}
+    assert stages == {"generating synthetic bundle": 0.65, "fitting expert head": 2.73}
     assert workers == {"bundle and expert-set writes": 0.19}
 
 

@@ -28,7 +28,7 @@ import reference
 from ilrkit import checkpoint, cli, dataengine, embedstore, evalkit, expert, fusion, synthgen
 from ilrkit.config import PipelineConfig
 from ilrkit.embedstore import load_embedding_set, load_token_maps, save_embedding_set
-from ilrkit.errors import DataValidationError, DivergenceError, WriterError
+from ilrkit.errors import DataValidationError, WriterError
 from ilrkit.stage import OutputStage
 
 SMALL_CONFIG = {
@@ -44,7 +44,7 @@ SMALL_CONFIG = {
         "instances_per_cluster": 4, "images_per_instance": 3,
         "dim_raw": 24, "dim_general": 8, "n_tokens": 4,
     },
-    "expert": {"d_out": 8, "epochs": 2, "p_instances": 4, "q_images": 2},
+    "expert": {"d_out": 8},
     "adapter": {"epochs": 1, "batch_size": 4},
 }
 
@@ -415,58 +415,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataValidationError"
 
-    @pytest.mark.parametrize("step_size, message", [
-        (1e308, "head.ckpt: parameter block 0 is not finite as 32-bit floats"),
-        (1.7e308, "expert head diverged at epoch 0"),
-    ], ids=["beyond float32", "beyond float64"])
-    def test_expert_diverging_on_its_last_step_is_4(self, tmp_path, capsys, step_size,
-                                                    message):
-        # 2 instances x 2 images: one batch, so no later loss sees the head
-        rng = np.random.default_rng(3)
-        save_embedding_set(embedstore.EmbeddingSet.from_records("raw", [
-            embedstore.EmbeddingRecord(f"{inst}{i}", inst, "object", rng.standard_normal(6))
-            for inst in "AB" for i in range(2)
-        ]), tmp_path / "raw.jsonl")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"expert": {
-            "epochs": 1, "step_size": step_size, "p_instances": 2, "q_images": 2, "d_out": 4,
-        }}))
-        out = tmp_path / "out"
-        rc = cli.main(["train-expert", "--embeddings", str(tmp_path / "raw.jsonl"),
-                       "--config", str(config), "--out", str(out / "head.ckpt")])
-        assert rc == 4
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1, lines
-        assert json.loads(lines[0]) == {"error": "DivergenceError", "message": message}
-        assert not out.exists() or list(out.iterdir()) == []  # no checkpoint, no manifest
-
     @pytest.mark.parametrize("command, section", [
-        # the step's scaled gradient overflows the head: "expert head diverged"
-        ("train-expert", {"epochs": 1, "step_size": 1.7e308}),
-        # a later forward pass overflows first: "non-finite expert loss"
-        ("train-expert", {"epochs": 3, "step_size": 1e308}),
         ("train-adapter", {"epochs": 1, "batch_size": 4, "step_size": 1e308}),
-    ], ids=["expert head", "expert loss", "adapter"])
+    ], ids=["adapter"])
     def test_a_diverging_trainer_writes_one_json_line(self, workspace, tmp_path, command,
                                                       section):
         # a child process: its stderr is what a user sees, warnings included
         data = workspace / "data"
-        rng = np.random.default_rng(3)
-        save_embedding_set(embedstore.EmbeddingSet.from_records("raw", [
-            embedstore.EmbeddingRecord(f"{inst}{i}", inst, "object", rng.standard_normal(6))
-            for inst in "AB" for i in range(2)
-        ]), tmp_path / "raw.jsonl")
         config = tmp_path / "config.json"
-        if command == "train-expert":
-            config.write_text(json.dumps(
-                {"expert": {**section, "p_instances": 2, "q_images": 2, "d_out": 4}}
-            ))
-            inputs = ["--embeddings", str(tmp_path / "raw.jsonl")]
-        else:
-            config.write_text(json.dumps({**SMALL_CONFIG, "adapter": section}))
-            inputs = ["--tasks", str(data / "tasks.jsonl"),
-                      "--token-maps", str(data / "token_maps.jsonl"),
-                      "--expert-embeddings", str(data / "expert.jsonl")]
+        config.write_text(json.dumps({**SMALL_CONFIG, "adapter": section}))
+        inputs = ["--tasks", str(data / "tasks.jsonl"),
+                  "--token-maps", str(data / "token_maps.jsonl"),
+                  "--expert-embeddings", str(data / "expert.jsonl")]
         out = tmp_path / "out"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
@@ -480,6 +440,25 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "DivergenceError"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case, message", [
+        ("one instance", "the expert fit needs >= 2 training instances"),
+        ("equal images", "the expert fit needs training images that differ"),
+    ])
+    def test_degenerate_expert_fit_is_3(self, tmp_path, capsys, case, message):
+        rng = np.random.default_rng(3)
+        instances = "AAAA" if case == "one instance" else "AABB"
+        save_embedding_set(embedstore.EmbeddingSet.from_records("raw", [
+            embedstore.EmbeddingRecord(
+                f"im{i}", inst, "object",
+                rng.standard_normal(6) if case == "one instance" else np.ones(6))
+            for i, inst in enumerate(instances)
+        ]), tmp_path / "raw.jsonl")
+        out = tmp_path / "out"
+        rc = cli.main(["train-expert", "--embeddings", str(tmp_path / "raw.jsonl"),
+                       "--out", str(out / "head.ckpt")])
+        assert _assert_data_error(rc, capsys) == message
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_repeated_sweep_taus_are_2(self, workspace, tmp_path, capsys):
@@ -645,8 +624,7 @@ class TestExitCodes:
     ({"k": "x"}, "k"),
     ({"taus": 5}, "taus"),
     ({"seed": 1.5}, "seed"),
-    ({"expert": {"loss_weights": []}}, "expert.loss_weights"),
-    ({"expert": {"loss_weights": [1, 2, 3]}}, "expert.loss_weights"),
+    ({"expert": {"d_out": 2.5}}, "expert.d_out"),
 ])
 @pytest.mark.parametrize("command", ["synth", "split", "fuse", "train-expert"])
 def test_mistyped_config_field_is_2(workspace, tmp_path, capsys, overrides, field, command):
@@ -675,8 +653,8 @@ def test_mistyped_config_field_is_2(workspace, tmp_path, capsys, overrides, fiel
     ("adapter", {"batch_size": 0}, "adapter.batch_size", "train-adapter"),
     ("adapter", {"readout_temperature": 0.0}, "adapter.readout_temperature", "train-adapter"),
     ("expert", {"d_out": 0}, "expert.d_out", "train-expert"),
-    ("expert", {"step_size": float("nan")}, "expert.step_size", "train-expert"),
-    ("expert", {"loss_weights": [1.0, float("inf")]}, "expert.loss_weights", "train-expert"),
+    ("adapter", {"step_size": 0.0}, "adapter.step_size", "train-adapter"),
+    ("adapter", {"epochs": -1}, "adapter.epochs", "train-adapter"),
     ("synth", {"alpha": float("nan")}, "synth.alpha", "synth"),
     ("synth", {"sigma": float("inf")}, "synth.sigma", "synth"),
     (None, {"seed": -1}, "seed", "split"),
@@ -868,14 +846,15 @@ class TestMalformedInputs:
         _assert_data_error(rc, capsys)
 
     @pytest.mark.parametrize("header, shapes", [
-        ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}, [[24, 8]]),
-        ({"kind": "expert_head", "loss_weights": [1.0, 1.0]}, [[24, 8], [8]]),
-        ({"kind": "expert_head", "margin": 0.3, "loss_weights": 1.0}, [[24, 8], [8]]),
+        ({"kind": "expert_head"}, [[24, 8]]),
+        # a bias that does not match the weights' width
+        ({"kind": "expert_head"}, [[24, 8], [9]]),
+        # a head of one output dimension
+        ({"kind": "expert_head"}, [[24, 1], [1]]),
         # a head for 12-d raw vectors, applied to the 24-d raw view
-        ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}, [[12, 8], [8]]),
+        ({"kind": "expert_head"}, [[12, 8], [8]]),
         # a shape whose element count overflows int64
-        ({"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]},
-         [[2**32, 2**32], [8]]),
+        ({"kind": "expert_head"}, [[2**32, 2**32], [8]]),
     ])
     def test_malformed_expert_checkpoint_is_3(self, workspace, tmp_path, capsys,
                                               header, shapes):
@@ -887,23 +866,12 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**401, -(10**401)],
                              ids=["NaN", "Infinity", "-Infinity", "huge", "-huge"])
-    @pytest.mark.parametrize("field", ["temperature", "margin", "loss_weights[0]",
-                                       "loss_weights[1]"])
+    @pytest.mark.parametrize("field", ["temperature"])
     def test_non_finite_checkpoint_scalar_is_rejected(self, tmp_path, field, value):
-        if field == "temperature":
-            header, shapes = {"kind": "fusion_adapter", "temperature": value}, _ADAPTER_SHAPES
-            load = checkpoint.load_adapter
-        else:
-            header = {"kind": "expert_head", "margin": 0.3, "loss_weights": [1.0, 1.0]}
-            if field == "margin":
-                header["margin"] = value
-            else:
-                header["loss_weights"][int(field[-2])] = value
-            shapes, load = [[24, 8], [8]], checkpoint.load_expert
-        ckpt = _checkpoint(tmp_path / "x.ckpt", header, shapes)
-        name = field.split("[")[0]
-        with pytest.raises(DataValidationError, match=f"{name} must be a finite number"):
-            load(ckpt)
+        header = {"kind": "fusion_adapter", "temperature": value}
+        ckpt = _checkpoint(tmp_path / "x.ckpt", header, _ADAPTER_SHAPES)
+        with pytest.raises(DataValidationError, match=f"{field} must be a finite number"):
+            checkpoint.load_adapter(ckpt)
 
     def test_non_finite_adapter_temperature_is_3(self, workspace, tmp_path, capsys):
         data = workspace / "data"
@@ -915,16 +883,6 @@ class TestMalformedInputs:
                        "--expert-embeddings", str(data / "expert.jsonl"),
                        "--image-id", some_id] + _cfg(workspace))
         assert "temperature must be a finite number" in _assert_data_error(rc, capsys)
-
-    def test_non_finite_expert_margin_is_3(self, workspace, tmp_path, capsys):
-        ckpt = _checkpoint(tmp_path / "head.ckpt", {
-            "kind": "expert_head", "margin": math.inf, "loss_weights": [1.0, 1.0]},
-            [[24, 8], [8]])
-        rc = cli.main(["embed", "--checkpoint", str(ckpt),
-                       "--embeddings", str(workspace / "data" / "raw.jsonl"),
-                       "--out", str(tmp_path / "e.jsonl")] + _cfg(workspace))
-        assert "margin must be a finite number" in _assert_data_error(rc, capsys)
-        assert not (tmp_path / "e.jsonl").exists()
 
     def test_checkpoint_header_not_object_is_3(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "head.ckpt"
@@ -1558,7 +1516,7 @@ def _fuzzed_config(draw) -> dict:
     for _ in range(draw(st.integers(1, 2))):
         label, cls = draw(st.sampled_from([
             (None, PipelineConfig), ("synth", synthgen.SynthConfig),
-            ("expert", expert.ExpertTrainConfig), ("adapter", fusion.AdapterTrainConfig),
+            ("expert", expert.ExpertConfig), ("adapter", fusion.AdapterTrainConfig),
         ]))
         name = draw(st.sampled_from([f.name for f in dataclasses.fields(cls)] + ["bogus"]))
         section = config if label is None else config.get(label)
@@ -1809,11 +1767,11 @@ class TestDeterminism:
         lines = [m for m in messages if m.startswith("pipeline:")]
         assert lines[0] == "pipeline: generating synthetic bundle"
         assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
-        assert [line.split(" (")[0] for line in lines[1:4]] == [
-            "pipeline: training expert head", "pipeline: fitting fusion adapter",
-            "pipeline: evaluating matchers",
+        assert [line.split(" (")[0] for line in lines[1:5]] == [
+            "pipeline: fitting expert head", "pipeline: waiting for task building",
+            "pipeline: fitting fusion adapter", "pipeline: evaluating matchers",
         ]
-        assert len(lines) == 5
+        assert len(lines) == 6
         for prev, line in zip(lines, lines[1:]):
             stage = prev.removeprefix("pipeline: ").split(" (")[0]
             assert re.fullmatch(rf"pipeline: .+ \({stage} took \d+\.\d\d s\)", line), line
@@ -1836,7 +1794,7 @@ class TestDeterminism:
         assert synth_seed != 3
         for name in ("raw.jsonl", "general.jsonl", "token_maps.jsonl", "ground_truth.jsonl"):
             assert seeds.pop(name) == synth_seed, name
-        assert seeds.pop("expert_head.ckpt") == seeds.pop("adapter.ckpt") == 0
+        assert seeds.pop("adapter.ckpt") == SMALL_CONFIG["adapter"].get("seed", 0)
         assert set(seeds.values()) == {3}, seeds
         # the bundle files equal those of a synth run with the same config
         bundle = tmp_path / "bundle"
@@ -1845,8 +1803,10 @@ class TestDeterminism:
             assert (bundle / name).read_bytes() == (out / name).read_bytes()
 
     def test_manifest_names_every_seed_of_the_trained_artifacts(self, workspace, tmp_path):
-        # the expert and the adapter are trained on the split that the
-        # top-level seed draws; a change of either seed shows in their entries
+        # the expert and the adapter are fitted on the split that the
+        # top-level seed draws, and fine-tuning adds adapter.seed; a change
+        # of either seed shows in their entries. expert.seed, a retired
+        # field, changes no entry and no byte.
         closed_form = {**SMALL_CONFIG["adapter"], "epochs": 0}
         configs = {
             "base": SMALL_CONFIG,
@@ -1873,20 +1833,19 @@ class TestDeterminism:
         # tasks, made the adapter, and adapter.seed changes no byte
         closed = entries["closed form"]
         assert closed["adapter.ckpt"]["seed"] == SMALL_CONFIG["seed"]
-        assert closed["adapter.ckpt"]["seeds"] == {"seed": 1, "expert.seed": 0}
+        assert "seeds" not in closed["adapter.ckpt"]
         assert entries["closed form, adapter.seed"] == closed
         assert files["closed form, adapter.seed"] == files["closed form"]
         assert files["closed form"]["adapter.ckpt"] != files["base"]["adapter.ckpt"]
         base = entries["base"]
-        seed, expert_seed, adapter_seed = 1, 0, 0  # SMALL_CONFIG's
-        assert base["expert_head.ckpt"]["seeds"] == {"seed": seed, "expert.seed": expert_seed}
-        assert base["expert.jsonl"]["seeds"] == {"seed": seed, "expert.seed": expert_seed}
-        assert base["adapter.ckpt"]["seeds"] == {
-            "seed": seed, "expert.seed": expert_seed, "adapter.seed": adapter_seed}
-        for changed, value in (("seed", 5), ("expert.seed", 9)):
-            for artifact in base:
-                assert entries[changed][artifact]["seeds"] == {
-                    **base[artifact]["seeds"], changed: value}, (changed, artifact)
+        seed, adapter_seed = 1, 0  # SMALL_CONFIG's
+        for artifact in ("expert_head.ckpt", "expert.jsonl"):
+            assert base[artifact]["seed"] == seed and "seeds" not in base[artifact], artifact
+            assert entries["seed"][artifact]["seed"] == 5, artifact
+        assert base["adapter.ckpt"]["seeds"] == {"seed": seed, "adapter.seed": adapter_seed}
+        assert entries["seed"]["adapter.ckpt"]["seeds"] == {"seed": 5, "adapter.seed": 0}
+        assert entries["expert.seed"] == base
+        assert files["expert.seed"] == files["base"]
         adapter = entries["adapter.seed"]
         assert adapter["adapter.ckpt"]["seed"] == 9
         assert adapter["adapter.ckpt"]["seeds"] == {**base["adapter.ckpt"]["seeds"],
@@ -2183,20 +2142,15 @@ class TestPipelineWorker:
         def fail_tasks(*args, **kwargs):
             raise DataValidationError("task building failed")
 
-        def diverge(*args, **kwargs):
+        def fail_fit(*args, **kwargs):
             time.sleep(0.3)  # a forked worker has failed by now
-            raise DivergenceError("expert training diverged")
+            raise DataValidationError("the expert fit failed")
 
         monkeypatch.setattr(dataengine, "build_gallery_tasks_per_category", fail_tasks)
-        monkeypatch.setattr(expert, "train_expert", diverge)
+        monkeypatch.setattr(expert, "fit_expert", fail_fit)
         out = tmp_path / "run"
         rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert json.loads(err) == {
-            "error": "DivergenceError", "message": "expert training diverged",
-        }
+        assert _assert_data_error(rc, capsys) == "the expert fit failed"
         assert [p.name for p in out.iterdir()] == []
         _assert_no_child_left()
 
@@ -2224,7 +2178,8 @@ class TestPipelineWorker:
             staged.append({p.name for p in stage_dir.iterdir()})
             fitting.touch()
             fit = fit_adapter(*args, **kwargs)
-            _wait_until(lambda: len(written()) == len(in_job) + 1)
+            _wait_until(lambda: len(written()) == len(in_job) + 1,
+                        "the raw and expert-set writes")
             fitted.touch()
             return fit
 
@@ -2260,11 +2215,11 @@ class TestPipelineWorker:
         parent = os.getpid()
         training, trained = tmp_path / "training", tmp_path / "trained"
         writes = tmp_path / "writes"
-        train_expert, save_token_maps = expert.train_expert, cli.save_token_maps
+        fit_expert, save_token_maps = expert.fit_expert, cli.save_token_maps
 
-        def train_while_writing(*args, **kwargs):
+        def fit_while_writing(*args, **kwargs):
             training.touch()
-            head = train_expert(*args, **kwargs)
+            head = fit_expert(*args, **kwargs)
             _wait_for(writes)
             trained.touch()
             return head
@@ -2275,7 +2230,7 @@ class TestPipelineWorker:
             during = training.exists() and not trained.exists()
             writes.write_text(f"{os.getpid()} {during}")
 
-        monkeypatch.setattr(expert, "train_expert", train_while_writing)
+        monkeypatch.setattr(expert, "fit_expert", fit_while_writing)
         monkeypatch.setattr(cli, "save_token_maps", record)
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
@@ -2402,16 +2357,20 @@ class TestGenerationWorker:
             _assert_no_child_left()
 
 
-def _wait_until(condition, seconds=10):
-    """Poll until ``condition()`` is true or ``seconds`` have passed."""
+def _wait_until(condition, what, seconds=10):
+    """Poll until ``condition()`` is true; once ``seconds`` have passed,
+    raise AssertionError naming ``what``, the condition waited for. In a
+    forked worker that is the job's error, which the parent raises."""
     deadline = time.monotonic() + seconds
-    while not condition() and time.monotonic() < deadline:
+    while not condition():
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"waited {seconds} s in vain for {what}")
         time.sleep(0.01)
 
 
 def _wait_for(path, seconds=10):
-    """Poll until ``path`` exists or ``seconds`` have passed."""
-    _wait_until(path.exists, seconds)
+    """Poll until ``path`` exists; fail the test once ``seconds`` have passed."""
+    _wait_until(path.exists, f"{path.name} to exist", seconds)
 
 
 def _assert_no_child_left():

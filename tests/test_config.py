@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ilrkit.config import PipelineConfig, config_from_dict, load_config
 from ilrkit.errors import ConfigError
-from ilrkit.expert import ExpertTrainConfig
+from ilrkit.expert import ExpertConfig
 from ilrkit.fusion import AdapterTrainConfig
 from ilrkit.synthgen import SynthConfig
 
@@ -28,7 +28,7 @@ def test_hash_is_stable_and_sensitive():
 def test_default_hash_is_pinned():
     # every manifest carries this hash; a change to the canonical JSON shows here
     assert PipelineConfig().config_hash() == (
-        "0324fd481966654bf4010dad6cd5bec7c7a500f868fe5b218e8c5f560938d8a3"
+        "9ddca091873a3009743b4cdb88c50c88489708d93bb0ea26a0d3d7199c71be6a"
     )
 
 
@@ -64,15 +64,13 @@ def test_unknown_fields_rejected():
         ({"taus": [0.2, "a"]}, "taus must be a list of numbers"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": True}, "seed must be an integer, got True"),
-        ({"expert": {"epochs": 2.0}}, r"expert\.epochs must be an integer"),
-        ({"expert": {"loss_weights": 1.0}}, r"expert\.loss_weights must be a list"),
+        ({"expert": {"d_out": 2.0}}, r"expert\.d_out must be an integer"),
+        ({"expert": {"d_out": "wide"}}, r"expert\.d_out must be an integer, got 'wide'"),
         ({"adapter": {"step_size": "fast"}}, r"adapter\.step_size must be a number"),
         ({"tau": False}, "tau must be a number"),
         ({"synth": 5}, "synth must be a JSON object"),
-        ({"expert": {"loss_weights": []}},
-         r"expert\.loss_weights must be a list of 2 numbers, got \[\]"),
-        ({"expert": {"loss_weights": [1, 2, 3]}},
-         r"expert\.loss_weights must be a list of 2 numbers, got \[1, 2, 3\]"),
+        ({"expert": {"d_out": 1}}, r"expert\.d_out must be >= 2, got 1"),
+        ({"expert": []}, "expert must be a JSON object"),
         ({"taus": [0.5, 0.5]}, "taus must not repeat a threshold"),
         ({"taus": [0.2, 0.5, 0.2]}, "taus must not repeat a threshold"),
     ],
@@ -83,10 +81,10 @@ def test_validation_errors(overrides, match):
 
 
 def test_nested_overrides():
-    cfg = config_from_dict({"synth": {"alpha": 0.5}, "expert": {"epochs": 3},
+    cfg = config_from_dict({"synth": {"alpha": 0.5}, "expert": {"d_out": 12},
                             "adapter": {"step_size": 0.01}})
     assert cfg.synth.alpha == 0.5
-    assert cfg.expert.epochs == 3
+    assert cfg.expert.d_out == 12
     assert cfg.adapter.step_size == 0.01
     assert cfg.synth.sigma == PipelineConfig().synth.sigma
 
@@ -118,7 +116,7 @@ _ODD_NUMBERS = st.one_of(
                      float("nan"), float("inf"), float("-inf")]),
     st.integers(), st.floats(),
 )
-_SECTIONS = {"": PipelineConfig, "synth": SynthConfig, "expert": ExpertTrainConfig,
+_SECTIONS = {"": PipelineConfig, "synth": SynthConfig, "expert": ExpertConfig,
              "adapter": AdapterTrainConfig}
 
 
@@ -151,8 +149,53 @@ def test_accepted_config_is_in_range(obj):
             value = getattr(section, f.name)
             if f.type == "float" or f.type.startswith("tuple["):
                 assert all(math.isfinite(v) for v in np.atleast_1d(np.asarray(value, float)))
-        np.random.SeedSequence(section.seed)
+        if hasattr(section, "seed"):
+            np.random.SeedSequence(section.seed)
     e, a = config.expert, config.adapter
-    assert e.d_out >= 1 and e.p_instances >= 2 and e.q_images >= 2 and e.epochs >= 0
-    assert e.step_size > 0 and e.margin >= 0 and min(e.loss_weights) >= 0
+    assert e.d_out >= 2
     assert a.batch_size >= 1 and a.epochs >= 0 and a.step_size > 0 and a.readout_temperature > 0
+
+
+# expert.seed and expert.epochs as perfbench.workloads.seeded_config writes
+# them: the benchmark seed in every section, and score_loop's short run
+_PERFBENCH_CONFIG = {"seed": 4242, "synth": {"seed": 4242},
+                     "expert": {"seed": 4242, "epochs": 5},
+                     "adapter": {"seed": 4242, "epochs": 2}}
+_RETIRED_EXPERT = {"margin": 0.3, "loss_weights": [1.0, 1.0], "p_instances": 8,
+                   "q_images": 4, "step_size": 0.15, "epochs": 30, "seed": 0}
+
+
+@pytest.mark.parametrize("retired", [
+    {"seed": 4242, "epochs": 5}, _RETIRED_EXPERT, {"loss_weights": "any value", "d_out": 12},
+], ids=["perfbench", "all seven", "any value"])
+def test_retired_expert_fields_act_on_nothing(retired):
+    # each is logged and left out: the config and its hash are those of the
+    # same config without them
+    with_retired = json.loads(json.dumps(_PERFBENCH_CONFIG))
+    with_retired["expert"] = retired
+    without = json.loads(json.dumps(with_retired))
+    without["expert"] = {k: v for k, v in retired.items() if k not in _RETIRED_EXPERT}
+    assert config_from_dict(with_retired) == config_from_dict(without)
+    assert config_from_dict(with_retired).config_hash() == config_from_dict(without).config_hash()
+
+
+def test_perfbench_config_loads_from_file(tmp_path, caplog):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_PERFBENCH_CONFIG, indent=2, sort_keys=True) + "\n")
+    assert load_config(path).expert == ExpertConfig()
+    # each retired field is logged once per load
+    assert [r.getMessage() for r in caplog.records] == [
+        f"expert.{name} has no effect: the expert head is fitted in closed form"
+        for name in ("epochs", "seed")]
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"expert": {"epoch": 5}}, "epoch"),
+    ({"expert": {"seeds": 1}}, "seeds"),
+    ({"adapter": {"margin": 0.3}}, "margin"),
+    ({"synth": {"p_instances": 8}}, "p_instances"),
+    ({"epochs": 5}, "epochs"),
+])
+def test_misspelt_or_misplaced_retired_field_is_unknown(obj, field):
+    with pytest.raises(ConfigError, match=rf"unknown .*fields: \['{field}'\]"):
+        config_from_dict(obj)

@@ -1,150 +1,38 @@
-import math
+import json
 
 import numpy as np
 import pytest
 
 import reference
-from ilrkit import checkpoint, expert, synthgen
-from ilrkit.embedstore import EmbeddingSet
+from ilrkit import checkpoint, synthgen
+from ilrkit.embedstore import EmbeddingRecord, EmbeddingSet
 from ilrkit.errors import DataValidationError, DivergenceError
-from ilrkit.expert import (
-    ExpertHead,
-    ExpertTrainConfig,
-    combined_loss_and_grads,
-    embed_set,
-    train_expert,
-)
+from ilrkit.expert import ExpertConfig, ExpertHead, embed_set, fit_expert
+
+# the small bundle's 40 instances span 39 between-instance directions
+_SMALL_RANK = 39
 
 
-def _unit(deg):
-    return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
+def _scatters(raw_set):
+    """The mean of a raw set's images, and the covariances of each image
+    about its instance's mean and of each image's instance mean about
+    theirs, summed instance by instance."""
+    x = raw_set.matrix().astype(np.float64)
+    mu = x.mean(axis=0)
+    s_w, s_b = np.zeros((x.shape[1],) * 2), np.zeros((x.shape[1],) * 2)
+    for image_ids in raw_set.instance_index.values():
+        rows = x[[raw_set.row_of(i) for i in image_ids]] - mu
+        mean = rows.mean(axis=0)
+        s_w += (rows - mean).T @ (rows - mean)
+        s_b += len(rows) * np.outer(mean, mean)
+    return mu, s_w / len(x), s_b / len(x)
 
 
-def _mine(embeddings, labels):
-    """The (anchor, positive, negative) triplets that ``expert._hard_indices``
-    mines, with ``labels`` coded in order of first appearance."""
-    code_of: dict = {}
-    codes = np.array([code_of.setdefault(lab, len(code_of)) for lab in labels], dtype=np.intp)
-    pos, neg = expert._hard_indices(np.asarray(embeddings, dtype=np.float64), codes)
-    return list(zip(range(len(labels)), pos.tolist(), neg.tolist()))
-
-
-def _list_batch_hard_mine(embeddings, labels):
-    """Reference: the per-anchor list scan that the masked argmax replaced."""
-    dist = expert._pairwise_dist(np.asarray(embeddings, dtype=np.float64))
-    triplets = []
-    for i in range(len(labels)):
-        same = [j for j in range(len(labels)) if labels[j] == labels[i] and j != i]
-        diff = [j for j in range(len(labels)) if labels[j] != labels[i]]
-        pos = max(same, key=lambda j: (dist[i, j], -j))
-        neg = min(diff, key=lambda j: (dist[i, j], j))
-        triplets.append((i, pos, neg))
-    return triplets
-
-
-def _triplet_term(rows, labels=(0, 0, 1, 1), margin=0.3):
-    """The loss of combined_loss_and_grads with the classification term
-    weighted 0, on an identity head: the batch-hard hinge of each row,
-    normalized, averaged over the rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    d = rows.shape[1]
-    head = ExpertHead(np.eye(d), np.zeros(d), margin=margin, loss_weights=(0.0, 1.0))
-    return combined_loss_and_grads(head, np.zeros((d, 2)), rows, np.asarray(labels))[0]
-
-
-def _symmetric_batch(theta):
-    """Two instances of two images each, ``theta`` degrees apart, the second
-    instance opposite the first: every anchor's hardest positive is at chord
-    2 sin(theta / 2) and its hardest negative at chord 2 cos(theta / 2)."""
-    return [_unit(0.0), _unit(theta), _unit(180.0), _unit(180.0 + theta)]
-
-
-class TestTripletLoss:
-    """The batch-hard triplet term that training computes."""
-
-    def test_perfect_triplet_is_zero(self):
-        # d_ap = 0, d_an = sqrt(2): hinge well below zero
-        assert _triplet_term([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]) == 0.0
-
-    def test_inverted_triplet_formula(self):
-        # every anchor: d_ap = sqrt(2), d_an = 0 -> loss = sqrt(2) + margin
-        got = _triplet_term([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], margin=0.3)
-        assert got == pytest.approx(math.sqrt(2.0) + 0.3, abs=1e-12)
-
-    def test_chord_distance_cases(self):
-        # unit-circle chord length is 2 sin(angle / 2); 60 degrees is inactive
-        for theta in (60.0, 80.0, 120.0):
-            d_ap = 2.0 * math.sin(math.radians(theta / 2.0))
-            d_an = 2.0 * math.cos(math.radians(theta / 2.0))
-            assert _triplet_term(_symmetric_batch(theta), margin=0.3) == pytest.approx(
-                max(0.0, d_ap - d_an + 0.3), abs=1e-12
-            )
-
-    def test_inputs_are_normalized_first(self):
-        rows = np.array(_symmetric_batch(100.0))
-        base = _triplet_term(rows)
-        scaled = _triplet_term(rows * np.array([[7.0], [0.2], [3.0], [1.5]]))
-        assert base > 0.0
-        assert scaled == pytest.approx(base, abs=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DataValidationError, match="zero embedding"):
-            _triplet_term([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-
-
-class TestBatchHardMine:
-    def test_against_exhaustive_oracle(self):
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            n_labels = int(rng.integers(2, 5))
-            labels = []
-            for lab in range(n_labels):
-                labels += [f"L{lab}"] * int(rng.integers(2, 5))
-            emb = rng.standard_normal((len(labels), 6))
-            triplets = _mine(emb, labels)
-            assert len(triplets) == len(labels)
-            for a, p, n in triplets:
-                assert labels[p] == labels[a] and p != a
-                assert labels[n] != labels[a]
-                d = np.linalg.norm(emb - emb[a], axis=1)
-                for j in range(len(labels)):
-                    if labels[j] == labels[a] and j != a:
-                        assert d[j] <= d[p] + 1e-12
-                    if labels[j] != labels[a]:
-                        assert d[j] >= d[n] - 1e-12
-
-    def test_ties_break_to_lowest_index(self):
-        emb = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
-        labels = ["a", "a", "a", "b", "b"]
-        triplets = _mine(emb, labels)
-        # anchor 0: both positives at distance 1 -> index 1 wins
-        assert triplets[0] == (0, 1, 3)
-
-    def test_matches_list_reference_with_ties(self):
-        # Duplicated rows and a coarse integer grid make exact distance ties
-        # common; the masked argmax/argmin must break them as the list
-        # reference (lowest index) does.
-        rng = np.random.default_rng(21)
-        ties = 0
-        for _ in range(100):
-            labels = []
-            for lab in range(int(rng.integers(2, 6))):
-                labels += [lab] * int(rng.integers(2, 6))
-            labels = [labels[i] for i in rng.permutation(len(labels))]
-            emb = rng.integers(-1, 2, size=(len(labels), 3)).astype(np.float64)
-            dup = rng.choice(len(labels), size=len(labels) // 2, replace=False)
-            emb[dup] = emb[rng.integers(len(labels), size=len(dup))]
-            got = _mine(emb, labels)
-            assert got == _list_batch_hard_mine(emb, labels)
-            assert got == reference.batch_hard_mine(emb, labels)
-            dist = expert._pairwise_dist(emb)
-            ties += sum(len(set(row)) < len(row) for row in dist.tolist())
-        assert ties > 0
-
-    def test_degenerate_batches_rejected(self):
-        for labels in (["a", "a", "a"], ["a", "a", "b"]):
-            with pytest.raises(DataValidationError, match=">= 2 instances with >= 2 samples"):
-                _mine(np.ones((3, 2)), labels)
+def _raw_set(vectors, instances):
+    return EmbeddingSet.from_records("raw", [
+        EmbeddingRecord(f"im{i}", instance, "object", vector)
+        for i, (vector, instance) in enumerate(zip(vectors, instances))
+    ])
 
 
 class TestEmbed:
@@ -179,263 +67,129 @@ class TestEmbed:
             embed_set(head, raw_set)
 
 
-def _loop_combined_loss_and_grads(head, prototypes, x, labels):
-    """Reference: combined_loss_and_grads with the per-triplet loop that the
-    array triplet term replaced."""
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    batch = x.shape[0]
-    cw, tw = head.loss_weights
-    y = x @ head.w + head.b
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
-    e = y / norms
-    logits = e @ prototypes
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    rows = np.arange(batch)
-    ce = -np.mean(np.log(np.maximum(probs[rows, labels], 1e-300)))
-    dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
-    dlogits /= batch
-    grad_protos = cw * (e.T @ dlogits)
-    de = cw * (dlogits @ prototypes.T)
-    triplets = reference.batch_hard_mine(e, labels)
-    tri_loss = 0.0
-    for a, p, n in triplets:
-        d_ap = np.linalg.norm(e[a] - e[p])
-        d_an = np.linalg.norm(e[a] - e[n])
-        hinge = d_ap - d_an + head.margin
-        if hinge > 0:
-            tri_loss += hinge
-            coef = tw / len(triplets)
-            if d_ap > expert._NORM_EPS:
-                g = coef * (e[a] - e[p]) / d_ap
-                de[a] += g
-                de[p] -= g
-            if d_an > expert._NORM_EPS:
-                g = coef * (e[a] - e[n]) / d_an
-                de[a] -= g
-                de[n] += g
-    tri_loss /= len(triplets)
-    dy = (de - np.sum(de * e, axis=1, keepdims=True) * e) / norms
-    return cw * ce + tw * tri_loss, x.T @ dy, dy.sum(axis=0), grad_protos
+class TestFitExpert:
+    @pytest.mark.parametrize("d_out", [8, 64, 70])
+    def test_equals_loop_reference(self, small_bundle, d_out):
+        raw = small_bundle.raw_set
+        got, want = fit_expert(raw, ExpertConfig(d_out)), reference.fit_expert(raw, d_out)
+        # past the between-instance rank the eigenvalues are all zero, and any
+        # basis of theirs is one: those columns are held through the metric
+        # w w^T, which they span with the others, and through b w^T = -mu w w^T
+        k = min(d_out, _SMALL_RANK)
+        scale = np.abs(want.w).max()
+        np.testing.assert_allclose(got.w[:, :k], want.w[:, :k], rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(got.b[:k], want.b[:k], rtol=0, atol=1e-9 * scale)
+        metric = want.w @ want.w.T
+        tolerance = 1e-9 * np.abs(metric).max()
+        np.testing.assert_allclose(got.w @ got.w.T, metric, rtol=0, atol=tolerance)
+        np.testing.assert_allclose(got.b @ got.w.T, want.b @ want.w.T, rtol=0, atol=tolerance)
 
+    def test_deterministic(self, small_bundle):
+        a, b = fit_expert(small_bundle.raw_set), fit_expert(small_bundle.raw_set)
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
 
-class TestCombinedLoss:
-    def _case(self, rng, d_raw=5, d_out=4, n_protos=3):
-        head = ExpertHead(
-            rng.standard_normal((d_raw, d_out)), rng.standard_normal(d_out),
-            margin=0.3,
-        )
-        protos = rng.standard_normal((d_out, n_protos))
-        x = rng.standard_normal((6, d_raw))
-        labels = np.array([0, 0, 1, 1, 2, 2])
-        return head, protos, x, labels
+    def test_whitened_within_scatter_is_identity(self, small_bundle, default_bundle,
+                                                 default_split):
+        train_side = default_bundle.raw_set.subset(default_split.train_instances)
+        for raw in (small_bundle.raw_set, train_side):
+            mu, s_w, _ = _scatters(raw)
+            head = fit_expert(raw, ExpertConfig(raw.dimension))
+            np.testing.assert_allclose(head.w.T @ s_w @ head.w, np.eye(raw.dimension),
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(head.b, -(mu @ head.w), rtol=1e-12, atol=1e-12)
 
-    def test_finite_difference_gradients(self):
-        rng = np.random.default_rng(23)
-        step = 1e-4
-        for _ in range(10):
-            head, protos, x, labels = self._case(rng)
-            _, gw, gb, gp = combined_loss_and_grads(head, protos, x, labels)
-            for param, analytic in ((head.w, gw), (head.b, gb), (protos, gp)):
-                numeric = np.zeros_like(param)
-                it = np.nditer(param, flags=["multi_index"])
-                for _v in it:
-                    idx = it.multi_index
-                    orig = param[idx]
-                    param[idx] = orig + step
-                    up = combined_loss_and_grads(head, protos, x, labels)[0]
-                    param[idx] = orig - step
-                    down = combined_loss_and_grads(head, protos, x, labels)[0]
-                    param[idx] = orig
-                    numeric[idx] = (up - down) / (2.0 * step)
-                scale = max(float(np.max(np.abs(numeric))), 1e-8)
-                assert float(np.max(np.abs(analytic - numeric))) / scale < 1e-4
+    def test_directions_fall_and_are_signed(self, small_bundle):
+        raw = small_bundle.raw_set
+        _, _, s_b = _scatters(raw)
+        head = fit_expert(raw)
+        between = head.w.T @ s_b @ head.w
+        spread = np.diag(between)
+        # the whitened between-instance scatter is diagonal in these
+        # directions, by falling variance, and zero past its rank
+        np.testing.assert_allclose(between, np.diag(spread), rtol=0, atol=1e-9 * spread[0])
+        assert np.all(np.diff(spread) <= 1e-9 * spread[0])
+        assert spread[_SMALL_RANK - 1] > 1e-3 * spread[0]
+        assert np.all(spread[_SMALL_RANK:] < 1e-9 * spread[0])
+        # each column's entry of largest magnitude is positive
+        assert np.all(head.w[np.abs(head.w).argmax(axis=0), np.arange(head.w.shape[1])] > 0)
 
-    @pytest.mark.parametrize("margin", [0.0, 0.3, 5.0])
-    def test_equals_loop_reference_bit_for_bit(self, margin):
-        # default batch shape; margin 0 leaves few hinges live, 5 all of them
-        rng = np.random.default_rng(31)
-        labels = np.repeat(np.arange(8), 4)
-        for trial in range(20):
-            head = ExpertHead(rng.standard_normal((24, 64)), rng.standard_normal(64),
-                              margin=margin, loss_weights=(0.7, 1.3))
-            protos = rng.standard_normal((64, 8))
-            x = rng.standard_normal((32, 24))
-            if trial % 2:
-                x[1:4] = x[0]  # anchors 0-3 have positives at distance 0: no gradient
-            got = combined_loss_and_grads(head, protos, x, labels)
-            want = _loop_combined_loss_and_grads(head, protos, x, labels)
-            assert got[0] == want[0]
-            for g, w in zip(got[1:], want[1:]):
-                assert np.array_equal(g, w)
+    def test_fewer_directions_are_the_leading_ones(self, small_bundle):
+        raw = small_bundle.raw_set
+        _, s_w, s_b = _scatters(raw)
+        full, top = fit_expert(raw, ExpertConfig(64)), fit_expert(raw, ExpertConfig(8))
+        scale = np.abs(full.w).max()
+        np.testing.assert_allclose(top.w, full.w[:, :8], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(top.b, full.b[:8], rtol=0, atol=1e-12 * scale)
+        # they hold the most between-instance variance per within-instance variance
+        ratio = np.diag(full.w.T @ s_b @ full.w) / np.diag(full.w.T @ s_w @ full.w)
+        assert ratio[:8].min() >= ratio[8:].max()
 
-    @pytest.mark.parametrize("loss_weights", [(1.0, 1.0), (0.7, 1.3), (0.0, 1.0)])
-    def test_default_shapes_bit_equal_to_reference(self, loss_weights):
-        # a default run's step: 32 rows of 64 raw dims into 64 outputs, scored
-        # against 560 prototypes, with fresh weights and labels per batch
-        rng = np.random.default_rng(37)
-        for _ in range(4):
-            head = ExpertHead(rng.uniform(-0.125, 0.125, (64, 64)), rng.uniform(-0.1, 0.1, 64),
-                              loss_weights=loss_weights)
-            protos = rng.uniform(-0.125, 0.125, (64, 560))
-            x = rng.standard_normal((32, 64))
-            labels = np.repeat(rng.choice(560, size=8, replace=False), 4)
-            got = combined_loss_and_grads(head, protos, x, labels)
-            want = reference.combined_loss_and_grads(head, protos, x, labels)
-            assert got[0] == want[0]
-            for g, w in zip(got[1:], want[1:]):
-                assert np.array_equal(g, w)
-
-    def test_zero_loss_weights_zero_gradients(self):
-        rng = np.random.default_rng(24)
-        head, protos, x, labels = self._case(rng)
-        head.loss_weights = (0.0, 0.0)
-        loss, gw, gb, gp = combined_loss_and_grads(head, protos, x, labels)
-        assert loss == 0.0
-        assert not np.any(gw) and not np.any(gb) and not np.any(gp)
-
-    def test_classification_only_matches_ce(self):
-        rng = np.random.default_rng(25)
-        head, protos, x, labels = self._case(rng)
-        head.loss_weights = (1.0, 0.0)
-        loss, *_ = combined_loss_and_grads(head, protos, x, labels)
-        e = (x @ head.w + head.b)
-        e = e / np.linalg.norm(e, axis=1, keepdims=True)
-        logits = e @ protos
-        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        expected = -np.mean(log_probs[np.arange(6), labels])
-        assert loss == pytest.approx(expected, abs=1e-10)
+    def test_more_directions_than_raw_dimensions_are_zero(self, small_bundle):
+        raw = small_bundle.raw_set
+        full, wide = fit_expert(raw, ExpertConfig(64)), fit_expert(raw, ExpertConfig(70))
+        assert wide.w.shape == (64, 70)
+        assert not wide.w[:, 64:].any() and not wide.b[64:].any()
+        assert np.array_equal(wide.w[:, :64], full.w)
+        np.testing.assert_allclose(wide.b[:64], full.b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(embed_set(wide, raw).matrix()[:, :64],
+                                   embed_set(full, raw).matrix(), rtol=0, atol=1e-6)
 
 
 class TestTrainExpert:
-    def test_deterministic_per_seed(self, small_bundle):
-        cfg = ExpertTrainConfig(d_out=8, epochs=2, seed=5)
-        a = train_expert(small_bundle.raw_set, config=cfg)
-        b = train_expert(small_bundle.raw_set, config=cfg)
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.b, b.b)
-
     def test_training_improves_separation(self, small_bundle):
-        cfg = ExpertTrainConfig(d_out=16, epochs=6, seed=0)
-        head = train_expert(small_bundle.raw_set, config=cfg)
+        head = fit_expert(small_bundle.raw_set, ExpertConfig(d_out=16))
         trained = synthgen.recall_at_1(embed_set(head, small_bundle.raw_set))
         assert trained >= 0.9
 
-    def test_a_head_that_overflows_on_the_last_step_diverges(self):
-        # one batch, one step: no later loss would see the infinite head
-        from ilrkit.embedstore import EmbeddingRecord
 
-        rng = np.random.default_rng(3)
-        records = [EmbeddingRecord(f"{inst}{i}", inst, "x", rng.standard_normal(6))
-                   for inst in "AB" for i in range(2)]
-        config = ExpertTrainConfig(d_out=4, epochs=1, p_instances=2, q_images=2,
-                                   step_size=1.7e308)
-        with np.errstate(over="ignore"), pytest.raises(
-                DivergenceError, match="expert head diverged at epoch 0"):
-            train_expert(EmbeddingSet.from_records("raw", records), config=config)
-
-    def test_rejects_singleton_instance(self):
-        from ilrkit.embedstore import EmbeddingRecord
-
-        records = [
-            EmbeddingRecord("a0", "A", "x", np.ones(4)),
-            EmbeddingRecord("a1", "A", "x", np.ones(4) * 2),
-            EmbeddingRecord("b0", "B", "x", -np.ones(4)),
-        ]
-        eset = EmbeddingSet.from_records("raw", records)
-        with pytest.raises(DataValidationError, match="single image"):
-            train_expert(eset, config=ExpertTrainConfig(d_out=2, epochs=1))
-
-
-def _ragged_raw_set(n_instances):
-    """Instances of 2 to 6 images, their records interleaved."""
-    from ilrkit.embedstore import EmbeddingRecord
-
-    rng = np.random.default_rng(n_instances)
-    sizes = 2 + np.arange(n_instances) % 5
-    records = [
-        EmbeddingRecord(f"im{k}-{j}", f"inst{k:03d}", "x", rng.standard_normal(4))
-        for j in range(sizes.max()) for k in range(n_instances) if j < sizes[k]
-    ]
-    return EmbeddingSet.from_records("raw", records)
-
-
-class _CountingGenerator:
-    """A Generator that records the name of every method called on it."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.calls = []
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def call(*args, **kwargs):
-            self.calls.append(name)
-            return method(*args, **kwargs)
-
-        return call
-
-
-class TestBatchSampler:
-    """Properties of an epoch of ``expert._BatchSampler`` at P = 8, Q = 4;
-    17 and 25 instances leave one trailing instance over."""
+class TestDegenerateFits:
+    """Inputs that leave a scatter singular give a finite head; those with
+    nothing to fit raise DataValidationError. Never a NaN."""
 
     @staticmethod
-    def _epoch(n_instances, seed=0):
-        raw = _ragged_raw_set(n_instances)
-        sampler = expert._BatchSampler(raw, p_instances=8, q_images=4)
-        return raw, sampler.epoch_batches(np.random.default_rng(seed))
+    def _assert_finite_fit(raw):
+        head = fit_expert(raw)
+        assert np.isfinite(head.w).all() and np.isfinite(head.b).all()
+        assert np.isfinite(embed_set(head, raw).matrix()).all()
+        return head
 
-    @pytest.mark.parametrize("n_instances", [2, 9, 16, 17, 23, 25])
-    def test_each_instance_once_per_epoch_but_a_lone_trailing_one(self, n_instances):
-        _, (_, labels, _) = self._epoch(n_instances)
-        runs = labels[np.r_[True, labels[1:] != labels[:-1]]]
-        assert len(set(runs.tolist())) == len(runs)  # one run of rows per instance
-        assert len(runs) == n_instances - (n_instances % 8 == 1)
+    def test_identical_images_per_instance(self):
+        # a zero within-instance scatter: the regulariser alone whitens
+        rng = np.random.default_rng(5)
+        vectors = np.repeat(rng.standard_normal((5, 8)), 3, axis=0)
+        raw = _raw_set(vectors, np.repeat([f"n{k}" for k in range(5)], 3))
+        head = self._assert_finite_fit(raw)
+        assert synthgen.recall_at_1(embed_set(head, raw)) == 1.0
 
-    @pytest.mark.parametrize("n_instances", [2, 9, 16, 17, 23, 25])
-    def test_every_batch_holds_two_to_p_instances(self, n_instances):
-        _, (rows, labels, edges) = self._epoch(n_instances)
-        assert edges[0] == 0 and edges[-1] == len(rows) == len(labels)
-        for start, end in zip(edges[:-1], edges[1:]):
-            assert 2 <= len(np.unique(labels[start:end])) <= 8
+    def test_fewer_images_than_dimensions(self):
+        rng = np.random.default_rng(6)
+        raw = _raw_set(rng.standard_normal((6, 64)), ["a", "a", "b", "b", "c", "c"])
+        self._assert_finite_fit(raw)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_an_instance_gives_min_q_distinct_rows_of_its_own(self, seed):
-        raw, (rows, labels, _) = self._epoch(23, seed)
-        instances = sorted(raw.instance_index)
-        owner = raw.instance_ids
-        for label in np.unique(labels):
-            inst = instances[label]
-            own = rows[labels == label]
-            assert len(set(own.tolist())) == len(own)
-            assert len(own) == min(4, len(raw.instance_index[inst]))
-            assert {owner[row] for row in own.tolist()} == {inst}
+    def test_single_image_instance_is_fitted(self, small_bundle):
+        # it adds between-instance scatter and no within-instance scatter
+        records = small_bundle.raw_set.records
+        raw = EmbeddingSet.from_records("raw", [
+            r for r in records if r.instance_id != records[0].instance_id or r is records[0]])
+        assert min(len(ids) for ids in raw.instance_index.values()) == 1
+        head = self._assert_finite_fit(raw)
+        want = reference.fit_expert(raw, 64)
+        scale = np.abs(want.w).max()
+        np.testing.assert_allclose(head.w[:, :8], want.w[:, :8], rtol=0, atol=1e-9 * scale)
 
-    def test_epochs_are_identical_per_seed(self):
-        raw = _ragged_raw_set(23)
-        epochs = []
-        for _ in range(2):
-            sampler = expert._BatchSampler(raw, p_instances=8, q_images=4)
-            rng = np.random.default_rng(5)
-            epochs.append([sampler.epoch_batches(rng) for _ in range(3)])
-        for got, want in zip(*epochs):
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-        assert not np.array_equal(epochs[0][0][0], epochs[0][1][0])
+    @pytest.mark.parametrize("instances", [["a"] * 4, []], ids=["one", "none"])
+    def test_fewer_than_two_instances_refused(self, instances):
+        rng = np.random.default_rng(7)
+        raw = EmbeddingSet.from_columns("raw", 8, [f"im{i}" for i in range(len(instances))],
+                                        instances, ["object"] * len(instances),
+                                        rng.standard_normal((len(instances), 8)).astype(np.float32))
+        with pytest.raises(DataValidationError, match="needs >= 2 training instances"):
+            fit_expert(raw)
 
-    @pytest.mark.parametrize("n_instances", [2, 17, 120])
-    def test_an_epoch_is_two_generator_calls(self, n_instances):
-        sampler = expert._BatchSampler(_ragged_raw_set(n_instances), p_instances=8,
-                                       q_images=4)
-        rng = _CountingGenerator(3)
-        for _ in range(2):
-            sampler.epoch_batches(rng)
-        assert rng.calls == ["permutation", "random"] * 2
+    def test_equal_images_refused(self):
+        raw = _raw_set(np.ones((4, 8)), ["a", "a", "b", "b"])
+        with pytest.raises(DataValidationError, match="training images that differ"):
+            fit_expert(raw)
 
 
 def test_cosine_and_euclidean_argmax_agree_on_unit_vectors():
@@ -454,14 +208,28 @@ def test_cosine_and_euclidean_argmax_agree_on_unit_vectors():
 
 def test_expert_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(27)
-    head = ExpertHead(rng.standard_normal((6, 4)), rng.standard_normal(4),
-                      margin=0.25, loss_weights=(1.0, 0.5))
+    head = ExpertHead(rng.standard_normal((6, 4)), rng.standard_normal(4))
     path = tmp_path / "head.ckpt"
     checkpoint.save_expert(head, path, seed=9)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header == {"kind": "expert_head", "params": [[6, 4], [4]], "seed": 9}
     loaded = checkpoint.load_expert(path)
-    assert loaded.margin == pytest.approx(0.25)
-    assert loaded.loss_weights == (1.0, 0.5)
-    np.testing.assert_allclose(loaded.w, head.w, atol=1e-6)
+    np.testing.assert_array_equal(loaded.w, head.w.astype(np.float32))
+    np.testing.assert_array_equal(loaded.b, head.b.astype(np.float32))
+
+
+@pytest.mark.parametrize("margin", [0.3, "NaN"])
+def test_expert_checkpoint_of_the_sgd_trainer_loads(tmp_path, margin):
+    # the trainer's header carried its margin and loss weights, which act on nothing
+    rng = np.random.default_rng(28)
+    w, b = rng.standard_normal((6, 4)).astype("<f4"), rng.standard_normal(4).astype("<f4")
+    header = {"kind": "expert_head", "loss_weights": [1.0, 1.0], "margin": margin,
+              "params": [[6, 4], [4]], "seed": 0}
+    path = tmp_path / "head.ckpt"
+    text = json.dumps(header, sort_keys=True).replace('"NaN"', "NaN")
+    path.write_bytes(text.encode() + b"\n" + w.tobytes() + b.tobytes())
+    loaded = checkpoint.load_expert(path)
+    assert np.array_equal(loaded.w, w) and np.array_equal(loaded.b, b)
 
 
 @pytest.mark.parametrize("value", [1e39, np.inf, np.nan])

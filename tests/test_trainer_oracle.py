@@ -1,101 +1,21 @@
-"""The expert and adapter trainers against reference copies of their steps
-(tests/reference.py): list mining with a 2-D scatter, and an adapter
-trainer whose Adam runs over one flat vector of all the parameters. Every
-floating-point operation keeps its operands and its order, so the trained
-parameters must be bit-equal. The adapter step is also held within
-rounding of the quotient-rule formula it replaced."""
+"""The adapter trainer against a reference copy of its step
+(tests/reference.py), whose Adam runs over one flat vector of all the
+parameters. Every floating-point operation keeps its operands and its
+order, so the trained parameters must be bit-equal. The adapter step is
+also held within rounding of the quotient-rule formula it replaced."""
 
 import numpy as np
 import pytest
 
 import reference
-from ilrkit import dataengine, expert, fusion
+from ilrkit import dataengine, fusion
 from ilrkit.dataengine import GalleryTask
-from ilrkit.embedstore import EmbeddingSet, TokenFeatureMap
-from ilrkit.errors import DataValidationError
-
-
-def _assert_same_head(got, want):
-    assert np.array_equal(got.w, want.w)
-    assert np.array_equal(got.b, want.b)
+from ilrkit.embedstore import TokenFeatureMap
 
 
 def _assert_same_adapter(got, want):
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
-def _ragged(raw_set):
-    """The set with images dropped so instances hold 2, 3 or all 4 images."""
-    keep, seen = [], {}
-    for record in raw_set.records:
-        n = seen.get(record.instance_id, 0)
-        seen[record.instance_id] = n + 1
-        if n < 2 + len(seen) % 3:
-            keep.append(record)
-    return EmbeddingSet.from_records("raw", keep)
-
-
-class TestTrainExpertOracle:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {"loss_weights": (0.7, 1.3)},
-        {"margin": 0.0},
-        {"margin": 2.0, "loss_weights": (0.0, 1.0)},
-    ])
-    def test_bit_equal_to_reference(self, small_bundle, seed, overrides):
-        config = expert.ExpertTrainConfig(d_out=8, epochs=3, seed=seed, **overrides)
-        raw = small_bundle.raw_set
-        _assert_same_head(expert.train_expert(raw, config), reference.train_expert(raw, config))
-
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_instances_with_fewer_images_than_q(self, small_bundle, seed):
-        raw = _ragged(small_bundle.raw_set)
-        assert {len(ids) for ids in raw.instance_index.values()} == {2, 3, 4}
-        config = expert.ExpertTrainConfig(d_out=8, epochs=3, q_images=3, p_instances=5,
-                                           seed=seed)
-        _assert_same_head(expert.train_expert(raw, config), reference.train_expert(raw, config))
-
-    def test_default_shapes_one_epoch(self, default_bundle, default_split):
-        # 32-image batches into 64 outputs and one prototype per training instance
-        raw = default_bundle.raw_set.subset(default_split.train_instances)
-        config = expert.ExpertTrainConfig(epochs=1, seed=7)
-        _assert_same_head(expert.train_expert(raw, config), reference.train_expert(raw, config))
-
-    def test_step_bit_equal_with_ties(self):
-        rng = np.random.default_rng(41)
-        labels = np.repeat(np.arange(8), 4)
-        for trial in range(20):
-            head = expert.ExpertHead(rng.standard_normal((24, 16)), rng.standard_normal(16),
-                                     margin=0.3 * (trial % 3), loss_weights=(0.7, 1.3))
-            protos = rng.standard_normal((16, 8))
-            # a coarse grid repeats embeddings: distance ties and zero distances
-            x = rng.integers(-1, 2, size=(32, 24)).astype(np.float64)
-            x[rng.integers(32, size=8)] = x[0]
-            x[np.all(x == 0, axis=1)] = 1.0
-            got = expert.combined_loss_and_grads(head, protos, x, labels)
-            want = reference.combined_loss_and_grads(head, protos, x, labels)
-            assert got[0] == want[0]
-            for g, w in zip(got[1:], want[1:]):
-                assert np.array_equal(g, w)
-
-    def test_mining_is_the_reference_mining(self):
-        rng = np.random.default_rng(42)
-        for _ in range(30):
-            codes = rng.permutation(np.repeat(np.arange(4), 3))
-            emb = rng.integers(-1, 2, size=(12, 3)).astype(np.float64)
-            pos, neg = expert._hard_indices(emb, codes)
-            assert list(zip(range(12), pos.tolist(), neg.tolist())) == \
-                reference.batch_hard_mine(emb, [f"L{c}" for c in codes])
-
-    @pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2], [3, 3, 3, 5], [4, 4, 4, 4]])
-    def test_step_rejects_a_singleton_or_single_instance_batch(self, labels):
-        rng = np.random.default_rng(43)
-        head = expert.ExpertHead(rng.standard_normal((6, 4)), rng.standard_normal(4))
-        x = rng.standard_normal((len(labels), 6))
-        with pytest.raises(DataValidationError, match=">= 2 instances with >= 2 samples"):
-            expert.combined_loss_and_grads(head, rng.standard_normal((4, 6)), x, labels)
 
 
 def _adapter_setup(rng, n_tasks, sizes=(4,)):
