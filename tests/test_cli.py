@@ -461,6 +461,25 @@ class TestExitCodes:
         assert _assert_data_error(rc, capsys) == message
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_retired_expert_fields_are_0(self, workspace, tmp_path, caplog):
+        # expert.seed and expert.epochs, as perfbench's seeded_config writes
+        # them: logged, and the checkpoint and its manifest entry are those
+        # of the config without them
+        data = workspace / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**SMALL_CONFIG, "expert": {**SMALL_CONFIG["expert"], "seed": 1, "epochs": 5}},
+            indent=2, sort_keys=True))
+        out = tmp_path / "out"
+        assert cli.main(["train-expert", "--embeddings", str(data / "raw.jsonl"),
+                         "--split", str(data / "split.json"), "--out", str(out / "expert_head.ckpt"),
+                         "--config", str(config)]) == 0
+        assert "expert.epochs has no effect" in caplog.text
+        assert (out / "expert_head.ckpt").read_bytes() == (data / "expert_head.ckpt").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["expert_head.ckpt"] == json.loads(
+            (data / "manifest.json").read_text())["expert_head.ckpt"]
+
     def test_repeated_sweep_taus_are_2(self, workspace, tmp_path, capsys):
         data = workspace / "data"
         out = tmp_path / "sweep"
