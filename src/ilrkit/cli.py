@@ -6,12 +6,12 @@ output directory carries a manifest.json recording each artifact's
 config hash, seed, and tool version. synth and pipeline take --threads:
 unless it is 1, a forked worker process runs one job at a time beside the
 parent and reports once the job has finished. In synth a job writes the
-token maps. In pipeline one job does all the general-view work (every
-task set, the token maps, the general view and the ground truth) while
-the parent fits the expert and then waits for it, and a second writes the
-raw view and the expert set and computes recall@1 while the parent fits
-the adapter and scores every matcher. Outputs, error messages and exit
-codes do not depend on --threads. A command runs with numpy's bundled OpenBLAS at one
+token maps. In pipeline one job builds and writes the benchmark's task
+sets while the parent fits the expert, writes the token maps, the general
+view and the ground truth, and builds the adapter-training tasks; a second
+job writes the raw view and the expert set and computes recall@1 while the
+parent fits the adapter and scores every matcher. Outputs, error messages
+and exit codes do not depend on --threads. A command runs with numpy's bundled OpenBLAS at one
 thread, whatever the environment asks, and restores the previous count on
 return: its matrix products are small (64 columns wide at the default
 config), and on a 2-core host two BLAS threads made the default pipeline
@@ -56,7 +56,7 @@ from .embedstore import (
     typed_fields,
 )
 from .errors import ConfigError, DataValidationError, IlrkitError
-from .stage import OutputStage, StageLog
+from .stage import Job, OutputStage, StageLog
 
 logger = logging.getLogger(__name__)
 
@@ -359,20 +359,23 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     """synth -> split -> build tiers -> train-expert -> train-adapter ->
     evaluate all matchers -> sweep, with one manifest for everything.
 
-    The tiers, detection tasks, conversations, adapter-training tasks and
-    sweep tasks depend on the general view alone, so one job builds them,
-    writes them with the token maps, the general view and the ground truth,
-    and returns what the parent scores, while the parent fits the expert.
-    A second job writes the raw view and the expert set and computes both
-    recall@1 values while the parent fits the adapter, scores every matcher
-    and writes the reports. The expert's closed-form fit takes milliseconds,
-    so the first job is the critical path, and the parent waits for it;
-    the second job does not outlast the parent's stage it overlaps.
-    recall@1 sits in that job because its similarity blocks would raise
-    the parent's peak memory. At --threads 1 each job runs in the parent
-    where it is submitted and keeps its error until its result is read, so
-    when a job and the parent's own work both fail, the parent's error wins
-    at any --threads."""
+    The tiers, detection tasks, conversations and sweep tasks depend on the
+    general view alone, so one job builds and writes them and returns what
+    the parent scores. Meanwhile the parent fits the expert (milliseconds,
+    in closed form), writes the token maps, the general view and the ground
+    truth, and builds the adapter-training tasks it fits the adapter on;
+    then it waits for the job. The two lanes take about the same time at
+    the default config. A second job writes the raw view and the expert set
+    and computes both recall@1 values while the parent fits the adapter,
+    scores every matcher and writes the reports; it does not outlast the
+    parent's stage it overlaps. recall@1 sits in that job because its
+    similarity blocks would raise the parent's peak memory. At --threads 1
+    each job runs in the parent where it is submitted and keeps its error
+    until its result is read, so when a job and the parent's own work both
+    fail, the parent's error wins at any --threads. The one exception is
+    the adapter-training tasks: their error is kept until the first job's
+    result has been read, so that a failure of the benchmark's tasks wins
+    over theirs, as when one job built them all."""
     out = Path(args.out)
     stages = StageLog()
     with OutputStage(out, args.threads > 1) as stage:
@@ -400,13 +403,10 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         )
 
         def build_and_write_tasks():
-            tiers = {
-                tau: dataengine.build_gallery_tasks_per_category(
-                    bundle.general_set, split.test_instances, k=config.k, tau=tau,
-                    n_per_category=config.n_tasks, seed=seed, task_prefix=f"t{tau:g}-",
-                )
-                for tau in taus
-            }
+            tiers = dataengine.build_gallery_tiers_per_category(
+                bundle.general_set, split.test_instances, {tau: f"t{tau:g}-" for tau in taus},
+                k=config.k, n_per_category=config.n_tasks, seed=seed,
+            )
             tier = tiers[config.tau]
             detection = dataengine.build_detection_tasks(
                 bundle.general_set, split.test_instances, tau=config.tau,
@@ -417,18 +417,11 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             caption = dataengine.emit_conversations(tier, "caption", captions=captions)
             for path, items in zip(task_paths, [*tiers.values(), detection, mcq, caption]):
                 dataengine.save_jsonl(items, path)
-            train_tasks = dataengine.build_gallery_tasks(
-                bundle.general_set, split.train_instances, k=config.k, tau=config.tau,
-                n_tasks=config.n_train_tasks, seed=seed + 1, task_prefix="a-",
-            )
             sweep_tiers = evalkit.sweep_tasks(
                 bundle.general_set, split.test_instances, config.taus, k=config.k,
                 n_tasks=config.n_sweep_tasks, seed=seed,
             )
-            save_token_maps(bundle.token_maps, maps_path)
-            save_embedding_set(bundle.general_set, general_path, ext)
-            _write_ground_truth(truth_path, bundle.ground_truth)
-            return tier, train_tasks, sweep_tiers
+            return tier, sweep_tiers
 
         tasks = stage.submit(build_and_write_tasks, name="task building and writes")
 
@@ -437,9 +430,25 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         head = expert.fit_expert(bundle.raw_set.subset(split.train_instances), config=config.expert)
         checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, seed))
         expert_set = expert.embed_set(head, bundle.raw_set)
-        # a stage of its own, so that the fit's seconds are the fit's
+
+        stages.next("writing general-view files")
+        save_token_maps(bundle.token_maps, maps_path)
+        save_embedding_set(bundle.general_set, general_path, ext)
+        _write_ground_truth(truth_path, bundle.ground_truth)
+
+        # the tasks the parent fits the adapter on; their error, if any, is
+        # raised once the first job's result has been read, so that the
+        # benchmark tasks' error comes first
+        stages.next("building adapter-training tasks")
+        train = Job.run(functools.partial(
+            dataengine.build_gallery_tasks, bundle.general_set, split.train_instances,
+            k=config.k, tau=config.tau, n_tasks=config.n_train_tasks, seed=seed + 1,
+            task_prefix="a-",
+        ))
+        # a stage of its own, so that the build's seconds are the build's
         stages.next("waiting for task building")
-        tier, train_tasks, sweep_tiers = tasks.result()
+        tier, sweep_tiers = tasks.result()
+        train_tasks = train.result()
 
         expert_path = stage.record(f"expert.{ext}", h, seed)
 
@@ -574,9 +583,11 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = 
     if threads:
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="1 runs everything in one process; above 1, a forked worker "
-                            "does pipeline's general-view work while the expert is fitted, "
-                            "and writes the bulk artifacts of pipeline and synth while "
-                            "computing goes on (default: the CPUs this process may run on)")
+                            "builds and writes pipeline's benchmark tasks while the parent "
+                            "fits the expert, writes the general-view files and builds the "
+                            "adapter-training tasks, and writes the bulk artifacts of "
+                            "pipeline and synth while computing goes on (default: the CPUs "
+                            "this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")

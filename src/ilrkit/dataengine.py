@@ -8,10 +8,15 @@ and split files are decoded by embedstore's JSON readers.
 
 Each task derives its own random stream from (global seed, task ordinal),
 so task lists are reproducible and independent of scheduling; a builder
-sets up the streams of all its tasks at once (``streams.Streams``). A task's
-pool comes from one row of query cosines and boolean masks over it; only
-the candidates a task ranks (below-threshold top-up, detection fallback,
-``hardest``) are sorted, by (similarity desc, image_id asc).
+sets up the streams of all its tasks at once (``streams.Streams``). The
+gallery builder makes every difficulty tier of a side in one pass over the
+queries: task t draws its query and positive first, so they are the same
+in every tier, and its row of query cosines and other-instance mask are
+made once, for a block of queries at a time; each tier compares the block
+with its tau. A task's pool is a boolean mask over its row; only the
+candidates a task ranks (below-threshold top-up, detection fallback,
+``hardest``) are sorted, by (similarity desc, image_id asc), with one
+lexsort per block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -122,12 +127,21 @@ def make_split(eset: EmbeddingSet, test_fraction: float, seed: int) -> SplitMani
     return SplitManifest(train_instances=train, test_instances=test)
 
 
+# queries per block of similarity rows: 64 rows of the default train side
+# (3,360 images) are 1.7 MB of float64
+_BLOCK = 64
+
+
 class _TaskSampler:
     """Shared machinery for sampling queries and thresholded distractor pools.
 
-    Pools are boolean masks over one similarity row per task: no all-pairs
-    matrix of the split side is built (the default train side's would take
-    90 MB).
+    No all-pairs matrix of the split side is built (the default train
+    side's would take 90 MB): the gallery builder takes the similarity rows
+    of ``_BLOCK`` queries at a time, and the detection builder one row per
+    non-match task. Every row is one ``kernels.dot_scores`` call, a
+    matrix-vector product. A matrix product over a block of queries gives
+    other last bits (up to 4.4e-16 on the default config's sides), which
+    could flip a comparison with tau or a tie.
     """
 
     def __init__(self, general: EmbeddingSet, split_side: Iterable[str]):
@@ -175,20 +189,113 @@ class _TaskSampler:
         positive = siblings[int(rng.integers(len(siblings)))]
         return query, positive
 
-    def distractor_pool(
-        self, query: int, tau: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cosine of every image to the query, then the other-instance images
-        above and not above tau, each in ascending local order. Order the
-        below-threshold ones with ``most_similar`` where they are used."""
-        sims = kernels.dot_scores(self.unit, self.unit[query])
-        other = self.instance_codes != self.instance_codes[query]
-        above = other & (sims > tau)
-        return sims, np.flatnonzero(above), np.flatnonzero(other & ~above)
+    def similarity_rows(self, queries: Sequence[int]) -> np.ndarray:
+        """The cosine of every image to each query, one row per query."""
+        sims = np.empty((len(queries), len(self.rows)))
+        for row, query in zip(sims, queries):
+            row[:] = kernels.dot_scores(self.unit, self.unit[query])
+        return sims
 
-    def most_similar(self, sims: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-        """The first ``count`` of ``rows`` by (similarity desc, image_id asc)."""
-        return rows[np.lexsort((self.id_rank[rows], -sims[rows]))[:count]]
+    def most_similar(self, sims: np.ndarray, candidates: np.ndarray, count: int) -> np.ndarray:
+        """The first ``count`` columns of each row of ``sims`` (rows, images)
+        by (similarity desc, image_id asc), the row's ``candidates`` (a
+        boolean mask) first: the others sort last, under a key of +inf.
+        Only the columns whose key is at most the row's ``count``-th
+        smallest can be among them, so one lexsort orders just those, for
+        every row at once."""
+        key = np.where(candidates, -sims, np.inf)
+        bound = np.partition(key, count - 1, axis=1)[:, count - 1:count]
+        rows, columns = np.nonzero(key <= bound)
+        order = np.lexsort((self.id_rank[columns], key[rows, columns], rows))
+        starts = np.searchsorted(rows, np.arange(len(key)))
+        return columns[order][starts[:, None] + np.arange(count)]
+
+
+def build_gallery_tiers(
+    general: EmbeddingSet,
+    split_side: Iterable[str],
+    tiers: Mapping[float, str],
+    k: int = DEFAULT_K,
+    n_tasks: int = DEFAULT_TASKS_PER_CATEGORY,
+    seed: int = 0,
+    hardest: bool = False,
+) -> dict[float, list[GalleryTask]]:
+    """Build difficulty-controlled gallery tasks on one split side, for
+    every tier of ``tiers`` (each tau, mapped to its task-id prefix).
+
+    Distractors are sampled uniformly from the pool of other-instance
+    images whose general-view cosine to the query strictly exceeds tau
+    (or, with ``hardest``, the top-(k-1) most similar of that pool). An
+    under-filled pool is topped up with the most similar below-threshold
+    images and the task is flagged ``relaxed``.
+
+    One pass over the queries builds every tier. Task ``t`` of every tier
+    draws from the stream ``[seed, t]``, and the query and its positive
+    are drawn first, so they are the same in every tier; so are the
+    query's similarity row and its other-instance mask, which are made
+    once, for ``_BLOCK`` tasks at a time. Each tier after the first
+    restores the stream to its state after that pick, so its draws, and
+    its tasks, are those of a build of that tier alone.
+    """
+    if k < 2:
+        raise DataValidationError("k must be >= 2 (use build_detection_tasks for K=1)")
+    sampler = _TaskSampler(general, split_side)
+    if len(sampler.by_instance) < 2:
+        raise DataValidationError("need images of at least 2 instances")
+    streams = Streams([[seed, t] for t in range(n_tasks)])
+    built: dict[float, list[GalleryTask]] = {tau: [] for tau in tiers}
+    for start in range(0, n_tasks, _BLOCK):
+        block = range(start, min(start + _BLOCK, n_tasks))
+        rngs = [streams[t] for t in block]
+        picks = [sampler.pick_query(rng) for rng in rngs]
+        states = [rng.bit_generator.state for rng in rngs]
+        queries = [query for query, _ in picks]
+        sims = sampler.similarity_rows(queries)
+        other = sampler.instance_codes != sampler.instance_codes[queries][:, None]
+        available = other.sum(axis=1)
+        if available.min() < k - 1:
+            raise DataValidationError(
+                f"only {available[available < k - 1][0]} other-instance images available, "
+                f"need {k - 1}"
+            )
+        for tier, (tau, prefix) in enumerate(tiers.items()):
+            above = other & (sims > tau)
+            counts = above.sum(axis=1)
+            relaxed = counts < k - 1
+            # each row's above-threshold columns, ascending
+            pools = np.split(np.nonzero(above)[1], np.cumsum(counts)[:-1])
+            # a relaxed row is topped up from the rest of its other-instance
+            # images; with hardest, every other row takes its pool's most similar
+            ranked_rows = np.flatnonzero(relaxed | hardest)
+            candidates = np.where(relaxed[:, None], other & ~above, above)[ranked_rows]
+            ranked = dict(zip(ranked_rows.tolist(),
+                              sampler.most_similar(sims[ranked_rows], candidates, k - 1)))
+            for j, (t, rng, (query, positive)) in enumerate(zip(block, rngs, picks)):
+                if tier:
+                    rng.bit_generator.state = states[j]
+                pool = pools[j]
+                if len(pool) < k - 1:
+                    distractors = np.concatenate([pool, ranked[j][:k - 1 - len(pool)]])
+                elif hardest:
+                    distractors = ranked[j][:k - 1]
+                else:
+                    distractors = pool[rng.choice(len(pool), size=k - 1, replace=False)]
+                gallery = distractors.tolist() + [positive]
+                order = rng.permutation(len(gallery))
+                gallery = [gallery[i] for i in order]
+                built[tau].append(
+                    GalleryTask(
+                        task_id=f"{prefix}{seed:08x}-{t:05d}",
+                        category=sampler.categories[query],
+                        query_id=sampler.image_ids[query],
+                        gallery_ids=tuple(sampler.image_ids[l] for l in gallery),
+                        answer_index=gallery.index(positive),
+                        tau=tau,
+                        relaxed=len(pool) < k - 1,
+                        seed=seed,
+                    )
+                )
+    return built
 
 
 def build_gallery_tasks(
@@ -201,56 +308,11 @@ def build_gallery_tasks(
     hardest: bool = False,
     task_prefix: str = "g",
 ) -> list[GalleryTask]:
-    """Build difficulty-controlled gallery tasks on one split side.
-
-    Distractors are sampled uniformly from the pool of other-instance
-    images whose general-view cosine to the query strictly exceeds tau
-    (or, with ``hardest``, the top-(k-1) most similar of that pool). An
-    under-filled pool is topped up with the most similar below-threshold
-    images and the task is flagged ``relaxed``.
-    """
-    if k < 2:
-        raise DataValidationError("k must be >= 2 (use build_detection_tasks for K=1)")
-    sampler = _TaskSampler(general, split_side)
-    if len(set(sampler.instance_ids)) < 2:
-        raise DataValidationError("need images of at least 2 instances")
-    streams = Streams([[seed, t] for t in range(n_tasks)])
-    tasks = []
-    for t in range(n_tasks):
-        rng = streams[t]
-        query, positive = sampler.pick_query(rng)
-        sims, above, below = sampler.distractor_pool(query, tau)
-        if len(above) + len(below) < k - 1:
-            raise DataValidationError(
-                f"only {len(above) + len(below)} other-instance images available, need {k - 1}"
-            )
-        if len(above) >= k - 1:
-            if hardest:
-                distractors = sampler.most_similar(sims, above, k - 1)
-            else:
-                distractors = above[rng.choice(len(above), size=k - 1, replace=False)]
-            relaxed = False
-        else:
-            top_up = sampler.most_similar(sims, below, k - 1 - len(above))
-            distractors = np.concatenate([above, top_up])
-            relaxed = True
-        gallery = distractors.tolist() + [positive]
-        order = rng.permutation(len(gallery))
-        gallery = [gallery[i] for i in order]
-        answer_index = gallery.index(positive)
-        tasks.append(
-            GalleryTask(
-                task_id=f"{task_prefix}{seed:08x}-{t:05d}",
-                category=sampler.categories[query],
-                query_id=sampler.image_ids[query],
-                gallery_ids=tuple(sampler.image_ids[l] for l in gallery),
-                answer_index=answer_index,
-                tau=tau,
-                relaxed=relaxed,
-                seed=seed,
-            )
-        )
-    return tasks
+    """The gallery tasks of the one tier ``tau`` (``build_gallery_tiers``)."""
+    return build_gallery_tiers(
+        general, split_side, {tau: task_prefix}, k=k, n_tasks=n_tasks, seed=seed,
+        hardest=hardest,
+    )[tau]
 
 
 def _category_sides(general: EmbeddingSet, split_side: Iterable[str]) -> dict[str, set[str]]:
@@ -267,6 +329,29 @@ def _category_seed(seed: int, category: str) -> int:
     return (seed << 32) ^ int.from_bytes(digest, "little")
 
 
+def build_gallery_tiers_per_category(
+    general: EmbeddingSet,
+    split_side: Iterable[str],
+    tiers: Mapping[float, str],
+    k: int = DEFAULT_K,
+    n_per_category: int = DEFAULT_TASKS_PER_CATEGORY,
+    seed: int = 0,
+    hardest: bool = False,
+) -> dict[float, list[GalleryTask]]:
+    """n_per_category gallery tasks for each category in every tier of
+    ``tiers``, distractors drawn within the query's category; one pass over
+    each category's queries builds all its tiers."""
+    built: dict[float, list[GalleryTask]] = {tau: [] for tau in tiers}
+    for category, instances in sorted(_category_sides(general, split_side).items()):
+        prefixes = {tau: f"{prefix}{category}-" for tau, prefix in tiers.items()}
+        for tau, tasks in build_gallery_tiers(
+            general, instances, prefixes, k=k, n_tasks=n_per_category,
+            seed=_category_seed(seed, category), hardest=hardest,
+        ).items():
+            built[tau].extend(tasks)
+    return built
+
+
 def build_gallery_tasks_per_category(
     general: EmbeddingSet,
     split_side: Iterable[str],
@@ -277,18 +362,12 @@ def build_gallery_tasks_per_category(
     hardest: bool = False,
     task_prefix: str = "g",
 ) -> list[GalleryTask]:
-    """n_per_category gallery tasks for each category, distractors drawn
-    within the query's category."""
-    tasks = []
-    for category, instances in sorted(_category_sides(general, split_side).items()):
-        tasks.extend(
-            build_gallery_tasks(
-                general, instances, k=k, tau=tau, n_tasks=n_per_category,
-                seed=_category_seed(seed, category), hardest=hardest,
-                task_prefix=f"{task_prefix}{category}-",
-            )
-        )
-    return tasks
+    """The per-category gallery tasks of the one tier ``tau``
+    (``build_gallery_tiers_per_category``)."""
+    return build_gallery_tiers_per_category(
+        general, split_side, {tau: task_prefix}, k=k, n_per_category=n_per_category,
+        seed=seed, hardest=hardest,
+    )[tau]
 
 
 def build_detection_tasks(
@@ -314,13 +393,15 @@ def build_detection_tasks(
         if is_match:
             gallery = positive
         else:
-            sims, above, below = sampler.distractor_pool(query, tau)
-            if not len(above) and not len(below):
+            (sims,) = sampler.similarity_rows([query])
+            other = sampler.instance_codes != sampler.instance_codes[query]
+            if not other.any():
                 raise DataValidationError("no other-instance image available")
+            above = np.flatnonzero(other & (sims > tau))
             if len(above):
                 gallery = int(above[rng.integers(len(above))])
             else:  # most similar below-threshold fallback
-                gallery = int(sampler.most_similar(sims, below, 1)[0])
+                gallery = int(sampler.most_similar(sims[None], other[None], 1)[0, 0])
         tasks.append(
             DetectionTask(
                 task_id=f"d{seed:08x}-{t:05d}",
@@ -432,6 +513,9 @@ def parse_answer(response: str, k: int) -> int | None:
 # ---------------------------------------------------------------------------
 # JSONL serialization
 
+_sorted_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+
+
 def save_jsonl(items: Sequence, path: str | Path) -> None:
     """Write flat dataclass instances as one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -442,7 +526,7 @@ def save_jsonl(items: Sequence, path: str | Path) -> None:
                     obj[key] = list(val)
                 elif isinstance(val, frozenset):
                     obj[key] = sorted(val)
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(_sorted_json(obj) + "\n")
 
 
 _gallery_values = typed_fields({

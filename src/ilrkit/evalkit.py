@@ -343,15 +343,14 @@ def sweep_tasks(
     seed: int = 0,
 ) -> dict[float, list[GalleryTask]]:
     """The gallery tasks of each difficulty tier of a sweep, keyed by tau,
-    in the order given. Callers pass at least 2 distinct taus: the sweep
-    command checks ``--taus`` and the pipeline its config first."""
-    return {
-        tau: dataengine.build_gallery_tasks(
-            general, split_side, k=k, tau=tau, n_tasks=n_tasks, seed=seed,
-            task_prefix=f"s{tau:g}-",
-        )
-        for tau in taus
-    }
+    in the order given, built in one pass over the queries
+    (``dataengine.build_gallery_tiers``): task ``t`` has the same query and
+    positive in every tier. Callers pass at least 2 distinct taus: the
+    sweep command checks ``--taus`` and the pipeline its config first."""
+    return dataengine.build_gallery_tiers(
+        general, split_side, {tau: f"s{tau:g}-" for tau in taus}, k=k, n_tasks=n_tasks,
+        seed=seed,
+    )
 
 
 def sweep_accuracies(

@@ -82,10 +82,7 @@ class OutputStage:
                 return self._job
             except OSError:  # no process or memory to fork: the job runs inline
                 pass
-        try:
-            self._job = Job(name, job())
-        except Exception as exc:
-            self._job = Job(name, error=exc)
+        self._job = Job.run(job, name)
         return self._job
 
     def _wait(self) -> None:
@@ -169,6 +166,15 @@ class Job:
         self._error = error
         self._pid = pid
         self._pipe = pipe
+
+    @classmethod
+    def run(cls, job, name: str = "job") -> "Job":
+        """Run ``job()`` here and now: the handle of an inline job, which
+        holds its value or its exception."""
+        try:
+            return cls(name, job())
+        except Exception as exc:
+            return cls(name, error=exc)
 
     def result(self):
         """The job's value, or its exception re-raised, on every call. The

@@ -39,7 +39,8 @@ def test_one_run_appends_one_record(tmp_path, capsys):
     (run,) = new["runs"]
     assert run["total_s"] > 0 and new["median_total_s"] == run["total_s"]
     assert list(run["stages_s"]) == [
-        "generating synthetic bundle", "fitting expert head", "waiting for task building",
+        "generating synthetic bundle", "fitting expert head", "writing general-view files",
+        "building adapter-training tasks", "waiting for task building",
         "fitting fusion adapter", "evaluating matchers",
     ]
     assert list(run["workers_s"]) == ["task building and writes",

@@ -1786,11 +1786,12 @@ class TestDeterminism:
         lines = [m for m in messages if m.startswith("pipeline:")]
         assert lines[0] == "pipeline: generating synthetic bundle"
         assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
-        assert [line.split(" (")[0] for line in lines[1:5]] == [
-            "pipeline: fitting expert head", "pipeline: waiting for task building",
+        assert [line.split(" (")[0] for line in lines[1:7]] == [
+            "pipeline: fitting expert head", "pipeline: writing general-view files",
+            "pipeline: building adapter-training tasks", "pipeline: waiting for task building",
             "pipeline: fitting fusion adapter", "pipeline: evaluating matchers",
         ]
-        assert len(lines) == 6
+        assert len(lines) == 8
         for prev, line in zip(lines, lines[1:]):
             stage = prev.removeprefix("pipeline: ").split(" (")[0]
             assert re.fullmatch(rf"pipeline: .+ \({stage} took \d+\.\d\d s\)", line), line
@@ -1926,7 +1927,7 @@ class TestDeterminism:
             assert os.getpid() != parent, "the write ran in the parent process"
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(cli, "save_token_maps", die)
+        monkeypatch.setattr(dataengine, "save_jsonl", die)  # the first job's task writes
         out = tmp_path / "run"
         rc = cli.main(["pipeline", "--out", str(out), "--threads", "2"] + _cfg(workspace))
         assert rc == 5
@@ -2092,26 +2093,30 @@ class TestPipelineWorker:
     """``pipeline`` builds the general-view tasks in the worker."""
 
     def test_tiers_are_built_in_the_worker(self, workspace, tmp_path, monkeypatch):
+        # one call builds every tier, in one pass over each category's queries
         pids = tmp_path / "pids"
-        build = dataengine.build_gallery_tasks_per_category
+        build = dataengine.build_gallery_tiers_per_category
 
-        def record_pid(*args, **kwargs):
+        def record_pid(general, side, tiers, **kwargs):
             with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return build(*args, **kwargs)
+                fh.write(f"{os.getpid()} {sorted(tiers)}\n")
+            return build(general, side, tiers, **kwargs)
 
-        monkeypatch.setattr(dataengine, "build_gallery_tasks_per_category", record_pid)
+        monkeypatch.setattr(dataengine, "build_gallery_tiers_per_category", record_pid)
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
-        recorded = pids.read_text().split()
-        assert len(recorded) == len({SMALL_CONFIG["tau"], *SMALL_CONFIG["taus"]})
-        assert len(set(recorded)) == 1 and int(recorded[0]) != os.getpid()
+        (recorded,) = pids.read_text().splitlines()
+        pid, taus = recorded.split(" ", 1)
+        assert int(pid) != os.getpid()
+        assert taus == str(sorted({SMALL_CONFIG["tau"], *SMALL_CONFIG["taus"]}))
         _assert_no_child_left()
 
     def test_every_matcher_is_scored_in_the_parent(self, workspace, tmp_path, monkeypatch):
-        # every matcher's scores come from the parent, after the adapter fit;
-        # the first job builds the sweep's tasks with the tiers, and the
-        # second job computes recall@1
+        # every matcher's scores come from the parent, after the adapter fit,
+        # and so do the general-view files and the adapter-training tasks;
+        # the first job builds and writes the benchmark's tasks and nothing
+        # else, and the second job writes the raw view and the expert set and
+        # computes recall@1
         pids = tmp_path / "pids"
 
         def record_pid(module, name):
@@ -2126,21 +2131,30 @@ class TestPipelineWorker:
 
         for name in ("sweep_tasks", "similarity_matcher", "fused_matcher", "sweep_accuracies"):
             record_pid(evalkit, name)
-        record_pid(dataengine, "build_detection_tasks")
+        for name in ("build_gallery_tiers_per_category", "build_detection_tasks",
+                     "build_gallery_tasks", "emit_conversations", "save_jsonl"):
+            record_pid(dataengine, name)
+        for name in ("save_token_maps", "save_embedding_set", "_write_ground_truth"):
+            record_pid(cli, name)
         record_pid(synthgen, "recall_at_1")
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
         calls = [line.split() for line in pids.read_text().splitlines()]
         parent = str(os.getpid())
-        assert sorted(name for name, pid in calls if pid == parent) == [
-            "fused_matcher", "similarity_matcher", "similarity_matcher", "sweep_accuracies",
+        assert [name for name, pid in calls if pid == parent] == [
+            "save_token_maps", "save_embedding_set", "_write_ground_truth",
+            "build_gallery_tasks", "similarity_matcher", "similarity_matcher", "fused_matcher",
+            "sweep_accuracies",
         ]
         jobs = {}
         for name, pid in calls:
             if pid != parent:
                 jobs.setdefault(pid, []).append(name)
-        assert sorted(jobs.values()) == [["build_detection_tasks", "sweep_tasks"],
-                                         ["recall_at_1"] * 2]
+        assert sorted(jobs.values()) == [
+            ["build_gallery_tiers_per_category", "build_detection_tasks",
+             "emit_conversations", "emit_conversations", *["save_jsonl"] * 6, "sweep_tasks"],
+            ["save_embedding_set", "save_embedding_set", "recall_at_1", "recall_at_1"],
+        ]
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -2165,7 +2179,7 @@ class TestPipelineWorker:
             time.sleep(0.3)  # a forked worker has failed by now
             raise DataValidationError("the expert fit failed")
 
-        monkeypatch.setattr(dataengine, "build_gallery_tasks_per_category", fail_tasks)
+        monkeypatch.setattr(dataengine, "build_gallery_tiers_per_category", fail_tasks)
         monkeypatch.setattr(expert, "fit_expert", fail_fit)
         out = tmp_path / "run"
         rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
@@ -2176,8 +2190,8 @@ class TestPipelineWorker:
     def test_bundle_and_expert_set_are_written_while_the_adapter_trains(
             self, workspace, tmp_path, monkeypatch):
         # the second job writes the raw view and the expert set while the
-        # parent fits the adapter; the first job wrote the general view and
-        # the ground truth with the tasks, before the fit
+        # parent fits the adapter; before the fit, the first job wrote the
+        # tasks and the parent the general view and the ground truth
         parent = os.getpid()
         fitting, fitted = tmp_path / "fitting", tmp_path / "fitted"
         writes = tmp_path / "writes"
@@ -2224,37 +2238,73 @@ class TestPipelineWorker:
         (second_job,) = {records[name][0] for name in in_job}
         for name in in_job:
             assert records[name][1] == "True", name
-        first_job = records["general.jsonl"][0]
-        assert records["general.jsonl"][1] == "False"
-        assert len({parent, first_job, second_job}) == 3
+        assert records["general.jsonl"] == (parent, "False")
+        assert second_job != parent
         _assert_no_child_left()
 
-    def test_token_maps_are_written_while_the_expert_trains(self, workspace, tmp_path,
-                                                            monkeypatch):
+    def test_general_view_files_are_written_in_the_parent_while_tasks_build(
+            self, workspace, tmp_path, monkeypatch):
+        # once the expert is fitted, the parent writes the token maps, the
+        # general view and the ground truth while the first job builds the
+        # tasks; each write waits until the build has started, and the build
+        # ends only once all three writes are done
         parent = os.getpid()
-        training, trained = tmp_path / "training", tmp_path / "trained"
+        building, built = tmp_path / "building", tmp_path / "built"
         writes = tmp_path / "writes"
-        fit_expert, save_token_maps = expert.fit_expert, cli.save_token_maps
+        general_files = {"token_maps.jsonl", "general.jsonl", "ground_truth.jsonl"}
+        build = dataengine.build_gallery_tiers_per_category
 
-        def fit_while_writing(*args, **kwargs):
-            training.touch()
-            head = fit_expert(*args, **kwargs)
-            _wait_for(writes)
-            trained.touch()
-            return head
+        def written():
+            return writes.read_text().splitlines() if writes.exists() else []
 
-        def record(maps, path):
-            _wait_for(training)
-            save_token_maps(maps, path)
-            during = training.exists() and not trained.exists()
-            writes.write_text(f"{os.getpid()} {during}")
+        def build_while_writing(*args, **kwargs):
+            building.touch()
+            tiers = build(*args, **kwargs)
+            _wait_until(lambda: len(written()) == len(general_files), "the general-view writes")
+            built.touch()
+            return tiers
 
-        monkeypatch.setattr(expert, "fit_expert", fit_while_writing)
-        monkeypatch.setattr(cli, "save_token_maps", record)
+        def recorded(write, path_at):
+            def record(*args):
+                _wait_for(building)
+                write(*args)
+                during = building.exists() and not built.exists()
+                with open(writes, "a") as fh:
+                    fh.write(f"{os.path.basename(args[path_at])} {os.getpid()} {during}\n")
+            return record
+
+        monkeypatch.setattr(dataengine, "build_gallery_tiers_per_category", build_while_writing)
+        for name, path_at in (("save_token_maps", 1), ("save_embedding_set", 1),
+                              ("_write_ground_truth", 0)):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name), path_at))
         assert cli.main(["pipeline", "--out", str(tmp_path / "run"), "--threads", "2"]
                         + _cfg(workspace)) == 0
-        pid, during = writes.read_text().split()
-        assert int(pid) != parent and during == "True"
+        records = {name: (int(pid), during) for name, pid, during in map(str.split, written())}
+        # the second job writes the raw view and the expert set after the build
+        assert set(records) == general_files | {"raw.jsonl", "expert.jsonl"}
+        for name in general_files:
+            assert records[name] == (parent, "True"), name
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_task_building_error_wins_over_training_task_error(
+            self, workspace, tmp_path, capsys, monkeypatch, threads):
+        # the parent builds the adapter-training tasks while the first job
+        # builds the benchmark's; an error of the first job is raised first,
+        # as when that job built both
+        def fail(message):
+            def failing(*args, **kwargs):
+                raise DataValidationError(message)
+            return failing
+
+        monkeypatch.setattr(dataengine, "build_gallery_tasks", fail("training tasks failed"))
+        out = tmp_path / "run"
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
+        assert _assert_data_error(rc, capsys) == "training tasks failed"
+        monkeypatch.setattr(dataengine, "build_detection_tasks", fail("detection failed"))
+        rc = cli.main(["pipeline", "--out", str(out), "--threads", threads] + _cfg(workspace))
+        assert _assert_data_error(rc, capsys) == "detection failed"
+        assert [p.name for p in out.iterdir()] == []
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -2290,7 +2340,7 @@ class TestPipelineWorker:
             return fit_adapter(*args, **kwargs)
 
         def die(eset, path, *args):
-            if os.path.basename(path) == "general.jsonl":  # the first job's write
+            if os.path.basename(path) == "general.jsonl":  # the parent's write
                 return save_embedding_set(eset, path, *args)
             assert os.getpid() != parent
             _wait_for(received)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ilrkit import dataengine
+from ilrkit import dataengine, kernels
 from ilrkit.dataengine import (
     ConversationRecord,
     DetectionTask,
@@ -213,7 +213,7 @@ class _LoopSampler:
         return above, below
 
 
-def _loop_gallery_tasks(general, split_side, k, tau, n_tasks, seed, hardest):
+def _loop_gallery_tasks(general, split_side, k, tau, n_tasks, seed, hardest, prefix="g"):
     sampler = _LoopSampler(general, split_side)
     tasks = []
     for t in range(n_tasks):
@@ -234,7 +234,7 @@ def _loop_gallery_tasks(general, split_side, k, tau, n_tasks, seed, hardest):
         gallery = distractors + [positive]
         gallery = [gallery[i] for i in rng.permutation(len(gallery))]
         tasks.append(GalleryTask(
-            task_id=f"g{seed:08x}-{t:05d}",
+            task_id=f"{prefix}{seed:08x}-{t:05d}",
             category=sampler.categories[query],
             query_id=sampler.image_ids[query],
             gallery_ids=tuple(sampler.image_ids[l] for l in gallery),
@@ -290,6 +290,44 @@ class TestAgainstLoopReference:
                                   hardest=hardest)
         assert got == _loop_gallery_tasks(general, side, k, tau, 80, 3, hardest)
 
+    @pytest.mark.parametrize("hardest", [False, True])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_one_call_builds_every_tier_as_one_build_per_tau(self, small_bundle, k, hardest):
+        # strict, mixed and fully relaxed tiers at k 5, the mixed one first;
+        # 80 tasks are two blocks of queries
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        taus = (0.5, -1.0, 0.95)
+        got = dataengine.build_gallery_tiers(general, side, {tau: f"s{tau:g}-" for tau in taus},
+                                             k=k, n_tasks=80, seed=3, hardest=hardest)
+        assert list(got) == list(taus)
+        for tau in taus:
+            assert got[tau] == _loop_gallery_tasks(general, side, k, tau, 80, 3, hardest,
+                                                   prefix=f"s{tau:g}-")
+
+    @pytest.mark.parametrize("hardest", [False, True])
+    def test_per_category_tiers_equal_one_build_per_category_and_tau(self, small_bundle,
+                                                                     hardest):
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        taus = (0.8, 0.2)
+        got = dataengine.build_gallery_tiers_per_category(
+            general, side, {tau: f"t{tau:g}-" for tau in taus}, k=3, n_per_category=70,
+            seed=5, hardest=hardest,
+        )
+        categories = sorted(dataengine._category_sides(general, side).items())
+        assert len(categories) == 2
+        for tau in taus:
+            assert got[tau] == [
+                task
+                for category, instances in categories
+                for task in _loop_gallery_tasks(
+                    general, instances, 3, tau, 70, dataengine._category_seed(5, category),
+                    hardest, prefix=f"t{tau:g}-{category}-",
+                )
+            ]
+        assert 0 < sum(t.relaxed for t in got[0.8]) < len(got[0.8])
+
     @pytest.mark.parametrize("tau", [-1.0, 0.2, 0.5, 0.8, 0.95])
     def test_detection_tasks_equal(self, small_bundle, tau):
         general = small_bundle.general_set
@@ -311,7 +349,7 @@ class TestAgainstLoopReference:
     def test_equal_similarities_break_by_image_id(self, tied_pool):
         instances = set(tied_pool.instance_index)
         sampler = dataengine._TaskSampler(tied_pool, instances)
-        sims, _, _ = sampler.distractor_pool(0, 0.99)
+        (sims,) = sampler.similarity_rows([0])
         assert sims[2] == sims[3]  # z0 and y0 tie exactly
         for seed in range(20):
             (relaxed,) = build_gallery_tasks(tied_pool, instances, k=2, tau=0.99,
@@ -326,6 +364,33 @@ class TestAgainstLoopReference:
             assert negative.gallery_id == "y0"
             assert relaxed == _loop_gallery_tasks(tied_pool, instances, 2, 0.99, 1, seed,
                                                   False)[0]
+
+    @pytest.mark.parametrize("hardest", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tied_tiers_equal_one_build_per_tau(self, tied_pool, k, hardest):
+        # relaxed (0.99), all-above (-1.0) and tie-only (0.2) pools in one call
+        instances = set(tied_pool.instance_index)
+        taus = (0.99, -1.0, 0.2)
+        for seed in range(20):
+            got = dataengine.build_gallery_tiers(tied_pool, instances, {tau: "g" for tau in taus},
+                                                 k=k, n_tasks=3, seed=seed, hardest=hardest)
+            for tau in taus:
+                assert got[tau] == _loop_gallery_tasks(tied_pool, instances, k, tau, 3, seed,
+                                                       hardest)
+
+    def test_similarity_rows_are_dot_scores_rows_bit_for_bit(self, default_bundle,
+                                                             default_split):
+        # one matrix product over a block of queries differs from a
+        # matrix-vector product per query in the last bits (up to 4.4e-16 on
+        # this side), which could flip a comparison with tau or a tie
+        sampler = dataengine._TaskSampler(default_bundle.general_set,
+                                          default_split.train_instances)
+        assert len(sampler.rows) == 3360
+        queries = list(range(0, len(sampler.rows), 53))[:dataengine._BLOCK]
+        rows = sampler.similarity_rows(queries)
+        want = np.stack([kernels.dot_scores(sampler.unit, sampler.unit[q]) for q in queries])
+        assert rows.shape == (dataengine._BLOCK, 3360)
+        assert rows.tobytes() == want.tobytes()
 
 
 class TestCheckGalleryTask:
