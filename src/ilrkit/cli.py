@@ -428,8 +428,11 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         # the expert and the adapter are fitted on the split that seed drew
         stages.next("fitting expert head")
         head = expert.fit_expert(bundle.raw_set.subset(split.train_instances), config=config.expert)
-        checkpoint.save_expert(head, stage.record("expert_head.ckpt", h, seed))
-        expert_set = expert.embed_set(head, bundle.raw_set)
+        head_path = stage.record("expert_head.ckpt", h, seed)
+        checkpoint.save_expert(head, head_path)
+        # the set is embedded with the checkpoint's float32 head, as embed
+        # would embed it, not with the float64 head of the fit
+        expert_set = expert.embed_set(checkpoint.load_expert(head_path), bundle.raw_set)
 
         stages.next("writing general-view files")
         save_token_maps(bundle.token_maps, maps_path)

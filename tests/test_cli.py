@@ -1751,6 +1751,22 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pipeline_expert_set_equals_train_expert_then_embed(self, workspace, tmp_path):
+        # pipeline embeds with its checkpoint's float32 head, as embed does,
+        # so the two expert sets agree to the byte
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--out", str(run), "--threads", "1"]
+                        + _cfg(workspace)) == 0
+        assert cli.main(["train-expert", "--embeddings", str(run / "raw.jsonl"),
+                         "--split", str(run / "split.json"),
+                         "--out", str(tmp_path / "expert_head.ckpt")] + _cfg(workspace)) == 0
+        ours, theirs = (checkpoint.load_expert(d / "expert_head.ckpt") for d in (run, tmp_path))
+        assert ours.w.tobytes() == theirs.w.tobytes() and ours.b.tobytes() == theirs.b.tobytes()
+        assert cli.main(["embed", "--checkpoint", str(tmp_path / "expert_head.ckpt"),
+                         "--embeddings", str(run / "raw.jsonl"),
+                         "--out", str(tmp_path / "expert.jsonl")] + _cfg(workspace)) == 0
+        assert (tmp_path / "expert.jsonl").read_bytes() == (run / "expert.jsonl").read_bytes()
+
     def test_interrupted_stage_leaves_no_partials(self, workspace):
         # staging dirs are promoted or removed; none may linger
         data = workspace / "data"
