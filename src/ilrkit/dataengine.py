@@ -277,7 +277,7 @@ def build_gallery_tiers(
                 if len(pool) < k - 1:
                     distractors = np.concatenate([pool, ranked[j][:k - 1 - len(pool)]])
                 elif hardest:
-                    distractors = ranked[j][:k - 1]
+                    distractors = ranked[j]
                 else:
                     distractors = pool[rng.choice(len(pool), size=k - 1, replace=False)]
                 gallery = distractors.tolist() + [positive]
