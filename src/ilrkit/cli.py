@@ -7,10 +7,10 @@ config hash, seed, and tool version. synth and pipeline take --threads:
 unless it is 1, a forked worker process runs one job at a time beside the
 parent and reports once the job has finished. In synth a job writes the
 token maps. In pipeline one job builds and writes the benchmark's task
-sets while the parent fits the expert, writes the token maps, the general
-view and the ground truth, and builds the adapter-training tasks; a second
-job writes the raw view and the expert set and computes recall@1 while the
-parent fits the adapter and scores every matcher. Outputs, error messages
+sets and writes the general view and the ground truth, while the parent
+fits the expert, writes the token maps and builds the adapter-training
+tasks; a second job writes the raw view and the expert set and computes
+recall@1 while the parent fits the adapter and scores every matcher. Outputs, error messages
 and exit codes do not depend on --threads. A command runs with numpy's bundled OpenBLAS at one
 thread, whatever the environment asks, and restores the previous count on
 return: its matrix products are small (64 columns wide at the default
@@ -40,6 +40,7 @@ from .config import (
     ENV_CONFIG,
     PipelineConfig,
     check_problems,
+    count_problems,
     load_config,
     tau_problems,
     taus_problems,
@@ -137,7 +138,7 @@ def _split_side(args) -> frozenset[str]:
 def cmd_build_galleries(args, config: PipelineConfig) -> None:
     if args.k < 2:
         raise ConfigError("k must be >= 2 (use build-detection for K=1)")
-    check_problems(tau_problems("--tau", args.tau))
+    check_problems(tau_problems("--tau", args.tau) + count_problems("--n-tasks", args.n_tasks))
     general = load_embedding_set(args.embeddings, config.format)
     if args.per_category:
         tasks = dataengine.build_gallery_tasks_per_category(
@@ -157,7 +158,7 @@ def cmd_build_galleries(args, config: PipelineConfig) -> None:
 
 
 def cmd_build_detection(args, config: PipelineConfig) -> None:
-    check_problems(tau_problems("--tau", args.tau))
+    check_problems(tau_problems("--tau", args.tau) + count_problems("--n-tasks", args.n_tasks))
     general = load_embedding_set(args.embeddings, config.format)
     tasks = dataengine.build_detection_tasks(
         general, _split_side(args), tau=args.tau, n_tasks=args.n_tasks,
@@ -319,7 +320,8 @@ def _sweep_matchers(args, config: PipelineConfig, general):
 def cmd_sweep(args, config: PipelineConfig) -> None:
     _needs(args, "--adapter", "--token-maps", "--expert-embeddings")
     _needs(args, "--token-maps", "--adapter", "--expert-embeddings")
-    check_problems(taus_problems("--taus", args.taus, "threshold of --taus"))
+    check_problems(taus_problems("--taus", args.taus, "threshold of --taus")
+                   + count_problems("--n-tasks", args.n_tasks))
     general = load_embedding_set(args.embeddings, config.format)
     side = _split_side(args)
     matchers = _sweep_matchers(args, config, general)
@@ -360,12 +362,12 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
     evaluate all matchers -> sweep, with one manifest for everything.
 
     The tiers, detection tasks, conversations and sweep tasks depend on the
-    general view alone, so one job builds and writes them and returns what
-    the parent scores. Meanwhile the parent fits the expert (milliseconds,
-    in closed form), writes the token maps, the general view and the ground
-    truth, and builds the adapter-training tasks it fits the adapter on;
-    then it waits for the job. The two lanes take about the same time at
-    the default config. A second job writes the raw view and the expert set
+    general view alone, so one job builds and writes them, writes the
+    general view and the ground truth, and returns what the parent scores.
+    Meanwhile the parent fits the expert (milliseconds, in closed form),
+    writes the token maps and builds the adapter-training tasks it fits the
+    adapter on; then it waits for the job. The two lanes take about the
+    same time at the default config. A second job writes the raw view and the expert set
     and computes both recall@1 values while the parent fits the adapter,
     scores every matcher and writes the reports; it does not outlast the
     parent's stage it overlaps. recall@1 sits in that job because its
@@ -417,6 +419,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
             caption = dataengine.emit_conversations(tier, "caption", captions=captions)
             for path, items in zip(task_paths, [*tiers.values(), detection, mcq, caption]):
                 dataengine.save_jsonl(items, path)
+            save_embedding_set(bundle.general_set, general_path, ext)
+            _write_ground_truth(truth_path, bundle.ground_truth)
             sweep_tiers = evalkit.sweep_tasks(
                 bundle.general_set, split.test_instances, config.taus, k=config.k,
                 n_tasks=config.n_sweep_tasks, seed=seed,
@@ -434,10 +438,8 @@ def cmd_pipeline(args, config: PipelineConfig) -> None:
         # would embed it, not with the float64 head of the fit
         expert_set = expert.embed_set(checkpoint.load_expert(head_path), bundle.raw_set)
 
-        stages.next("writing general-view files")
+        stages.next("writing token maps")
         save_token_maps(bundle.token_maps, maps_path)
-        save_embedding_set(bundle.general_set, general_path, ext)
-        _write_ground_truth(truth_path, bundle.ground_truth)
 
         # the tasks the parent fits the adapter on; their error, if any, is
         # raised once the first job's result has been read, so that the
@@ -586,11 +588,11 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = 
     if threads:
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="1 runs everything in one process; above 1, a forked worker "
-                            "builds and writes pipeline's benchmark tasks while the parent "
-                            "fits the expert, writes the general-view files and builds the "
-                            "adapter-training tasks, and writes the bulk artifacts of "
-                            "pipeline and synth while computing goes on (default: the CPUs "
-                            "this process may run on)")
+                            "builds and writes pipeline's benchmark tasks and general view "
+                            "while the parent fits the expert, writes the token maps and "
+                            "builds the adapter-training tasks, and writes the bulk "
+                            "artifacts of pipeline and synth while computing goes on "
+                            "(default: the CPUs this process may run on)")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="embedding interchange format override")
     p.add_argument("-v", "--verbose", action="store_true")

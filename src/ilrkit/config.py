@@ -53,8 +53,8 @@ class PipelineConfig:
             problems.append("k must be >= 2 (use build-detection for K=1)")
         problems += tau_problems("tau", self.tau)
         problems += taus_problems("taus", self.taus, "sweep tau")
-        if self.n_tasks < 1 or self.n_train_tasks < 1 or self.n_sweep_tasks < 1:
-            problems.append("task counts must be >= 1")
+        problems += count_problems(
+            "task counts", min(self.n_tasks, self.n_train_tasks, self.n_sweep_tasks))
         if not 0.0 < self.test_fraction < 1.0:
             problems.append("test_fraction must lie strictly between 0 and 1")
         if not 0.0 <= self.positive_rate <= 1.0:
@@ -83,6 +83,11 @@ class PipelineConfig:
 def tau_problems(name: str, tau: float) -> list[str]:
     """What is wrong with the similarity threshold ``tau``, called ``name``."""
     return [] if 0.0 <= tau < 1.0 else [f"{name} must lie in [0, 1) for cosine similarity"]
+
+
+def count_problems(name: str, count: int) -> list[str]:
+    """What is wrong with the task count ``count``, called ``name``."""
+    return [] if count >= 1 else [f"{name} must be >= 1"]
 
 
 def taus_problems(name: str, taus, each: str) -> list[str]:

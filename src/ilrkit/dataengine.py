@@ -6,15 +6,18 @@ maintains identity-disjoint train/test splits, emits two-stage
 conversation records, and parses free-text answers back for scoring. Task
 and split files are decoded by embedstore's JSON readers.
 
-Each task derives its own random stream from (global seed, task ordinal),
-so task lists are reproducible and independent of scheduling; a builder
-sets up the streams of all its tasks at once (``streams.Streams``). The
-gallery builder makes every difficulty tier of a side in one pass over the
-queries: task t draws its query and positive first, so they are the same
-in every tier, and its row of query cosines and other-instance mask are
-made once, for a block of queries at a time; each tier compares the block
-with its tau. A task's pool is a boolean mask over its row; only the
-candidates a task ranks (below-threshold top-up, detection fallback,
+Tasks are built in blocks of 64. Each block draws all its random numbers
+at once, one array of uniforms from the stream (global seed, block
+ordinal), and task t reads row t % 64 of its block's array, so task lists
+are reproducible, independent of scheduling, and a build of n tasks is the
+first n tasks of any longer build. Every choice (query, positive,
+distractors by Floyd's algorithm, gallery order) is an array operation over
+the block. The gallery builder makes every difficulty tier of a side in one
+pass over the blocks: every tier reads the same row of uniforms, so a
+task's query and positive are the same in every tier, and its row of query
+cosines and other-instance mask are made once; each tier compares the
+block with its tau. A task's pool is a boolean mask over its row; only the
+candidates a task ranks (a relaxed task's, the detection fallback,
 ``hardest``) are sorted, by (similarity desc, image_id asc), with one
 lexsort per block.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -43,7 +47,6 @@ from .embedstore import (
     typed_fields,
 )
 from .errors import DataValidationError
-from .streams import Streams
 
 DEFAULT_K = 5
 DEFAULT_TAU = 0.5
@@ -127,26 +130,54 @@ def make_split(eset: EmbeddingSet, test_fraction: float, seed: int) -> SplitMani
     return SplitManifest(train_instances=train, test_instances=test)
 
 
-# queries per block of similarity rows: 64 rows of the default train side
-# (3,360 images) are 1.7 MB of float64
+# tasks per block: each block draws its uniforms from one stream, and the
+# similarity rows of its queries are made together; 64 rows of the default
+# train side (3,360 images) are 1.7 MB of float64
 _BLOCK = 64
+
+
+def _block_uniforms(entropy: list[int], columns: int) -> np.ndarray:
+    """The (``_BLOCK``, columns) uniforms in [0, 1) of one block of tasks,
+    from the stream ``default_rng(entropy)``. A block draws all its rows
+    even when the build ends inside it, so a build of n tasks is the first
+    n tasks of any longer build with the same seed."""
+    return np.random.default_rng(entropy).random((_BLOCK, columns))
+
+
+def _pick(u: np.ndarray, n) -> np.ndarray:
+    """``floor(u * n)`` of uniforms in [0, 1), capped at n - 1 (the product
+    can round up to n)."""
+    return np.minimum((u * n).astype(np.intp), n - 1)
+
+
+def _floyd(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """For each row, ``u.shape[1]`` distinct positions in range(size) by
+    Floyd's algorithm, each draw one array operation over all the rows:
+    draw d takes ``r = min(floor(u[:, d] * (hi + 1)), hi)``, where
+    ``hi = size - u.shape[1] + d``, or hi itself if r was taken already.
+    Every size must be at least ``u.shape[1]``."""
+    count = u.shape[1]
+    picks = np.empty(u.shape, dtype=np.intp)
+    for d in range(count):
+        hi = sizes - count + d
+        r = _pick(u[:, d], hi + 1)
+        picks[:, d] = np.where((picks[:, :d] == r[:, None]).any(axis=1), hi, r)
+    return picks
 
 
 class _TaskSampler:
     """Shared machinery for sampling queries and thresholded distractor pools.
 
     No all-pairs matrix of the split side is built (the default train
-    side's would take 90 MB): the gallery builder takes the similarity rows
-    of ``_BLOCK`` queries at a time, and the detection builder one row per
-    non-match task. Every row is one ``kernels.dot_scores`` call, a
-    matrix-vector product. A matrix product over a block of queries gives
-    other last bits (up to 4.4e-16 on the default config's sides), which
-    could flip a comparison with tau or a tie.
+    side's would take 90 MB): a builder takes the similarity rows of one
+    block of queries at a time. Every row is one ``kernels.dot_scores``
+    call, a matrix-vector product. A matrix product over a block of queries
+    gives other last bits (up to 4.4e-16 on the default config's sides),
+    which could flip a comparison with tau or a tie.
     """
 
     def __init__(self, general: EmbeddingSet, split_side: Iterable[str]):
         side = set(split_side)
-        self.eset = general
         instance_ids = general.instance_ids
         self.rows = [i for i, inst in enumerate(instance_ids) if inst in side]
         if not self.rows:
@@ -156,38 +187,47 @@ class _TaskSampler:
         if np.any(norms == 0.0):
             raise DataValidationError("zero vector in general view")
         self.unit = matrix / norms[:, None]
-        image_ids, categories = general.image_ids, general.categories
-        self.image_ids = [image_ids[i] for i in self.rows]
-        self.instance_ids = [instance_ids[i] for i in self.rows]
-        self.categories = [categories[i] for i in self.rows]
+        # object arrays, so that a block's ids are gathered at once
+        self.image_ids = np.array(general.image_ids, dtype=object)[self.rows]
+        self.categories = np.array(general.categories, dtype=object)[self.rows]
         by_instance: dict[str, list[int]] = {}
-        for local, inst in enumerate(self.instance_ids):
+        for local, inst in enumerate(instance_ids[i] for i in self.rows):
             by_instance.setdefault(inst, []).append(local)
         self.by_instance = by_instance
-        # one integer code per instance, and each image's rank in image_id order
-        self.instance_codes = np.empty(len(self.rows), dtype=np.intp)
+        # the images grouped by instance (``members``); each image's instance
+        # as an integer code and as the (start, size) of its group, and its
+        # place in that group; and each image's rank in image_id order
+        n = len(self.rows)
+        self.members = np.fromiter(itertools.chain.from_iterable(by_instance.values()),
+                                   dtype=np.intp, count=n)
+        self.instance_codes, self.starts, self.sizes, self.places = (
+            np.empty(n, dtype=np.intp) for _ in range(4))
+        start = 0
         for code, locals_ in enumerate(by_instance.values()):
             self.instance_codes[locals_] = code
-        self.id_rank = np.empty(len(self.rows), dtype=np.intp)
-        self.id_rank[sorted(range(len(self.rows)), key=self.image_ids.__getitem__)] = (
-            np.arange(len(self.rows))
-        )
+            self.starts[locals_], self.sizes[locals_] = start, len(locals_)
+            self.places[locals_] = np.arange(len(locals_))
+            start += len(locals_)
+        self.id_rank = np.empty(n, dtype=np.intp)
+        self.id_rank[np.argsort(self.image_ids, kind="stable")] = np.arange(n)
         # queries must have a positive available
-        self.eligible = [
+        self.eligible = np.array([
             local
             for inst, locals_ in sorted(by_instance.items())
             for local in locals_
             if len(locals_) >= 2
-        ]
-        if not self.eligible:
+        ], dtype=np.intp)
+        if not len(self.eligible):
             raise DataValidationError("no instance has >= 2 images on this split side")
 
-    def pick_query(self, rng: np.random.Generator) -> tuple[int, int]:
-        """Returns (query local index, positive local index)."""
-        query = self.eligible[int(rng.integers(len(self.eligible)))]
-        siblings = [l for l in self.by_instance[self.instance_ids[query]] if l != query]
-        positive = siblings[int(rng.integers(len(siblings)))]
-        return query, positive
+    def pick_queries(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The query and the positive of each row of the uniforms ``u``:
+        column 0 picks the query from ``eligible``, column 1 the positive
+        among the query's other images of its instance, in local order."""
+        queries = self.eligible[_pick(u[:, 0], len(self.eligible))]
+        siblings = _pick(u[:, 1], self.sizes[queries] - 1)
+        siblings += siblings >= self.places[queries]  # step over the query
+        return queries, self.members[self.starts[queries] + siblings]
 
     def similarity_rows(self, queries: Sequence[int]) -> np.ndarray:
         """The cosine of every image to each query, one row per query."""
@@ -195,6 +235,10 @@ class _TaskSampler:
         for row, query in zip(sims, queries):
             row[:] = kernels.dot_scores(self.unit, self.unit[query])
         return sims
+
+    def other_instance(self, queries: np.ndarray) -> np.ndarray:
+        """Whether each image is of another instance than each query."""
+        return self.instance_codes != self.instance_codes[queries][:, None]
 
     def most_similar(self, sims: np.ndarray, candidates: np.ndarray, count: int) -> np.ndarray:
         """The first ``count`` columns of each row of ``sims`` (rows, images)
@@ -205,10 +249,23 @@ class _TaskSampler:
         every row at once."""
         key = np.where(candidates, -sims, np.inf)
         bound = np.partition(key, count - 1, axis=1)[:, count - 1:count]
-        rows, columns = np.nonzero(key <= bound)
+        rows, columns = np.divmod(np.flatnonzero(key <= bound), key.shape[1])
         order = np.lexsort((self.id_rank[columns], key[rows, columns], rows))
         starts = np.searchsorted(rows, np.arange(len(key)))
         return columns[order][starts[:, None] + np.arange(count)]
+
+
+def _pool_picks(above: np.ndarray, counts: np.ndarray, rows: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """For each of the ``rows`` of ``above`` (tasks, images), the columns
+    that Floyd's draws with that row's uniforms in ``u`` (rows, picks) take
+    from its pool: its true columns, in ascending order. ``counts`` holds
+    each task's pool size; every row's pool holds at least as many columns
+    as it picks."""
+    offsets = (np.cumsum(counts) - counts)[rows]
+    # flat indices: a two-dimensional np.nonzero takes about 8 times as long
+    flat = np.flatnonzero(above)[offsets[:, None] + _floyd(u, counts[rows])]
+    return flat - rows[:, None] * above.shape[1]
 
 
 def build_gallery_tiers(
@@ -225,76 +282,66 @@ def build_gallery_tiers(
 
     Distractors are sampled uniformly from the pool of other-instance
     images whose general-view cosine to the query strictly exceeds tau
-    (or, with ``hardest``, the top-(k-1) most similar of that pool). An
-    under-filled pool is topped up with the most similar below-threshold
-    images and the task is flagged ``relaxed``.
+    (or, with ``hardest``, the top-(k-1) most similar of that pool). A task
+    whose pool holds fewer than k-1 images takes the k-1 most similar
+    other-instance images (its pool, topped up with the most similar
+    below-threshold ones) and is flagged ``relaxed``.
 
-    One pass over the queries builds every tier. Task ``t`` of every tier
-    draws from the stream ``[seed, t]``, and the query and its positive
-    are drawn first, so they are the same in every tier; so are the
-    query's similarity row and its other-instance mask, which are made
-    once, for ``_BLOCK`` tasks at a time. Each tier after the first
-    restores the stream to its state after that pick, so its draws, and
-    its tasks, are those of a build of that tier alone.
+    Tasks come in blocks of ``_BLOCK``. Block b draws one (``_BLOCK``,
+    2k+1) array of uniforms from the stream ``[seed, b]``, and task t reads
+    row ``t % _BLOCK`` of its block's array: column 0 picks the query,
+    column 1 its positive, columns 2..k the k-1 distractors from the pool
+    without replacement (Floyd's algorithm), and the argsort of the last k
+    columns orders the gallery. Every tier reads the same row, so a task's
+    query and positive are the same in every tier, and a tier built alone
+    equals that tier of a build of several. A build of n tasks is the
+    first n tasks of any longer build. The block's similarity rows and
+    other-instance masks are made once for all the tiers, and every choice
+    is an array operation over the block.
     """
     if k < 2:
         raise DataValidationError("k must be >= 2 (use build_detection_tasks for K=1)")
     sampler = _TaskSampler(general, split_side)
     if len(sampler.by_instance) < 2:
         raise DataValidationError("need images of at least 2 instances")
-    streams = Streams([[seed, t] for t in range(n_tasks)])
     built: dict[float, list[GalleryTask]] = {tau: [] for tau in tiers}
     for start in range(0, n_tasks, _BLOCK):
-        block = range(start, min(start + _BLOCK, n_tasks))
-        rngs = [streams[t] for t in block]
-        picks = [sampler.pick_query(rng) for rng in rngs]
-        states = [rng.bit_generator.state for rng in rngs]
-        queries = [query for query, _ in picks]
+        u = _block_uniforms([seed, start // _BLOCK], 2 * k + 1)[:n_tasks - start]
+        queries, positives = sampler.pick_queries(u)
         sims = sampler.similarity_rows(queries)
-        other = sampler.instance_codes != sampler.instance_codes[queries][:, None]
+        other = sampler.other_instance(queries)
         available = other.sum(axis=1)
         if available.min() < k - 1:
             raise DataValidationError(
                 f"only {available[available < k - 1][0]} other-instance images available, "
                 f"need {k - 1}"
             )
-        for tier, (tau, prefix) in enumerate(tiers.items()):
-            above = other & (sims > tau)
-            counts = above.sum(axis=1)
-            relaxed = counts < k - 1
-            # each row's above-threshold columns, ascending
-            pools = np.split(np.nonzero(above)[1], np.cumsum(counts)[:-1])
-            # a relaxed row is topped up from the rest of its other-instance
-            # images; with hardest, every other row takes its pool's most similar
-            ranked_rows = np.flatnonzero(relaxed | hardest)
-            candidates = np.where(relaxed[:, None], other & ~above, above)[ranked_rows]
-            ranked = dict(zip(ranked_rows.tolist(),
-                              sampler.most_similar(sims[ranked_rows], candidates, k - 1)))
-            for j, (t, rng, (query, positive)) in enumerate(zip(block, rngs, picks)):
-                if tier:
-                    rng.bit_generator.state = states[j]
-                pool = pools[j]
-                if len(pool) < k - 1:
-                    distractors = np.concatenate([pool, ranked[j][:k - 1 - len(pool)]])
-                elif hardest:
-                    distractors = ranked[j]
-                else:
-                    distractors = pool[rng.choice(len(pool), size=k - 1, replace=False)]
-                gallery = distractors.tolist() + [positive]
-                order = rng.permutation(len(gallery))
-                gallery = [gallery[i] for i in order]
-                built[tau].append(
-                    GalleryTask(
-                        task_id=f"{prefix}{seed:08x}-{t:05d}",
-                        category=sampler.categories[query],
-                        query_id=sampler.image_ids[query],
-                        gallery_ids=tuple(sampler.image_ids[l] for l in gallery),
-                        answer_index=gallery.index(positive),
-                        tau=tau,
-                        relaxed=len(pool) < k - 1,
-                        seed=seed,
-                    )
-                )
+        aboves = [other & (sims > tau) for tau in tiers]
+        counts = [above.sum(axis=1) for above in aboves]
+        # the k-1 most similar other-instance images: the distractors of
+        # every task with hardest, else of a task relaxed in some tier
+        ranked = np.empty((len(u), k - 1), dtype=np.intp)
+        ranked_rows = np.flatnonzero(hardest | (np.min(counts, axis=0) < k - 1))
+        ranked[ranked_rows] = sampler.most_similar(sims[ranked_rows], other[ranked_rows], k - 1)
+        # the gallery is the distractors, then the positive, in the argsort
+        # order of the last k columns; the positive's place is the answer
+        order = np.argsort(u[:, k + 1:], axis=1, kind="stable")
+        answers = (order == k - 1).argmax(axis=1).tolist()
+        ordinals = range(start, start + len(u))
+        query_ids = sampler.image_ids[queries].tolist()
+        categories = sampler.categories[queries].tolist()
+        for (tau, prefix), above, count in zip(tiers.items(), aboves, counts):
+            relaxed = count < k - 1
+            distractors = ranked.copy()
+            if not hardest:
+                sampled = np.flatnonzero(~relaxed)
+                distractors[sampled] = _pool_picks(above, count, sampled, u[sampled, 2:k + 1])
+            gallery = np.take_along_axis(np.column_stack([distractors, positives]), order, axis=1)
+            built[tau].extend(map(_new_gallery_task, zip(
+                [f"{prefix}{seed:08x}-{t:05d}" for t in ordinals], categories, query_ids,
+                sampler.image_ids[gallery].tolist(), answers, itertools.repeat(tau),
+                relaxed.tolist(), itertools.repeat(seed),
+            )))
     return built
 
 
@@ -378,39 +425,41 @@ def build_detection_tasks(
     positive_rate: float = 0.5,
     seed: int = 0,
 ) -> list[DetectionTask]:
-    """Single-candidate match/no-match tasks with seeded positive rate."""
+    """Single-candidate match/no-match tasks with seeded positive rate.
+
+    Tasks come in blocks of ``_BLOCK``, as in ``build_gallery_tiers``:
+    block b draws one (``_BLOCK``, 4) array of uniforms from the stream
+    ``[seed, b, 0xDE7]``, and task t reads row ``t % _BLOCK``. Column 0
+    picks the query, column 1 its positive, column 2 whether the task is
+    a match (below ``positive_rate``), and column 3 a non-match's gallery
+    image from the other-instance images above tau; with none above tau,
+    the task takes the most similar other-instance image. A build of n
+    tasks is the first n tasks of any longer build.
+    """
     if not 0.0 <= positive_rate <= 1.0:
         raise DataValidationError("positive_rate must lie in [0, 1]")
     sampler = _TaskSampler(general, split_side)
-    if len(set(sampler.instance_ids)) < 2:
+    if len(sampler.by_instance) < 2:
         raise DataValidationError("need images of at least 2 instances")
-    streams = Streams([[seed, t, 0xDE7] for t in range(n_tasks)])
     tasks = []
-    for t in range(n_tasks):
-        rng = streams[t]
-        query, positive = sampler.pick_query(rng)
-        is_match = bool(rng.random() < positive_rate)
-        if is_match:
-            gallery = positive
-        else:
-            (sims,) = sampler.similarity_rows([query])
-            other = sampler.instance_codes != sampler.instance_codes[query]
-            if not other.any():
-                raise DataValidationError("no other-instance image available")
-            above = np.flatnonzero(other & (sims > tau))
-            if len(above):
-                gallery = int(above[rng.integers(len(above))])
-            else:  # most similar below-threshold fallback
-                gallery = int(sampler.most_similar(sims[None], other[None], 1)[0, 0])
-        tasks.append(
-            DetectionTask(
-                task_id=f"d{seed:08x}-{t:05d}",
-                category=sampler.categories[query],
-                query_id=sampler.image_ids[query],
-                gallery_id=sampler.image_ids[gallery],
-                is_match=is_match,
-                tau=tau,
-                seed=seed,
+    for start in range(0, n_tasks, _BLOCK):
+        u = _block_uniforms([seed, start // _BLOCK, 0xDE7], 4)[:n_tasks - start]
+        queries, gallery = sampler.pick_queries(u)
+        is_match = u[:, 2] < positive_rate
+        rows = np.flatnonzero(~is_match)
+        sims = sampler.similarity_rows(queries[rows])
+        other = sampler.other_instance(queries[rows])
+        above = other & (sims > tau)
+        count = above.sum(axis=1)
+        picked, fallback = np.flatnonzero(count), np.flatnonzero(count == 0)
+        gallery[rows[picked]] = _pool_picks(above, count, picked, u[rows[picked], 3:])[:, 0]
+        gallery[rows[fallback]] = sampler.most_similar(sims[fallback], other[fallback], 1)[:, 0]
+        tasks.extend(
+            DetectionTask(f"d{seed:08x}-{t:05d}", category, query_id, gallery_id, match, tau, seed)
+            for t, category, query_id, gallery_id, match in zip(
+                range(start, start + len(u)), sampler.categories[queries].tolist(),
+                sampler.image_ids[queries].tolist(), sampler.image_ids[gallery].tolist(),
+                is_match.tolist(),
             )
         )
     return tasks
@@ -513,20 +562,63 @@ def parse_answer(response: str, k: int) -> int | None:
 # ---------------------------------------------------------------------------
 # JSONL serialization
 
-_sorted_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+_string = json.encoder.encode_basestring_ascii  # json.dumps' text of a str
+_BOOLEAN = {True: "true", False: "false"}
+
+
+def _number(x: int | float) -> str:
+    """json.dumps' text of an int or a float (not a bool)."""
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+    return int.__repr__(x)
+
+
+def _gallery_line(t: GalleryTask) -> str:
+    return (
+        '{"answer_index": %d, "category": %s, "gallery_ids": [%s], "query_id": %s, '
+        '"relaxed": %s, "seed": %d, "task_id": %s, "tau": %s}\n'
+        % (t.answer_index, _string(t.category), ", ".join(map(_string, t.gallery_ids)),
+           _string(t.query_id), _BOOLEAN[t.relaxed], t.seed, _string(t.task_id), _number(t.tau))
+    )
+
+
+def _detection_line(t: DetectionTask) -> str:
+    return (
+        '{"category": %s, "gallery_id": %s, "is_match": %s, "query_id": %s, "seed": %d, '
+        '"task_id": %s, "tau": %s}\n'
+        % (_string(t.category), _string(t.gallery_id), _BOOLEAN[t.is_match],
+           _string(t.query_id), t.seed, _string(t.task_id), _number(t.tau))
+    )
+
+
+def _conversation_line(r: ConversationRecord) -> str:
+    return (
+        '{"answer_index": %d, "category": %s, "images": [%s], "prompt": %s, "stage": %s, '
+        '"target": %s, "task_id": %s}\n'
+        % (r.answer_index, _string(r.category), ", ".join(map(_string, r.images)),
+           _string(r.prompt), _string(r.stage), _string(r.target), _string(r.task_id))
+    )
+
+
+_LINES = {GalleryTask: _gallery_line, DetectionTask: _detection_line,
+          ConversationRecord: _conversation_line}
+
+
+def _line(item) -> str:
+    try:
+        line = _LINES[type(item)]
+    except KeyError:
+        raise TypeError(f"save_jsonl has no line format for {type(item).__name__}") from None
+    return line(item)
 
 
 def save_jsonl(items: Sequence, path: str | Path) -> None:
-    """Write flat dataclass instances as one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            obj = dict(vars(item))
-            for key, val in obj.items():
-                if isinstance(val, tuple):
-                    obj[key] = list(val)
-                elif isinstance(val, frozenset):
-                    obj[key] = sorted(val)
-            fh.write(_sorted_json(obj) + "\n")
+    """Write gallery tasks, detection tasks or conversation records, one
+    JSON object a line: the text of ``json.dumps`` of the item's fields,
+    keys sorted and tuples as lists, spelt by one format per type. Any
+    other type is a TypeError."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(map(_line, items))
 
 
 _gallery_values = typed_fields({

@@ -343,10 +343,12 @@ def sweep_tasks(
     seed: int = 0,
 ) -> dict[float, list[GalleryTask]]:
     """The gallery tasks of each difficulty tier of a sweep, keyed by tau,
-    in the order given, built in one pass over the queries
-    (``dataengine.build_gallery_tiers``): task ``t`` has the same query and
-    positive in every tier. Callers pass at least 2 distinct taus: the
-    sweep command checks ``--taus`` and the pipeline its config first."""
+    in the order given, built in one pass over the blocks of queries
+    (``dataengine.build_gallery_tiers``): every tier reads task ``t``'s one
+    row of block draws, so the task has the same query, positive and
+    gallery order draws in every tier, and each tier equals a build of that
+    tier alone. Callers pass at least 2 distinct taus: the sweep command
+    checks ``--taus`` and the pipeline its config first."""
     return dataengine.build_gallery_tiers(
         general, split_side, {tau: f"s{tau:g}-" for tau in taus}, k=k, n_tasks=n_tasks,
         seed=seed,

@@ -2,10 +2,12 @@
 
 ``np.random.default_rng(np.random.SeedSequence(entropy))`` costs 15-22 µs
 per stream on a 2-core x86-64 host with numpy 2.4, most of it in
-SeedSequence's hash, and ilrkit draws one stream per synthetic entity and
-per task. ``Streams`` gives the same streams for a list of entropies: it
-runs SeedSequence's hash over all of them at once, as uint32 arrays, and
-hands each stream's 4 seed words to PCG64 when the stream is asked for.
+SeedSequence's hash, and synthgen draws one stream per synthetic entity.
+``Streams`` gives the same streams for a list of entropies: it runs
+SeedSequence's hash over all of them at once, as uint32 arrays, and hands
+each stream's 4 seed words to PCG64 when the stream is asked for. (The
+task builders draw one stream per block of 64 tasks, a few dozen per
+build, and make each with ``default_rng`` directly.)
 """
 
 from __future__ import annotations

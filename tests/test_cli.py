@@ -559,6 +559,11 @@ class TestExitCodes:
         ("build-galleries", ["--tau", "-0.1"], "--tau must lie in [0, 1)"),
         ("build-detection", ["--tau", "1.0"], "--tau must lie in [0, 1) for cosine similarity"),
         ("build-detection", ["--tau", "nan"], "--tau must lie in [0, 1)"),
+        # and a task count flag to the config's rule for task counts
+        ("build-galleries", ["--n-tasks", "0"], "--n-tasks must be >= 1"),
+        ("build-galleries", ["--n-tasks", "-3", "--per-category"], "--n-tasks must be >= 1"),
+        ("build-detection", ["--n-tasks", "-1"], "--n-tasks must be >= 1"),
+        ("sweep", ["--n-tasks", "0"], "--n-tasks must be >= 1"),
     ])
     def test_flag_that_would_do_nothing_is_2(self, workspace, tmp_path, capsys, command,
                                              flags, named):
@@ -1803,7 +1808,7 @@ class TestDeterminism:
         assert lines[0] == "pipeline: generating synthetic bundle"
         assert lines[-1].startswith("pipeline: done (evaluating matchers took ")
         assert [line.split(" (")[0] for line in lines[1:7]] == [
-            "pipeline: fitting expert head", "pipeline: writing general-view files",
+            "pipeline: fitting expert head", "pipeline: writing token maps",
             "pipeline: building adapter-training tasks", "pipeline: waiting for task building",
             "pipeline: fitting fusion adapter", "pipeline: evaluating matchers",
         ]
@@ -2129,10 +2134,10 @@ class TestPipelineWorker:
 
     def test_every_matcher_is_scored_in_the_parent(self, workspace, tmp_path, monkeypatch):
         # every matcher's scores come from the parent, after the adapter fit,
-        # and so do the general-view files and the adapter-training tasks;
-        # the first job builds and writes the benchmark's tasks and nothing
-        # else, and the second job writes the raw view and the expert set and
-        # computes recall@1
+        # and so do the token maps and the adapter-training tasks; the first
+        # job builds and writes the benchmark's tasks and writes the general
+        # view and the ground truth, and the second job writes the raw view
+        # and the expert set and computes recall@1
         pids = tmp_path / "pids"
 
         def record_pid(module, name):
@@ -2158,8 +2163,7 @@ class TestPipelineWorker:
         calls = [line.split() for line in pids.read_text().splitlines()]
         parent = str(os.getpid())
         assert [name for name, pid in calls if pid == parent] == [
-            "save_token_maps", "save_embedding_set", "_write_ground_truth",
-            "build_gallery_tasks", "similarity_matcher", "similarity_matcher", "fused_matcher",
+            "save_token_maps", "build_gallery_tasks", "similarity_matcher", "similarity_matcher", "fused_matcher",
             "sweep_accuracies",
         ]
         jobs = {}
@@ -2168,7 +2172,8 @@ class TestPipelineWorker:
                 jobs.setdefault(pid, []).append(name)
         assert sorted(jobs.values()) == [
             ["build_gallery_tiers_per_category", "build_detection_tasks",
-             "emit_conversations", "emit_conversations", *["save_jsonl"] * 6, "sweep_tasks"],
+             "emit_conversations", "emit_conversations", *["save_jsonl"] * 6,
+             "save_embedding_set", "_write_ground_truth", "sweep_tasks"],
             ["save_embedding_set", "save_embedding_set", "recall_at_1", "recall_at_1"],
         ]
         _assert_no_child_left()
@@ -2207,7 +2212,8 @@ class TestPipelineWorker:
             self, workspace, tmp_path, monkeypatch):
         # the second job writes the raw view and the expert set while the
         # parent fits the adapter; before the fit, the first job wrote the
-        # tasks and the parent the general view and the ground truth
+        # tasks, the general view and the ground truth, and the parent the
+        # token maps
         parent = os.getpid()
         fitting, fitted = tmp_path / "fitting", tmp_path / "fitted"
         writes = tmp_path / "writes"
@@ -2254,16 +2260,17 @@ class TestPipelineWorker:
         (second_job,) = {records[name][0] for name in in_job}
         for name in in_job:
             assert records[name][1] == "True", name
-        assert records["general.jsonl"] == (parent, "False")
+        first_job, during = records["general.jsonl"]
+        assert during == "False" and first_job != parent
         assert second_job != parent
         _assert_no_child_left()
 
-    def test_general_view_files_are_written_in_the_parent_while_tasks_build(
+    def test_token_maps_are_written_in_the_parent_while_tasks_build(
             self, workspace, tmp_path, monkeypatch):
-        # once the expert is fitted, the parent writes the token maps, the
-        # general view and the ground truth while the first job builds the
-        # tasks; each write waits until the build has started, and the build
-        # ends only once all three writes are done
+        # once the expert is fitted, the parent writes the token maps while
+        # the first job builds the tasks: the write waits until the build has
+        # started, and the build ends only once the write is done. The first
+        # job writes the general view and the ground truth after its build.
         parent = os.getpid()
         building, built = tmp_path / "building", tmp_path / "built"
         writes = tmp_path / "writes"
@@ -2276,7 +2283,8 @@ class TestPipelineWorker:
         def build_while_writing(*args, **kwargs):
             building.touch()
             tiers = build(*args, **kwargs)
-            _wait_until(lambda: len(written()) == len(general_files), "the general-view writes")
+            _wait_until(lambda: any(line.startswith("token_maps.jsonl ") for line in written()),
+                        "the token-map write")
             built.touch()
             return tiers
 
@@ -2298,8 +2306,9 @@ class TestPipelineWorker:
         records = {name: (int(pid), during) for name, pid, during in map(str.split, written())}
         # the second job writes the raw view and the expert set after the build
         assert set(records) == general_files | {"raw.jsonl", "expert.jsonl"}
-        for name in general_files:
-            assert records[name] == (parent, "True"), name
+        assert records["token_maps.jsonl"] == (parent, "True")
+        (first_job,) = {records[name] for name in ("general.jsonl", "ground_truth.jsonl")}
+        assert first_job[0] != parent and first_job[1] == "False"
         _assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -2356,7 +2365,7 @@ class TestPipelineWorker:
             return fit_adapter(*args, **kwargs)
 
         def die(eset, path, *args):
-            if os.path.basename(path) == "general.jsonl":  # the parent's write
+            if os.path.basename(path) == "general.jsonl":  # the first job's write
                 return save_embedding_set(eset, path, *args)
             assert os.getpid() != parent
             _wait_for(received)

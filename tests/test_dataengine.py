@@ -170,8 +170,29 @@ class TestGalleryTasks:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-image loop pool and list-sorted fallback that the
-# masked-array sampler replaced. The array code must build the same tasks.
+# Reference: one task at a time, in plain Python over the same block
+# uniforms: a per-image loop pool, a list-sorted ranking, Floyd's algorithm
+# over lists and a sorted gallery order. The array builders must build the
+# same tasks.
+
+
+def _uniform_row(entropy, columns, t):
+    """Task t's row of its block's uniforms: block t // 64 draws a
+    (64, columns) array from the stream ``default_rng(entropy)``."""
+    return np.random.default_rng(entropy).random((64, columns))[t % 64].tolist()
+
+
+def _index(u, n):
+    return min(int(u * n), n - 1)
+
+
+def _floyd(us, size):
+    picks = []
+    for d, u in enumerate(us):
+        hi = size - len(us) + d
+        r = min(int(u * (hi + 1)), hi)
+        picks.append(hi if r in picks else r)
+    return picks
 
 
 class _LoopSampler:
@@ -196,12 +217,14 @@ class _LoopSampler:
     def sims_to(self, local):
         return self.unit @ self.unit[local]
 
-    def pick_query(self, rng):
-        query = self.eligible[int(rng.integers(len(self.eligible)))]
+    def pick_query(self, row):
+        query = self.eligible[_index(row[0], len(self.eligible))]
         siblings = [l for l in self.by_instance[self.instance_ids[query]] if l != query]
-        return query, siblings[int(rng.integers(len(siblings)))]
+        return query, siblings[_index(row[1], len(siblings))]
 
     def distractor_pool(self, query, tau):
+        """The other-instance images above tau, in local order, and the rest
+        of them by (similarity desc, image_id asc)."""
         sims = self.sims_to(query)
         inst = self.instance_ids[query]
         above, below = [], []
@@ -212,27 +235,25 @@ class _LoopSampler:
         below.sort(key=lambda l: (-sims[l], self.image_ids[l]))
         return above, below
 
+    def ranked(self, query, images):
+        sims = self.sims_to(query)
+        return sorted(images, key=lambda l: (-sims[l], self.image_ids[l]))
+
 
 def _loop_gallery_tasks(general, split_side, k, tau, n_tasks, seed, hardest, prefix="g"):
     sampler = _LoopSampler(general, split_side)
     tasks = []
     for t in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        query, positive = sampler.pick_query(rng)
+        row = _uniform_row([seed, t // 64], 2 * k + 1, t)
+        query, positive = sampler.pick_query(row)
         above, below = sampler.distractor_pool(query, tau)
-        if len(above) >= k - 1:
-            if hardest:
-                sims = sampler.sims_to(query)
-                above.sort(key=lambda l: (-sims[l], sampler.image_ids[l]))
-                distractors = above[: k - 1]
-            else:
-                distractors = [above[i] for i in rng.choice(len(above), size=k - 1, replace=False)]
-            relaxed = False
+        relaxed = len(above) < k - 1
+        if relaxed or hardest:
+            distractors = sampler.ranked(query, above + below)[:k - 1]
         else:
-            distractors = above + below[: k - 1 - len(above)]
-            relaxed = True
+            distractors = [above[i] for i in _floyd(row[2:k + 1], len(above))]
         gallery = distractors + [positive]
-        gallery = [gallery[i] for i in rng.permutation(len(gallery))]
+        gallery = [gallery[i] for i in sorted(range(k), key=row[k + 1:].__getitem__)]
         tasks.append(GalleryTask(
             task_id=f"{prefix}{seed:08x}-{t:05d}",
             category=sampler.categories[query],
@@ -248,14 +269,14 @@ def _loop_detection_tasks(general, split_side, tau, n_tasks, positive_rate, seed
     sampler = _LoopSampler(general, split_side)
     tasks = []
     for t in range(n_tasks):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t, 0xDE7]))
-        query, positive = sampler.pick_query(rng)
-        is_match = bool(rng.random() < positive_rate)
+        row = _uniform_row([seed, t // 64, 0xDE7], 4, t)
+        query, positive = sampler.pick_query(row)
+        is_match = row[2] < positive_rate
         if is_match:
             gallery = positive
         else:
             above, below = sampler.distractor_pool(query, tau)
-            gallery = above[int(rng.integers(len(above)))] if above else below[0]
+            gallery = above[_index(row[3], len(above))] if above else below[0]
         tasks.append(DetectionTask(
             task_id=f"d{seed:08x}-{t:05d}",
             category=sampler.categories[query],
@@ -391,6 +412,71 @@ class TestAgainstLoopReference:
         want = np.stack([kernels.dot_scores(sampler.unit, sampler.unit[q]) for q in queries])
         assert rows.shape == (dataengine._BLOCK, 3360)
         assert rows.tobytes() == want.tobytes()
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_a_build_is_the_prefix_of_a_longer_one(self, small_bundle, side):
+        general = small_bundle.general_set
+        instances = getattr(make_split(general, 0.3, 2), f"{side}_instances")
+        tiers = {0.2: "a-", 0.5: "b-", 0.8: "c-"}
+        short, long = (dataengine.build_gallery_tiers(general, instances, tiers, k=4,
+                                                      n_tasks=n, seed=6) for n in (100, 200))
+        assert {tau: tasks[:100] for tau, tasks in long.items()} == short
+        short, long = (build_detection_tasks(general, instances, n_tasks=n, seed=6)
+                       for n in (100, 200))
+        assert long[:100] == short
+
+    def test_a_per_category_build_is_the_prefix_of_a_longer_one(self, small_bundle):
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        short, long = (dataengine.build_gallery_tiers_per_category(
+            general, side, {0.5: "t-"}, k=3, n_per_category=n, seed=6)[0.5] for n in (100, 200))
+        categories = sorted({t.category for t in long})
+        assert len(categories) == 2
+        for category in categories:
+            assert ([t for t in long if t.category == category][:100]
+                    == [t for t in short if t.category == category])
+
+    def test_relaxed_distractors_are_the_most_similar_other_instance_images(self,
+                                                                           small_bundle):
+        general = small_bundle.general_set
+        side = set(general.instance_index)
+        tasks = build_gallery_tasks(general, side, k=5, tau=0.8, n_tasks=150, seed=8)
+        relaxed = [t for t in tasks if t.relaxed]
+        assert len(relaxed) > 50
+        ids, instances = general.image_ids, general.instance_ids
+        matrix = np.asarray(general.matrix(), dtype=np.float64)
+        unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        for task in relaxed:
+            q = ids.index(task.query_id)
+            sims = unit @ unit[q]
+            others = [i for i in range(len(ids)) if instances[i] != instances[q]]
+            top = sorted(others, key=lambda i: (-sims[i], ids[i]))[:4]
+            distractors = set(task.gallery_ids) - {task.gallery_ids[task.answer_index]}
+            assert distractors == {ids[i] for i in top}
+
+    def test_answers_and_picks_are_uniform(self):
+        # one instance with two images, so every query is a0 or a1, and a
+        # pool of the 8 other-instance images (tau -1): each of the 4 answer
+        # places, and each pool image among a0's 3 distractors, must take
+        # its uniform share within 4 standard deviations
+        pool = _angle_set([("a0", "A", 0.0), ("a1", "A", 1.0)]
+                          + [(f"x{j}", f"X{j}", 10.0 * (j + 1)) for j in range(8)])
+        k, n = 4, 6400
+        tasks = build_gallery_tasks(pool, set(pool.instance_index), k=k, tau=-1.0, n_tasks=n,
+                                    seed=11)
+        places = np.bincount([t.answer_index for t in tasks], minlength=k)
+        assert np.all(abs(places - n / k) <= 4 * math.sqrt(n * (1 / k) * (1 - 1 / k))), places
+        a0 = [t for t in tasks if t.query_id == "a0"]
+        assert abs(len(a0) - n / 2) <= 4 * math.sqrt(n / 4)
+        picks = [g for t in a0 for g in t.gallery_ids if g != "a1"]
+        p = (k - 1) / 8
+        for j in range(8):
+            count = picks.count(f"x{j}")
+            assert abs(count - len(a0) * p) <= 4 * math.sqrt(len(a0) * p * (1 - p)), (j, count)
+        for task in tasks:
+            check_gallery_task(task, pool)
 
 
 class TestCheckGalleryTask:
@@ -592,6 +678,38 @@ class TestSerialization:
             save_jsonl(items, tmp_path / "new.jsonl")
             asdict_writer(items, tmp_path / "old.jsonl")
             assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_each_line_is_json_dumps_of_its_fields(self, tmp_path, data):
+        text = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é€😀'),
+                                 st.characters()))
+        number = st.one_of(st.sampled_from([1e-05, -0.0, 0.0, 0.5, 1e300, 2**64, -3]),
+                           st.floats(), st.integers())
+        seed = st.one_of(st.sampled_from([2**63, 2**64 + 1, -2**63 - 1]), st.integers())
+        kind = data.draw(st.sampled_from([GalleryTask, DetectionTask, ConversationRecord]))
+        fields = {
+            GalleryTask: dict(task_id=text, category=text, query_id=text,
+                              gallery_ids=st.lists(text, max_size=6).map(tuple),
+                              answer_index=st.integers(), tau=number, relaxed=st.booleans(),
+                              seed=seed),
+            DetectionTask: dict(task_id=text, category=text, query_id=text, gallery_id=text,
+                                is_match=st.booleans(), tau=number, seed=seed),
+            ConversationRecord: dict(task_id=text, stage=text,
+                                     images=st.lists(text, max_size=6).map(tuple), prompt=text,
+                                     target=text, answer_index=st.integers(), category=text),
+        }[kind]
+        record = data.draw(st.builds(kind, **fields))
+        save_jsonl([record, record], tmp_path / "lines.jsonl")
+        obj = {key: list(v) if isinstance(v, tuple) else v for key, v in vars(record).items()}
+        line = json.dumps(obj, sort_keys=True) + "\n"
+        assert (tmp_path / "lines.jsonl").read_bytes() == 2 * line.encode()
+
+    def test_a_type_without_a_line_format_is_an_error(self, tmp_path):
+        split = SplitManifest(frozenset({"a"}), frozenset({"b"}))
+        with pytest.raises(TypeError, match="no line format for SplitManifest"):
+            save_jsonl([split], tmp_path / "split.jsonl")
 
     def test_split_round_trip(self, small_bundle, tmp_path):
         split = make_split(small_bundle.general_set, 0.3, 3)
