@@ -444,7 +444,7 @@ def build_detection_tasks(
     tasks = []
     for start in range(0, n_tasks, _BLOCK):
         u = _block_uniforms([seed, start // _BLOCK, 0xDE7], 4)[:n_tasks - start]
-        queries, gallery = sampler.pick_queries(u)
+        queries, gallery = sampler.pick_queries(u)  # a match's image is its positive
         is_match = u[:, 2] < positive_rate
         rows = np.flatnonzero(~is_match)
         sims = sampler.similarity_rows(queries[rows])
@@ -682,8 +682,9 @@ def _gallery_columns_valid(rows: list[tuple]) -> bool:
 
 
 def _new_gallery_task(values: tuple) -> GalleryTask:
-    """The GalleryTask of a checked ``_gallery_values`` tuple, its fields
-    set at once rather than one at a time by the frozen ``__init__``."""
+    """The GalleryTask of a checked tuple of its field values (a loaded
+    line's ``_gallery_values``, or a builder's), its fields set at once
+    rather than one at a time by the frozen ``__init__``."""
     task_id, category, query_id, ids, answer, tau, relaxed, seed = values
     task = object.__new__(GalleryTask)
     object.__setattr__(task, "__dict__", {
